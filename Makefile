@@ -1,7 +1,8 @@
 # Tier-1 verification lives behind `make ci`: lint (gofmt gate + vet) +
 # build + race-enabled tests + the correctness harness (differential oracles + property checks
 # under -race), the obs-lint telemetry-schema gate, a bounded fuzz smoke of
-# every fuzz target, and a short parallel-throughput smoke run of saccs-bench. The race run uses -short
+# every fuzz target, a short parallel-throughput smoke run of saccs-bench, and
+# a vet + short test of the benchmark/ module. The race run uses -short
 # because the full experiment harness (internal/experiments regenerates every
 # paper table) exceeds go test's timeout under the race detector; -short
 # skips only those heavy regenerators — the concurrency tests (saccs root
@@ -21,9 +22,9 @@ COVER_BASELINE ?= 77.3
 
 .PHONY: ci lint vet build test test-short race race-full bench bench-smoke \
 	bench-contention bench-cache bench-latency bench-batch bench-ingest \
-	bench-serve check obs-lint fuzz-smoke cover
+	bench-serve benchmark-check check obs-lint fuzz-smoke cover
 
-ci: lint build race check obs-lint fuzz-smoke bench-smoke
+ci: lint build race check obs-lint fuzz-smoke bench-smoke benchmark-check
 
 # obs-lint gates the telemetry schema: every stage.* span the query pipeline
 # emits must have a matching registered stage-latency histogram and must
@@ -82,6 +83,16 @@ bench:
 # It writes no BENCH.json.
 bench-smoke:
 	$(GO) run ./cmd/saccs-bench -only parallel,quant -parallel 4 -parallel-dur 300ms -qps-guard -quant-guard -bench-out ""
+
+# benchmark-check vets and short-tests the benchmark/ module. It is a module
+# of its own (not under ./...), built against this tree's facade and the
+# exported functions of internal/search and internal/tokenize — so a signature
+# change that breaks its build fails here, in tier-1, instead of in the
+# performance gate. -short skips the smoke test that trains a pipeline; what
+# runs (generators, estimators, output checks, schema lint) takes seconds.
+benchmark-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test -short ./...
 
 # bench-contention measures reader QPS with and without a writer
 # continuously rebuilding (and republishing) the index — the

@@ -340,7 +340,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, a := range aggs {
 			svc.ResetIndex()
-			svc.Ranker.Agg = a.agg
+			svc.Cfg.Agg = a.agg
 			svc.IndexTags(svc.CanonicalTags())
 			scores[a.name] = meanNDCGOverQueries(svc, truth, 10)
 		}

@@ -419,7 +419,6 @@ func stageBenchmarks(o *obs.Observer, doc *benchFile) {
 	utterance := "I want an Italian restaurant in Montreal with delicious food and nice staff"
 	tokens := tokenize.Words(utterance)
 	intent := search.ParseUtterance(utterance)
-	apiResults := svc.API.Search(intent.Slots)
 	queryTags := ex.ExtractTags(utterance)
 	entityTags := svc.EntityTags()
 
@@ -437,8 +436,17 @@ func stageBenchmarks(o *obs.Observer, doc *benchFile) {
 	for _, t := range canon[:8] {
 		buildTags = append(buildTags, strings.ToLower(t))
 	}
+	// Resolve and rank are timed on the paper's §6.1 world (280 candidates),
+	// the scale BENCHMARK.json's workloads run at: both are linear in the
+	// candidate set, and on the 36-entity pipeline world above the rank row
+	// read a tenth of what a query at that scale pays. Gold review tags stand
+	// in for neural extraction — the rows time the index, not the extractor.
+	paper := core.NewService(yelp.Generate(yelp.DefaultConfig()), nil, nil, svc.Cfg)
+	paper.BuildEntityTags(core.GoldSource{})
+	paper.IndexTags(canon[:8])
+	apiResults := paper.API.Search(intent.Slots)
 	var exactTag string
-	svc.Index.EachTag(func(t string) bool { exactTag = t; return false })
+	paper.Index.EachTag(func(t string) bool { exactTag = t; return false })
 	// The last canonical tags are not indexed, so resolving one exercises
 	// the similarity fallback of Algorithm 1.
 	similarTag := strings.ToLower(canon[len(canon)-1])
@@ -463,9 +471,11 @@ func stageBenchmarks(o *obs.Observer, doc *benchFile) {
 			ix := index.New(sim.NewConceptual(), svc.Cfg.ThetaIndex)
 			ix.Build(buildTags, entityTags)
 		}},
-		{"index.resolve.exact", func() { svc.Index.Resolve(exactTag, svc.Cfg.ThetaFilter) }},
-		{"index.resolve.similar", func() { svc.Index.Resolve(similarTag, svc.Cfg.ThetaFilter) }},
-		{"rank", func() { svc.Ranker.Rank(apiResults, queryTags) }},
+		{"index.resolve.exact", func() { paper.Index.Resolve(exactTag, svc.Cfg.ThetaFilter) }},
+		{"index.resolve.similar", func() { paper.Index.Resolve(similarTag, svc.Cfg.ThetaFilter) }},
+		{"rank", func() {
+			_, _ = paper.Ranker().TopK(context.Background(), nil, apiResults, queryTags, svc.Cfg.TopK)
+		}},
 		{"query", func() { svc.Query(utterance) }},
 	}
 

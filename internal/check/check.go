@@ -94,6 +94,9 @@ func DefaultSuite(seed int64) []Check {
 		{"oracle/shard-merge", func() error {
 			return ShardMergeOracle(seed+18, []int{1, 2, 3, 5}, 16)
 		}},
+		{"oracle/rank-reference", func() error {
+			return RankReferenceOracle(seed+20, 24)
+		}},
 		{"oracle/quant-drift", func() error {
 			return QuantDriftOracle(seed+19, 60, 0.02)
 		}},

@@ -119,7 +119,12 @@ func QueryOracle(seed int64, goroutines, queries int) error {
 	tags := g.Tags(12)
 	ents := g.Entities(48)
 	ix := buildIndex(tags, ents, 0.55, 0)
-	rk := &search.Ranker{Index: ix, ThetaFilter: 0.45, Agg: search.MeanAgg}
+	// Each rank pins the generation current when it starts, as a request
+	// does.
+	rank := func(q rankQuery) []search.Scored {
+		rk := &search.Ranker{Snap: ix.Current(), ThetaFilter: 0.45, Agg: search.MeanAgg}
+		return rk.Rank(q.api, q.tags)
+	}
 
 	ids := make([]string, len(ents))
 	for i, e := range ents {
@@ -140,7 +145,7 @@ func QueryOracle(seed int64, goroutines, queries int) error {
 	serialRank := func(qs []rankQuery) [][]search.Scored {
 		out := make([][]search.Scored, len(qs))
 		for i, q := range qs {
-			out[i] = rk.Rank(q.api, q.tags)
+			out[i] = rank(q)
 		}
 		return out
 	}
@@ -156,7 +161,7 @@ func QueryOracle(seed int64, goroutines, queries int) error {
 				for k := 0; k < len(qs); k++ {
 					i := (k + w) % len(qs)
 					if err := DiffScored(fmt.Sprintf("%s query %d (goroutine %d, seed %d)", label, i, w, seed),
-						want[i], rk.Rank(qs[i].api, qs[i].tags)); err != nil {
+						want[i], rank(qs[i])); err != nil {
 						errs <- err
 						return
 					}

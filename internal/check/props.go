@@ -115,7 +115,7 @@ func RankPermutationInvariant(seed int64, trials int) error {
 	tags := g.Tags(12)
 	ents := g.Entities(40)
 	ix := buildIndex(tags, ents, 0.55, 0)
-	rk := &search.Ranker{Index: ix, ThetaFilter: 0.45, Agg: search.MeanAgg}
+	rk := &search.Ranker{Snap: ix.Current(), ThetaFilter: 0.45, Agg: search.MeanAgg}
 	ids := make([]string, len(ents))
 	for i, e := range ents {
 		ids[i] = e.EntityID

@@ -40,7 +40,7 @@ func ShardMergeOracle(seed int64, shards []int, queries int) error {
 		ks[i] = []int{0, 1, 5, 1000}[g.rng.Intn(4)]
 	}
 	baseline := func(q rankQuery, k int) ([]search.Scored, error) {
-		rk := &search.Ranker{Index: single.Current(), ThetaFilter: 0.45, Agg: search.MeanAgg}
+		rk := &search.Ranker{Snap: single.Current(), ThetaFilter: 0.45, Agg: search.MeanAgg}
 		out, err := rk.RankCtx(context.Background(), nil, q.api, q.tags)
 		return search.Truncate(out, k), err
 	}

@@ -8,10 +8,9 @@ import (
 )
 
 // SnapshotOracle proves the read-copy-update pinning contract
-// differentially. A baseline workload is ranked through the index facade
-// (each probe resolving against the generation current at probe time) while
-// the index is quiescent; then the same workload must produce identical
-// rankings through a pinned Snapshot — serially, from many goroutines while
+// differentially. A baseline workload is ranked against the generation
+// current at each rank while the index is quiescent; then the same workload
+// must produce identical rankings through one Snapshot pinned up front — serially, from many goroutines while
 // repeated Builds publish new generations underneath, and again after the
 // last build has finished. The pinned view must be bit-stable through all of
 // it even though Current() has visibly moved on, and the new generation must
@@ -35,18 +34,17 @@ func SnapshotOracle(seed int64, goroutines, queries int) error {
 		qs[i] = rankQuery{api: g.subset(ids), tags: qt}
 	}
 
-	// Baseline through the facade, pre-rebuild: probe-time resolution and
-	// pinned resolution read the same single generation here, so any later
-	// divergence is the pinning breaking, not the workload.
-	facade := &search.Ranker{Index: ix, ThetaFilter: 0.45, Agg: search.MeanAgg}
+	// Baseline pre-rebuild, pinning per rank: only one generation exists
+	// here, so any later divergence is the pinning breaking, not the workload.
 	want := make([][]search.Scored, len(qs))
 	for i, q := range qs {
-		want[i] = facade.Rank(q.api, q.tags)
+		perRank := &search.Ranker{Snap: ix.Current(), ThetaFilter: 0.45, Agg: search.MeanAgg}
+		want[i] = perRank.Rank(q.api, q.tags)
 	}
 
 	snap := ix.Current()
 	lenBefore := snap.Len()
-	pinned := &search.Ranker{Index: snap, ThetaFilter: 0.45, Agg: search.MeanAgg}
+	pinned := &search.Ranker{Snap: snap, ThetaFilter: 0.45, Agg: search.MeanAgg}
 	replay := func(label string) error {
 		errs := make(chan error, goroutines)
 		var wg sync.WaitGroup

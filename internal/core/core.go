@@ -362,7 +362,6 @@ type Service struct {
 	Index     *index.Index
 	History   *index.History
 	API       *search.API
-	Ranker    *search.Ranker
 	// Obs is the service's observability handle (nil when disabled); use
 	// SetObserver to attach it so the index and extractor are wired too.
 	Obs *obs.Observer
@@ -401,7 +400,6 @@ func NewService(w *yelp.World, ex *Extractor, measure sim.Measure, cfg Config) *
 		Index:     ix,
 		History:   index.NewHistory(),
 		API:       &search.API{World: w},
-		Ranker:    &search.Ranker{Index: ix, ThetaFilter: cfg.ThetaFilter, Agg: cfg.Agg},
 	}
 }
 
@@ -508,7 +506,15 @@ func (s *Service) ResetIndex() {
 	s.Index = index.New(s.Measure, s.Cfg.ThetaIndex)
 	s.Index.SetObserver(s.Obs)
 	s.History = index.NewHistory()
-	s.Ranker = &search.Ranker{Index: s.Index, ThetaFilter: s.Cfg.ThetaFilter, Agg: s.Cfg.Agg}
+}
+
+// Ranker returns an Algorithm 1 ranker pinned to the index generation
+// current at the call, configured from Cfg. A ranker reads one immutable
+// snapshot for its whole life; call again to see later indexing rounds.
+func (s *Service) Ranker() *search.Ranker { return s.ranker(s.Index.Current()) }
+
+func (s *Service) ranker(snap *index.Snapshot) *search.Ranker {
+	return &search.Ranker{Snap: snap, ThetaFilter: s.Cfg.ThetaFilter, Agg: s.Cfg.Agg}
 }
 
 // IndexTags runs an indexing round for the given tags (Fig. 1's indexer),
@@ -538,11 +544,8 @@ func (s *Service) QueryTags(slots map[string]string, tags []string) []search.Sco
 			s.History.Add(strings.ToLower(t))
 		}
 	}
-	rk := &search.Ranker{Index: snap, ThetaFilter: s.Cfg.ThetaFilter, Agg: s.Cfg.Agg}
-	ranked := rk.Rank(apiResults, lower(tags))
-	if s.Cfg.TopK > 0 && len(ranked) > s.Cfg.TopK {
-		ranked = ranked[:s.Cfg.TopK]
-	}
+	// context.Background is never cancelled, so the error path is dead.
+	ranked, _ := s.ranker(snap).TopK(context.Background(), nil, apiResults, lower(tags), s.Cfg.TopK)
 	return ranked
 }
 
@@ -613,16 +616,12 @@ func (s *Service) QueryCtx(ctx context.Context, utterance string) (Response, err
 	st.End()
 
 	st = obs.BeginStage(s.Obs, root, "rank")
-	rk := &search.Ranker{Index: snap, ThetaFilter: s.Cfg.ThetaFilter, Agg: s.Cfg.Agg}
-	results, err := rk.RankCtx(ctx, st.Span(), apiResults, tags)
+	results, err := s.ranker(snap).TopK(ctx, st.Span(), apiResults, tags, s.Cfg.TopK)
 	if err != nil {
 		st.EndErr(err)
 		return fail(err)
 	}
 	st.End()
-	if s.Cfg.TopK > 0 && len(results) > s.Cfg.TopK {
-		results = results[:s.Cfg.TopK]
-	}
 
 	if s.Obs != nil {
 		s.Obs.Counter("query.total").Inc()

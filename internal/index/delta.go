@@ -2,6 +2,7 @@ package index
 
 import (
 	"context"
+	"strings"
 	"time"
 )
 
@@ -89,29 +90,24 @@ func (ix *Index) ApplyDelta(d *Delta) {
 // delta does not cover keep their posting lists untouched (shared, not
 // copied). New tags are appended to the key order.
 func (s *Snapshot) withDelta(d *Delta) *Snapshot {
-	dirty := make(map[string]bool, len(d.Entities))
+	next := s.derive(len(d.Tags))
+	ents, ords := s.ents.seal(d.Postings)
+	next.ents = ents
+	// The dirty set as a flag per ordinal: the merge then tests each base
+	// entry with one index, not a string hash. A dirty entity without an
+	// ordinal has no entry anywhere to supersede.
+	dirty := make([]bool, len(ents.ids))
 	for _, id := range d.Entities {
-		dirty[id] = true
-	}
-	next := &Snapshot{
-		memo:        s.memo,
-		thetaIndex:  s.thetaIndex,
-		tags:        make(map[string][]Entry, len(s.tags)+len(d.Tags)),
-		order:       make([]string, 0, len(s.order)+len(d.Tags)),
-		resolveHist: s.resolveHist,
-		exactCtr:    s.exactCtr,
-		similarCtr:  s.similarCtr,
-	}
-	for _, t := range s.order {
-		next.tags[t] = s.tags[t]
-		next.order = append(next.order, t)
+		if ord, ok := ents.ord[id]; ok {
+			dirty[ord] = true
+		}
 	}
 	for i, t := range d.Tags {
 		base, exists := next.tags[t]
 		if !exists {
 			next.order = append(next.order, t)
 		}
-		next.tags[t] = mergePostings(base, d.Postings[i], dirty)
+		next.tags[t] = mergePostings(base, postings{entries: d.Postings[i], ords: ords[i]}, dirty)
 	}
 	return next
 }
@@ -119,41 +115,38 @@ func (s *Snapshot) withDelta(d *Delta) *Snapshot {
 // mergePostings merges fresh entries for the dirty entities into a base
 // posting list: base entries belonging to a dirty entity are dropped
 // (superseded), and the two sorted lists interleave by (degree desc, entity
-// ID asc). The result is always non-nil, matching what a batch build
-// produces for an empty posting list.
-func mergePostings(base, fresh []Entry, dirty map[string]bool) []Entry {
-	out := make([]Entry, 0, len(base)+len(fresh))
+// ID asc), each entry carrying its ordinal along. The result is always
+// non-nil, matching what a batch build produces for an empty posting list.
+func mergePostings(base, fresh postings, dirty []bool) postings {
+	n := len(base.entries) + len(fresh.entries)
+	out := postings{entries: make([]Entry, 0, n), ords: make([]int32, 0, n)}
 	i, j := 0, 0
-	for i < len(base) || j < len(fresh) {
+	for i < len(base.entries) || j < len(fresh.entries) {
 		// Skip superseded base entries first so the comparison below only
 		// ever sees entries that belong in the output.
-		if i < len(base) && dirty[base[i].EntityID] {
+		if i < len(base.entries) && dirty[base.ords[i]] {
 			i++
 			continue
 		}
-		switch {
-		case i >= len(base):
-			out = append(out, fresh[j])
+		if i >= len(base.entries) || (j < len(fresh.entries) && comparePostings(fresh.entries[j], base.entries[i]) < 0) {
+			out.entries, out.ords = append(out.entries, fresh.entries[j]), append(out.ords, fresh.ords[j])
 			j++
-		case j >= len(fresh):
-			out = append(out, base[i])
-			i++
-		case postingLess(fresh[j], base[i]):
-			out = append(out, fresh[j])
-			j++
-		default:
-			out = append(out, base[i])
+		} else {
+			out.entries, out.ords = append(out.entries, base.entries[i]), append(out.ords, base.ords[i])
 			i++
 		}
 	}
 	return out
 }
 
-// postingLess is the global posting order: degree descending, entity ID
+// comparePostings is the global posting order: degree descending, entity ID
 // ascending on ties.
-func postingLess(a, b Entry) bool {
+func comparePostings(a, b Entry) int {
 	if a.Degree != b.Degree {
-		return a.Degree > b.Degree
+		if a.Degree > b.Degree {
+			return -1
+		}
+		return 1
 	}
-	return a.EntityID < b.EntityID
+	return strings.Compare(a.EntityID, b.EntityID)
 }

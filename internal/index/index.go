@@ -111,7 +111,8 @@ func NewWithMemo(memo *sim.Memo, thetaIndex float64) *Index {
 	ix.snap.Store(&Snapshot{
 		memo:       b.Memo(),
 		thetaIndex: thetaIndex,
-		tags:       map[string][]Entry{},
+		tags:       map[string]postings{},
+		ents:       &entityTable{},
 	})
 	return ix
 }
@@ -291,16 +292,4 @@ func (ix *Index) LookupSimilar(tag string, thetaFilter float64) []Entry {
 // when the tag is indexed, otherwise the similar-tag union.
 func (ix *Index) Resolve(tag string, thetaFilter float64) []Entry {
 	return ix.Current().Resolve(tag, thetaFilter)
-}
-
-// ResolveEach is the copy-free Resolve for the query hot path; see
-// Snapshot.ResolveEach.
-func (ix *Index) ResolveEach(tag string, thetaFilter float64, f func(Entry) bool) {
-	ix.Current().ResolveEach(tag, thetaFilter, f)
-}
-
-// ResolveEachCtx is ResolveEach with cooperative cancellation; see
-// Snapshot.ResolveEachCtx.
-func (ix *Index) ResolveEachCtx(ctx context.Context, tag string, thetaFilter float64, f func(Entry) bool) error {
-	return ix.Current().ResolveEachCtx(ctx, tag, thetaFilter, f)
 }

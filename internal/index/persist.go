@@ -60,7 +60,7 @@ const (
 func (s *Snapshot) Save(w io.Writer) error {
 	file := snapshotFile{Version: snapshotVersion, ThetaIndex: s.thetaIndex}
 	for _, tag := range s.order {
-		file.Tags = append(file.Tags, tagPostings{Tag: tag, Entries: s.tags[tag]})
+		file.Tags = append(file.Tags, tagPostings{Tag: tag, Entries: s.tags[tag].entries})
 	}
 	return encodeSnapshotFile(w, file)
 }
@@ -75,7 +75,7 @@ func (ix *Index) Save(w io.Writer) error { return ix.Current().Save(w) }
 func (s *Snapshot) WriteBase(w io.Writer, seq uint64) error {
 	file := snapshotFile{Version: stackVersion, Kind: kindFull, Seq: seq, ThetaIndex: s.thetaIndex}
 	for _, tag := range s.order {
-		file.Tags = append(file.Tags, tagPostings{Tag: tag, Entries: s.tags[tag]})
+		file.Tags = append(file.Tags, tagPostings{Tag: tag, Entries: s.tags[tag].entries})
 	}
 	return encodeSnapshotFile(w, file)
 }
@@ -126,12 +126,12 @@ func (ix *Index) Load(r io.Reader) error {
 	if file.Kind == kindDelta {
 		return fmt.Errorf("index: corrupt snapshot: a mini-snapshot (delta) is not a full world; load it with LoadStack")
 	}
-	tags, order, err := validateSnapshotFile(file)
+	tags, lists, err := validateSnapshotFile(file)
 	if err != nil {
 		return err
 	}
 	ix.publishMu.Lock()
-	ix.publish(ix.snap.Load().withContents(tags, order))
+	ix.publish(ix.snap.Load().withContents(tags, lists))
 	ix.publishMu.Unlock()
 	return nil
 }
@@ -154,7 +154,7 @@ func (ix *Index) LoadStack(base io.Reader, deltas ...io.Reader) (uint64, error) 
 		return 0, fmt.Errorf("index: mixed-version stack: base must be a version %d %q file, got version %d kind %q",
 			stackVersion, kindFull, file.Version, file.Kind)
 	}
-	tags, order, err := validateSnapshotFile(file)
+	tags, lists, err := validateSnapshotFile(file)
 	if err != nil {
 		return 0, err
 	}
@@ -171,11 +171,14 @@ func (ix *Index) LoadStack(base io.Reader, deltas ...io.Reader) (uint64, error) 
 		seq = d.Seq
 		parsed = append(parsed, d)
 	}
-	next := ix.snap.Load().withContents(tags, order)
+	// Derived under the publish lock like every other generation: the entity
+	// numbering is only append-only along the chain if each link extends the
+	// table of the generation it replaces.
+	ix.publishMu.Lock()
+	next := ix.snap.Load().withContents(tags, lists)
 	for _, d := range parsed {
 		next = next.withDelta(d)
 	}
-	ix.publishMu.Lock()
 	ix.publish(next)
 	ix.publishMu.Unlock()
 	return seq, nil
@@ -269,24 +272,27 @@ func decodeSnapshotFile(r io.Reader) (snapshotFile, error) {
 }
 
 // validateSnapshotFile checks a full-world file's tag map (either version)
-// and returns its contents ready for publication.
-func validateSnapshotFile(file snapshotFile) (map[string][]Entry, []string, error) {
-	tags := make(map[string][]Entry, len(file.Tags))
-	order := make([]string, 0, len(file.Tags))
+// and returns its keys in file order with their posting lists, ready for
+// publication.
+func validateSnapshotFile(file snapshotFile) ([]string, [][]Entry, error) {
+	seen := make(map[string]bool, len(file.Tags))
+	tags := make([]string, 0, len(file.Tags))
+	lists := make([][]Entry, 0, len(file.Tags))
 	for _, tp := range file.Tags {
 		if tp.Tag == "" {
 			return nil, nil, fmt.Errorf("index: corrupt snapshot: empty tag key")
 		}
-		if _, dup := tags[tp.Tag]; dup {
+		if seen[tp.Tag] {
 			return nil, nil, fmt.Errorf("index: duplicate tag %q in snapshot", tp.Tag)
 		}
+		seen[tp.Tag] = true
 		if err := validPostings(tp.Tag, tp.Entries); err != nil {
 			return nil, nil, fmt.Errorf("index: corrupt snapshot: %w", err)
 		}
-		tags[tp.Tag] = tp.Entries
-		order = append(order, tp.Tag)
+		tags = append(tags, tp.Tag)
+		lists = append(lists, tp.Entries)
 	}
-	return tags, order, nil
+	return tags, lists, nil
 }
 
 // validPostings checks one tag's posting list for the invariants Save

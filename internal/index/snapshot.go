@@ -2,12 +2,89 @@ package index
 
 import (
 	"context"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"saccs/internal/obs"
 	"saccs/internal/sim"
 )
+
+// entityTable is the dense entity numbering behind the map-free ranker: every
+// entity that has ever appeared in a posting list of one Index gets an
+// ordinal, so per-query working memory can be flat arrays indexed by ordinal
+// instead of maps keyed by ID. The table belongs to the Index, not to a
+// generation: it is append-only along the chain of snapshots an Index
+// publishes (an ID keeps its ordinal for the Index's lifetime, which is what
+// lets a derived generation share its parent's posting lists, ordinals
+// included), and it is copy-on-grow — a table a published snapshot points at
+// is never written again, so reading it needs no lock. Ordinals are derived
+// state: they are assigned when a generation is sealed and never persisted,
+// so snapshot files stay a pure tag → (ID, degree) map that any Index can
+// load whatever numbering it already carries.
+type entityTable struct {
+	ids []string         // ordinal → entity ID
+	ord map[string]int32 // entity ID → ordinal
+}
+
+// postings is one tag's posting list with its entries' ordinals alongside:
+// ords[i] is entries[i].EntityID's ordinal in the owning snapshot's table.
+// Both slices are frozen at publication and shared between generations.
+type postings struct {
+	entries []Entry
+	ords    []int32
+}
+
+// seal is the one step through which posting lists enter a generation (with,
+// withDelta and withContents all call it): it returns the ordinals of every
+// entry of lists, and t extended by the IDs it had not seen — t itself when
+// there are none, a grown copy otherwise. New IDs are numbered in ascending
+// ID order, so the assignment depends only on which IDs each sealed batch
+// introduces, not on tag order, posting order or degrees: one Build, a
+// stream of deltas with the same arrival batches, and a Load of the saved
+// result all number a world identically.
+func (t *entityTable) seal(lists [][]Entry) (*entityTable, [][]int32) {
+	ords := make([][]int32, len(lists))
+	var fresh []string
+	var pending map[string]struct{}
+	for i, list := range lists {
+		o := make([]int32, len(list))
+		for j, e := range list {
+			ord, ok := t.ord[e.EntityID]
+			if !ok {
+				ord = -1
+				if _, dup := pending[e.EntityID]; !dup {
+					if pending == nil {
+						pending = map[string]struct{}{}
+					}
+					pending[e.EntityID] = struct{}{}
+					fresh = append(fresh, e.EntityID)
+				}
+			}
+			o[j] = ord
+		}
+		ords[i] = o
+	}
+	if len(fresh) == 0 {
+		return t, ords
+	}
+	slices.Sort(fresh)
+	grown := &entityTable{
+		ids: append(t.ids[:len(t.ids):len(t.ids)], fresh...),
+		ord: make(map[string]int32, len(t.ids)+len(fresh)),
+	}
+	for ord, id := range grown.ids {
+		grown.ord[id] = int32(ord)
+	}
+	for i, list := range lists {
+		for j, e := range list {
+			if ords[i][j] < 0 {
+				ords[i][j] = grown.ord[e.EntityID]
+			}
+		}
+	}
+	return grown, ords
+}
 
 // Snapshot is one immutable, published generation of the index: the tag →
 // posting-list map frozen at publication time. Every method is a pure read —
@@ -32,7 +109,9 @@ type Snapshot struct {
 	thetaIndex float64
 	// tags maps an index tag to its posting list, sorted by degree desc.
 	// Both map and slices are frozen at publication.
-	tags map[string][]Entry
+	tags map[string]postings
+	// ents numbers the entities of every posting list in tags; never nil.
+	ents *entityTable
 	// order preserves insertion order for deterministic iteration.
 	order []string
 	// gen is this generation's publication number, assigned by
@@ -85,7 +164,7 @@ func (s *Snapshot) EachTag(f func(tag string) bool) {
 // EachEntry calls f for every posting of an exact index tag in degree order,
 // stopping early when f returns false. Unlike Lookup it performs no copy.
 func (s *Snapshot) EachEntry(tag string, f func(Entry) bool) {
-	for _, e := range s.tags[tag] {
+	for _, e := range s.tags[tag].entries {
 		if !f(e) {
 			return
 		}
@@ -94,7 +173,71 @@ func (s *Snapshot) EachEntry(tag string, f func(Entry) bool) {
 
 // Lookup returns the posting list for an exact index tag (copy).
 func (s *Snapshot) Lookup(tag string) []Entry {
-	return append([]Entry(nil), s.tags[tag]...)
+	return append([]Entry(nil), s.tags[tag].entries...)
+}
+
+// NumEntities returns the size of the snapshot's entity numbering: every
+// ordinal a probe of this snapshot can report is in [0, NumEntities()).
+func (s *Snapshot) NumEntities() int { return len(s.ents.ids) }
+
+// Ordinal returns the dense ordinal of an entity ID, or false for an ID no
+// posting list of this index has ever carried (an entity registered but not
+// yet reviewed, or one whose reviews matched no tag).
+func (s *Snapshot) Ordinal(id string) (int32, bool) {
+	ord, ok := s.ents.ord[id]
+	return ord, ok
+}
+
+// EntityID returns the ID numbered ord.
+func (s *Snapshot) EntityID(ord int32) string { return s.ents.ids[ord] }
+
+// eachSimilar is the similar-tag scan of §3.2: it calls f with the posting
+// list of every index tag whose similarity to tag exceeds θ_filter, and that
+// similarity, in key insertion order — the order the union's per-entity sums
+// are taken in, which every consumer must keep for scores to stay
+// bit-identical. The context is polled every simScanCheckEvery keys.
+func (s *Snapshot) eachSimilar(ctx context.Context, tag string, thetaFilter float64, f func(p postings, sim float64)) error {
+	for i, key := range s.order {
+		if i%simScanCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if sc := s.memo.Phrase(tag, key); sc > thetaFilter {
+			f(s.tags[key], sc)
+		}
+	}
+	return nil
+}
+
+// ResolveOrdinals is the probing rule of Algorithm 1 lines 7–10 over the
+// dense layout, for the ranker: an indexed tag reports f(ordinal, degree)
+// once per posting; an unknown tag reports f(ordinal, sim × degree) once per
+// posting of every similar index tag, leaving the caller to sum an entity's
+// contributions in call order (the S_t2 union without materializing it). It
+// allocates nothing, returns the number of postings read, and on a cancelled
+// or expired context returns ctx's error — calls already made to f must then
+// be discarded.
+func (s *Snapshot) ResolveOrdinals(ctx context.Context, tag string, thetaFilter float64, f func(ord int32, degree float64)) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	t0 := s.resolveStart()
+	n := 0
+	report := func(p postings, sc float64) {
+		for i, e := range p.entries {
+			f(p.ords[i], sc*e.Degree)
+		}
+		n += len(p.entries)
+	}
+	p, exact := s.tags[tag]
+	if exact {
+		report(p, 1) // × 1 is exact: the degree arrives bit-for-bit
+	} else if err := s.eachSimilar(ctx, tag, thetaFilter, report); err != nil {
+		return 0, err
+	}
+	s.resolveDone(t0, exact)
+	return n, nil
 }
 
 // LookupSimilar answers an unknown tag per §3.2: the union of the posting
@@ -113,107 +256,121 @@ func (s *Snapshot) LookupSimilarCtx(ctx context.Context, tag string, thetaFilter
 	return s.lookupSimilar(ctx, tag, thetaFilter)
 }
 
+// unionScratch is lookupSimilar's pooled working memory: the per-entity
+// degree sums as a flat column indexed by ordinal. sum[o] is meaningful only
+// while stamp[o] equals the current epoch — bumping the epoch invalidates the
+// whole column without clearing it, and an entity whose contributions sum to
+// zero is still in the union, which a zero test on sum could not tell.
+type unionScratch struct {
+	epoch   uint32
+	stamp   []uint32
+	sum     []float64
+	touched []int32 // ordinals stamped this epoch, in first-contribution order
+}
+
+var unionPool = sync.Pool{New: func() any { return new(unionScratch) }}
+
+// begin readies the scratch for a union over n ordinals.
+func (u *unionScratch) begin(n int) {
+	if len(u.stamp) < n {
+		u.stamp, u.sum = make([]uint32, n), make([]float64, n)
+		u.epoch = 0
+	}
+	u.epoch++
+	if u.epoch == 0 { // wrapped: stale stamps could collide with a reused epoch
+		clear(u.stamp)
+		u.epoch = 1
+	}
+	u.touched = u.touched[:0]
+}
+
 func (s *Snapshot) lookupSimilar(ctx context.Context, tag string, thetaFilter float64) ([]Entry, error) {
-	acc := map[string]float64{}
-	for i, key := range s.order {
-		if i%simScanCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	u := unionPool.Get().(*unionScratch)
+	defer unionPool.Put(u)
+	u.begin(len(s.ents.ids))
+	err := s.eachSimilar(ctx, tag, thetaFilter, func(p postings, sc float64) {
+		for i, e := range p.entries {
+			o := p.ords[i]
+			if u.stamp[o] != u.epoch {
+				u.stamp[o], u.sum[o] = u.epoch, 0
+				u.touched = append(u.touched, o)
 			}
+			u.sum[o] += sc * e.Degree
 		}
-		sc := s.memo.Phrase(tag, key)
-		if sc <= thetaFilter {
-			continue
-		}
-		for _, entry := range s.tags[key] {
-			acc[entry.EntityID] += sc * entry.Degree
-		}
-	}
-	entries := make([]Entry, 0, len(acc))
-	for id, deg := range acc {
-		entries = append(entries, Entry{EntityID: id, Degree: deg})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Degree != entries[j].Degree {
-			return entries[i].Degree > entries[j].Degree
-		}
-		return entries[i].EntityID < entries[j].EntityID
 	})
+	if err != nil {
+		return nil, err
+	}
+	entries := make([]Entry, len(u.touched))
+	for i, o := range u.touched {
+		entries[i] = Entry{EntityID: s.ents.ids[o], Degree: u.sum[o]}
+	}
+	slices.SortFunc(entries, comparePostings)
 	return entries, nil
+}
+
+// resolveStart and resolveDone bracket one probe for the read-side
+// instruments; both are free when no observer is attached.
+func (s *Snapshot) resolveStart() time.Time {
+	if s.resolveHist == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (s *Snapshot) resolveDone(t0 time.Time, exact bool) {
+	if s.resolveHist == nil {
+		return
+	}
+	s.resolveHist.Observe(time.Since(t0))
+	if exact {
+		s.exactCtr.Inc()
+	} else {
+		s.similarCtr.Inc()
+	}
 }
 
 // Resolve implements the probing rule of Algorithm 1 lines 7–10: exact hit
 // when the tag is indexed, otherwise the similar-tag union.
 func (s *Snapshot) Resolve(tag string, thetaFilter float64) []Entry {
-	var t0 time.Time
-	if s.resolveHist != nil {
-		t0 = time.Now()
-	}
+	t0 := s.resolveStart()
 	var out []Entry
-	entries, exact := s.tags[tag]
+	p, exact := s.tags[tag]
 	if exact {
-		out = append([]Entry(nil), entries...)
+		out = append([]Entry(nil), p.entries...)
 	} else {
 		out, _ = s.lookupSimilar(context.Background(), tag, thetaFilter)
 	}
-	if s.resolveHist != nil {
-		s.resolveHist.Observe(time.Since(t0))
-		if exact {
-			s.exactCtr.Inc()
-		} else {
-			s.similarCtr.Inc()
-		}
-	}
+	s.resolveDone(t0, exact)
 	return out
 }
 
-// ResolveEach is the copy-free Resolve for the query hot path: exact hits
-// iterate the posting list in place; only the similar-tag union (which must
-// aggregate across tags) materializes a slice. Unlike the pre-snapshot
-// index, no lock is held during f — the callback may be arbitrarily slow
-// without stalling writers or other readers.
-func (s *Snapshot) ResolveEach(tag string, thetaFilter float64, f func(Entry) bool) {
-	_ = s.ResolveEachCtx(context.Background(), tag, thetaFilter, f)
-}
-
-// ResolveEachCtx is ResolveEach with cooperative cancellation: the context
-// is polled before the probe and periodically inside the similarity scan. On
-// a cancelled or expired context it returns ctx's error without invoking f
-// for any further entry.
+// ResolveEachCtx is the copy-free, cancellable Resolve: exact hits iterate
+// the posting list in place; only the similar-tag union (which must
+// aggregate across tags) materializes a slice. The context is polled before
+// the probe and periodically inside the similarity scan; on a cancelled or
+// expired context it returns ctx's error without invoking f. No lock is held
+// during f — the callback may be arbitrarily slow without stalling writers
+// or other readers.
 func (s *Snapshot) ResolveEachCtx(ctx context.Context, tag string, thetaFilter float64, f func(Entry) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var t0 time.Time
-	if s.resolveHist != nil {
-		t0 = time.Now()
-	}
-	entries, exact := s.tags[tag]
-	if exact {
-		for _, e := range entries {
-			if !f(e) {
-				break
-			}
-		}
-	} else {
-		union, err := s.lookupSimilar(ctx, tag, thetaFilter)
-		if err != nil {
+	t0 := s.resolveStart()
+	p, exact := s.tags[tag]
+	entries := p.entries
+	if !exact {
+		var err error
+		if entries, err = s.lookupSimilar(ctx, tag, thetaFilter); err != nil {
 			return err
 		}
-		for _, e := range union {
-			if !f(e) {
-				break
-			}
+	}
+	for _, e := range entries {
+		if !f(e) {
+			break
 		}
 	}
-	if s.resolveHist != nil {
-		s.resolveHist.Observe(time.Since(t0))
-		if exact {
-			s.exactCtr.Inc()
-		} else {
-			s.similarCtr.Inc()
-		}
-	}
+	s.resolveDone(t0, exact)
 	return nil
 }
 
@@ -221,22 +378,23 @@ func (s *Snapshot) ResolveEachCtx(ctx context.Context, tag string, thetaFilter f
 // tags are answered at DynamicTheta(baseTheta, tag) instead of a fixed
 // threshold.
 func (s *Snapshot) ResolveDynamic(tag string, baseTheta float64) []Entry {
-	if entries, ok := s.tags[tag]; ok {
-		return append([]Entry(nil), entries...)
+	if p, ok := s.tags[tag]; ok {
+		return append([]Entry(nil), p.entries...)
 	}
 	out, _ := s.lookupSimilar(context.Background(), tag, DynamicTheta(baseTheta, tag))
 	return out
 }
 
-// with derives the next generation: a copy of s with each tags[i] bound to
-// postings[i] (appended to the key order when new). Shared posting lists are
-// reused, not copied — only the map and key order are rebuilt.
-func (s *Snapshot) with(tags []string, postings [][]Entry) *Snapshot {
+// derive starts the next generation: a copy of s's tag map and key order
+// with room for extra new tags. Posting lists are shared, not copied, and
+// the entity table is carried over for seal to extend.
+func (s *Snapshot) derive(extra int) *Snapshot {
 	next := &Snapshot{
 		memo:        s.memo,
 		thetaIndex:  s.thetaIndex,
-		tags:        make(map[string][]Entry, len(s.tags)+len(tags)),
-		order:       make([]string, 0, len(s.order)+len(tags)),
+		tags:        make(map[string]postings, len(s.tags)+extra),
+		order:       make([]string, 0, len(s.order)+extra),
+		ents:        s.ents,
 		resolveHist: s.resolveHist,
 		exactCtr:    s.exactCtr,
 		similarCtr:  s.similarCtr,
@@ -245,27 +403,31 @@ func (s *Snapshot) with(tags []string, postings [][]Entry) *Snapshot {
 		next.tags[t] = s.tags[t]
 		next.order = append(next.order, t)
 	}
+	return next
+}
+
+// with derives the next generation: a copy of s with each tags[i] bound to
+// lists[i] (appended to the key order when new).
+func (s *Snapshot) with(tags []string, lists [][]Entry) *Snapshot {
+	next := s.derive(len(tags))
+	ents, ords := s.ents.seal(lists)
+	next.ents = ents
 	for i, t := range tags {
 		if _, exists := next.tags[t]; !exists {
 			next.order = append(next.order, t)
 		}
-		next.tags[t] = postings[i]
+		next.tags[t] = postings{entries: lists[i], ords: ords[i]}
 	}
 	return next
 }
 
 // withContents derives a generation whose contents are replaced wholesale
-// (the Load path), keeping the memo, threshold, and instruments.
-func (s *Snapshot) withContents(tags map[string][]Entry, order []string) *Snapshot {
-	return &Snapshot{
-		memo:        s.memo,
-		thetaIndex:  s.thetaIndex,
-		tags:        tags,
-		order:       order,
-		resolveHist: s.resolveHist,
-		exactCtr:    s.exactCtr,
-		similarCtr:  s.similarCtr,
-	}
+// (the Load path), keeping the memo, threshold, instruments and — extended,
+// never renumbered — the entity table.
+func (s *Snapshot) withContents(tags []string, lists [][]Entry) *Snapshot {
+	emptied := *s
+	emptied.tags, emptied.order = nil, nil
+	return emptied.with(tags, lists)
 }
 
 // withObserver derives a generation with re-wired read instruments (the
@@ -276,6 +438,7 @@ func (s *Snapshot) withObserver(o *obs.Observer) *Snapshot {
 		thetaIndex: s.thetaIndex,
 		tags:       s.tags,
 		order:      s.order,
+		ents:       s.ents,
 		gen:        s.gen,
 	}
 	if o != nil {

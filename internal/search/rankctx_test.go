@@ -3,9 +3,14 @@ package search
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+
+	"saccs/internal/index"
+	"saccs/internal/race"
+	"saccs/internal/sim"
 )
 
 // countdownCtx reports no error for the first `after` Err() polls, then the
@@ -30,7 +35,7 @@ func (c *countdownCtx) Err() error {
 }
 
 func TestRankCtxCancelledReturnsNoPartialResults(t *testing.T) {
-	r := &Ranker{Index: buildIndex().Current(), ThetaFilter: 0.5}
+	r := &Ranker{Snap: buildIndex().Current(), ThetaFilter: 0.5}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	out, err := r.RankCtx(ctx, nil, []string{"vue", "hut", "anchovy"}, []string{"good food"})
@@ -52,7 +57,7 @@ func TestRankCtxDeadlineObservedMidRank(t *testing.T) {
 	api := []string{"vue", "hut", "anchovy"}
 	// "quiet atmosphere" misses the index, forcing a similarity scan probe.
 	tags := []string{"good food", "quiet atmosphere", "creative cooking"}
-	mk := func() *Ranker { return &Ranker{Index: ix, ThetaFilter: 0.45} }
+	mk := func() *Ranker { return &Ranker{Snap: ix, ThetaFilter: 0.45} }
 	want, err := mk().RankCtx(context.Background(), nil, api, tags)
 	if err != nil || len(want) == 0 {
 		t.Fatalf("baseline: %v %v", want, err)
@@ -79,4 +84,149 @@ func TestRankCtxDeadlineObservedMidRank(t *testing.T) {
 	if !completed {
 		t.Fatalf("ranking still cancelled after %d polls", maxPolls)
 	}
+}
+
+// paperScaleIndex builds a 280-entity index (the §6.1 candidate count) whose
+// entities rotate through a few review-tag mixes, so both an exact and a
+// similar-tag probe touch most of them.
+func paperScaleIndex() (*index.Snapshot, []string) {
+	mixes := [][]string{
+		{"good food", "good food", "friendly staff"},
+		{"tasty food", "rude staff"},
+		{"creative cooking", "good food"},
+		{"friendly staff", "friendly staff", "tasty food"},
+	}
+	es := make([]index.EntityReviews, 280)
+	ids := make([]string, len(es))
+	for i := range es {
+		ids[i] = fmt.Sprintf("e%03d", i)
+		es[i] = index.EntityReviews{EntityID: ids[i], ReviewCount: 3 + i%17, Tags: mixes[i%len(mixes)]}
+	}
+	ix := index.New(sim.NewConceptual(), 0.55)
+	ix.Build([]string{"good food", "nice staff", "creative cooking"}, es)
+	return ix.Current(), ids
+}
+
+// TestRankCtxAllocsRegression pins the steady-state allocation count of a
+// rank at paper scale: one exact tag and one similar-tag union over 280
+// candidates, top 10. Working memory comes from the pooled scratch, so what
+// is left is the result slice (and the closures handed to the probe).
+func TestRankCtxAllocsRegression(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes sync.Pool drop items and allocates on its own behalf")
+	}
+	snap, ids := paperScaleIndex()
+	r := &Ranker{Snap: snap, ThetaFilter: 0.45}
+	tags := []string{"good food", "delicious food"}
+	if snap.Has(tags[1]) || len(snap.LookupSimilar(tags[1], 0.45)) == 0 {
+		t.Fatalf("%q must miss the index and resolve through the similar-tag union", tags[1])
+	}
+	rank := func() {
+		if out, err := r.TopK(context.Background(), nil, ids, tags, 10); err != nil || len(out) != 10 {
+			t.Fatalf("rank: %d results, %v", len(out), err)
+		}
+	}
+	rank() // grow the pooled scratch, fill the similarity memo
+	if allocs := testing.AllocsPerRun(100, rank); allocs > 4 {
+		t.Fatalf("steady-state rank allocates %v times per call, want <= 4", allocs)
+	}
+}
+
+// TestRankCtxCancelledReturnsScratch: a rank abandoned mid-probe must still
+// hand its scratch back to the pool. If it leaked, every cancelled rank would
+// build a fresh scratch — two allocations of kilobytes each — which the
+// allocation count would show.
+func TestRankCtxCancelledReturnsScratch(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes sync.Pool drop items and allocates on its own behalf")
+	}
+	snap, ids := paperScaleIndex()
+	r := &Ranker{Snap: snap, ThetaFilter: 0.45}
+	tags := []string{"good food", "delicious food"}
+	if _, err := r.TopK(context.Background(), nil, ids, tags, 10); err != nil {
+		t.Fatal(err)
+	}
+	// Expire at the third poll: after the entry check and the first tag's
+	// probe, i.e. with the scratch taken and half filled.
+	ctx := &countdownCtx{Context: context.Background(), err: context.DeadlineExceeded}
+	cancelled := func() {
+		ctx.after = 2
+		if out, err := r.TopK(ctx, nil, ids, tags, 10); !errors.Is(err, context.DeadlineExceeded) || out != nil {
+			t.Fatalf("mid-rank expiry: %v, %v", out, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, cancelled); allocs > 2 {
+		t.Fatalf("a cancelled rank allocates %v times per call: its scratch is not returned to the pool", allocs)
+	}
+}
+
+// TestTopKIsPrefixOfFullRank: for every k, the bounded selection must equal
+// the first k entries of the unbounded order — through the matched entities,
+// across the boundary into the ID-ordered tail, and past the end.
+func TestTopKIsPrefixOfFullRank(t *testing.T) {
+	snap, ids := paperScaleIndex()
+	api := append([]string{"zz-unreviewed", "aa-unreviewed", ids[7]}, ids[:40]...) // unsorted, a duplicate, unknown IDs
+	for _, agg := range []Aggregation{MeanAgg, ProductAgg, MinAgg} {
+		r := &Ranker{Snap: snap, ThetaFilter: 0.45, Agg: agg}
+		for _, tags := range [][]string{{"creative cooking"}, {"good food", "delicious food"}, {"no such thing"}} {
+			full := r.Rank(api, tags)
+			if len(full) != 42 {
+				t.Fatalf("agg %v tags %v: full rank has %d entries, want the 42 distinct API results", agg, tags, len(full))
+			}
+			for k := 1; k <= len(full)+2; k++ {
+				got, err := r.TopK(context.Background(), nil, api, tags, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, Truncate(full, k)) {
+					t.Fatalf("agg %v tags %v k=%d: top-k %v is not the prefix of the full rank %v", agg, tags, k, got, Truncate(full, k))
+				}
+			}
+		}
+	}
+}
+
+// TestScratchSharedAcrossIndexesAndGoroutines: the pool hands one scratch to
+// ranks over unrelated indexes — different sizes, different ordinal spaces,
+// different tag counts — from many goroutines. Nothing may leak from one
+// rank into the next: every answer must equal the one computed before any
+// interleaving.
+func TestScratchSharedAcrossIndexesAndGoroutines(t *testing.T) {
+	big, ids := paperScaleIndex()
+	small := buildIndex().Current()
+	type query struct {
+		r    *Ranker
+		api  []string
+		tags []string
+		k    int
+	}
+	qs := []query{
+		{&Ranker{Snap: big, ThetaFilter: 0.45}, ids, []string{"good food", "delicious food"}, 10},
+		{&Ranker{Snap: small, ThetaFilter: 0.5}, []string{"vue", "hut", "anchovy", "nobody"}, []string{"good food"}, 0},
+		{&Ranker{Snap: big, ThetaFilter: 0.45, Agg: MinAgg}, ids[100:], []string{"creative cooking", "nice staff", "tasty meals"}, 0},
+		{&Ranker{Snap: small, ThetaFilter: 0.5, Agg: ProductAgg}, []string{"anchovy", "vue"}, []string{"creative cooking", "quiet atmosphere"}, 1},
+	}
+	want := make([][]Scored, len(qs))
+	for i, q := range qs {
+		var err error
+		if want[i], err = q.r.TopK(context.Background(), nil, q.api, q.tags, q.k); err != nil || len(want[i]) == 0 {
+			t.Fatalf("baseline %d: %v %v", i, want[i], err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				i := (n + g) % len(qs)
+				got, err := qs[i].r.TopK(context.Background(), nil, qs[i].api, qs[i].tags, qs[i].k)
+				if err != nil || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d pass %d query %d: %v (%v), want %v", g, n, i, got, err, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -7,7 +7,7 @@ package search
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"strings"
 
 	"saccs/internal/index"
@@ -112,135 +112,145 @@ type Scored struct {
 	Coverage int
 }
 
-// Resolver is the read surface Algorithm 1 needs from the subjective tag
-// index: the copy-free, cancellable probe. Both *index.Index (resolving
-// against whatever generation is current at each probe) and *index.Snapshot
-// (a view pinned to one immutable generation) satisfy it; request-scoped
-// rankers should be handed a pinned snapshot so every tag of the query reads
-// one consistent, lock-free index state.
-type Resolver interface {
-	ResolveEachCtx(ctx context.Context, tag string, thetaFilter float64, f func(index.Entry) bool) error
-}
-
-// Ranker implements Algorithm 1 over a subjective tag index view.
+// Ranker implements Algorithm 1 over one pinned generation of the subjective
+// tag index. It takes the immutable snapshot itself, not the live index:
+// every tag of a rank resolves against the same generation, and the dense
+// entity ordinals the ranker works in are only meaningful within one
+// snapshot. Callers holding an *index.Index pin Current() once per rank.
 type Ranker struct {
-	Index Resolver
+	Snap *index.Snapshot
 	// ThetaFilter is the θ_filter similarity threshold of Algorithm 1.
 	ThetaFilter float64
 	// Agg is the cross-tag aggregation (§3.3; mean works best).
 	Agg Aggregation
 }
 
-// Rank executes lines 6–12 of Algorithm 1: resolve each subjective tag to a
-// scored entity set (exact hit or similar-tag union), intersect with the
-// API's objective result set, aggregate per-entity scores across tags, and
-// sort descending. When the strict intersection across all tags is empty,
-// it relaxes to entities matched by at least one tag (still within S_api) so
-// the user gets best-effort results instead of nothing.
+// Rank is RankCtx without tracing or cancellation.
 func (r *Ranker) Rank(apiResults []string, tags []string) []Scored {
-	return r.RankTraced(nil, apiResults, tags)
-}
-
-// RankTraced is Rank with tracing: when parent is a live span, each tag's
-// index probe becomes an "index.resolve" child annotated with the tag and
-// its posting count. A nil parent costs nothing.
-func (r *Ranker) RankTraced(parent *obs.Span, apiResults []string, tags []string) []Scored {
 	// context.Background is never cancelled, so the error path is dead.
-	out, _ := r.RankCtx(context.Background(), parent, apiResults, tags)
+	out, _ := r.TopK(context.Background(), nil, apiResults, tags, 0)
 	return out
 }
 
-// RankCtx is RankTraced with cooperative cancellation: the context is polled
-// before each tag's index probe and periodically inside the probe's
-// similarity scan. A cancelled or expired context aborts ranking with ctx's
-// error and no partial results — the deadline is observed mid-rank rather
-// than after the full scan. The failed probe's span carries a
-// cancelled/deadline status.
+// RankCtx is TopK unbounded: the full total order over apiResults.
 func (r *Ranker) RankCtx(ctx context.Context, parent *obs.Span, apiResults []string, tags []string) ([]Scored, error) {
+	return r.TopK(ctx, parent, apiResults, tags, 0)
+}
+
+// TopK executes lines 6–12 of Algorithm 1 and returns the first k results
+// (all of them when k <= 0): resolve each subjective tag to a scored entity
+// set (exact hit or similar-tag union), intersect with the API's objective
+// result set, aggregate per-entity scores across tags, and order descending.
+// The strict intersection across all tags (line 11) ranks first; entities
+// covering fewer tags follow, ordered by coverage then score, and API
+// results no tag matched fill the tail in ID order — with no subjective
+// signal to separate them, that keeps the ranking total and independent of
+// the API's result order while guaranteeing a full answer when the
+// intersection is small. With no tags at all the API results pass through
+// unranked. The whole output is ordered by Less, so a bounded k is a
+// selection, not a sort of everything followed by a cut.
+//
+// When parent is a live span, each tag's index probe becomes an
+// "index.resolve" child annotated with the tag, the postings it read and how
+// many of them were API results; a nil parent costs nothing. The context is
+// polled before each probe and periodically inside a probe's similarity
+// scan: a cancelled or expired context aborts with ctx's error and no partial
+// results, the failed probe's span carrying a cancelled/deadline status.
+func (r *Ranker) TopK(ctx context.Context, parent *obs.Span, apiResults []string, tags []string, k int) ([]Scored, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	inAPI := make(map[string]bool, len(apiResults))
-	for _, id := range apiResults {
-		inAPI[id] = true
-	}
 	if len(tags) == 0 {
-		out := make([]Scored, 0, len(apiResults))
-		for _, id := range apiResults {
-			out = append(out, Scored{EntityID: id})
+		out := make([]Scored, bound(len(apiResults), k))
+		for i := range out {
+			out[i].EntityID = apiResults[i]
 		}
 		return out, nil
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	sc.begin(r.Snap.NumEntities(), len(tags))
 
-	// S_t per tag, restricted to S_api. ResolveEachCtx iterates exact posting
-	// lists in place instead of copying them per query.
-	perTag := make([]map[string]float64, len(tags))
+	// S_api as a stamp per ordinal. An ID the snapshot has no ordinal for
+	// appears in no posting list, so it can only ever rank in the tail.
+	for _, id := range apiResults {
+		ord, ok := r.Snap.Ordinal(id)
+		if ok {
+			sc.slots[ord].api = sc.epoch
+		} else {
+			ord = -1
+		}
+		sc.apiOrds = append(sc.apiOrds, ord)
+	}
+
+	// S_t per tag, restricted to S_api, written into the entity's row of
+	// degree cells.
 	for i, tag := range tags {
-		sp := parent.Child("index.resolve").Set("tag", tag)
-		m := map[string]float64{}
-		n := 0
-		err := r.Index.ResolveEachCtx(ctx, tag, r.ThetaFilter, func(entry index.Entry) bool {
-			n++
-			if inAPI[entry.EntityID] {
-				m[entry.EntityID] = entry.Degree
+		// The attributes are set only on a live span: boxing them allocates
+		// whether or not there is a span to take them.
+		sp := parent.Child("index.resolve")
+		if sp != nil {
+			sp.Set("tag", tag)
+		}
+		inAPI := 0
+		n, err := r.Snap.ResolveOrdinals(ctx, tag, r.ThetaFilter, func(ord int32, degree float64) {
+			if sc.add(ord, i, degree) {
+				inAPI++
 			}
-			return true
 		})
 		if err != nil {
 			sp.SetStatus(err).End()
 			return nil, err
 		}
-		sp.Set("postings", n).Set("in_api", len(m)).End()
-		perTag[i] = m
+		if sp != nil {
+			sp.Set("postings", n).Set("in_api", inAPI).End()
+		}
 	}
 
-	// Strict intersection (line 11) ranks first; entities covering fewer
-	// tags follow, ordered by coverage then score, and untagged API results
-	// fill the tail. The fill keeps Algorithm 1's ordering at the top while
-	// guaranteeing a full top-k answer when the intersection is small.
-	counts := make(map[string]int, len(apiResults))
-	for _, m := range perTag {
-		for id := range m {
-			counts[id]++
+	// Every matched entity precedes every unmatched one under Less (coverage
+	// ≥ 1 against 0), so the tail is needed only when k reaches past them.
+	matched := len(sc.matched)
+	total := matched
+	var tail []string
+	if k <= 0 || k > matched {
+		tail = sc.unmatched(apiResults)
+		total += len(tail)
+	}
+	out := make([]Scored, 0, bound(total, k))
+	for _, ord := range sc.matched {
+		s := Scored{EntityID: r.Snap.EntityID(ord), Score: r.aggregate(sc.row(ord)), Coverage: int(sc.slots[ord].coverage)}
+		switch {
+		case len(out) < cap(out):
+			out = append(out, s)
+			if len(out) == cap(out) && cap(out) < matched {
+				heapify(out)
+			}
+		case Less(s, out[0]):
+			// out is full and a max-heap under Less: its root is the worst
+			// result kept so far, and s beats it.
+			out[0] = s
+			siftDown(out, 0)
 		}
 	}
-	out := make([]Scored, 0, len(apiResults))
-	seen := make(map[string]bool, len(apiResults))
-	for id := range counts {
-		out = append(out, Scored{EntityID: id, Score: r.aggregate(perTag, id), Coverage: counts[id]})
-		seen[id] = true
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return Less(out[i], out[j])
-	})
-	// The untagged tail is ordered by ID: with no subjective signal to
-	// separate them, the lexicographic order keeps the full ranking total and
-	// independent of the API's result order.
-	tail := len(out)
-	for _, id := range apiResults {
-		if !seen[id] {
-			out = append(out, Scored{EntityID: id})
-			seen[id] = true
+	slices.SortFunc(out, compareScored)
+	for _, id := range tail {
+		if len(out) == cap(out) {
+			break
 		}
+		out = append(out, Scored{EntityID: id})
 	}
-	sort.Slice(out[tail:], func(i, j int) bool {
-		return out[tail+i].EntityID < out[tail+j].EntityID
-	})
 	return out, nil
 }
 
-// aggregate computes the §3.3 cross-tag score for one entity. Missing tags
-// contribute zero (mean), or collapse the score (product/min) — which is why
-// the mean behaves best once the intersection is relaxed. The per-tag degrees
-// are combined in sorted order: float addition and multiplication are not
-// associative, so a fixed combination order is what makes the final score —
-// and therefore the ranking — independent of the query's tag order.
-func (r *Ranker) aggregate(perTag []map[string]float64, id string) float64 {
-	vals := make([]float64, len(perTag))
-	for i, m := range perTag {
-		vals[i] = m[id]
-	}
-	sort.Float64s(vals)
+// aggregate computes the §3.3 cross-tag score from one entity's per-tag
+// degrees, sorting them in place. Missing tags contribute zero (mean), or
+// collapse the score (product/min) — which is why the mean behaves best once
+// the intersection is relaxed. The degrees are combined in sorted order:
+// float addition and multiplication are not associative, so a fixed
+// combination order is what makes the final score — and therefore the
+// ranking — independent of the query's tag order.
+func (r *Ranker) aggregate(vals []float64) float64 {
+	slices.Sort(vals)
 	switch r.Agg {
 	case ProductAgg:
 		p := 1.0
@@ -249,9 +259,6 @@ func (r *Ranker) aggregate(perTag []map[string]float64, id string) float64 {
 		}
 		return p
 	case MinAgg:
-		if len(vals) == 0 {
-			return 0
-		}
 		return vals[0]
 	default:
 		var s float64
@@ -264,17 +271,26 @@ func (r *Ranker) aggregate(perTag []map[string]float64, id string) float64 {
 
 // Less is the deterministic total order of Algorithm 1's relaxed ranking:
 // coverage descending, then aggregate score descending, then entity ID
-// ascending. RankCtx sorts by it, and scatter-gather merges re-apply it so a
-// merge of independently ranked partitions is byte-identical to ranking the
-// union.
-func Less(a, b Scored) bool {
-	if a.Coverage != b.Coverage {
-		return a.Coverage > b.Coverage
+// ascending. TopK selects and sorts by it, and scatter-gather merges re-apply
+// it so a merge of independently ranked partitions is byte-identical to
+// ranking the union.
+func Less(a, b Scored) bool { return compareScored(a, b) < 0 }
+
+// compareScored is Less as a three-way comparison.
+func compareScored(a, b Scored) int {
+	switch {
+	case a.Coverage != b.Coverage:
+		if a.Coverage > b.Coverage {
+			return -1
+		}
+		return 1
+	case a.Score != b.Score:
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
 	}
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.EntityID < b.EntityID
+	return strings.Compare(a.EntityID, b.EntityID)
 }
 
 // RankedIDs projects a scored list onto entity ids.

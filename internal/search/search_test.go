@@ -78,7 +78,7 @@ func buildIndex() *index.Index {
 }
 
 func TestRankSingleTag(t *testing.T) {
-	r := &Ranker{Index: buildIndex(), ThetaFilter: 0.5}
+	r := &Ranker{Snap: buildIndex().Current(), ThetaFilter: 0.5}
 	got := r.Rank([]string{"vue", "hut", "anchovy"}, []string{"good food"})
 	if len(got) < 2 {
 		t.Fatalf("rank: %v", got)
@@ -94,7 +94,7 @@ func TestRankSingleTag(t *testing.T) {
 }
 
 func TestRankIntersectsWithAPI(t *testing.T) {
-	r := &Ranker{Index: buildIndex(), ThetaFilter: 0.5}
+	r := &Ranker{Snap: buildIndex().Current(), ThetaFilter: 0.5}
 	got := r.Rank([]string{"hut"}, []string{"good food"})
 	for _, s := range got {
 		if s.EntityID != "hut" {
@@ -104,7 +104,7 @@ func TestRankIntersectsWithAPI(t *testing.T) {
 }
 
 func TestRankMultiTagIntersection(t *testing.T) {
-	r := &Ranker{Index: buildIndex(), ThetaFilter: 0.5}
+	r := &Ranker{Snap: buildIndex().Current(), ThetaFilter: 0.5}
 	got := r.Rank([]string{"vue", "hut", "anchovy"}, []string{"good food", "nice staff"})
 	if len(got) == 0 {
 		t.Fatal("empty result")
@@ -116,7 +116,7 @@ func TestRankMultiTagIntersection(t *testing.T) {
 }
 
 func TestRankRelaxationWhenIntersectionEmpty(t *testing.T) {
-	r := &Ranker{Index: buildIndex(), ThetaFilter: 0.5}
+	r := &Ranker{Snap: buildIndex().Current(), ThetaFilter: 0.5}
 	// anchovy only matches creative cooking; no entity matches both tags
 	// with exact postings (staff tag excludes anchovy).
 	got := r.Rank([]string{"anchovy"}, []string{"creative cooking", "nice staff"})
@@ -126,7 +126,7 @@ func TestRankRelaxationWhenIntersectionEmpty(t *testing.T) {
 }
 
 func TestRankNoTags(t *testing.T) {
-	r := &Ranker{Index: buildIndex(), ThetaFilter: 0.5}
+	r := &Ranker{Snap: buildIndex().Current(), ThetaFilter: 0.5}
 	got := r.Rank([]string{"a", "b"}, nil)
 	if len(got) != 2 {
 		t.Fatalf("no-tag rank must pass API results through: %v", got)
@@ -134,10 +134,10 @@ func TestRankNoTags(t *testing.T) {
 }
 
 func TestAggregations(t *testing.T) {
-	ix := buildIndex()
-	mean := &Ranker{Index: ix, ThetaFilter: 0.5, Agg: MeanAgg}
-	prod := &Ranker{Index: ix, ThetaFilter: 0.5, Agg: ProductAgg}
-	minr := &Ranker{Index: ix, ThetaFilter: 0.5, Agg: MinAgg}
+	ix := buildIndex().Current()
+	mean := &Ranker{Snap: ix, ThetaFilter: 0.5, Agg: MeanAgg}
+	prod := &Ranker{Snap: ix, ThetaFilter: 0.5, Agg: ProductAgg}
+	minr := &Ranker{Snap: ix, ThetaFilter: 0.5, Agg: MinAgg}
 	api := []string{"vue", "hut", "anchovy"}
 	tags := []string{"good food", "nice staff"}
 	for _, r := range []*Ranker{mean, prod, minr} {
@@ -173,7 +173,7 @@ func TestRankedIDs(t *testing.T) {
 }
 
 func TestRankDeterministicTieBreak(t *testing.T) {
-	r := &Ranker{Index: buildIndex(), ThetaFilter: 0.5}
+	r := &Ranker{Snap: buildIndex().Current(), ThetaFilter: 0.5}
 	a := r.Rank([]string{"vue", "hut", "anchovy"}, []string{"good food"})
 	b := r.Rank([]string{"anchovy", "hut", "vue"}, []string{"good food"})
 	if len(a) != len(b) {
@@ -190,7 +190,7 @@ func TestRankDeterministicTieBreak(t *testing.T) {
 // coverage first, aggregate score second, entity ID last — and checks it is
 // stable under permuted API result order.
 func TestRankCoverageThenScoreOrder(t *testing.T) {
-	r := &Ranker{Index: buildIndex(), ThetaFilter: 0.5}
+	r := &Ranker{Snap: buildIndex().Current(), ThetaFilter: 0.5}
 	api := []string{"vue", "hut", "anchovy"}
 	tags := []string{"good food", "nice staff"}
 	cases := []struct {

@@ -21,10 +21,10 @@ type View interface {
 	// Resolve returns the tag's scored entity set (exact posting list or
 	// similar-tag union) under θ_filter, honoring ctx mid-scan.
 	Resolve(ctx context.Context, tag string, thetaFilter float64) ([]index.Entry, error)
-	// TopK runs Algorithm 1 (Ranker.RankCtx) over the pinned state —
+	// TopK runs Algorithm 1 (Ranker.TopK) over the pinned state —
 	// restricted to apiResults, aggregated across tags, ordered by
-	// coverage/score/ID with the ID-sorted untagged tail — and truncates to
-	// k results (k <= 0 means unbounded). parent, when live, receives one
+	// coverage/score/ID with the ID-sorted untagged tail — and returns the
+	// first k results (k <= 0 means unbounded). parent, when live, receives one
 	// "index.resolve" child span per tag probe.
 	TopK(ctx context.Context, parent *obs.Span, apiResults, tags []string, thetaFilter float64, k int) ([]Scored, error)
 }
@@ -71,18 +71,17 @@ func (v singleView) Resolve(ctx context.Context, tag string, thetaFilter float64
 }
 
 func (v singleView) TopK(ctx context.Context, parent *obs.Span, apiResults, tags []string, thetaFilter float64, k int) ([]Scored, error) {
-	r := &Ranker{Index: v.snap, ThetaFilter: thetaFilter, Agg: v.agg}
-	out, err := r.RankCtx(ctx, parent, apiResults, tags)
-	if err != nil {
-		return nil, err
-	}
-	return Truncate(out, k), nil
+	r := &Ranker{Snap: v.snap, ThetaFilter: thetaFilter, Agg: v.agg}
+	return r.TopK(ctx, parent, apiResults, tags, k)
 }
 
 // Truncate caps a ranked list at k entries; k <= 0 leaves it unbounded.
-func Truncate(s []Scored, k int) []Scored {
-	if k > 0 && len(s) > k {
-		return s[:k]
+func Truncate(s []Scored, k int) []Scored { return s[:bound(len(s), k)] }
+
+// bound is the length of a list of n results capped at k; k <= 0 is no cap.
+func bound(n, k int) int {
+	if k > 0 && k < n {
+		return k
 	}
-	return s
+	return n
 }

@@ -252,7 +252,7 @@ func (v *View) Resolve(ctx context.Context, tag string, thetaFilter float64) ([]
 // that holds any of apiResults, each running Algorithm 1 against its own
 // snapshot, the first failure cancelling the rest — then k-way merges the
 // per-shard rankings under the coverage/score/ID order and truncates to k.
-// Each shard ranks only the API results it owns and truncates to k locally
+// Each shard ranks only the API results it owns and selects its own top k
 // (an entity beyond a shard's top k cannot enter the merged top k), so the
 // gather moves at most shards×k results.
 //
@@ -285,12 +285,12 @@ func (v *View) TopK(ctx context.Context, parent *obs.Span, apiResults, tags []st
 			if len(parts[i]) == 0 {
 				continue
 			}
-			r := &search.Ranker{Index: v.snaps[i], ThetaFilter: thetaFilter, Agg: v.agg}
-			out, err := r.RankCtx(ctx, parent, parts[i], tags)
+			r := &search.Ranker{Snap: v.snaps[i], ThetaFilter: thetaFilter, Agg: v.agg}
+			out, err := r.TopK(ctx, parent, parts[i], tags, k)
 			if err != nil {
 				return nil, err
 			}
-			ranked[i] = search.Truncate(out, k)
+			ranked[i] = out
 		}
 		return mergeRanked(ranked, k), nil
 	}
@@ -306,14 +306,14 @@ func (v *View) TopK(ctx context.Context, parent *obs.Span, apiResults, tags []st
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r := &search.Ranker{Index: v.snaps[i], ThetaFilter: thetaFilter, Agg: v.agg}
-			out, err := r.RankCtx(ctx, parent, parts[i], tags)
+			r := &search.Ranker{Snap: v.snaps[i], ThetaFilter: thetaFilter, Agg: v.agg}
+			out, err := r.TopK(ctx, parent, parts[i], tags, k)
 			if err != nil {
 				errs[i] = err
 				cancel()
 				return
 			}
-			ranked[i] = search.Truncate(out, k)
+			ranked[i] = out
 		}(i)
 	}
 	wg.Wait()

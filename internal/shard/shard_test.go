@@ -141,7 +141,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		view := r.Pin()
 		for _, q := range queries {
 			for _, k := range []int{0, 3, 10, 1000} {
-				ranker := &search.Ranker{Index: single.Current(), ThetaFilter: 0.25, Agg: search.MeanAgg}
+				ranker := &search.Ranker{Snap: single.Current(), ThetaFilter: 0.25, Agg: search.MeanAgg}
 				want, err := ranker.RankCtx(context.Background(), nil, api, q)
 				if err != nil {
 					t.Fatal(err)
@@ -260,7 +260,7 @@ func TestConcurrentPinsUnderRebuild(t *testing.T) {
 		api = append(api, e.EntityID)
 	}
 	sort.Strings(api)
-	ranker := &search.Ranker{Index: single.Current(), ThetaFilter: 0.25, Agg: search.MeanAgg}
+	ranker := &search.Ranker{Snap: single.Current(), ThetaFilter: 0.25, Agg: search.MeanAgg}
 	want, err := ranker.RankCtx(context.Background(), nil, api, []string{"good food", "nice staff"})
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,12 @@ const memoShards = 16
 
 // DefaultMemoCapacity bounds each shard; the whole memo holds at most
 // memoShards × DefaultMemoCapacity pairs before a shard is evicted wholesale.
-const DefaultMemoCapacity = 4096
+// 16k pairs cover what is live at once — one build worker walks one tag's
+// ~10k (tag, review tag) pairs at §6.1 scale and never returns to them; a
+// query's unknown tag needs one pair per index key — and cost about 2 MB.
+// Four times the capacity holds 6 MB more to save 16 % of that build's
+// misses (183k against 217k of 1.46M lookups, ~40 ms of a 16 s set-up).
+const DefaultMemoCapacity = 1024
 
 // memoEntry caches every facet of one (a, b) phrase comparison: the plain
 // Phrase score and — when the underlying measure is contradiction-aware —
@@ -26,9 +31,13 @@ type memoEntry struct {
 	hasPhrase, hasBase bool
 }
 
+// pairKey is an ordered phrase pair. Keying the shard maps by the pair
+// itself, not a concatenation, makes a lookup — hit or miss — allocation-free.
+type pairKey [2]string
+
 type memoShard struct {
 	mu sync.Mutex
-	m  map[string]memoEntry
+	m  map[pairKey]memoEntry
 }
 
 // Contradictor mirrors index.ContradictionAware without importing it (index
@@ -94,18 +103,23 @@ func (mm *Memo) Stats() (hits, misses, evictions int64) {
 	return mm.hits.Load(), mm.misses.Load(), mm.evictions.Load()
 }
 
-// fnv32a over the pair key selects a shard.
-func shardOf(key string) uint32 {
+// shardOf selects a shard by fnv32a over a, a 0x1f separator and b, hashed in
+// place.
+func shardOf(key pairKey) uint32 {
+	const prime = 16777619
 	var h uint32 = 2166136261
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
+	for i := 0; i < len(key[0]); i++ {
+		h = (h ^ uint32(key[0][i])) * prime
+	}
+	h = (h ^ 0x1f) * prime
+	for i := 0; i < len(key[1]); i++ {
+		h = (h ^ uint32(key[1][i])) * prime
 	}
 	return h % memoShards
 }
 
 // lookup fetches the cached entry for key, if any.
-func (mm *Memo) lookup(key string) (memoEntry, bool) {
+func (mm *Memo) lookup(key pairKey) (memoEntry, bool) {
 	sh := &mm.shards[shardOf(key)]
 	sh.mu.Lock()
 	e, ok := sh.m[key]
@@ -116,15 +130,15 @@ func (mm *Memo) lookup(key string) (memoEntry, bool) {
 // store merges upd into the cached entry for key, evicting the whole shard
 // first when it is full. Concurrent writers for the same key write identical
 // facet values (the measure is deterministic), so last-write-wins is safe.
-func (mm *Memo) store(key string, upd memoEntry) {
+func (mm *Memo) store(key pairKey, upd memoEntry) {
 	sh := &mm.shards[shardOf(key)]
 	sh.mu.Lock()
 	if sh.m == nil {
-		sh.m = make(map[string]memoEntry, mm.cap)
+		sh.m = make(map[pairKey]memoEntry, mm.cap)
 	}
 	prev, existed := sh.m[key]
 	if !existed && len(sh.m) >= mm.cap {
-		sh.m = make(map[string]memoEntry, mm.cap)
+		sh.m = make(map[pairKey]memoEntry, mm.cap)
 		mm.evictions.Add(1)
 		mm.evictCtr.Inc()
 	}
@@ -138,11 +152,9 @@ func (mm *Memo) store(key string, upd memoEntry) {
 	sh.mu.Unlock()
 }
 
-func pairKey(a, b string) string { return a + "\x1f" + b }
-
 // Phrase returns the wrapped measure's Phrase(a, b), cached.
 func (mm *Memo) Phrase(a, b string) float64 {
-	key := pairKey(a, b)
+	key := pairKey{a, b}
 	if e, ok := mm.lookup(key); ok && e.hasPhrase {
 		mm.hits.Add(1)
 		mm.hitCtr.Inc()
@@ -159,7 +171,7 @@ func (mm *Memo) Phrase(a, b string) float64 {
 // flag, cached. For a measure without a Base of its own it returns
 // (Phrase(a, b), false).
 func (mm *Memo) Base(a, b string) (float64, bool) {
-	key := pairKey(a, b)
+	key := pairKey{a, b}
 	if e, ok := mm.lookup(key); ok && e.hasBase {
 		mm.hits.Add(1)
 		mm.hitCtr.Inc()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"saccs/internal/race"
 )
 
 // TestPredictBatchMatchesPredict pins batched decoding against the serial
@@ -50,7 +52,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 // — packed activations, GEMM scratch, packed weights, Viterbi state — must
 // come from the pooled arena.
 func TestPredictBatchAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are inflated by the race detector's own bookkeeping")
 	}
 	m, tokens := benchModel()

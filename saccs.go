@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -302,15 +303,56 @@ type Client struct {
 	o *obs.Observer
 }
 
-// world is one generation of the client's indexed state. The maps and
-// slices are frozen once published; router and history mutate safely behind
-// their own internal synchronization (each shard republishes snapshots
-// atomically, history is a locked queue).
+// world is one generation of the client's indexed state. The slices are
+// frozen once published; router and history mutate safely behind their own
+// internal synchronization (each shard republishes snapshots atomically,
+// history is a locked queue).
 type world struct {
-	entities map[string]Entity
-	reviews  []index.EntityReviews
-	router   *shard.Router
-	history  *index.History
+	// ents holds every entity in ascending ID order and ids their IDs in
+	// parallel. The order is maintained where a world is rebuilt, not per
+	// query: the objective filter is one linear pass whose output is already
+	// the ID-sorted candidate set ranking wants, and ids itself is the
+	// candidate set of a QueryTags.
+	ents    []Entity
+	ids     []string
+	reviews []index.EntityReviews
+	router  *shard.Router
+	history *index.History
+}
+
+// newWorld assembles a world over ents (distinct IDs, any order; the slice
+// is taken over and sorted in place).
+func newWorld(ents []Entity, reviews []index.EntityReviews, router *shard.Router, history *index.History) *world {
+	slices.SortFunc(ents, func(a, b Entity) int { return strings.Compare(a.ID, b.ID) })
+	ids := make([]string, len(ents))
+	for i, e := range ents {
+		ids[i] = e.ID
+	}
+	return &world{ents: ents, ids: ids, reviews: reviews, router: router, history: history}
+}
+
+// entity looks an entity up by ID.
+func (w *world) entity(id string) (Entity, bool) {
+	i, ok := slices.BinarySearch(w.ids, id)
+	if !ok {
+		return Entity{}, false
+	}
+	return w.ents[i], true
+}
+
+// withEntity returns a copy of w in which e replaces the entity of the same
+// ID, or is inserted at its place in the order when there is none.
+func (w *world) withEntity(e Entity) *world {
+	next := *w
+	i, known := slices.BinarySearch(w.ids, e.ID)
+	if known {
+		next.ents = slices.Clone(w.ents)
+		next.ents[i] = e
+	} else {
+		next.ents = slices.Insert(slices.Clip(w.ents), i, e)
+		next.ids = slices.Insert(slices.Clip(w.ids), i, e.ID)
+	}
+	return &next
 }
 
 // New trains a SACCS extraction pipeline (MiniBERT masked-language-model
@@ -399,7 +441,7 @@ func New(cfg Config) (*Client, error) {
 		measure: measure,
 		o:       o,
 	}
-	c.w.Store(&world{entities: map[string]Entity{}, router: c.newRouter(), history: hist})
+	c.w.Store(&world{router: c.newRouter(), history: hist})
 	// A durable WAL directory is opened eagerly so a restart recovers its
 	// streamed world (checkpoint + WAL replay) before the first call — not
 	// only once somebody happens to append.
@@ -490,15 +532,15 @@ func (c *Client) IndexEntities(entities []Entity, tags []string) error {
 // On cancellation it returns a *StageError wrapping ctx's error and
 // publishes nothing — the client keeps serving its previous index.
 func (c *Client) IndexEntitiesCtx(ctx context.Context, entities []Entity, tags []string) error {
-	ents := make(map[string]Entity, len(entities))
+	seen := make(map[string]bool, len(entities))
 	for _, e := range entities {
 		if e.ID == "" {
 			return fmt.Errorf("saccs: entity with empty ID")
 		}
-		if _, dup := ents[e.ID]; dup {
+		if seen[e.ID] {
 			return fmt.Errorf("saccs: duplicate entity ID %q", e.ID)
 		}
-		ents[e.ID] = e
+		seen[e.ID] = true
 	}
 	reviews := make([]index.EntityReviews, len(entities))
 	extract := func(i int) {
@@ -553,14 +595,15 @@ func (c *Client) IndexEntitiesCtx(ctx context.Context, entities []Entity, tags [
 	hist.SetCap(c.cfg.HistoryLimit)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	c.w.Store(&world{entities: ents, reviews: reviews, router: router, history: hist})
+	w := newWorld(slices.Clone(entities), reviews, router, hist)
+	c.w.Store(w)
 	if c.ings != nil {
 		// The batch world supersedes the streamed one: rebase each shard's
 		// ingester on its slice of the fresh index (checkpointing entity
 		// metadata and truncating the WAL behind it) so future appends
 		// continue from here.
 		parts := router.Partition(reviews)
-		metas := partitionMeta(ents, router.N())
+		metas := partitionMeta(w.ents, router.N())
 		for i, ing := range c.ings {
 			if err := ing.Rebase(router.Shard(i), low, parts[i], metas[i]); err != nil {
 				return &StageError{Stage: "index", Err: err}
@@ -573,18 +616,18 @@ func (c *Client) IndexEntitiesCtx(ctx context.Context, entities []Entity, tags [
 // partitionMeta splits the non-empty entity metadata by owning shard, in the
 // shape each shard's ingester persists (checkpoint meta / WAL metadata
 // records).
-func partitionMeta(entities map[string]Entity, n int) []map[string]ingest.EntityMeta {
+func partitionMeta(entities []Entity, n int) []map[string]ingest.EntityMeta {
 	out := make([]map[string]ingest.EntityMeta, n)
-	for id, e := range entities {
+	for _, e := range entities {
 		m := ingest.EntityMeta{Name: e.Name, City: e.City, Cuisine: e.Cuisine}
 		if m == (ingest.EntityMeta{}) {
 			continue
 		}
-		s := shard.Owner(id, n)
+		s := shard.Owner(e.ID, n)
 		if out[s] == nil {
 			out[s] = map[string]ingest.EntityMeta{}
 		}
-		out[s][id] = m
+		out[s][e.ID] = m
 	}
 	return out
 }
@@ -631,14 +674,9 @@ func (c *Client) AppendReviewCtx(ctx context.Context, entityID, review string) e
 	// Register the entity stub before the append is durable: a review must
 	// never be acknowledged for an entity queries cannot see.
 	w := c.w.Load()
-	_, known := w.entities[entityID]
+	_, known := w.entity(entityID)
 	if !known {
-		ents := make(map[string]Entity, len(w.entities)+1)
-		for k, v := range w.entities {
-			ents[k] = v
-		}
-		ents[entityID] = Entity{ID: entityID}
-		c.w.Store(&world{entities: ents, reviews: w.reviews, router: w.router, history: w.history})
+		c.w.Store(w.withEntity(Entity{ID: entityID}))
 	}
 	_, err := c.ings[w.router.Owner(entityID)].Append(ctx, entityID, review)
 	if err != nil && !known {
@@ -695,15 +733,10 @@ func (c *Client) RegisterEntityCtx(ctx context.Context, e Entity) error {
 			return fail(err)
 		}
 	}
-	cur, known := w.entities[e.ID]
+	cur, known := w.entity(e.ID)
 	up := Entity{ID: e.ID, Name: e.Name, City: e.City, Cuisine: e.Cuisine, Reviews: cur.Reviews}
 	if !known || cur.Name != up.Name || cur.City != up.City || cur.Cuisine != up.Cuisine {
-		ents := make(map[string]Entity, len(w.entities)+1)
-		for k, v := range w.entities {
-			ents[k] = v
-		}
-		ents[e.ID] = up
-		c.w.Store(&world{entities: ents, reviews: w.reviews, router: w.router, history: w.history})
+		c.w.Store(w.withEntity(up))
 	}
 	req.Finish(nil)
 	return nil
@@ -735,7 +768,7 @@ func (c *Client) openIngestLocked() error {
 	w := c.w.Load()
 	r := w.router
 	parts := r.Partition(w.reviews)
-	metas := partitionMeta(w.entities, r.N())
+	metas := partitionMeta(w.ents, r.N())
 	ings := make([]*ingest.Ingester, r.N())
 	for i := range ings {
 		dir := c.cfg.WALDir
@@ -766,36 +799,25 @@ func (c *Client) openIngestLocked() error {
 	// (their reviews or metadata arrived through the WAL in a previous
 	// process): rebuild each with its persisted identity, or a stub when
 	// only reviews survived.
-	ents := w.entities
-	changed := false
-	clone := func() {
-		if changed {
-			return
+	var recovered []Entity
+	seen := map[string]bool{}
+	resurface := func(id string, m ingest.EntityMeta) {
+		if _, known := w.entity(id); !known && !seen[id] {
+			seen[id] = true
+			recovered = append(recovered, Entity{ID: id, Name: m.Name, City: m.City, Cuisine: m.Cuisine})
 		}
-		m := make(map[string]Entity, len(ents)+8)
-		for k, v := range ents {
-			m[k] = v
-		}
-		ents, changed = m, true
 	}
 	for _, ing := range ings {
 		meta := ing.Meta()
 		for _, er := range ing.State() {
-			if _, ok := ents[er.EntityID]; !ok {
-				clone()
-				m := meta[er.EntityID]
-				ents[er.EntityID] = Entity{ID: er.EntityID, Name: m.Name, City: m.City, Cuisine: m.Cuisine}
-			}
+			resurface(er.EntityID, meta[er.EntityID])
 		}
 		for id, m := range meta {
-			if _, ok := ents[id]; !ok {
-				clone()
-				ents[id] = Entity{ID: id, Name: m.Name, City: m.City, Cuisine: m.Cuisine}
-			}
+			resurface(id, m)
 		}
 	}
-	if changed {
-		c.w.Store(&world{entities: ents, reviews: w.reviews, router: w.router, history: w.history})
+	if len(recovered) > 0 {
+		c.w.Store(newWorld(append(slices.Clip(w.ents), recovered...), w.reviews, w.router, w.history))
 	}
 	return nil
 }
@@ -1007,16 +1029,11 @@ func (c *Client) QueryTagsCtx(ctx context.Context, tags []string, opts ...QueryO
 			w.history.Add(lt)
 		}
 	}
-	var all []string
-	for id := range w.entities {
-		all = append(all, id)
-	}
-	sort.Strings(all)
 	low := make([]string, len(tags))
 	for i, t := range tags {
 		low[i] = strings.ToLower(t)
 	}
-	ranked, err := view.TopK(ctx, nil, all, low, theta, topK)
+	ranked, err := view.TopK(ctx, nil, w.ids, low, theta, topK)
 	if err != nil {
 		c.o.Counter("query.interrupted.total").Inc()
 		return nil, &StageError{Stage: "rank", Err: err}
@@ -1032,8 +1049,7 @@ func (c *Client) QueryTagsCtx(ctx context.Context, tags []string, opts ...QueryO
 
 // Entity returns an indexed entity by id.
 func (c *Client) Entity(id string) (Entity, bool) {
-	e, ok := c.w.Load().entities[id]
-	return e, ok
+	return c.w.Load().entity(id)
 }
 
 // TagLabels tags each token of a sentence with its IOB aspect/opinion class
@@ -1186,19 +1202,26 @@ func parseIntentSlots(utterance string) intentView {
 	return intentView{name: in.Name, slots: in.Slots}
 }
 
-// objectiveFilter plays the §3.2 objective API over one pinned world.
+// objectiveFilter plays the §3.2 objective API over one pinned world. The
+// result is in ascending ID order and must not be written to: with no slot
+// to filter on it is the world's own ID list.
 func objectiveFilter(w *world, slots map[string]string) []string {
-	var out []string
-	for id, e := range w.entities {
-		if v, ok := slots["cuisine"]; ok && !strings.EqualFold(e.Cuisine, v) {
-			continue
-		}
-		if v, ok := slots["location"]; ok && !strings.EqualFold(e.City, v) {
-			continue
-		}
-		out = append(out, id)
+	cuisine, byCuisine := slots["cuisine"]
+	city, byCity := slots["location"]
+	if !byCuisine && !byCity {
+		return w.ids
 	}
-	sort.Strings(out)
+	out := make([]string, 0, len(w.ents))
+	for i := range w.ents {
+		e := &w.ents[i]
+		if byCuisine && !strings.EqualFold(e.Cuisine, cuisine) {
+			continue
+		}
+		if byCity && !strings.EqualFold(e.City, city) {
+			continue
+		}
+		out = append(out, e.ID)
+	}
 	return out
 }
 

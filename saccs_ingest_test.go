@@ -30,7 +30,7 @@ func cloneForTest(t *testing.T, c *Client, cfg Config) *Client {
 		measure: c.measure,
 		o:       o,
 	}
-	clone.w.Store(&world{entities: map[string]Entity{}, router: clone.newRouter(), history: hist})
+	clone.w.Store(&world{router: clone.newRouter(), history: hist})
 	if cfg.WALDir != "" {
 		clone.writeMu.Lock()
 		err := clone.openIngestLocked()
