@@ -113,7 +113,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :9090)")
 	parallelN := flag.Int("parallel", runtime.GOMAXPROCS(0), "goroutines for the parallel query benchmark")
 	qpsGuard := flag.Bool("qps-guard", false, "exit nonzero if the parallel section's multi-goroutine QPS falls below its single-goroutine QPS")
-	quantGuard := flag.Bool("quant-guard", false, "exit nonzero if the quant section's mixed-precision cold decode is not at least 2x the float64 decode")
+	quantGuard := flag.Bool("quant-guard", false, fmt.Sprintf("exit nonzero if the quant section's mixed-precision cold decode is not at least %dx the float64 decode", quantGuardMin))
 	parallelDur := flag.Duration("parallel-dur", 2*time.Second, "duration of each parallel benchmark pass")
 	readersN := flag.Int("readers", runtime.GOMAXPROCS(0), "reader goroutines for the contention benchmark")
 	contentionDur := flag.Duration("contention-dur", 2*time.Second, "duration of each contention benchmark pass")
@@ -537,12 +537,16 @@ func batchRowSize(name string) int {
 	return n
 }
 
+// quantGuardMin is the -quant-guard floor: mixed cold decode over float64
+// cold decode. The Makefile's bench-smoke comment records the runs behind it.
+const quantGuardMin = 6
+
 // quantBenchmarks measures the cold Viterbi decode at each precision mode
 // over the shared pipeline and reports the mixed- and int8-mode speedups
 // against full float64. With guard set the process exits nonzero if the
-// mixed decode is not at least 2x float64 — the CI floor under the paper
-// target of 3x (oracle/quant-drift separately pins that the speed does not
-// come at the cost of label agreement).
+// mixed decode is not at least quantGuardMin times float64
+// (oracle/quant-drift separately pins that the speed does not come at the
+// cost of label agreement).
 func quantBenchmarks(o *obs.Observer, doc *benchFile, guard bool) {
 	_, _, tg := buildBenchPipeline(o)
 	tokens := tokenize.Words("I want an Italian restaurant in Montreal with delicious food and nice staff")
@@ -580,8 +584,8 @@ func quantBenchmarks(o *obs.Observer, doc *benchFile, guard bool) {
 		fmt.Printf("mixed cold decode: %.2fx float64; int8: %.2fx float64\n", f64/mixed, f64/int8ns)
 	}
 	doc.Quant = results
-	if guard && mixed > 0 && f64/mixed < 2 {
-		fmt.Fprintf(os.Stderr, "quant guard: mixed cold decode is %.2fx float64, want >= 2x\n", f64/mixed)
+	if guard && mixed > 0 && f64/mixed < quantGuardMin {
+		fmt.Fprintf(os.Stderr, "quant guard: mixed cold decode is %.2fx float64, want >= %dx\n", f64/mixed, quantGuardMin)
 		os.Exit(1)
 	}
 }

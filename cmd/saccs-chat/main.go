@@ -42,7 +42,7 @@ import (
 func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/slow and /debug/pprof on this address (e.g. :9090)")
 	slowThreshold := flag.Duration("slow-threshold", 100*time.Millisecond, "queries at or above this duration enter the slow-query log (:slow)")
-	batchWindow := flag.Duration("batch-window", 250*time.Microsecond, "gather window for cross-request extraction batching (0 disables)")
+	batchWindow := flag.Duration("batch-window", 100*time.Microsecond, "gather window for cross-request extraction batching (0 disables)")
 	batchMax := flag.Int("batch-max", 16, "max sentences per batched decode forward (<2 disables batching)")
 	precisionFlag := flag.String("precision", "mixed", "utterance decode arithmetic: float64, mixed, or int8 (indexing always runs float64)")
 	flag.Parse()

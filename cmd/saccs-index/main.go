@@ -44,7 +44,7 @@ func main() {
 	gold := flag.Bool("gold", false, "use gold review annotations instead of the neural extractor")
 	top := flag.Int("top", 5, "entities shown per tag")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz and /debug/pprof on this address (e.g. :9090)")
-	batchWindow := flag.Duration("batch-window", 250*time.Microsecond, "gather window for cross-request extraction batching during the build (0 disables)")
+	batchWindow := flag.Duration("batch-window", 100*time.Microsecond, "gather window for cross-request extraction batching during the build (0 disables)")
 	batchMax := flag.Int("batch-max", 16, "max sentences per batched decode forward (<2 disables batching)")
 	stream := flag.Bool("stream", false, "feed reviews through the WAL-backed streaming ingester instead of one batch build")
 	walDir := flag.String("wal-dir", "", "durable WAL directory for -stream (empty: in-process only, no durability)")

@@ -14,6 +14,11 @@ type MultiHeadAttention struct {
 	Dim, Heads, HeadDim int
 	Wq, Wk, Wv, Wo      *nn.Linear
 	cache               *mhaCache
+
+	// qkv caches Wq/Wk/Wv frozen as one stacked int8 weight for the
+	// reduced-precision forward (infer_quant.go); their own Quantize copies
+	// are never built on that path. Never copy an attention block by value.
+	qkv nn.StackedQuant
 }
 
 type mhaCache struct {

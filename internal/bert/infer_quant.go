@@ -9,14 +9,15 @@ import (
 )
 
 // Quantized batched inference: the reduced-precision twin of batch.go.
-// Activations flow as float32; the eight linear projections per block (four
-// attention, two FFN — plus Q/K/V/O weights shared across sequences) run on
-// the int8 GEMM with dynamic activation quantization, while the
-// drift-sensitive stages — LayerNorm (moments in float64), softmax
-// (float64 exponentials rounded once), GELU, residual adds — stay in the
-// float32 tier. The same packed starts/lens layout as the float64 batch
-// path; every stage is row- or sequence-local, so a solo decode through a
-// one-sequence batch is bit-identical to the same sequence inside any batch.
+// Activations flow as float32; a block's linear projections — Q/K/V as one
+// stacked weight, Wo, FF1, FF2 — run on the int8 GEMM with dynamic
+// activation quantization (four quantizations of a token's row per block),
+// while the drift-sensitive stages — LayerNorm (moments in float64), softmax,
+// GELU, residual adds — stay in the float32 tier. The same packed
+// starts/lens layout as the float64 batch path; every stage is row- or
+// sequence-local, so a solo decode through a one-sequence batch is
+// bit-identical to the same sequence inside any batch. DESIGN.md §14 walks
+// the stages.
 
 // InferQuantBatchTokensArena tokenizes and encodes several sequences in one
 // reduced-precision forward pass, returning packed float32 hidden states
@@ -63,100 +64,62 @@ func (m *Model) InferQuantBatchTokensArena(seqs [][]string, a *nn.Arena, p nn.Pr
 // precision: int8 projections, float32 residuals/GELU, float64-moment layer
 // norms.
 func (b *Block) InferQuantBatch(xs *mat.Mat32, starts, lens []int, a *nn.Arena) *mat.Mat32 {
-	n := xs.Rows
 	attnOut := b.Attn.InferQuantBatch(xs, starts, lens, a)
-	res1 := a.Mat32Raw(n, xs.Cols)
-	for i := 0; i < n; i++ {
-		v := res1.Row(i)
-		x := xs.Row(i)
-		ao := attnOut.Row(i)
-		for j := range v {
-			v[j] = x[j] + ao[j]
-		}
-	}
-	h1 := a.Mat32Raw(n, xs.Cols)
-	for i := 0; i < n; i++ {
-		b.LN1.ApplyInto32(h1.Row(i), res1.Row(i))
-	}
+	h1 := a.Mat32Raw(xs.Rows, xs.Cols)
+	b.LN1.addNormRows32(h1, xs, attnOut)
 	ffPre := b.FF1.InferQuantBatch(h1, a)
-	ffAct := a.Mat32Raw(n, ffPre.Cols)
-	for i := 0; i < n; i++ {
-		nn.GELUInto32(ffAct.Row(i), ffPre.Row(i))
-	}
-	ffnOuts := b.FF2.InferQuantBatch(ffAct, a)
-	res2 := a.Mat32Raw(n, xs.Cols)
-	for i := 0; i < n; i++ {
-		v := res2.Row(i)
-		h := h1.Row(i)
-		fo := ffnOuts.Row(i)
-		for j := range v {
-			v[j] = h[j] + fo[j]
-		}
-	}
-	out := a.Mat32Raw(n, xs.Cols)
-	for i := 0; i < n; i++ {
-		b.LN2.ApplyInto32(out.Row(i), res2.Row(i))
-	}
+	ffAct := a.Mat32Raw(xs.Rows, ffPre.Cols)
+	nn.GELURow32(ffAct.Data, ffPre.Data)
+	ffnOut := b.FF2.InferQuantBatch(ffAct, a)
+	out := a.Mat32Raw(xs.Rows, xs.Cols)
+	b.LN2.addNormRows32(out, h1, ffnOut)
 	return out
 }
 
 // InferQuantBatch runs self-attention over packed sequences in reduced
-// precision: Q/K/V/O are int8 GEMMs, the score/softmax/weighted-sum loops
-// keep InferBatch's exact structure (two-key unroll, zero-weight skip) with
-// float32 accumulation and float64 exponentials in the softmax.
+// precision. Q, K and V come out of one int8 GEMM over one quantization of
+// xs (the stacked weight of nn.StackedQuant), Wo is a second. In between,
+// each head of each sequence is two small float32 products over operands
+// packed once — K_h row-major, Q_hᵀ and V_hᵀ transposed — so the n² inner
+// loops stream: scores transposed, Sᵀ = K_h·Q_hᵀ (row = key, column =
+// query); one column softmax over the whole matrix; then Oᵀ = V_hᵀ·Aᵀ.
+// Every score still sums its HeadDim products in ascending dimension order
+// and every output its n weighted values in ascending key order.
 func (m *MultiHeadAttention) InferQuantBatch(xs *mat.Mat32, starts, lens []int, a *nn.Arena) *mat.Mat32 {
-	q := m.Wq.InferQuantBatch(xs, a)
-	k := m.Wk.InferQuantBatch(xs, a)
-	v := m.Wv.InferQuantBatch(xs, a)
-	scale := float32(1 / math.Sqrt(float64(m.HeadDim)))
-	headOut := a.Mat32(xs.Rows, m.Dim)
+	D, hd := m.Dim, m.HeadDim
+	qkv := m.qkv.Quantize(m.Wq, m.Wk, m.Wv).Apply(nn.QuantizeActRows(xs, a), a) // rows of [q | k | v]
+	scale := float32(1 / math.Sqrt(float64(hd)))
+	headOut := a.Mat32Raw(xs.Rows, D)
 	maxLen := 0
 	for _, n := range lens {
-		if n > maxLen {
-			maxLen = n
-		}
+		maxLen = max(maxLen, n)
 	}
-	scores := a.F32Raw(maxLen)
-	attn := a.F32Raw(maxLen)
+	kh, qT, vT, oT := a.Mat32Raw(maxLen, hd), a.Mat32Raw(hd, maxLen), a.Mat32Raw(hd, maxLen), a.Mat32Raw(hd, maxLen)
+	sT := a.Mat32Raw(maxLen, maxLen)
+	stat := a.F32Raw(maxLen)
 	for s, n := range lens {
 		base := starts[s]
-		sc, at := scores[:n], attn[:n]
-		for h := 0; h < m.Heads; h++ {
-			lo := h * m.HeadDim
-			hi := lo + m.HeadDim
+		reshape32(kh, n, hd)
+		reshape32(qT, hd, n)
+		reshape32(vT, hd, n)
+		reshape32(oT, hd, n)
+		reshape32(sT, n, n)
+		for lo := 0; lo < D; lo += hd {
 			for i := 0; i < n; i++ {
-				qi := q.Row(base + i)[lo:hi:hi]
-				j := 0
-				for ; j+1 < n; j += 2 {
-					kj0 := k.Row(base + j)[lo:hi:hi]
-					kj1 := k.Row(base + j + 1)[lo:hi:hi]
-					var s0, s1 float32
-					for d, qv := range qi {
-						s0 += qv * kj0[d]
-						s1 += qv * kj1[d]
-					}
-					sc[j] = s0 * scale
-					sc[j+1] = s1 * scale
+				row := qkv.Row(base + i)
+				copy(kh.Row(i), row[D+lo:D+lo+hd])
+				for d := 0; d < hd; d++ {
+					qT.Data[d*n+i] = row[lo+d]
+					vT.Data[d*n+i] = row[2*D+lo+d]
 				}
-				for ; j < n; j++ {
-					kj := k.Row(base + j)[lo:hi:hi]
-					var s float32
-					for d, qv := range qi {
-						s += qv * kj[d]
-					}
-					sc[j] = s * scale
-				}
-				mat.Softmax32(at, sc)
-				out := headOut.Row(base + i)[lo:hi:hi]
-				for j := 0; j < n; j++ {
-					aj := at[j]
-					if aj == 0 {
-						continue
-					}
-					vj := v.Row(base + j)[lo:hi:hi]
-					for d := range out {
-						out[d] += aj * vj[d]
-					}
+			}
+			mat.MatMulF32Into(sT, kh, qT)
+			mat.SoftmaxCols32(sT, scale, stat)
+			mat.MatMulF32Into(oT, vT, sT)
+			for i := 0; i < n; i++ {
+				out := headOut.Row(base + i)[lo : lo+hd]
+				for d := range out {
+					out[d] = oT.Data[d*n+i]
 				}
 			}
 		}
@@ -164,8 +127,26 @@ func (m *MultiHeadAttention) InferQuantBatch(xs *mat.Mat32, starts, lens []int, 
 	return m.Wo.InferQuantBatch(headOut, a)
 }
 
-// ApplyInto32 normalizes the float32 row x into y with the moments computed
-// in float64 — layer norm is the drift amplifier of the stack (it divides by
+// reshape32 re-dimensions an arena scratch matrix within its capacity.
+func reshape32(m *mat.Mat32, rows, cols int) {
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+}
+
+// addNormRows32 writes LayerNorm(x + r) row by row into y: the residual add
+// in float32, then ApplyInto32 in place.
+func (ln *LayerNorm) addNormRows32(y, x, r *mat.Mat32) {
+	for i := 0; i < x.Rows; i++ {
+		yr, xr, rr := y.Row(i), x.Row(i), r.Row(i)
+		for j := range yr {
+			yr[j] = xr[j] + rr[j]
+		}
+		ln.ApplyInto32(yr, yr)
+	}
+}
+
+// ApplyInto32 normalizes the float32 row x into y (which may be x itself:
+// every output element is written after the last read of it) with the
+// moments computed in float64 — layer norm is the drift amplifier of the stack (it divides by
 // a variance that quantization error perturbs), so the mixed mode keeps its
 // internals at full precision and rounds once on output.
 func (ln *LayerNorm) ApplyInto32(y, x mat.Vec32) {

@@ -2,101 +2,147 @@ package mat
 
 import "math"
 
-// Fast scalar float32 transcendentals for the reduced-precision inference
-// tier. The float64 math package routines cost hundreds of cycles each and
-// dominate the quantized decode profile (LSTM gates, GELU, attention
-// softmax); these polynomial kernels bring that to ~20 flops at float32
-// accuracy, which is far below the int8 quantization noise the quant-drift
-// oracle budgets for. Both are pure float32 arithmetic — IEEE-exact in Go on
-// every platform — so the quantized decode's cross-machine bit-identity
-// contract is preserved.
+// Float32 row transcendentals for the reduced-precision inference tier. The
+// decode applies each of them to whole rows — every softmax score of a head,
+// the 4H gate row of an LSTM step, an FFN row — so they take slices: the
+// pure-Go loops below keep the polynomial in registers across elements, and
+// on AVX-512 machines the multiple-of-16 prefix of a row runs on a vector
+// twin (quant_amd64.s) that performs the same unfused float32 multiply and
+// add per lane in the same order. Both forms are pure float32 arithmetic —
+// IEEE-exact — so a row's result is the same bits on every platform and
+// dispatch path; TestRowKernelPathsBitIdentical pins the asm/Go identity and
+// TestRowKernelsMatchScalarReference the identity with the one-element
+// definitions kept in the tests.
 
-// Exp32 computes e^x in float32: range reduction x = n·ln2 + r with the
-// classic hi/lo split of ln2, a degree-5 minimax polynomial for e^r on
-// [-ln2/2, ln2/2] (Cephes expf coefficients), and exponent reassembly by bit
-// manipulation. Accurate to ~2 ulp over the finite range; saturates to +Inf
-// above ~88.02 and to 0 below ~-87.34 (the float32 normal range).
-func Exp32(x float32) float32 {
-	const (
-		expHi = 88.02
-		expLo = -87.33654
-		log2e = 1.44269504088896341
-		ln2Hi = 0.693359375
-		ln2Lo = -2.12194440e-4
-		expP0 = 1.9875691500e-4
-		expP1 = 1.3981999507e-3
-		expP2 = 8.3334519073e-3
-		expP3 = 4.1665795894e-2
-		expP4 = 1.6666665459e-1
-		expP5 = 5.0000001201e-1
-	)
-	if x != x { // NaN
-		return x
-	}
-	if x > expHi {
-		return float32(math.Inf(1))
-	}
-	if x < expLo {
-		return 0
-	}
-	// n = round(x/ln2): shift into [-ln2/2, ln2/2].
-	fx := x*log2e + 0.5
-	n := int32(fx)
-	if float32(n) > fx { // int32 truncates toward zero; we need floor
-		n--
-	}
-	fn := float32(n)
-	r := x - fn*ln2Hi
-	r -= fn * ln2Lo
-	z := r * r
-	y := float32(expP0)
-	y = y*r + expP1
-	y = y*r + expP2
-	y = y*r + expP3
-	y = y*r + expP4
-	y = y*r + expP5
-	y = y*z + r + 1
-	// Scale by 2^n: n is in [-126, 127] here, so the biased exponent is a
-	// normal float32 and the multiply is exact.
-	return y * math.Float32frombits(uint32(n+127)<<23)
+// Exp32 constants: range reduction x = n·ln2 + r with the classic hi/lo
+// split of ln2, then a degree-5 minimax polynomial for e^r on
+// [-ln2/2, ln2/2] (Cephes expf coefficients). The vector twin reads the same
+// values from expConsts.
+const (
+	expHi = 88.02
+	expLo = -87.33654
+	log2e = 1.44269504088896341
+	ln2Hi = 0.693359375
+	ln2Lo = -2.12194440e-4
+	expP0 = 1.9875691500e-4
+	expP1 = 1.3981999507e-3
+	expP2 = 8.3334519073e-3
+	expP3 = 4.1665795894e-2
+	expP4 = 1.6666665459e-1
+	expP5 = 5.0000001201e-1
+)
+
+// Tanh32 constants: the odd rational α(x²)·x / β(x²) on |x| ≤ tanhClamp
+// (beyond which tanh is ±1 to float32 precision), the standard 13/6-degree
+// float32 minimax pair. The vector twin reads them from tanhConsts.
+const (
+	tanhClamp = 7.90531110763549805
+	tanhA0    = -2.76076847742355e-16
+	tanhA1    = 2.00018790482477e-13
+	tanhA2    = -8.60467152213735e-11
+	tanhA3    = 5.12229709037114e-08
+	tanhA4    = 1.48572235717979e-05
+	tanhA5    = 6.37261928875436e-04
+	tanhA6    = 4.89352455891786e-03
+	tanhB0    = 1.19825839466702e-06
+	tanhB1    = 1.18534705686654e-04
+	tanhB2    = 2.26843463243900e-03
+	tanhB3    = 4.89352518554385e-03
+)
+
+// ExpRow32 writes e^x for every element of src into dst (which may alias
+// src). Accurate to ~2 ulp over the finite range; saturates to +Inf above
+// ~88.02 and to 0 below ~-87.34 (the float32 normal range); NaN propagates.
+func ExpRow32(dst, src []float32) {
+	checkLen(len(dst), len(src))
+	k := expRowAsm(dst, src)
+	expRowGo(dst[k:], src[k:])
 }
 
-// Tanh32 computes tanh(x) in float32 as the odd rational approximation
-// α(x²)·x / β(x²) on the clamped range |x| ≤ 7.905 (beyond which tanh is ±1
-// to float32 precision). The 13/6-degree coefficient pair is the standard
-// float32 minimax fit; accurate to a few ulp everywhere.
-func Tanh32(x float32) float32 {
-	const clamp = 7.90531110763549805
-	if x != x { // NaN
-		return x
+func expRowGo(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		switch {
+		case x != x:
+			dst[i] = x
+			continue
+		case x > expHi:
+			dst[i] = float32(math.Inf(1))
+			continue
+		case x < expLo:
+			dst[i] = 0
+			continue
+		}
+		// n = round(x/ln2): shift into [-ln2/2, ln2/2].
+		fx := x*log2e + 0.5
+		n := int32(fx)
+		if float32(n) > fx { // int32 truncates toward zero; we need floor
+			n--
+		}
+		fn := float32(n)
+		r := x - fn*ln2Hi
+		r -= fn * ln2Lo
+		z := r * r
+		y := float32(expP0)
+		y = y*r + expP1
+		y = y*r + expP2
+		y = y*r + expP3
+		y = y*r + expP4
+		y = y*r + expP5
+		y = y*z + r + 1
+		// Scale by 2^n: n is in [-126, 127] here, so the biased exponent is
+		// a normal float32 and the multiply is exact.
+		dst[i] = y * math.Float32frombits(uint32(n+127)<<23)
 	}
-	if x > clamp {
-		x = clamp
-	} else if x < -clamp {
-		x = -clamp
-	}
-	x2 := x * x
-	alpha := float32(-2.76076847742355e-16)
-	alpha = alpha*x2 + 2.00018790482477e-13
-	alpha = alpha*x2 + -8.60467152213735e-11
-	alpha = alpha*x2 + 5.12229709037114e-08
-	alpha = alpha*x2 + 1.48572235717979e-05
-	alpha = alpha*x2 + 6.37261928875436e-04
-	alpha = alpha*x2 + 4.89352455891786e-03
-	alpha *= x
-	beta := float32(1.19825839466702e-06)
-	beta = beta*x2 + 1.18534705686654e-04
-	beta = beta*x2 + 2.26843463243900e-03
-	beta = beta*x2 + 4.89352518554385e-03
-	return alpha / beta
 }
 
-// Sigmoid32 is the float32 logistic 1/(1+e^-x), computed through Exp32 with
-// the numerically stable branch structure of the float64 nn.Sigmoid.
-func Sigmoid32(x float32) float32 {
-	if x >= 0 {
-		return 1 / (1 + Exp32(-x))
+// TanhRow32 writes tanh(x) for every element of src into dst (which may
+// alias src), accurate to a few ulp everywhere; NaN propagates.
+func TanhRow32(dst, src []float32) {
+	checkLen(len(dst), len(src))
+	k := tanhRowAsm(dst, src)
+	tanhRowGo(dst[k:], src[k:])
+}
+
+func tanhRowGo(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		if x != x {
+			dst[i] = x
+			continue
+		}
+		x = min(max(x, -tanhClamp), tanhClamp)
+		x2 := x * x
+		alpha := float32(tanhA0)
+		alpha = alpha*x2 + tanhA1
+		alpha = alpha*x2 + tanhA2
+		alpha = alpha*x2 + tanhA3
+		alpha = alpha*x2 + tanhA4
+		alpha = alpha*x2 + tanhA5
+		alpha = alpha*x2 + tanhA6
+		alpha *= x
+		beta := float32(tanhB0)
+		beta = beta*x2 + tanhB1
+		beta = beta*x2 + tanhB2
+		beta = beta*x2 + tanhB3
+		dst[i] = alpha / beta
 	}
-	e := Exp32(x)
-	return e / (1 + e)
+}
+
+// SigmoidRow32 writes the logistic 1/(1+e^-x) for every element of src into
+// dst, which must not alias src: one ExpRow32 over -|x|, then the
+// numerically stable quotient — 1/(1+e) where x's sign bit is clear,
+// e/(1+e) where it is set (at -0 both are exactly 0.5; NaN propagates).
+func SigmoidRow32(dst, src []float32) {
+	checkLen(len(dst), len(src))
+	for i, x := range src {
+		dst[i] = math.Float32frombits(math.Float32bits(x) | 1<<31)
+	}
+	ExpRow32(dst, dst)
+	const one = 0x3f800000
+	for i, x := range src {
+		e := math.Float32bits(dst[i])
+		neg := uint32(int32(math.Float32bits(x)) >> 31) // all ones where x < 0
+		dst[i] = math.Float32frombits(e&neg|one&^neg) / (1 + dst[i])
+	}
 }

@@ -40,30 +40,56 @@ func (m *Mat32) Zero() {
 	}
 }
 
-// Softmax32 writes softmax(src) into dst with the max-subtraction trick,
-// mirroring the float64 Softmax's structure: exponentials through the fast
-// float32 Exp32, the sum accumulated in ascending index order, and the
-// normalization one multiply by the reciprocal per element.
-func Softmax32(dst, src Vec32) {
-	checkLen(len(dst), len(src))
-	if len(src) == 0 {
+// SoftmaxCols32 scales s by scale and replaces every column with its
+// softmax, in place: column c of an attention head's transposed score matrix
+// holds one query's scores over the keys. Per column it is the textbook
+// sequence — subtract the max, exponentiate, sum in ascending row order,
+// multiply by the reciprocal of the sum — run as whole-row passes so no pass
+// carries a dependency from one element to the next, with one ExpRow32 over
+// the entire matrix. stat is scratch of at least s.Cols.
+func SoftmaxCols32(s *Mat32, scale float32, stat []float32) {
+	n := s.Cols
+	if s.Rows == 0 || n == 0 {
 		return
 	}
-	max := src[0]
-	for _, v := range src[1:] {
-		if v > max {
-			max = v
+	stat = stat[:n]
+	data := s.Data[:s.Rows*n]
+	for i, v := range data[:n] {
+		data[i] = v * scale
+		stat[i] = data[i]
+	}
+	for j := 1; j < s.Rows; j++ {
+		row := data[j*n : (j+1)*n]
+		for i, v := range row {
+			v *= scale
+			row[i] = v
+			if v > stat[i] {
+				stat[i] = v
+			}
 		}
 	}
-	var sum float32
-	for i, v := range src {
-		e := Exp32(v - max)
-		dst[i] = e
-		sum += e
+	for j := 0; j < s.Rows; j++ {
+		row := data[j*n : (j+1)*n]
+		for i, m := range stat {
+			row[i] -= m
+		}
 	}
-	inv := 1 / sum
-	for i := range dst {
-		dst[i] *= inv
+	ExpRow32(data, data)
+	clear(stat)
+	for j := 0; j < s.Rows; j++ {
+		row := data[j*n : (j+1)*n]
+		for i, e := range row {
+			stat[i] += e
+		}
+	}
+	for i, sum := range stat {
+		stat[i] = 1 / sum
+	}
+	for j := 0; j < s.Rows; j++ {
+		row := data[j*n : (j+1)*n]
+		for i, inv := range stat {
+			row[i] *= inv
+		}
 	}
 }
 

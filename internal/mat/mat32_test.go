@@ -76,30 +76,54 @@ func TestMulABtF32IntoMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestSoftmax32(t *testing.T) {
-	src := Vec32{1, 2, 3, 4}
-	dst := make(Vec32, 4)
-	Softmax32(dst, src)
+// refSoftmax32 is the per-row softmax SoftmaxCols32 replaced (scalar
+// exponentials, ascending sum, multiply by the reciprocal): the reference its
+// columns must reproduce bit for bit.
+func refSoftmax32(dst, src []float32) {
+	max := src[0]
+	for _, v := range src[1:] {
+		if v > max {
+			max = v
+		}
+	}
 	var sum float32
-	for i := 1; i < len(dst); i++ {
-		if dst[i] <= dst[i-1] {
-			t.Fatalf("softmax not increasing with logits: %v", dst)
+	for i, v := range src {
+		e := refExp32(v - max)
+		dst[i] = e
+		sum += e
+	}
+	inv := 1 / sum
+	for i := range dst {
+		dst[i] *= inv
+	}
+}
+
+func TestSoftmaxCols32MatchesRowReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const scale = float32(0.35355339059327373) // 1/sqrt(8), the decode's
+	for _, sh := range []struct{ rows, cols int }{{1, 1}, {3, 5}, {19, 19}, {48, 48}, {7, 33}} {
+		s := randMat32(rng, sh.rows, sh.cols)
+		if sh.rows > 2 {
+			s.Data[sh.cols+1] = 1000 // max-shift must survive large logits
 		}
-	}
-	for _, v := range dst {
-		sum += v
-	}
-	if math.Abs(float64(sum)-1) > 1e-5 {
-		t.Fatalf("softmax sum = %v, want ≈1", sum)
-	}
-	// Max-shift must survive large logits without overflow.
-	big := Vec32{1000, 1001, 1002}
-	out := make(Vec32, 3)
-	Softmax32(out, big)
-	for _, v := range out {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			t.Fatalf("softmax overflowed on large logits: %v", out)
+		want := NewMat32(sh.rows, sh.cols)
+		col, out := make([]float32, sh.rows), make([]float32, sh.rows)
+		for c := 0; c < sh.cols; c++ {
+			for r := range col {
+				col[r] = s.Data[r*sh.cols+c] * scale
+			}
+			refSoftmax32(out, col)
+			var sum float64
+			for r, v := range out {
+				want.Data[r*sh.cols+c] = v
+				sum += float64(v)
+			}
+			if math.Abs(sum-1) > 1e-5 {
+				t.Fatalf("column %d sums to %v, want ≈1", c, sum)
+			}
 		}
+		SoftmaxCols32(s, scale, make([]float32, sh.cols))
+		requireBitEqual32(t, "SoftmaxCols32", want, s)
 	}
 }
 

@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Int8 kernel family for the quantized inference path.
 //
@@ -21,10 +18,11 @@ import (
 // per-row correction Corr_r = 128·rowsum(q_w) recovers the signed dot
 // exactly. All three kernel paths (pure Go, AVX-512 VNNI, and the
 // AVX-512BW VPMADDWD fallback) produce the identical int32 accumulator —
-// integer addition is associative, so lane order doesn't matter — and share
-// one scalar Go dequantization loop, making quantized results bit-identical
-// across machines and dispatch paths. TestInt8KernelPathsBitIdentical and
-// FuzzQuantRoundTrip pin this.
+// integer addition is associative, so lane order doesn't matter — and the
+// dequantization epilogue rounds the same three float32 operations per
+// element in Go and in its vector twin, making quantized results
+// bit-identical across machines and dispatch paths.
+// TestInt8KernelPathsBitIdentical and FuzzQuantRoundTrip pin this.
 //
 // The K dimension is padded to a multiple of QuantK: padded weight bytes are
 // 0 and padded activation bytes are 128 (code 0 in offset-binary), so the
@@ -177,48 +175,56 @@ func (q *Int8Weights) Dequantize() *Mat {
 // QuantizeRowU8 quantizes one float32 activation row symmetrically to int8
 // stored offset-binary (code+128) in dst and returns the scale. dst must be
 // a padded row of length padK(len(src)); the padding is written as 128
-// (code 0), so kernels can stream whole 64-byte groups unconditionally.
+// (code 0), so kernels can stream whole 64-byte groups unconditionally. It
+// runs in front of every int8 GEMM, so both passes — max-abs, then codes —
+// are branch-free, with AVX-512 twins for the multiple-of-16 prefix.
 func QuantizeRowU8(dst []uint8, src []float32) float32 {
 	checkLen(len(dst), padK(len(src)))
-	var maxAbs float32
-	for _, v := range src {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs { // NaN compares false on both branches: skipped
-			maxAbs = a
-		}
-	}
-	s := quantScale(float64(maxAbs))
-	// Hot per-decode loop (runs before every int8 GEMM), so the rounding is
-	// the magic-number trick rather than math.Round: adding and subtracting
-	// 1.5·2²³ forces float32 round-to-nearest-even on any |r| ≤ 2²², and
-	// |v·inv| ≤ ~127.5 here by construction. (The weight-side quantCode
-	// rounds ties away from zero; the two may disagree by one code on
-	// half-ulp knife edges, which is inside the quantization noise the drift
-	// oracle budgets. NaN propagates through the magic adds and fails every
-	// ordered compare, landing on the zero code like quantCode.)
-	const magic = float32(3 << 22) // 1.5·2²³
-	inv := 1 / s
-	for k, v := range src {
-		r := v*inv + magic
-		r -= magic
-		var q int32
-		switch {
-		case r > 127:
-			q = 127
-		case r < -127:
-			q = -127
-		case r == r:
-			q = int32(r)
-		}
-		dst[k] = uint8(q + 128)
-	}
+	s := quantScale(float64(math.Float32frombits(maxAbsBits(src))))
+	quantCodes(dst[:len(src)], src, 1/s)
 	for k := len(src); k < len(dst); k++ {
 		dst[k] = 128
 	}
 	return s
+}
+
+// maxAbsBitsGo returns the bit pattern of the largest |v| in src, 0 for an
+// empty row. Non-negative floats order like their bit patterns, so the scan
+// is an integer max over sign-cleared bits; NaN patterns (above +Inf's) are
+// skipped, as an ordered float compare would skip them.
+func maxAbsBitsGo(src []float32) uint32 {
+	var m uint32
+	for _, v := range src {
+		a := math.Float32bits(v) &^ (1 << 31)
+		if a > 0x7f800000 {
+			a = 0
+		}
+		m = max(m, a)
+	}
+	return m
+}
+
+// quantCodesGo writes the offset-binary code of every v·inv: round to
+// nearest even, clamp to ±127, NaN to code 0 (the weight-side quantCode
+// rounds ties away from zero; the two may disagree by one code on half-ulp
+// knife edges, inside the quantization noise the drift oracle budgets).
+// Adding 1.5·2²³ leaves the rounded integer in the low mantissa bits of the
+// sum for any |x| ≤ 2²², so the code is read straight out of the bit pattern;
+// sums outside that window land monotonically above or below it (negative
+// sums have the sign bit set, hence the widening before the subtraction),
+// which the integer clamp absorbs.
+func quantCodesGo(dst []uint8, src []float32, inv float32) {
+	const magic = float32(3 << 22) // 1.5·2²³ = 0x4B400000
+	dst = dst[:len(src)]
+	for k, v := range src {
+		b := math.Float32bits(v*inv + magic)
+		q := int64(int32(b)) - 0x4B400000
+		q = min(max(q, -127), 127)
+		if b&^(1<<31) > 0x7f800000 {
+			q = 0
+		}
+		dst[k] = uint8(q + 128)
+	}
 }
 
 // MulABtInt8Into computes dst = dequant(Aq·Wᵀ) + bias: dst is rows×w.Rows
@@ -226,8 +232,9 @@ func QuantizeRowU8(dst []uint8, src []float32) float32 {
 // codes each, aScales their per-row scales, and acc is caller-provided int32
 // scratch of at least w.Rows (arena-backed in the inference path, so the
 // kernel allocates nothing). bias may be nil. Every dispatch path fills the
-// same int32 accumulators and shares the one dequantization loop below, so
-// the output is identical bits regardless of CPU features.
+// same int32 accumulators, and the dequantization epilogue is the same one
+// multiply-multiply-add per element in Go and in its vector twin, so the
+// output is identical bits regardless of CPU features.
 func MulABtInt8Into(dst *Mat32, aq []uint8, aScales []float32, w *Int8Weights, bias []float32, acc []int32) {
 	rows := dst.Rows
 	checkLen(dst.Cols, w.Rows)
@@ -236,21 +243,30 @@ func MulABtInt8Into(dst *Mat32, aq []uint8, aScales []float32, w *Int8Weights, b
 	if len(acc) < w.Rows {
 		panic("mat: int8 accumulator scratch shorter than w.Rows")
 	}
+	if bias != nil {
+		checkLen(len(bias), w.Rows)
+	}
 	acc = acc[:w.Rows]
 	for i := 0; i < rows; i++ {
-		arow := aq[i*w.KP : (i+1)*w.KP]
-		int8GemvInto(acc, arow, w)
-		out := dst.Row(i)
-		sa := aScales[i]
-		if bias != nil {
-			for j := range out {
-				out[j] = float32(acc[j]-w.Corr[j])*(sa*w.Scales[j]) + bias[j]
-			}
-		} else {
-			for j := range out {
-				out[j] = float32(acc[j]-w.Corr[j]) * (sa * w.Scales[j])
-			}
+		int8GemvInto(acc, aq[i*w.KP:(i+1)*w.KP], w)
+		dequantRow(dst.Row(i), acc, w.Corr, w.Scales, bias, aScales[i])
+	}
+}
+
+// dequantRowGo is the epilogue of one output row: out[j] =
+// float32(acc[j]-corr[j])·(sa·scales[j]) + bias[j], bias optional. All
+// slices have len(out) elements.
+func dequantRowGo(out []float32, acc, corr []int32, scales, bias []float32, sa float32) {
+	acc, corr, scales = acc[:len(out)], corr[:len(out)], scales[:len(out)]
+	if bias == nil {
+		for j := range out {
+			out[j] = float32(acc[j]-corr[j]) * (sa * scales[j])
 		}
+		return
+	}
+	bias = bias[:len(out)]
+	for j := range out {
+		out[j] = float32(acc[j]-corr[j])*(sa*scales[j]) + bias[j]
 	}
 }
 
@@ -266,42 +282,4 @@ func int8GemvGo(acc []int32, arow []uint8, wdata []int8, kp int) {
 		}
 		acc[j] = s
 	}
-}
-
-// ParallelMulABtInt8Into is MulABtInt8Into with the activation rows (and
-// their dst rows) split across at most workers goroutines, mirroring
-// ParallelMulABtInto's row-split tiling. acc must hold workers×w.Rows int32
-// so each worker owns a private accumulator strip. Identical results for any
-// worker count: every output element is computed by exactly one worker with
-// the same kernels.
-func ParallelMulABtInt8Into(dst *Mat32, aq []uint8, aScales []float32, w *Int8Weights, bias []float32, acc []int32, workers int) {
-	const minRowsPerWorker = 8
-	rows := dst.Rows
-	if workers > rows/minRowsPerWorker {
-		workers = rows / minRowsPerWorker
-	}
-	if workers <= 1 {
-		MulABtInt8Into(dst, aq, aScales, w, bias, acc)
-		return
-	}
-	if len(acc) < workers*w.Rows {
-		panic("mat: int8 accumulator scratch shorter than workers*w.Rows")
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	worker := 0
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi, wk int) {
-			defer wg.Done()
-			dv := &Mat32{Rows: hi - lo, Cols: dst.Cols, Data: dst.Data[lo*dst.Cols : hi*dst.Cols]}
-			MulABtInt8Into(dv, aq[lo*w.KP:hi*w.KP], aScales[lo:hi], w, bias, acc[wk*w.Rows:(wk+1)*w.Rows])
-		}(lo, hi, worker)
-		worker++
-	}
-	wg.Wait()
 }

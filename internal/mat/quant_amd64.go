@@ -2,6 +2,8 @@
 
 package mat
 
+import "math"
+
 // AVX-512 fast paths for the quantized kernel family (quant_amd64.s).
 //
 // Integer path: all int8 kernels fill the identical int32 accumulator — the
@@ -144,4 +146,91 @@ func gemm32AsmInto(dst, a, b *Mat32) bool {
 		}
 	}
 	return true
+}
+
+//go:noescape
+func expRowAVX512(dst, src *float32, n int, consts *float32)
+
+//go:noescape
+func tanhRowAVX512(dst, src *float32, n int, consts *float32)
+
+//go:noescape
+func maxAbsAVX512(lanes *uint32, src *float32, n int)
+
+//go:noescape
+func quantCodesAVX512(dst *uint8, src *float32, n int, consts *uint32, inv float32)
+
+//go:noescape
+func dequantRowAVX512(out *float32, acc, corr *int32, scales, bias *float32, n int, sa float32)
+
+// Constant tables the row kernels read as embedded broadcasts; the offsets
+// in quant_amd64.s index these.
+var (
+	expConsts = [...]float32{expHi, expLo, log2e, 0.5, ln2Hi, ln2Lo,
+		expP0, expP1, expP2, expP3, expP4, expP5, 1, float32(math.Inf(1))}
+	tanhConsts = [...]float32{tanhClamp, -tanhClamp,
+		tanhA0, tanhA1, tanhA2, tanhA3, tanhA4, tanhA5, tanhA6, tanhB0, tanhB1, tanhB2, tanhB3}
+	// magic = 1.5·2²³ as bits, magic+127, magic-127, and the +128 offset.
+	quantConsts = [...]uint32{0x4B400000, 0x4B400000 + 127, 0x4B400000 - 127, 128}
+)
+
+// vecPrefix is the length of the multiple-of-16 prefix of an n-element row
+// the AVX-512 row kernels take; the pure-Go twins finish the rest.
+func vecPrefix(n int) int {
+	if !hasAVX512 {
+		return 0
+	}
+	return n &^ 15
+}
+
+func expRowAsm(dst, src []float32) int {
+	k := vecPrefix(len(src))
+	if k > 0 {
+		expRowAVX512(&dst[0], &src[0], k, &expConsts[0])
+	}
+	return k
+}
+
+func tanhRowAsm(dst, src []float32) int {
+	k := vecPrefix(len(src))
+	if k > 0 {
+		tanhRowAVX512(&dst[0], &src[0], k, &tanhConsts[0])
+	}
+	return k
+}
+
+func maxAbsBits(src []float32) uint32 {
+	k := vecPrefix(len(src))
+	m := maxAbsBitsGo(src[k:])
+	if k > 0 {
+		var lanes [16]uint32
+		maxAbsAVX512(&lanes[0], &src[0], k)
+		for _, v := range lanes {
+			m = max(m, v)
+		}
+	}
+	return m
+}
+
+func quantCodes(dst []uint8, src []float32, inv float32) {
+	k := vecPrefix(len(src))
+	if k > 0 {
+		quantCodesAVX512(&dst[0], &src[0], k, &quantConsts[0], inv)
+	}
+	quantCodesGo(dst[k:], src[k:], inv)
+}
+
+func dequantRow(out []float32, acc, corr []int32, scales, bias []float32, sa float32) {
+	k := vecPrefix(len(out))
+	if k > 0 {
+		var b *float32
+		if bias != nil {
+			b = &bias[0]
+		}
+		dequantRowAVX512(&out[0], &acc[0], &corr[0], &scales[0], b, k, sa)
+	}
+	if bias != nil {
+		bias = bias[k:]
+	}
+	dequantRowGo(out[k:], acc[k:], corr[k:], scales[k:], bias, sa)
 }

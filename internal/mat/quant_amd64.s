@@ -252,3 +252,180 @@ f32s1x16_loop:
 	VMOVUPS Z0, (R8)
 	VZEROUPPER
 	RET
+
+// Row kernels around the int8 GEMM, 16 float32 lanes per iteration over a
+// row whose length n is a positive multiple of 16 (the Go callers finish
+// ragged tails on the pure-Go twins). Each lane performs exactly the Go
+// twin's operations in its order — separate VMULPS/VADDPS, never FMA — so
+// the two are bit-identical. Constants come from the Go side's tables (R8)
+// as embedded broadcasts, so both forms read the same values.
+
+// HORNER: acc = acc*x + consts[off/4].
+#define HORNER(acc, x, off) VMULPS x, acc, acc; VADDPS.BCST off(R8), acc, acc
+
+// func expRowAVX512(dst, src *float32, n int, consts *float32)
+//
+// expRowGo per lane: floor via VRNDSCALEPS, 2^n assembled by adding n<<23
+// to the bits of 1.0, and the three special cases (x > hi, x < lo, NaN)
+// computed on garbage and then overwritten under compare masks.
+TEXT ·expRowAVX512(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ consts+24(FP), R8
+
+exp_loop:
+	VMOVUPS      (SI), Z0
+	VMULPS.BCST  8(R8), Z0, Z2  // x*log2e
+	VADDPS.BCST  12(R8), Z2, Z2 // + 0.5
+	VRNDSCALEPS  $9, Z2, Z2     // fn = floor(fx)
+	VCVTPS2DQ    Z2, Z3         // n
+	VMULPS.BCST  16(R8), Z2, Z4
+	VSUBPS       Z4, Z0, Z1     // r = x - fn*ln2Hi
+	VMULPS.BCST  20(R8), Z2, Z4
+	VSUBPS       Z4, Z1, Z1     // r -= fn*ln2Lo
+	VMULPS       Z1, Z1, Z5     // z = r*r
+	VBROADCASTSS 24(R8), Z6     // y = P0
+	HORNER(Z6, Z1, 28)
+	HORNER(Z6, Z1, 32)
+	HORNER(Z6, Z1, 36)
+	HORNER(Z6, Z1, 40)
+	HORNER(Z6, Z1, 44)
+	VMULPS       Z5, Z6, Z6
+	VADDPS       Z1, Z6, Z6
+	VADDPS.BCST  48(R8), Z6, Z6 // y*z + r + 1
+	VPSLLD       $23, Z3, Z3
+	VPADDD.BCST  48(R8), Z3, Z3 // bits of 2^n
+	VMULPS       Z3, Z6, Z6
+	VCMPPS.BCST  $0x0E, 0(R8), Z0, K1
+	VBROADCASTSS 52(R8), K1, Z6 // x > hi: +Inf
+	VCMPPS.BCST  $0x01, 4(R8), Z0, K2
+	VPXORD       Z6, Z6, K2, Z6 // x < lo: 0
+	VCMPPS       $0x03, Z0, Z0, K3
+	VMOVAPS      Z0, K3, Z6     // NaN: x
+	VMOVUPS      Z6, (DI)
+	ADDQ         $64, SI
+	ADDQ         $64, DI
+	SUBQ         $16, CX
+	JNZ          exp_loop
+	VZEROUPPER
+	RET
+
+// func tanhRowAVX512(dst, src *float32, n int, consts *float32)
+TEXT ·tanhRowAVX512(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ consts+24(FP), R8
+
+tanh_loop:
+	VMOVUPS      (SI), Z0
+	VMAXPS.BCST  4(R8), Z0, Z1
+	VMINPS.BCST  0(R8), Z1, Z1 // clamp to ±tanhClamp
+	VMULPS       Z1, Z1, Z2    // x2
+	VBROADCASTSS 8(R8), Z3     // alpha = A0
+	HORNER(Z3, Z2, 12)
+	HORNER(Z3, Z2, 16)
+	HORNER(Z3, Z2, 20)
+	HORNER(Z3, Z2, 24)
+	HORNER(Z3, Z2, 28)
+	HORNER(Z3, Z2, 32)
+	VMULPS       Z1, Z3, Z3    // alpha *= x
+	VBROADCASTSS 36(R8), Z4    // beta = B0
+	HORNER(Z4, Z2, 40)
+	HORNER(Z4, Z2, 44)
+	HORNER(Z4, Z2, 48)
+	VDIVPS       Z4, Z3, Z3    // alpha / beta
+	VCMPPS       $0x03, Z0, Z0, K1
+	VMOVAPS      Z0, K1, Z3    // NaN: x
+	VMOVUPS      Z3, (DI)
+	ADDQ         $64, SI
+	ADDQ         $64, DI
+	SUBQ         $16, CX
+	JNZ          tanh_loop
+	VZEROUPPER
+	RET
+
+// func maxAbsAVX512(lanes *uint32, src *float32, n int)
+//
+// Per-lane max of |v| over the row, NaN skipped: VMAXPS returns its second
+// source — the running max — whenever the new value is NaN. The caller
+// reduces the 16 lanes.
+TEXT ·maxAbsAVX512(SB), NOSPLIT, $0-24
+	MOVQ       lanes+0(FP), DI
+	MOVQ       src+8(FP), SI
+	MOVQ       n+16(FP), CX
+	VPXORQ     Z0, Z0, Z0
+	VPTERNLOGD $0xFF, Z2, Z2, Z2
+	VPSRLD     $1, Z2, Z2 // 0x7fffffff
+
+maxabs_loop:
+	VPANDD (SI), Z2, Z1
+	VMAXPS Z0, Z1, Z0
+	ADDQ   $64, SI
+	SUBQ   $16, CX
+	JNZ    maxabs_loop
+	VMOVDQU32 Z0, (DI)
+	VZEROUPPER
+	RET
+
+// func quantCodesAVX512(dst *uint8, src *float32, n int, consts *uint32, inv float32)
+//
+// quantCodesGo per lane, with the clamp moved in front of the bit extraction
+// (the sum is clamped to magic±127 as a float, which is the same monotone
+// map) so the integer subtraction cannot wrap; NaN lanes are zero-masked to
+// code 0.
+TEXT ·quantCodesAVX512(SB), NOSPLIT, $0-36
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	MOVQ         consts+24(FP), R8
+	VBROADCASTSS inv+32(FP), Z1
+
+codes_loop:
+	VMULPS      (SI), Z1, Z0
+	VADDPS.BCST 0(R8), Z0, Z0 // v*inv + magic
+	VCMPPS      $0x07, Z0, Z0, K1
+	VMINPS.BCST 4(R8), Z0, Z0
+	VMAXPS.BCST 8(R8), Z0, Z0
+	VPSUBD.BCST.Z 0(R8), Z0, K1, Z0
+	VPADDD.BCST 12(R8), Z0, Z0 // + 128
+	VPMOVDB     Z0, (DI)
+	ADDQ        $64, SI
+	ADDQ        $16, DI
+	SUBQ        $16, CX
+	JNZ         codes_loop
+	VZEROUPPER
+	RET
+
+// func dequantRowAVX512(out *float32, acc, corr *int32, scales, bias *float32, n int, sa float32)
+//
+// out[j] = float32(acc[j]-corr[j]) * (sa*scales[j]) + bias[j]; bias may be
+// nil.
+TEXT ·dequantRowAVX512(SB), NOSPLIT, $0-52
+	MOVQ         out+0(FP), DI
+	MOVQ         acc+8(FP), SI
+	MOVQ         corr+16(FP), DX
+	MOVQ         scales+24(FP), R8
+	MOVQ         bias+32(FP), R9
+	MOVQ         n+40(FP), CX
+	VBROADCASTSS sa+48(FP), Z3
+	XORQ         AX, AX
+
+dequant_loop:
+	VMOVDQU32 (SI)(AX*1), Z0
+	VPSUBD    (DX)(AX*1), Z0, Z0
+	VCVTDQ2PS Z0, Z0
+	VMULPS    (R8)(AX*1), Z3, Z1
+	VMULPS    Z1, Z0, Z0
+	TESTQ     R9, R9
+	JZ        dequant_store
+	VADDPS    (R9)(AX*1), Z0, Z0
+
+dequant_store:
+	VMOVUPS Z0, (DI)(AX*1)
+	ADDQ    $64, AX
+	SUBQ    $16, CX
+	JNZ     dequant_loop
+	VZEROUPPER
+	RET

@@ -12,3 +12,15 @@ func int8GemvInto(acc []int32, arow []uint8, w *Int8Weights) {
 }
 
 func gemm32AsmInto(dst, a, b *Mat32) bool { return false }
+
+func maxAbsBits(src []float32) uint32 { return maxAbsBitsGo(src) }
+
+func quantCodes(dst []uint8, src []float32, inv float32) { quantCodesGo(dst, src, inv) }
+
+func dequantRow(out []float32, acc, corr []int32, scales, bias []float32, sa float32) {
+	dequantRowGo(out, acc, corr, scales, bias, sa)
+}
+
+func expRowAsm(dst, src []float32) int { return 0 }
+
+func tanhRowAsm(dst, src []float32) int { return 0 }

@@ -107,54 +107,134 @@ func TestMulABtInt8MatchesNaive(t *testing.T) {
 
 // TestInt8KernelPathsBitIdentical pins the cross-path contract: the VNNI
 // kernel, the VPMADDWD kernel, and the scalar Go loop must fill identical
-// int32 accumulators, so the dequantized outputs are identical bits. The
-// test only ever downgrades the feature flags, never force-enables them.
+// int32 accumulators, and the activation quantizer and dequantization
+// epilogue in front of and behind them must round identically in Go and on
+// their vector twins — so the outputs are identical bits with hasAVX512,
+// hasAVX512VNNI and hasAVX512BW each forced off. The test only ever
+// downgrades the feature flags, never force-enables them.
 func TestInt8KernelPathsBitIdentical(t *testing.T) {
-	if !hasAVX512BW && !hasAVX512VNNI {
-		t.Skip("no AVX-512 int8 kernels on this machine; only the Go path exists")
+	if !hasAVX512 {
+		t.Skip("no AVX-512 on this machine; only the Go path exists")
 	}
 	savedVNNI, savedBW := hasAVX512VNNI, hasAVX512BW
-	defer func() { hasAVX512VNNI, hasAVX512BW = savedVNNI, savedBW }()
+	restore := func() { hasAVX512, hasAVX512VNNI, hasAVX512BW = true, savedVNNI, savedBW }
+	defer restore()
 
 	rng := rand.New(rand.NewSource(12))
 	for _, sh := range quantKernelShapes {
 		// Quantize with the real flags so the VNNI pack exists when it can.
-		hasAVX512VNNI, hasAVX512BW = savedVNNI, savedBW
+		restore()
 		wf := randMat(rng, sh.n, sh.k)
 		w := QuantizeRows(wf)
 		a := randMat32(rng, sh.m, sh.k)
-		aq, scales := quantizeActivations(a)
 		bias := make([]float32, sh.n)
 		for j := range bias {
 			bias[j] = float32(rng.NormFloat64())
 		}
-
-		full := mulInt8(sh.m, aq, scales, w, bias)
-		if savedVNNI {
-			hasAVX512VNNI = false // force the madd kernel over the same weights
-			requireBitEqual32(t, "vnni vs madd", full, mulInt8(sh.m, aq, scales, w, bias))
+		run := func() (*Mat32, []uint8) {
+			aq, scales := quantizeActivations(a)
+			return mulInt8(sh.m, aq, scales, w, bias), aq
 		}
-		hasAVX512VNNI, hasAVX512BW = false, false // force the scalar loop
-		requireBitEqual32(t, "asm vs go", full, mulInt8(sh.m, aq, scales, w, bias))
+		full, fullCodes := run()
+		for _, off := range []struct {
+			name string
+			flag *bool
+		}{{"hasAVX512VNNI", &hasAVX512VNNI}, {"hasAVX512BW", &hasAVX512BW}, {"hasAVX512", &hasAVX512}} {
+			// Flags go off cumulatively: VNNI → madd kernel; +BW → scalar
+			// accumulator; +AVX512 → Go quantizer and epilogue as well.
+			*off.flag = false
+			got, codes := run()
+			requireBitEqual32(t, "int8 gemm with "+off.name+" off", full, got)
+			if string(codes) != string(fullCodes) {
+				t.Fatalf("%dx%d: activation codes differ with %s off", sh.m, sh.k, off.name)
+			}
+		}
 	}
 }
 
-func TestParallelMulABtInt8MatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	wf := randMat(rng, 48, 96)
-	w := QuantizeRows(wf)
-	a := randMat32(rng, 70, 96)
-	aq, scales := quantizeActivations(a)
-	bias := make([]float32, w.Rows)
-	for j := range bias {
-		bias[j] = float32(rng.NormFloat64())
+// refQuantizeRowU8 is the activation quantizer as it was before it went
+// branch-free (ordered max-abs scan, round by magic add and subtract, a
+// three-way clamp-or-NaN switch): the reference QuantizeRowU8 must reproduce
+// exactly, special values included.
+func refQuantizeRowU8(dst []uint8, src []float32) float32 {
+	var maxAbs float32
+	for _, v := range src {
+		a := v
+		if a < 0 {
+			a = -a
+		}
+		if a > maxAbs {
+			maxAbs = a
+		}
 	}
-	want := mulInt8(a.Rows, aq, scales, w, bias)
-	for _, workers := range []int{1, 2, 3, 4, 8, 64} {
-		dst := NewMat32(a.Rows, w.Rows)
-		acc := make([]int32, workers*w.Rows)
-		ParallelMulABtInt8Into(dst, aq, scales, w, bias, acc, workers)
-		requireBitEqual32(t, "parallel int8 gemm", want, dst)
+	s := quantScale(float64(maxAbs))
+	const magic = float32(3 << 22)
+	inv := 1 / s
+	for k, v := range src {
+		r := v*inv + magic
+		r -= magic
+		var q int32
+		switch {
+		case r > 127:
+			q = 127
+		case r < -127:
+			q = -127
+		case r == r:
+			q = int32(r)
+		}
+		dst[k] = uint8(q + 128)
+	}
+	for k := len(src); k < len(dst); k++ {
+		dst[k] = 128
+	}
+	return s
+}
+
+// TestQuantizeRowU8MatchesReference runs the quantizer — vector twin and Go
+// loop — against the reference on ordinary rows and on rows holding NaN,
+// ±Inf, only zeros, denormals, and magnitudes on either side of the
+// magic-number window (where the code is no longer in the sum's low bits and
+// the clamp alone must decide).
+func TestQuantizeRowU8MatchesReference(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	special := [][]float32{
+		{0, 0, 0},
+		{nan, nan},
+		{nan, 2, -2, -nan},
+		{inf, -inf, 1, -1, nan},
+		{inf, 3e38, -3e38, 12582912, -12582912, -12582913, -12582911, 4194304, -4194305, 127.5, -127.5, 128.5},
+		{1e-45, -1e-45, 0},
+		{1e-40, 5e-41},
+		{0.5, 1.5, 2.5, -0.5, -1.5, 127},
+		{-3e38, 1},
+	}
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range []int{1, 15, 16, 17, 63, 64, 65, 128, 200} {
+		special = append(special, randMat32(rng, 1, n).Data)
+		wide := make([]float32, n) // a special value in every lane position
+		copy(wide, randMat32(rng, 1, n).Data)
+		wide[rng.Intn(n)] = nan
+		wide[rng.Intn(n)] = -inf
+		special = append(special, wide)
+	}
+	check := func(path string) {
+		for _, src := range special {
+			want := make([]uint8, padK(len(src)))
+			got := make([]uint8, padK(len(src)))
+			ws := refQuantizeRowU8(want, src)
+			gs := QuantizeRowU8(got, src)
+			if ws != gs || string(want) != string(got) {
+				t.Fatalf("%s: row %v: scale %v codes %v, reference scale %v codes %v",
+					path, src, gs, got[:len(src)], ws, want[:len(src)])
+			}
+		}
+	}
+	check("dispatched")
+	if hasAVX512 {
+		hasAVX512 = false
+		defer func() { hasAVX512 = true }()
+		check("pure Go")
 	}
 }
 

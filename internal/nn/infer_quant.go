@@ -16,49 +16,52 @@ import (
 // The solo quantized path IS the batched path with one sequence
 // (tagger.predictQuant), which makes that identity structural.
 
-// Sigmoid32 is the fast float32 logistic (mat.Sigmoid32).
-func Sigmoid32(x float32) float32 { return mat.Sigmoid32(x) }
-
-// Tanh32 is the fast float32 tanh (mat.Tanh32).
-func Tanh32(x float32) float32 { return mat.Tanh32(x) }
-
-// GELU32 applies the tanh-approximation GELU entirely in float32, using the
-// same constant as the float64 gelu and the fast Tanh32.
-func GELU32(x float32) float32 {
+// GELURow32 applies the tanh-approximation GELU to every element of x into
+// y (which must not alias x), entirely in float32 with the float64 gelu's
+// constant: the tanh argument, one TanhRow32 over the row, then the product.
+func GELURow32(y, x []float32) {
 	const c = 0.7978845608028654 // sqrt(2/pi)
-	return 0.5 * x * (1 + mat.Tanh32(c*(x+0.044715*x*x*x)))
-}
-
-// GELUInto32 applies GELU32 element-wise into y.
-func GELUInto32(y, x mat.Vec32) {
+	y = y[:len(x)]
 	for i, v := range x {
-		y[i] = GELU32(v)
+		y[i] = c * (v + 0.044715*v*v*v)
+	}
+	mat.TanhRow32(y, y)
+	for i, v := range x {
+		y[i] = 0.5 * v * (1 + y[i])
 	}
 }
 
-// quantizeActRows quantizes every row of x to offset-binary uint8 codes with
-// per-row scales, arena-backed: the dynamic activation-quantization step in
-// front of each int8 GEMM.
-func quantizeActRows(x *mat.Mat32, a *Arena) (aq []uint8, scales []float32, kp int) {
-	kp = mat.PadK(x.Cols)
-	aq = a.U8Raw(x.Rows * kp)
-	scales = a.F32Raw(x.Rows)
+// QuantRows is a batch of activation rows quantized once — offset-binary
+// uint8 codes, mat.PadK(cols) per row, with per-row scales — for every int8
+// GEMM that consumes the same input (a block's stacked Q/K/V, both
+// directions of the BiLSTM).
+type QuantRows struct {
+	Codes  []uint8
+	Scales []float32 // one per row
+}
+
+// QuantizeActRows is the dynamic activation-quantization step in front of
+// the int8 GEMMs, arena-backed.
+func QuantizeActRows(x *mat.Mat32, a *Arena) QuantRows {
+	kp := mat.PadK(x.Cols)
+	q := QuantRows{Codes: a.U8Raw(x.Rows * kp), Scales: a.F32Raw(x.Rows)}
 	for i := 0; i < x.Rows; i++ {
-		scales[i] = mat.QuantizeRowU8(aq[i*kp:(i+1)*kp], x.Row(i))
+		q.Scales[i] = mat.QuantizeRowU8(q.Codes[i*kp:(i+1)*kp], x.Row(i))
 	}
-	return aq, scales, kp
+	return q
 }
 
-// InferQuantBatch applies the layer to every row of x on the int8 kernel:
-// dynamic per-row activation quantization, one int8 GEMM with the bias fused
-// into dequantization. Arena-backed and allocation-free once warm.
-func (l *Linear) InferQuantBatch(x *mat.Mat32, a *Arena) *mat.Mat32 {
-	q := l.Quantize()
-	aq, scales, _ := quantizeActRows(x, a)
-	y := a.Mat32Raw(x.Rows, l.Out)
-	acc := a.I32Raw(l.Out)
-	mat.MulABtInt8Into(y, aq, scales, q.W, q.Bias, acc)
+// Apply runs the frozen layer over quantized rows: one int8 GEMM with the
+// bias fused into dequantization. Arena-backed and allocation-free once warm.
+func (q *LinearQuant) Apply(x QuantRows, a *Arena) *mat.Mat32 {
+	y := a.Mat32Raw(len(x.Scales), q.W.Rows)
+	mat.MulABtInt8Into(y, x.Codes, x.Scales, q.W, q.Bias, a.I32Raw(q.W.Rows))
 	return y
+}
+
+// InferQuantBatch applies the layer to every row of x on the int8 kernel.
+func (l *Linear) InferQuantBatch(x *mat.Mat32, a *Arena) *mat.Mat32 {
+	return l.Quantize().Apply(QuantizeActRows(x, a), a)
 }
 
 // InferF32Batch applies the layer to every row of x in float32 — the
@@ -71,52 +74,35 @@ func (l *Linear) InferF32Batch(x *mat.Mat32, a *Arena) *mat.Mat32 {
 	return y
 }
 
-// InferQuantBatch runs the LSTM over packed sequences in reduced precision,
-// mirroring InferBatch's structure exactly: the input projection of every
-// token is one int8 GEMM (bias fused), then each time step gathers the live
-// sequences' float32 hidden states and runs the recurrent projection — as a
-// float32 GEMM against the pre-transposed WhT in Mixed mode, or as a second
-// dynamic int8 GEMM in Int8 mode. Gate math is float32 with float64
-// transcendentals (Sigmoid32/Tanh32), per-element order identical to the
-// float64 path's.
-func (l *LSTM) InferQuantBatch(xs *mat.Mat32, starts, lens []int, a *Arena, p Precision) *mat.Mat32 {
+// inferQuant runs the LSTM over packed, already quantized sequences in
+// reduced precision and writes each token's hidden state into columns
+// [off, off+Hidden) of its row of out. It mirrors InferBatch's structure: the
+// input projection of every token is one int8 GEMM (bias fused), then each
+// time step gathers the live sequences' float32 hidden states and runs the
+// recurrent projection — as a float32 GEMM against the pre-transposed WhT in
+// Mixed mode, or as a second dynamic int8 GEMM in Int8 mode. reverse walks
+// every sequence from its last token to its first (the backward direction of
+// a BiLSTM) over the same rows, so neither the input nor its quantization is
+// ever copied into reversed order. Gate math is float32, a 4H row at a time,
+// per-element order identical to the float64 path's.
+func (l *LSTM) inferQuant(out *mat.Mat32, off int, xq QuantRows, starts, lens []int, a *Arena, p Precision, reverse bool) {
 	H := l.Hidden
-	out := a.Mat32Raw(xs.Rows, H)
 	nSeq := len(lens)
 	maxLen := 0
 	for _, n := range lens {
-		if n > maxLen {
-			maxLen = n
-		}
+		maxLen = max(maxLen, n)
 	}
-	if maxLen == 0 {
-		return out
-	}
-
 	q := l.Quantize(p)
-	zx := a.Mat32Raw(xs.Rows, 4*H)
-	{
-		aq, scales, _ := quantizeActRows(xs, a)
-		acc := a.I32Raw(4 * H)
-		mat.MulABtInt8Into(zx, aq, scales, q.Wx, q.Bias, acc) // bias fused here
-	}
+	zx := a.Mat32Raw(len(xq.Scales), 4*H)
+	acc := a.I32Raw(4 * H)
+	mat.MulABtInt8Into(zx, xq.Codes, xq.Scales, q.Wx, q.Bias, acc) // bias fused here
 
 	h := a.Mat32(nSeq, H)
 	c := a.Mat32(nSeq, H)
 	hbuf := a.Mat32Raw(nSeq, H)
 	zh := a.Mat32Raw(nSeq, 4*H)
+	z, g := a.F32Raw(4*H), a.F32Raw(4*H)
 	act := a.Ints(nSeq)
-	var hq []uint8
-	var hqScales []float32
-	var hkp int
-	var acc4 []int32
-	if q.Wh8 != nil {
-		hkp = mat.PadK(H)
-		hq = a.U8Raw(nSeq * hkp)
-		hqScales = a.F32Raw(nSeq)
-		acc4 = a.I32Raw(4 * H)
-	}
-
 	for t := 0; t < maxLen; t++ {
 		nAct := 0
 		for s := 0; s < nSeq; s++ {
@@ -130,55 +116,46 @@ func (l *LSTM) InferQuantBatch(xs *mat.Mat32, starts, lens []int, a *Arena, p Pr
 			copy(hbuf.Row(p), h.Row(act[p]))
 		}
 		if q.Wh8 != nil {
-			for p := 0; p < nAct; p++ {
-				hqScales[p] = mat.QuantizeRowU8(hq[p*hkp:(p+1)*hkp], hbuf.Row(p))
-			}
-			mat.MulABtInt8Into(zh, hq[:nAct*hkp], hqScales[:nAct], q.Wh8, nil, acc4)
+			hq := QuantizeActRows(hbuf, a)
+			mat.MulABtInt8Into(zh, hq.Codes, hq.Scales, q.Wh8, nil, acc)
 		} else {
 			mat.MatMulF32Into(zh, hbuf, q.WhT)
 		}
 		for p := 0; p < nAct; p++ {
 			s := act[p]
-			zxr := zx.Row(starts[s] + t)
-			zhr := zh.Row(p)
-			cr := c.Row(s)
-			hr := h.Row(s)
-			for j := 0; j < H; j++ {
-				ig := Sigmoid32(zxr[j] + zhr[j])
-				fg := Sigmoid32(zxr[H+j] + zhr[H+j])
-				gg := Tanh32(zxr[2*H+j] + zhr[2*H+j])
-				og := Sigmoid32(zxr[3*H+j] + zhr[3*H+j])
-				cr[j] = fg*cr[j] + ig*gg
-				hr[j] = og * Tanh32(cr[j])
+			row := starts[s] + t
+			if reverse {
+				row = starts[s] + lens[s] - 1 - t
 			}
-			copy(out.Row(starts[s]+t), hr)
+			zxr, zhr := zx.Row(row), zh.Row(p)
+			for j := range z {
+				z[j] = zxr[j] + zhr[j]
+			}
+			mat.SigmoidRow32(g[:2*H], z[:2*H]) // input and forget gates
+			mat.TanhRow32(g[2*H:3*H], z[2*H:3*H])
+			mat.SigmoidRow32(g[3*H:], z[3*H:]) // output gate
+			ig, fg, gg, og := g[:H], g[H:2*H], g[2*H:3*H], g[3*H:]
+			cr, hr := c.Row(s), h.Row(s)
+			for j := range cr {
+				cr[j] = fg[j]*cr[j] + ig[j]*gg[j]
+			}
+			mat.TanhRow32(hr, cr)
+			for j := range hr {
+				hr[j] *= og[j]
+			}
+			copy(out.Row(row)[off:off+H], hr)
 		}
 	}
-	return out
 }
 
 // InferQuantBatch runs the bidirectional LSTM over packed sequences in
 // reduced precision and returns per-token [fwd_t ; bwd_t] concatenations —
-// the float32 twin of BiLSTM.InferBatch.
+// the float32 twin of BiLSTM.InferBatch. The input rows are quantized once
+// and both directions' input projections read the same codes.
 func (b *BiLSTM) InferQuantBatch(xs *mat.Mat32, starts, lens []int, a *Arena, p Precision) *mat.Mat32 {
-	fh := b.Fwd.InferQuantBatch(xs, starts, lens, a, p)
-	rev := a.Mat32Raw(xs.Rows, xs.Cols)
-	for s, n := range lens {
-		base := starts[s]
-		for i := 0; i < n; i++ {
-			copy(rev.Row(base+n-1-i), xs.Row(base+i))
-		}
-	}
-	bhRev := b.Bwd.InferQuantBatch(rev, starts, lens, a, p)
-	H := b.Fwd.Hidden
+	xq := QuantizeActRows(xs, a)
 	out := a.Mat32Raw(xs.Rows, b.OutDim())
-	for s, n := range lens {
-		base := starts[s]
-		for t := 0; t < n; t++ {
-			v := out.Row(base + t)
-			copy(v[:H], fh.Row(base+t))
-			copy(v[H:], bhRev.Row(base+n-1-t))
-		}
-	}
+	b.Fwd.inferQuant(out, 0, xq, starts, lens, a, p, false)
+	b.Bwd.inferQuant(out, b.Fwd.Hidden, xq, starts, lens, a, p, true)
 	return out
 }

@@ -93,3 +93,104 @@ func TestQuantSlotInvalidatesOnMutation(t *testing.T) {
 		t.Fatalf("rebuilt f32 weight %v, want %v", got, wantW)
 	}
 }
+
+func requireSameBits32(t *testing.T, what string, want, got []float32) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+	}
+	for i, w := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(w) {
+			t.Fatalf("%s: element %d = %v, want %v (bit-exact)", what, i, got[i], w)
+		}
+	}
+}
+
+// TestStackedQuantMatchesSeparateProjections: one quantization of the input
+// and one GEMM against the stacked weight must give each layer exactly the
+// columns its own InferQuantBatch (own quantization, own GEMM) gives it —
+// weight rows are quantized independently, so stacking moves no bit.
+func TestStackedQuantMatchesSeparateProjections(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ls := make([]*Linear, 3)
+	var x *mat.Mat32
+	for i := range ls {
+		ls[i], x, _ = randLinearInput(t, rng, 40, 24+8*i, 7) // unequal Outs: 24, 32, 40
+		for j := range ls[i].Bias.W.Data {
+			ls[i].Bias.W.Data[j] = rng.NormFloat64()
+		}
+	}
+	var a Arena
+	a.Reset()
+	var stack StackedQuant
+	got := stack.Quantize(ls...).Apply(QuantizeActRows(x, &a), &a)
+	off := 0
+	for i, l := range ls {
+		want := l.InferQuantBatch(x, &a)
+		for r := 0; r < x.Rows; r++ {
+			requireSameBits32(t, "stacked layer "+string(rune('0'+i)), want.Row(r), got.Row(r)[off:off+l.Out])
+		}
+		off += l.Out
+	}
+	if off != got.Cols {
+		t.Fatalf("stack has %d columns, layers sum to %d", got.Cols, off)
+	}
+}
+
+// TestBiLSTMSharedQuantizationMatchesSeparate: the backward direction reads
+// the forward direction's quantized rows from last to first. The reference is
+// the same LSTM kernel run forward over an explicitly reversed, separately
+// quantized copy of the input and un-reversed afterwards — what
+// InferQuantBatch used to do.
+func TestBiLSTMSharedQuantizationMatchesSeparate(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	b := NewBiLSTM(rng, "t", 24, 16)
+	starts, lens := []int{0, 5, 5, 6}, []int{5, 0, 1, 19}
+	xs := mat.NewMat32(25, 24)
+	for i := range xs.Data {
+		xs.Data[i] = float32(rng.NormFloat64())
+	}
+	rev := mat.NewMat32(xs.Rows, xs.Cols)
+	for s, n := range lens {
+		for i := 0; i < n; i++ {
+			copy(rev.Row(starts[s]+n-1-i), xs.Row(starts[s]+i))
+		}
+	}
+	for _, p := range []Precision{Mixed, Int8} {
+		var a Arena
+		a.Reset()
+		got := b.InferQuantBatch(xs, starts, lens, &a, p)
+		H := b.Fwd.Hidden
+		fwd, bwdRev := mat.NewMat32(xs.Rows, H), mat.NewMat32(xs.Rows, H)
+		b.Fwd.inferQuant(fwd, 0, QuantizeActRows(xs, &a), starts, lens, &a, p, false)
+		b.Bwd.inferQuant(bwdRev, 0, QuantizeActRows(rev, &a), starts, lens, &a, p, false)
+		for s, n := range lens {
+			for i := 0; i < n; i++ {
+				row := got.Row(starts[s] + i)
+				requireSameBits32(t, p.String()+" forward half", fwd.Row(starts[s]+i), row[:H])
+				requireSameBits32(t, p.String()+" backward half", bwdRev.Row(starts[s]+n-1-i), row[H:])
+			}
+		}
+	}
+}
+
+// TestGELURow32MatchesScalarForm pins the row GELU to the per-element
+// expression it replaced, evaluated with a one-element TanhRow32.
+func TestGELURow32MatchesScalarForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	x := make([]float32, 128+5)
+	for i := range x {
+		x[i] = float32(rng.NormFloat64() * 3)
+	}
+	x[0], x[1], x[2] = 0, 40, -40
+	want := make([]float32, len(x))
+	for i, v := range x {
+		const c = 0.7978845608028654
+		th := []float32{c * (v + 0.044715*v*v*v)}
+		mat.TanhRow32(th, th)
+		want[i] = 0.5 * v * (1 + th[0])
+	}
+	got := make([]float32, len(x))
+	GELURow32(got, x)
+	requireSameBits32(t, "GELURow32", want, got)
+}

@@ -72,6 +72,37 @@ func (l *Linear) Quantize() *LinearQuant {
 	})
 }
 
+// StackedQuant caches the frozen int8 form of up to three linear layers that
+// read the same input, stacked along the output dimension — attention's
+// Wq/Wk/Wv as one 3·Dim×Dim weight, so a block quantizes its input once and
+// runs one GEMM for all three. Weight rows are quantized per output row, so
+// row r of the stack carries exactly the codes, scale and bias its own
+// layer's Quantize would give it. Never copy a StackedQuant by value.
+type StackedQuant struct{ slot quantSlot[LinearQuant] }
+
+// Quantize returns the stacked frozen form of ls (same In, at most three),
+// rebuilding it only when one of their parameters' versions moved.
+func (s *StackedQuant) Quantize(ls ...*Linear) *LinearQuant {
+	var key [3]uint64
+	rows := 0
+	for i, l := range ls {
+		// Versions only ever grow, so the sum moves whenever either does.
+		key[i] = l.Weight.Version() + l.Bias.Version()
+		rows += l.Out
+	}
+	return s.slot.cached(key, func() *LinearQuant {
+		w := mat.NewMat(rows, ls[0].In)
+		q := &LinearQuant{Bias: make([]float32, 0, rows)}
+		at := 0
+		for _, l := range ls {
+			at += copy(w.Data[at:], l.Weight.W.Data)
+			q.Bias = append(q.Bias, biasF32(l.Bias)...)
+		}
+		q.W = mat.QuantizeRows(w)
+		return q
+	})
+}
+
 // Float32 returns the layer's frozen float32 form, version-cached like
 // Quantize.
 func (l *Linear) Float32() *LinearF32 {

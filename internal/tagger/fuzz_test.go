@@ -1,36 +1,15 @@
 package tagger
 
 import (
-	"hash/fnv"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
-	"saccs/internal/mat"
+	"saccs/internal/bert"
+	"saccs/internal/nn"
 	"saccs/internal/tokenize"
 )
-
-// hashEnc is a deterministic stand-in encoder for fuzzing: each token embeds
-// to a small vector derived from its FNV hash. It keeps the fuzz loop fast
-// while still driving real BiLSTM → projection → CRF Viterbi decoding.
-type hashEnc struct{ dim int }
-
-func (h hashEnc) EmbeddingDim() int { return h.dim }
-
-func (h hashEnc) EncodeTokens(tokens []string) []mat.Vec {
-	out := make([]mat.Vec, len(tokens))
-	for i, tok := range tokens {
-		f := fnv.New64a()
-		_, _ = f.Write([]byte(tok))
-		seed := f.Sum64()
-		v := mat.NewVec(h.dim)
-		for d := range v {
-			seed = seed*6364136223846793005 + 1442695040888963407
-			v[d] = float64(int64(seed>>11))/float64(1<<52) - 1
-		}
-		out[i] = v
-	}
-	return out
-}
 
 var (
 	fuzzModelOnce sync.Once
@@ -38,22 +17,31 @@ var (
 )
 
 // fuzzTagger builds one small untrained tagger (seeded random weights, hard
-// IOB constraints installed by New) shared by all fuzz iterations.
+// IOB constraints installed by New) shared by all fuzz iterations. Its
+// encoder is a real MiniBERT — one layer, sixteen dimensions, MaxLen 12 —
+// because only a QuantEncoder lets the reduced-precision decodes run at all:
+// over any other encoder PredictAt silently falls back to float64.
 func fuzzTagger() *Model {
 	fuzzModelOnce.Do(func() {
+		v := tokenize.NewVocab()
+		v.AddAll([]string{"the", "food", "is", "delicious", "and", "staff", "friendly", "terrible", "pizza", "pasta", "."})
+		enc := bert.New(rand.New(rand.NewSource(5)), bert.Config{Layers: 1, Heads: 2, Dim: 16, FFDim: 24, MaxLen: 12}, v)
 		cfg := DefaultConfig()
 		cfg.Hidden = 8
-		fuzzModel = New(hashEnc{dim: 8}, cfg)
+		fuzzModel = New(enc, cfg)
 	})
 	return fuzzModel
 }
 
-// FuzzPredictDecode fuzzes the §4 decode path (BiLSTM forward → emission
-// projection → CRF Viterbi) through the real tokenizer. Invariants: one
-// label per token, labels in range, the decoded sequence respects the IOB
-// structural constraints (ValidStart/ValidTransition — the CRF's hard
-// penalties must dominate any emission score), and span decoding never
-// panics on the result.
+// FuzzPredictDecode fuzzes the §4 decode path (encoder → BiLSTM → emission
+// projection → CRF Viterbi) through the real tokenizer at every precision —
+// the float64 reference, the served mixed mode, and int8. Invariants, each
+// per precision: one label per token, labels in range, the decoded sequence
+// respects the IOB structural constraints (ValidStart/ValidTransition — the
+// CRF's hard penalties must dominate any emission score), span decoding
+// never panics on the result, and decoding the sentence as the second member
+// of a batch of two gives exactly the solo labels. The seeds cover the
+// extremes: empty, one token, more than MaxLen tokens, all out-of-vocabulary.
 func FuzzPredictDecode(f *testing.F) {
 	f.Add("The food is delicious and the staff is friendly.")
 	f.Add("terrible terrible terrible")
@@ -61,26 +49,33 @@ func FuzzPredictDecode(f *testing.F) {
 	f.Add("a")
 	f.Add("pizza pasta pizza pasta pizza pasta pizza pasta pizza pasta pizza pasta")
 	f.Add("日本語 l'étoile 100% !?")
+	f.Add("zzz qqq xxx yyy")
+	other := []string{"the", "staff", "is", "friendly", "."}
 	f.Fuzz(func(t *testing.T, s string) {
 		m := fuzzTagger()
 		tokens := tokenize.Words(s)
-		labels := m.Predict(tokens)
-		if len(labels) != len(tokens) {
-			t.Fatalf("%d labels for %d tokens (input %q)", len(labels), len(tokens), s)
-		}
-		for i, l := range labels {
-			if l < 0 || l >= tokenize.NumLabels {
-				t.Fatalf("label %d out of range at %d for %q", l, i, s)
+		for _, p := range []nn.Precision{nn.Float64, nn.Mixed, nn.Int8} {
+			labels := m.PredictAt(tokens, p)
+			if len(labels) != len(tokens) {
+				t.Fatalf("%v: %d labels for %d tokens (input %q)", p, len(labels), len(tokens), s)
+			}
+			for i, l := range labels {
+				if l < 0 || l >= tokenize.NumLabels {
+					t.Fatalf("%v: label %d out of range at %d for %q", p, l, i, s)
+				}
+			}
+			if len(labels) > 0 && !tokenize.ValidStart(labels[0]) {
+				t.Fatalf("%v: decode starts with invalid label %v for %q", p, labels[0], s)
+			}
+			for i := 1; i < len(labels); i++ {
+				if !tokenize.ValidTransition(labels[i-1], labels[i]) {
+					t.Fatalf("%v: invalid IOB transition %v→%v at %d for %q", p, labels[i-1], labels[i], i, s)
+				}
+			}
+			_ = tokenize.Spans(labels)
+			if batched := m.PredictBatchAt([][]string{other, tokens}, p)[1]; !slices.Equal(batched, labels) {
+				t.Fatalf("%v: in a batch of two %v, solo %v (input %q)", p, batched, labels, s)
 			}
 		}
-		if len(labels) > 0 && !tokenize.ValidStart(labels[0]) {
-			t.Fatalf("decode starts with invalid label %v for %q", labels[0], s)
-		}
-		for i := 1; i < len(labels); i++ {
-			if !tokenize.ValidTransition(labels[i-1], labels[i]) {
-				t.Fatalf("invalid IOB transition %v→%v at %d for %q", labels[i-1], labels[i], i, s)
-			}
-		}
-		_ = tokenize.Spans(labels)
 	})
 }

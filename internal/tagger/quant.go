@@ -39,14 +39,7 @@ func (m *Model) predictQuant(qe QuantEncoder, seqs [][]string, p nn.Precision) [
 	}
 	a := arenaPool.Get().(*nn.Arena)
 	a.Reset()
-	embeds, starts, lens := qe.InferQuantBatchTokensArena(seqs, a, p)
-	hs := m.bilstm.InferQuantBatch(embeds, starts, lens, a, p)
-	var emissions *mat.Mat32
-	if p == nn.Int8 {
-		emissions = m.proj.InferQuantBatch(hs, a)
-	} else {
-		emissions = m.proj.InferF32Batch(hs, a)
-	}
+	emissions, starts, lens := m.quantEmissions(qe, seqs, a, p)
 	outs := make([][]tokenize.Label, len(seqs))
 	for s, seq := range seqs {
 		out := make([]tokenize.Label, len(seq))
@@ -69,6 +62,18 @@ func (m *Model) predictQuant(qe QuantEncoder, seqs [][]string, p nn.Precision) [
 	}
 	arenaPool.Put(a)
 	return outs
+}
+
+// quantEmissions is the reduced-precision forward up to the CRF: quantized
+// encoder, quantized BiLSTM, then the projection — float32 in Mixed, int8 in
+// Int8 — as packed float32 emission rows addressed by starts/lens.
+func (m *Model) quantEmissions(qe QuantEncoder, seqs [][]string, a *nn.Arena, p nn.Precision) (*mat.Mat32, []int, []int) {
+	embeds, starts, lens := qe.InferQuantBatchTokensArena(seqs, a, p)
+	hs := m.bilstm.InferQuantBatch(embeds, starts, lens, a, p)
+	if p == nn.Int8 {
+		return m.proj.InferQuantBatch(hs, a), starts, lens
+	}
+	return m.proj.InferF32Batch(hs, a), starts, lens
 }
 
 // ReferenceView adapts a Model to always decode on the exact float64
@@ -122,14 +127,7 @@ func (m *Model) EmissionsAt(tokens []string, p nn.Precision) []mat.Vec {
 	a.Reset()
 	if p.Quantized() {
 		if qe, ok := m.enc.(QuantEncoder); ok {
-			embeds, starts, lens := qe.InferQuantBatchTokensArena([][]string{tokens}, a, p)
-			hs := m.bilstm.InferQuantBatch(embeds, starts, lens, a, p)
-			var em *mat.Mat32
-			if p == nn.Int8 {
-				em = m.proj.InferQuantBatch(hs, a)
-			} else {
-				em = m.proj.InferF32Batch(hs, a)
-			}
+			em, starts, lens := m.quantEmissions(qe, [][]string{tokens}, a, p)
 			out := make([]mat.Vec, lens[0])
 			for t := range out {
 				row := em.Row(starts[0] + t)

@@ -1,6 +1,7 @@
 package tagger
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -139,6 +140,42 @@ func TestReferenceViewPinsFloat64(t *testing.T) {
 	for i := range seqs {
 		if !eq(vb[i], fb[i]) {
 			t.Fatalf("seq %d: ReferenceView.PredictBatch != PredictBatchAt(Float64)", i)
+		}
+	}
+}
+
+// TestQuantEmissionsPinned pins the reduced-precision forward to emissions
+// recorded at aba43f5, before Q/K/V were fused, quantizations shared, the
+// attention heads packed and the row stages vectorised: none of that is
+// allowed to move a float32 operation or its order, so every emission of the
+// seeded production-size model must still be the recorded bits (FNV-64a over
+// the little-endian float32 patterns, row-major) — at one token, all-OOV,
+// the 19-token bench sentence and a 60-token sentence truncated to MaxLen.
+func TestQuantEmissionsPinned(t *testing.T) {
+	m, bench := benchModel()
+	vocab := []string{"i", "want", "an", "italian", "restaurant", "in", "montreal",
+		"with", "delicious", "food", "and", "nice", "staff", "the", "is", "friendly"}
+	long := make([]string, 60)
+	for i := range long {
+		long[i] = vocab[(i*7)%len(vocab)]
+	}
+	sentences := [][]string{{"food"}, {"zzz", "qqq", "xxx"}, bench, long}
+	pinned := map[nn.Precision][]uint64{
+		nn.Mixed: {0x13469a8f39981ba3, 0xbfe165f7a694627b, 0x57c2ead43f70fcf6, 0xfde498ff7070445b},
+		nn.Int8:  {0xff084f6e9816097f, 0x45376d3883b1eec6, 0x1db4a7298ab1f6fc, 0x230d3254c643bac3},
+	}
+	for p, want := range pinned {
+		for i, s := range sentences {
+			h := fnv.New64a()
+			for _, row := range m.EmissionsAt(s, p) {
+				for _, v := range row {
+					b := math.Float32bits(float32(v))
+					h.Write([]byte{byte(b), byte(b >> 8), byte(b >> 16), byte(b >> 24)})
+				}
+			}
+			if got := h.Sum64(); got != want[i] {
+				t.Errorf("%v sentence %d: emissions hash %#016x, recorded %#016x", p, i, got, want[i])
+			}
 		}
 	}
 }

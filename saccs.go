@@ -121,7 +121,7 @@ type Config struct {
 	// accounting.
 	SLOTarget time.Duration
 	// BatchWindow is how long a cache-missing utterance sentence waits for
-	// concurrent requests to share one neural decode (DefaultConfig: 250µs).
+	// concurrent requests to share one neural decode (DefaultConfig: 100µs).
 	// Concurrent cache misses gather for up to this long and decode as one
 	// batched forward pass — bit-identical to decoding each alone, ~3x
 	// cheaper per sentence at batch 4 — then fan back out. A lone request
@@ -173,7 +173,7 @@ func DefaultConfig() Config {
 		Epsilon:          0.2,
 		HistoryLimit:     4096,
 		ExtractCacheSize: 4096,
-		BatchWindow:      250 * time.Microsecond,
+		BatchWindow:      100 * time.Microsecond,
 		BatchMaxSize:     16,
 		Precision:        "mixed",
 
