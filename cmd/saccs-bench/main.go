@@ -10,22 +10,17 @@
 // machine-readable JSON (-bench-out, default BENCH.json).
 //
 // The "parallel" section measures cold-path end-to-end query throughput at
-// one goroutine and at -parallel goroutines over the same pipeline, with the
-// facade's default cross-request extraction batching configured: every query
-// is a distinct multi-sentence utterance (no extraction cache, no batch
-// dedup), so the decode work is real and concurrent queries can only beat
-// the single-goroutine figure by sharing forwards through the gather window.
-// With -qps-guard the process exits nonzero if the multi-goroutine pass is
-// slower than the single-goroutine pass — the regression CI smoke gate. The
-// section also compares the public facade sharded: the same cold workload at
-// 1 shard / 1 goroutine and at -parallel shards / -parallel goroutines, and
-// the guard extends to it — sharded concurrent QPS must beat the serial
-// single-shard baseline, so scatter-gather fan-out can never silently eat
-// the batching wins.
-//
-// The "batch" section sweeps the gather window (off, 100µs, 250µs, 500µs)
-// across 1/2/4/8 goroutines on the same cold workload and records QPS plus
-// the shared/solo decode counts per pass — the tuning table for BatchWindow.
+// one goroutine and at -parallel goroutines over the same pipeline: every
+// query is a distinct multi-sentence utterance (no extraction cache), so the
+// decode work is real and concurrent queries beat the single-goroutine
+// figure only by running on more processors. With -qps-guard the process
+// exits nonzero if the multi-goroutine pass is slower than the
+// single-goroutine pass — the regression CI smoke gate. The section also
+// compares the public facade sharded: the same cold workload at 1 shard /
+// 1 goroutine and at -parallel shards / -parallel goroutines, and the guard
+// extends to it — sharded concurrent QPS must not fall below the serial
+// single-shard baseline, so scatter-gather fan-out can never silently cost
+// more than concurrency buys.
 //
 // The "contention" section measures what a writer costs the
 // readers: -readers goroutines query continuously for a readers-only
@@ -65,7 +60,7 @@
 // Usage:
 //
 //	saccs-bench [-scale fast|paper]
-//	            [-only table2,table3,table4,table5,figures,stages,quant,parallel,batch,contention,cache,latency,ingest,serve]
+//	            [-only table2,table3,table4,table5,figures,stages,quant,parallel,contention,cache,latency,ingest,serve]
 //	            [-parallel N] [-parallel-dur 2s] [-qps-guard] [-quant-guard]
 //	            [-readers N] [-contention-dur 2s]
 //	            [-bench-out BENCH.json] [-metrics-addr :9090]
@@ -108,12 +103,12 @@ import (
 
 func main() {
 	scaleFlag := flag.String("scale", "fast", "experiment scale: fast or paper")
-	only := flag.String("only", "", "comma-separated subset: table2,table3,table4,table5,figures,stages,quant,parallel,batch,contention,cache,latency,ingest,serve")
+	only := flag.String("only", "", "comma-separated subset: table2,table3,table4,table5,figures,stages,quant,parallel,contention,cache,latency,ingest,serve")
 	benchOut := flag.String("bench-out", "BENCH.json", "file for the machine-readable benchmark results (empty disables)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :9090)")
 	parallelN := flag.Int("parallel", runtime.GOMAXPROCS(0), "goroutines for the parallel query benchmark")
 	qpsGuard := flag.Bool("qps-guard", false, "exit nonzero if the parallel section's multi-goroutine QPS falls below its single-goroutine QPS")
-	quantGuard := flag.Bool("quant-guard", false, fmt.Sprintf("exit nonzero if the quant section's mixed-precision cold decode is not at least %dx the float64 decode", quantGuardMin))
+	quantGuard := flag.Bool("quant-guard", false, fmt.Sprintf("exit nonzero if the quant section's mixed-precision cold decode is not at least %gx the float64 decode", quantGuardMin))
 	parallelDur := flag.Duration("parallel-dur", 2*time.Second, "duration of each parallel benchmark pass")
 	readersN := flag.Int("readers", runtime.GOMAXPROCS(0), "reader goroutines for the contention benchmark")
 	contentionDur := flag.Duration("contention-dur", 2*time.Second, "duration of each contention benchmark pass")
@@ -169,14 +164,13 @@ func main() {
 	run("stages", func() { stageBenchmarks(o, doc) })
 	run("quant", func() { quantBenchmarks(o, doc, *quantGuard) })
 	run("parallel", func() { parallelBenchmarks(o, doc, *parallelN, *parallelDur, *qpsGuard) })
-	run("batch", func() { batchBenchmarks(o, doc, *parallelDur) })
 	run("contention", func() { contentionBenchmarks(o, doc, *readersN, *contentionDur) })
 	run("cache", func() { cacheBenchmarks(o, doc, *parallelDur) })
 	run("latency", func() { latencyBenchmarks(o, doc, *parallelDur) })
 	run("ingest", func() { ingestBenchmarks(doc, *parallelDur) })
 	run("serve", func() { serveBenchmarks(doc, []int{1, 2, 4}, *parallelDur) })
 
-	if *benchOut != "" && (len(doc.Stages) > 0 || len(doc.Quant) > 0 || len(doc.Parallel) > 0 || len(doc.Batch) > 0 || len(doc.Contention) > 0 || doc.Cache != nil || doc.Latency != nil || doc.Ingest != nil || doc.Serve != nil) {
+	if *benchOut != "" && (len(doc.Stages) > 0 || len(doc.Quant) > 0 || len(doc.Parallel) > 0 || len(doc.Contention) > 0 || doc.Cache != nil || doc.Latency != nil || doc.Ingest != nil || doc.Serve != nil) {
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err == nil {
 			err = os.WriteFile(*benchOut, append(data, '\n'), 0o644)
@@ -201,15 +195,12 @@ func main() {
 		if doc.Serve != nil {
 			serveRows = len(doc.Serve.Passes)
 		}
-		fmt.Printf("wrote %s (%d stages, %d parallel passes, %d batch passes, %d contention passes, %d cache rows, %s, %d ingest rows, %d serve passes)\n",
-			*benchOut, len(doc.Stages), len(doc.Parallel), len(doc.Batch), len(doc.Contention), cacheRows, latency, ingestRows, serveRows)
+		fmt.Printf("wrote %s (%d stages, %d parallel passes, %d contention passes, %d cache rows, %s, %d ingest rows, %d serve passes)\n",
+			*benchOut, len(doc.Stages), len(doc.Parallel), len(doc.Contention), cacheRows, latency, ingestRows, serveRows)
 	}
 }
 
-// stageResult is one row of BENCH.json. Rows whose name ends in ".batchN"
-// (e.g. tagger.decode.batch4) are normalized per sequence — ns/allocs/bytes
-// divided by N — so they compare directly against their solo row; Iterations
-// still counts whole batched ops.
+// stageResult is one row of BENCH.json.
 type stageResult struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -227,19 +218,6 @@ type parallelResult struct {
 	Queries    int64   `json:"queries"`
 	Seconds    float64 `json:"seconds"`
 	QPS        float64 `json:"qps"`
-}
-
-// batchResult is one pass of the gather-window sweep: cold-path query
-// throughput at one (window, goroutines) point, plus how the decodes split
-// between shared batch forwards and solo bypasses.
-type batchResult struct {
-	WindowUS      float64 `json:"window_us"`
-	Goroutines    int     `json:"goroutines"`
-	Queries       int64   `json:"queries"`
-	Seconds       float64 `json:"seconds"`
-	QPS           float64 `json:"qps"`
-	SharedDecodes int64   `json:"shared_decodes"`
-	SoloDecodes   int64   `json:"solo_decodes"`
 }
 
 // contentionResult is one pass of the readers-vs-rebuild benchmark.
@@ -363,7 +341,6 @@ type benchFile struct {
 	Stages     []stageResult      `json:"stages,omitempty"`
 	Quant      []stageResult      `json:"quant,omitempty"`
 	Parallel   []parallelResult   `json:"parallel,omitempty"`
-	Batch      []batchResult      `json:"batch,omitempty"`
 	Contention []contentionResult `json:"contention,omitempty"`
 	Cache      *cacheSection      `json:"cache,omitempty"`
 	Latency    *latencySection    `json:"latency,omitempty"`
@@ -451,12 +428,6 @@ func stageBenchmarks(o *obs.Observer, doc *benchFile) {
 	// the similarity fallback of Algorithm 1.
 	similarTag := strings.ToLower(canon[len(canon)-1])
 
-	// Four copies of the same sentence keep the batched row directly
-	// comparable with the serial one: one op decodes 4x the work, so the
-	// per-sequence batch speedup is decode ns/op over a quarter of this
-	// row's ns/op.
-	batch4 := [][]string{tokens, tokens, tokens, tokens}
-
 	stages := []struct {
 		name string
 		fn   func()
@@ -464,7 +435,6 @@ func stageBenchmarks(o *obs.Observer, doc *benchFile) {
 		{"parse", func() { search.ParseUtterance(utterance) }},
 		{"tagger.decode", func() { tg.Predict(tokens) }},
 		{"tagger.decode.float64", func() { tg.PredictAt(tokens, nn.Float64) }},
-		{"tagger.decode.batch4", func() { tg.PredictBatch(batch4) }},
 		{"pairing.pairs", func() { ex.Pairer.Pairs(tokens, aspects, opinions) }},
 		{"extract", func() { ex.ExtractFromTokens(tokens) }},
 		{"index.build", func() {
@@ -496,55 +466,20 @@ func stageBenchmarks(o *obs.Observer, doc *benchFile) {
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			Iterations:  r.N,
 		}
-		if n := batchRowSize(row.Name); n > 1 {
-			row.NsPerOp /= float64(n)
-			row.AllocsPerOp /= int64(n)
-			row.BytesPerOp /= int64(n)
-		}
 		results = append(results, row)
 		fmt.Printf("%-22s %14.0f %12d %12d\n", row.Name, row.NsPerOp, row.AllocsPerOp, row.BytesPerOp)
-	}
-	var decodeNs, batch4Ns float64
-	for _, r := range results {
-		switch r.Name {
-		case "tagger.decode":
-			decodeNs = r.NsPerOp
-		case "tagger.decode.batch4":
-			batch4Ns = r.NsPerOp
-		}
-	}
-	if batch4Ns > 0 {
-		fmt.Printf("batch-4 decode: %.0f ns/sequence, %.2fx the serial decode\n",
-			batch4Ns, decodeNs/batch4Ns)
 	}
 	doc.Stages = results
 }
 
-// batchRowSize extracts N from a ".batchN" stage-name suffix (0 otherwise),
-// the divisor that normalizes batched rows to per-sequence figures.
-func batchRowSize(name string) int {
-	i := strings.LastIndex(name, ".batch")
-	if i < 0 {
-		return 0
-	}
-	n := 0
-	for _, c := range name[i+len(".batch"):] {
-		if c < '0' || c > '9' {
-			return 0
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n
-}
-
 // quantGuardMin is the -quant-guard floor: mixed cold decode over float64
 // cold decode. The Makefile's bench-smoke comment records the runs behind it.
-const quantGuardMin = 6
+const quantGuardMin = 1.5
 
 // quantBenchmarks measures the cold Viterbi decode at each precision mode
-// over the shared pipeline and reports the mixed- and int8-mode speedups
-// against full float64. With guard set the process exits nonzero if the
-// mixed decode is not at least quantGuardMin times float64
+// over the shared pipeline and reports the mixed-mode speedup against full
+// float64. With guard set the process exits nonzero if the mixed decode is
+// not at least quantGuardMin times float64
 // (oracle/quant-drift separately pins that the speed does not come at the
 // cost of label agreement).
 func quantBenchmarks(o *obs.Observer, doc *benchFile, guard bool) {
@@ -557,7 +492,6 @@ func quantBenchmarks(o *obs.Observer, doc *benchFile, guard bool) {
 	}{
 		{"tagger.decode.float64", nn.Float64},
 		{"tagger.decode.mixed", nn.Mixed},
-		{"tagger.decode.int8", nn.Int8},
 	}
 	results := make([]stageResult, 0, len(modes))
 	fmt.Printf("%-22s %14s %12s %12s\n", "mode", "ns/op", "allocs/op", "B/op")
@@ -579,23 +513,20 @@ func quantBenchmarks(o *obs.Observer, doc *benchFile, guard bool) {
 		results = append(results, row)
 		fmt.Printf("%-22s %14.0f %12d %12d\n", row.Name, row.NsPerOp, row.AllocsPerOp, row.BytesPerOp)
 	}
-	f64, mixed, int8ns := results[0].NsPerOp, results[1].NsPerOp, results[2].NsPerOp
-	if mixed > 0 && int8ns > 0 {
-		fmt.Printf("mixed cold decode: %.2fx float64; int8: %.2fx float64\n", f64/mixed, f64/int8ns)
+	f64, mixed := results[0].NsPerOp, results[1].NsPerOp
+	if mixed > 0 {
+		fmt.Printf("mixed cold decode: %.2fx float64\n", f64/mixed)
 	}
 	doc.Quant = results
 	if guard && mixed > 0 && f64/mixed < quantGuardMin {
-		fmt.Fprintf(os.Stderr, "quant guard: mixed cold decode is %.2fx float64, want >= %dx\n", f64/mixed, quantGuardMin)
+		fmt.Fprintf(os.Stderr, "quant guard: mixed cold decode is %.2fx float64, want >= %gx\n", f64/mixed, quantGuardMin)
 		os.Exit(1)
 	}
 }
 
 // coldUtterances builds n distinct three-sentence utterances. Distinctness
-// matters twice: it keeps the extraction cache out of the picture (every
-// sentence is a real decode — the cold path), and it keeps the batcher's
-// duplicate folding from sharing slots, so a batched pass wins only by
-// genuinely sharing forward passes, never by answering several callers from
-// one sequence.
+// keeps the extraction cache out of the picture: every sentence is a real
+// decode — the cold path.
 func coldUtterances(n int) []string {
 	adjs := []string{"delicious", "friendly", "quiet", "creative", "amazing",
 		"attentive", "cozy", "fresh", "spicy", "generous", "charming", "polite"}
@@ -640,23 +571,17 @@ func coldQueryPass(svc *core.Service, pool []string, g int, dur time.Duration) (
 }
 
 // parallelBenchmarks measures cold-path end-to-end Query throughput at 1 and
-// at workers goroutines over one shared pipeline, with the facade's default
-// cross-request batching configured. On one CPU, time-slicing N goroutines
-// through the same serial decodes can only lose (the switch overhead was the
-// measured 1→4 goroutine QPS regression); what scales is sharing the work —
-// concurrent cache-missing sentences gather into one batched forward. The
-// single-goroutine pass runs the identical configuration and stays serial
-// through the solo bypass, so the speedup row is batching's real effect, not
-// a workload change. With guard set, a multi-goroutine pass slower than the
-// single-goroutine one fails the process — the CI regression gate.
+// at workers goroutines over one shared pipeline. Every goroutine decodes its
+// own sentences, so the speedup row is what the extra processors buy: about
+// GOMAXPROCS at best, and ~1x on one CPU, where time-slicing N goroutines
+// through the same serial decodes gains nothing. With guard set, a
+// multi-goroutine pass slower than the single-goroutine one fails the process
+// — the CI regression gate.
 func parallelBenchmarks(o *obs.Observer, doc *benchFile, workers int, dur time.Duration, guard bool) {
 	if workers < 1 {
 		workers = 1
 	}
-	svc, ex, _ := buildBenchPipeline(o)
-	def := saccs.DefaultConfig()
-	ex.BatchWindow, ex.BatchMaxSize = def.BatchWindow, def.BatchMaxSize
-	defer func() { ex.BatchWindow, ex.BatchMaxSize = 0, 0 }()
+	svc, _, _ := buildBenchPipeline(o)
 	pool := coldUtterances(512)
 
 	measure := func(g int) parallelResult {
@@ -675,8 +600,8 @@ func parallelBenchmarks(o *obs.Observer, doc *benchFile, workers int, dur time.D
 		fmt.Printf("%-12d %10d %10.2f %12.1f\n", r.Goroutines, r.Queries, r.Seconds, r.QPS)
 	}
 	if len(rows) == 2 && rows[0].QPS > 0 {
-		fmt.Printf("speedup %dx goroutines: %.2fx (GOMAXPROCS=%d, batch window %s)\n",
-			rows[1].Goroutines, rows[1].QPS/rows[0].QPS, runtime.GOMAXPROCS(0), def.BatchWindow)
+		fmt.Printf("speedup %dx goroutines: %.2fx (GOMAXPROCS=%d)\n",
+			rows[1].Goroutines, rows[1].QPS/rows[0].QPS, runtime.GOMAXPROCS(0))
 	}
 	doc.Parallel = rows
 	if guard && len(rows) == 2 && rows[1].QPS < rows[0].QPS {
@@ -692,11 +617,10 @@ func parallelBenchmarks(o *obs.Observer, doc *benchFile, workers int, dur time.D
 // shardedParallel extends the parallel section through the public facade: the
 // same cold workload at 1 shard / 1 goroutine (the baseline everything since
 // PR 7 is measured against) and at `workers` shards / `workers` goroutines.
-// The extraction cache is off so every query decodes for real — the regime
-// where cross-request batching earns its speedup — and the guard requires the
-// sharded concurrent pass to beat the serial single-shard baseline: the
-// scatter-gather fan-out must stay cheap enough that the batching wins
-// compound with sharding instead of being eaten by it.
+// The extraction cache is off so every query decodes for real, and the guard
+// requires the sharded concurrent pass to hold the serial single-shard
+// baseline: the scatter-gather fan-out must cost less than the concurrency
+// around it buys.
 func shardedParallel(doc *benchFile, workers int, dur time.Duration, guard bool) {
 	mk := func(shards int) *saccs.Client {
 		cfg := saccs.DefaultConfig()
@@ -752,52 +676,6 @@ func shardedParallel(doc *benchFile, workers int, dur time.Duration, guard bool)
 			rows[2].Shards, rows[2].Goroutines, rows[2].QPS, rows[0].QPS)
 		os.Exit(1)
 	}
-}
-
-// batchBenchmarks sweeps the gather window across goroutine counts on the
-// cold workload: window 0 is batching off (the old regression behavior), the
-// rest bracket the default. Each row also reports how that pass's decodes
-// split between shared batch forwards and solo bypasses, so the table shows
-// not just what a window buys but whether the gather protocol engaged at
-// all. Appends the batch section to BENCH.json.
-func batchBenchmarks(o *obs.Observer, doc *benchFile, dur time.Duration) {
-	svc, ex, _ := buildBenchPipeline(o)
-	ex.BatchMaxSize = saccs.DefaultConfig().BatchMaxSize
-	defer func() { ex.BatchWindow, ex.BatchMaxSize = 0, 0 }()
-	pool := coldUtterances(512)
-
-	windows := []time.Duration{0, 100 * time.Microsecond, 250 * time.Microsecond, 500 * time.Microsecond}
-	gors := []int{1, 2, 4, 8}
-	fmt.Printf("%-10s %-12s %10s %12s %10s %10s %10s\n",
-		"window", "goroutines", "queries", "qps", "shared", "solo", "mean")
-	var rows []batchResult
-	for _, win := range windows {
-		ex.BatchWindow = win
-		for _, g := range gors {
-			shared0 := o.Counter("extract.batch.total").Value()
-			solo0 := o.Counter("extract.batch.solo.total").Value()
-			q, sec := coldQueryPass(svc, pool, g, dur)
-			r := batchResult{
-				WindowUS:      float64(win) / float64(time.Microsecond),
-				Goroutines:    g,
-				Queries:       q,
-				Seconds:       sec,
-				QPS:           float64(q) / sec,
-				SharedDecodes: o.Counter("extract.batch.total").Value() - shared0,
-				SoloDecodes:   o.Counter("extract.batch.solo.total").Value() - solo0,
-			}
-			rows = append(rows, r)
-			// Each query is three sentences; sentences not decoded solo
-			// went through shared forwards.
-			mean := 0.0
-			if r.SharedDecodes > 0 {
-				mean = float64(3*r.Queries-r.SoloDecodes) / float64(r.SharedDecodes)
-			}
-			fmt.Printf("%-10s %-12d %10d %12.1f %10d %10d %10.2f\n",
-				win, r.Goroutines, r.Queries, r.QPS, r.SharedDecodes, r.SoloDecodes, mean)
-		}
-	}
-	doc.Batch = rows
 }
 
 // contentionBenchmarks measures reader throughput with and without a

@@ -44,12 +44,10 @@ func main() {
 	gold := flag.Bool("gold", false, "use gold review annotations instead of the neural extractor")
 	top := flag.Int("top", 5, "entities shown per tag")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz and /debug/pprof on this address (e.g. :9090)")
-	batchWindow := flag.Duration("batch-window", 100*time.Microsecond, "gather window for cross-request extraction batching during the build (0 disables)")
-	batchMax := flag.Int("batch-max", 16, "max sentences per batched decode forward (<2 disables batching)")
 	stream := flag.Bool("stream", false, "feed reviews through the WAL-backed streaming ingester instead of one batch build")
 	walDir := flag.String("wal-dir", "", "durable WAL directory for -stream (empty: in-process only, no durability)")
 	publishEvery := flag.Int("publish-every", 64, "publish a fresh snapshot every N streamed reviews (-stream only)")
-	precisionFlag := flag.String("precision", "float64", "review decode arithmetic for the build: float64 (the library's indexing default), mixed, or int8")
+	precisionFlag := flag.String("precision", "float64", "review decode arithmetic for the build: float64 (the library's indexing default) or mixed")
 	flag.Parse()
 	precision, err := nn.ParsePrecision(*precisionFlag)
 	if err != nil {
@@ -104,9 +102,7 @@ func main() {
 			Pairer: pairing.Tree{Lex: parse.DomainLexicon(world.Domain), FromOpinions: true},
 			// Reviews quote the same sentences; the cache decodes each once
 			// per build.
-			Cache:        extcache.New(4096),
-			BatchWindow:  *batchWindow,
-			BatchMaxSize: *batchMax,
+			Cache: extcache.New(4096),
 		}
 		src = core.NeuralSource{E: ex}
 	}

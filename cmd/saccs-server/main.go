@@ -44,7 +44,7 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<20, "maximum request body bytes")
 	topK := flag.Int("top-k", 10, "default answer truncation (0 = all)")
 	slow := flag.Duration("slow-threshold", 0, "mark queries at or above this duration slow (0 disables)")
-	precision := flag.String("precision", "mixed", "utterance decode arithmetic: float64, mixed, or int8 (indexing always runs float64)")
+	precision := flag.String("precision", "mixed", "utterance decode arithmetic: float64 or mixed (indexing always runs float64)")
 	flag.Parse()
 
 	cfg := saccs.DefaultConfig()

@@ -95,46 +95,6 @@ func (m *MultiHeadAttention) ForwardSeq(xs []mat.Vec) []mat.Vec {
 	return m.Wo.ForwardSeq(c.headOut)
 }
 
-// InferSeq runs self-attention without touching the receiver's cache — the
-// reentrant inference path. Every buffer (projections, score and softmax
-// rows, head outputs) comes from the caller's arena, so a warm arena makes
-// the call allocation-free; attention weights are discarded, so Attention()
-// reflects the last ForwardSeq, not InferSeq. It computes exactly what
-// ForwardSeq computes, in the same order. Safe for concurrent callers, each
-// with its own arena.
-func (m *MultiHeadAttention) InferSeq(xs []mat.Vec, a *nn.Arena) []mat.Vec {
-	n := len(xs)
-	q := m.Wq.InferSeq(xs, a)
-	k := m.Wk.InferSeq(xs, a)
-	v := m.Wv.InferSeq(xs, a)
-	scale := 1 / math.Sqrt(float64(m.HeadDim))
-	headOut := a.Seq(n)
-	for i := range headOut {
-		headOut[i] = a.Vec(m.Dim)
-	}
-	scores := a.Vec(n)
-	attn := a.Vec(n)
-	for h := 0; h < m.Heads; h++ {
-		lo := h * m.HeadDim
-		hi := lo + m.HeadDim
-		for i := 0; i < n; i++ {
-			qi := q[i][lo:hi]
-			for j := 0; j < n; j++ {
-				scores[j] = mat.Vec(qi).Dot(k[j][lo:hi]) * scale
-			}
-			mat.Softmax(attn, scores)
-			out := headOut[i][lo:hi]
-			for j := 0; j < n; j++ {
-				if attn[j] == 0 {
-					continue
-				}
-				mat.Vec(out).AddScaled(attn[j], v[j][lo:hi])
-			}
-		}
-	}
-	return m.Wo.InferSeq(headOut, a)
-}
-
 // Attention returns the cached attention matrix of one head: row i is token
 // i's distribution over the sequence (Fig. 5's heatmap rows).
 func (m *MultiHeadAttention) Attention(head int) []mat.Vec {

@@ -8,56 +8,66 @@ import (
 	"saccs/internal/nn"
 )
 
-// Batched inference: several token sequences share one forward pass, packed
-// one token per row (sequence s occupies rows [starts[s], starts[s]+lens[s])
-// of every intermediate matrix). The linear projections of all sequences run
-// as single GEMMs on mat.MatMulInto's fast path; attention, layer norm, GELU,
-// and residuals are per-row or per-sequence and execute exactly the serial
-// InferSeq arithmetic, so each sequence's hidden states are bit-identical to
-// an individual inferArena call. The cross-request extraction batcher
-// (internal/core) relies on that identity to keep batched and solo decodes
-// indistinguishable.
+// The float64 inference forward: token sequences are packed one token per row
+// (sequence s occupies rows [starts[s], starts[s]+lens[s]) of every
+// intermediate matrix) and a solo call is a batch of one sequence. The linear
+// projections of all rows run as single GEMMs on mat.MatMulInto's fast path;
+// attention, layer norm, GELU, and residuals are per-row or per-sequence and
+// execute exactly the training ForwardSeq arithmetic, so each sequence's
+// hidden states are bit-identical to Encode's, whatever else shares the
+// batch. Nothing here writes receiver state (no backward caches, no
+// Attention readback), so any number of goroutines may infer concurrently,
+// each with its own arena.
+
+// packLayout lays sequences out one token per row, each clipped to MaxLen:
+// sequence s occupies rows [starts[s], starts[s]+lens[s]) of total.
+func (m *Model) packLayout(seqs [][]string, a *nn.Arena) (starts, lens []int, total int) {
+	starts = a.Ints(len(seqs))
+	lens = a.Ints(len(seqs))
+	for s, seq := range seqs {
+		starts[s], lens[s] = total, min(len(seq), m.Cfg.MaxLen)
+		total += lens[s]
+	}
+	return starts, lens, total
+}
 
 // InferBatchTokensArena tokenizes and encodes several sequences in one
 // arena-backed forward pass. It returns the packed hidden states (one row
 // per token) plus the starts/lens addressing of the batch; sequences longer
-// than MaxLen are truncated, exactly as in the serial path. Everything —
-// including the returned matrix — is carved from the caller's arena. Writes
-// no receiver state; safe for concurrent callers, each with its own arena.
+// than MaxLen are truncated, exactly as in Encode. Everything — including
+// the returned matrix — is carved from the caller's arena and valid only
+// until its next Reset.
 func (m *Model) InferBatchTokensArena(seqs [][]string, a *nn.Arena) (*mat.Mat, []int, []int) {
-	total := 0
-	starts := a.Ints(len(seqs))
-	lens := a.Ints(len(seqs))
-	for s, seq := range seqs {
-		n := len(seq)
-		if n > m.Cfg.MaxLen {
-			n = m.Cfg.MaxLen
-		}
-		starts[s], lens[s] = total, n
-		total += n
-	}
+	starts, lens, total := m.packLayout(seqs, a)
 	if m.o != nil {
 		defer m.encHist.ObserveSince(time.Now())
 		m.encTokens.Add(int64(total))
 	}
 	x := a.MatRaw(total, m.Cfg.Dim)
 	for s, seq := range seqs {
-		base := starts[s]
 		for i := 0; i < lens[s]; i++ {
-			row := x.Row(base + i)
-			m.TokEmb.LookupInto(row, m.Vocab.ID(seq[i]))
-			row.Add(m.PosEmb.Table.W.Row(i))
+			m.embedInto(x.Row(starts[s]+i), m.Vocab.ID(seq[i]), i)
 		}
 	}
-	h := x
+	return m.inferBlocks(x, starts, lens, a), starts, lens
+}
+
+// embedInto writes the summed token and position embedding into row.
+func (m *Model) embedInto(row mat.Vec, id, pos int) {
+	m.TokEmb.LookupInto(row, id)
+	row.Add(m.PosEmb.Table.W.Row(pos))
+}
+
+// inferBlocks runs the transformer stack over packed, embedded rows.
+func (m *Model) inferBlocks(x *mat.Mat, starts, lens []int, a *nn.Arena) *mat.Mat {
 	for _, b := range m.Blocks {
-		h = b.InferBatch(h, starts, lens, a)
+		x = b.InferBatch(x, starts, lens, a)
 	}
-	return h, starts, lens
+	return x
 }
 
 // InferBatch runs the encoder layer over packed sequences. Per row (token)
-// the residual/norm/FFN arithmetic is InferSeq's exactly; the four linear
+// the residual/norm/FFN arithmetic is ForwardSeq's exactly; the four linear
 // projections run as batch GEMMs.
 func (b *Block) InferBatch(xs *mat.Mat, starts, lens []int, a *nn.Arena) *mat.Mat {
 	n := xs.Rows
@@ -94,8 +104,8 @@ func (b *Block) InferBatch(xs *mat.Mat, starts, lens []int, a *nn.Arena) *mat.Ma
 // InferBatch runs self-attention over packed sequences: the Q/K/V/O
 // projections are batch GEMMs over every token row at once, while the
 // score/softmax/weighted-sum loops run per sequence with the exact loop
-// structure of InferSeq — including the softmax-zero skip — so attention
-// output rows are bit-identical to the serial path's vectors.
+// structure of ForwardSeq — including the softmax-zero skip — so attention
+// output rows are bit-identical to the training path's vectors.
 func (m *MultiHeadAttention) InferBatch(xs *mat.Mat, starts, lens []int, a *nn.Arena) *mat.Mat {
 	q := m.Wq.InferBatch(xs, a)
 	k := m.Wk.InferBatch(xs, a)

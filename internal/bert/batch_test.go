@@ -8,9 +8,10 @@ import (
 	"saccs/internal/tokenize"
 )
 
-// TestInferBatchMatchesSerial pins the core identity the extraction batcher
-// rests on: every sequence's hidden states out of the shared batch forward
-// are bit-identical to a solo InferTokensArena call.
+// TestInferBatchMatchesSerial pins the identity that makes solo a batch of
+// one: every sequence's hidden states out of a shared packed forward are
+// bit-identical to the training Encode of that sequence alone, whatever its
+// neighbours in the batch are.
 func TestInferBatchMatchesSerial(t *testing.T) {
 	words := []string{"the", "pasta", "was", "great", "but", "service",
 		"slow", "and", "rude", "staff", "lovely", "room"}
@@ -27,29 +28,31 @@ func TestInferBatchMatchesSerial(t *testing.T) {
 		return s
 	}
 	batches := [][][]string{
+		{mkSeq(3)},
 		{mkSeq(3), mkSeq(5)},
 		{mkSeq(1), mkSeq(0), mkSeq(4), mkSeq(2)},
-		{mkSeq(9), mkSeq(6)}, // beyond MaxLen: truncation must match serial
+		{mkSeq(9), mkSeq(6)}, // beyond MaxLen: truncation must match Encode's
 		{mkSeq(2), mkSeq(2), mkSeq(2), mkSeq(2), mkSeq(2), mkSeq(2), mkSeq(2), mkSeq(2)},
 	}
-	for bi, seqs := range batches {
-		var a nn.Arena
-		h, starts, lens := m.InferBatchTokensArena(seqs, &a)
-		for s, seq := range seqs {
-			var sa nn.Arena
-			want := m.InferTokensArena(seq, &sa)
-			if len(want) != lens[s] {
-				t.Fatalf("batch %d seq %d: %d rows, serial %d", bi, s, lens[s], len(want))
-			}
-			for tt, wv := range want {
-				gv := h.Row(starts[s] + tt)
-				for i, w := range wv {
-					if gv[i] != w {
-						t.Fatalf("batch %d seq %d token %d elem %d = %v, want %v (bit-exact)",
-							bi, s, tt, i, gv[i], w)
+	onBothKernelPaths(t, func(t *testing.T) {
+		for bi, seqs := range batches {
+			var a nn.Arena
+			h, starts, lens := m.InferBatchTokensArena(seqs, &a)
+			for s, seq := range seqs {
+				want := m.EncodeTokens(seq)
+				if len(want) != lens[s] {
+					t.Fatalf("batch %d seq %d: %d rows, Encode %d", bi, s, lens[s], len(want))
+				}
+				for tt, wv := range want {
+					gv := h.Row(starts[s] + tt)
+					for i, w := range wv {
+						if gv[i] != w {
+							t.Fatalf("batch %d seq %d token %d elem %d = %v, want %v (bit-exact)",
+								bi, s, tt, i, gv[i], w)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }

@@ -77,51 +77,6 @@ func (b *Block) ForwardSeq(xs []mat.Vec) []mat.Vec {
 	return b.LN2.ForwardSeq(c.res2In)
 }
 
-// InferSeq runs the layer without writing the receiver's cache — the
-// reentrant inference path (no BackwardSeq, no Attention readback). Every
-// intermediate comes from the caller's arena, so a warm arena makes the call
-// allocation-free; the arithmetic is ForwardSeq's exactly. Safe for
-// concurrent callers, each with its own arena.
-func (b *Block) InferSeq(xs []mat.Vec, a *nn.Arena) []mat.Vec {
-	n := len(xs)
-	attnOut := b.Attn.InferSeq(xs, a)
-	res1 := a.Seq(n)
-	for i := range xs {
-		v := a.Vec(len(xs[i]))
-		copy(v, xs[i])
-		v.Add(attnOut[i])
-		res1[i] = v
-	}
-	h1 := a.Seq(n)
-	for i := range res1 {
-		y := a.Vec(len(res1[i]))
-		b.LN1.ApplyInto(y, res1[i])
-		h1[i] = y
-	}
-	ffPre := b.FF1.InferSeq(h1, a)
-	ffAct := a.Seq(n)
-	for i := range ffPre {
-		y := a.Vec(len(ffPre[i]))
-		nn.GELUInto(y, ffPre[i])
-		ffAct[i] = y
-	}
-	ffnOuts := b.FF2.InferSeq(ffAct, a)
-	res2 := a.Seq(n)
-	for i := range xs {
-		v := a.Vec(len(h1[i]))
-		copy(v, h1[i])
-		v.Add(ffnOuts[i])
-		res2[i] = v
-	}
-	out := a.Seq(n)
-	for i := range res2 {
-		y := a.Vec(len(res2[i]))
-		b.LN2.ApplyInto(y, res2[i])
-		out[i] = y
-	}
-	return out
-}
-
 // BackwardSeq backpropagates through the most recent ForwardSeq.
 func (b *Block) BackwardSeq(dys []mat.Vec) []mat.Vec {
 	c := b.cache

@@ -8,7 +8,7 @@ import (
 	"saccs/internal/nn"
 )
 
-// Quantized batched inference: the reduced-precision twin of batch.go.
+// The reduced-precision inference forward: the float32/int8 twin of batch.go.
 // Activations flow as float32; a block's linear projections — Q/K/V as one
 // stacked weight, Wo, FF1, FF2 — run on the int8 GEMM with dynamic
 // activation quantization (four quantizations of a token's row per block),
@@ -24,18 +24,8 @@ import (
 // plus the starts/lens addressing. Sequences longer than MaxLen are
 // truncated, exactly as in the float64 paths. Writes no receiver state; safe
 // for concurrent callers, each with its own arena.
-func (m *Model) InferQuantBatchTokensArena(seqs [][]string, a *nn.Arena, p nn.Precision) (*mat.Mat32, []int, []int) {
-	total := 0
-	starts := a.Ints(len(seqs))
-	lens := a.Ints(len(seqs))
-	for s, seq := range seqs {
-		n := len(seq)
-		if n > m.Cfg.MaxLen {
-			n = m.Cfg.MaxLen
-		}
-		starts[s], lens[s] = total, n
-		total += n
-	}
+func (m *Model) InferQuantBatchTokensArena(seqs [][]string, a *nn.Arena) (*mat.Mat32, []int, []int) {
+	starts, lens, total := m.packLayout(seqs, a)
 	if m.o != nil {
 		defer m.encHist.ObserveSince(time.Now())
 		m.encTokens.Add(int64(total))
@@ -56,7 +46,6 @@ func (m *Model) InferQuantBatchTokensArena(seqs [][]string, a *nn.Arena, p nn.Pr
 	for _, b := range m.Blocks {
 		h = b.InferQuantBatch(h, starts, lens, a)
 	}
-	_ = p // every block projection is int8 in both quantized modes
 	return h, starts, lens
 }
 

@@ -143,7 +143,7 @@ func TestQuantEncoderSoloMatchesBatchAndTracksFloat64(t *testing.T) {
 	var a, ref nn.Arena
 	a.Reset()
 	ref.Reset()
-	h, starts, lens := m.InferQuantBatchTokensArena(seqs, &a, nn.Mixed)
+	h, starts, lens := m.InferQuantBatchTokensArena(seqs, &a)
 	want, wstarts, wlens := m.InferBatchTokensArena(seqs, &ref)
 	var maxErr, maxAbs float64
 	for s, seq := range seqs {
@@ -152,7 +152,7 @@ func TestQuantEncoderSoloMatchesBatchAndTracksFloat64(t *testing.T) {
 		}
 		var sa nn.Arena
 		sa.Reset()
-		solo, _, _ := m.InferQuantBatchTokensArena([][]string{seq}, &sa, nn.Mixed)
+		solo, _, _ := m.InferQuantBatchTokensArena([][]string{seq}, &sa)
 		for i := 0; i < lens[s]; i++ {
 			row := h.Row(starts[s] + i)
 			for j, w := range solo.Row(i) {

@@ -4,62 +4,121 @@ import (
 	"math/rand"
 	"testing"
 
+	"saccs/internal/mat"
 	"saccs/internal/nn"
 )
 
-// Infer promises bit-identical hidden states to Encode: the golden
-// snapshots and the extraction cache's determinism contract depend on the
-// inference kernels executing Encode's float operations in Encode's order.
-func TestInferMatchesEncode(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	v := tinyVocab()
-	m := New(rng, Config{Layers: 2, Heads: 2, Dim: 8, FFDim: 12, MaxLen: 16}, v)
-	for _, sent := range [][]string{
-		{"the", "food", "is", "delicious"},
-		{"staff"},
-		{"the", "staff", "is", "friendly", "and", "the", "food", "is", "delicious", "."},
-	} {
-		ids := v.Encode(sent)
-		want := m.Encode(ids)
-		got := m.Infer(ids)
-		if len(got) != len(want) {
-			t.Fatalf("length %d vs %d", len(got), len(want))
-		}
-		for i := range want {
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("%v: h[%d][%d]: %v != %v", sent, i, j, got[i][j], want[i][j])
-				}
+// onBothKernelPaths runs f on mat's vector kernels (where the CPU has them)
+// and again on the pure-Go ones.
+func onBothKernelPaths(t *testing.T, f func(t *testing.T)) {
+	t.Run("vector", f)
+	t.Run("scalar", func(t *testing.T) {
+		defer mat.ForceScalar()()
+		f(t)
+	})
+}
+
+// cycleTokens returns n in-vocabulary tokens.
+func cycleTokens(n int) []string {
+	words := []string{"the", "food", "is", "delicious", "staff", "friendly", "and", "."}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = words[(i*5+i/3)%len(words)]
+	}
+	return out
+}
+
+func requireSameVecs(t *testing.T, what string, want, got []mat.Vec) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d vectors, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("%s: h[%d][%d] = %v, want %v (bit-exact)", what, i, j, got[i][j], want[i][j])
 			}
 		}
 	}
 }
 
-func TestInferArenaMatchesInfer(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	v := tinyVocab()
-	m := New(rng, tinyConfig(), v)
-	ids := v.Encode([]string{"the", "food", "is", "delicious", "."})
-	want := m.Infer(ids)
-	var a nn.Arena
-	got := m.InferArena(ids, &a)
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("h[%d][%d]: %v != %v", i, j, got[i][j], want[i][j])
-			}
+// matRows views rows [start, start+n) of m as vectors.
+func matRows(m *mat.Mat, start, n int) []mat.Vec {
+	out := make([]mat.Vec, n)
+	for i := range out {
+		out[i] = m.Row(start + i)
+	}
+	return out
+}
+
+// packVecs copies a sequence of vectors into the rows of one matrix.
+func packVecs(xs []mat.Vec, dim int) *mat.Mat {
+	m := mat.NewMat(len(xs), dim)
+	for i, x := range xs {
+		copy(m.Row(i), x)
+	}
+	return m
+}
+
+func randVecs(rng *rand.Rand, n, dim int) []mat.Vec {
+	xs := make([]mat.Vec, n)
+	for i := range xs {
+		xs[i] = mat.NewVec(dim)
+		for j := range xs[i] {
+			xs[i][j] = rng.NormFloat64()
 		}
 	}
-	// The arena-backed tokenizing variant must agree too.
-	a.Reset()
-	got2 := m.InferTokensArena([]string{"the", "food", "is", "delicious", "."}, &a)
-	for i := range want {
-		for j := range want[i] {
-			if got2[i][j] != want[i][j] {
-				t.Fatalf("tokens h[%d][%d]: %v != %v", i, j, got2[i][j], want[i][j])
-			}
+	return xs
+}
+
+// The float64 GEMM forward promises bit-identical hidden states to the
+// training forward, layer by layer: the golden snapshots, the index bytes and
+// the extraction cache's determinism contract all rest on inference executing
+// Encode's float operations in Encode's order. Lengths cover empty, one
+// token, a ragged middle, a full MaxLen window and beyond it.
+
+func TestAttentionInferBatchMatchesForwardSeq(t *testing.T) {
+	onBothKernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(26))
+		m := NewMultiHeadAttention(rng, "t", 16, 4)
+		for _, n := range []int{0, 1, 7, 16, 28} {
+			xs := randVecs(rng, n, m.Dim)
+			want := m.ForwardSeq(xs)
+			var a nn.Arena
+			got := m.InferBatch(packVecs(xs, m.Dim), []int{0}, []int{n}, &a)
+			requireSameVecs(t, "attention", want, matRows(got, 0, n))
 		}
-	}
+	})
+}
+
+func TestBlockInferBatchMatchesForwardSeq(t *testing.T) {
+	onBothKernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(27))
+		b := NewBlock(rng, "t", 16, 4, 24)
+		for _, n := range []int{0, 1, 7, 16, 28} {
+			xs := randVecs(rng, n, 16)
+			want := b.ForwardSeq(xs)
+			var a nn.Arena
+			got := b.InferBatch(packVecs(xs, 16), []int{0}, []int{n}, &a)
+			requireSameVecs(t, "block", want, matRows(got, 0, n))
+		}
+	})
+}
+
+func TestInferMatchesEncode(t *testing.T) {
+	onBothKernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		v := tinyVocab()
+		m := New(rng, Config{Layers: 2, Heads: 2, Dim: 8, FFDim: 12, MaxLen: 16}, v)
+		for _, n := range []int{0, 1, 7, m.Cfg.MaxLen, m.Cfg.MaxLen + 12} {
+			ids := v.Encode(cycleTokens(n))
+			want := m.Encode(ids)
+			if len(want) != min(n, m.Cfg.MaxLen) {
+				t.Fatalf("Encode kept %d of %d tokens", len(want), n)
+			}
+			requireSameVecs(t, "Infer", want, m.Infer(ids))
+		}
+	})
 }
 
 func TestInferEmptySequence(t *testing.T) {
@@ -67,10 +126,6 @@ func TestInferEmptySequence(t *testing.T) {
 	m := New(rng, tinyConfig(), tinyVocab())
 	if got := m.Infer(nil); len(got) != 0 {
 		t.Fatalf("Infer(nil) returned %d vectors", len(got))
-	}
-	var a nn.Arena
-	if got := m.InferArena(nil, &a); len(got) != 0 {
-		t.Fatalf("InferArena(nil) returned %d vectors", len(got))
 	}
 }
 
@@ -92,19 +147,20 @@ func TestInferAllocsRegression(t *testing.T) {
 	}
 }
 
-// TestInferArenaZeroAllocsWhenWarm pins the fully arena-backed path at zero.
-func TestInferArenaZeroAllocsWhenWarm(t *testing.T) {
+// TestInferBatchZeroAllocsWhenWarm pins the fully arena-backed forward at
+// zero: packed weights are cached on the layers and every activation comes
+// from the caller's arena.
+func TestInferBatchZeroAllocsWhenWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	v := tinyVocab()
-	m := New(rng, tinyConfig(), v)
-	ids := v.Encode([]string{"the", "food", "is", "delicious"})
+	m := New(rng, tinyConfig(), tinyVocab())
+	seqs := [][]string{{"the", "food", "is", "delicious"}}
 	var a nn.Arena
-	m.InferArena(ids, &a) // warm
+	m.InferBatchTokensArena(seqs, &a) // warm
 	allocs := testing.AllocsPerRun(100, func() {
 		a.Reset()
-		m.InferArena(ids, &a)
+		m.InferBatchTokensArena(seqs, &a)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm InferArena allocates %v times per call, want 0", allocs)
+		t.Fatalf("warm InferBatchTokensArena allocates %v times per call, want 0", allocs)
 	}
 }

@@ -70,24 +70,11 @@ func (ln *LayerNorm) ForwardSeq(xs []mat.Vec) []mat.Vec {
 	return ys
 }
 
-// ApplySeq normalizes each vector without caching intermediates: the
-// reentrant inference path. Unlike ForwardSeq it writes no receiver state,
-// so any number of goroutines may call it concurrently (BackwardSeq still
-// requires a prior ForwardSeq).
-func (ln *LayerNorm) ApplySeq(xs []mat.Vec) []mat.Vec {
-	ys := make([]mat.Vec, len(xs))
-	for t, x := range xs {
-		y := mat.NewVec(len(x))
-		ln.ApplyInto(y, x)
-		ys[t] = y
-	}
-	return ys
-}
-
 // ApplyInto normalizes x into the caller-provided y — the allocation-free
-// inference kernel behind ApplySeq. It computes exactly what ForwardSeq
-// computes for one vector (same mean/variance/affine order), writes no
-// receiver state, and is safe for concurrent callers.
+// inference row kernel. It computes exactly what ForwardSeq computes for one
+// vector (same mean/variance/affine order), writes no receiver state, and is
+// safe for concurrent callers (BackwardSeq still requires a prior
+// ForwardSeq).
 func (ln *LayerNorm) ApplyInto(y, x mat.Vec) {
 	mean := x.Mean()
 	var varSum float64

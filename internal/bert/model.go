@@ -159,8 +159,9 @@ func (m *Model) EncodeTokens(tokens []string) []mat.Vec {
 	return m.Encode(m.Vocab.Encode(tokens))
 }
 
-// Infer is the reentrant counterpart of Encode: the same forward pass, but
-// no receiver state is written, so any number of goroutines may infer
+// Infer is the reentrant counterpart of Encode: the same hidden states, bit
+// for bit, from the GEMM forward of batch.go run over a one-sequence batch.
+// No receiver state is written, so any number of goroutines may infer
 // concurrently. Per-call buffers come from a pooled arena; the returned
 // vectors are copied out of it (one backing array for the whole sequence),
 // so they outlive the call. Because no caches are kept, Backward and
@@ -177,66 +178,29 @@ func (m *Model) Infer(ids []int) []mat.Vec {
 		s = &Scratch{}
 	}
 	s.Reset()
-	h := m.inferArena(ids, &s.Arena)
+	ids = m.truncate(ids)
+	x := s.MatRaw(len(ids), m.Cfg.Dim)
+	for i, id := range ids {
+		m.embedInto(x.Row(i), id, i)
+	}
+	starts, lens := s.Ints(1), s.Ints(1)
+	lens[0] = len(ids)
+	h := m.inferBlocks(x, starts, lens, &s.Arena)
 	// Copy results out of the arena before pooling it: one flat backing
 	// array plus one header slice for the whole sequence.
-	out := make([]mat.Vec, len(h))
-	flat := make([]float64, len(h)*m.Cfg.Dim)
-	for i, v := range h {
-		dst := flat[i*m.Cfg.Dim : (i+1)*m.Cfg.Dim : (i+1)*m.Cfg.Dim]
-		copy(dst, v)
-		out[i] = dst
+	out := make([]mat.Vec, h.Rows)
+	flat := append([]float64(nil), h.Data...)
+	for i := range out {
+		out[i] = flat[i*h.Cols : (i+1)*h.Cols : (i+1)*h.Cols]
 	}
 	m.scratch.Put(s)
 	return out
-}
-
-// InferArena runs the reentrant forward pass with every buffer — including
-// the returned hidden states — carved from the caller's arena. The results
-// are valid only until the arena's next Reset; callers that need them to
-// survive should use Infer, which copies out. This is the whole-pipeline
-// fast path: a tagger decode threads one arena through embeddings,
-// transformer blocks, BiLSTM, projection, and Viterbi without a single heap
-// allocation once the arena is warm.
-func (m *Model) InferArena(ids []int, a *nn.Arena) []mat.Vec {
-	if m.o != nil {
-		defer m.encHist.ObserveSince(time.Now())
-		m.encTokens.Add(int64(len(ids)))
-	}
-	return m.inferArena(ids, a)
-}
-
-func (m *Model) inferArena(ids []int, a *nn.Arena) []mat.Vec {
-	ids = m.truncate(ids)
-	xs := a.Seq(len(ids))
-	for i, id := range ids {
-		v := a.Vec(m.Cfg.Dim)
-		m.TokEmb.LookupInto(v, id)
-		v.Add(m.PosEmb.Table.W.Row(i))
-		xs[i] = v
-	}
-	h := xs
-	for _, b := range m.Blocks {
-		h = b.InferSeq(h, a)
-	}
-	return h
 }
 
 // InferTokens tokenizes against the model vocabulary and runs the reentrant
 // forward pass (see Infer).
 func (m *Model) InferTokens(tokens []string) []mat.Vec {
 	return m.Infer(m.Vocab.Encode(tokens))
-}
-
-// InferTokensArena tokenizes against the model vocabulary and runs the
-// arena-backed forward pass (see InferArena). The token-id slice is carved
-// from the arena too, so the whole call is allocation-free once warm.
-func (m *Model) InferTokensArena(tokens []string, a *nn.Arena) []mat.Vec {
-	ids := a.Ints(len(tokens))
-	for i, t := range tokens {
-		ids[i] = m.Vocab.ID(t)
-	}
-	return m.InferArena(ids, a)
 }
 
 // Backward backpropagates upstream gradients through the blocks and the

@@ -1,25 +1,16 @@
 package check
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"sync"
-	"time"
 
-	"saccs/internal/bert"
-	"saccs/internal/core"
-	"saccs/internal/extcache"
 	"saccs/internal/mat"
-	"saccs/internal/obs"
-	"saccs/internal/tagger"
-	"saccs/internal/tokenize"
 )
 
-// Oracles for the inference fast path: the blocked/vectorized GEMM kernels
-// and the cross-request extraction batcher both promise results bit-identical
-// to their serial twins. These checks make the promise falsifiable on random
-// inputs, from `make check` and the race-enabled test run.
+// Oracle for the inference forward's kernel: the blocked/vectorized GEMM
+// promises results bit-identical to the naive triple loop. This check makes
+// the promise falsifiable on random inputs, from `make check` and the
+// race-enabled test run.
 
 // GemmBlockedOracle compares mat.MatMulInto against a literal
 // ascending-k triple loop on adversarial shapes — single rows and columns,
@@ -61,116 +52,4 @@ func GemmBlockedOracle(seed int64) error {
 		}
 	}
 	return nil
-}
-
-// liveModel builds a small untrained (deterministically initialized)
-// MiniBERT-backed tagger — unlike checkModel's hash encoder, this exercises
-// the real batched forward (bert InferBatchTokensArena + BiLSTM/CRF batch
-// kernels) behind tagger.Model.PredictBatch.
-func liveModel(seed int64, sentences [][]string) *tagger.Model {
-	v := tokenize.NewVocab()
-	for _, s := range sentences {
-		v.AddAll(s)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	enc := bert.New(rng, bert.Config{Layers: 1, Heads: 2, Dim: 16, FFDim: 24, MaxLen: 12}, v)
-	cfg := tagger.DefaultConfig()
-	cfg.Hidden = 8
-	cfg.Seed = seed
-	return tagger.New(enc, cfg)
-}
-
-// ExtractBatchLiveOracle checks the cross-request batcher end to end: many
-// goroutines extract concurrently through a batching extractor backed by the
-// real batched MiniBERT+BiLSTM-CRF forward, and every result must be
-// bit-identical to the serial, unbatched pipeline — including callers
-// cancelled mid-stream, which must fail with their context's error and
-// nothing else. Run under -race this also proves the gather protocol free of
-// data races.
-func ExtractBatchLiveOracle(seed int64, goroutines, nSentences int) error {
-	g := NewGen(seed)
-	sentences := make([][]string, nSentences)
-	for i := range sentences {
-		sentences[i] = tokenize.Words(g.Utterance())
-	}
-	m := liveModel(seed+4, sentences)
-	p := checkPairer()
-
-	serial := &core.Extractor{Tagger: m, Pairer: p}
-	want := make([][]string, nSentences)
-	for i, s := range sentences {
-		want[i] = serial.ExtractFromTokens(s)
-	}
-
-	o := obs.NewObserver()
-	// The window must dwarf one race-slowed decode: the solo bypass treats an
-	// arrival gap wider than the window as sparse traffic, and under -race a
-	// decode (hence the gap between a worker's back-to-back calls) can exceed
-	// a production-sized window, which would solo every request on one CPU.
-	// 20ms keeps the gather engaged; cohort sealing means callers almost never
-	// wait the full window.
-	batched := &core.Extractor{
-		Tagger: m, Pairer: p, Cache: extcache.New(256), Obs: o,
-		BatchWindow: 20 * time.Millisecond, BatchMaxSize: 8,
-	}
-
-	errs := make(chan error, goroutines)
-	var wg sync.WaitGroup
-	for w := 0; w < goroutines; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for pass := 0; pass < 3; pass++ {
-				for k := range sentences {
-					i := (k + w) % len(sentences)
-					text := joinWords(sentences[i])
-					if w == goroutines-1 && pass == 1 {
-						// One caller races cancellation against its cohort:
-						// it must get a context error or the exact serial
-						// tags, and the other members are unaffected.
-						ctx, cancel := context.WithCancel(context.Background())
-						go cancel()
-						got, err := batched.ExtractTagsCtx(ctx, nil, text)
-						if err == nil && DiffStrings("", want[i], got) != nil {
-							errs <- fmt.Errorf("batch-live oracle (seed %d): cancelled caller sentence %d: %v (neither serial tags nor ctx error)",
-								seed, i, got)
-							return
-						}
-						continue
-					}
-					got, err := batched.ExtractTagsCtx(context.Background(), nil, text)
-					if err != nil {
-						errs <- fmt.Errorf("batch-live oracle (seed %d): goroutine %d sentence %d: %v", seed, w, i, err)
-						return
-					}
-					if derr := DiffStrings(fmt.Sprintf("batched goroutine %d sentence %d (seed %d)", w, i, seed), want[i], got); derr != nil {
-						errs <- derr
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return err
-	}
-	if o.Counter("extract.batch.total").Value() == 0 {
-		return fmt.Errorf("batch-live oracle (seed %d): no shared decode ran — the gather protocol never engaged", seed)
-	}
-	return nil
-}
-
-// joinWords renders a token sequence back to text for ExtractTagsCtx; the
-// generator's utterances tokenize on single spaces, so this round-trips.
-func joinWords(tokens []string) string {
-	out := ""
-	for i, t := range tokens {
-		if i > 0 {
-			out += " "
-		}
-		out += t
-	}
-	return out
 }

@@ -82,9 +82,6 @@ func DefaultSuite(seed int64) []Check {
 		{"oracle/gemm-blocked", func() error {
 			return GemmBlockedOracle(seed + 14)
 		}},
-		{"oracle/extract-batch-live", func() error {
-			return ExtractBatchLiveOracle(seed+15, 8, 10)
-		}},
 		{"oracle/ingest-quiesce", func() error {
 			return IngestQuiesceOracle(seed+16, 90, 8)
 		}},

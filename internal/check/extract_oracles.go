@@ -25,8 +25,8 @@ import (
 // checkEnc is a deterministic, stateless, reentrant Encoder: each token's
 // embedding is a pure hash of its surface form. It stands in for MiniBERT so
 // the oracles exercise the full tagger→pairing→cache pipeline at property-
-// test cost; since it is not an InferEncoder the oracle also covers Predict's
-// plain-Encoder fallback path.
+// test cost; since it implements only EncodeTokens the oracle also covers the
+// tagger's row-packing of a plain Encoder.
 type checkEnc struct{ dim int }
 
 func (e checkEnc) EmbeddingDim() int { return e.dim }

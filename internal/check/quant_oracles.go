@@ -15,9 +15,9 @@ import (
 	"saccs/internal/tokenize"
 )
 
-// Quantized-inference drift oracle: the mixed/int8 decode paths trade
-// precision for speed, and this check makes the trade's contract falsifiable
-// — on a trained model the quantized label sequences must agree with the
+// Quantized-inference drift oracle: the mixed decode path trades precision
+// for speed, and this check makes the trade's contract falsifiable — on a
+// trained model the quantized label sequences must agree with the
 // float64 decode exactly on the five pinned golden utterances, near-exactly
 // token-wise on a generated corpus, and the raw emission scores must stay
 // within a small absolute envelope of the float64 emissions. An untrained
@@ -102,8 +102,8 @@ func quantDriftModel() *tagger.Model {
 	return m
 }
 
-// QuantDriftOracle checks the quantized decode's drift contract at both
-// quantized precisions over a trained model:
+// QuantDriftOracle checks the mixed decode's drift contract over a trained
+// model:
 //
 //   - the five golden utterances decode to exactly the float64 labels;
 //   - on nSentences generated utterances, raw token-level label agreement is
@@ -116,8 +116,9 @@ func quantDriftModel() *tagger.Model {
 //   - the max-abs emission-score error against float64 stays under
 //     emissionBound, expressed as a fraction of the largest float64
 //     emission magnitude (the natural scale of the scores);
-//   - the batched quantized decode is identical to the solo quantized decode
-//     (they share kernels by construction; this pins it end to end).
+//   - in both arithmetics, a sentence decoded as a member of a packed batch
+//     gets exactly its solo labels (solo is a batch of one by construction;
+//     this pins the kernels' sequence-locality end to end).
 func QuantDriftOracle(seed int64, nSentences int, emissionBound float64) error {
 	// The agreement corpus is in-distribution conversational utterances from
 	// the real corpus generator (disjoint seed from the training draw): the
@@ -134,73 +135,73 @@ func QuantDriftOracle(seed int64, nSentences int, emissionBound float64) error {
 	}
 	m := quantDriftModel()
 
-	for _, p := range []nn.Precision{nn.Mixed, nn.Int8} {
-		// Golden utterances: exact agreement, no budget.
-		for i, toks := range golden {
-			want := m.PredictAt(toks, nn.Float64)
-			got := m.PredictAt(toks, p)
-			if err := diffLabels(fmt.Sprintf("golden utterance %d at %v (seed %d)", i, p, seed), want, got); err != nil {
-				return err
+	// Golden utterances: exact agreement, no budget.
+	for i, toks := range golden {
+		want := m.PredictAt(toks, nn.Float64)
+		got := m.PredictAt(toks, nn.Mixed)
+		if err := diffLabels(fmt.Sprintf("golden utterance %d at mixed (seed %d)", i, seed), want, got); err != nil {
+			return err
+		}
+	}
+
+	// Generated corpus: emissions bounded, flips only on near-ties.
+	var tokens, agree int
+	maxErr, maxAbs := 0.0, 0.0
+	type flip struct {
+		sent int
+		gap  float64
+	}
+	var flips []flip
+	for si, toks := range corp {
+		want := m.PredictAt(toks, nn.Float64)
+		got := m.PredictAt(toks, nn.Mixed)
+		mismatch := false
+		for t := range want {
+			tokens++
+			if got[t] == want[t] {
+				agree++
+			} else {
+				mismatch = true
 			}
 		}
-
-		// Generated corpus: emissions bounded, flips only on near-ties.
-		var tokens, agree int
-		maxErr, maxAbs := 0.0, 0.0
-		type flip struct {
-			sent int
-			gap  float64
+		if mismatch {
+			gap := m.PathScore(toks, want) - m.PathScore(toks, got)
+			flips = append(flips, flip{si, gap})
 		}
-		var flips []flip
-		for si, toks := range corp {
-			want := m.PredictAt(toks, nn.Float64)
-			got := m.PredictAt(toks, p)
-			mismatch := false
-			for t := range want {
-				tokens++
-				if got[t] == want[t] {
-					agree++
-				} else {
-					mismatch = true
+		ef := m.EmissionsAt(toks, nn.Float64)
+		eq := m.EmissionsAt(toks, nn.Mixed)
+		for t := range ef {
+			for j := range ef[t] {
+				if a := math.Abs(ef[t][j]); a > maxAbs {
+					maxAbs = a
+				}
+				if d := math.Abs(eq[t][j] - ef[t][j]); d > maxErr {
+					maxErr = d
 				}
 			}
-			if mismatch {
-				gap := m.PathScore(toks, want) - m.PathScore(toks, got)
-				flips = append(flips, flip{si, gap})
-			}
-			ef := m.EmissionsAt(toks, nn.Float64)
-			eq := m.EmissionsAt(toks, p)
-			for t := range ef {
-				for j := range ef[t] {
-					if a := math.Abs(ef[t][j]); a > maxAbs {
-						maxAbs = a
-					}
-					if d := math.Abs(eq[t][j] - ef[t][j]); d > maxErr {
-						maxErr = d
-					}
-				}
-			}
 		}
-		if maxErr > emissionBound*maxAbs {
-			return fmt.Errorf("quant-drift oracle (seed %d): %v max emission error %.5f over scale %.3f, want <= %.2f%% of scale",
-				seed, p, maxErr, maxAbs, 100*emissionBound)
+	}
+	if maxErr > emissionBound*maxAbs {
+		return fmt.Errorf("quant-drift oracle (seed %d): mixed max emission error %.5f over scale %.3f, want <= %.2f%% of scale",
+			seed, maxErr, maxAbs, 100*emissionBound)
+	}
+	if ratio := float64(agree) / float64(tokens); ratio < 0.99 {
+		return fmt.Errorf("quant-drift oracle (seed %d): mixed raw token agreement %.4f (%d/%d), want >= 0.99",
+			seed, ratio, agree, tokens)
+	}
+	// Any flip of a path the float64 model decisively prefers is real
+	// drift; the envelope scales with the emission error bound times the
+	// sentence positions a perturbed emission can shift.
+	gapBound := 4 * emissionBound * maxAbs
+	for _, f := range flips {
+		if f.gap > gapBound {
+			return fmt.Errorf("quant-drift oracle (seed %d): mixed flipped sentence %d the float64 model prefers by %.4f (envelope %.4f): %v",
+				seed, f.sent, f.gap, gapBound, corp[f.sent])
 		}
-		if ratio := float64(agree) / float64(tokens); ratio < 0.99 {
-			return fmt.Errorf("quant-drift oracle (seed %d): %v raw token agreement %.4f (%d/%d), want >= 0.99",
-				seed, p, ratio, agree, tokens)
-		}
-		// Any flip of a path the float64 model decisively prefers is real
-		// drift; the envelope scales with the emission error bound times the
-		// sentence positions a perturbed emission can shift.
-		gapBound := 4 * emissionBound * maxAbs
-		for _, f := range flips {
-			if f.gap > gapBound {
-				return fmt.Errorf("quant-drift oracle (seed %d): %v flipped sentence %d the float64 model prefers by %.4f (envelope %.4f): %v",
-					seed, p, f.sent, f.gap, gapBound, corp[f.sent])
-			}
-		}
+	}
 
-		// Solo vs batched quantized decode.
+	// Solo vs member of a packed batch, in both arithmetics.
+	for _, p := range []nn.Precision{nn.Float64, nn.Mixed} {
 		batched := m.PredictBatchAt(corp, p)
 		for i, toks := range corp {
 			solo := m.PredictAt(toks, p)

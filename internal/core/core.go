@@ -91,31 +91,6 @@ type Extractor struct {
 	// Obs, when set, records tagging and pairing latency histograms. Set it
 	// before use; it must not change while extractions are in flight.
 	Obs *obs.Observer
-	// BatchWindow and BatchMaxSize configure cross-request decode batching
-	// on the context-aware path (see batch.go): concurrent cache-missing
-	// sentences gather for up to BatchWindow, and one shared forward decodes
-	// up to BatchMaxSize of them, bit-identically to serial decoding. An
-	// explicit zero in either (the zero value) disables batching, as does a
-	// Tagger that is not a BatchTagger. Set both before use; they must not
-	// change while extractions are in flight.
-	BatchWindow  time.Duration
-	BatchMaxSize int
-
-	// Gather state (batch.go): the open cohort, the in-flight extraction
-	// count, and the load signals gating the solo bypass — the last instant
-	// two extractions overlapped, and the last decode-request arrival
-	// (burst detection for schedulers that admit requests one at a time).
-	// hwInflight/hwStamp track the recent high-water mark of the in-flight
-	// count: the seal target for a gathering batch, so a requester that is
-	// momentarily between queries (ranking, parsing) still gets a slot in
-	// the cohort it is about to rejoin.
-	batchMu    sync.Mutex
-	batchCur   *extractBatch
-	inflight   atomic.Int64
-	lastMulti  atomic.Int64
-	lastArrive atomic.Int64
-	hwInflight atomic.Int64
-	hwStamp    atomic.Int64
 }
 
 // ExtractFromTokens extracts subjective tags from one tokenized sentence.
@@ -160,10 +135,10 @@ func (e *Extractor) ExtractFromTokensTraced(parent *obs.Span, tokens []string) [
 	return e.finishExtract(parent, tokens, labels, gen, genOK, key)
 }
 
-// finishExtract is the post-decode tail shared by the serial and batched
-// paths: span splitting, pairing, tag rendering, and the generation-checked
-// cache fill. genOK reports that the tagger's generation was unchanged across
-// the decode that produced labels; only then is the result cached under gen.
+// finishExtract is the post-decode tail: span splitting, pairing, tag
+// rendering, and the generation-checked cache fill. genOK reports that the
+// tagger's generation was unchanged across the decode that produced labels;
+// only then is the result cached under gen.
 func (e *Extractor) finishExtract(parent *obs.Span, tokens []string, labels []tokenize.Label, gen uint64, genOK bool, key string) []string {
 	spans := tokenize.Spans(labels)
 	var aspects, opinions []tokenize.Span
@@ -251,34 +226,15 @@ func (e *Extractor) ExtractTagsTraced(parent *obs.Span, text string) []string {
 // context is polled before each sentence's decode, so a cancelled or expired
 // context aborts with ctx's error and no partial tag list. (A single
 // sentence's Viterbi decode is not interruptible — stage boundaries are the
-// cancellation points.) With batching configured (BatchWindow/BatchMaxSize)
-// the caller's cache-missing sentences are enqueued together into the gather
-// window and share decode forwards with concurrent callers — see batch.go; a
-// caller cancelled while enqueued returns ctx's error without disturbing its
-// cohort. Batched and serial decoding are bit-identical, so the tag list is
-// the same either way.
+// cancellation points.)
 func (e *Extractor) ExtractTagsCtx(ctx context.Context, parent *obs.Span, text string) ([]string, error) {
-	sentences := tokenize.Sentences(text)
-	var perSent [][]string
-	if bt, ok := e.batchingEnabled(); ok {
-		var err error
-		perSent, err = e.extractSentencesBatched(ctx, parent, bt, sentences)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		perSent = make([][]string, 0, len(sentences))
-		for _, sent := range sentences {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			perSent = append(perSent, e.ExtractFromTokensTraced(parent, tokenize.Words(sent)))
-		}
-	}
 	var tags []string
 	seen := map[string]bool{}
-	for _, stags := range perSent {
-		for _, tag := range stags {
+	for _, sent := range tokenize.Sentences(text) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for _, tag := range e.ExtractFromTokensTraced(parent, tokenize.Words(sent)) {
 			if !seen[tag] {
 				seen[tag] = true
 				tags = append(tags, tag)

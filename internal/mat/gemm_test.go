@@ -108,47 +108,6 @@ func TestMatMulIntoScalarVsVector(t *testing.T) {
 	}
 }
 
-func TestMulABtIntoMatchesMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, sh := range gemmShapes {
-		a := randMat(rng, sh.m, sh.k)
-		b := randMat(rng, sh.k, sh.n)
-		bt := transpose(b)
-		want := naiveMatMul(a, b)
-		got := NewMat(sh.m, sh.n)
-		MulABtInto(got, a, bt)
-		requireBitEqual(t, "MulABtInto", want, got)
-
-		// Row-for-row agreement with MulVec — the kernel the serial
-		// inference path uses — is the exactness contract the batched
-		// forward relies on.
-		row := NewVec(sh.n)
-		for i := 0; i < sh.m; i++ {
-			bt.MulVec(row, a.Row(i))
-			for j, w := range row {
-				if got.At(i, j) != w {
-					t.Fatalf("shape %v: (%d,%d) = %v, want MulVec's %v", sh, i, j, got.At(i, j), w)
-				}
-			}
-		}
-	}
-}
-
-func TestParallelMulABtIntoMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for _, workers := range []int{0, 1, 2, 3, 8} {
-		for _, sh := range gemmShapes {
-			a := randMat(rng, sh.m, sh.k)
-			bt := randMat(rng, sh.n, sh.k)
-			want := NewMat(sh.m, sh.n)
-			MulABtInto(want, a, bt)
-			got := NewMat(sh.m, sh.n)
-			ParallelMulABtInto(got, a, bt, workers)
-			requireBitEqual(t, "ParallelMulABtInto", want, got)
-		}
-	}
-}
-
 func BenchmarkMulVecDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	w := randMat(rng, 64, 64)
@@ -162,24 +121,12 @@ func BenchmarkMulVecDense(b *testing.B) {
 	}
 }
 
-func BenchmarkMulABtInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	w := randMat(rng, 64, 64)
-	x := randMat(rng, 13, 64)
-	y := NewMat(13, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulABtInto(y, x, w)
-	}
-}
-
 // TestAddRowsScalarVsVector pins the AVX-512 element-wise add against the
 // scalar Vec.Add across awkward widths (tails, sub-vector-width rows).
 func TestAddRowsScalarVsVector(t *testing.T) {
 	if !hasAVX512 {
 		t.Skip("no AVX-512; scalar path is the only path")
 	}
-	defer func() { hasAVX512 = true }()
 	rng := rand.New(rand.NewSource(17))
 	for _, shape := range [][2]int{{1, 1}, {3, 7}, {4, 8}, {5, 9}, {2, 31}, {6, 64}, {3, 129}} {
 		rows, cols := shape[0], shape[1]
@@ -187,9 +134,12 @@ func TestAddRowsScalarVsVector(t *testing.T) {
 		b := randMat(rng, 1, cols).Row(0)
 		want := NewMat(rows, cols)
 		copy(want.Data, y.Data)
-		hasAVX512 = false
+		restore := ForceScalar()
 		AddRows(want, b)
-		hasAVX512 = true
+		restore()
+		if !hasAVX512 {
+			t.Fatal("ForceScalar's restore did not re-enable the vector kernels")
+		}
 		AddRows(y, b)
 		requireBitEqual(t, "AddRows", y, want)
 	}

@@ -9,10 +9,10 @@ import "saccs/internal/mat"
 // allocation-free — the per-decode cost the training-path Forward methods
 // pay in fresh makes becomes three pointer bumps.
 //
-// Ownership contract: every slice returned by Vec, Seq, or Ints belongs to
-// the arena and is valid only until the next Reset. An Arena serves exactly
-// one goroutine at a time; callers that share arenas across goroutines
-// (tagger.Model, bert.Model) recycle them through a sync.Pool.
+// Ownership contract: every slice or matrix an Arena method returns belongs
+// to the arena and is valid only until the next Reset. An Arena serves
+// exactly one goroutine at a time; callers that share arenas across
+// goroutines (tagger.Model, bert.Model) recycle them through a sync.Pool.
 //
 // Growth never invalidates outstanding slices: when a backing array is
 // exhausted the arena allocates a larger one and leaves the old array to the
@@ -58,8 +58,7 @@ func (a *Arena) Vec(n int) mat.Vec {
 }
 
 // rawVec returns an uninitialized arena vector. Callers must overwrite every
-// element before reading — it is used only by kernels that fully fill their
-// output (weight packing for the batched GEMMs).
+// element before reading — it backs Vec and MatRaw.
 func (a *Arena) rawVec(n int) mat.Vec {
 	if a.nf+n > len(a.floats) {
 		a.floats = make([]float64, grow(len(a.floats), n, 1024))
@@ -137,15 +136,6 @@ func (a *Arena) F32Raw(n int) []float32 {
 	}
 	v := a.f32s[a.nf32 : a.nf32+n : a.nf32+n]
 	a.nf32 += n
-	return v
-}
-
-// F32 returns a zeroed float32 slice backed by the arena.
-func (a *Arena) F32(n int) []float32 {
-	v := a.F32Raw(n)
-	for i := range v {
-		v[i] = 0
-	}
 	return v
 }
 

@@ -6,81 +6,11 @@ import (
 	"saccs/internal/mat"
 )
 
-// Inference kernels: arena-backed, allocation-free counterparts of the
-// training Forward methods. Each kernel executes the exact float operations
-// of its training twin in the exact same order, so decoded label paths are
-// bit-identical to the Forward-based ones (the differential oracles in
-// internal/check and the golden snapshots rely on this). None of them writes
-// receiver state — any number of goroutines may run them concurrently, each
-// with its own Arena.
-
-// InferSeq runs the LSTM over xs and returns the arena-backed hidden state
-// sequence. It computes exactly what Forward computes — same gate order,
-// same accumulation order — without the backward cache or the per-timestep
-// clone allocations.
-func (l *LSTM) InferSeq(xs []mat.Vec, a *Arena) []mat.Vec {
-	h := a.Vec(l.Hidden)
-	c := a.Vec(l.Hidden)
-	z := a.Vec(4 * l.Hidden)
-	tmp := a.Vec(4 * l.Hidden)
-	hs := a.Seq(len(xs))
-	for t, x := range xs {
-		l.Wx.W.MulVec(z, x)
-		l.Wh.W.MulVec(tmp, h)
-		z.Add(tmp)
-		z.Add(l.B.W.Row(0))
-		hNext := a.Vec(l.Hidden)
-		for j := 0; j < l.Hidden; j++ {
-			ig := Sigmoid(z[j])
-			fg := Sigmoid(z[l.Hidden+j])
-			gg := math.Tanh(z[2*l.Hidden+j])
-			og := Sigmoid(z[3*l.Hidden+j])
-			c[j] = fg*c[j] + ig*gg
-			hNext[j] = og * math.Tanh(c[j])
-		}
-		hs[t] = hNext
-		h = hNext
-	}
-	return hs
-}
-
-// InferSeq returns per-token [fwd_t ; bwd_t] concatenations, arena-backed.
-// It mirrors Forward's arithmetic without building either direction's
-// backward cache.
-func (b *BiLSTM) InferSeq(xs []mat.Vec, a *Arena) []mat.Vec {
-	n := len(xs)
-	fh := b.Fwd.InferSeq(xs, a)
-	rev := a.Seq(n)
-	for i, x := range xs {
-		rev[n-1-i] = x
-	}
-	bhRev := b.Bwd.InferSeq(rev, a)
-	out := a.Seq(n)
-	for t := 0; t < n; t++ {
-		v := a.Vec(b.OutDim())
-		copy(v[:b.Fwd.Hidden], fh[t])
-		copy(v[b.Fwd.Hidden:], bhRev[n-1-t])
-		out[t] = v
-	}
-	return out
-}
-
-// InferInto computes y = W·x + b into the caller-provided y.
-func (l *Linear) InferInto(y, x mat.Vec) {
-	l.Weight.W.MulVec(y, x)
-	y.Add(l.Bias.W.Row(0))
-}
-
-// InferSeq applies the layer to each vector of xs, arena-backed.
-func (l *Linear) InferSeq(xs []mat.Vec, a *Arena) []mat.Vec {
-	ys := a.Seq(len(xs))
-	for i, x := range xs {
-		y := a.Vec(l.Out)
-		l.InferInto(y, x)
-		ys[i] = y
-	}
-	return ys
-}
+// Arena-backed inference kernels with no matrix form: the element-wise GELU
+// and the Viterbi decode. Like the GEMM forwards in infer_batch.go they
+// execute the exact float operations of their training twins in the exact
+// same order and write no receiver state — any number of goroutines may run
+// them concurrently, each with its own Arena.
 
 // GELUInto applies the tanh-approximation GELU element-wise into y.
 func GELUInto(y, x mat.Vec) {

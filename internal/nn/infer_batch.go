@@ -7,15 +7,16 @@ import (
 	"saccs/internal/mat"
 )
 
-// Batched inference kernels: the cross-request extraction batcher packs
-// several token sequences into one matrix (one row per token, sequences
-// concatenated, addressed by starts/lens) and runs each layer as a GEMM over
-// all rows at once instead of a MulVec per token. The payoff is kernel
-// efficiency — mat.MatMulInto's blocked/vectorized path — not different
-// arithmetic: every kernel here performs its serial twin's float operations
-// in the same per-element order, so batched results are bit-identical to
-// InferSeq/InferInto per sequence. The differential oracle
-// oracle/extract-batch-live and the tagger batch tests pin this.
+// The float64 inference forward: token sequences are packed into one matrix
+// (one row per token, sequences concatenated, addressed by starts/lens) and
+// each layer runs as a GEMM over all rows at once instead of a MulVec per
+// token. A solo decode is a batch of one sequence. The payoff is kernel
+// efficiency — mat.MatMulInto's blocked/vectorized path against a MulVec per
+// token — not shared work (the cost per sequence is flat in the batch size,
+// DESIGN.md §9) and not different arithmetic: every kernel here performs its
+// training twin's float operations in the same per-element order, so its
+// results are bit-identical to Forward per sequence, whatever else shares
+// the batch (infer_batch_test.go pins each layer).
 //
 // Weights are packed (transposed Out×In → In×Out) so the GEMM can stream B
 // rows in k-major order. Packing copies values without reordering any sum —
@@ -23,9 +24,9 @@ import (
 // by the parameter's mutation version (Param.NoteMutated): a retrain bumps
 // the version after its last weight write, so a stale or torn pack can never
 // outlive the training step that obsoleted it. Decodes that overlap a
-// retrain may pack mid-step weights, the same semantics the serial path has
-// when reading mutating weights — their results are discarded by the
-// generation check upstream (internal/extcache keying).
+// retrain may pack mid-step weights, the same semantics Forward has when
+// reading mutating weights — their results are discarded by the generation
+// check upstream (internal/extcache keying).
 
 // packSlot caches one transposed weight matrix against a Param version.
 type packSlot struct {
@@ -65,20 +66,15 @@ func packedTransposed(slot *packSlot, p *Param) *mat.Mat {
 	return t
 }
 
-// InferBatchInto computes y = x·Wᵀ + b row-wise into y (rows×Out), where x
-// is rows×In. Row i of y is bit-identical to InferInto(y_i, x_i): the GEMM
-// accumulates each output element's products in ascending k order, exactly
-// like MulVec, and the bias adds after the full dot, exactly like InferInto.
-func (l *Linear) InferBatchInto(y, x *mat.Mat) {
-	wp := packedTransposed(&l.pack, l.Weight)
-	mat.MatMulInto(y, x, wp)
-	mat.AddRows(y, l.Bias.W.Row(0))
-}
-
-// InferBatch applies the layer to every row of x, arena-backed.
+// InferBatch computes y = x·Wᵀ + b row-wise into an arena-backed y
+// (rows×Out), where x is rows×In. Row i of y is bit-identical to
+// Forward(x_i): the GEMM accumulates each output element's products in
+// ascending k order, exactly like MulVec, and the bias adds after the full
+// dot, exactly like Forward.
 func (l *Linear) InferBatch(x *mat.Mat, a *Arena) *mat.Mat {
 	y := a.MatRaw(x.Rows, l.Out)
-	l.InferBatchInto(y, x)
+	mat.MatMulInto(y, x, packedTransposed(&l.pack, l.Weight))
+	mat.AddRows(y, l.Bias.W.Row(0))
 	return y
 }
 
@@ -89,8 +85,8 @@ func (l *Linear) InferBatch(x *mat.Mat, a *Arena) *mat.Mat {
 // GEMM; each time step then gathers the live sequences' hidden states and
 // runs the recurrent projection Wh·h as one small GEMM. Per sequence the
 // recursion — gate order, (Wx·x + Wh·h) + b association, c/h updates — is
-// InferSeq's exactly, so row starts[s]+t is bit-identical to InferSeq's
-// hs[t] for that sequence alone.
+// Forward's exactly, so row starts[s]+t is bit-identical to Forward's hs[t]
+// for that sequence alone.
 func (l *LSTM) InferBatch(xs *mat.Mat, starts, lens []int, a *Arena) *mat.Mat {
 	H := l.Hidden
 	out := a.MatRaw(xs.Rows, H)
@@ -155,7 +151,7 @@ func (l *LSTM) InferBatch(xs *mat.Mat, starts, lens []int, a *Arena) *mat.Mat {
 
 // InferBatch runs the bidirectional LSTM over packed sequences (see
 // LSTM.InferBatch for the layout) and returns per-token [fwd_t ; bwd_t]
-// concatenations, row starts[s]+t matching InferSeq's out[t] bit for bit.
+// concatenations, row starts[s]+t matching Forward's out[t] bit for bit.
 func (b *BiLSTM) InferBatch(xs *mat.Mat, starts, lens []int, a *Arena) *mat.Mat {
 	fh := b.Fwd.InferBatch(xs, starts, lens, a)
 	rev := a.MatRaw(xs.Rows, xs.Cols)

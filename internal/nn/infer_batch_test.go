@@ -7,13 +7,16 @@ import (
 	"saccs/internal/mat"
 )
 
-// The batched kernels must be bit-identical to their serial twins per
-// sequence: the cross-request extraction batcher leans on that identity to
-// keep batched and solo decodes indistinguishable. These tests pack
-// adversarial length mixes (empty, single-token, long) and compare every
-// output element for exact equality.
+// The float64 GEMM forwards must be bit-identical to the training Forward of
+// the same layer, per sequence, whatever else shares the packed batch: that
+// one hop is what lets inference run on them while the goldens and the index
+// stay defined by the training arithmetic. These tests pack adversarial
+// length mixes (empty, single-token, a full MaxLen window and beyond, ragged
+// batches) and compare every output element for exact equality, on the
+// vector kernels and with them forced off.
 
 var batchLenMixes = [][]int{
+	{0}, {1}, {7}, {48}, {60},
 	{3},
 	{1, 1},
 	{5, 3},
@@ -21,6 +24,16 @@ var batchLenMixes = [][]int{
 	{4, 0, 1, 7},
 	{13, 13, 13, 13},
 	{2, 9, 1, 0, 6, 3, 12, 5},
+}
+
+// onBothKernelPaths runs f on mat's vector kernels (where the CPU has them)
+// and again on the pure-Go ones.
+func onBothKernelPaths(t *testing.T, f func(t *testing.T)) {
+	t.Run("vector", f)
+	t.Run("scalar", func(t *testing.T) {
+		defer mat.ForceScalar()()
+		f(t)
+	})
 }
 
 // packSeqs lays out sequences one token per row and returns the serial-view
@@ -57,55 +70,63 @@ func requireRowsEqual(t *testing.T, name string, s, seq int, want mat.Vec, got m
 	}
 }
 
-func TestLinearInferBatchMatchesInferInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, dims := range [][2]int{{64, 128}, {64, 5}, {31, 7}, {1, 1}} {
-		l := NewLinear(rng, "t", dims[0], dims[1])
+func TestLinearInferBatchMatchesForward(t *testing.T) {
+	onBothKernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		for _, dims := range [][2]int{{64, 128}, {64, 5}, {31, 7}, {1, 1}} {
+			l := NewLinear(rng, "t", dims[0], dims[1])
+			for j := range l.Bias.W.Data {
+				l.Bias.W.Data[j] = rng.NormFloat64()
+			}
+			for _, lens := range batchLenMixes {
+				x, _, _ := packSeqs(rng, lens, dims[0])
+				var a Arena
+				y := l.InferBatch(x, &a)
+				if y.Rows != x.Rows {
+					t.Fatalf("Linear.InferBatch: %d rows for %d inputs", y.Rows, x.Rows)
+				}
+				for r := 0; r < x.Rows; r++ {
+					requireRowsEqual(t, "Linear.InferBatch", 0, r, l.Forward(x.Row(r)), y.Row(r))
+				}
+			}
+		}
+	})
+}
+
+func TestLSTMInferBatchMatchesForward(t *testing.T) {
+	onBothKernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		l := NewLSTM(rng, "t", 16, 8)
 		for _, lens := range batchLenMixes {
-			x, _, _ := packSeqs(rng, lens, dims[0])
+			x, starts, seqs := packSeqs(rng, lens, 16)
 			var a Arena
-			y := l.InferBatch(x, &a)
-			want := mat.NewVec(dims[1])
-			for r := 0; r < x.Rows; r++ {
-				l.InferInto(want, x.Row(r))
-				requireRowsEqual(t, "Linear.InferBatch", 0, r, want, y.Row(r))
+			got := l.InferBatch(x, starts, lens, &a)
+			for s, seq := range seqs {
+				want, _ := l.Forward(seq)
+				for tt := range want {
+					requireRowsEqual(t, "LSTM.InferBatch", s, tt, want[tt], got.Row(starts[s]+tt))
+				}
 			}
 		}
-	}
+	})
 }
 
-func TestLSTMInferBatchMatchesInferSeq(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	l := NewLSTM(rng, "t", 16, 8)
-	for _, lens := range batchLenMixes {
-		x, starts, seqs := packSeqs(rng, lens, 16)
-		var a Arena
-		got := l.InferBatch(x, starts, lens, &a)
-		for s, seq := range seqs {
-			var sa Arena
-			want := l.InferSeq(seq, &sa)
-			for tt := range want {
-				requireRowsEqual(t, "LSTM.InferBatch", s, tt, want[tt], got.Row(starts[s]+tt))
+func TestBiLSTMInferBatchMatchesForward(t *testing.T) {
+	onBothKernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		b := NewBiLSTM(rng, "t", 16, 8)
+		for _, lens := range batchLenMixes {
+			x, starts, seqs := packSeqs(rng, lens, 16)
+			var a Arena
+			got := b.InferBatch(x, starts, lens, &a)
+			for s, seq := range seqs {
+				want, _ := b.Forward(seq)
+				for tt := range want {
+					requireRowsEqual(t, "BiLSTM.InferBatch", s, tt, want[tt], got.Row(starts[s]+tt))
+				}
 			}
 		}
-	}
-}
-
-func TestBiLSTMInferBatchMatchesInferSeq(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	b := NewBiLSTM(rng, "t", 16, 8)
-	for _, lens := range batchLenMixes {
-		x, starts, seqs := packSeqs(rng, lens, 16)
-		var a Arena
-		got := b.InferBatch(x, starts, lens, &a)
-		for s, seq := range seqs {
-			var sa Arena
-			want := b.InferSeq(seq, &sa)
-			for tt := range want {
-				requireRowsEqual(t, "BiLSTM.InferBatch", s, tt, want[tt], got.Row(starts[s]+tt))
-			}
-		}
-	}
+	})
 }
 
 func TestArenaMat(t *testing.T) {

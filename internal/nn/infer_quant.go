@@ -13,8 +13,8 @@ import (
 // kernels in mat (fastmath32.go) whose arithmetic is IEEE-exact in Go, and
 // the mat float32/int8 kernels are bit-identical across dispatch paths — so
 // a quantized decode produces the same bits solo or batched, on any machine.
-// The solo quantized path IS the batched path with one sequence
-// (tagger.predictQuant), which makes that identity structural.
+// A solo decode is a batch of one sequence, which makes that identity
+// structural.
 
 // GELURow32 applies the tanh-approximation GELU to every element of x into
 // y (which must not alias x), entirely in float32 with the float64 gelu's
@@ -79,20 +79,20 @@ func (l *Linear) InferF32Batch(x *mat.Mat32, a *Arena) *mat.Mat32 {
 // [off, off+Hidden) of its row of out. It mirrors InferBatch's structure: the
 // input projection of every token is one int8 GEMM (bias fused), then each
 // time step gathers the live sequences' float32 hidden states and runs the
-// recurrent projection — as a float32 GEMM against the pre-transposed WhT in
-// Mixed mode, or as a second dynamic int8 GEMM in Int8 mode. reverse walks
-// every sequence from its last token to its first (the backward direction of
-// a BiLSTM) over the same rows, so neither the input nor its quantization is
-// ever copied into reversed order. Gate math is float32, a 4H row at a time,
-// per-element order identical to the float64 path's.
-func (l *LSTM) inferQuant(out *mat.Mat32, off int, xq QuantRows, starts, lens []int, a *Arena, p Precision, reverse bool) {
+// recurrent projection as a float32 GEMM against the pre-transposed WhT.
+// reverse walks every sequence from its last token to its first (the
+// backward direction of a BiLSTM) over the same rows, so neither the input
+// nor its quantization is ever copied into reversed order. Gate math is
+// float32, a 4H row at a time, per-element order identical to the float64
+// path's.
+func (l *LSTM) inferQuant(out *mat.Mat32, off int, xq QuantRows, starts, lens []int, a *Arena, reverse bool) {
 	H := l.Hidden
 	nSeq := len(lens)
 	maxLen := 0
 	for _, n := range lens {
 		maxLen = max(maxLen, n)
 	}
-	q := l.Quantize(p)
+	q := l.Quantize()
 	zx := a.Mat32Raw(len(xq.Scales), 4*H)
 	acc := a.I32Raw(4 * H)
 	mat.MulABtInt8Into(zx, xq.Codes, xq.Scales, q.Wx, q.Bias, acc) // bias fused here
@@ -115,12 +115,7 @@ func (l *LSTM) inferQuant(out *mat.Mat32, off int, xq QuantRows, starts, lens []
 		for p := 0; p < nAct; p++ {
 			copy(hbuf.Row(p), h.Row(act[p]))
 		}
-		if q.Wh8 != nil {
-			hq := QuantizeActRows(hbuf, a)
-			mat.MulABtInt8Into(zh, hq.Codes, hq.Scales, q.Wh8, nil, acc)
-		} else {
-			mat.MatMulF32Into(zh, hbuf, q.WhT)
-		}
+		mat.MatMulF32Into(zh, hbuf, q.WhT)
 		for p := 0; p < nAct; p++ {
 			s := act[p]
 			row := starts[s] + t
@@ -152,10 +147,10 @@ func (l *LSTM) inferQuant(out *mat.Mat32, off int, xq QuantRows, starts, lens []
 // reduced precision and returns per-token [fwd_t ; bwd_t] concatenations —
 // the float32 twin of BiLSTM.InferBatch. The input rows are quantized once
 // and both directions' input projections read the same codes.
-func (b *BiLSTM) InferQuantBatch(xs *mat.Mat32, starts, lens []int, a *Arena, p Precision) *mat.Mat32 {
+func (b *BiLSTM) InferQuantBatch(xs *mat.Mat32, starts, lens []int, a *Arena) *mat.Mat32 {
 	xq := QuantizeActRows(xs, a)
 	out := a.Mat32Raw(xs.Rows, b.OutDim())
-	b.Fwd.inferQuant(out, 0, xq, starts, lens, a, p, false)
-	b.Bwd.inferQuant(out, b.Fwd.Hidden, xq, starts, lens, a, p, true)
+	b.Fwd.inferQuant(out, 0, xq, starts, lens, a, false)
+	b.Bwd.inferQuant(out, b.Fwd.Hidden, xq, starts, lens, a, true)
 	return out
 }

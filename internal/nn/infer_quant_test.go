@@ -156,20 +156,18 @@ func TestBiLSTMSharedQuantizationMatchesSeparate(t *testing.T) {
 			copy(rev.Row(starts[s]+n-1-i), xs.Row(starts[s]+i))
 		}
 	}
-	for _, p := range []Precision{Mixed, Int8} {
-		var a Arena
-		a.Reset()
-		got := b.InferQuantBatch(xs, starts, lens, &a, p)
-		H := b.Fwd.Hidden
-		fwd, bwdRev := mat.NewMat32(xs.Rows, H), mat.NewMat32(xs.Rows, H)
-		b.Fwd.inferQuant(fwd, 0, QuantizeActRows(xs, &a), starts, lens, &a, p, false)
-		b.Bwd.inferQuant(bwdRev, 0, QuantizeActRows(rev, &a), starts, lens, &a, p, false)
-		for s, n := range lens {
-			for i := 0; i < n; i++ {
-				row := got.Row(starts[s] + i)
-				requireSameBits32(t, p.String()+" forward half", fwd.Row(starts[s]+i), row[:H])
-				requireSameBits32(t, p.String()+" backward half", bwdRev.Row(starts[s]+n-1-i), row[H:])
-			}
+	var a Arena
+	a.Reset()
+	got := b.InferQuantBatch(xs, starts, lens, &a)
+	H := b.Fwd.Hidden
+	fwd, bwdRev := mat.NewMat32(xs.Rows, H), mat.NewMat32(xs.Rows, H)
+	b.Fwd.inferQuant(fwd, 0, QuantizeActRows(xs, &a), starts, lens, &a, false)
+	b.Bwd.inferQuant(bwdRev, 0, QuantizeActRows(rev, &a), starts, lens, &a, false)
+	for s, n := range lens {
+		for i := 0; i < n; i++ {
+			row := got.Row(starts[s] + i)
+			requireSameBits32(t, "forward half", fwd.Row(starts[s]+i), row[:H])
+			requireSameBits32(t, "backward half", bwdRev.Row(starts[s]+n-1-i), row[H:])
 		}
 	}
 }

@@ -22,60 +22,8 @@ func randSeq(rng *rand.Rand, n, dim int) []mat.Vec {
 // The inference kernels promise bit-identical results to their training
 // twins — not approximately equal: the extraction cache and the differential
 // oracles compare decoded label paths exactly, so any reordering of float
-// operations would surface as a correctness bug, not a tolerance issue.
-
-func TestLSTMInferSeqMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	l := NewLSTM(rng, "t", 6, 5)
-	xs := randSeq(rng, 9, 6)
-	want, _ := l.Forward(xs)
-	var a Arena
-	got := l.InferSeq(xs, &a)
-	if len(got) != len(want) {
-		t.Fatalf("length %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("h[%d][%d]: %v != %v", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
-}
-
-func TestBiLSTMInferSeqMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	b := NewBiLSTM(rng, "t", 6, 4)
-	for _, n := range []int{1, 2, 7} {
-		xs := randSeq(rng, n, 6)
-		want, _ := b.Forward(xs)
-		var a Arena
-		got := b.InferSeq(xs, &a)
-		for i := range want {
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("n=%d h[%d][%d]: %v != %v", n, i, j, got[i][j], want[i][j])
-				}
-			}
-		}
-	}
-}
-
-func TestLinearInferSeqMatchesForwardSeq(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	l := NewLinear(rng, "t", 5, 7)
-	xs := randSeq(rng, 6, 5)
-	want := l.ForwardSeq(xs)
-	var a Arena
-	got := l.InferSeq(xs, &a)
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("y[%d][%d]: %v != %v", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
-}
+// operations would surface as a correctness bug, not a tolerance issue. The
+// GEMM forwards are pinned in infer_batch_test.go.
 
 func TestGELUIntoMatchesGELUVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))

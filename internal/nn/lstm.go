@@ -15,12 +15,11 @@ type LSTM struct {
 	Wh         *Param // 4H×H
 	B          *Param // 1×4H
 
-	// packWx/packWh cache the transposed weights for the batched GEMM path,
-	// keyed on the weight versions (see packedTransposed); quantMixed and
-	// quantInt8 cache the frozen reduced-precision copies per Precision mode
-	// (see quant.go). Never copy an LSTM by value.
-	packWx, packWh        packSlot
-	quantMixed, quantInt8 quantSlot[LSTMQuant]
+	// packWx/packWh cache the transposed weights for the GEMM forward, keyed
+	// on the weight versions (see packedTransposed); quant caches the frozen
+	// reduced-precision copy (see quant.go). Never copy an LSTM by value.
+	packWx, packWh packSlot
+	quant          quantSlot[LSTMQuant]
 }
 
 // NewLSTM returns an LSTM with Xavier weights and forget-gate bias 1.

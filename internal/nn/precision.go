@@ -3,8 +3,8 @@ package nn
 import "fmt"
 
 // Precision selects the inference arithmetic of the decode path. Training is
-// always float64; the quantized modes only change which frozen weight copies
-// and kernels inference dispatches to.
+// always float64; Mixed only changes which frozen weight copies and kernels
+// inference dispatches to.
 type Precision int
 
 const (
@@ -15,39 +15,26 @@ const (
 	// Mixed is the default serving mode: int8 GEMMs for the big projections
 	// (transformer linears, LSTM input projection) with float32 kernels for
 	// the drift-sensitive layers (LayerNorm, softmax, GELU, residuals, the
-	// LSTM recurrence). CRF transitions and Viterbi stay float64.
+	// LSTM recurrence, the emission projection). CRF transitions and Viterbi
+	// stay float64.
 	Mixed
-	// Int8 additionally quantizes the LSTM recurrent projection and the
-	// emission projection to int8 — the smallest-footprint mode, with the
-	// loosest (still oracle-bounded) drift.
-	Int8
 )
 
-// ParsePrecision maps the config strings ("float64", "mixed", "int8"; ""
-// defaults to mixed) onto a Precision.
+// ParsePrecision maps the config strings ("float64", "mixed"; "" defaults to
+// mixed) onto a Precision.
 func ParsePrecision(s string) (Precision, error) {
 	switch s {
 	case "", "mixed":
 		return Mixed, nil
 	case "float64":
 		return Float64, nil
-	case "int8":
-		return Int8, nil
 	}
-	return Float64, fmt.Errorf("nn: unknown precision %q (want float64, mixed, or int8)", s)
+	return Float64, fmt.Errorf("nn: unknown precision %q (want float64 or mixed)", s)
 }
 
 func (p Precision) String() string {
-	switch p {
-	case Mixed:
+	if p == Mixed {
 		return "mixed"
-	case Int8:
-		return "int8"
-	default:
-		return "float64"
 	}
+	return "float64"
 }
-
-// Quantized reports whether the mode dispatches to the reduced-precision
-// kernels at all.
-func (p Precision) Quantized() bool { return p != Float64 }

@@ -118,32 +118,20 @@ func (l *Linear) Float32() *LinearF32 {
 }
 
 // LSTMQuant is an LSTM's frozen reduced-precision inference form. The input
-// projection Wx is always int8 (it is the big In-wide GEMM). The recurrent
-// projection depends on the mode: Mixed keeps it float32 — WhT is Wh
-// pre-transposed to H×4H so the per-timestep recurrence is one row-major
-// MatMulF32Into — while Int8 quantizes it too (Wh8, WhT nil). Bias is the
-// float32 gate bias, fused into the Wx GEMM's dequantization.
+// projection Wx is int8 (it is the big In-wide GEMM); the recurrent
+// projection stays float32 — WhT is Wh pre-transposed to H×4H so the
+// per-timestep recurrence is one row-major MatMulF32Into. Bias is the float32
+// gate bias, fused into the Wx GEMM's dequantization.
 type LSTMQuant struct {
 	Wx   *mat.Int8Weights // 4H×In
-	WhT  *mat.Mat32       // H×4H (Mixed), nil in Int8 mode
-	Wh8  *mat.Int8Weights // 4H×H (Int8), nil in Mixed mode
+	WhT  *mat.Mat32       // H×4H
 	Bias []float32        // len 4H
 }
 
-// Quantize returns the LSTM's frozen form for the given mode (Mixed or
-// Int8), version-cached per mode.
-func (l *LSTM) Quantize(p Precision) *LSTMQuant {
+// Quantize returns the LSTM's frozen form, version-cached.
+func (l *LSTM) Quantize() *LSTMQuant {
 	key := [3]uint64{l.Wx.Version(), l.Wh.Version(), l.B.Version()}
-	slot := &l.quantMixed
-	if p == Int8 {
-		slot = &l.quantInt8
-	}
-	return slot.cached(key, func() *LSTMQuant {
-		q := &LSTMQuant{Wx: mat.QuantizeRows(l.Wx.W), Bias: biasF32(l.B)}
-		if p == Int8 {
-			q.Wh8 = mat.QuantizeRows(l.Wh.W)
-			return q
-		}
+	return l.quant.cached(key, func() *LSTMQuant {
 		wh := l.Wh.W // 4H×H
 		t := mat.NewMat32(wh.Cols, wh.Rows)
 		for i := 0; i < wh.Rows; i++ {
@@ -151,7 +139,6 @@ func (l *LSTM) Quantize(p Precision) *LSTMQuant {
 				t.Data[j*wh.Rows+i] = float32(wh.Data[i*wh.Cols+j])
 			}
 		}
-		q.WhT = t
-		return q
+		return &LSTMQuant{Wx: mat.QuantizeRows(l.Wx.W), WhT: t, Bias: biasF32(l.B)}
 	})
 }

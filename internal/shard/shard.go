@@ -257,13 +257,10 @@ func (v *View) Resolve(ctx context.Context, tag string, thetaFilter float64) ([]
 // gather moves at most shards×k results.
 //
 // At GOMAXPROCS=1 the shards rank inline instead: per-shard goroutines
-// cannot overlap on one processor, and the blocking join they force is worse
-// than useless — it reschedules concurrent queries in lockstep rotation at
-// query boundaries, so their extraction windows never overlap and the
-// cross-request decode batcher (which detects load by in-flight overlap and
-// arrival gaps) degrades every query to a solo decode. Ranking serially
-// keeps a query CPU-bound end to end, exactly like the unsharded path, and
-// computes the same per-shard lists the fan-out would.
+// cannot overlap on one processor, so the fan-out buys nothing and its
+// blocking join costs a reschedule per query. Ranking serially keeps a query
+// CPU-bound end to end, exactly like the unsharded path, and computes the
+// same per-shard lists the fan-out would.
 //
 // With at least one tag the ranking is independent of apiResults order; with
 // zero tags Algorithm 1 passes the API results through unranked, and the

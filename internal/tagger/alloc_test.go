@@ -2,9 +2,12 @@ package tagger
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"saccs/internal/bert"
+	"saccs/internal/mat"
+	"saccs/internal/nn"
 	"saccs/internal/tokenize"
 )
 
@@ -29,38 +32,52 @@ func TestPredictAllocsRegression(t *testing.T) {
 	}
 }
 
-// TestPredictMatchesTrainingForward verifies the inference-kernel Predict
-// decodes the exact label path the training-path pipeline (bilstm.Forward →
-// proj.ForwardSeq → crf.Decode) produces — the bit-identity contract behind
-// the extraction cache and golden snapshots.
+// TestPredictMatchesTrainingForward pins the float64 inference forward
+// directly against the training pipeline (enc.EncodeTokens → bilstm.Forward →
+// proj.ForwardSeq → crf.Decode): every emission bit for bit, hence the exact
+// label path — the bit-identity contract behind the extraction cache, the
+// index bytes and the golden snapshots. Lengths cover empty, one token, a
+// ragged middle, a full MaxLen window and beyond it, on the vector kernels
+// and with them forced off.
 func TestPredictMatchesTrainingForward(t *testing.T) {
+	words := []string{"the", "food", "is", "delicious", "staff", "friendly", "and", "service", "slow", "."}
 	v := tokenize.NewVocab()
-	v.AddAll([]string{"the", "food", "is", "delicious", "staff", "friendly", "and", "service", "slow", "."})
-	enc := bert.New(rand.New(rand.NewSource(32)), bert.Config{Layers: 1, Heads: 2, Dim: 16, FFDim: 24, MaxLen: 40}, v)
+	v.AddAll(words)
+	enc := bert.New(rand.New(rand.NewSource(32)), bert.Config{Layers: 1, Heads: 2, Dim: 16, FFDim: 24, MaxLen: 20}, v)
 	m := New(enc, DefaultConfig())
-	for _, tokens := range [][]string{
-		{"the", "food", "is", "delicious"},
-		{"staff"},
-		{"the", "staff", "is", "friendly", "and", "the", "food", "is", "delicious", "."},
-	} {
-		embeds := enc.InferTokens(tokens)
-		hs, _ := m.bilstm.Forward(embeds)
-		emissions := m.proj.ForwardSeq(hs)
-		wantPath := m.crf.Decode(emissions)
-		want := make([]tokenize.Label, len(tokens))
-		for i, l := range wantPath {
-			want[i] = tokenize.Label(l)
-		}
-		got := m.Predict(tokens)
-		if len(got) != len(want) {
-			t.Fatalf("%v: length %d vs %d", tokens, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: label[%d] %v != %v", tokens, i, got[i], want[i])
+	check := func(t *testing.T) {
+		for _, n := range []int{0, 1, 7, enc.Cfg.MaxLen, enc.Cfg.MaxLen + 12} {
+			tokens := make([]string, n)
+			for i := range tokens {
+				tokens[i] = words[(i*7+i/4)%len(words)]
+			}
+			hs, _ := m.bilstm.Forward(enc.EncodeTokens(tokens))
+			emissions := m.proj.ForwardSeq(hs)
+			got := m.EmissionsAt(tokens, nn.Float64)
+			if len(got) != len(emissions) {
+				t.Fatalf("n=%d: %d emission rows, training forward %d", n, len(got), len(emissions))
+			}
+			for i := range emissions {
+				for j, w := range emissions[i] {
+					if got[i][j] != w {
+						t.Fatalf("n=%d: emission[%d][%d] = %v, want %v (bit-exact)", n, i, j, got[i][j], w)
+					}
+				}
+			}
+			want := make([]tokenize.Label, len(tokens))
+			for i, l := range m.crf.Decode(emissions) {
+				want[i] = tokenize.Label(l)
+			}
+			if labels := m.PredictAt(tokens, nn.Float64); !slices.Equal(labels, want) {
+				t.Fatalf("n=%d: labels %v, training forward %v", n, labels, want)
 			}
 		}
 	}
+	t.Run("vector", check)
+	t.Run("scalar", func(t *testing.T) {
+		defer mat.ForceScalar()()
+		check(t)
+	})
 }
 
 // TestGenerationChangesOnTrain verifies the cache-keying contract: a model's

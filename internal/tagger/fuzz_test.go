@@ -19,8 +19,8 @@ var (
 // fuzzTagger builds one small untrained tagger (seeded random weights, hard
 // IOB constraints installed by New) shared by all fuzz iterations. Its
 // encoder is a real MiniBERT — one layer, sixteen dimensions, MaxLen 12 —
-// because only a QuantEncoder lets the reduced-precision decodes run at all:
-// over any other encoder PredictAt silently falls back to float64.
+// because only a QuantEncoder lets the reduced-precision decode run at all:
+// over any other encoder PredictAt falls back to float64.
 func fuzzTagger() *Model {
 	fuzzModelOnce.Do(func() {
 		v := tokenize.NewVocab()
@@ -34,8 +34,8 @@ func fuzzTagger() *Model {
 }
 
 // FuzzPredictDecode fuzzes the §4 decode path (encoder → BiLSTM → emission
-// projection → CRF Viterbi) through the real tokenizer at every precision —
-// the float64 reference, the served mixed mode, and int8. Invariants, each
+// projection → CRF Viterbi) through the real tokenizer at both precisions —
+// the float64 reference and the served mixed mode. Invariants, each
 // per precision: one label per token, labels in range, the decoded sequence
 // respects the IOB structural constraints (ValidStart/ValidTransition — the
 // CRF's hard penalties must dominate any emission score), span decoding
@@ -54,7 +54,7 @@ func FuzzPredictDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		m := fuzzTagger()
 		tokens := tokenize.Words(s)
-		for _, p := range []nn.Precision{nn.Float64, nn.Mixed, nn.Int8} {
+		for _, p := range []nn.Precision{nn.Float64, nn.Mixed} {
 			labels := m.PredictAt(tokens, p)
 			if len(labels) != len(tokens) {
 				t.Fatalf("%v: %d labels for %d tokens (input %q)", p, len(labels), len(tokens), s)

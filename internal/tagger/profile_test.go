@@ -36,7 +36,7 @@ func BenchmarkPredictMixed(b *testing.B) {
 
 // benchModel returns an untrained production-size tagger (seeded weights)
 // and a 19-token in-vocabulary sentence, with the pooled arenas and frozen
-// weight copies of every precision already warm.
+// weight copies of both precisions already warm.
 func benchModel() (*Model, []string) {
 	words := []string{"i", "want", "an", "italian", "restaurant", "in", "montreal",
 		"with", "delicious", "food", "and", "nice", "staff", "the", "is", "friendly"}
@@ -48,7 +48,7 @@ func benchModel() (*Model, []string) {
 		"with", "delicious", "food", "and", "nice", "staff", "the", "food", "is",
 		"delicious", "and", "friendly"}
 	for i := 0; i < 3; i++ {
-		for _, p := range []nn.Precision{nn.Float64, nn.Mixed, nn.Int8} {
+		for _, p := range []nn.Precision{nn.Float64, nn.Mixed} {
 			m.PredictAt(tokens, p)
 		}
 	}

@@ -3,10 +3,10 @@ package tagger
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"saccs/internal/nn"
-	"saccs/internal/tokenize"
 )
 
 // trainedQuantModel trains one small tagger for the quantized-decode tests.
@@ -24,31 +24,29 @@ func trainedQuantModel(t *testing.T) (*Model, [][]string) {
 }
 
 // TestPredictQuantAllocsRegression pins the allocation count of a warm
-// quantized decode at both precisions: quantize-at-load means the frozen
-// int8/f32 weight copies are built once per generation, so the steady state
-// allocates only the returned label slice and pool bookkeeping — the same
-// <= 16 budget the float64 path holds.
+// quantized decode: quantize-at-load means the frozen int8/f32 weight copies
+// are built once per generation, so the steady state allocates only the
+// returned label slice and pool bookkeeping — the same <= 16 budget the
+// float64 path holds.
 func TestPredictQuantAllocsRegression(t *testing.T) {
 	m, seqs := trainedQuantModel(t)
 	tokens := seqs[0]
-	for _, p := range []nn.Precision{nn.Mixed, nn.Int8} {
-		for i := 0; i < 3; i++ {
-			m.PredictAt(tokens, p) // warm pooled arenas + frozen weights
-		}
-		allocs := testing.AllocsPerRun(100, func() { m.PredictAt(tokens, p) })
-		if allocs > 16 {
-			t.Fatalf("warm PredictAt(%v) allocates %v times per call, want <= 16", p, allocs)
-		}
+	for i := 0; i < 3; i++ {
+		m.PredictAt(tokens, nn.Mixed) // warm pooled arenas + frozen weights
+	}
+	allocs := testing.AllocsPerRun(100, func() { m.PredictAt(tokens, nn.Mixed) })
+	if allocs > 16 {
+		t.Fatalf("warm PredictAt(mixed) allocates %v times per call, want <= 16", allocs)
 	}
 }
 
 // TestQuantSoloMatchesBatch pins the structural identity the quant-drift
 // oracle also checks end to end: the quantized kernels are sequence-local,
 // so a batched decode must be bit-identical to decoding each sequence alone,
-// at every precision.
+// at both precisions.
 func TestQuantSoloMatchesBatch(t *testing.T) {
 	m, seqs := trainedQuantModel(t)
-	for _, p := range []nn.Precision{nn.Float64, nn.Mixed, nn.Int8} {
+	for _, p := range []nn.Precision{nn.Float64, nn.Mixed} {
 		batched := m.PredictBatchAt(seqs, p)
 		for i, toks := range seqs {
 			solo := m.PredictAt(toks, p)
@@ -109,37 +107,18 @@ func TestQuantWeightsFollowRetrain(t *testing.T) {
 }
 
 // TestReferenceViewPinsFloat64 verifies the view index builds extract
-// through: whatever precision the model is configured to serve, the view
-// decodes on the float64 reference path, solo and batched, and reports the
-// model's generation.
+// through: on a model configured to serve at mixed, the view decodes on the
+// float64 reference path and reports the model's generation.
 func TestReferenceViewPinsFloat64(t *testing.T) {
 	m, seqs := trainedQuantModel(t)
-	m.SetPrecision(nn.Int8)
+	m.cfg.Precision = nn.Mixed
 	v := ReferenceView{M: m}
 	if v.Generation() != m.Generation() {
 		t.Fatal("ReferenceView reports a different generation")
 	}
-	eq := func(a, b []tokenize.Label) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
 	for i, toks := range seqs {
-		if !eq(v.Predict(toks), m.PredictAt(toks, nn.Float64)) {
+		if !slices.Equal(v.Predict(toks), m.PredictAt(toks, nn.Float64)) {
 			t.Fatalf("seq %d: ReferenceView.Predict != PredictAt(Float64)", i)
-		}
-	}
-	vb := v.PredictBatch(seqs)
-	fb := m.PredictBatchAt(seqs, nn.Float64)
-	for i := range seqs {
-		if !eq(vb[i], fb[i]) {
-			t.Fatalf("seq %d: ReferenceView.PredictBatch != PredictBatchAt(Float64)", i)
 		}
 	}
 }
@@ -162,7 +141,6 @@ func TestQuantEmissionsPinned(t *testing.T) {
 	sentences := [][]string{{"food"}, {"zzz", "qqq", "xxx"}, bench, long}
 	pinned := map[nn.Precision][]uint64{
 		nn.Mixed: {0x13469a8f39981ba3, 0xbfe165f7a694627b, 0x57c2ead43f70fcf6, 0xfde498ff7070445b},
-		nn.Int8:  {0xff084f6e9816097f, 0x45376d3883b1eec6, 0x1db4a7298ab1f6fc, 0x230d3254c643bac3},
 	}
 	for p, want := range pinned {
 		for i, s := range sentences {

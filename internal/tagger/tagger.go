@@ -34,21 +34,26 @@ type Encoder interface {
 	EmbeddingDim() int
 }
 
-// InferEncoder is an encoder with a reentrant forward pass; *bert.Model
-// satisfies it. When the tagger's encoder implements it, Predict routes
-// through InferTokens so any number of goroutines can tag concurrently.
-// Train always uses EncodeTokens — fine-tuning needs the encoder's caches.
-type InferEncoder interface {
-	InferTokens(tokens []string) []mat.Vec
+// BatchArenaEncoder is an encoder with a reentrant float64 inference forward
+// over sequences packed one token per row (sequence s occupies rows
+// [starts[s], starts[s]+lens[s])), every buffer carved from the caller's
+// arena; *bert.Model satisfies it. Predict runs on it so any number of
+// goroutines can tag concurrently and a warm decode allocates nothing but
+// its labels. Train always uses EncodeTokens — fine-tuning needs the
+// encoder's caches — and so does inference over an encoder without this
+// forward (see encode).
+type BatchArenaEncoder interface {
+	InferBatchTokensArena(seqs [][]string, a *nn.Arena) (*mat.Mat, []int, []int)
 }
 
-// ArenaEncoder is an encoder with an arena-backed reentrant forward pass;
-// *bert.Model satisfies it. When the tagger's encoder implements it, Predict
-// threads one pooled arena through the entire pipeline (embeddings →
-// transformer → BiLSTM → projection → Viterbi) and the whole decode is
-// allocation-free once the arena is warm.
-type ArenaEncoder interface {
-	InferTokensArena(tokens []string, a *nn.Arena) []mat.Vec
+// QuantEncoder is an encoder with a reduced-precision inference forward in
+// the same packed layout; *bert.Model satisfies it. When the tagger's encoder
+// implements it, a decode at nn.Mixed routes the whole pipeline — encoder,
+// BiLSTM, projection — through the float32/int8 kernels, with only the CRF
+// Viterbi staying float64. Encoders without it decode at float64, so Mixed
+// is always safe to request.
+type QuantEncoder interface {
+	InferQuantBatchTokensArena(seqs [][]string, a *nn.Arena) (*mat.Mat32, []int, []int)
 }
 
 // TrainableEncoder is an encoder the tagger can fine-tune end-to-end;
@@ -91,11 +96,11 @@ type Config struct {
 	EncoderLR float64
 	// Seed drives parameter init and dropout.
 	Seed int64
-	// Precision selects the decode arithmetic (nn.Float64, nn.Mixed,
-	// nn.Int8). The zero value is nn.Float64 — the exact reference path;
-	// quantized modes dispatch Predict/PredictBatch to the int8/float32
-	// inference kernels when the encoder supports them (see QuantEncoder).
-	// Training is always float64 regardless.
+	// Precision selects Predict's arithmetic (nn.Float64 or nn.Mixed). The
+	// zero value is nn.Float64 — the exact reference path; nn.Mixed
+	// dispatches to the int8/float32 inference kernels when the encoder
+	// supports them (see QuantEncoder). Training is always float64
+	// regardless.
 	Precision nn.Precision
 }
 
@@ -357,66 +362,99 @@ func goldIDs(labels []tokenize.Label, n int) []int {
 	return out
 }
 
-// infer returns contextual embeddings via the encoder's reentrant path when
-// it has one, so Predict writes no shared state.
-func infer(enc Encoder, tokens []string) []mat.Vec {
-	if ie, ok := enc.(InferEncoder); ok {
-		return ie.InferTokens(tokens)
+// encode runs the encoder's float64 inference forward over seqs. An encoder
+// that only implements EncodeTokens (the hash encoders of the tests and
+// oracles) is packed into the same rows here rather than given a pipeline of
+// its own; it must return at most one vector per token.
+func encode(enc Encoder, seqs [][]string, a *nn.Arena) (*mat.Mat, []int, []int) {
+	if be, ok := enc.(BatchArenaEncoder); ok {
+		return be.InferBatchTokensArena(seqs, a)
 	}
-	return enc.EncodeTokens(tokens)
+	starts, lens := a.Ints(len(seqs)), a.Ints(len(seqs))
+	tokens := 0
+	for _, seq := range seqs {
+		tokens += len(seq)
+	}
+	dim := enc.EmbeddingDim()
+	x := a.MatRaw(tokens, dim)
+	total := 0
+	for s, seq := range seqs {
+		vs := enc.EncodeTokens(seq)
+		starts[s], lens[s] = total, len(vs)
+		for _, v := range vs {
+			copy(x.Row(total), v)
+			total++
+		}
+	}
+	x.Rows, x.Data = total, x.Data[:total*dim]
+	return x, starts, lens
 }
 
-// Predict tags a sentence with Viterbi decoding. Tokens beyond the encoder's
-// window fall back to O. Predict is reentrant — it writes no model state and
-// (when the encoder implements InferEncoder, as *bert.Model does) neither
-// does the encoder forward pass — so concurrent goroutines may call it on
-// one trained model.
-//
-// Predict runs entirely on inference kernels: a pooled arena is threaded
-// through the encoder (when it implements ArenaEncoder), the BiLSTM, the
-// projection, and the Viterbi decode, replacing the training-path Forward
-// calls (and their backward caches) the pipeline previously paid for on
-// every decode. The arithmetic is identical to the training forward passes,
-// so decoded labels are bit-for-bit unchanged.
+// emissions is the forward up to the CRF — encoder, BiLSTM, projection — at
+// the given precision, as packed float64 emission rows addressed by
+// starts/lens. At nn.Mixed (over a QuantEncoder) the three stages run on the
+// reduced-precision kernels and the float32 emissions are widened, exactly,
+// for the float64 Viterbi.
+func (m *Model) emissions(seqs [][]string, a *nn.Arena, p nn.Precision) (*mat.Mat, []int, []int) {
+	if qe, ok := m.enc.(QuantEncoder); ok && p == nn.Mixed {
+		embeds, starts, lens := qe.InferQuantBatchTokensArena(seqs, a)
+		e32 := m.proj.InferF32Batch(m.bilstm.InferQuantBatch(embeds, starts, lens, a), a)
+		em := a.MatRaw(e32.Rows, e32.Cols)
+		for i, v := range e32.Data {
+			em.Data[i] = float64(v)
+		}
+		return em, starts, lens
+	}
+	embeds, starts, lens := encode(m.enc, seqs, a)
+	return m.proj.InferBatch(m.bilstm.InferBatch(embeds, starts, lens, a), a), starts, lens
+}
+
+// Predict tags a sentence with Viterbi decoding at the configured precision.
+// Tokens beyond the encoder's window fall back to O. Predict is reentrant —
+// it writes no model state and neither does the encoder's inference forward
+// — so concurrent goroutines may call it on one trained model.
 func (m *Model) Predict(tokens []string) []tokenize.Label {
 	return m.PredictAt(tokens, m.cfg.Precision)
 }
 
 // PredictAt is Predict at an explicit precision, independent of the
-// configured mode — the hook the quant-drift oracle and benchmarks use to
-// compare the float64 and quantized paths on one model without mutating it.
-// Quantized modes require the encoder to implement QuantEncoder; otherwise
-// the decode silently runs at float64.
+// configured mode — how index builds (ReferenceView), the quant-drift oracle
+// and the benchmarks decode at float64 and mixed on one model without
+// mutating it. A solo decode is a batch of one sequence.
 func (m *Model) PredictAt(tokens []string, p nn.Precision) []tokenize.Label {
-	if p.Quantized() {
-		if qe, ok := m.enc.(QuantEncoder); ok {
-			return m.predictQuant(qe, [][]string{tokens}, p)[0]
-		}
-	}
+	return m.PredictBatchAt([][]string{tokens}, p)[0]
+}
+
+// PredictBatchAt is the decode: one pooled arena is threaded through the
+// inference forward of every sequence (emissions) and a Viterbi decode per
+// sequence, so a warm call allocates only the labels it returns. The
+// float64 forward executes the training Forward's float operations in the
+// same order, so its labels are bit-for-bit the training pipeline's; every
+// kernel of either forward is sequence-local, so a sequence decodes to the
+// same labels alone or packed beside others.
+func (m *Model) PredictBatchAt(seqs [][]string, p nn.Precision) [][]tokenize.Label {
 	if m.Obs != nil {
 		defer m.Obs.Histogram("tagger.predict").ObserveSince(time.Now())
 	}
 	a := arenaPool.Get().(*nn.Arena)
 	a.Reset()
-	var embeds []mat.Vec
-	if ae, ok := m.enc.(ArenaEncoder); ok {
-		embeds = ae.InferTokensArena(tokens, a)
-	} else {
-		embeds = infer(m.enc, tokens)
-	}
-	out := make([]tokenize.Label, len(tokens))
-	if len(embeds) == 0 {
-		arenaPool.Put(a)
-		return out
-	}
-	hs := m.bilstm.InferSeq(embeds, a)
-	emissions := m.proj.InferSeq(hs, a)
-	path := m.crf.DecodeArena(emissions, a)
-	for i, l := range path {
-		out[i] = tokenize.Label(l)
+	em, starts, lens := m.emissions(seqs, a, p)
+	outs := make([][]tokenize.Label, len(seqs))
+	for s, seq := range seqs {
+		out := make([]tokenize.Label, len(seq))
+		if n := lens[s]; n > 0 {
+			rows := a.Seq(n)
+			for t := range rows {
+				rows[t] = em.Row(starts[s] + t)
+			}
+			for i, l := range m.crf.DecodeArena(rows, a) {
+				out[i] = tokenize.Label(l)
+			}
+		}
+		outs[s] = out
 	}
 	arenaPool.Put(a)
-	return out
+	return outs
 }
 
 // Evaluate computes exact-match chunk P/R/F1 on a test set (§6.3).
@@ -493,11 +531,14 @@ func (o *OpineDB) Train(examples []datasets.Example) float64 {
 // Predict tags each token independently by argmax. Reentrant under the same
 // conditions as Model.Predict.
 func (o *OpineDB) Predict(tokens []string) []tokenize.Label {
-	embeds := infer(o.enc, tokens)
+	a := arenaPool.Get().(*nn.Arena)
+	a.Reset()
+	embeds, _, _ := encode(o.enc, [][]string{tokens}, a)
 	out := make([]tokenize.Label, len(tokens))
-	for i, e := range embeds {
-		out[i] = tokenize.Label(o.proj.Forward(e).MaxIdx())
+	for i := 0; i < embeds.Rows; i++ {
+		out[i] = tokenize.Label(o.proj.Forward(embeds.Row(i)).MaxIdx())
 	}
+	arenaPool.Put(a)
 	return out
 }
 

@@ -120,28 +120,14 @@ type Config struct {
 	// gauge (bad fraction over the 1% error budget). 0 disables SLO
 	// accounting.
 	SLOTarget time.Duration
-	// BatchWindow is how long a cache-missing utterance sentence waits for
-	// concurrent requests to share one neural decode (DefaultConfig: 100µs).
-	// Concurrent cache misses gather for up to this long and decode as one
-	// batched forward pass — bit-identical to decoding each alone, ~3x
-	// cheaper per sentence at batch 4 — then fan back out. A lone request
-	// skips the wait entirely, so the knob costs idle traffic nothing.
-	// 0 disables cross-request batching.
-	BatchWindow time.Duration
-	// BatchMaxSize caps how many sentences one batched forward pass decodes
-	// (DefaultConfig: 16). A gather that exceeds it seals early and splits
-	// into balanced forwards of at most this many sequences. Values below 2
-	// disable cross-request batching.
-	BatchMaxSize int
 	// Precision selects the inference arithmetic of the utterance decode —
 	// the latency-critical tagger forward behind Query, Chat, and
 	// ExtractTags: "mixed" (the "" default) runs int8 GEMMs with float32
-	// kernels for the drift-sensitive layers, "int8" additionally
-	// quantizes the LSTM recurrence and emission projection, and "float64"
-	// is the exact reference arithmetic. Training and review indexing
-	// (IndexEntities, AppendReview) always run float64 — the index is a
-	// durable artifact and stays byte-identical across Precision settings —
-	// and oracle/quant-drift bounds the quantized decode's divergence.
+	// kernels for the drift-sensitive layers, and "float64" is the exact
+	// reference arithmetic; anything else is rejected by New. Training and
+	// review indexing (IndexEntities, AppendReview) always run float64 — the
+	// index is a durable artifact and stays byte-identical across Precision
+	// settings — and oracle/quant-drift bounds the mixed decode's divergence.
 	Precision string
 	// WALDir, when non-empty, makes streamed reviews durable: AppendReview
 	// acknowledges only after the review is fsynced into a write-ahead log
@@ -173,8 +159,6 @@ func DefaultConfig() Config {
 		Epsilon:          0.2,
 		HistoryLimit:     4096,
 		ExtractCacheSize: 4096,
-		BatchWindow:      100 * time.Microsecond,
-		BatchMaxSize:     16,
 		Precision:        "mixed",
 
 		IngestPublishEvery:    64,
@@ -276,9 +260,9 @@ type Client struct {
 	// extr is the serving extractor: utterance decodes run at the
 	// configured Precision (quantized kernels by default). refExtr is the
 	// indexing extractor: the same trained tagger pinned to the float64
-	// reference arithmetic, with its own cache and gather state, so the
-	// index is a precision-independent artifact — reviews extract to
-	// byte-identical postings whatever Precision serves queries.
+	// reference arithmetic, with its own cache, so the index is a
+	// precision-independent artifact — reviews extract to byte-identical
+	// postings whatever Precision serves queries.
 	extr    *core.Extractor
 	refExtr *core.Extractor
 	measure sim.Measure
@@ -415,28 +399,23 @@ func New(cfg Config) (*Client, error) {
 	// Index builds extract through a float64-pinned view of the same trained
 	// tagger, with a separate cache (entries must be bit-identical to a fresh
 	// decode at the extractor's own precision, so the two modes never share
-	// one) and separate gather state (a batched forward decodes at one
-	// precision, so cohorts are per-extractor).
+	// one).
 	refCache := extcache.New(cfg.ExtractCacheSize)
 	refCache.SetObserver(o)
 	c := &Client{
 		cfg:    cfg,
 		domain: domain,
 		extr: &core.Extractor{
-			Tagger:       tg,
-			Pairer:       pairer,
-			Cache:        cache,
-			Obs:          o,
-			BatchWindow:  cfg.BatchWindow,
-			BatchMaxSize: cfg.BatchMaxSize,
+			Tagger: tg,
+			Pairer: pairer,
+			Cache:  cache,
+			Obs:    o,
 		},
 		refExtr: &core.Extractor{
-			Tagger:       tagger.ReferenceView{M: tg},
-			Pairer:       pairer,
-			Cache:        refCache,
-			Obs:          o,
-			BatchWindow:  cfg.BatchWindow,
-			BatchMaxSize: cfg.BatchMaxSize,
+			Tagger: tagger.ReferenceView{M: tg},
+			Pairer: pairer,
+			Cache:  refCache,
+			Obs:    o,
 		},
 		measure: measure,
 		o:       o,

@@ -143,6 +143,9 @@ func TestClientValidation(t *testing.T) {
 	if _, err := New(Config{Domain: "aviation"}); err == nil {
 		t.Fatal("unknown domain must error")
 	}
+	if _, err := New(Config{Precision: "int8"}); err == nil || !strings.Contains(err.Error(), "float64 or mixed") {
+		t.Fatalf("retired precision must be rejected naming the accepted values, got %v", err)
+	}
 	_ = c
 }
 
