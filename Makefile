@@ -1,13 +1,13 @@
 # Tier-1 verification lives behind `make ci`: lint (gofmt gate + vet) +
 # build + race-enabled tests + the correctness harness (differential oracles + property checks
 # under -race), the obs-lint telemetry-schema gate, a bounded fuzz smoke of
-# every fuzz target, a short parallel-throughput smoke run of saccs-bench, and
-# a vet + short test of the benchmark/ module. The race run uses -short
-# because the full experiment harness (internal/experiments regenerates every
-# paper table) exceeds go test's timeout under the race detector; -short
-# skips only those heavy regenerators — the concurrency tests (saccs root
-# package, internal/obs, internal/index) always run. `make race-full` races
-# the whole suite when you have ~an hour.
+# every fuzz target, a short parallel-throughput smoke run of saccs-bench, a
+# vet + short test of the benchmark/ module, and the coverage gate. The race
+# run uses -short because the full experiment harness (internal/experiments
+# regenerates every paper table) exceeds go test's timeout under the race
+# detector; -short skips only those heavy regenerators — the concurrency
+# tests (saccs root package, internal/obs, internal/index) always run.
+# `make race-full` races the whole suite when you have ~an hour.
 
 GO ?= go
 
@@ -22,9 +22,9 @@ COVER_BASELINE ?= 77.3
 
 .PHONY: ci lint vet build test test-short race race-full bench bench-smoke \
 	bench-contention bench-cache bench-latency bench-ingest \
-	bench-serve benchmark-check check obs-lint fuzz-smoke cover
+	bench-serve benchmark-check check obs-lint fuzz-smoke cover loc
 
-ci: lint build race check obs-lint fuzz-smoke bench-smoke benchmark-check
+ci: lint build race check obs-lint fuzz-smoke bench-smoke benchmark-check cover
 
 # obs-lint gates the telemetry schema: every stage.* span the query pipeline
 # emits must have a matching registered stage-latency histogram and must
@@ -77,9 +77,9 @@ bench:
 # below 1-goroutine QPS (the parallel-scaling regression this repo once
 # shipped: more goroutines, fewer queries). The same guard covers sharding:
 # a 4-shard facade client queried by 4 goroutines must not fall below the
-# 1-shard serial baseline, i.e. scatter-gather fan-out may not cost more than
-# the second processor buys. Every decode is solo (there is no cross-request
-# batcher), so both ratios are processor scaling: ~2x at the 2 Ps of the
+# 1-shard serial baseline, i.e. ranking four shards per query may not cost
+# more than the second processor buys. Every decode is solo (there is no
+# cross-request batcher), so both ratios are processor scaling: ~2x at the 2 Ps of the
 # reference box, ~1x at GOMAXPROCS=1 (0.98-0.99 measured) — where the guards
 # are a coin flip and bench-smoke is not meaningful. Ten consecutive
 # `make bench-smoke` runs on the reference box (go1.24.0, Xeon 2.10 GHz,
@@ -88,13 +88,20 @@ bench:
 # 1.96; 4 shards x 4 goroutines / 1 shard x 1 goroutine 1.76 1.52 1.62 1.83
 # 1.77 1.78 1.56 1.64 1.63 1.64 (with the batcher, at the parent commit, the
 # same ratios read 1.13-1.25 and 0.99-1.21 in ISSUE 18's three runs, one of
-# which failed the sharded guard).
+# which failed the sharded guard). With the per-shard goroutine fan-out of
+# View.TopK gone (ISSUE 19: the shards rank in one loop), five consecutive
+# runs, all passing, alternated with the parent commit's binary:
+# 4 shards x 4 goroutines / 1 shard x 1 goroutine 1.86 1.88 1.78 1.88 1.92
+# (parent, same minutes: 2.07 1.83 1.83 2.17 1.85); 4 goroutines / 1 goroutine
+# 2.15 2.03 2.06 2.30 1.89. One more run each, earlier, in a slow spell of the
+# host (decodes ~1.5x their usual time): 1.12 here, 1.16 and 1.34 at the
+# parent — the margin is the host's, not the loop's.
 # -quant-guard fails the run if the mixed-precision cold decode is not at
 # least 1.5x the float64 decode (quantGuardMin in cmd/saccs-bench) — the
 # quantized kernels' reason to exist. The same ten runs read 2.70 2.72 2.17
-# 2.80 2.57 2.61 2.54 2.73 2.62 2.64; 1.5 is the largest half-integer that all
-# ten clear by at least 15 % (the 2.17 run rules out 2). The floor was 6x
-# against 7-9x until float64 inference moved from a MulVec per token onto the
+# 2.80 2.57 2.61 2.54 2.73 2.62 2.64 (ISSUE 19's five: 2.13 2.96 2.43 2.88
+# 2.82); 1.5 is the largest half-integer that all of them clear by at least
+# 15 % (the 2.17 run rules out 2). The floor was 6x against 7-9x until float64 inference moved from a MulVec per token onto the
 # GEMM forward: float64 got ~2.6x faster (13 tokens, interleaved runs of the
 # two binaries: 872-943 -> 319-375 us); mixed did not move beyond what
 # function layout alone moves this binary (DESIGN.md §14).
@@ -182,3 +189,12 @@ cover:
 	echo "total coverage: $$total% (baseline $(COVER_BASELINE)%)"; \
 	awk -v t="$$total" -v b="$(COVER_BASELINE)" 'BEGIN { exit (t+0 < b+0) ? 1 : 0 }' \
 		|| { echo "coverage regressed below $(COVER_BASELINE)%"; exit 1; }
+
+# loc prints the two line counts ROADMAP item 2 is judged by: non-test .go
+# lines (wc -l, nothing filtered) of the five inference-engine packages and of
+# the module outside benchmark/. 5558 and 24472 at a0bb2ef.
+loc:
+	@echo "mat+nn+bert+tagger+core: $$(ls internal/mat/*.go internal/nn/*.go internal/bert/*.go \
+		internal/tagger/*.go internal/core/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@echo "module outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+		! -path './.bench_build/*' | xargs cat | wc -l)"

@@ -19,8 +19,8 @@
 // compares the public facade sharded: the same cold workload at 1 shard /
 // 1 goroutine and at -parallel shards / -parallel goroutines, and the guard
 // extends to it — sharded concurrent QPS must not fall below the serial
-// single-shard baseline, so scatter-gather fan-out can never silently cost
-// more than concurrency buys.
+// single-shard baseline, so ranking every shard per query can never silently
+// cost more than concurrency buys.
 //
 // The "contention" section measures what a writer costs the
 // readers: -readers goroutines query continuously for a readers-only
@@ -619,8 +619,8 @@ func parallelBenchmarks(o *obs.Observer, doc *benchFile, workers int, dur time.D
 // PR 7 is measured against) and at `workers` shards / `workers` goroutines.
 // The extraction cache is off so every query decodes for real, and the guard
 // requires the sharded concurrent pass to hold the serial single-shard
-// baseline: the scatter-gather fan-out must cost less than the concurrency
-// around it buys.
+// baseline: ranking `workers` shards per query must cost less than the
+// concurrency around it buys.
 func shardedParallel(doc *benchFile, workers int, dur time.Duration, guard bool) {
 	mk := func(shards int) *saccs.Client {
 		cfg := saccs.DefaultConfig()
@@ -1102,10 +1102,9 @@ func serveWorld() []saccs.Entity {
 // summary is the highest sustained rung. The query pool repeats four
 // utterances, keeping the extraction cache warm so per-request cost is
 // dominated by resolution and ranking — the work that actually shards. (How
-// sustained QPS moves with shard count depends on the cores available: on a
-// single-CPU box the fan-out is pure scheduling overhead, so the regression
-// gate on sharding lives in the parallel section's facade comparison, not
-// here.)
+// sustained QPS moves with shard count depends on the cores available, so
+// the regression gate on sharding lives in the parallel section's facade
+// comparison, not here.)
 func serveBenchmarks(doc *benchFile, shardCounts []int, dur time.Duration) {
 	utterances := []string{
 		"I want an Italian restaurant in Montreal with delicious food",
@@ -1246,7 +1245,7 @@ func serveBenchmarks(doc *benchFile, shardCounts []int, dur time.Duration) {
 			cal := closedLoop(base, workers, dur)
 			sec.CalibratedQPS = cal
 			// 0.3x anchors the ladder low enough that a shard count whose
-			// fan-out overhead dominates on this machine still lands a
+			// per-shard overhead dominates on this machine still lands a
 			// nonzero sustained figure instead of failing every rung.
 			for _, m := range []float64{0.3, 0.5, 0.7, 0.9, 1.1} {
 				ladder = append(ladder, cal*m)

@@ -5,8 +5,8 @@
 //
 // At startup it trains the extraction pipeline, optionally seeds the demo
 // Yelp world, and with -shards > 1 partitions the subjective tag index
-// across that many scatter-gather shards — answers stay byte-identical to a
-// single index, queries fan out in parallel. With -wal-dir every streamed
+// across that many shards — answers stay byte-identical to a single index,
+// a query ranks each shard in turn and merges. With -wal-dir every streamed
 // review and entity registration is fsynced before acknowledgment, and a
 // restart recovers the streamed world (per shard under wal-dir/shard-<i>).
 //

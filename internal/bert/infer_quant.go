@@ -13,47 +13,40 @@ import (
 // stacked weight, Wo, FF1, FF2 — run on the int8 GEMM with dynamic
 // activation quantization (four quantizations of a token's row per block),
 // while the drift-sensitive stages — LayerNorm (moments in float64), softmax,
-// GELU, residual adds — stay in the float32 tier. The same packed
-// starts/lens layout as the float64 batch path; every stage is row- or
-// sequence-local, so a solo decode through a one-sequence batch is
-// bit-identical to the same sequence inside any batch. DESIGN.md §14 walks
-// the stages.
+// GELU, residual adds — stay in the float32 tier. The same one-sequence
+// layout as the float64 path. DESIGN.md §14 walks the stages.
 
-// InferQuantBatchTokensArena tokenizes and encodes several sequences in one
-// reduced-precision forward pass, returning packed float32 hidden states
-// plus the starts/lens addressing. Sequences longer than MaxLen are
-// truncated, exactly as in the float64 paths. Writes no receiver state; safe
-// for concurrent callers, each with its own arena.
-func (m *Model) InferQuantBatchTokensArena(seqs [][]string, a *nn.Arena) (*mat.Mat32, []int, []int) {
-	starts, lens, total := m.packLayout(seqs, a)
+// InferQuantTokensArena tokenizes and encodes one sequence in a
+// reduced-precision forward pass, returning float32 hidden states, one row
+// per token. A sequence longer than MaxLen is truncated, exactly as in the
+// float64 paths. Writes no receiver state; safe for concurrent callers, each
+// with its own arena.
+func (m *Model) InferQuantTokensArena(tokens []string, a *nn.Arena) *mat.Mat32 {
+	n := min(len(tokens), m.Cfg.MaxLen)
 	if m.o != nil {
 		defer m.encHist.ObserveSince(time.Now())
-		m.encTokens.Add(int64(total))
+		m.encTokens.Add(int64(n))
 	}
-	x := a.Mat32Raw(total, m.Cfg.Dim)
-	for s, seq := range seqs {
-		base := starts[s]
-		for i := 0; i < lens[s]; i++ {
-			row := x.Row(base + i)
-			emb := m.TokEmb.Table.W.Row(m.Vocab.ID(seq[i]))
-			pos := m.PosEmb.Table.W.Row(i)
-			for j := range row {
-				row[j] = float32(emb[j] + pos[j])
-			}
+	h := a.Mat32Raw(n, m.Cfg.Dim)
+	for i := 0; i < n; i++ {
+		row := h.Row(i)
+		emb := m.TokEmb.Table.W.Row(m.Vocab.ID(tokens[i]))
+		pos := m.PosEmb.Table.W.Row(i)
+		for j := range row {
+			row[j] = float32(emb[j] + pos[j])
 		}
 	}
-	h := x
 	for _, b := range m.Blocks {
-		h = b.InferQuantBatch(h, starts, lens, a)
+		h = b.InferQuantBatch(h, a)
 	}
-	return h, starts, lens
+	return h
 }
 
-// InferQuantBatch runs the encoder layer over packed sequences in reduced
+// InferQuantBatch runs the encoder layer over one sequence in reduced
 // precision: int8 projections, float32 residuals/GELU, float64-moment layer
 // norms.
-func (b *Block) InferQuantBatch(xs *mat.Mat32, starts, lens []int, a *nn.Arena) *mat.Mat32 {
-	attnOut := b.Attn.InferQuantBatch(xs, starts, lens, a)
+func (b *Block) InferQuantBatch(xs *mat.Mat32, a *nn.Arena) *mat.Mat32 {
+	attnOut := b.Attn.InferQuantBatch(xs, a)
 	h1 := a.Mat32Raw(xs.Rows, xs.Cols)
 	b.LN1.addNormRows32(h1, xs, attnOut)
 	ffPre := b.FF1.InferQuantBatch(h1, a)
@@ -65,60 +58,43 @@ func (b *Block) InferQuantBatch(xs *mat.Mat32, starts, lens []int, a *nn.Arena) 
 	return out
 }
 
-// InferQuantBatch runs self-attention over packed sequences in reduced
+// InferQuantBatch runs self-attention over one sequence in reduced
 // precision. Q, K and V come out of one int8 GEMM over one quantization of
 // xs (the stacked weight of nn.StackedQuant), Wo is a second. In between,
-// each head of each sequence is two small float32 products over operands
-// packed once — K_h row-major, Q_hᵀ and V_hᵀ transposed — so the n² inner
-// loops stream: scores transposed, Sᵀ = K_h·Q_hᵀ (row = key, column =
-// query); one column softmax over the whole matrix; then Oᵀ = V_hᵀ·Aᵀ.
-// Every score still sums its HeadDim products in ascending dimension order
-// and every output its n weighted values in ascending key order.
-func (m *MultiHeadAttention) InferQuantBatch(xs *mat.Mat32, starts, lens []int, a *nn.Arena) *mat.Mat32 {
-	D, hd := m.Dim, m.HeadDim
+// each head is two small float32 products over operands packed once — K_h
+// row-major, Q_hᵀ and V_hᵀ transposed — so the n² inner loops stream: scores
+// transposed, Sᵀ = K_h·Q_hᵀ (row = key, column = query); one column softmax
+// over the whole matrix; then Oᵀ = V_hᵀ·Aᵀ. Every score still sums its
+// HeadDim products in ascending dimension order and every output its n
+// weighted values in ascending key order.
+func (m *MultiHeadAttention) InferQuantBatch(xs *mat.Mat32, a *nn.Arena) *mat.Mat32 {
+	D, hd, n := m.Dim, m.HeadDim, xs.Rows
 	qkv := m.qkv.Quantize(m.Wq, m.Wk, m.Wv).Apply(nn.QuantizeActRows(xs, a), a) // rows of [q | k | v]
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	headOut := a.Mat32Raw(xs.Rows, D)
-	maxLen := 0
-	for _, n := range lens {
-		maxLen = max(maxLen, n)
-	}
-	kh, qT, vT, oT := a.Mat32Raw(maxLen, hd), a.Mat32Raw(hd, maxLen), a.Mat32Raw(hd, maxLen), a.Mat32Raw(hd, maxLen)
-	sT := a.Mat32Raw(maxLen, maxLen)
-	stat := a.F32Raw(maxLen)
-	for s, n := range lens {
-		base := starts[s]
-		reshape32(kh, n, hd)
-		reshape32(qT, hd, n)
-		reshape32(vT, hd, n)
-		reshape32(oT, hd, n)
-		reshape32(sT, n, n)
-		for lo := 0; lo < D; lo += hd {
-			for i := 0; i < n; i++ {
-				row := qkv.Row(base + i)
-				copy(kh.Row(i), row[D+lo:D+lo+hd])
-				for d := 0; d < hd; d++ {
-					qT.Data[d*n+i] = row[lo+d]
-					vT.Data[d*n+i] = row[2*D+lo+d]
-				}
+	headOut := a.Mat32Raw(n, D)
+	kh, qT, vT, oT := a.Mat32Raw(n, hd), a.Mat32Raw(hd, n), a.Mat32Raw(hd, n), a.Mat32Raw(hd, n)
+	sT := a.Mat32Raw(n, n)
+	stat := a.F32Raw(n)
+	for lo := 0; lo < D; lo += hd {
+		for i := 0; i < n; i++ {
+			row := qkv.Row(i)
+			copy(kh.Row(i), row[D+lo:D+lo+hd])
+			for d := 0; d < hd; d++ {
+				qT.Data[d*n+i] = row[lo+d]
+				vT.Data[d*n+i] = row[2*D+lo+d]
 			}
-			mat.MatMulF32Into(sT, kh, qT)
-			mat.SoftmaxCols32(sT, scale, stat)
-			mat.MatMulF32Into(oT, vT, sT)
-			for i := 0; i < n; i++ {
-				out := headOut.Row(base + i)[lo : lo+hd]
-				for d := range out {
-					out[d] = oT.Data[d*n+i]
-				}
+		}
+		mat.MatMulF32Into(sT, kh, qT)
+		mat.SoftmaxCols32(sT, scale, stat)
+		mat.MatMulF32Into(oT, vT, sT)
+		for i := 0; i < n; i++ {
+			out := headOut.Row(i)[lo : lo+hd]
+			for d := range out {
+				out[d] = oT.Data[d*n+i]
 			}
 		}
 	}
 	return m.Wo.InferQuantBatch(headOut, a)
-}
-
-// reshape32 re-dimensions an arena scratch matrix within its capacity.
-func reshape32(m *mat.Mat32, rows, cols int) {
-	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
 }
 
 // addNormRows32 writes LayerNorm(x + r) row by row into y: the residual add

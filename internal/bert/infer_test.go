@@ -42,11 +42,11 @@ func requireSameVecs(t *testing.T, what string, want, got []mat.Vec) {
 	}
 }
 
-// matRows views rows [start, start+n) of m as vectors.
-func matRows(m *mat.Mat, start, n int) []mat.Vec {
-	out := make([]mat.Vec, n)
+// matRows views the rows of m as vectors.
+func matRows(m *mat.Mat) []mat.Vec {
+	out := make([]mat.Vec, m.Rows)
 	for i := range out {
-		out[i] = m.Row(start + i)
+		out[i] = m.Row(i)
 	}
 	return out
 }
@@ -85,8 +85,8 @@ func TestAttentionInferBatchMatchesForwardSeq(t *testing.T) {
 			xs := randVecs(rng, n, m.Dim)
 			want := m.ForwardSeq(xs)
 			var a nn.Arena
-			got := m.InferBatch(packVecs(xs, m.Dim), []int{0}, []int{n}, &a)
-			requireSameVecs(t, "attention", want, matRows(got, 0, n))
+			got := m.InferBatch(packVecs(xs, m.Dim), &a)
+			requireSameVecs(t, "attention", want, matRows(got))
 		}
 	})
 }
@@ -99,8 +99,8 @@ func TestBlockInferBatchMatchesForwardSeq(t *testing.T) {
 			xs := randVecs(rng, n, 16)
 			want := b.ForwardSeq(xs)
 			var a nn.Arena
-			got := b.InferBatch(packVecs(xs, 16), []int{0}, []int{n}, &a)
-			requireSameVecs(t, "block", want, matRows(got, 0, n))
+			got := b.InferBatch(packVecs(xs, 16), &a)
+			requireSameVecs(t, "block", want, matRows(got))
 		}
 	})
 }
@@ -117,6 +117,8 @@ func TestInferMatchesEncode(t *testing.T) {
 				t.Fatalf("Encode kept %d of %d tokens", len(want), n)
 			}
 			requireSameVecs(t, "Infer", want, m.Infer(ids))
+			var a nn.Arena
+			requireSameVecs(t, "InferTokensArena", want, matRows(m.InferTokensArena(cycleTokens(n), &a)))
 		}
 	})
 }
@@ -153,14 +155,14 @@ func TestInferAllocsRegression(t *testing.T) {
 func TestInferBatchZeroAllocsWhenWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	m := New(rng, tinyConfig(), tinyVocab())
-	seqs := [][]string{{"the", "food", "is", "delicious"}}
+	tokens := []string{"the", "food", "is", "delicious"}
 	var a nn.Arena
-	m.InferBatchTokensArena(seqs, &a) // warm
+	m.InferTokensArena(tokens, &a) // warm
 	allocs := testing.AllocsPerRun(100, func() {
 		a.Reset()
-		m.InferBatchTokensArena(seqs, &a)
+		m.InferTokensArena(tokens, &a)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm InferBatchTokensArena allocates %v times per call, want 0", allocs)
+		t.Fatalf("warm InferTokensArena allocates %v times per call, want 0", allocs)
 	}
 }

@@ -160,13 +160,12 @@ func (m *Model) EncodeTokens(tokens []string) []mat.Vec {
 }
 
 // Infer is the reentrant counterpart of Encode: the same hidden states, bit
-// for bit, from the GEMM forward of batch.go run over a one-sequence batch.
-// No receiver state is written, so any number of goroutines may infer
-// concurrently. Per-call buffers come from a pooled arena; the returned
-// vectors are copied out of it (one backing array for the whole sequence),
-// so they outlive the call. Because no caches are kept, Backward and
-// Attention do not see Infer calls — use Encode for training and for the
-// §5.1 attention-pairing readback.
+// for bit, from the GEMM forward of batch.go. No receiver state is written,
+// so any number of goroutines may infer concurrently. Per-call buffers come
+// from a pooled arena; the returned vectors are copied out of it (one backing
+// array for the whole sequence), so they outlive the call. Because no caches
+// are kept, Backward and Attention do not see Infer calls — use Encode for
+// training and for the §5.1 attention-pairing readback.
 func (m *Model) Infer(ids []int) []mat.Vec {
 	if m.o != nil {
 		defer m.encHist.ObserveSince(time.Now())
@@ -183,9 +182,7 @@ func (m *Model) Infer(ids []int) []mat.Vec {
 	for i, id := range ids {
 		m.embedInto(x.Row(i), id, i)
 	}
-	starts, lens := s.Ints(1), s.Ints(1)
-	lens[0] = len(ids)
-	h := m.inferBlocks(x, starts, lens, &s.Arena)
+	h := m.inferBlocks(x, &s.Arena)
 	// Copy results out of the arena before pooling it: one flat backing
 	// array plus one header slice for the whole sequence.
 	out := make([]mat.Vec, h.Rows)

@@ -28,12 +28,6 @@ func saxpy2x32(k int, a0, a1, bp, d0, d1 *float64, bstride int)
 //go:noescape
 func saxpy1x32(k int, a0, bp, d0 *float64, bstride int)
 
-//go:noescape
-func saxpy2x8(k int, a0, a1, bp, d0, d1 *float64, bstride int)
-
-//go:noescape
-func saxpy1x8(k int, a0, bp, d0 *float64, bstride int)
-
 // hasAVX512 reports whether the CPU and OS support the zmm registers the
 // microkernels use. Tests may flip it to force the scalar path.
 var hasAVX512 = detectAVX512()
@@ -62,19 +56,19 @@ func detectAVX512() bool {
 
 // gemmAsmInto computes dst = a·b with the AVX-512 microkernels and returns
 // true, or returns false with dst untouched when the CPU lacks AVX-512 or the
-// shape is degenerate (no columns to vectorize, empty k). Column tiles go
-// 32-wide, then 8-wide, then a scalar tail; rows go in pairs with a single-row
+// shape is degenerate (under one 32-column tile, empty k). Column tiles go
+// 32-wide, then a scalar tail the inference forwards never reach (their
+// float64 GEMMs have 64 or 128 columns); rows go in pairs with a single-row
 // remainder. Every tile fully overwrites its output elements, so no prior
 // zeroing of dst is needed on this path.
 func gemmAsmInto(dst, a, b *Mat) bool {
 	n := b.Cols
 	k := a.Cols
-	if !hasAVX512 || n < 8 || k == 0 || a.Rows == 0 {
+	if !hasAVX512 || n < 32 || k == 0 || a.Rows == 0 {
 		return false
 	}
 	bstride := n * 8 // bytes per packed B row
 	n32 := n &^ 31
-	n8 := n &^ 7
 	i := 0
 	for ; i+2 <= a.Rows; i += 2 {
 		a0 := a.Data[i*k : (i+1)*k]
@@ -84,10 +78,7 @@ func gemmAsmInto(dst, a, b *Mat) bool {
 		for j := 0; j < n32; j += 32 {
 			saxpy2x32(k, &a0[0], &a1[0], &b.Data[j], &d0[j], &d1[j], bstride)
 		}
-		for j := n32; j < n8; j += 8 {
-			saxpy2x8(k, &a0[0], &a1[0], &b.Data[j], &d0[j], &d1[j], bstride)
-		}
-		for j := n8; j < n; j++ {
+		for j := n32; j < n; j++ {
 			var s0, s1 float64
 			for kk := 0; kk < k; kk++ {
 				bv := b.Data[kk*n+j]
@@ -103,10 +94,7 @@ func gemmAsmInto(dst, a, b *Mat) bool {
 		for j := 0; j < n32; j += 32 {
 			saxpy1x32(k, &a0[0], &b.Data[j], &d0[j], bstride)
 		}
-		for j := n32; j < n8; j += 8 {
-			saxpy1x8(k, &a0[0], &b.Data[j], &d0[j], bstride)
-		}
-		for j := n8; j < n; j++ {
+		for j := n32; j < n; j++ {
 			var s float64
 			for kk := 0; kk < k; kk++ {
 				s += a0[kk] * b.Data[kk*n+j]

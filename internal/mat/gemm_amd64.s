@@ -130,63 +130,6 @@ loop1x32:
 	VZEROUPPER
 	RET
 
-// func saxpy2x8(k int, a0, a1, bp, d0, d1 *float64, bstride int)
-//
-// Narrow column tile (one zmm per row) for N tails in [8, 32): same
-// per-element contract, two accumulators.
-TEXT ·saxpy2x8(SB), NOSPLIT, $0-56
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), SI
-	MOVQ a1+16(FP), DI
-	MOVQ bp+24(FP), BX
-	MOVQ d0+32(FP), R8
-	MOVQ d1+40(FP), R9
-	MOVQ bstride+48(FP), DX
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z4, Z4, Z4
-
-loop2x8:
-	VBROADCASTSD (SI), Z8
-	VBROADCASTSD (DI), Z9
-	VMOVUPD (BX), Z10
-	VMULPD Z10, Z8, Z14
-	VADDPD Z14, Z0, Z0
-	VMULPD Z10, Z9, Z18
-	VADDPD Z18, Z4, Z4
-	ADDQ $8, SI
-	ADDQ $8, DI
-	ADDQ DX, BX
-	DECQ CX
-	JNZ  loop2x8
-
-	VMOVUPD Z0, (R8)
-	VMOVUPD Z4, (R9)
-	VZEROUPPER
-	RET
-
-// func saxpy1x8(k int, a0, bp, d0 *float64, bstride int)
-TEXT ·saxpy1x8(SB), NOSPLIT, $0-40
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), SI
-	MOVQ bp+16(FP), BX
-	MOVQ d0+24(FP), R8
-	MOVQ bstride+32(FP), DX
-	VPXORQ Z0, Z0, Z0
-
-loop1x8:
-	VBROADCASTSD (SI), Z8
-	VMOVUPD (BX), Z10
-	VMULPD Z10, Z8, Z14
-	VADDPD Z14, Z0, Z0
-	ADDQ $8, SI
-	ADDQ DX, BX
-	DECQ CX
-	JNZ  loop1x8
-
-	VMOVUPD Z0, (R8)
-	VZEROUPPER
-	RET
-
 // func vadd8n(dst, src *float64, n8 int)
 // dst[i] += src[i] for i in [0, 8*n8). Element-wise: one add per element, so
 // lane width cannot reorder any sum — bit-identical to the scalar loop.

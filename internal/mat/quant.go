@@ -231,8 +231,8 @@ func quantCodesGo(dst []uint8, src []float32, inv float32) {
 // float32, aq holds rows quantized activation rows of w.KP offset-binary
 // codes each, aScales their per-row scales, and acc is caller-provided int32
 // scratch of at least w.Rows (arena-backed in the inference path, so the
-// kernel allocates nothing). bias may be nil. Every dispatch path fills the
-// same int32 accumulators, and the dequantization epilogue is the same one
+// kernel allocates nothing). Every dispatch path fills the same int32
+// accumulators, and the dequantization epilogue is the same one
 // multiply-multiply-add per element in Go and in its vector twin, so the
 // output is identical bits regardless of CPU features.
 func MulABtInt8Into(dst *Mat32, aq []uint8, aScales []float32, w *Int8Weights, bias []float32, acc []int32) {
@@ -243,9 +243,7 @@ func MulABtInt8Into(dst *Mat32, aq []uint8, aScales []float32, w *Int8Weights, b
 	if len(acc) < w.Rows {
 		panic("mat: int8 accumulator scratch shorter than w.Rows")
 	}
-	if bias != nil {
-		checkLen(len(bias), w.Rows)
-	}
+	checkLen(len(bias), w.Rows)
 	acc = acc[:w.Rows]
 	for i := 0; i < rows; i++ {
 		int8GemvInto(acc, aq[i*w.KP:(i+1)*w.KP], w)
@@ -254,17 +252,10 @@ func MulABtInt8Into(dst *Mat32, aq []uint8, aScales []float32, w *Int8Weights, b
 }
 
 // dequantRowGo is the epilogue of one output row: out[j] =
-// float32(acc[j]-corr[j])·(sa·scales[j]) + bias[j], bias optional. All
-// slices have len(out) elements.
+// float32(acc[j]-corr[j])·(sa·scales[j]) + bias[j]. All slices have len(out)
+// elements.
 func dequantRowGo(out []float32, acc, corr []int32, scales, bias []float32, sa float32) {
-	acc, corr, scales = acc[:len(out)], corr[:len(out)], scales[:len(out)]
-	if bias == nil {
-		for j := range out {
-			out[j] = float32(acc[j]-corr[j]) * (sa * scales[j])
-		}
-		return
-	}
-	bias = bias[:len(out)]
+	acc, corr, scales, bias = acc[:len(out)], corr[:len(out)], scales[:len(out)], bias[:len(out)]
 	for j := range out {
 		out[j] = float32(acc[j]-corr[j])*(sa*scales[j]) + bias[j]
 	}

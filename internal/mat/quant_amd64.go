@@ -223,14 +223,7 @@ func quantCodes(dst []uint8, src []float32, inv float32) {
 func dequantRow(out []float32, acc, corr []int32, scales, bias []float32, sa float32) {
 	k := vecPrefix(len(out))
 	if k > 0 {
-		var b *float32
-		if bias != nil {
-			b = &bias[0]
-		}
-		dequantRowAVX512(&out[0], &acc[0], &corr[0], &scales[0], b, k, sa)
+		dequantRowAVX512(&out[0], &acc[0], &corr[0], &scales[0], &bias[0], k, sa)
 	}
-	if bias != nil {
-		bias = bias[k:]
-	}
-	dequantRowGo(out[k:], acc[k:], corr[k:], scales[k:], bias, sa)
+	dequantRowGo(out[k:], acc[k:], corr[k:], scales[k:], bias[k:], sa)
 }

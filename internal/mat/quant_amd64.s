@@ -400,8 +400,7 @@ codes_loop:
 
 // func dequantRowAVX512(out *float32, acc, corr *int32, scales, bias *float32, n int, sa float32)
 //
-// out[j] = float32(acc[j]-corr[j]) * (sa*scales[j]) + bias[j]; bias may be
-// nil.
+// out[j] = float32(acc[j]-corr[j]) * (sa*scales[j]) + bias[j].
 TEXT ·dequantRowAVX512(SB), NOSPLIT, $0-52
 	MOVQ         out+0(FP), DI
 	MOVQ         acc+8(FP), SI
@@ -418,14 +417,10 @@ dequant_loop:
 	VCVTDQ2PS Z0, Z0
 	VMULPS    (R8)(AX*1), Z3, Z1
 	VMULPS    Z1, Z0, Z0
-	TESTQ     R9, R9
-	JZ        dequant_store
 	VADDPS    (R9)(AX*1), Z0, Z0
-
-dequant_store:
-	VMOVUPS Z0, (DI)(AX*1)
-	ADDQ    $64, AX
-	SUBQ    $16, CX
-	JNZ     dequant_loop
+	VMOVUPS   Z0, (DI)(AX*1)
+	ADDQ      $64, AX
+	SUBQ      $16, CX
+	JNZ       dequant_loop
 	VZEROUPPER
 	RET

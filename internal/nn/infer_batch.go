@@ -7,16 +7,13 @@ import (
 	"saccs/internal/mat"
 )
 
-// The float64 inference forward: token sequences are packed into one matrix
-// (one row per token, sequences concatenated, addressed by starts/lens) and
-// each layer runs as a GEMM over all rows at once instead of a MulVec per
-// token. A solo decode is a batch of one sequence. The payoff is kernel
-// efficiency — mat.MatMulInto's blocked/vectorized path against a MulVec per
-// token — not shared work (the cost per sequence is flat in the batch size,
-// DESIGN.md §9) and not different arithmetic: every kernel here performs its
-// training twin's float operations in the same per-element order, so its
-// results are bit-identical to Forward per sequence, whatever else shares
-// the batch (infer_batch_test.go pins each layer).
+// The float64 inference forward: one token sequence is one matrix (a row per
+// token) and each layer runs as a GEMM over all its rows instead of a MulVec
+// per token. The payoff is kernel efficiency — mat.MatMulInto's
+// blocked/vectorized path against a MulVec per token (DESIGN.md §9) — not
+// different arithmetic: every kernel here performs its training twin's float
+// operations in the same per-element order, so its results are bit-identical
+// to Forward (infer_batch_test.go pins each layer).
 //
 // Weights are packed (transposed Out×In → In×Out) so the GEMM can stream B
 // rows in k-major order. Packing copies values without reordering any sum —
@@ -78,26 +75,16 @@ func (l *Linear) InferBatch(x *mat.Mat, a *Arena) *mat.Mat {
 	return y
 }
 
-// InferBatch runs the LSTM over several packed sequences at once: xs holds
-// one token per row with sequence s occupying rows [starts[s],
-// starts[s]+lens[s]), and the returned matrix holds the hidden states in the
-// same layout. The input projection Wx·x of every token in the batch is one
-// GEMM; each time step then gathers the live sequences' hidden states and
-// runs the recurrent projection Wh·h as one small GEMM. Per sequence the
-// recursion — gate order, (Wx·x + Wh·h) + b association, c/h updates — is
-// Forward's exactly, so row starts[s]+t is bit-identical to Forward's hs[t]
-// for that sequence alone.
-func (l *LSTM) InferBatch(xs *mat.Mat, starts, lens []int, a *Arena) *mat.Mat {
+// InferBatch runs the LSTM over one sequence, a token per row of xs, and
+// returns the hidden states in the same layout. The input projection Wx·x of
+// every token is one GEMM; each time step then runs the recurrent projection
+// Wh·h as a one-row GEMM. The recursion — gate order, (Wx·x + Wh·h) + b
+// association, c/h updates — is Forward's exactly, so row t is bit-identical
+// to Forward's hs[t].
+func (l *LSTM) InferBatch(xs *mat.Mat, a *Arena) *mat.Mat {
 	H := l.Hidden
 	out := a.MatRaw(xs.Rows, H)
-	nSeq := len(lens)
-	maxLen := 0
-	for _, n := range lens {
-		if n > maxLen {
-			maxLen = n
-		}
-	}
-	if maxLen == 0 {
+	if xs.Rows == 0 {
 		return out
 	}
 
@@ -107,70 +94,43 @@ func (l *LSTM) InferBatch(xs *mat.Mat, starts, lens []int, a *Arena) *mat.Mat {
 	mat.MatMulInto(zx, xs, wxp)
 	bias := l.B.W.Row(0)
 
-	h := a.Mat(nSeq, H) // current hidden state per sequence (zero-initialized)
-	c := a.Mat(nSeq, H) // current cell state per sequence
-	hbuf := a.MatRaw(nSeq, H)
-	zh := a.MatRaw(nSeq, 4*H)
-	act := a.Ints(nSeq)
-
-	for t := 0; t < maxLen; t++ {
-		nAct := 0
-		for s := 0; s < nSeq; s++ {
-			if lens[s] > t {
-				act[nAct] = s
-				nAct++
-			}
+	h := a.Mat(1, H) // current hidden state (zero-initialized)
+	c := a.Vec(H)    // current cell state
+	zh := a.MatRaw(1, 4*H)
+	hr, zhr := h.Row(0), zh.Row(0)
+	for t := 0; t < xs.Rows; t++ {
+		mat.MatMulInto(zh, h, whp)
+		zxr := zx.Row(t)
+		for j := 0; j < H; j++ {
+			ig := Sigmoid((zxr[j] + zhr[j]) + bias[j])
+			fg := Sigmoid((zxr[H+j] + zhr[H+j]) + bias[H+j])
+			gg := math.Tanh((zxr[2*H+j] + zhr[2*H+j]) + bias[2*H+j])
+			og := Sigmoid((zxr[3*H+j] + zhr[3*H+j]) + bias[3*H+j])
+			c[j] = fg*c[j] + ig*gg
+			hr[j] = og * math.Tanh(c[j])
 		}
-		// Gather live hidden states and run the recurrent GEMM over them.
-		// Shrinking Rows makes the kernels see only the packed prefix; the
-		// backing data stays full-sized for the next step.
-		hbuf.Rows, zh.Rows = nAct, nAct
-		for p := 0; p < nAct; p++ {
-			copy(hbuf.Row(p), h.Row(act[p]))
-		}
-		mat.MatMulInto(zh, hbuf, whp)
-		for p := 0; p < nAct; p++ {
-			s := act[p]
-			zxr := zx.Row(starts[s] + t)
-			zhr := zh.Row(p)
-			cr := c.Row(s)
-			hr := h.Row(s)
-			for j := 0; j < H; j++ {
-				ig := Sigmoid((zxr[j] + zhr[j]) + bias[j])
-				fg := Sigmoid((zxr[H+j] + zhr[H+j]) + bias[H+j])
-				gg := math.Tanh((zxr[2*H+j] + zhr[2*H+j]) + bias[2*H+j])
-				og := Sigmoid((zxr[3*H+j] + zhr[3*H+j]) + bias[3*H+j])
-				cr[j] = fg*cr[j] + ig*gg
-				hr[j] = og * math.Tanh(cr[j])
-			}
-			copy(out.Row(starts[s]+t), hr)
-		}
+		copy(out.Row(t), hr)
 	}
 	return out
 }
 
-// InferBatch runs the bidirectional LSTM over packed sequences (see
+// InferBatch runs the bidirectional LSTM over one sequence (see
 // LSTM.InferBatch for the layout) and returns per-token [fwd_t ; bwd_t]
-// concatenations, row starts[s]+t matching Forward's out[t] bit for bit.
-func (b *BiLSTM) InferBatch(xs *mat.Mat, starts, lens []int, a *Arena) *mat.Mat {
-	fh := b.Fwd.InferBatch(xs, starts, lens, a)
-	rev := a.MatRaw(xs.Rows, xs.Cols)
-	for s, n := range lens {
-		base := starts[s]
-		for i := 0; i < n; i++ {
-			copy(rev.Row(base+n-1-i), xs.Row(base+i))
-		}
+// concatenations, row t matching Forward's out[t] bit for bit.
+func (b *BiLSTM) InferBatch(xs *mat.Mat, a *Arena) *mat.Mat {
+	n := xs.Rows
+	fh := b.Fwd.InferBatch(xs, a)
+	rev := a.MatRaw(n, xs.Cols)
+	for i := 0; i < n; i++ {
+		copy(rev.Row(n-1-i), xs.Row(i))
 	}
-	bhRev := b.Bwd.InferBatch(rev, starts, lens, a)
+	bhRev := b.Bwd.InferBatch(rev, a)
 	H := b.Fwd.Hidden
-	out := a.MatRaw(xs.Rows, b.OutDim())
-	for s, n := range lens {
-		base := starts[s]
-		for t := 0; t < n; t++ {
-			v := out.Row(base + t)
-			copy(v[:H], fh.Row(base+t))
-			copy(v[H:], bhRev.Row(base+n-1-t))
-		}
+	out := a.MatRaw(n, b.OutDim())
+	for t := 0; t < n; t++ {
+		v := out.Row(t)
+		copy(v[:H], fh.Row(t))
+		copy(v[H:], bhRev.Row(n-1-t))
 	}
 	return out
 }

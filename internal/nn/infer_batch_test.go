@@ -8,23 +8,13 @@ import (
 )
 
 // The float64 GEMM forwards must be bit-identical to the training Forward of
-// the same layer, per sequence, whatever else shares the packed batch: that
-// one hop is what lets inference run on them while the goldens and the index
-// stay defined by the training arithmetic. These tests pack adversarial
-// length mixes (empty, single-token, a full MaxLen window and beyond, ragged
-// batches) and compare every output element for exact equality, on the
-// vector kernels and with them forced off.
+// the same layer: that one hop is what lets inference run on them while the
+// goldens and the index stay defined by the training arithmetic. These tests
+// run one sequence at a time — empty, single-token, a ragged middle, a full
+// bert MaxLen window and beyond — and compare every output element for exact
+// equality, on the vector kernels and with them forced off.
 
-var batchLenMixes = [][]int{
-	{0}, {1}, {7}, {48}, {60},
-	{3},
-	{1, 1},
-	{5, 3},
-	{0, 4},
-	{4, 0, 1, 7},
-	{13, 13, 13, 13},
-	{2, 9, 1, 0, 6, 3, 12, 5},
-}
+var seqLens = []int{0, 1, 7, 48, 60}
 
 // onBothKernelPaths runs f on mat's vector kernels (where the CPU has them)
 // and again on the pure-Go ones.
@@ -36,36 +26,32 @@ func onBothKernelPaths(t *testing.T, f func(t *testing.T)) {
 	})
 }
 
-// packSeqs lays out sequences one token per row and returns the serial-view
-// slices alongside the packed matrix.
-func packSeqs(rng *rand.Rand, lens []int, dim int) (*mat.Mat, []int, [][]mat.Vec) {
-	total := 0
-	starts := make([]int, len(lens))
-	for s, n := range lens {
-		starts[s] = total
-		total += n
+// seqMat lays a random sequence out one token per row and returns the rows
+// as the training forward's []mat.Vec view of the same memory.
+func seqMat(rng *rand.Rand, n, dim int) (*mat.Mat, []mat.Vec) {
+	x := mat.NewMat(n, dim)
+	seq := make([]mat.Vec, n)
+	for t := range seq {
+		seq[t] = x.Row(t)
+		copy(seq[t], randVec(rng, dim))
 	}
-	x := mat.NewMat(total, dim)
-	seqs := make([][]mat.Vec, len(lens))
-	for s, n := range lens {
-		seqs[s] = make([]mat.Vec, n)
-		for t := 0; t < n; t++ {
-			row := x.Row(starts[s] + t)
-			copy(row, randVec(rng, dim))
-			seqs[s][t] = row
-		}
-	}
-	return x, starts, seqs
+	return x, seq
 }
 
-func requireRowsEqual(t *testing.T, name string, s, seq int, want mat.Vec, got mat.Vec) {
+func requireRowsEqual(t *testing.T, name string, want []mat.Vec, got *mat.Mat) {
 	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: seq %d token %d: length %d want %d", name, s, seq, len(got), len(want))
+	if got.Rows != len(want) {
+		t.Fatalf("%s: %d rows, want %d", name, got.Rows, len(want))
 	}
-	for i, w := range want {
-		if got[i] != w {
-			t.Fatalf("%s: seq %d token %d elem %d = %v, want %v (bit-exact)", name, s, seq, i, got[i], w)
+	for r, w := range want {
+		g := got.Row(r)
+		if len(g) != len(w) {
+			t.Fatalf("%s: token %d: length %d want %d", name, r, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("%s: token %d elem %d = %v, want %v (bit-exact)", name, r, i, g[i], w[i])
+			}
 		}
 	}
 }
@@ -78,16 +64,10 @@ func TestLinearInferBatchMatchesForward(t *testing.T) {
 			for j := range l.Bias.W.Data {
 				l.Bias.W.Data[j] = rng.NormFloat64()
 			}
-			for _, lens := range batchLenMixes {
-				x, _, _ := packSeqs(rng, lens, dims[0])
+			for _, n := range seqLens {
+				x, seq := seqMat(rng, n, dims[0])
 				var a Arena
-				y := l.InferBatch(x, &a)
-				if y.Rows != x.Rows {
-					t.Fatalf("Linear.InferBatch: %d rows for %d inputs", y.Rows, x.Rows)
-				}
-				for r := 0; r < x.Rows; r++ {
-					requireRowsEqual(t, "Linear.InferBatch", 0, r, l.Forward(x.Row(r)), y.Row(r))
-				}
+				requireRowsEqual(t, "Linear.InferBatch", l.ForwardSeq(seq), l.InferBatch(x, &a))
 			}
 		}
 	})
@@ -97,16 +77,11 @@ func TestLSTMInferBatchMatchesForward(t *testing.T) {
 	onBothKernelPaths(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(12))
 		l := NewLSTM(rng, "t", 16, 8)
-		for _, lens := range batchLenMixes {
-			x, starts, seqs := packSeqs(rng, lens, 16)
+		for _, n := range seqLens {
+			x, seq := seqMat(rng, n, 16)
+			want, _ := l.Forward(seq)
 			var a Arena
-			got := l.InferBatch(x, starts, lens, &a)
-			for s, seq := range seqs {
-				want, _ := l.Forward(seq)
-				for tt := range want {
-					requireRowsEqual(t, "LSTM.InferBatch", s, tt, want[tt], got.Row(starts[s]+tt))
-				}
-			}
+			requireRowsEqual(t, "LSTM.InferBatch", want, l.InferBatch(x, &a))
 		}
 	})
 }
@@ -115,16 +90,11 @@ func TestBiLSTMInferBatchMatchesForward(t *testing.T) {
 	onBothKernelPaths(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		b := NewBiLSTM(rng, "t", 16, 8)
-		for _, lens := range batchLenMixes {
-			x, starts, seqs := packSeqs(rng, lens, 16)
+		for _, n := range seqLens {
+			x, seq := seqMat(rng, n, 16)
+			want, _ := b.Forward(seq)
 			var a Arena
-			got := b.InferBatch(x, starts, lens, &a)
-			for s, seq := range seqs {
-				want, _ := b.Forward(seq)
-				for tt := range want {
-					requireRowsEqual(t, "BiLSTM.InferBatch", s, tt, want[tt], got.Row(starts[s]+tt))
-				}
-			}
+			requireRowsEqual(t, "BiLSTM.InferBatch", want, b.InferBatch(x, &a))
 		}
 	})
 }

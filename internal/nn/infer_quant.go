@@ -4,17 +4,14 @@ import (
 	"saccs/internal/mat"
 )
 
-// Quantized batched inference: the float32/int8 twins of the kernels in
-// infer_batch.go. The layout contract is identical — sequences packed one
-// token per row, addressed by starts/lens — but activations flow as float32
-// and the big projections run on the int8 GEMM. Determinism contract: every
-// kernel is row-independent (or, in the LSTM, depends only on its own
-// sequence's rows), transcendentals go through the pure-float32 polynomial
-// kernels in mat (fastmath32.go) whose arithmetic is IEEE-exact in Go, and
-// the mat float32/int8 kernels are bit-identical across dispatch paths — so
-// a quantized decode produces the same bits solo or batched, on any machine.
-// A solo decode is a batch of one sequence, which makes that identity
-// structural.
+// Reduced-precision inference: the float32/int8 twins of the kernels in
+// infer_batch.go. The layout contract is identical — one sequence, a token
+// per row — but activations flow as float32 and the big projections run on
+// the int8 GEMM. Determinism contract: transcendentals go through the
+// pure-float32 polynomial kernels in mat (fastmath32.go) whose arithmetic is
+// IEEE-exact in Go, and the mat float32/int8 kernels are bit-identical across
+// dispatch paths — so a quantized decode produces the same bits on any
+// machine.
 
 // GELURow32 applies the tanh-approximation GELU to every element of x into
 // y (which must not alias x), entirely in float32 with the float64 gelu's
@@ -74,83 +71,61 @@ func (l *Linear) InferF32Batch(x *mat.Mat32, a *Arena) *mat.Mat32 {
 	return y
 }
 
-// inferQuant runs the LSTM over packed, already quantized sequences in
-// reduced precision and writes each token's hidden state into columns
+// inferQuant runs the LSTM over one already quantized sequence in reduced
+// precision and writes each token's hidden state into columns
 // [off, off+Hidden) of its row of out. It mirrors InferBatch's structure: the
 // input projection of every token is one int8 GEMM (bias fused), then each
-// time step gathers the live sequences' float32 hidden states and runs the
-// recurrent projection as a float32 GEMM against the pre-transposed WhT.
-// reverse walks every sequence from its last token to its first (the
-// backward direction of a BiLSTM) over the same rows, so neither the input
-// nor its quantization is ever copied into reversed order. Gate math is
-// float32, a 4H row at a time, per-element order identical to the float64
-// path's.
-func (l *LSTM) inferQuant(out *mat.Mat32, off int, xq QuantRows, starts, lens []int, a *Arena, reverse bool) {
+// time step runs the recurrent projection as a one-row float32 GEMM against
+// the pre-transposed WhT. reverse walks the sequence from its last token to
+// its first (the backward direction of a BiLSTM) over the same rows, so
+// neither the input nor its quantization is ever copied into reversed order.
+// Gate math is float32, a 4H row at a time, per-element order identical to
+// the float64 path's.
+func (l *LSTM) inferQuant(out *mat.Mat32, off int, xq QuantRows, a *Arena, reverse bool) {
 	H := l.Hidden
-	nSeq := len(lens)
-	maxLen := 0
-	for _, n := range lens {
-		maxLen = max(maxLen, n)
-	}
+	n := len(xq.Scales)
 	q := l.Quantize()
-	zx := a.Mat32Raw(len(xq.Scales), 4*H)
-	acc := a.I32Raw(4 * H)
-	mat.MulABtInt8Into(zx, xq.Codes, xq.Scales, q.Wx, q.Bias, acc) // bias fused here
+	zx := a.Mat32Raw(n, 4*H)
+	mat.MulABtInt8Into(zx, xq.Codes, xq.Scales, q.Wx, q.Bias, a.I32Raw(4*H)) // bias fused here
 
-	h := a.Mat32(nSeq, H)
-	c := a.Mat32(nSeq, H)
-	hbuf := a.Mat32Raw(nSeq, H)
-	zh := a.Mat32Raw(nSeq, 4*H)
+	h := a.Mat32(1, H)
+	c := a.Mat32(1, H)
+	zh := a.Mat32Raw(1, 4*H)
 	z, g := a.F32Raw(4*H), a.F32Raw(4*H)
-	act := a.Ints(nSeq)
-	for t := 0; t < maxLen; t++ {
-		nAct := 0
-		for s := 0; s < nSeq; s++ {
-			if lens[s] > t {
-				act[nAct] = s
-				nAct++
-			}
+	ig, fg, gg, og := g[:H], g[H:2*H], g[2*H:3*H], g[3*H:]
+	cr, hr, zhr := c.Row(0), h.Row(0), zh.Row(0)
+	for t := 0; t < n; t++ {
+		row := t
+		if reverse {
+			row = n - 1 - t
 		}
-		hbuf.Rows, zh.Rows = nAct, nAct
-		for p := 0; p < nAct; p++ {
-			copy(hbuf.Row(p), h.Row(act[p]))
+		mat.MatMulF32Into(zh, h, q.WhT)
+		zxr := zx.Row(row)
+		for j := range z {
+			z[j] = zxr[j] + zhr[j]
 		}
-		mat.MatMulF32Into(zh, hbuf, q.WhT)
-		for p := 0; p < nAct; p++ {
-			s := act[p]
-			row := starts[s] + t
-			if reverse {
-				row = starts[s] + lens[s] - 1 - t
-			}
-			zxr, zhr := zx.Row(row), zh.Row(p)
-			for j := range z {
-				z[j] = zxr[j] + zhr[j]
-			}
-			mat.SigmoidRow32(g[:2*H], z[:2*H]) // input and forget gates
-			mat.TanhRow32(g[2*H:3*H], z[2*H:3*H])
-			mat.SigmoidRow32(g[3*H:], z[3*H:]) // output gate
-			ig, fg, gg, og := g[:H], g[H:2*H], g[2*H:3*H], g[3*H:]
-			cr, hr := c.Row(s), h.Row(s)
-			for j := range cr {
-				cr[j] = fg[j]*cr[j] + ig[j]*gg[j]
-			}
-			mat.TanhRow32(hr, cr)
-			for j := range hr {
-				hr[j] *= og[j]
-			}
-			copy(out.Row(row)[off:off+H], hr)
+		mat.SigmoidRow32(g[:2*H], z[:2*H]) // input and forget gates
+		mat.TanhRow32(gg, z[2*H:3*H])
+		mat.SigmoidRow32(og, z[3*H:]) // output gate
+		for j := range cr {
+			cr[j] = fg[j]*cr[j] + ig[j]*gg[j]
 		}
+		mat.TanhRow32(hr, cr)
+		for j := range hr {
+			hr[j] *= og[j]
+		}
+		copy(out.Row(row)[off:off+H], hr)
 	}
 }
 
-// InferQuantBatch runs the bidirectional LSTM over packed sequences in
-// reduced precision and returns per-token [fwd_t ; bwd_t] concatenations —
-// the float32 twin of BiLSTM.InferBatch. The input rows are quantized once
-// and both directions' input projections read the same codes.
-func (b *BiLSTM) InferQuantBatch(xs *mat.Mat32, starts, lens []int, a *Arena) *mat.Mat32 {
+// InferQuantBatch runs the bidirectional LSTM over one sequence in reduced
+// precision and returns per-token [fwd_t ; bwd_t] concatenations — the
+// float32 twin of BiLSTM.InferBatch. The input rows are quantized once and
+// both directions' input projections read the same codes.
+func (b *BiLSTM) InferQuantBatch(xs *mat.Mat32, a *Arena) *mat.Mat32 {
 	xq := QuantizeActRows(xs, a)
 	out := a.Mat32Raw(xs.Rows, b.OutDim())
-	b.Fwd.inferQuant(out, 0, xq, starts, lens, a, false)
-	b.Bwd.inferQuant(out, b.Fwd.Hidden, xq, starts, lens, a, true)
+	b.Fwd.inferQuant(out, 0, xq, a, false)
+	b.Bwd.inferQuant(out, b.Fwd.Hidden, xq, a, true)
 	return out
 }

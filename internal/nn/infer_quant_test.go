@@ -143,33 +143,29 @@ func TestStackedQuantMatchesSeparateProjections(t *testing.T) {
 // quantized copy of the input and un-reversed afterwards — what
 // InferQuantBatch used to do.
 func TestBiLSTMSharedQuantizationMatchesSeparate(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	b := NewBiLSTM(rng, "t", 24, 16)
-	starts, lens := []int{0, 5, 5, 6}, []int{5, 0, 1, 19}
-	xs := mat.NewMat32(25, 24)
-	for i := range xs.Data {
-		xs.Data[i] = float32(rng.NormFloat64())
-	}
-	rev := mat.NewMat32(xs.Rows, xs.Cols)
-	for s, n := range lens {
-		for i := 0; i < n; i++ {
-			copy(rev.Row(starts[s]+n-1-i), xs.Row(starts[s]+i))
+	onBothKernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(18))
+		b := NewBiLSTM(rng, "t", 24, 16)
+		H := b.Fwd.Hidden
+		for _, n := range seqLens {
+			xs, rev := mat.NewMat32(n, 24), mat.NewMat32(n, 24)
+			for i := range xs.Data {
+				xs.Data[i] = float32(rng.NormFloat64())
+			}
+			for i := 0; i < n; i++ {
+				copy(rev.Row(n-1-i), xs.Row(i))
+			}
+			var a Arena
+			got := b.InferQuantBatch(xs, &a)
+			fwd, bwdRev := mat.NewMat32(n, H), mat.NewMat32(n, H)
+			b.Fwd.inferQuant(fwd, 0, QuantizeActRows(xs, &a), &a, false)
+			b.Bwd.inferQuant(bwdRev, 0, QuantizeActRows(rev, &a), &a, false)
+			for i := 0; i < n; i++ {
+				requireSameBits32(t, "forward half", fwd.Row(i), got.Row(i)[:H])
+				requireSameBits32(t, "backward half", bwdRev.Row(n-1-i), got.Row(i)[H:])
+			}
 		}
-	}
-	var a Arena
-	a.Reset()
-	got := b.InferQuantBatch(xs, starts, lens, &a)
-	H := b.Fwd.Hidden
-	fwd, bwdRev := mat.NewMat32(xs.Rows, H), mat.NewMat32(xs.Rows, H)
-	b.Fwd.inferQuant(fwd, 0, QuantizeActRows(xs, &a), starts, lens, &a, false)
-	b.Bwd.inferQuant(bwdRev, 0, QuantizeActRows(rev, &a), starts, lens, &a, false)
-	for s, n := range lens {
-		for i := 0; i < n; i++ {
-			row := got.Row(starts[s] + i)
-			requireSameBits32(t, "forward half", fwd.Row(starts[s]+i), row[:H])
-			requireSameBits32(t, "backward half", bwdRev.Row(starts[s]+n-1-i), row[H:])
-		}
-	}
+	})
 }
 
 // TestGELURow32MatchesScalarForm pins the row GELU to the per-element

@@ -131,25 +131,31 @@ func (s *Server) post(h func(w http.ResponseWriter, r *http.Request)) http.Handl
 }
 
 // decode unmarshals the request body into v, translating transport failures
-// to their HTTP statuses: 413 for an over-limit body, 400 for bad JSON. An
-// empty body decodes as the zero value (so bodyless POSTs to /v1/reindex
-// work).
+// to their HTTP statuses: 413 for an over-limit body, 400 for bad JSON. A
+// body is one JSON value — anything but whitespace after it is bad JSON, not
+// a value to ignore. An empty body decodes as the zero value (so bodyless
+// POSTs to /v1/reindex work).
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			return true
-		}
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return false
+	err := dec.Decode(v)
+	trailing := err == nil
+	if trailing {
+		_, err = dec.Token() // io.EOF when nothing follows the value
 	}
-	return true
+	if errors.Is(err, io.EOF) {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
+	case trailing:
+		httpError(w, http.StatusBadRequest, "bad JSON: trailing data")
+	default:
+		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	}
+	return false
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

@@ -93,6 +93,10 @@ func TestHandlerTable(t *testing.T) {
 		{"query-missing-utterance", http.MethodPost, "/v1/query", `{}`, http.StatusBadRequest},
 		{"query-oversized", http.MethodPost, "/v1/query", `{"utterance":"` + strings.Repeat("x", 8192) + `"}`, http.StatusRequestEntityTooLarge},
 		{"query-ok", http.MethodPost, "/v1/query", `{"utterance":"a place with delicious food"}`, http.StatusOK},
+		{"query-trailing-value", http.MethodPost, "/v1/query", `{"utterance":"delicious food"}{"utterance":"nice staff"}`, http.StatusBadRequest},
+		{"query-trailing-garbage", http.MethodPost, "/v1/query", `{"utterance":"delicious food"} junk`, http.StatusBadRequest},
+		{"query-trailing-oversized", http.MethodPost, "/v1/query", `{"utterance":"delicious food"}` + strings.Repeat(" ", 8192), http.StatusRequestEntityTooLarge},
+		{"query-trailing-newline", http.MethodPost, "/v1/query", "{\"utterance\":\"a place with delicious food\"}\n", http.StatusOK},
 		{"extract-missing-text", http.MethodPost, "/v1/extract", `{}`, http.StatusBadRequest},
 		{"extract-ok", http.MethodPost, "/v1/extract", `{"text":"the pasta was delicious"}`, http.StatusOK},
 		{"append-missing-review", http.MethodPost, "/v1/append", `{"entity_id":"e900"}`, http.StatusBadRequest},

@@ -1,5 +1,5 @@
 // Package shard partitions the subjective tag index across N entity shards
-// and serves queries scatter-gather over them.
+// and answers queries from a merge of their rankings.
 //
 // # Partitioning
 //
@@ -15,20 +15,20 @@
 // alone. Each shard is a full *index.Index publishing its own
 // atomic.Pointer[Snapshot] generation.
 //
-// # Scatter-gather reads
+// # Reads
 //
 // Pin captures one immutable snapshot per shard — the query's generation
 // vector. Because entities are disjoint across shards and every per-entity
 // quantity of Eq. 1 (degree of truth, coverage, aggregate score) depends
 // only on the entity's own reviews, any vector of per-shard snapshots is a
 // consistent world state: no single entity's data can be torn across
-// generations. TopK fans the query out (one goroutine per shard holding
-// results, first failure cancelling the siblings; inline at GOMAXPROCS=1,
-// where fan-out is pure scheduling overhead), ranks each shard with
-// the same Algorithm 1 ranker the single index uses, and merges under the
-// deterministic coverage/score/ID order — byte-identical to ranking the
-// unsharded union, because each shard's list is already totally ordered
-// under that comparator and owns its entities exclusively.
+// generations. TopK ranks the shards one after another on the caller's
+// goroutine with the same Algorithm 1 ranker the single index uses (one
+// shard's rank costs about what handing it to another goroutine does,
+// DESIGN.md §13), and merges under the deterministic coverage/score/ID
+// order — byte-identical to ranking the unsharded union, because each
+// shard's list is already totally ordered under that comparator and owns its
+// entities exclusively.
 //
 // The shards also share one similarity memo (the facade passes every shard
 // the same sim.Memo): the vocabulary is replicated on all shards, so an
@@ -39,7 +39,6 @@ package shard
 import (
 	"context"
 	"hash/fnv"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -50,7 +49,7 @@ import (
 
 // Router partitions entities across shards and implements search.Searcher
 // over them. With one shard it degenerates to the plain single-index client:
-// no partitioning, no fan-out goroutines, bit-identical behavior.
+// no partitioning, no merge, bit-identical behavior.
 type Router struct {
 	shards []*index.Index
 	agg    search.Aggregation
@@ -248,19 +247,13 @@ func (v *View) Resolve(ctx context.Context, tag string, thetaFilter float64) ([]
 	return out, nil
 }
 
-// TopK fans the query out over the pinned shards — one goroutine per shard
-// that holds any of apiResults, each running Algorithm 1 against its own
-// snapshot, the first failure cancelling the rest — then k-way merges the
-// per-shard rankings under the coverage/score/ID order and truncates to k.
-// Each shard ranks only the API results it owns and selects its own top k
-// (an entity beyond a shard's top k cannot enter the merged top k), so the
-// gather moves at most shards×k results.
-//
-// At GOMAXPROCS=1 the shards rank inline instead: per-shard goroutines
-// cannot overlap on one processor, so the fan-out buys nothing and its
-// blocking join costs a reschedule per query. Ranking serially keeps a query
-// CPU-bound end to end, exactly like the unsharded path, and computes the
-// same per-shard lists the fan-out would.
+// TopK runs Algorithm 1 against each pinned shard that holds any of
+// apiResults, in shard order on the caller's goroutine, returning on the
+// first error; then k-way merges the per-shard rankings under the
+// coverage/score/ID order and truncates to k. Each shard ranks only the API
+// results it owns and selects its own top k (an entity beyond a shard's top
+// k cannot enter the merged top k), so the merge moves at most shards×k
+// results.
 //
 // With at least one tag the ranking is independent of apiResults order; with
 // zero tags Algorithm 1 passes the API results through unranked, and the
@@ -276,48 +269,17 @@ func (v *View) TopK(ctx context.Context, parent *obs.Span, apiResults, tags []st
 		s := Owner(id, len(v.snaps))
 		parts[s] = append(parts[s], id)
 	}
-	if runtime.GOMAXPROCS(0) == 1 {
-		ranked := make([][]search.Scored, len(v.snaps))
-		for i := range v.snaps {
-			if len(parts[i]) == 0 {
-				continue
-			}
-			r := &search.Ranker{Snap: v.snaps[i], ThetaFilter: thetaFilter, Agg: v.agg}
-			out, err := r.TopK(ctx, parent, parts[i], tags, k)
-			if err != nil {
-				return nil, err
-			}
-			ranked[i] = out
-		}
-		return mergeRanked(ranked, k), nil
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	ranked := make([][]search.Scored, len(v.snaps))
-	errs := make([]error, len(v.snaps))
-	var wg sync.WaitGroup
-	for i := range v.snaps {
+	for i, snap := range v.snaps {
 		if len(parts[i]) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := &search.Ranker{Snap: v.snaps[i], ThetaFilter: thetaFilter, Agg: v.agg}
-			out, err := r.TopK(ctx, parent, parts[i], tags, k)
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			ranked[i] = out
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+		r := &search.Ranker{Snap: snap, ThetaFilter: thetaFilter, Agg: v.agg}
+		out, err := r.TopK(ctx, parent, parts[i], tags, k)
 		if err != nil {
 			return nil, err
 		}
+		ranked[i] = out
 	}
 	return mergeRanked(ranked, k), nil
 }

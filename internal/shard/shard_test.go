@@ -247,6 +247,52 @@ func TestTopKCancellation(t *testing.T) {
 	}
 }
 
+// pollCtx reports cancellation from its (after+1)th Err poll on, and counts
+// the polls.
+type pollCtx struct {
+	context.Context
+	polls, after int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestTopKCancelBetweenShards: a context that turns cancelled once the first
+// shard has ranked yields the context's error and never the first shard's
+// list as a partial answer. The number of polls ranking shard 0 takes is
+// counted on a query over shard 0's entities alone.
+func TestTopKCancelBetweenShards(t *testing.T) {
+	ents := worldOf(100, 5)
+	r := New(4, search.MeanAgg, newIndex)
+	r.Build(testTags[:4], ents)
+	view := r.Pin()
+	var api, first []string
+	for _, e := range ents {
+		api = append(api, e.EntityID)
+		if r.Owner(e.EntityID) == 0 {
+			first = append(first, e.EntityID)
+		}
+	}
+	tags := []string{"good food", "tasty food"} // an exact and a similar-union probe
+	count := &pollCtx{Context: context.Background(), after: 1 << 30}
+	if out, err := view.TopK(count, nil, first, tags, 0.25, 10); err != nil || len(out) == 0 {
+		t.Fatalf("TopK over shard 0: out=%v err=%v", out, err)
+	}
+	ctx := &pollCtx{Context: context.Background(), after: count.polls}
+	out, err := view.TopK(ctx, nil, api, tags, 0.25, 10)
+	if err != context.Canceled || out != nil {
+		t.Fatalf("TopK cancelled after shard 0: out=%v err=%v, want nil results and context.Canceled", out, err)
+	}
+	if ctx.polls != count.polls+1 {
+		t.Fatalf("TopK polled %d times after the cancellation", ctx.polls-count.polls-1)
+	}
+}
+
 // TestConcurrentPinsUnderRebuild races queries through pinned views against
 // continuous per-shard rebuilds; with -race this doubles as a data-race probe.
 func TestConcurrentPinsUnderRebuild(t *testing.T) {

@@ -8,15 +8,27 @@ import (
 	"saccs/internal/bert"
 	"saccs/internal/mat"
 	"saccs/internal/nn"
+	"saccs/internal/race"
 	"saccs/internal/tokenize"
 )
 
+// warmDecodeAllocs is the allocation budget of a warm decode: the returned
+// label slice (measured 1) plus slack for a pooled arena lost to a GC cycle.
+// Under the race detector sync.Pool drops a quarter of its Puts and every
+// miss rebuilds an arena, so only the gross regression is pinned there.
+func warmDecodeAllocs() float64 {
+	if race.Enabled {
+		return 16
+	}
+	return 2
+}
+
 // TestPredictAllocsRegression pins the allocation count of a warm Predict.
 // The whole decode — MiniBERT forward, BiLSTM, projection, Viterbi — runs on
-// one pooled arena, so the only steady-state allocations are the returned
-// label slice and pool bookkeeping. The previous implementation routed
-// through the training Forward paths and paid hundreds of allocations (and
-// hundreds of kilobytes) per sentence.
+// one pooled arena, so the only steady-state allocation is the returned
+// label slice. The previous implementation routed through the training
+// Forward paths and paid hundreds of allocations (and hundreds of kilobytes)
+// per sentence.
 func TestPredictAllocsRegression(t *testing.T) {
 	v := tokenize.NewVocab()
 	v.AddAll([]string{"the", "food", "is", "delicious", "staff", "friendly", "and", "service", "slow", "."})
@@ -27,8 +39,8 @@ func TestPredictAllocsRegression(t *testing.T) {
 		m.Predict(tokens) // warm the pooled arenas
 	}
 	allocs := testing.AllocsPerRun(100, func() { m.Predict(tokens) })
-	if allocs > 16 {
-		t.Fatalf("warm Predict allocates %v times per call, want <= 16", allocs)
+	if limit := warmDecodeAllocs(); allocs > limit {
+		t.Fatalf("warm Predict allocates %v times per call, want <= %v", allocs, limit)
 	}
 }
 

@@ -2,7 +2,6 @@ package tagger
 
 import (
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -38,10 +37,9 @@ func fuzzTagger() *Model {
 // the float64 reference and the served mixed mode. Invariants, each
 // per precision: one label per token, labels in range, the decoded sequence
 // respects the IOB structural constraints (ValidStart/ValidTransition — the
-// CRF's hard penalties must dominate any emission score), span decoding
-// never panics on the result, and decoding the sentence as the second member
-// of a batch of two gives exactly the solo labels. The seeds cover the
-// extremes: empty, one token, more than MaxLen tokens, all out-of-vocabulary.
+// CRF's hard penalties must dominate any emission score), and span decoding
+// never panics on the result. The seeds cover the extremes: empty, one token,
+// more than MaxLen tokens, all out-of-vocabulary.
 func FuzzPredictDecode(f *testing.F) {
 	f.Add("The food is delicious and the staff is friendly.")
 	f.Add("terrible terrible terrible")
@@ -50,7 +48,6 @@ func FuzzPredictDecode(f *testing.F) {
 	f.Add("pizza pasta pizza pasta pizza pasta pizza pasta pizza pasta pizza pasta")
 	f.Add("日本語 l'étoile 100% !?")
 	f.Add("zzz qqq xxx yyy")
-	other := []string{"the", "staff", "is", "friendly", "."}
 	f.Fuzz(func(t *testing.T, s string) {
 		m := fuzzTagger()
 		tokens := tokenize.Words(s)
@@ -73,9 +70,6 @@ func FuzzPredictDecode(f *testing.F) {
 				}
 			}
 			_ = tokenize.Spans(labels)
-			if batched := m.PredictBatchAt([][]string{other, tokens}, p)[1]; !slices.Equal(batched, labels) {
-				t.Fatalf("%v: in a batch of two %v, solo %v (input %q)", p, batched, labels, s)
-			}
 		}
 	})
 }

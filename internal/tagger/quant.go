@@ -51,7 +51,7 @@ func (m *Model) EmissionsAt(tokens []string, p nn.Precision) []mat.Vec {
 	a := arenaPool.Get().(*nn.Arena)
 	defer arenaPool.Put(a)
 	a.Reset()
-	em, _, _ := m.emissions([][]string{tokens}, a, p)
+	em := m.emissions(tokens, a, p)
 	out := make([]mat.Vec, em.Rows)
 	for t := range out {
 		out[t] = em.Row(t).Clone()

@@ -34,26 +34,25 @@ type Encoder interface {
 	EmbeddingDim() int
 }
 
-// BatchArenaEncoder is an encoder with a reentrant float64 inference forward
-// over sequences packed one token per row (sequence s occupies rows
-// [starts[s], starts[s]+lens[s])), every buffer carved from the caller's
+// ArenaEncoder is an encoder with a reentrant float64 inference forward over
+// one sequence, a token per row, every buffer carved from the caller's
 // arena; *bert.Model satisfies it. Predict runs on it so any number of
 // goroutines can tag concurrently and a warm decode allocates nothing but
 // its labels. Train always uses EncodeTokens — fine-tuning needs the
 // encoder's caches — and so does inference over an encoder without this
 // forward (see encode).
-type BatchArenaEncoder interface {
-	InferBatchTokensArena(seqs [][]string, a *nn.Arena) (*mat.Mat, []int, []int)
+type ArenaEncoder interface {
+	InferTokensArena(tokens []string, a *nn.Arena) *mat.Mat
 }
 
 // QuantEncoder is an encoder with a reduced-precision inference forward in
-// the same packed layout; *bert.Model satisfies it. When the tagger's encoder
+// the same layout; *bert.Model satisfies it. When the tagger's encoder
 // implements it, a decode at nn.Mixed routes the whole pipeline — encoder,
 // BiLSTM, projection — through the float32/int8 kernels, with only the CRF
 // Viterbi staying float64. Encoders without it decode at float64, so Mixed
 // is always safe to request.
 type QuantEncoder interface {
-	InferQuantBatchTokensArena(seqs [][]string, a *nn.Arena) (*mat.Mat32, []int, []int)
+	InferQuantTokensArena(tokens []string, a *nn.Arena) *mat.Mat32
 }
 
 // TrainableEncoder is an encoder the tagger can fine-tune end-to-end;
@@ -362,51 +361,39 @@ func goldIDs(labels []tokenize.Label, n int) []int {
 	return out
 }
 
-// encode runs the encoder's float64 inference forward over seqs. An encoder
-// that only implements EncodeTokens (the hash encoders of the tests and
-// oracles) is packed into the same rows here rather than given a pipeline of
-// its own; it must return at most one vector per token.
-func encode(enc Encoder, seqs [][]string, a *nn.Arena) (*mat.Mat, []int, []int) {
-	if be, ok := enc.(BatchArenaEncoder); ok {
-		return be.InferBatchTokensArena(seqs, a)
+// encode runs the encoder's float64 inference forward over one sentence and
+// returns its embeddings, a row per (truncated) token. An encoder that only
+// implements EncodeTokens (the hash encoders of the tests and oracles) has
+// its vectors copied into the same rows rather than given a pipeline of its
+// own; it must return at most one vector per token.
+func encode(enc Encoder, tokens []string, a *nn.Arena) *mat.Mat {
+	if ae, ok := enc.(ArenaEncoder); ok {
+		return ae.InferTokensArena(tokens, a)
 	}
-	starts, lens := a.Ints(len(seqs)), a.Ints(len(seqs))
-	tokens := 0
-	for _, seq := range seqs {
-		tokens += len(seq)
+	vs := enc.EncodeTokens(tokens)
+	x := a.MatRaw(len(vs), enc.EmbeddingDim())
+	for i, v := range vs {
+		copy(x.Row(i), v)
 	}
-	dim := enc.EmbeddingDim()
-	x := a.MatRaw(tokens, dim)
-	total := 0
-	for s, seq := range seqs {
-		vs := enc.EncodeTokens(seq)
-		starts[s], lens[s] = total, len(vs)
-		for _, v := range vs {
-			copy(x.Row(total), v)
-			total++
-		}
-	}
-	x.Rows, x.Data = total, x.Data[:total*dim]
-	return x, starts, lens
+	return x
 }
 
 // emissions is the forward up to the CRF — encoder, BiLSTM, projection — at
-// the given precision, as packed float64 emission rows addressed by
-// starts/lens. At nn.Mixed (over a QuantEncoder) the three stages run on the
+// the given precision, as float64 emission rows, one per (truncated) token.
+// At nn.Mixed (over a QuantEncoder) the three stages run on the
 // reduced-precision kernels and the float32 emissions are widened, exactly,
 // for the float64 Viterbi.
-func (m *Model) emissions(seqs [][]string, a *nn.Arena, p nn.Precision) (*mat.Mat, []int, []int) {
+func (m *Model) emissions(tokens []string, a *nn.Arena, p nn.Precision) *mat.Mat {
 	if qe, ok := m.enc.(QuantEncoder); ok && p == nn.Mixed {
-		embeds, starts, lens := qe.InferQuantBatchTokensArena(seqs, a)
-		e32 := m.proj.InferF32Batch(m.bilstm.InferQuantBatch(embeds, starts, lens, a), a)
+		embeds := qe.InferQuantTokensArena(tokens, a)
+		e32 := m.proj.InferF32Batch(m.bilstm.InferQuantBatch(embeds, a), a)
 		em := a.MatRaw(e32.Rows, e32.Cols)
 		for i, v := range e32.Data {
 			em.Data[i] = float64(v)
 		}
-		return em, starts, lens
+		return em
 	}
-	embeds, starts, lens := encode(m.enc, seqs, a)
-	return m.proj.InferBatch(m.bilstm.InferBatch(embeds, starts, lens, a), a), starts, lens
+	return m.proj.InferBatch(m.bilstm.InferBatch(encode(m.enc, tokens, a), a), a)
 }
 
 // Predict tags a sentence with Viterbi decoding at the configured precision.
@@ -417,44 +404,31 @@ func (m *Model) Predict(tokens []string) []tokenize.Label {
 	return m.PredictAt(tokens, m.cfg.Precision)
 }
 
-// PredictAt is Predict at an explicit precision, independent of the
+// PredictAt is the decode, at an explicit precision independent of the
 // configured mode — how index builds (ReferenceView), the quant-drift oracle
 // and the benchmarks decode at float64 and mixed on one model without
-// mutating it. A solo decode is a batch of one sequence.
+// mutating it. One pooled arena is threaded through the inference forward
+// (emissions) and the Viterbi decode, so a warm call allocates only the
+// labels it returns. The float64 forward executes the training Forward's
+// float operations in the same order, so its labels are bit-for-bit the
+// training pipeline's.
 func (m *Model) PredictAt(tokens []string, p nn.Precision) []tokenize.Label {
-	return m.PredictBatchAt([][]string{tokens}, p)[0]
-}
-
-// PredictBatchAt is the decode: one pooled arena is threaded through the
-// inference forward of every sequence (emissions) and a Viterbi decode per
-// sequence, so a warm call allocates only the labels it returns. The
-// float64 forward executes the training Forward's float operations in the
-// same order, so its labels are bit-for-bit the training pipeline's; every
-// kernel of either forward is sequence-local, so a sequence decodes to the
-// same labels alone or packed beside others.
-func (m *Model) PredictBatchAt(seqs [][]string, p nn.Precision) [][]tokenize.Label {
 	if m.Obs != nil {
 		defer m.Obs.Histogram("tagger.predict").ObserveSince(time.Now())
 	}
 	a := arenaPool.Get().(*nn.Arena)
 	a.Reset()
-	em, starts, lens := m.emissions(seqs, a, p)
-	outs := make([][]tokenize.Label, len(seqs))
-	for s, seq := range seqs {
-		out := make([]tokenize.Label, len(seq))
-		if n := lens[s]; n > 0 {
-			rows := a.Seq(n)
-			for t := range rows {
-				rows[t] = em.Row(starts[s] + t)
-			}
-			for i, l := range m.crf.DecodeArena(rows, a) {
-				out[i] = tokenize.Label(l)
-			}
-		}
-		outs[s] = out
+	em := m.emissions(tokens, a, p)
+	out := make([]tokenize.Label, len(tokens))
+	rows := a.Seq(em.Rows)
+	for t := range rows {
+		rows[t] = em.Row(t)
+	}
+	for i, l := range m.crf.DecodeArena(rows, a) {
+		out[i] = tokenize.Label(l)
 	}
 	arenaPool.Put(a)
-	return outs
+	return out
 }
 
 // Evaluate computes exact-match chunk P/R/F1 on a test set (§6.3).
@@ -533,7 +507,7 @@ func (o *OpineDB) Train(examples []datasets.Example) float64 {
 func (o *OpineDB) Predict(tokens []string) []tokenize.Label {
 	a := arenaPool.Get().(*nn.Arena)
 	a.Reset()
-	embeds, _, _ := encode(o.enc, [][]string{tokens}, a)
+	embeds := encode(o.enc, tokens, a)
 	out := make([]tokenize.Label, len(tokens))
 	for i := 0; i < embeds.Rows; i++ {
 		out[i] = tokenize.Label(o.proj.Forward(embeds.Row(i)).MaxIdx())

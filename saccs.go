@@ -76,10 +76,10 @@ type Config struct {
 	TopK int
 	// Shards partitions the subjective tag index across this many
 	// independent shards by consistent hashing of entity IDs (0 or 1 keeps
-	// the single-index layout). Queries scatter across every shard in
-	// parallel and merge the per-shard top-K answers into results
-	// byte-identical to a single index over the same world; writes route
-	// each entity to its owning shard. With WALDir set and Shards > 1,
+	// the single-index layout). A query ranks the shards one after another
+	// and merges the per-shard top-K answers into results byte-identical to
+	// a single index over the same world; writes route each entity to its
+	// owning shard, which is what sharding parallelises. With WALDir set and Shards > 1,
 	// shard i persists under WALDir/shard-<i>. The shard count is fixed
 	// for the client's lifetime — changing it means a fresh IndexEntities.
 	Shards int
