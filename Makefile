@@ -158,15 +158,15 @@ bench-ingest:
 
 # check runs the correctness harness under the race detector: the
 # internal/check differential oracles (serial vs parallel build, persisted vs
-# rebuilt index, memoized vs raw similarity, serial vs concurrent query) and
-# property/metamorphic checks (threshold monotonicity, tag strengthening,
+# rebuilt index, prepared vs string-walking similarity, serial vs concurrent
+# query) and property/metamorphic checks (threshold monotonicity, tag strengthening,
 # rank permutation invariance, slot word boundaries), plus every committed
 # fuzz seed corpus replayed as plain regression tests.
 check:
 	$(GO) test -race -count=1 ./internal/check/...
 	$(GO) test -race -count=1 -run '^Fuzz' ./internal/tokenize/ ./internal/search/ \
 		./internal/parse/ ./internal/tagger/ ./internal/index/ ./internal/ingest/ \
-		./internal/mat/
+		./internal/mat/ ./internal/sim/
 
 # fuzz-smoke gives each native fuzz target a bounded budget ($(FUZZTIME) per
 # target). `go test -fuzz` accepts exactly one target per invocation, hence
@@ -180,6 +180,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/index/
 	$(GO) test -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/ingest/
 	$(GO) test -fuzz '^FuzzQuantRoundTrip$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/mat/
+	$(GO) test -fuzz '^FuzzPreparedPhrase$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/sim/
 
 # cover measures total -short coverage and fails if it regresses below
 # COVER_BASELINE (the value recorded from the seed tree).

@@ -6,7 +6,8 @@
 //
 //   - Differential oracles (oracles.go) compare two implementations or two
 //     execution strategies of the same computation — serial vs parallel
-//     Index.Build, memoized vs raw similarity, persisted vs rebuilt index,
+//     Index.Build, prepared vs string-walking similarity, persisted vs
+//     rebuilt index,
 //     single-goroutine vs concurrent Query — and report the first divergent
 //     posting or rank through the structural diff reporter (diff.go).
 //
@@ -43,8 +44,8 @@ func DefaultSuite(seed int64) []Check {
 		{"oracle/persist-round-trip", func() error {
 			return PersistOracle(seed+1, 12, 40)
 		}},
-		{"oracle/memo-vs-raw", func() error {
-			return MemoOracle(seed+2, 600, 64)
+		{"oracle/prepared-vs-reference", func() error {
+			return PreparedOracle(seed+2, 600)
 		}},
 		{"oracle/concurrent-query", func() error {
 			return QueryOracle(seed+3, 8, 24)

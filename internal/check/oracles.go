@@ -74,30 +74,33 @@ func PersistOracle(seed int64, nTags, nEntities int) error {
 	return nil
 }
 
-// MemoOracle checks that sim.Memo is transparent: on a random pair stream
-// (with repeats, and with a capacity small enough to force whole-shard
-// evictions) every memoized Phrase and Base result must equal the raw
-// measure's, and the hit/miss accounting must add up.
-func MemoOracle(seed int64, pairs, capacity int) error {
+// PreparedOracle checks that the prepared similarity kernel is the string
+// form it replaced: on a random pair stream of generated tags — opinion and
+// aspect variants recombined, negated and mixed with junk, which no lexicon
+// phrase list enumerates — Conceptual's Score and Phrase must equal
+// sim.Reference's Base and Phrase exactly. Both sides of each pair are
+// prepared into two long-lived records, the way the ranker's pooled scratch
+// reuses one, so a prepared phrase that kept anything of its predecessor
+// would show.
+func PreparedOracle(seed int64, pairs int) error {
 	g := NewGen(seed)
-	raw := sim.NewConceptual()
-	memo := sim.NewMemoCapacity(sim.NewConceptual(), capacity)
+	ref := sim.NewReference()
+	c := sim.NewConceptual()
 	pool := g.Tags(24)
+	var pa, pb sim.Prepared
 	for i := 0; i < pairs; i++ {
 		a, b := g.pick(pool), g.pick(pool)
-		if mp, rp := memo.Phrase(a, b), raw.Phrase(a, b); mp != rp {
-			return fmt.Errorf("memo oracle (seed %d): Phrase(%q, %q): memo %.17g, raw %.17g", seed, a, b, mp, rp)
+		c.Prepare(a, &pa)
+		c.Prepare(b, &pb)
+		gb, gc := c.Score(&pa, &pb)
+		rb, rc := ref.Base(a, b)
+		if gb != rb || gc != rc {
+			return fmt.Errorf("prepared oracle (seed %d): Score(%q, %q): prepared (%.17g, %v), reference (%.17g, %v)",
+				seed, a, b, gb, gc, rb, rc)
 		}
-		mb, mc := memo.Base(a, b)
-		rb, rc := raw.Base(a, b)
-		if mb != rb || mc != rc {
-			return fmt.Errorf("memo oracle (seed %d): Base(%q, %q): memo (%.17g, %v), raw (%.17g, %v)",
-				seed, a, b, mb, mc, rb, rc)
+		if gp, rp := c.Phrase(a, b), ref.Phrase(a, b); gp != rp {
+			return fmt.Errorf("prepared oracle (seed %d): Phrase(%q, %q): prepared %.17g, reference %.17g", seed, a, b, gp, rp)
 		}
-	}
-	hits, misses, _ := memo.Stats()
-	if hits+misses != int64(2*pairs) {
-		return fmt.Errorf("memo oracle (seed %d): hits %d + misses %d != %d lookups", seed, hits, misses, 2*pairs)
 	}
 	return nil
 }

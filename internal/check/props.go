@@ -37,8 +37,8 @@ func ThetaFilterMonotonic(seed int64, trials int) error {
 		tag := g.Tag()
 		lo := 0.1 + 0.5*g.rng.Float64()
 		hi := lo + (0.99-lo)*g.rng.Float64()
-		loSet := idSet(ix.LookupSimilar(tag, lo))
-		for _, e := range ix.LookupSimilar(tag, hi) {
+		loSet := idSet(ix.Resolve(tag, lo))
+		for _, e := range ix.Resolve(tag, hi) {
 			degLo, ok := loSet[e.EntityID]
 			if !ok {
 				return fmt.Errorf("θ_filter monotonicity (seed %d, trial %d): tag %q: raising θ %.3f→%.3f added entity %s",

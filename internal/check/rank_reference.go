@@ -14,11 +14,12 @@ import (
 // before the dense-ordinal ranker replaced it: string-keyed maps per query,
 // a full sort, no top-k. It is kept here, unoptimised, as the reference the
 // production ranker is diffed against — it reads the index only through
-// Has/Lookup/Tags and recomputes similarities from the bare measure, so it
-// shares no code with search.Ranker.TopK or Snapshot.lookupSimilar.
+// Has/Lookup/Tags and recomputes similarities from strings with the
+// string-walking sim.Reference, so it shares no code with
+// search.Ranker.TopK, Snapshot.ResolveOrdinals or the prepared kernel.
 type referenceRanker struct {
 	snap    *index.Snapshot
-	measure sim.Measure
+	measure *sim.Reference
 	theta   float64
 	agg     search.Aggregation
 }
@@ -144,7 +145,7 @@ func (r *referenceRanker) aggregate(perTag []map[string]float64, id string) floa
 // streamed in after the pin), and duplicate API results. Every query runs
 // under all three §3.3 aggregations at k ∈ {0, 1, TopK, > len}; tag sets
 // are exact-only, unknown-only, mixed and empty (pass-through); and each
-// unknown tag's LookupSimilar is diffed against the reference union too.
+// unknown tag's Resolve is diffed against the reference union too.
 func RankReferenceOracle(seed int64, queries int) error {
 	const theta, topK = 0.45, 10
 	g := NewGen(seed)
@@ -176,7 +177,7 @@ func RankReferenceOracle(seed int64, queries int) error {
 	for _, e := range late {
 		ids = append(ids, e.EntityID)
 	}
-	measure := sim.NewConceptual()
+	measure := sim.NewReference()
 
 	// An unknown tag whose similar-tag union holds the zero-degree entity:
 	// summed degree 0, coverage 1.
@@ -233,7 +234,7 @@ func RankReferenceOracle(seed int64, queries int) error {
 				}
 				ref := &referenceRanker{snap: snap, measure: measure, theta: theta}
 				path := fmt.Sprintf("rank-reference similar union of %q gen %d (seed %d)", t, snap.Generation(), seed)
-				if err := DiffPostings(path, ref.lookupSimilar(t), snap.LookupSimilar(t, theta)); err != nil {
+				if err := DiffPostings(path, ref.lookupSimilar(t), snap.Resolve(t, theta)); err != nil {
 					return err
 				}
 			}

@@ -46,12 +46,8 @@ func ShardMergeOracle(seed int64, shards []int, queries int) error {
 	}
 
 	for _, n := range shards {
-		// One memo across the shards, as the facade wires it: memoization is
-		// transparent, so the oracle also proves the shared-memo router
-		// byte-identical to the private-memo baseline.
-		memo := sim.NewMemo(sim.NewConceptual())
 		r := shard.New(n, search.MeanAgg, func() *index.Index {
-			return index.NewWithMemo(memo, 0.55)
+			return index.New(sim.NewConceptual(), 0.55)
 		})
 		r.Build(tags, ents)
 		view := r.Pin()

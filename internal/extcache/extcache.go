@@ -13,8 +13,8 @@
 // cached result — no flush coordination needed, old entries simply stop
 // matching and age out through eviction.
 //
-// The layout follows sim.Memo: 16 independently locked shards so concurrent
-// queries and parallel index builds do not serialize on one mutex, a hard
+// The layout is 16 independently locked shards so concurrent queries and
+// parallel index builds do not serialize on one mutex, a hard
 // per-shard capacity, and wholesale shard eviction (cheap amortized O(1),
 // no LRU bookkeeping). All methods are safe for concurrent use.
 package extcache

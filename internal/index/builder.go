@@ -12,23 +12,20 @@ import (
 )
 
 // Builder is the mutable write side of the index: it owns the indexing
-// configuration (θ_index, Eq. 1 ablation knobs, worker-pool width) and the
-// shared similarity memo, and computes posting lists off to the side of the
-// serving Snapshot. A Builder never touches published state — Index derives
-// and publishes the next Snapshot from the posting lists a Builder returns.
+// configuration (θ_index, Eq. 1 ablation knobs, worker-pool width) and
+// computes posting lists off to the side of the serving Snapshot. A Builder
+// never touches published state — Index derives and publishes the next
+// Snapshot from the posting lists a Builder returns.
 //
 // Builder is safe for concurrent use: the configuration knobs are guarded by
 // a mutex and captured once per build into an immutable degCfg, so worker
-// goroutines never race the Set* methods, and the memo is internally sharded.
+// goroutines never race the Set* methods, and the measure is read-only.
 type Builder struct {
 	// mu guards the configuration fields; posting computation reads them
 	// exactly once through config().
 	mu sync.Mutex
 
-	// memo caches the similarity measure's pairwise scores (bounded, sharded,
-	// safe for concurrent use). It wraps the measure passed to NewBuilder and
-	// is shared with every Snapshot the index publishes.
-	memo *sim.Memo
+	measure sim.Measure
 
 	thetaIndex float64
 	// reviewWeight applies Eq. 1's log(|Re|+1) factor; disabling it is the
@@ -48,33 +45,19 @@ type Builder struct {
 // threshold. Eq. 1's review-count weighting and the mention-rate factor are
 // on by default; the worker pool defaults to GOMAXPROCS.
 func NewBuilder(measure sim.Measure, thetaIndex float64) *Builder {
-	return NewBuilderWithMemo(sim.NewMemo(measure), thetaIndex)
-}
-
-// NewBuilderWithMemo is NewBuilder over a caller-supplied similarity memo.
-// The memo is safe for concurrent use, so several indexes may share one —
-// the shard router does, because its shards index the same tag vocabulary
-// and would otherwise each recompute identical (query tag, index tag)
-// similarities. Memoization is transparent: shared or not, every score is
-// the same value the bare measure would return.
-func NewBuilderWithMemo(memo *sim.Memo, thetaIndex float64) *Builder {
 	return &Builder{
-		memo:           memo,
+		measure:        measure,
 		thetaIndex:     thetaIndex,
 		reviewWeight:   true,
 		frequencyAware: true,
 	}
 }
 
-// Memo exposes the shared similarity memo (for the read-side Snapshot).
-func (b *Builder) Memo() *sim.Memo { return b.memo }
-
-// SetObserver wires the Eq. 1 accounting counters and the memo's hit/miss
-// instrumentation. A nil observer detaches both.
+// SetObserver wires the Eq. 1 accounting counters. A nil observer detaches
+// them.
 func (b *Builder) SetObserver(o *obs.Observer) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.memo.SetObserver(o)
 	if o == nil {
 		b.matchedCtr, b.conflictCtr = nil, nil
 		return
@@ -140,6 +123,58 @@ func (b *Builder) config() degCfg {
 	}
 }
 
+// mentions is an indexing round's view of its entities: every distinct
+// review tag prepared once, and each entity's review tags as positions in
+// that table. It lives for one round and is read-only once built.
+type mentions struct {
+	distinct []sim.Prepared
+	// of[i][j] is entities[i].Tags[j]'s position in distinct.
+	of [][]int32
+}
+
+func (b *Builder) intern(entities []EntityReviews) *mentions {
+	total := 0
+	for _, e := range entities {
+		total += len(e.Tags)
+	}
+	flat := make([]int32, total)
+	m := &mentions{of: make([][]int32, len(entities))}
+	seen := make(map[string]int32)
+	for i, e := range entities {
+		m.of[i], flat = flat[:len(e.Tags):len(e.Tags)], flat[len(e.Tags):]
+		for j, t := range e.Tags {
+			pos, ok := seen[t]
+			if !ok {
+				pos = int32(len(m.distinct))
+				seen[t] = pos
+				m.distinct = append(m.distinct, sim.Prepared{})
+				b.measure.Prepare(t, &m.distinct[pos])
+			}
+			m.of[i][j] = pos
+		}
+	}
+	return m
+}
+
+// mentionScore is Sim(tag, review tag) for one distinct review tag: the
+// polarity-blind similarity and whether the two contradict each other.
+type mentionScore struct {
+	base     float64
+	conflict bool
+}
+
+// score prepares tag and scores it against every distinct review tag of the
+// round, so Eq. 1's pass over an entity's mentions is a table read each.
+func (b *Builder) score(tag string, m *mentions) []mentionScore {
+	var q sim.Prepared
+	b.measure.Prepare(tag, &q)
+	scores := make([]mentionScore, len(m.distinct))
+	for i := range m.distinct {
+		scores[i].base, scores[i].conflict = b.measure.Score(&q, &m.distinct[i])
+	}
+	return scores
+}
+
 // Postings runs Eq. 1 for every tag against every entity, fanning out across
 // the worker pool — one goroutine per tag, each computing its posting list
 // serially — and returns the lists in input order, so the result is identical
@@ -148,10 +183,11 @@ func (b *Builder) config() degCfg {
 // whole round aborts with ctx's error and no partial lists are returned.
 func (b *Builder) Postings(ctx context.Context, tags []string, entities []EntityReviews, cfg degCfg) ([][]Entry, error) {
 	results := make([][]Entry, len(tags))
+	m := b.intern(entities)
 	if cfg.workers <= 1 || len(tags) < 2 {
 		for i, t := range tags {
 			var err error
-			if results[i], err = b.postingsForTag(ctx, t, entities, cfg, false); err != nil {
+			if results[i], err = b.postingsForTag(ctx, t, entities, m, cfg, false); err != nil {
 				return nil, err
 			}
 		}
@@ -170,7 +206,7 @@ func (b *Builder) Postings(ctx context.Context, tags []string, entities []Entity
 			if ctx.Err() != nil {
 				return
 			}
-			results[i], _ = b.postingsForTag(ctx, t, entities, cfg, false)
+			results[i], _ = b.postingsForTag(ctx, t, entities, m, cfg, false)
 		}(i, t)
 	}
 	wg.Wait()
@@ -183,29 +219,30 @@ func (b *Builder) Postings(ctx context.Context, tags []string, entities []Entity
 // PostingsForTag runs Eq. 1 for one tag, fanning the entity list out across
 // worker chunks (the single-tag AddTag path).
 func (b *Builder) PostingsForTag(ctx context.Context, tag string, entities []EntityReviews, cfg degCfg) ([]Entry, error) {
-	return b.postingsForTag(ctx, tag, entities, cfg, true)
+	return b.postingsForTag(ctx, tag, entities, b.intern(entities), cfg, true)
 }
 
-// postingsForTag computes one tag's posting list, fanning out across
-// cfg.workers contiguous entity chunks when parallel is set. Chunk results
-// concatenate in input order before the fully tie-broken sort, so the posting
-// list is identical for any worker count. The context is polled once per
-// entity.
-func (b *Builder) postingsForTag(ctx context.Context, tag string, entities []EntityReviews, cfg degCfg, parallel bool) ([]Entry, error) {
+// postingsForTag computes one tag's posting list over entities, whose review
+// tags m holds interned, fanning out across cfg.workers contiguous entity
+// chunks when parallel is set. Chunk results concatenate in input order
+// before the fully tie-broken sort, so the posting list is identical for any
+// worker count. The context is polled once per entity.
+func (b *Builder) postingsForTag(ctx context.Context, tag string, entities []EntityReviews, m *mentions, cfg degCfg, parallel bool) ([]Entry, error) {
 	w := cfg.workers
 	if !parallel || w > len(entities) {
 		w = 1
 	}
+	scores := b.score(tag, m)
 	// Posting buffers are pre-sized to their worst case (every entity
 	// matches) so the append loops never reallocate mid-scan.
 	var entries []Entry
 	if w <= 1 {
 		entries = make([]Entry, 0, len(entities))
-		for _, e := range entities {
+		for i, e := range entities {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			deg, matched := degreeOfTruth(b.memo, tag, e, cfg)
+			deg, matched := degreeOfTruth(scores, m.of[i], e, cfg)
 			if matched == 0 {
 				continue
 			}
@@ -222,21 +259,21 @@ func (b *Builder) postingsForTag(ctx context.Context, tag string, entities []Ent
 				hi = len(entities)
 			}
 			wg.Add(1)
-			go func(c int, part []EntityReviews) {
+			go func(c, lo, hi int) {
 				defer wg.Done()
-				out := make([]Entry, 0, len(part))
-				for _, e := range part {
+				out := make([]Entry, 0, hi-lo)
+				for i := lo; i < hi; i++ {
 					if ctx.Err() != nil {
 						return
 					}
-					deg, matched := degreeOfTruth(b.memo, tag, e, cfg)
+					deg, matched := degreeOfTruth(scores, m.of[i], entities[i], cfg)
 					if matched == 0 {
 						continue
 					}
-					out = append(out, Entry{EntityID: e.EntityID, Degree: deg})
+					out = append(out, Entry{EntityID: entities[i].EntityID, Degree: deg})
 				}
 				chunks[c] = out
-			}(c, entities[lo:hi])
+			}(c, lo, hi)
 		}
 		wg.Wait()
 		if err := ctx.Err(); err != nil {
@@ -264,31 +301,30 @@ func (b *Builder) postingsForTag(ctx context.Context, tag string, entities []Ent
 }
 
 // degreeOfTruth computes Eq. 1 for (tag, entity): the mean similarity of the
-// entity's matching review tags, weighted by log(|Re|+1). When the measure
-// is contradiction-aware, review tags that contradict the query tag (same
-// concept, opposite polarity — "bland food" against "delicious food") scale
-// the degree by the support ratio matched/(matched+contradicted): certainty
-// about a tag drops when reviews disagree. Similarity lookups go through the
-// memo, so a repeated (tag, reviewTag) pair costs a map probe. The second
-// return is |T_e^tag|. Free function over an immutable cfg so indexing
-// workers share no mutable state.
-func degreeOfTruth(memo *sim.Memo, tag string, e EntityReviews, cfg degCfg) (float64, int) {
+// entity's matching review tags, weighted by log(|Re|+1). Review tags that
+// contradict the index tag (same concept, opposite polarity — "bland food"
+// against "delicious food") scale the degree by the support ratio
+// matched/(matched+contradicted): certainty about a tag drops when reviews
+// disagree. A measure without a notion of polarity never reports a conflict
+// and scores by its plain similarity. scores holds the tag's similarity to
+// every distinct review tag of the round and mentioned the entity's review
+// tags as positions in it, in review order — the order the sum is taken in.
+// The second return is |T_e^tag|. Free function over immutable inputs so
+// indexing workers share no mutable state.
+func degreeOfTruth(scores []mentionScore, mentioned []int32, e EntityReviews, cfg degCfg) (float64, int) {
 	var sum float64
 	matched := 0
 	contradicted := 0
-	for _, t := range e.Tags {
-		// Memo.Base degrades to (Phrase, conflict=false) for measures that
-		// are not contradiction-aware, which makes this single path score
-		// exactly as the plain-Phrase path would.
-		base, conflict := memo.Base(tag, t)
-		if base <= cfg.theta {
+	for _, pos := range mentioned {
+		s := scores[pos]
+		if s.base <= cfg.theta {
 			continue
 		}
-		if conflict {
+		if s.conflict {
 			contradicted++
 			continue
 		}
-		sum += base
+		sum += s.base
 		matched++
 	}
 	if matched == 0 {

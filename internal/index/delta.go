@@ -103,11 +103,7 @@ func (s *Snapshot) withDelta(d *Delta) *Snapshot {
 		}
 	}
 	for i, t := range d.Tags {
-		base, exists := next.tags[t]
-		if !exists {
-			next.order = append(next.order, t)
-		}
-		next.tags[t] = mergePostings(base, postings{entries: d.Postings[i], ords: ords[i]}, dirty)
+		next.bind(t, mergePostings(next.tags[t], postings{entries: d.Postings[i], ords: ords[i]}, dirty))
 	}
 	return next
 }

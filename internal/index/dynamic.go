@@ -30,10 +30,3 @@ func DynamicTheta(base float64, tag string) float64 {
 	}
 	return base - specificity
 }
-
-// ResolveDynamic is Resolve with a per-tag dynamic θ_filter. It reads one
-// pinned snapshot, so the exact-hit check and the similar-tag union see one
-// consistent index generation.
-func (ix *Index) ResolveDynamic(tag string, baseTheta float64) []Entry {
-	return ix.Current().ResolveDynamic(tag, baseTheta)
-}

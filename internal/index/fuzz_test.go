@@ -3,19 +3,19 @@ package index
 import (
 	"bytes"
 	"testing"
+
+	"saccs/internal/sim"
 )
 
 // flatMeasure is a trivial deterministic similarity for persistence fuzzing:
 // snapshot decode never consults it, and keeping it taxonomy-free keeps the
 // fuzz loop fast.
-type flatMeasure struct{}
-
-func (flatMeasure) Phrase(a, b string) float64 {
+var flatMeasure = sim.PhraseFunc(func(a, b string) float64 {
 	if a == b {
 		return 1
 	}
 	return 0.3
-}
+})
 
 // FuzzSnapshotDecode fuzzes Index.Load with adversarial bytes. Invariants:
 // decode never panics; a rejected snapshot leaves the index unchanged; and an
@@ -23,7 +23,7 @@ func (flatMeasure) Phrase(a, b string) float64 {
 // again reproduces the snapshot byte for byte.
 func FuzzSnapshotDecode(f *testing.F) {
 	// A well-formed snapshot, produced by Save.
-	good := New(flatMeasure{}, 0.5)
+	good := New(flatMeasure, 0.5)
 	good.Build([]string{"good food", "nice staff"}, []EntityReviews{
 		{EntityID: "vue", ReviewCount: 4, Tags: []string{"good food", "nice staff"}},
 		{EntityID: "hut", ReviewCount: 2, Tags: []string{"good food"}},
@@ -47,7 +47,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix := New(flatMeasure{}, 0.5)
+		ix := New(flatMeasure, 0.5)
 		ix.Build([]string{"sentinel tag"}, []EntityReviews{
 			{EntityID: "keep", ReviewCount: 1, Tags: []string{"sentinel tag"}},
 		})
@@ -67,7 +67,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err := ix.Save(&first); err != nil {
 			t.Fatalf("save after accepted load: %v (input %q)", err, data)
 		}
-		re := New(flatMeasure{}, 0.5)
+		re := New(flatMeasure, 0.5)
 		if err := re.Load(bytes.NewReader(first.Bytes())); err != nil {
 			t.Fatalf("own Save output rejected: %v (input %q)", err, data)
 		}

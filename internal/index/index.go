@@ -12,8 +12,8 @@
 // # Concurrency: read-copy-update
 //
 // The index is split into a mutable Builder (the write side: Eq. 1 posting
-// computation, worker pool, similarity memo) and an immutable Snapshot (the
-// read side: lock-free probes over a frozen tag → postings map), published
+// computation, worker pool) and an immutable Snapshot (the read side:
+// lock-free probes over a frozen tag → postings map), published
 // through an atomic pointer. Queries pin one Snapshot with Current at the
 // start of the request and run against it lock-free for the request's whole
 // lifetime; Build/AddTag/Load compute the next generation off to the side
@@ -25,8 +25,9 @@
 // Build fans its Eq. 1 work out across a bounded worker pool (SetWorkers) —
 // across tags for batch builds, across entity chunks for single-tag AddTag —
 // and merges deterministically, so a parallel build is byte-identical to a
-// serial one. Similarity scores are cached in a bounded sim.Memo shared by
-// every generation, so a repeated (tag, reviewTag) pair is never recomputed.
+// serial one. Every phrase is analysed once (sim.Measure.Prepare): an index
+// key when it enters a generation, a review tag once per indexing round, a
+// query tag once per probe; all similarity scoring is between prepared forms.
 // The BuildCtx/AddTagCtx variants poll their context between tags and
 // entities and abort without publishing when it is cancelled.
 package index
@@ -40,13 +41,6 @@ import (
 	"saccs/internal/obs"
 	"saccs/internal/sim"
 )
-
-// ContradictionAware is an optional similarity capability: Base returns the
-// polarity-blind similarity plus whether the phrases' polarities conflict.
-// sim.Conceptual implements it.
-type ContradictionAware interface {
-	Base(a, b string) (float64, bool)
-}
 
 // Entry is one entity under a tag with its degree of truth.
 type Entry struct {
@@ -96,20 +90,13 @@ type Index struct {
 
 // New returns an empty index using the given similarity measure and
 // θ_index threshold for review-tag matching. Eq. 1's review-count weighting
-// is on by default, as is the similarity memo; the worker pool defaults to
-// GOMAXPROCS.
+// is on by default; the worker pool defaults to GOMAXPROCS. The measure must
+// be safe for concurrent use: builds and every published snapshot score
+// through it.
 func New(measure sim.Measure, thetaIndex float64) *Index {
-	return NewWithMemo(sim.NewMemo(measure), thetaIndex)
-}
-
-// NewWithMemo is New over a caller-supplied (possibly shared) similarity
-// memo; see NewBuilderWithMemo. Every snapshot the index publishes reads
-// similarities through this memo.
-func NewWithMemo(memo *sim.Memo, thetaIndex float64) *Index {
-	b := NewBuilderWithMemo(memo, thetaIndex)
-	ix := &Index{b: b}
+	ix := &Index{b: NewBuilder(measure, thetaIndex)}
 	ix.snap.Store(&Snapshot{
-		memo:       b.Memo(),
+		measure:    measure,
 		thetaIndex: thetaIndex,
 		tags:       map[string]postings{},
 		ents:       &entityTable{},
@@ -129,9 +116,9 @@ func (ix *Index) Builder() *Builder { return ix.b }
 
 // SetObserver attaches runtime observability: indexing rounds record build
 // latency, worker count, and tag/entry counts; lookups record resolution
-// latency and exact-vs-similar hit counters; the similarity memo reports its
-// hit/miss/eviction traffic. Call before concurrent use; a nil observer
-// (the default) keeps every hot path free of instrumentation cost.
+// latency and exact-vs-similar hit counters. Call before concurrent use; a
+// nil observer (the default) keeps every hot path free of instrumentation
+// cost.
 func (ix *Index) SetObserver(o *obs.Observer) {
 	ix.publishMu.Lock()
 	defer ix.publishMu.Unlock()
@@ -161,12 +148,6 @@ func (ix *Index) SetFrequencyAware(on bool) { ix.b.SetFrequencyAware(on) }
 
 // SetWorkers bounds the indexing worker pool; see Builder.SetWorkers.
 func (ix *Index) SetWorkers(n int) { ix.b.SetWorkers(n) }
-
-// MemoStats returns the similarity memo's lifetime hits, misses, and
-// whole-shard evictions.
-func (ix *Index) MemoStats() (hits, misses, evictions int64) {
-	return ix.b.Memo().Stats()
-}
 
 // publish stamps next with a fresh generation number, installs it as the
 // current generation, and returns its key count. Publication is also the
@@ -283,13 +264,9 @@ func (ix *Index) Len() int { return ix.Current().Len() }
 // Lookup returns the posting list for an exact index tag (copy).
 func (ix *Index) Lookup(tag string) []Entry { return ix.Current().Lookup(tag) }
 
-// LookupSimilar answers an unknown tag per §3.2; see Snapshot.LookupSimilar.
-func (ix *Index) LookupSimilar(tag string, thetaFilter float64) []Entry {
-	return ix.Current().LookupSimilar(tag, thetaFilter)
-}
-
 // Resolve implements the probing rule of Algorithm 1 lines 7–10: exact hit
-// when the tag is indexed, otherwise the similar-tag union.
+// when the tag is indexed, otherwise the similar-tag union; see
+// Snapshot.Resolve.
 func (ix *Index) Resolve(tag string, thetaFilter float64) []Entry {
 	return ix.Current().Resolve(tag, thetaFilter)
 }

@@ -150,7 +150,7 @@ func TestLookupSimilarUnknownTag(t *testing.T) {
 	// similar indexed tags with degree × similarity.
 	ix := testIndex()
 	ix.Build([]string{"good food", "creative cooking"}, entities())
-	got := ix.LookupSimilar("delicious food", 0.5)
+	got := ix.Resolve("delicious food", 0.5)
 	if len(got) == 0 {
 		t.Fatal("no results for similar unknown tag")
 	}
@@ -176,7 +176,7 @@ func TestLookupSimilarSumsContributions(t *testing.T) {
 	// example sums s1·0.76 + s2·0.94 for Anchovy).
 	ix := testIndex()
 	ix.Build([]string{"good food", "creative cooking"}, entities())
-	union := ix.LookupSimilar("delicious food", 0.3)
+	union := ix.Resolve("delicious food", 0.3)
 	var anchovy float64
 	for _, e := range union {
 		if e.EntityID == "anchovy" {
@@ -336,7 +336,7 @@ func TestDynamicTheta(t *testing.T) {
 func TestResolveDynamic(t *testing.T) {
 	ix := testIndex()
 	ix.Build([]string{"good food"}, entities())
-	exact := ix.ResolveDynamic("good food", 0.5)
+	exact := ix.Resolve("good food", DynamicTheta(0.5, "good food"))
 	if len(exact) == 0 {
 		t.Fatal("exact resolve")
 	}
@@ -344,7 +344,7 @@ func TestResolveDynamic(t *testing.T) {
 	// least as many results as the static resolve.
 	tag := "wonderfully flavorful gastronomic food"
 	static := ix.Resolve(tag, 0.5)
-	dynamic := ix.ResolveDynamic(tag, 0.5)
+	dynamic := ix.Resolve(tag, DynamicTheta(0.5, tag))
 	if len(dynamic) < len(static) {
 		t.Fatalf("dynamic resolve must not lose results: %d vs %d", len(dynamic), len(static))
 	}
@@ -405,22 +405,5 @@ func TestSetWorkersBounds(t *testing.T) {
 	ix.Build([]string{"nice staff"}, entities())
 	if ix.Len() != 2 {
 		t.Fatalf("builds under different worker counts: %v", ix.Tags())
-	}
-}
-
-// TestMemoStatsAccumulate checks the memo is actually on the indexing path:
-// repeated (tag, reviewTag) pairs must hit the cache.
-func TestMemoStatsAccumulate(t *testing.T) {
-	ix := testIndex()
-	ix.SetWorkers(1)
-	ix.Build([]string{"good food"}, entities())
-	_, m1, _ := ix.MemoStats()
-	ix.Build([]string{"good food"}, entities())
-	hits, m2, _ := ix.MemoStats()
-	if hits == 0 {
-		t.Fatal("rebuilding the same tag must hit the similarity memo")
-	}
-	if m2 != m1 {
-		t.Fatalf("rebuild recomputed pairs: misses %d -> %d", m1, m2)
 	}
 }

@@ -207,9 +207,10 @@ func TestOrdinalsAppendOnlyAcrossGenerations(t *testing.T) {
 	checkSealed(t, "pinned", pinned)
 }
 
-// TestLookupSimilarAllocsRegression pins the similar-tag union's steady
-// state: the per-entity sums live in the pooled scratch, so a warm lookup
-// allocates its result slice and nothing else — in particular no map.
+// TestLookupSimilarAllocsRegression pins the materialised similar-tag union's
+// steady state: the prepared query tag, the scan's hits and the per-entity
+// sums live in the pooled scratch, so a warm Resolve allocates its result
+// slice and nothing else — in particular no map.
 func TestLookupSimilarAllocsRegression(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector makes sync.Pool drop items and allocates on its own behalf")
@@ -219,11 +220,11 @@ func TestLookupSimilarAllocsRegression(t *testing.T) {
 	ix.Build(tags, es)
 	snap := ix.Current()
 	const unknown = "delicious food"
-	if snap.Has(unknown) || len(snap.LookupSimilar(unknown, 0.45)) < 5 {
+	if snap.Has(unknown) || len(snap.Resolve(unknown, 0.45)) < 5 {
 		t.Fatalf("fixture: %q must miss the index and union several entities", unknown)
 	}
-	allocs := testing.AllocsPerRun(100, func() { snap.LookupSimilar(unknown, 0.45) })
+	allocs := testing.AllocsPerRun(100, func() { snap.Resolve(unknown, 0.45) })
 	if allocs > 1 {
-		t.Fatalf("warm LookupSimilar allocates %v times per call, want 1 (the result)", allocs)
+		t.Fatalf("warm Resolve of an unknown tag allocates %v times per call, want 1 (the result)", allocs)
 	}
 }

@@ -88,11 +88,11 @@ func (t *entityTable) seal(lists [][]Entry) (*entityTable, [][]int32) {
 
 // Snapshot is one immutable, published generation of the index: the tag →
 // posting-list map frozen at publication time. Every method is a pure read —
-// the struct has no mutex field at all, so queries that pin a snapshot run
+// the struct has no mutex field at all, and no lock is reachable from it: the
+// similar-tag scan scores the query tag against the prepared keys sealed into
+// the snapshot with an immutable measure. Queries that pin a snapshot run
 // completely lock-free and are never blocked (or affected) by a concurrent
-// rebuild. The only locking reachable from a Snapshot is inside the shared
-// sim.Memo's shards, and only on the similarity-fallback path; exact-hit
-// resolution touches no lock whatsoever.
+// rebuild.
 //
 // Obtain a snapshot with Index.Current, use it for the whole request, and
 // drop it; the garbage collector reclaims superseded generations once the
@@ -100,10 +100,9 @@ func (t *entityTable) seal(lists [][]Entry) (*entityTable, [][]int32) {
 // most two live generations (plus shared posting slices: a publication
 // copies the map and key order but reuses every unchanged posting list).
 type Snapshot struct {
-	// memo is the shared similarity cache (internally sharded, safe for
-	// concurrent use); the similarity fallback scores query tags against
-	// index keys through it.
-	memo *sim.Memo
+	// measure scores a query tag against the prepared keys; it is immutable
+	// and shared by every generation.
+	measure sim.Measure
 	// thetaIndex records the threshold the postings were computed with
 	// (persisted informationally by Save).
 	thetaIndex float64
@@ -114,6 +113,11 @@ type Snapshot struct {
 	ents *entityTable
 	// order preserves insertion order for deterministic iteration.
 	order []string
+	// keys[i] is order[i] as the measure prepared it, which is what the
+	// similar-tag scan reads instead of the string. Like the ordinals it is
+	// derived state: a key is prepared when it first enters a generation,
+	// the record is carried into every later one, and it is never persisted.
+	keys []sim.Prepared
 	// gen is this generation's publication number, assigned by
 	// Index.publish; 0 only for the initial empty snapshot. Wide events
 	// record it so a slow query can be tied to the exact index state it read.
@@ -191,77 +195,117 @@ func (s *Snapshot) Ordinal(id string) (int32, bool) {
 // EntityID returns the ID numbered ord.
 func (s *Snapshot) EntityID(ord int32) string { return s.ents.ids[ord] }
 
-// eachSimilar is the similar-tag scan of §3.2: it calls f with the posting
-// list of every index tag whose similarity to tag exceeds θ_filter, and that
-// similarity, in key insertion order — the order the union's per-entity sums
-// are taken in, which every consumer must keep for scores to stay
-// bit-identical. The context is polled every simScanCheckEvery keys.
-func (s *Snapshot) eachSimilar(ctx context.Context, tag string, thetaFilter float64, f func(p postings, sim float64)) error {
-	for i, key := range s.order {
+// Scratch is the caller-owned working memory of unknown-tag probes: the
+// query tag as the measure prepared it, and the keys each vocabulary scan
+// found similar. A probe that is handed a warm Scratch allocates nothing.
+// Scans are remembered until Reset or until the Scratch is used with another
+// snapshot or threshold, so a query that carries the same unknown tag twice
+// scans the vocabulary once. A Scratch is not safe for concurrent use; Reset
+// it before pooling, or it pins the snapshot it last probed.
+type Scratch struct {
+	snap  *Snapshot
+	theta float64
+	query sim.Prepared
+	// scans[i] found hits[scans[i-1].end:scans[i].end].
+	scans []scan
+	hits  []similarKey
+}
+
+// scan is one unknown tag's remembered vocabulary scan.
+type scan struct {
+	tag string
+	end int
+}
+
+// similarKey is one index key whose similarity to the probed tag exceeds
+// θ_filter: its position in the key order, and that similarity.
+type similarKey struct {
+	key int32
+	sim float64
+}
+
+// Reset forgets every scan and the snapshot they were made on, keeping the
+// Scratch's storage.
+func (sc *Scratch) Reset() {
+	sc.snap, sc.scans, sc.hits = nil, sc.scans[:0], sc.hits[:0]
+}
+
+// similar is the similar-tag scan of §3.2: the index keys whose similarity to
+// tag exceeds θ_filter, in key insertion order — the order the union's
+// per-entity sums are taken in, which every consumer must keep for scores to
+// stay bit-identical. The tag is prepared once and scored against the
+// prepared keys; the context is polled every simScanCheckEvery keys.
+func (s *Snapshot) similar(ctx context.Context, tag string, thetaFilter float64, sc *Scratch) ([]similarKey, error) {
+	if sc.snap != s || sc.theta != thetaFilter {
+		sc.Reset()
+		sc.snap, sc.theta = s, thetaFilter
+	}
+	lo := 0
+	for _, done := range sc.scans {
+		if done.tag == tag {
+			return sc.hits[lo:done.end], nil
+		}
+		lo = done.end
+	}
+	s.measure.Prepare(tag, &sc.query)
+	for i := range s.keys {
 		if i%simScanCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return err
+				sc.hits = sc.hits[:lo]
+				return nil, err
 			}
 		}
-		if sc := s.memo.Phrase(tag, key); sc > thetaFilter {
-			f(s.tags[key], sc)
+		if score := sim.Penalize(s.measure.Score(&sc.query, &s.keys[i])); score > thetaFilter {
+			sc.hits = append(sc.hits, similarKey{key: int32(i), sim: score})
 		}
 	}
-	return nil
+	sc.scans = append(sc.scans, scan{tag: tag, end: len(sc.hits)})
+	return sc.hits[lo:], nil
 }
 
 // ResolveOrdinals is the probing rule of Algorithm 1 lines 7–10 over the
 // dense layout, for the ranker: an indexed tag reports f(ordinal, degree)
 // once per posting; an unknown tag reports f(ordinal, sim × degree) once per
 // posting of every similar index tag, leaving the caller to sum an entity's
-// contributions in call order (the S_t2 union without materializing it). It
-// allocates nothing, returns the number of postings read, and on a cancelled
-// or expired context returns ctx's error — calls already made to f must then
-// be discarded.
-func (s *Snapshot) ResolveOrdinals(ctx context.Context, tag string, thetaFilter float64, f func(ord int32, degree float64)) (int, error) {
+// contributions in call order (the S_t2 union without materializing it). The
+// unknown-tag scan works in sc; with a warm one the probe allocates nothing.
+// It returns the number of postings read, and on a cancelled or expired
+// context ctx's error, before any call to f.
+func (s *Snapshot) ResolveOrdinals(ctx context.Context, tag string, thetaFilter float64, sc *Scratch, f func(ord int32, degree float64)) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 	t0 := s.resolveStart()
 	n := 0
-	report := func(p postings, sc float64) {
+	report := func(p postings, score float64) {
 		for i, e := range p.entries {
-			f(p.ords[i], sc*e.Degree)
+			f(p.ords[i], score*e.Degree)
 		}
 		n += len(p.entries)
 	}
 	p, exact := s.tags[tag]
 	if exact {
 		report(p, 1) // × 1 is exact: the degree arrives bit-for-bit
-	} else if err := s.eachSimilar(ctx, tag, thetaFilter, report); err != nil {
-		return 0, err
+	} else {
+		hits, err := s.similar(ctx, tag, thetaFilter, sc)
+		if err != nil {
+			return 0, err
+		}
+		for _, h := range hits {
+			report(s.tags[s.order[h.key]], h.sim)
+		}
 	}
 	s.resolveDone(t0, exact)
 	return n, nil
 }
 
-// LookupSimilar answers an unknown tag per §3.2: the union of the posting
-// lists of every index tag whose similarity to the query tag exceeds
-// θ_filter, with degrees multiplied by that similarity and summed across
-// contributing tags (the S_t2 construction).
-func (s *Snapshot) LookupSimilar(tag string, thetaFilter float64) []Entry {
-	out, _ := s.lookupSimilar(context.Background(), tag, thetaFilter)
-	return out
-}
-
-// LookupSimilarCtx is LookupSimilar with cooperative cancellation: the
-// context is polled every simScanCheckEvery index keys, and a cancelled or
-// expired context aborts the scan with ctx's error and no partial results.
-func (s *Snapshot) LookupSimilarCtx(ctx context.Context, tag string, thetaFilter float64) ([]Entry, error) {
-	return s.lookupSimilar(ctx, tag, thetaFilter)
-}
-
-// unionScratch is lookupSimilar's pooled working memory: the per-entity
-// degree sums as a flat column indexed by ordinal. sum[o] is meaningful only
-// while stamp[o] equals the current epoch — bumping the epoch invalidates the
-// whole column without clearing it, and an entity whose contributions sum to
-// zero is still in the union, which a zero test on sum could not tell.
+// unionScratch is Resolve's pooled working memory: the per-entity degree sums
+// as a flat column indexed by ordinal. sum[o] is meaningful only while
+// stamp[o] equals the current epoch — bumping the epoch invalidates the whole
+// column without clearing it, and an entity whose contributions sum to zero
+// is still in the union, which a zero test on sum could not tell.
 type unionScratch struct {
+	probe   Scratch
 	epoch   uint32
 	stamp   []uint32
 	sum     []float64
@@ -284,29 +328,31 @@ func (u *unionScratch) begin(n int) {
 	u.touched = u.touched[:0]
 }
 
-func (s *Snapshot) lookupSimilar(ctx context.Context, tag string, thetaFilter float64) ([]Entry, error) {
+// Resolve is ResolveOrdinals materialised, for callers outside the query
+// path (tests, the profile layer, benchmarks): the posting list of an indexed
+// tag, or for an unknown tag the §3.2 union — the posting lists of every
+// similar index tag, degrees multiplied by that similarity and summed per
+// entity across contributing tags (the S_t2 construction) — as a fresh slice
+// in posting order.
+func (s *Snapshot) Resolve(tag string, thetaFilter float64) []Entry {
 	u := unionPool.Get().(*unionScratch)
-	defer unionPool.Put(u)
 	u.begin(len(s.ents.ids))
-	err := s.eachSimilar(ctx, tag, thetaFilter, func(p postings, sc float64) {
-		for i, e := range p.entries {
-			o := p.ords[i]
-			if u.stamp[o] != u.epoch {
-				u.stamp[o], u.sum[o] = u.epoch, 0
-				u.touched = append(u.touched, o)
-			}
-			u.sum[o] += sc * e.Degree
+	// context.Background is never cancelled, so the error path is dead.
+	_, _ = s.ResolveOrdinals(context.Background(), tag, thetaFilter, &u.probe, func(o int32, degree float64) {
+		if u.stamp[o] != u.epoch {
+			u.stamp[o], u.sum[o] = u.epoch, 0
+			u.touched = append(u.touched, o)
 		}
+		u.sum[o] += degree
 	})
-	if err != nil {
-		return nil, err
-	}
 	entries := make([]Entry, len(u.touched))
 	for i, o := range u.touched {
 		entries[i] = Entry{EntityID: s.ents.ids[o], Degree: u.sum[o]}
 	}
+	u.probe.Reset()
+	unionPool.Put(u)
 	slices.SortFunc(entries, comparePostings)
-	return entries, nil
+	return entries
 }
 
 // resolveStart and resolveDone bracket one probe for the read-side
@@ -330,70 +376,16 @@ func (s *Snapshot) resolveDone(t0 time.Time, exact bool) {
 	}
 }
 
-// Resolve implements the probing rule of Algorithm 1 lines 7–10: exact hit
-// when the tag is indexed, otherwise the similar-tag union.
-func (s *Snapshot) Resolve(tag string, thetaFilter float64) []Entry {
-	t0 := s.resolveStart()
-	var out []Entry
-	p, exact := s.tags[tag]
-	if exact {
-		out = append([]Entry(nil), p.entries...)
-	} else {
-		out, _ = s.lookupSimilar(context.Background(), tag, thetaFilter)
-	}
-	s.resolveDone(t0, exact)
-	return out
-}
-
-// ResolveEachCtx is the copy-free, cancellable Resolve: exact hits iterate
-// the posting list in place; only the similar-tag union (which must
-// aggregate across tags) materializes a slice. The context is polled before
-// the probe and periodically inside the similarity scan; on a cancelled or
-// expired context it returns ctx's error without invoking f. No lock is held
-// during f — the callback may be arbitrarily slow without stalling writers
-// or other readers.
-func (s *Snapshot) ResolveEachCtx(ctx context.Context, tag string, thetaFilter float64, f func(Entry) bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	t0 := s.resolveStart()
-	p, exact := s.tags[tag]
-	entries := p.entries
-	if !exact {
-		var err error
-		if entries, err = s.lookupSimilar(ctx, tag, thetaFilter); err != nil {
-			return err
-		}
-	}
-	for _, e := range entries {
-		if !f(e) {
-			break
-		}
-	}
-	s.resolveDone(t0, exact)
-	return nil
-}
-
-// ResolveDynamic is Resolve with a per-tag dynamic θ_filter (§7): unknown
-// tags are answered at DynamicTheta(baseTheta, tag) instead of a fixed
-// threshold.
-func (s *Snapshot) ResolveDynamic(tag string, baseTheta float64) []Entry {
-	if p, ok := s.tags[tag]; ok {
-		return append([]Entry(nil), p.entries...)
-	}
-	out, _ := s.lookupSimilar(context.Background(), tag, DynamicTheta(baseTheta, tag))
-	return out
-}
-
 // derive starts the next generation: a copy of s's tag map and key order
 // with room for extra new tags. Posting lists are shared, not copied, and
 // the entity table is carried over for seal to extend.
 func (s *Snapshot) derive(extra int) *Snapshot {
 	next := &Snapshot{
-		memo:        s.memo,
+		measure:     s.measure,
 		thetaIndex:  s.thetaIndex,
 		tags:        make(map[string]postings, len(s.tags)+extra),
 		order:       make([]string, 0, len(s.order)+extra),
+		keys:        make([]sim.Prepared, 0, len(s.keys)+extra),
 		ents:        s.ents,
 		resolveHist: s.resolveHist,
 		exactCtr:    s.exactCtr,
@@ -401,9 +393,21 @@ func (s *Snapshot) derive(extra int) *Snapshot {
 	}
 	for _, t := range s.order {
 		next.tags[t] = s.tags[t]
-		next.order = append(next.order, t)
 	}
+	next.order = append(next.order, s.order...)
+	next.keys = append(next.keys, s.keys...)
 	return next
+}
+
+// bind sets tag's posting list, appending the tag to the key order — and
+// preparing it for the similar-tag scan — when it is new.
+func (s *Snapshot) bind(tag string, p postings) {
+	if _, exists := s.tags[tag]; !exists {
+		s.order = append(s.order, tag)
+		s.keys = append(s.keys, sim.Prepared{})
+		s.measure.Prepare(tag, &s.keys[len(s.keys)-1])
+	}
+	s.tags[tag] = p
 }
 
 // with derives the next generation: a copy of s with each tags[i] bound to
@@ -413,20 +417,18 @@ func (s *Snapshot) with(tags []string, lists [][]Entry) *Snapshot {
 	ents, ords := s.ents.seal(lists)
 	next.ents = ents
 	for i, t := range tags {
-		if _, exists := next.tags[t]; !exists {
-			next.order = append(next.order, t)
-		}
-		next.tags[t] = postings{entries: lists[i], ords: ords[i]}
+		next.bind(t, postings{entries: lists[i], ords: ords[i]})
 	}
 	return next
 }
 
 // withContents derives a generation whose contents are replaced wholesale
-// (the Load path), keeping the memo, threshold, instruments and — extended,
-// never renumbered — the entity table.
+// (the Load path), keeping the measure, threshold, instruments and —
+// extended, never renumbered — the entity table. Every key is prepared
+// afresh.
 func (s *Snapshot) withContents(tags []string, lists [][]Entry) *Snapshot {
 	emptied := *s
-	emptied.tags, emptied.order = nil, nil
+	emptied.tags, emptied.order, emptied.keys = nil, nil, nil
 	return emptied.with(tags, lists)
 }
 
@@ -434,10 +436,11 @@ func (s *Snapshot) withContents(tags []string, lists [][]Entry) *Snapshot {
 // SetObserver path), sharing the contents.
 func (s *Snapshot) withObserver(o *obs.Observer) *Snapshot {
 	next := &Snapshot{
-		memo:       s.memo,
+		measure:    s.measure,
 		thetaIndex: s.thetaIndex,
 		tags:       s.tags,
 		order:      s.order,
+		keys:       s.keys,
 		ents:       s.ents,
 		gen:        s.gen,
 	}

@@ -6,32 +6,48 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"saccs/internal/sim"
 )
 
 // TestSnapshotHasNoMutexField enforces the read-path contract structurally:
 // a published Snapshot carries no mutex anywhere in its value — the query
-// path cannot block on one even by accident. Pointer fields (the shared
-// similarity memo, observability instruments) stop the walk: they carry
+// path cannot block on one even by accident. The walk follows struct fields
+// and the elements of slices, arrays and maps, so the sealed prepared keys
+// are covered. Pointer fields (observability instruments) stop it: they carry
 // their own internal synchronization and are not part of the frozen value.
 func TestSnapshotHasNoMutexField(t *testing.T) {
 	mutex := reflect.TypeOf(sync.Mutex{})
 	rwMutex := reflect.TypeOf(sync.RWMutex{})
+	seen := map[reflect.Type]bool{}
 	var walk func(typ reflect.Type, path string)
 	walk = func(typ reflect.Type, path string) {
 		if typ == mutex || typ == rwMutex {
 			t.Errorf("%s is a mutex on the lock-free read path", path)
 			return
 		}
-		if typ.Kind() == reflect.Struct {
+		if seen[typ] {
+			return // sim.Prepared holds a slice of itself
+		}
+		seen[typ] = true
+		switch typ.Kind() {
+		case reflect.Struct:
 			for i := 0; i < typ.NumField(); i++ {
 				f := typ.Field(i)
 				walk(f.Type, path+"."+f.Name)
 			}
+		case reflect.Slice, reflect.Array, reflect.Map:
+			walk(typ.Elem(), path+"[]")
 		}
 	}
 	walk(reflect.TypeOf(Snapshot{}), "Snapshot")
-	// The entity table hangs off a pointer but is part of the frozen value.
+	if !seen[reflect.TypeOf(sim.Prepared{})] {
+		t.Fatal("the walk did not reach the sealed prepared keys")
+	}
+	// The entity table hangs off a pointer but is part of the frozen value,
+	// and the measure the scan scores with hangs off an interface.
 	walk(reflect.TypeOf(entityTable{}), "Snapshot.ents")
+	walk(reflect.TypeOf(sim.Conceptual{}), "Snapshot.measure")
 }
 
 // TestPinnedSnapshotSurvivesRebuild pins a snapshot, rebuilds the index,

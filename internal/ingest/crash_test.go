@@ -18,7 +18,7 @@ func crashScenario(t *testing.T, cfg Config, items []streamItem, failAt int64) (
 	t.Helper()
 	fs = NewMemFS()
 	cfg.FS = fs
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	ing, err := Open(cfg, ix, testTags, nil, splitExtract)
 	if err != nil {
 		t.Fatalf("failAt=%d: open: %v", failAt, err)
@@ -61,7 +61,7 @@ func verifyRecovery(t *testing.T, fs *MemFS, cfg Config, items []streamItem, ack
 	t.Helper()
 	crashed := fs.Crash(torn)
 	cfg.FS = crashed
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	ing, err := Open(cfg, ix, testTags, nil, splitExtract)
 	if err != nil {
 		t.Fatalf("torn=%d: reopen after crash: %v", torn, err)
@@ -140,7 +140,7 @@ func metaScenario(t *testing.T, cfg Config, items []streamItem, metaOf func(stri
 	t.Helper()
 	fs = NewMemFS()
 	cfg.FS = fs
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	ing, err := Open(cfg, ix, testTags, nil, splitExtract)
 	if err != nil {
 		t.Fatalf("failAt=%d: open: %v", failAt, err)
@@ -211,7 +211,7 @@ func TestCrashMatrixMetadata(t *testing.T) {
 			crashed := fs.Crash(torn)
 			recfg := cfg
 			recfg.FS = crashed
-			ix := index.New(flatSim{}, 0.5)
+			ix := index.New(flatSim, 0.5)
 			ing, err := Open(recfg, ix, testTags, nil, splitExtract)
 			if err != nil {
 				t.Fatalf("failAt=%d torn=%d: reopen: %v", failAt, torn, err)

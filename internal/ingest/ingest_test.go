@@ -11,14 +11,13 @@ import (
 	"time"
 
 	"saccs/internal/index"
+	"saccs/internal/sim"
 )
 
 // flatSim is a cheap deterministic similarity: exact match or a sub-theta
 // constant. It keeps the merge logic under test without dragging the
 // taxonomy in.
-type flatSim struct{}
-
-func (flatSim) Phrase(a, b string) float64 {
+var flatSim = sim.PhraseFunc(func(a, b string) float64 {
 	if a == b {
 		return 1
 	}
@@ -26,7 +25,7 @@ func (flatSim) Phrase(a, b string) float64 {
 		return 0.6
 	}
 	return 0.3
-}
+})
 
 // splitExtract is the test extractor: review texts are "tag|tag|…", so
 // extraction is deterministic, order-preserving, and trivially batchable.
@@ -109,7 +108,7 @@ func batchState(items []streamItem) []index.EntityReviews {
 }
 
 func batchIndex(items []streamItem) *index.Index {
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	ix.Build(testTags, batchState(items))
 	return ix
 }
@@ -145,7 +144,7 @@ func appendAll(t *testing.T, ing *Ingester, items []streamItem) {
 func TestStreamedEqualsBatchInMemory(t *testing.T) {
 	items := genStream(7, 200, 9, testTags)
 	for _, every := range []int{1, 7, 64, -1} {
-		ix := index.New(flatSim{}, 0.5)
+		ix := index.New(flatSim, 0.5)
 		ing, err := Open(Config{PublishEvery: every, PublishInterval: -1}, ix, testTags, nil, splitExtract)
 		if err != nil {
 			t.Fatalf("open (every=%d): %v", every, err)
@@ -164,7 +163,7 @@ func TestStreamedEqualsBatchInMemory(t *testing.T) {
 func TestStreamedEqualsBatchDurable(t *testing.T) {
 	items := genStream(11, 150, 7, testTags)
 	fs := NewMemFS()
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	cfg := Config{FS: fs, Dir: "ingest", PublishEvery: 16, PublishInterval: -1, CompactAfter: 3, SegmentBytes: 1 << 12}
 	ing, err := Open(cfg, ix, testTags, nil, splitExtract)
 	if err != nil {
@@ -181,7 +180,7 @@ func TestStreamedEqualsBatchDurable(t *testing.T) {
 
 	// Clean restart (no crash): recovery must reproduce the same index from
 	// checkpoint + WAL tail.
-	ix2 := index.New(flatSim{}, 0.5)
+	ix2 := index.New(flatSim, 0.5)
 	ing2, err := Open(cfg, ix2, nil, nil, splitExtract)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -199,7 +198,7 @@ func TestSeededStreamContinuesBatchWorld(t *testing.T) {
 	live := genStream(4, 60, 6, testTags)
 	seed := batchState(history)
 
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	ix.Build(testTags, seed)
 	ing, err := Open(Config{PublishEvery: 10, PublishInterval: -1}, ix, testTags, seed, splitExtract)
 	if err != nil {
@@ -222,7 +221,7 @@ func TestFailedPublishRetriesWithoutDoubleFolding(t *testing.T) {
 	// the retry re-extracts and re-folds from scratch. A fold committed
 	// before the failed merge would double-count every review in the batch
 	// and permanently break batch/stream bit-identity.
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	ing, err := Open(Config{PublishEvery: -1, PublishInterval: -1}, ix, testTags, nil, splitExtract)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -259,7 +258,7 @@ func TestIntervalDefaultAppliesWithCountTriggerDisabled(t *testing.T) {
 }
 
 func TestPublishIntervalBoundsStaleness(t *testing.T) {
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	// Count trigger effectively off; only the ticker can publish.
 	ing, err := Open(Config{PublishEvery: -1, PublishInterval: 5 * time.Millisecond}, ix, testTags, nil, splitExtract)
 	if err != nil {
@@ -283,7 +282,7 @@ func TestPublishIntervalBoundsStaleness(t *testing.T) {
 
 func TestCompactEmptyWAL(t *testing.T) {
 	fs := NewMemFS()
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	cfg := Config{FS: fs, Dir: "ingest", PublishInterval: -1}
 	ing, err := Open(cfg, ix, testTags, nil, splitExtract)
 	if err != nil {
@@ -295,7 +294,7 @@ func TestCompactEmptyWAL(t *testing.T) {
 	if err := ing.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	ix2 := index.New(flatSim{}, 0.5)
+	ix2 := index.New(flatSim, 0.5)
 	ing2, err := Open(cfg, ix2, nil, nil, splitExtract)
 	if err != nil {
 		t.Fatalf("reopen after empty compaction: %v", err)
@@ -311,7 +310,7 @@ func TestCompactEmptyWAL(t *testing.T) {
 func TestCompactSingleSegmentTruncate(t *testing.T) {
 	fs := NewMemFS()
 	items := genStream(21, 12, 4, testTags)
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	cfg := Config{FS: fs, Dir: "ingest", PublishEvery: -1, PublishInterval: -1, CompactAfter: -1}
 	ing, err := Open(cfg, ix, testTags, nil, splitExtract)
 	if err != nil {
@@ -338,7 +337,7 @@ func TestCompactSingleSegmentTruncate(t *testing.T) {
 	if err := ing.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	ix2 := index.New(flatSim{}, 0.5)
+	ix2 := index.New(flatSim, 0.5)
 	ing2, err := Open(cfg, ix2, nil, nil, splitExtract)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -352,7 +351,7 @@ func TestCompactSingleSegmentTruncate(t *testing.T) {
 func TestCompactionRacingFreshAppends(t *testing.T) {
 	fs := NewMemFS()
 	items := genStream(33, 300, 8, testTags)
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	cfg := Config{FS: fs, Dir: "ingest", PublishEvery: 8, PublishInterval: -1, CompactAfter: -1, SegmentBytes: 1 << 11}
 	ing, err := Open(cfg, ix, testTags, nil, splitExtract)
 	if err != nil {
@@ -407,7 +406,7 @@ func TestCompactionRacingFreshAppends(t *testing.T) {
 	// passes the tag list, as the facade always does: the checkpoint is the
 	// authority when present, but the caller's vocabulary is the fallback
 	// when the crash landed before the first compaction.
-	ix2 := index.New(flatSim{}, 0.5)
+	ix2 := index.New(flatSim, 0.5)
 	ing2, err := Open(cfg, ix2, testTags, nil, splitExtract)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -425,7 +424,7 @@ func TestDuplicatePostingsAcrossMiniSnapshotsNewestWins(t *testing.T) {
 	// degree first rises with a supporting review, then falls when an
 	// off-tag review dilutes the mention rate. The final index must track
 	// the latest full-state recomputation exactly, including downward moves.
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	ing, err := Open(Config{PublishEvery: -1, PublishInterval: -1}, ix, testTags, nil, splitExtract)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -473,7 +472,7 @@ func TestDuplicatePostingsAcrossMiniSnapshotsNewestWins(t *testing.T) {
 
 func TestAddTagsWidensFutureDeltas(t *testing.T) {
 	fs := NewMemFS()
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	cfg := Config{FS: fs, Dir: "ingest", PublishEvery: -1, PublishInterval: -1}
 	ing, err := Open(cfg, ix, testTags[:2], nil, splitExtract)
 	if err != nil {
@@ -501,7 +500,7 @@ func TestAddTagsWidensFutureDeltas(t *testing.T) {
 	}
 	// The widened tag list is durable (AddTags checkpoints): a restart must
 	// keep indexing it.
-	ix2 := index.New(flatSim{}, 0.5)
+	ix2 := index.New(flatSim, 0.5)
 	ing2, err := Open(cfg, ix2, nil, nil, splitExtract)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -516,7 +515,7 @@ func TestAddTagsWidensFutureDeltas(t *testing.T) {
 
 func TestRebaseResetsStreamState(t *testing.T) {
 	fs := NewMemFS()
-	ix := index.New(flatSim{}, 0.5)
+	ix := index.New(flatSim, 0.5)
 	cfg := Config{FS: fs, Dir: "ingest", PublishEvery: 4, PublishInterval: -1}
 	ing, err := Open(cfg, ix, testTags, nil, splitExtract)
 	if err != nil {
@@ -530,7 +529,7 @@ func TestRebaseResetsStreamState(t *testing.T) {
 	// A batch reindex supersedes everything streamed so far.
 	fresh := genStream(6, 40, 5, testTags)
 	seed := batchState(fresh)
-	ix2 := index.New(flatSim{}, 0.5)
+	ix2 := index.New(flatSim, 0.5)
 	ix2.Build(testTags, seed)
 	if err := ing.Rebase(ix2, testTags, seed, nil); err != nil {
 		t.Fatalf("rebase: %v", err)
@@ -548,7 +547,7 @@ func TestRebaseResetsStreamState(t *testing.T) {
 
 	// Recovery must resume from the rebase checkpoint, not the pre-rebase
 	// stream.
-	ix3 := index.New(flatSim{}, 0.5)
+	ix3 := index.New(flatSim, 0.5)
 	ing2, err := Open(cfg, ix3, nil, nil, splitExtract)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)

@@ -1,5 +1,7 @@
 package lexicon
 
+import "slices"
+
 // Taxonomy is the IS-A concept graph behind the conceptual similarity of
 // §3.1: in addition to the individual meaning of words it records their
 // nature, e.g. pizza IS-A food, so "amazing pizza" can be matched to the
@@ -32,6 +34,22 @@ func (t *Taxonomy) AddIsA(child, parent string) {
 
 // Parent returns the direct hypernym of c, or "" when c is a root or unknown.
 func (t *Taxonomy) Parent(c string) string { return t.parent[c] }
+
+// Concepts returns every concept of the graph, children and parents alike,
+// in ascending order.
+func (t *Taxonomy) Concepts() []string {
+	seen := make(map[string]struct{}, 2*len(t.parent))
+	for child, parent := range t.parent {
+		seen[child] = struct{}{}
+		seen[parent] = struct{}{}
+	}
+	out := make([]string, 0, len(seen))
+	for c := range seen {
+		out = append(out, c)
+	}
+	slices.Sort(out)
+	return out
+}
 
 // Precompute memoizes the hypernym chain and depth of every concept in the
 // graph — children and parents alike, so every element of every chain is

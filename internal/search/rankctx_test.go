@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestRankCtxAllocsRegression(t *testing.T) {
 	snap, ids := paperScaleIndex()
 	r := &Ranker{Snap: snap, ThetaFilter: 0.45}
 	tags := []string{"good food", "delicious food"}
-	if snap.Has(tags[1]) || len(snap.LookupSimilar(tags[1], 0.45)) == 0 {
+	if snap.Has(tags[1]) || len(snap.Resolve(tags[1], 0.45)) == 0 {
 		t.Fatalf("%q must miss the index and resolve through the similar-tag union", tags[1])
 	}
 	rank := func() {
@@ -126,7 +127,7 @@ func TestRankCtxAllocsRegression(t *testing.T) {
 			t.Fatalf("rank: %d results, %v", len(out), err)
 		}
 	}
-	rank() // grow the pooled scratch, fill the similarity memo
+	rank() // grow the pooled scratch
 	if allocs := testing.AllocsPerRun(100, rank); allocs > 4 {
 		t.Fatalf("steady-state rank allocates %v times per call, want <= 4", allocs)
 	}
@@ -229,4 +230,54 @@ func TestScratchSharedAcrossIndexesAndGoroutines(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestRankRepeatedUnknownTag: a query that carries the same unknown tag twice
+// keeps one degree cell per position — every matched entity's coverage counts
+// both, and the mean of two equal degrees is that degree to the last bit — so
+// apart from coverage the ranking is the one-tag ranking; a known tag between
+// the two changes nothing about that.
+func TestRankRepeatedUnknownTag(t *testing.T) {
+	snap, ids := paperScaleIndex()
+	r := &Ranker{Snap: snap, ThetaFilter: 0.45}
+	const unknown = "delicious food"
+	once := r.Rank(ids, []string{unknown})
+	twice := r.Rank(ids, []string{unknown, unknown})
+	if len(once) != len(ids) || len(twice) != len(ids) {
+		t.Fatalf("ranked %d and %d of %d", len(once), len(twice), len(ids))
+	}
+	matched := 0
+	for i := range once {
+		want := once[i]
+		want.Coverage *= 2
+		if twice[i] != want {
+			t.Fatalf("rank %d: %+v with the tag repeated, %+v × 2 coverage with it once", i, twice[i], once[i])
+		}
+		matched += once[i].Coverage
+	}
+	if matched == 0 {
+		t.Fatalf("fixture: %q matched nothing", unknown)
+	}
+	// With a known tag between the two, each entity's score is the mean of its
+	// three cells taken in sorted order, which the one-tag rankings give.
+	type cell struct {
+		degree   float64
+		coverage int
+	}
+	cells := func(tag string) map[string]cell {
+		m := map[string]cell{}
+		for _, s := range r.Rank(ids, []string{tag}) {
+			m[s.EntityID] = cell{s.Score, s.Coverage}
+		}
+		return m
+	}
+	u, g := cells(unknown), cells("good food")
+	for _, s := range r.Rank(ids, []string{unknown, "good food", unknown}) {
+		vals := []float64{u[s.EntityID].degree, g[s.EntityID].degree, u[s.EntityID].degree}
+		slices.Sort(vals)
+		want := Scored{EntityID: s.EntityID, Score: (vals[0] + vals[1] + vals[2]) / 3, Coverage: 2*u[s.EntityID].coverage + g[s.EntityID].coverage}
+		if s != want {
+			t.Fatalf("%+v, want %+v", s, want)
+		}
+	}
 }

@@ -3,6 +3,8 @@ package search
 import (
 	"slices"
 	"sync"
+
+	"saccs/internal/index"
 )
 
 // slot is the ranker's per-entity state for one rank, indexed by the
@@ -34,6 +36,10 @@ type scratch struct {
 	matched []int32  // ordinals with seen == epoch, in first-match order
 	apiOrds []int32  // apiResults' ordinals, -1 where the snapshot has none
 	tail    []string // unmatched API results (cleared before the scratch is pooled)
+	// probe is the index's share of the scratch: the prepared query tag and
+	// the similar keys of each unknown tag's vocabulary scan (reset before
+	// the scratch is pooled).
+	probe index.Scratch
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -56,11 +62,13 @@ func (sc *scratch) begin(entities, tags int) {
 	sc.matched, sc.apiOrds = sc.matched[:0], sc.apiOrds[:0]
 }
 
-// release returns the scratch to the pool, dropping the ID strings it
-// borrowed so a pooled scratch pins no superseded snapshot's memory.
+// release returns the scratch to the pool, dropping the ID strings and the
+// snapshot it borrowed so a pooled scratch pins no superseded snapshot's
+// memory.
 func (sc *scratch) release() {
 	clear(sc.tail)
 	sc.tail = sc.tail[:0]
+	sc.probe.Reset()
 	scratchPool.Put(sc)
 }
 

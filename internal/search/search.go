@@ -193,7 +193,7 @@ func (r *Ranker) TopK(ctx context.Context, parent *obs.Span, apiResults []string
 			sp.Set("tag", tag)
 		}
 		inAPI := 0
-		n, err := r.Snap.ResolveOrdinals(ctx, tag, r.ThetaFilter, func(ord int32, degree float64) {
+		n, err := r.Snap.ResolveOrdinals(ctx, tag, r.ThetaFilter, &sc.probe, func(ord int32, degree float64) {
 			if sc.add(ord, i, degree) {
 				inAPI++
 			}

@@ -18,9 +18,6 @@ type View interface {
 	Generation() uint64
 	// Has reports whether the tag is indexed in the pinned state.
 	Has(tag string) bool
-	// Resolve returns the tag's scored entity set (exact posting list or
-	// similar-tag union) under θ_filter, honoring ctx mid-scan.
-	Resolve(ctx context.Context, tag string, thetaFilter float64) ([]index.Entry, error)
 	// TopK runs Algorithm 1 (Ranker.TopK) over the pinned state —
 	// restricted to apiResults, aggregated across tags, ordered by
 	// coverage/score/ID with the ID-sorted untagged tail — and returns the
@@ -57,18 +54,6 @@ type singleView struct {
 func (v singleView) Generation() uint64 { return v.snap.Generation() }
 
 func (v singleView) Has(tag string) bool { return v.snap.Has(tag) }
-
-func (v singleView) Resolve(ctx context.Context, tag string, thetaFilter float64) ([]index.Entry, error) {
-	var out []index.Entry
-	err := v.snap.ResolveEachCtx(ctx, tag, thetaFilter, func(e index.Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 func (v singleView) TopK(ctx context.Context, parent *obs.Span, apiResults, tags []string, thetaFilter float64, k int) ([]Scored, error) {
 	r := &Ranker{Snap: v.snap, ThetaFilter: thetaFilter, Agg: v.agg}

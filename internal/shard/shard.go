@@ -30,16 +30,14 @@
 // shard's list is already totally ordered under that comparator and owns its
 // entities exclusively.
 //
-// The shards also share one similarity memo (the facade passes every shard
-// the same sim.Memo): the vocabulary is replicated on all shards, so an
-// unknown query tag's vocabulary scan computes each (query tag, index tag)
-// similarity once for the router rather than once per shard.
+// The vocabulary is replicated on all shards, so an unknown query tag is
+// prepared and scanned against the keys once per shard it ranks on; the scan
+// reads only the prepared keys sealed into that shard's snapshot.
 package shard
 
 import (
 	"context"
 	"hash/fnv"
-	"sort"
 	"sync"
 
 	"saccs/internal/index"
@@ -222,30 +220,6 @@ func (v *View) Generation() uint64 {
 // Has reports whether tag is indexed (shard 0's pinned vocabulary; the
 // vocabulary is replicated on every shard).
 func (v *View) Has(tag string) bool { return v.snaps[0].Has(tag) }
-
-// Resolve probes every shard for the tag and merges the entries under the
-// posting order (degree desc, entity ID asc) — byte-identical to resolving
-// the unsharded index, since each entity's degree is computed from its own
-// reviews alone and entities are disjoint across shards.
-func (v *View) Resolve(ctx context.Context, tag string, thetaFilter float64) ([]index.Entry, error) {
-	var out []index.Entry
-	for _, s := range v.snaps {
-		err := s.ResolveEachCtx(ctx, tag, thetaFilter, func(e index.Entry) bool {
-			out = append(out, e)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Degree != out[j].Degree {
-			return out[i].Degree > out[j].Degree
-		}
-		return out[i].EntityID < out[j].EntityID
-	})
-	return out, nil
-}
 
 // TopK runs Algorithm 1 against each pinned shard that holds any of
 // apiResults, in shard order on the caller's goroutine, returning on the

@@ -10,13 +10,12 @@ import (
 
 	"saccs/internal/index"
 	"saccs/internal/search"
+	"saccs/internal/sim"
 )
 
 // flatSim scores phrase pairs by token overlap — cheap and deterministic,
 // the same stand-in the ingest tests use.
-type flatSim struct{}
-
-func (flatSim) Phrase(a, b string) float64 {
+var flatSim = sim.PhraseFunc(func(a, b string) float64 {
 	if a == b {
 		return 1
 	}
@@ -38,7 +37,7 @@ func (flatSim) Phrase(a, b string) float64 {
 		return 0
 	}
 	return float64(n) / float64(d)
-}
+})
 
 func splitWords(s string) []string {
 	var out []string
@@ -74,7 +73,7 @@ func worldOf(n int, seed int64) []index.EntityReviews {
 	return out
 }
 
-func newIndex() *index.Index { return index.New(flatSim{}, 0.3) }
+func newIndex() *index.Index { return index.New(flatSim, 0.3) }
 
 // TestOwnerStability checks the consistent-hashing contract: growing the
 // shard count from n to n+1 moves entities only onto the new shard.
@@ -164,21 +163,28 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedResolveMatches checks View.Resolve against the unsharded
-// Snapshot.Resolve for exact and similar-union probes.
+// TestShardedResolveMatches checks that the shards' Resolve results, merged
+// under the posting order, are the unsharded Snapshot.Resolve for exact and
+// similar-union probes: each entity's degree is computed from its own reviews
+// alone and entities are disjoint across shards.
 func TestShardedResolveMatches(t *testing.T) {
 	ents := worldOf(80, 11)
 	single := newIndex()
 	single.Build(testTags[:4], ents)
 	r := New(3, search.MeanAgg, newIndex)
 	r.Build(testTags[:4], ents)
-	view := r.Pin()
 	for _, tag := range []string{"good food", "tasty food", "absent"} {
 		want := single.Current().Resolve(tag, 0.25)
-		got, err := view.Resolve(context.Background(), tag, 0.25)
-		if err != nil {
-			t.Fatal(err)
+		var got []index.Entry
+		for i := 0; i < r.N(); i++ {
+			got = append(got, r.Shard(i).Resolve(tag, 0.25)...)
 		}
+		sort.Slice(got, func(i, j int) bool {
+			if got[i].Degree != got[j].Degree {
+				return got[i].Degree > got[j].Degree
+			}
+			return got[i].EntityID < got[j].EntityID
+		})
 		if len(got) != len(want) {
 			t.Fatalf("Resolve(%q): %d entries, want %d", tag, len(got), len(want))
 		}

@@ -436,15 +436,12 @@ func New(cfg Config) (*Client, error) {
 }
 
 // newRouter builds an empty shard router sized by Config.Shards, with every
-// shard's index wired into the client's observer. The extraction pipeline is
-// shared — only postings are partitioned — and so is the similarity memo:
-// every shard indexes the same tag vocabulary, so an unknown query tag's
-// vocabulary scan computes each (query tag, index tag) similarity once for
-// the whole router instead of once per shard.
+// shard's index wired into the client's observer. The extraction pipeline
+// and the (immutable) similarity measure are shared — only postings are
+// partitioned.
 func (c *Client) newRouter() *shard.Router {
-	memo := sim.NewMemo(c.measure)
 	r := shard.New(c.cfg.Shards, search.MeanAgg, func() *index.Index {
-		return index.NewWithMemo(memo, c.cfg.ThetaIndex)
+		return index.New(c.measure, c.cfg.ThetaIndex)
 	})
 	r.SetObserver(c.o)
 	return r
@@ -1003,14 +1000,12 @@ func (c *Client) QueryTagsCtx(ctx context.Context, tags []string, opts ...QueryO
 	}
 	w := c.w.Load()
 	view := w.router.Pin()
-	for _, t := range tags {
-		if lt := strings.ToLower(t); !view.Has(lt) {
-			w.history.Add(lt)
-		}
-	}
 	low := make([]string, len(tags))
 	for i, t := range tags {
 		low[i] = strings.ToLower(t)
+		if !view.Has(low[i]) {
+			w.history.Add(low[i])
+		}
 	}
 	ranked, err := view.TopK(ctx, nil, w.ids, low, theta, topK)
 	if err != nil {
