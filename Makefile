@@ -191,11 +191,12 @@ cover:
 	awk -v t="$$total" -v b="$(COVER_BASELINE)" 'BEGIN { exit (t+0 < b+0) ? 1 : 0 }' \
 		|| { echo "coverage regressed below $(COVER_BASELINE)%"; exit 1; }
 
-# loc prints the two line counts ROADMAP item 2 is judged by: non-test .go
-# lines (wc -l, nothing filtered) of the five inference-engine packages and of
-# the module outside benchmark/. 5558 and 24472 at a0bb2ef.
+# loc prints non-test .go line counts (wc -l, nothing filtered): the five
+# inference-engine packages and the module outside benchmark/ (ROADMAP item
+# 2; 5558 and 24472 at a0bb2ef), and internal/obs (2394 at 5e139b5).
 loc:
 	@echo "mat+nn+bert+tagger+core: $$(ls internal/mat/*.go internal/nn/*.go internal/bert/*.go \
 		internal/tagger/*.go internal/core/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@echo "internal/obs: $$(ls internal/obs/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@echo "module outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path './.bench_build/*' | xargs cat | wc -l)"

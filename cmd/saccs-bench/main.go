@@ -127,7 +127,7 @@ func main() {
 
 	o := obs.NewObserver()
 	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, o.Metrics)
+		srv, err := obs.ServeObserver(*metricsAddr, o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "metrics server: %v\n", err)
 			os.Exit(1)
@@ -860,7 +860,7 @@ func latencyBenchmarks(o *obs.Observer, doc *benchFile, dur time.Duration) {
 		"good food and attentive waiters please",
 		"a place with creative cooking and amazing pizza",
 	}
-	h := o.Metrics.HDR("request.latency.query")
+	h := o.Metrics.Histogram("request.latency.query")
 	before := h.Count()
 	deadline := time.Now().Add(dur)
 	start := time.Now()

@@ -51,7 +51,7 @@ func main() {
 	}
 
 	o := obs.NewObserver()
-	ring := obs.NewRingSink(512)
+	ring := obs.NewRing[obs.SpanRecord](512)
 	o.SetTracer(obs.NewTracer(ring))
 	// HeadSampleN 1 keeps :trace working for every query; the threshold only
 	// gates the slow-query log.
@@ -59,7 +59,6 @@ func main() {
 		Metrics:       o.Metrics,
 		HeadSampleN:   1,
 		SlowThreshold: *slowThreshold,
-		RuntimeEvery:  10 * time.Second,
 	}))
 	if *metricsAddr != "" {
 		srv, err := obs.ServeObserver(*metricsAddr, o)
@@ -125,7 +124,7 @@ func main() {
 		case line == ":stats":
 			o.Metrics.Snapshot().WriteText(os.Stdout)
 		case line == ":trace":
-			spans := ring.Spans()
+			spans := ring.All()
 			if root, ok := obs.LastRoot(spans); ok {
 				obs.WriteTree(os.Stdout, obs.Subtree(spans, root.ID))
 			} else {

@@ -19,8 +19,12 @@ import (
 // resolution, or ranking would be a correctness bug wearing an observability
 // hat. The oracle also requires the instrumented pass to actually observe the
 // workload: one wide event per query, each carrying a non-zero trace ID,
-// stage timings, and a retained span tree.
+// stage timings, and a retained span tree. queries may not exceed
+// obs.EventRingSize, the number of wide events telemetry keeps.
 func TelemetryOracle(seed int64, queries int) error {
+	if queries > obs.EventRingSize {
+		return fmt.Errorf("telemetry oracle: %d queries exceed the %d-event ring", queries, obs.EventRingSize)
+	}
 	g := NewGen(seed)
 	m := checkModel(seed + 4)
 	ex := &core.Extractor{Tagger: m, Pairer: checkPairer(), Cache: extcache.New(256)}
@@ -52,11 +56,10 @@ func TelemetryOracle(seed int64, queries int) error {
 	bare := replay()
 
 	o := obs.NewObserver()
-	ring := obs.NewRingSink(1024)
+	ring := obs.NewRing[obs.SpanRecord](1024)
 	o.SetTracer(obs.NewTracer(ring))
 	o.SetTelemetry(obs.NewTelemetry(obs.TelemetryConfig{
 		Metrics:       o.Metrics,
-		EventRingSize: 2 * queries,
 		HeadSampleN:   1,
 		SlowThreshold: time.Nanosecond,
 		SLOTarget:     time.Second,
@@ -100,7 +103,7 @@ func TelemetryOracle(seed int64, queries int) error {
 			return fmt.Errorf("telemetry oracle (seed %d): event %d not retained under a 1ns slow threshold", seed, i)
 		}
 	}
-	if spans := ring.Spans(); len(spans) == 0 {
+	if spans := ring.All(); len(spans) == 0 {
 		return fmt.Errorf("telemetry oracle (seed %d): no spans retained despite full sampling", seed)
 	}
 	return nil

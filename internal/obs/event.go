@@ -2,8 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -49,71 +47,6 @@ type Event struct {
 	RetainReason string `json:"retain_reason,omitempty"`
 }
 
-// EventSink receives completed wide events. Implementations must be safe for
-// concurrent RecordEvent calls.
-type EventSink interface {
-	RecordEvent(Event)
-}
-
-// EventRing keeps the most recent wide events in a fixed-size ring buffer.
-type EventRing struct {
-	mu   sync.Mutex
-	buf  []Event
-	next int
-	full bool
-}
-
-// NewEventRing returns a ring holding up to capacity events (min 1).
-func NewEventRing(capacity int) *EventRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &EventRing{buf: make([]Event, capacity)}
-}
-
-// RecordEvent stores one event, evicting the oldest when full.
-func (r *EventRing) RecordEvent(ev Event) {
-	r.mu.Lock()
-	r.buf[r.next] = ev
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-// Events returns the buffered events, oldest first.
-func (r *EventRing) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
-}
-
-// JSONLEventSink appends one JSON object per wide event to a writer.
-type JSONLEventSink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-// NewJSONLEventSink returns a sink streaming events to w as JSON lines.
-func NewJSONLEventSink(w io.Writer) *JSONLEventSink {
-	return &JSONLEventSink{enc: json.NewEncoder(w)}
-}
-
-// RecordEvent writes one event as a JSON line; encoding errors are dropped (a
-// telemetry sink must never fail the request it describes).
-func (s *JSONLEventSink) RecordEvent(ev Event) {
-	s.mu.Lock()
-	_ = s.enc.Encode(ev)
-	s.mu.Unlock()
-}
-
 // StageNames is the wide-event stage schema: every pipeline stage span name
 // that may appear as an Event.Stage key. The obs-lint test asserts the
 // pipeline emits no stage outside this list, so an uninstrumented stage is a
@@ -152,18 +85,26 @@ func (b *spanBuffer) take() []SpanRecord {
 	return s
 }
 
-// TelemetryConfig configures NewTelemetry. Zero values select the documented
-// defaults where one exists (ring sizes, SLO objective) and "disabled" for
-// the sampling and SLO knobs.
+// Fixed telemetry sizes and periods.
+const (
+	// EventRingSize bounds the in-memory wide-event ring.
+	EventRingSize = 256
+	// slowLogSize bounds the worst-K slow-query log.
+	slowLogSize = 64
+	// sloObjective is the target good-request fraction the error-budget
+	// burn gauge is scaled by.
+	sloObjective = 0.99
+	// runtimeEvery is the period of the runtime gauge sampler (goroutines,
+	// heap, GC); the gauges are also refreshed when telemetry starts.
+	runtimeEvery = 10 * time.Second
+)
+
+// TelemetryConfig configures NewTelemetry. Zero values disable the sampling
+// and SLO knobs.
 type TelemetryConfig struct {
-	// Metrics is the registry request-latency HDRs and SLO counters register
-	// in. Required.
+	// Metrics is the registry request-latency histograms and SLO counters
+	// register in. A nil Metrics gets a fresh registry.
 	Metrics *Registry
-	// EventRingSize bounds the in-memory wide-event ring (default 256).
-	EventRingSize int
-	// EventSink, when set, additionally receives every wide event (e.g. a
-	// JSONLEventSink).
-	EventSink EventSink
 	// HeadSampleN retains the full span tree of every Nth request regardless
 	// of latency (1 = every request, 0 = no head sampling).
 	HeadSampleN int
@@ -171,28 +112,17 @@ type TelemetryConfig struct {
 	// span trees are retained and they enter the slow-query log. Zero
 	// disables the fixed threshold (the rolling-p99 rule still applies).
 	SlowThreshold time.Duration
-	// SlowLogSize bounds the worst-K slow-query log (default 64).
-	SlowLogSize int
 	// SLOTarget is the query latency objective; requests at or under it are
 	// good, above it bad. Zero disables SLO accounting.
 	SLOTarget time.Duration
-	// SLOObjective is the target good-request fraction used to scale the
-	// error-budget burn gauge (default 0.99).
-	SLOObjective float64
-	// RuntimeEvery is the period of the runtime gauge sampler (goroutines,
-	// heap, GC). Zero disables periodic sampling; gauges are still refreshed
-	// on every Snapshot.
-	RuntimeEvery time.Duration
 }
 
 // Telemetry is the request-scoped half of the Observer: wide events, tail
-// sampling, the slow-query log, SLO accounting, request-latency HDR
-// histograms, readiness, and runtime gauges. Attach with
-// Observer.SetTelemetry.
+// sampling, the slow-query log, SLO accounting, request-latency histograms,
+// readiness, and runtime gauges. Attach with Observer.SetTelemetry.
 type Telemetry struct {
 	reg     *Registry
-	events  *EventRing
-	sink    EventSink
+	events  *Ring[Event]
 	sampler *Sampler
 	slow    *SlowLog
 	slo     *SLO
@@ -212,17 +142,10 @@ func NewTelemetry(cfg TelemetryConfig) *Telemetry {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	if cfg.EventRingSize <= 0 {
-		cfg.EventRingSize = 256
-	}
-	if cfg.SlowLogSize <= 0 {
-		cfg.SlowLogSize = 64
-	}
 	t := &Telemetry{
 		reg:    reg,
-		events: NewEventRing(cfg.EventRingSize),
-		sink:   cfg.EventSink,
-		slow:   NewSlowLog(cfg.SlowLogSize),
+		events: NewRing[Event](EventRingSize),
+		slow:   NewSlowLog(slowLogSize),
 		health: NewHealth(),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -231,18 +154,14 @@ func NewTelemetry(cfg TelemetryConfig) *Telemetry {
 		t.sampler = &Sampler{
 			HeadN: cfg.HeadSampleN,
 			Slow:  cfg.SlowThreshold,
-			hdr:   reg.HDR("request.latency.query"),
+			hist:  reg.member(&reg.latencies, "query"),
 		}
 	}
 	if cfg.SLOTarget > 0 {
-		t.slo = NewSLO(reg, cfg.SLOTarget, cfg.SLOObjective)
+		t.slo = NewSLO(reg, cfg.SLOTarget)
 	}
 	sampleRuntime(reg)
-	if cfg.RuntimeEvery > 0 {
-		go t.runtimeLoop(cfg.RuntimeEvery)
-	} else {
-		close(t.done)
-	}
+	go t.runtimeLoop()
 	return t
 }
 
@@ -251,7 +170,7 @@ func (t *Telemetry) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	return t.events.Events()
+	return t.events.All()
 }
 
 // SlowQueries returns the worst-K slow/errored requests, slowest first.
@@ -283,9 +202,9 @@ func (t *Telemetry) Close() {
 	<-t.done
 }
 
-func (t *Telemetry) runtimeLoop(every time.Duration) {
+func (t *Telemetry) runtimeLoop() {
 	defer close(t.done)
-	tick := time.NewTicker(every)
+	tick := time.NewTicker(runtimeEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -389,8 +308,8 @@ func (o *Observer) StartRequest(ctx context.Context, kind string) (context.Conte
 
 // Finish completes the request: closes the root span, assembles the wide
 // event (per-stage durations and cache hit/miss aggregated from the span
-// buffer), decides span-tree retention, records the event into the ring and
-// sink, and feeds the request-latency HDR, SLO accounting, and slow-query
+// buffer), decides span-tree retention, records the event into the ring,
+// and feeds the request-latency histogram, SLO accounting, and slow-query
 // log. Nil-safe and idempotent.
 func (r *Request) Finish(err error) {
 	if r == nil || r.done {
@@ -452,11 +371,8 @@ func (r *Request) Finish(err error) {
 		}
 	}
 
-	r.tel.events.RecordEvent(*ev)
-	if r.tel.sink != nil {
-		r.tel.sink.RecordEvent(*ev)
-	}
-	r.tel.reg.HDR("request.latency." + ev.Kind).Observe(d)
+	r.tel.events.Record(*ev)
+	r.tel.reg.member(&r.tel.reg.latencies, ev.Kind).Observe(d)
 	if ev.Kind == "query" {
 		r.tel.slo.Record(d, ev.Status)
 		if ev.Status != StatusOK || r.tel.sampler.IsSlow(d) {

@@ -14,14 +14,14 @@ import (
 
 func TestEventRingConcurrentWraparound(t *testing.T) {
 	const capacity, workers, per = 16, 8, 500
-	r := NewEventRing(capacity)
+	r := NewRing[Event](capacity)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.RecordEvent(Event{Kind: "query", Results: w*per + i})
+				r.Record(Event{Kind: "query", Results: w*per + i})
 			}
 		}(w)
 	}
@@ -39,7 +39,7 @@ func TestEventRingConcurrentWraparound(t *testing.T) {
 				return
 			default:
 			}
-			evs := r.Events()
+			evs := r.All()
 			if len(evs) > capacity {
 				readErr = fmt.Errorf("ring returned %d events, capacity %d", len(evs), capacity)
 				return
@@ -58,34 +58,19 @@ func TestEventRingConcurrentWraparound(t *testing.T) {
 	if readErr != nil {
 		t.Fatal(readErr)
 	}
-	evs := r.Events()
+	evs := r.All()
 	if len(evs) != capacity {
 		t.Fatalf("after %d writes the ring holds %d events, want %d", workers*per, len(evs), capacity)
 	}
 }
 
-func TestEventRingOldestFirst(t *testing.T) {
-	r := NewEventRing(4)
-	for i := 0; i < 6; i++ {
-		r.RecordEvent(Event{Results: i})
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("len %d", len(evs))
-	}
-	for i, want := range []int{2, 3, 4, 5} {
-		if evs[i].Results != want {
-			t.Fatalf("evs[%d].Results = %d, want %d", i, evs[i].Results, want)
-		}
-	}
-}
-
+// TestJSONLEventSink round-trips wide events through the generic JSONL sink.
 func TestJSONLEventSink(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewJSONLEventSink(&buf)
+	sink := NewJSONL[Event](&buf)
 	tr := NewTraceID()
-	sink.RecordEvent(Event{Kind: "query", Trace: tr, Duration: time.Millisecond, Status: StatusOK})
-	sink.RecordEvent(Event{Kind: "reindex", Status: StatusError, Error: "boom"})
+	sink.Record(Event{Kind: "query", Trace: tr, Duration: time.Millisecond, Status: StatusOK})
+	sink.Record(Event{Kind: "reindex", Status: StatusError, Error: "boom"})
 
 	sc := bufio.NewScanner(&buf)
 	var events []Event
@@ -109,9 +94,9 @@ func TestJSONLEventSink(t *testing.T) {
 
 // newTestObserver builds an observer with a ring trace sink and telemetry
 // configured by cfg; the caller owns Close via the returned telemetry.
-func newTestObserver(cfg TelemetryConfig) (*Observer, *RingSink, *Telemetry) {
+func newTestObserver(cfg TelemetryConfig) (*Observer, *Ring[SpanRecord], *Telemetry) {
 	o := NewObserver()
-	ring := NewRingSink(256)
+	ring := NewRing[SpanRecord](256)
 	o.SetTracer(NewTracer(ring))
 	if cfg.Metrics == nil {
 		cfg.Metrics = o.Metrics
@@ -160,7 +145,7 @@ func TestRequestWideEventAssembly(t *testing.T) {
 	}
 	// Head-sampled: the span tree reached the trace sink, stamped with the
 	// request's trace ID.
-	spans := ring.Spans()
+	spans := ring.All()
 	if len(spans) != 3 {
 		t.Fatalf("%d spans flushed, want 3", len(spans))
 	}
@@ -184,7 +169,7 @@ func TestRequestTailSamplingDrops(t *testing.T) {
 	if evs := tel.Events(); len(evs) != 1 || evs[0].Retained {
 		t.Fatalf("fast request events: %+v", evs)
 	}
-	if spans := ring.Spans(); len(spans) != 0 {
+	if spans := ring.All(); len(spans) != 0 {
 		t.Fatalf("fast unsampled request flushed %d spans", len(spans))
 	}
 	if slow := tel.SlowQueries(); len(slow) != 0 {
@@ -199,7 +184,7 @@ func TestRequestTailSamplingDrops(t *testing.T) {
 	if len(evs) != 2 || !evs[1].Retained || evs[1].RetainReason != "error" {
 		t.Fatalf("errored request events: %+v", evs)
 	}
-	if spans := ring.Spans(); len(spans) != 2 {
+	if spans := ring.All(); len(spans) != 2 {
 		t.Fatalf("errored request flushed %d spans, want 2", len(spans))
 	}
 	slow := tel.SlowQueries()
@@ -239,14 +224,14 @@ func TestRequestJoinsContextTrace(t *testing.T) {
 
 func TestRequestDegenerateWithoutTelemetry(t *testing.T) {
 	o := NewObserver()
-	ring := NewRingSink(16)
+	ring := NewRing[SpanRecord](16)
 	o.SetTracer(NewTracer(ring))
 	_, req := o.StartRequest(context.Background(), "query")
 	req.Root().Child("parse").End()
 	req.Finish(nil)
 	req.Finish(nil) // idempotent
 	// Pre-telemetry behavior: spans stream straight to the sink.
-	if spans := ring.Spans(); len(spans) != 2 {
+	if spans := ring.All(); len(spans) != 2 {
 		t.Fatalf("%d spans, want 2", len(spans))
 	}
 
@@ -262,7 +247,7 @@ func TestRequestDegenerateWithoutTelemetry(t *testing.T) {
 }
 
 func TestTelemetryCloseIdempotent(t *testing.T) {
-	_, _, tel := newTestObserver(TelemetryConfig{RuntimeEvery: time.Millisecond})
+	_, _, tel := newTestObserver(TelemetryConfig{})
 	if !tel.Health().Ready() {
 		tel.Health().MarkReady()
 	}

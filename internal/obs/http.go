@@ -61,39 +61,27 @@ func (h *Health) State() string {
 	}
 }
 
-// MetricsHandler serves the registry in Prometheus text format.
-func MetricsHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
-	})
-}
-
-// Mux returns an http.ServeMux exposing /metrics (Prometheus text) and the
-// /debug/pprof profiling endpoints.
-func Mux(r *Registry) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", MetricsHandler(r))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-// ObserverMux returns the full serving mux for an observer: /metrics and
-// /debug/pprof as in Mux, plus the request-telemetry endpoints — /healthz
+// ObserverMux returns the serving mux for an observer: /metrics (the
+// registry in Prometheus text), the /debug/pprof profiling endpoints, /healthz
 // (liveness: 200 whenever the process can serve HTTP), /readyz (readiness:
-// 200 only between the first snapshot publication and shutdown; without
-// telemetry it reports ready, preserving Mux-era behavior), and /debug/slow
-// (the worst-K slow-query log as JSON, slowest first).
+// 200 only between the first snapshot publication and shutdown; ready
+// without telemetry), and /debug/slow (the worst-K slow-query log as JSON,
+// slowest first). A nil observer serves an empty registry.
 func ObserverMux(o *Observer) *http.ServeMux {
 	var reg *Registry
 	if o != nil {
 		reg = o.Metrics
 	}
-	mux := Mux(reg)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WritePrometheus(w)
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = w.Write([]byte("ok\n"))
@@ -125,25 +113,15 @@ func ObserverMux(o *Observer) *http.ServeMux {
 	return mux
 }
 
-// Serve starts an HTTP server for Mux(r) on addr (e.g. ":9090") in a
-// background goroutine and returns it; the caller owns shutdown. Server.Addr
-// is set to the bound address, so addr may use port 0.
-func Serve(addr string, r *Registry) (*http.Server, error) {
-	return serveHandler(addr, Mux(r))
-}
-
-// ServeObserver is Serve for the full ObserverMux surface (metrics, pprof,
-// health, slow-query log).
+// ServeObserver starts an HTTP server for ObserverMux(o) on addr (e.g.
+// ":9090") in a background goroutine and returns it; the caller owns
+// shutdown. Server.Addr is set to the bound address, so addr may use port 0.
 func ServeObserver(addr string, o *Observer) (*http.Server, error) {
-	return serveHandler(addr, ObserverMux(o))
-}
-
-func serveHandler(addr string, h http.Handler) (*http.Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Addr: ln.Addr().String(), Handler: h}
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: ObserverMux(o)}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, nil
 }

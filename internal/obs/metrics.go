@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"sync"
@@ -72,24 +73,50 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram bucket layout: bucket i counts observations with
-// d <= histBaseNs<<i (1µs, 2µs, 4µs, … ~33.6s); the last bucket is +Inf.
+// Histogram bucket layout: log-linear. Values below histSubs nanoseconds get
+// exact unit-width buckets; above, each power-of-two range is split into
+// histSubs linear sub-buckets, so a bucket's width is at most 1/histSubs of
+// the values it holds.
 const (
-	histBuckets = 27
-	histBaseNs  = int64(1000) // 1µs
+	histSubBits = 5
+	histSubs    = 1 << histSubBits
+	// histMajors covers values up to 2^(histMajors+histSubBits) ns ≈ 18.3
+	// min; anything larger clamps into the last bucket.
+	histMajors  = 35
+	histBuckets = (histMajors + 1) * histSubs
 )
 
-// BucketBound returns the inclusive upper bound of bucket i; the final
-// bucket's bound is reported as a negative duration, meaning +Inf.
-func BucketBound(i int) time.Duration {
-	if i >= histBuckets-1 {
-		return -1
+// bucketIndex maps a non-negative value to its bucket: the top histSubBits
+// bits after the leading one select the sub-bucket within the value's
+// power-of-two range.
+func bucketIndex(v int64) int {
+	if v < histSubs {
+		return int(v)
 	}
-	return time.Duration(histBaseNs << uint(i))
+	exp := bits.Len64(uint64(v)) - 1 - histSubBits
+	return min((exp+1)*histSubs+int(v>>uint(exp))-histSubs, histBuckets-1)
 }
 
-// Histogram is a lock-free latency histogram with exponential (power-of-two)
-// buckets from 1µs to ~33s plus an overflow bucket. Nil-safe like Counter.
+// bucketBound returns the inclusive upper bound of bucket idx, the value
+// reported for any quantile landing in it.
+func bucketBound(idx int) time.Duration {
+	if idx < histSubs {
+		return time.Duration(idx)
+	}
+	exp := idx/histSubs - 1
+	return time.Duration(int64(histSubs+idx%histSubs+1)<<uint(exp) - 1)
+}
+
+// quantileRank is the 1-based rank of the q-quantile (q clamped to [0,1])
+// among n observations.
+func quantileRank(q float64, n int64) int64 {
+	return max(int64(math.Ceil(min(max(q, 0), 1)*float64(n))), 1)
+}
+
+// Histogram is a lock-free log-linear latency histogram: every quantile it
+// reports is the upper bound of a bucket at most 1/32 of its value wide, from
+// 1ns to ~18 minutes. A negative duration counts as zero in both the buckets
+// and Sum. Nil-safe like Counter.
 type Histogram struct {
 	counts [histBuckets]atomic.Int64
 	sum    atomic.Int64 // nanoseconds
@@ -101,15 +128,8 @@ func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
 	}
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	b := 0
-	for ub := histBaseNs; b < histBuckets-1 && ns > ub; ub <<= 1 {
-		b++
-	}
-	h.counts[b].Add(1)
+	ns := max(int64(d), 0)
+	h.counts[bucketIndex(ns)].Add(1)
 	h.sum.Add(ns)
 	h.n.Add(1)
 }
@@ -117,19 +137,53 @@ func (h *Histogram) Observe(d time.Duration) {
 // ObserveSince records the time elapsed since t0.
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0)) }
 
+// Count returns the number of recorded observations.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.n.Load()
+}
+
+// Quantile returns the q-quantile like HistogramSnapshot.Quantile, read
+// straight from the live counters: it copies nothing and allocates nothing.
+func (h *Histogram) Quantile(q float64) time.Duration {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	rank, seen, last := quantileRank(q, n), int64(0), 0
+	for i := range h.counts {
+		if c := h.counts[i].Load(); c != 0 {
+			seen, last = seen+c, i
+			if seen >= rank {
+				break
+			}
+		}
+	}
+	return bucketBound(last)
+}
+
 // Snapshot captures the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	if h == nil {
 		return s
 	}
-	s.Counts = make([]int64, histBuckets)
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	s.Sum = time.Duration(h.sum.Load())
 	s.Count = h.n.Load()
+	s.Sum = time.Duration(h.sum.Load())
+	for i := range h.counts {
+		if c := h.counts[i].Load(); c != 0 {
+			s.Buckets = append(s.Buckets, Bucket{Bound: bucketBound(i), Count: c})
+		}
+	}
 	return s
+}
+
+// Bucket is one non-empty histogram bucket: Count observations at most Bound.
+type Bucket struct {
+	Bound time.Duration
+	Count int64
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram.
@@ -137,9 +191,8 @@ type HistogramSnapshot struct {
 	// Count is the number of observations; Sum their total duration.
 	Count int64
 	Sum   time.Duration
-	// Counts holds per-bucket (non-cumulative) observation counts; bucket i's
-	// upper bound is BucketBound(i).
-	Counts []int64
+	// Buckets holds the non-empty buckets in increasing order of Bound.
+	Buckets []Bucket
 }
 
 // Mean returns the average observed duration.
@@ -150,28 +203,20 @@ func (s HistogramSnapshot) Mean() time.Duration {
 	return s.Sum / time.Duration(s.Count)
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) as the upper bound of the
-// bucket where the cumulative count crosses q·Count. The overflow bucket
-// reports the largest finite bound.
+// Quantile returns the upper bound of the bucket holding the q-quantile
+// observation (q clamped to [0,1]), at most 1/32 above the true value. An
+// empty snapshot returns 0.
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 || len(s.Counts) == 0 {
+	if s.Count == 0 || len(s.Buckets) == 0 {
 		return 0
 	}
-	target := int64(math.Ceil(q * float64(s.Count)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range s.Counts {
-		cum += c
-		if cum >= target {
-			if b := BucketBound(i); b >= 0 {
-				return b
-			}
-			return BucketBound(histBuckets - 2)
+	rank, seen := quantileRank(q, s.Count), int64(0)
+	for _, b := range s.Buckets {
+		if seen += b.Count; seen >= rank {
+			return b.Bound
 		}
 	}
-	return BucketBound(histBuckets - 2)
+	return s.Buckets[len(s.Buckets)-1].Bound
 }
 
 // Registry is a named collection of counters, gauges, and histograms.
@@ -184,16 +229,53 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	hdrs     map[string]*HDR
+	// stages and latencies resolve the per-stage and per-request-kind
+	// histograms BeginStage and Request.Finish record into on every query.
+	stages    histFamily
+	latencies histFamily
+}
+
+// histFamily caches the histograms named prefix+key, so a hot path that
+// derives a histogram's name from a key (a stage name, a request kind)
+// builds the name and takes the registry lock only on its first lookup of
+// each key. The cache is copy-on-write: readers load it atomically.
+type histFamily struct {
+	prefix string
+	byKey  atomic.Pointer[map[string]*Histogram]
+}
+
+// member returns the family's histogram for key, registering it in r on
+// first use. Nil-safe.
+func (r *Registry) member(f *histFamily, key string) *Histogram {
+	if r == nil {
+		return nil
+	}
+	if m := f.byKey.Load(); m != nil {
+		if h, ok := (*m)[key]; ok {
+			return h
+		}
+	}
+	h := r.Histogram(f.prefix + key)
+	r.mu.Lock()
+	next := map[string]*Histogram{key: h}
+	if m := f.byKey.Load(); m != nil {
+		for k, v := range *m {
+			next[k] = v
+		}
+	}
+	f.byKey.Store(&next)
+	r.mu.Unlock()
+	return h
 }
 
 // NewRegistry returns an empty metrics registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-		hdrs:     map[string]*HDR{},
+		counters:  map[string]*Counter{},
+		gauges:    map[string]*Gauge{},
+		hists:     map[string]*Histogram{},
+		stages:    histFamily{prefix: "stage."},
+		latencies: histFamily{prefix: "request.latency."},
 	}
 }
 
@@ -242,32 +324,15 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// HDR returns the named high-resolution latency histogram, creating it on
-// first use.
-func (r *Registry) HDR(name string) *HDR {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hdrs[name]
-	if !ok {
-		h = &HDR{}
-		r.hdrs[name] = h
-	}
-	return h
-}
-
 // Snapshot is a point-in-time copy of every instrument in a registry, plus —
 // when taken through Observer.Snapshot with telemetry attached — the
 // slow-query log.
 type Snapshot struct {
-	Counters   map[string]int64
-	Gauges     map[string]float64
+	Counters map[string]int64
+	Gauges   map[string]float64
+	// Histograms holds every latency histogram, the per-stage stage.<name>
+	// and per-request-kind request.latency.<kind> ones included.
 	Histograms map[string]HistogramSnapshot
-	// HDRs holds the high-resolution request-latency histograms
-	// (request.latency.query and friends); use Quantile for p50/p99/p999.
-	HDRs map[string]HDRSnapshot
 	// Slow is the worst-K slow-query log, slowest first. Empty without
 	// telemetry.
 	Slow []Event
@@ -279,7 +344,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters:   map[string]int64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistogramSnapshot{},
-		HDRs:       map[string]HDRSnapshot{},
 	}
 	if r == nil {
 		return s
@@ -297,10 +361,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	hdrs := make(map[string]*HDR, len(r.hdrs))
-	for k, v := range r.hdrs {
-		hdrs[k] = v
-	}
 	r.mu.Unlock()
 	for k, v := range counters {
 		s.Counters[k] = v.Value()
@@ -311,14 +371,11 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range hists {
 		s.Histograms[k] = v.Snapshot()
 	}
-	for k, v := range hdrs {
-		s.HDRs[k] = v.Snapshot()
-	}
 	return s
 }
 
 // WriteText renders the snapshot for humans: counters and gauges one per
-// line, histograms as count/mean/p50/p95/max-bucket summaries.
+// line, histograms as count, mean and p50/p90/p99/p999.
 func (s Snapshot) WriteText(w io.Writer) {
 	for _, k := range sortedKeys(s.Counters) {
 		fmt.Fprintf(w, "%-40s %d\n", k, s.Counters[k])
@@ -328,12 +385,6 @@ func (s Snapshot) WriteText(w io.Writer) {
 	}
 	for _, k := range sortedKeys(s.Histograms) {
 		h := s.Histograms[k]
-		fmt.Fprintf(w, "%-40s n=%d mean=%s p50=%s p95=%s\n",
-			k, h.Count, h.Mean().Round(time.Microsecond),
-			h.Quantile(0.50), h.Quantile(0.95))
-	}
-	for _, k := range sortedKeys(s.HDRs) {
-		h := s.HDRs[k]
 		fmt.Fprintf(w, "%-40s n=%d mean=%s p50=%s p90=%s p99=%s p999=%s\n",
 			k, h.Count, h.Mean().Round(time.Microsecond),
 			h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Quantile(0.999))
@@ -350,11 +401,9 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format (0.0.4): counters and gauges verbatim, histograms with cumulative
-// le-labeled buckets in seconds (always ending in the mandatory "+Inf"
-// bucket equal to _count), and the high-resolution HDR latency histograms as
-// summaries with p50/p90/p99/p999 quantile series. Metric names are
-// sanitized ('.', '-' → '_').
+// format (0.0.4): counters and gauges verbatim, and every histogram as a
+// summary in seconds with p50/p90/p99/p999 quantile series plus _sum and
+// _count. Metric names are sanitized ('.', '-' → '_').
 func (r *Registry) WritePrometheus(w io.Writer) {
 	s := r.Snapshot()
 	for _, k := range sortedKeys(s.Counters) {
@@ -369,30 +418,12 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	for _, k := range sortedKeys(s.Histograms) {
 		name := promName(k) + "_seconds"
 		h := s.Histograms[k]
-		fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-		var cum int64
-		for i, c := range h.Counts {
-			cum += c
-			le := "+Inf"
-			if b := BucketBound(i); b >= 0 {
-				le = formatPromFloat(b.Seconds())
-			}
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, cum)
-		}
-		fmt.Fprintf(w, "%s_sum %s\n", name, formatPromFloat(h.Sum.Seconds()))
-		fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
-	}
-	for _, k := range sortedKeys(s.HDRs) {
-		name := promName(k) + "_seconds"
-		h := s.HDRs[k]
 		fmt.Fprintf(w, "# TYPE %s summary\n", name)
 		for _, q := range [...]float64{0.5, 0.9, 0.99, 0.999} {
-			fmt.Fprintf(w, "%s{quantile=%q} %s\n", name,
-				strconv.FormatFloat(q, 'g', -1, 64),
+			fmt.Fprintf(w, "%s{quantile=%q} %s\n", name, formatPromFloat(q),
 				formatPromFloat(h.Quantile(q).Seconds()))
 		}
-		fmt.Fprintf(w, "%s_sum %s\n", name,
-			formatPromFloat(time.Duration(h.Sum).Seconds()))
+		fmt.Fprintf(w, "%s_sum %s\n", name, formatPromFloat(h.Sum.Seconds()))
 		fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
 	}
 }

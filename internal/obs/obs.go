@@ -1,8 +1,10 @@
 // Package obs is the runtime observability subsystem: hierarchical tracing
-// spans with pluggable sinks (in-memory ring buffer, JSONL), a registry of
-// atomic counters, gauges, and exponential-bucket latency histograms with
-// Prometheus text exposition, and optional net/http serving of /metrics and
-// /debug/pprof.
+// spans with pluggable sinks (a generic in-memory Ring and a generic JSONL
+// writer, each serving spans and wide events alike); a registry of atomic
+// counters, gauges and one log-linear latency Histogram type, exported to
+// Prometheus as p50/p90/p99/p999 summaries; request-scoped telemetry (wide
+// events, tail sampling, the slow-query log, SLO accounting, readiness); and
+// ObserverMux, which serves all of it plus /debug/pprof over net/http.
 //
 // The package is stdlib-only and designed around a nil-safe no-op fast path:
 // a nil *Observer, *Tracer, *Span, or any nil instrument accepts every call
@@ -130,7 +132,7 @@ type Stage struct {
 func BeginStage(o *Observer, parent *Span, name string) Stage {
 	st := Stage{span: parent.Child(name)}
 	if o != nil && o.Metrics != nil {
-		st.hist = o.Metrics.Histogram("stage." + name)
+		st.hist = o.Metrics.member(&o.Metrics.stages, name)
 	}
 	if st.span != nil || st.hist != nil {
 		st.start = time.Now()

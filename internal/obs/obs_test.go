@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -25,34 +24,6 @@ func TestCounterGauge(t *testing.T) {
 	g.Add(-0.5)
 	if got := g.Value(); got != 1.0 {
 		t.Fatalf("gauge: %g", got)
-	}
-}
-
-func TestHistogramBucketsAndQuantiles(t *testing.T) {
-	h := &Histogram{}
-	h.Observe(500 * time.Nanosecond) // bucket 0 (<=1µs)
-	h.Observe(3 * time.Microsecond)  // bucket 2 (<=4µs)
-	h.Observe(100 * time.Millisecond)
-	h.Observe(2 * time.Hour) // overflow
-	s := h.Snapshot()
-	if s.Count != 4 {
-		t.Fatalf("count: %d", s.Count)
-	}
-	if s.Counts[0] != 1 || s.Counts[2] != 1 || s.Counts[len(s.Counts)-1] != 1 {
-		t.Fatalf("bucket placement: %v", s.Counts)
-	}
-	if q := s.Quantile(0.25); q != time.Microsecond {
-		t.Fatalf("p25: %s", q)
-	}
-	if q := s.Quantile(0.5); q != 4*time.Microsecond {
-		t.Fatalf("p50: %s", q)
-	}
-	// Overflow quantile reports the largest finite bound.
-	if q := s.Quantile(1.0); q != BucketBound(histBuckets-2) {
-		t.Fatalf("p100: %s", q)
-	}
-	if s.Mean() == 0 {
-		t.Fatal("mean")
 	}
 }
 
@@ -95,7 +66,7 @@ func TestNoopSpanZeroAllocs(t *testing.T) {
 }
 
 func TestSpanHierarchyAndRingSink(t *testing.T) {
-	ring := NewRingSink(16)
+	ring := NewRing[SpanRecord](16)
 	tr := NewTracer(ring)
 	root := tr.Start("query").Set("utterance", "hi")
 	c1 := root.Child("parse")
@@ -106,7 +77,7 @@ func TestSpanHierarchyAndRingSink(t *testing.T) {
 	c2.End()
 	root.End()
 
-	spans := ring.Spans()
+	spans := ring.All()
 	if len(spans) != 4 {
 		t.Fatalf("spans: %d", len(spans))
 	}
@@ -135,25 +106,9 @@ func TestSpanHierarchyAndRingSink(t *testing.T) {
 	}
 }
 
-func TestRingSinkWraps(t *testing.T) {
-	ring := NewRingSink(3)
-	for i := 1; i <= 5; i++ {
-		ring.Record(SpanRecord{ID: uint64(i), Name: fmt.Sprint(i)})
-	}
-	spans := ring.Spans()
-	if len(spans) != 3 || spans[0].ID != 3 || spans[2].ID != 5 {
-		t.Fatalf("ring contents: %+v", spans)
-	}
-	ring.Reset()
-	if len(ring.Spans()) != 0 {
-		t.Fatal("reset")
-	}
-}
-
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	tr := NewTracer(MultiSink(sink, NewRingSink(4)))
+	tr := NewTracer(NewJSONL[SpanRecord](&buf))
 	sp := tr.Start("query")
 	sp.Child("parse").Set("n", 3).End()
 	sp.End()
@@ -190,8 +145,8 @@ func TestSnapshotAndPrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE query_total counter", "query_total 7",
 		"# TYPE index_tags gauge", "index_tags 18",
-		"# TYPE query_latency_seconds histogram",
-		`query_latency_seconds_bucket{le="+Inf"} 1`,
+		"# TYPE query_latency_seconds summary",
+		`query_latency_seconds{quantile="0.5"}`,
 		"query_latency_seconds_count 1",
 	} {
 		if !strings.Contains(out, want) {
@@ -208,7 +163,7 @@ func TestSnapshotAndPrometheus(t *testing.T) {
 
 func TestConcurrentInstruments(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(NewRingSink(64))
+	tr := NewTracer(NewRing[SpanRecord](64))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -234,9 +189,9 @@ func TestConcurrentInstruments(t *testing.T) {
 }
 
 func TestServeMetricsAndPprof(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("query.total").Inc()
-	srv, err := Serve("127.0.0.1:0", r)
+	o := NewObserver()
+	o.Counter("query.total").Inc()
+	srv, err := ServeObserver("127.0.0.1:0", o)
 	if err != nil {
 		t.Fatal(err)
 	}

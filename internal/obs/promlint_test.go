@@ -66,9 +66,9 @@ func TestValidatePrometheusTextRejects(t *testing.T) {
 }
 
 // TestWritePrometheusConformant feeds a fully populated registry — counters,
-// gauges, exponential histograms, HDR summaries, SLO instruments — through
+// gauges, latency summaries, SLO instruments — through
 // the exposition validator: whatever /metrics serves must parse under the
-// text-format grammar with coherent histogram invariants.
+// text-format grammar with coherent summary invariants.
 func TestWritePrometheusConformant(t *testing.T) {
 	o, _, tel := newTestObserver(TelemetryConfig{
 		HeadSampleN:   2,
@@ -100,7 +100,7 @@ func TestWritePrometheusConformant(t *testing.T) {
 		"slo_error_budget_burn",
 		"slo_requests_good_total",
 		"runtime_goroutines",
-		"le=\"+Inf\"",
+		"stage_parse_latency_seconds{quantile=\"0.99\"}",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics payload missing %q", want)

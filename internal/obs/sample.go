@@ -15,11 +15,11 @@ type Sampler struct {
 	HeadN int
 	// Slow is the fixed slow threshold (0 = disabled).
 	Slow time.Duration
-	// hdr, when set, enables the adaptive rule: a request slower than the
-	// rolling p99 of the query-latency HDR is slow even under the fixed
-	// threshold.
-	hdr *HDR
-	seq atomic.Uint64
+	// hist, when set, enables the adaptive rule: a request slower than the
+	// rolling p99 of the query-latency histogram is slow even under the
+	// fixed threshold.
+	hist *Histogram
+	seq  atomic.Uint64
 }
 
 // samplerMinCount gates the rolling-p99 rule: with fewer observations the
@@ -46,7 +46,7 @@ func (s *Sampler) IsSlow(d time.Duration) bool {
 	if s.Slow > 0 && d >= s.Slow {
 		return true
 	}
-	if s.hdr != nil && s.hdr.Count() >= samplerMinCount && d > s.hdr.Quantile(0.99) {
+	if s.hist.Count() >= samplerMinCount && d > s.hist.Quantile(0.99) {
 		return true
 	}
 	return false
@@ -150,29 +150,24 @@ func (l *SlowLog) siftDown(i int) {
 
 // SLO tracks a latency service-level objective: queries at or under Target
 // are good, the rest bad, and the burn gauge scales the bad fraction by the
-// error budget (1 - Objective), so burn 1.0 means the budget is being spent
-// exactly as fast as the objective allows and >1 means it is being exceeded.
+// error budget (1 - sloObjective), so burn 1.0 means the budget is being
+// spent exactly as fast as the objective allows and >1 means it is being
+// exceeded.
 type SLO struct {
-	Target    time.Duration
-	Objective float64
-	good      *Counter
-	bad       *Counter
-	burn      *Gauge
+	Target time.Duration
+	good   *Counter
+	bad    *Counter
+	burn   *Gauge
 }
 
 // NewSLO registers the SLO instruments in reg: slo.requests.good.total,
 // slo.requests.bad.total, slo.error_budget.burn, and slo.target.seconds.
-// objective defaults to 0.99 when out of (0,1).
-func NewSLO(reg *Registry, target time.Duration, objective float64) *SLO {
-	if objective <= 0 || objective >= 1 {
-		objective = 0.99
-	}
+func NewSLO(reg *Registry, target time.Duration) *SLO {
 	s := &SLO{
-		Target:    target,
-		Objective: objective,
-		good:      reg.Counter("slo.requests.good.total"),
-		bad:       reg.Counter("slo.requests.bad.total"),
-		burn:      reg.Gauge("slo.error_budget.burn"),
+		Target: target,
+		good:   reg.Counter("slo.requests.good.total"),
+		bad:    reg.Counter("slo.requests.bad.total"),
+		burn:   reg.Gauge("slo.error_budget.burn"),
 	}
 	reg.Gauge("slo.target.seconds").Set(target.Seconds())
 	return s
@@ -193,6 +188,6 @@ func (s *SLO) Record(d time.Duration, status string) {
 	good, bad := s.good.Value(), s.bad.Value()
 	if total := good + bad; total > 0 {
 		badFrac := float64(bad) / float64(total)
-		s.burn.Set(badFrac / (1 - s.Objective))
+		s.burn.Set(badFrac / (1 - sloObjective))
 	}
 }

@@ -58,21 +58,25 @@ func TestSamplerHeadEveryNth(t *testing.T) {
 }
 
 func TestSamplerRollingP99(t *testing.T) {
-	hdr := &HDR{}
-	s := &Sampler{hdr: hdr}
+	hist := &Histogram{}
+	s := &Sampler{hist: hist}
 	// Below samplerMinCount observations the adaptive rule must stay off.
 	for i := 0; i < samplerMinCount-1; i++ {
-		hdr.Observe(time.Millisecond)
+		hist.Observe(time.Millisecond)
 	}
 	if s.IsSlow(time.Hour) {
 		t.Fatal("adaptive rule fired below the minimum count")
 	}
-	hdr.Observe(time.Millisecond)
+	hist.Observe(time.Millisecond)
 	if !s.IsSlow(time.Hour) {
 		t.Fatal("an hour-long request not slow against a 1ms p99")
 	}
 	if s.IsSlow(time.Microsecond) {
 		t.Fatal("a 1µs request marked slow against a 1ms p99")
+	}
+	// The check reads the live counters: no snapshot, no allocation.
+	if allocs := testing.AllocsPerRun(100, func() { s.IsSlow(time.Millisecond) }); allocs != 0 {
+		t.Fatalf("IsSlow allocates %v times per call", allocs)
 	}
 }
 
@@ -100,7 +104,7 @@ func TestSlowLogKeepsWorstK(t *testing.T) {
 
 func TestSLOBurn(t *testing.T) {
 	reg := NewRegistry()
-	slo := NewSLO(reg, 100*time.Millisecond, 0.99)
+	slo := NewSLO(reg, 100*time.Millisecond)
 	for i := 0; i < 98; i++ {
 		slo.Record(time.Millisecond, StatusOK)
 	}

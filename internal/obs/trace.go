@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -120,83 +118,6 @@ func (s *Span) End() time.Duration {
 		Start: s.start, Duration: d, Attrs: s.attrs,
 	})
 	return d
-}
-
-// RingSink keeps the most recent spans in a fixed-size in-memory ring buffer.
-type RingSink struct {
-	mu   sync.Mutex
-	buf  []SpanRecord
-	next int
-	full bool
-}
-
-// NewRingSink returns a ring buffer holding up to capacity spans (min 1).
-func NewRingSink(capacity int) *RingSink {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &RingSink{buf: make([]SpanRecord, capacity)}
-}
-
-// Record stores one span, evicting the oldest when full.
-func (r *RingSink) Record(rec SpanRecord) {
-	r.mu.Lock()
-	r.buf[r.next] = rec
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-// Spans returns the buffered spans, oldest first.
-func (r *RingSink) Spans() []SpanRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]SpanRecord(nil), r.buf[:r.next]...)
-	}
-	out := make([]SpanRecord, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
-}
-
-// Reset discards all buffered spans.
-func (r *RingSink) Reset() {
-	r.mu.Lock()
-	r.next, r.full = 0, false
-	r.mu.Unlock()
-}
-
-// JSONLSink appends one JSON object per completed span to a writer.
-type JSONLSink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-// NewJSONLSink returns a sink streaming spans to w as JSON lines.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
-}
-
-// Record writes one span as a JSON line; encoding errors are dropped (a
-// tracing sink must never fail the traced operation).
-func (s *JSONLSink) Record(rec SpanRecord) {
-	s.mu.Lock()
-	_ = s.enc.Encode(rec)
-	s.mu.Unlock()
-}
-
-// MultiSink fans completed spans out to several sinks.
-func MultiSink(sinks ...SpanSink) SpanSink { return multiSink(sinks) }
-
-type multiSink []SpanSink
-
-func (m multiSink) Record(rec SpanRecord) {
-	for _, s := range m {
-		s.Record(rec)
-	}
 }
 
 // LastRoot returns the most recently started root span (Parent == 0) in

@@ -374,7 +374,6 @@ func New(cfg Config) (*Client, error) {
 		HeadSampleN:   cfg.TraceSampleN,
 		SlowThreshold: cfg.SlowThreshold,
 		SLOTarget:     cfg.SLOTarget,
-		RuntimeEvery:  10 * time.Second,
 	}))
 	encOpts := experiments.DefaultEncoderOpts(scale)
 	encOpts.Obs = o
@@ -1040,10 +1039,10 @@ func (c *Client) TagLabels(sentence string) (tokens []string, labels []string) {
 
 // Stats snapshots the client's runtime metrics: query counters, per-stage
 // latency histograms (stage.parse, stage.tagger.decode, stage.pairing.pairs,
-// stage.objective, stage.rank), the high-resolution request-latency
-// histograms (Snapshot.HDRs["request.latency.query"].Quantile for
-// p50/p99/p999), the worst-K slow-query log (Snapshot.Slow, slowest first),
-// index build/resolve instruments, SLO counters when Config.SLOTarget is
+// stage.objective, stage.rank) and per-request-kind ones
+// (Snapshot.Histograms["request.latency.query"].Quantile for p50/p99/p999,
+// within 1/32 of the true value), the worst-K slow-query log (Snapshot.Slow,
+// slowest first), index build/resolve instruments, SLO counters when Config.SLOTarget is
 // set, and the training gauges recorded while New trained the pipeline.
 // Metrics are always on; their cost is a few atomic operations per query.
 func (c *Client) Stats() obs.Snapshot { return c.o.Snapshot() }
@@ -1077,7 +1076,7 @@ func (c *Client) Shutdown() {
 }
 
 // SetTraceSink enables span tracing into sink (for example
-// obs.NewRingSink(512) or obs.NewJSONLSink(file)); a nil sink disables
+// NewRingSink(512) or NewJSONLSink(file)); a nil sink disables
 // tracing again. Disabled tracing costs nothing on the query path. The sink
 // swap is atomic and may happen while queries are in flight.
 func (c *Client) SetTraceSink(sink obs.SpanSink) {
@@ -1085,7 +1084,8 @@ func (c *Client) SetTraceSink(sink obs.SpanSink) {
 }
 
 // Observer exposes the client's observability handle — useful to serve the
-// metrics registry over HTTP (obs.Serve) or attach custom instruments.
+// metrics registry over HTTP (obs.ServeObserver) or attach custom
+// instruments.
 func (c *Client) Observer() *obs.Observer { return c.o }
 
 // ServeMetrics starts an HTTP server exposing the client's observability
@@ -1122,7 +1122,7 @@ type (
 	// start, duration, and key/value attributes.
 	SpanRecord = obs.SpanRecord
 	// RingSink is a fixed-capacity in-memory span sink.
-	RingSink = obs.RingSink
+	RingSink = obs.Ring[obs.SpanRecord]
 	// Event is one wide event: the canonical structured record of a finished
 	// request.
 	Event = obs.Event
@@ -1149,10 +1149,10 @@ func TraceFrom(ctx context.Context) (Trace, bool) { return obs.TraceFrom(ctx) }
 func ParseTraceparent(s string) (Trace, error) { return obs.ParseTraceparent(s) }
 
 // NewRingSink returns an in-memory sink holding the last capacity spans.
-func NewRingSink(capacity int) *RingSink { return obs.NewRingSink(capacity) }
+func NewRingSink(capacity int) *RingSink { return obs.NewRing[obs.SpanRecord](capacity) }
 
 // NewJSONLSink returns a sink writing one JSON object per span to w.
-func NewJSONLSink(w io.Writer) SpanSink { return obs.NewJSONLSink(w) }
+func NewJSONLSink(w io.Writer) SpanSink { return obs.NewJSONL[obs.SpanRecord](w) }
 
 // LastRootSpan returns the most recently finished root span among spans.
 func LastRootSpan(spans []SpanRecord) (SpanRecord, bool) { return obs.LastRoot(spans) }

@@ -18,7 +18,8 @@ import (
 // candidate slice, the result slice and the index.resolve spans'
 // attributes) — with per-query maps there it would be hundreds; the rest is
 // the tokenizer (one string per token), the request's spans and wide event,
-// and the slot parser.
+// and the slot parser. The stage and request-latency histograms are resolved
+// by cached handle, so recording them allocates nothing.
 func TestWarmQueryAllocsRegression(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector makes sync.Pool drop items and allocates on its own behalf")
@@ -41,7 +42,7 @@ func TestWarmQueryAllocsRegression(t *testing.T) {
 		}
 	}
 	query()
-	if allocs := testing.AllocsPerRun(200, query); allocs > 90 {
-		t.Fatalf("warm QueryCtx allocates %v times per call, want <= 90", allocs)
+	if allocs := testing.AllocsPerRun(200, query); allocs > 79 {
+		t.Fatalf("warm QueryCtx allocates %v times per call, want <= 79", allocs)
 	}
 }

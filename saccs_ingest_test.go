@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"saccs/internal/index"
 	"saccs/internal/obs"
@@ -19,7 +18,7 @@ import (
 func cloneForTest(t *testing.T, c *Client, cfg Config) *Client {
 	t.Helper()
 	o := obs.NewObserver()
-	o.SetTelemetry(obs.NewTelemetry(obs.TelemetryConfig{Metrics: o.Metrics, RuntimeEvery: 10 * time.Second}))
+	o.SetTelemetry(obs.NewTelemetry(obs.TelemetryConfig{Metrics: o.Metrics}))
 	hist := index.NewHistory()
 	hist.SetCap(cfg.HistoryLimit)
 	clone := &Client{

@@ -16,13 +16,13 @@ func TestQueryTraceStages(t *testing.T) {
 	if err := c.IndexEntities(demoEntities(), c.CanonicalTags()); err != nil {
 		t.Fatal(err)
 	}
-	ring := obs.NewRingSink(256)
+	ring := obs.NewRing[obs.SpanRecord](256)
 	c.SetTraceSink(ring)
 	defer c.SetTraceSink(nil)
 
 	c.Query("I want an Italian restaurant in Montreal with delicious food and friendly staff")
 
-	spans := ring.Spans()
+	spans := ring.All()
 	root, ok := obs.LastRoot(spans)
 	if !ok {
 		t.Fatal("no root span recorded")
@@ -77,7 +77,7 @@ func TestClientStats(t *testing.T) {
 	var sb strings.Builder
 	c.Observer().Metrics.WritePrometheus(&sb)
 	out := sb.String()
-	for _, want := range []string{"query_total", "stage_parse_seconds_bucket", "query_latency_seconds_sum"} {
+	for _, want := range []string{"query_total", `stage_parse_seconds{quantile="0.99"}`, "query_latency_seconds_sum"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %s", want)
 		}
@@ -92,7 +92,7 @@ func TestConcurrentQueries(t *testing.T) {
 	if err := c.IndexEntities(demoEntities(), c.CanonicalTags()); err != nil {
 		t.Fatal(err)
 	}
-	ring := obs.NewRingSink(512)
+	ring := obs.NewRing[obs.SpanRecord](512)
 	c.SetTraceSink(ring)
 	defer c.SetTraceSink(nil)
 
@@ -127,7 +127,7 @@ func TestConcurrentQueries(t *testing.T) {
 	if got < want {
 		t.Fatalf("query.total grew by %d, want >= %d", got, want)
 	}
-	if _, ok := obs.LastRoot(ring.Spans()); !ok {
+	if _, ok := obs.LastRoot(ring.All()); !ok {
 		t.Fatal("no spans recorded under concurrency")
 	}
 }

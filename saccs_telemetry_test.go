@@ -45,7 +45,7 @@ func TestTailSamplingAcceptance(t *testing.T) {
 	if err := c.IndexEntities(demoEntities(), c.CanonicalTags()); err != nil {
 		t.Fatal(err)
 	}
-	ring := obs.NewRingSink(256)
+	ring := obs.NewRing[obs.SpanRecord](256)
 	c.SetTraceSink(ring)
 	defer c.SetTraceSink(nil)
 
@@ -60,7 +60,7 @@ func TestTailSamplingAcceptance(t *testing.T) {
 	if ev := evs[0]; ev.Retained || ev.Kind != "query" || ev.Trace.IsZero() {
 		t.Fatalf("fast request event: %+v", ev)
 	}
-	if spans := ring.Spans(); len(spans) != 0 {
+	if spans := ring.All(); len(spans) != 0 {
 		t.Fatalf("fast unsampled request flushed %d spans", len(spans))
 	}
 	if slow := c.SlowQueries(); len(slow) != 0 {
@@ -87,7 +87,7 @@ func TestTailSamplingAcceptance(t *testing.T) {
 			t.Errorf("wide event missing stage %q: %v", stage, ev.Stage)
 		}
 	}
-	spans := ring.Spans()
+	spans := ring.All()
 	root, ok := obs.LastRoot(spans)
 	if !ok || root.Name != "query" {
 		t.Fatalf("slow request span tree: root %+v ok=%v", root, ok)
@@ -149,7 +149,7 @@ func TestGoldenQueriesWithSampling(t *testing.T) {
 	if err := c.IndexEntities(goldenWorld(), c.CanonicalTags()); err != nil {
 		t.Fatal(err)
 	}
-	ring := obs.NewRingSink(1024)
+	ring := obs.NewRing[obs.SpanRecord](1024)
 	c.SetTraceSink(ring)
 	defer c.SetTraceSink(nil)
 	swapTelemetry(t, c, obs.TelemetryConfig{
@@ -174,9 +174,10 @@ func TestGoldenQueriesWithSampling(t *testing.T) {
 }
 
 // TestClientStatsHDRAndSLO checks the latency-accounting surface: the
-// request-latency HDR quantiles appear in Stats() and the full /metrics
-// payload — p50/p99/p999 summaries, SLO counters and burn gauge — parses
-// under the Prometheus exposition grammar.
+// request-latency quantiles appear in Stats().Histograms and the full
+// /metrics payload — p50/p90/p99/p999 summaries for request.latency.query and
+// every stage.* histogram, SLO counters and burn gauge — parses under the
+// Prometheus exposition grammar.
 func TestClientStatsHDRAndSLO(t *testing.T) {
 	c := newClient(t)
 	if err := c.IndexEntities(demoEntities(), c.CanonicalTags()); err != nil {
@@ -188,11 +189,11 @@ func TestClientStatsHDRAndSLO(t *testing.T) {
 		c.Query("a place with friendly staff")
 	}
 	snap := c.Stats()
-	hdr, ok := snap.HDRs["request.latency.query"]
-	if !ok || hdr.Count < n {
-		t.Fatalf("request.latency.query HDR: %+v ok=%v", hdr, ok)
+	lat, ok := snap.Histograms["request.latency.query"]
+	if !ok || lat.Count < n {
+		t.Fatalf("request.latency.query histogram: count=%d ok=%v", lat.Count, ok)
 	}
-	p50, p99, p999 := hdr.Quantile(0.5), hdr.Quantile(0.99), hdr.Quantile(0.999)
+	p50, p99, p999 := lat.Quantile(0.5), lat.Quantile(0.99), lat.Quantile(0.999)
 	if p50 <= 0 || p99 < p50 || p999 < p99 {
 		t.Fatalf("quantiles out of order: p50=%v p99=%v p999=%v", p50, p99, p999)
 	}
@@ -226,6 +227,17 @@ func TestClientStatsHDRAndSLO(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	for name := range snap.Histograms {
+		if !strings.HasPrefix(name, "stage.") && !strings.HasPrefix(name, "request.latency.") {
+			continue
+		}
+		series := strings.NewReplacer(".", "_", "-", "_").Replace(name) + "_seconds"
+		for _, q := range []string{"0.5", "0.9", "0.99", "0.999"} {
+			if want := series + `{quantile="` + q + `"}`; !strings.Contains(out, want) {
+				t.Errorf("/metrics missing %s", want)
+			}
 		}
 	}
 }
@@ -326,7 +338,7 @@ func TestTraceSinkSwapRace(t *testing.T) {
 		}(g)
 	}
 	go func() { wg.Wait(); close(done) }()
-	rings := []*obs.RingSink{obs.NewRingSink(64), obs.NewRingSink(64)}
+	rings := []*obs.Ring[obs.SpanRecord]{obs.NewRing[obs.SpanRecord](64), obs.NewRing[obs.SpanRecord](64)}
 	for i := 0; ; i++ {
 		select {
 		case <-done:
@@ -352,7 +364,7 @@ func TestObsLint(t *testing.T) {
 	if err := c.IndexEntities(demoEntities(), c.CanonicalTags()); err != nil {
 		t.Fatal(err)
 	}
-	ring := obs.NewRingSink(2048)
+	ring := obs.NewRing[obs.SpanRecord](2048)
 	c.SetTraceSink(ring)
 	defer c.SetTraceSink(nil)
 	tel := swapTelemetry(t, c, obs.TelemetryConfig{HeadSampleN: 1})
@@ -375,7 +387,7 @@ func TestObsLint(t *testing.T) {
 		}
 	}
 	seen := map[string]bool{}
-	for _, s := range ring.Spans() {
+	for _, s := range ring.All() {
 		if s.Parent == 0 || seen[s.Name] {
 			continue
 		}
