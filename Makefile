@@ -20,11 +20,10 @@ FUZZTIME ?= 30s
 # never lower it to make a PR pass.
 COVER_BASELINE ?= 77.3
 
-.PHONY: ci lint vet build test test-short race race-full bench bench-smoke \
-	bench-contention bench-cache bench-latency bench-ingest \
-	bench-serve benchmark-check check obs-lint fuzz-smoke cover loc
+.PHONY: ci lint vet build deps-check test test-short race race-full bench bench-smoke \
+	bench-ingest bench-serve benchmark-check check obs-lint fuzz-smoke cover loc
 
-ci: lint build race check obs-lint fuzz-smoke bench-smoke benchmark-check cover
+ci: lint build deps-check race check obs-lint fuzz-smoke bench-smoke benchmark-check cover
 
 # obs-lint gates the telemetry schema: every stage.* span the query pipeline
 # emits must have a matching registered stage-latency histogram and must
@@ -56,6 +55,16 @@ vet:
 build:
 	$(GO) build ./...
 
+# deps-check keeps the paper's evaluation out of the server binary: Table 2's
+# crowd ground truth, its IR and SIM baselines and the experiment
+# regenerators are linked by the benchmark tool, never by cmd/saccs-server,
+# which reaches the trained model through internal/core alone.
+deps-check:
+	@bad=$$($(GO) list -deps ./cmd/saccs-server | grep -E '^saccs/internal/(experiments|crowd|ir|simbaseline)$$'); \
+	if [ -n "$$bad" ]; then \
+		echo "cmd/saccs-server links paper-evaluation packages:"; echo "$$bad"; exit 1; \
+	fi
+
 test:
 	$(GO) test ./...
 
@@ -73,38 +82,32 @@ bench:
 
 # bench-smoke exercises the parallel query path end-to-end for a fraction of
 # a second — enough to catch a deadlock or crash in the concurrent pipeline
-# without slowing CI — and -qps-guard fails the run if 4-goroutine QPS drops
-# below 1-goroutine QPS (the parallel-scaling regression this repo once
-# shipped: more goroutines, fewer queries). The same guard covers sharding:
-# a 4-shard facade client queried by 4 goroutines must not fall below the
-# 1-shard serial baseline, i.e. ranking four shards per query may not cost
-# more than the second processor buys. Every decode is solo (there is no
-# cross-request batcher), so both ratios are processor scaling: ~2x at the 2 Ps of the
-# reference box, ~1x at GOMAXPROCS=1 (0.98-0.99 measured) — where the guards
-# are a coin flip and bench-smoke is not meaningful. Ten consecutive
-# `make bench-smoke` runs on the reference box (go1.24.0, Xeon 2.10 GHz,
-# nproc 2), all ten passing:
-# 4 goroutines / 1 goroutine 1.73 1.95 1.94 2.09 2.02 2.03 2.05 1.95 2.09
-# 1.96; 4 shards x 4 goroutines / 1 shard x 1 goroutine 1.76 1.52 1.62 1.83
-# 1.77 1.78 1.56 1.64 1.63 1.64 (with the batcher, at the parent commit, the
-# same ratios read 1.13-1.25 and 0.99-1.21 in ISSUE 18's three runs, one of
-# which failed the sharded guard). With the per-shard goroutine fan-out of
-# View.TopK gone (ISSUE 19: the shards rank in one loop), five consecutive
-# runs, all passing, alternated with the parent commit's binary:
-# 4 shards x 4 goroutines / 1 shard x 1 goroutine 1.86 1.88 1.78 1.88 1.92
-# (parent, same minutes: 2.07 1.83 1.83 2.17 1.85); 4 goroutines / 1 goroutine
-# 2.15 2.03 2.06 2.30 1.89. One more run each, earlier, in a slow spell of the
-# host (decodes ~1.5x their usual time): 1.12 here, 1.16 and 1.34 at the
-# parent — the margin is the host's, not the loop's.
+# without slowing CI. Both passes run on facade clients (saccs.New, the
+# served model and query path, extraction cache off). -qps-guard fails the
+# run if a 1-shard client queried by 4 goroutines drops below the same
+# client at 1 goroutine (the parallel-scaling regression this repo once
+# shipped: more goroutines, fewer queries), or if a 4-shard client queried
+# by 4 goroutines drops below that 1-shard serial baseline, i.e. ranking
+# four shards per query may not cost more than the second processor buys.
+# Every decode is solo on its caller's goroutine, so both ratios are
+# processor scaling: ~2x at the 2 Ps of the reference box, ~1x at
+# GOMAXPROCS=1 (0.98-0.99 measured) — where the guards are a coin flip and
+# bench-smoke is not meaningful. Five consecutive `make bench-smoke` runs on
+# the reference box (go1.24.0, Xeon 2.10 GHz, nproc 2), all five passing:
+# 4 goroutines / 1 goroutine 1.83 2.20 2.74 2.40 1.53; 4 shards x 4
+# goroutines / 1 shard x 1 goroutine 1.75 1.85 2.46 1.87 1.42. The spread is
+# the host's: the 300 ms single-goroutine pass moves with it most (1 095 to
+# 1 657 QPS over the five runs).
 # -quant-guard fails the run if the mixed-precision cold decode is not at
 # least 1.5x the float64 decode (quantGuardMin in cmd/saccs-bench) — the
-# quantized kernels' reason to exist. The same ten runs read 2.70 2.72 2.17
+# quantized kernels' reason to exist. Ten earlier runs read 2.70 2.72 2.17
 # 2.80 2.57 2.61 2.54 2.73 2.62 2.64 (ISSUE 19's five: 2.13 2.96 2.43 2.88
 # 2.82); 1.5 is the largest half-integer that all of them clear by at least
 # 15 % (the 2.17 run rules out 2). The floor was 6x against 7-9x until float64 inference moved from a MulVec per token onto the
 # GEMM forward: float64 got ~2.6x faster (13 tokens, interleaved runs of the
 # two binaries: 872-943 -> 319-375 us); mixed did not move beyond what
-# function layout alone moves this binary (DESIGN.md §14).
+# function layout alone moves this binary (DESIGN.md §14). The five
+# runs above read 2.63 2.31 2.04 2.12 2.57.
 # It writes no BENCH.json.
 bench-smoke:
 	$(GO) run ./cmd/saccs-bench -only parallel,quant -parallel 4 -parallel-dur 300ms -qps-guard -quant-guard -bench-out ""
@@ -118,26 +121,6 @@ bench-smoke:
 benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test -short ./...
-
-# bench-contention measures reader QPS with and without a writer
-# continuously rebuilding (and republishing) the index — the
-# readers-vs-rebuild cost of the snapshot-publication design. Appends
-# contention rows to BENCH.json.
-bench-contention:
-	$(GO) run ./cmd/saccs-bench -only contention -readers 8 -contention-dur 2s
-
-# bench-cache measures the generation-keyed extraction cache: cold vs warm
-# per-sentence extraction latency, the warm hit ratio, and repeated-utterance
-# query QPS with the cache off and on. Appends the cache section to
-# BENCH.json.
-bench-cache:
-	$(GO) run ./cmd/saccs-bench -only cache -parallel-dur 2s
-
-# bench-latency measures the end-to-end query latency distribution
-# (p50/p90/p99/p999 from the request-latency histogram, plus QPS) and writes
-# the latency section of BENCH.json.
-bench-latency:
-	$(GO) run ./cmd/saccs-bench -only latency -parallel-dur 2s
 
 # bench-serve drives the real HTTP tier (cmd/saccs-server's stack) with an
 # open-loop load generator at shard counts {1,2,4}: fixed arrival rates on a

@@ -169,7 +169,7 @@ func table4Slice() (*datasets.Dataset, tagger.Encoder) {
 	if len(d.Train) > 40 {
 		d.Train = d.Train[:40]
 	}
-	enc := experiments.BuildEncoder(experiments.DefaultEncoderOpts(datasets.Fast), d.Domain, nil)
+	enc := core.BuildEncoder(core.EncoderOptsFor(datasets.Fast), d.Domain, nil)
 	return d, enc
 }
 
@@ -225,7 +225,7 @@ func pairingFixture(b *testing.B) {
 		for _, s := range sents {
 			exs = append(exs, datasets.EnumeratePairs(s)...)
 		}
-		enc := experiments.BuildEncoder(experiments.DefaultEncoderOpts(datasets.Fast), lexicon.Hotels(), nil)
+		enc := core.BuildEncoder(core.EncoderOptsFor(datasets.Fast), lexicon.Hotels(), nil)
 		heads := pairing.SelectHeads(enc, exs[:120], 5)
 		pairLFs = pairing.StandardLFs(enc, parse.DomainLexicon(lexicon.Hotels()), heads, experiments.PaperHeadNames)
 		cands := make([]pairing.Candidate, len(test))
@@ -292,9 +292,9 @@ func BenchmarkFigure5Attention(b *testing.B) {
 	v := tokenize.NewVocab()
 	toks := tokenize.Words("the food is delicious and the staff and decor are amazing")
 	v.AddAll(toks)
-	opts := experiments.DefaultEncoderOpts(datasets.Fast)
+	opts := core.EncoderOptsFor(datasets.Fast)
 	opts.GeneralSize = 40
-	enc := experiments.BuildEncoder(opts, lexicon.Restaurants(), [][]string{toks})
+	enc := core.BuildEncoder(opts, lexicon.Restaurants(), [][]string{toks})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enc.EncodeTokens(toks)
@@ -355,7 +355,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 // MiniBERT cosine on the tag pairs the index cares about (§3.1's claim that
 // conceptual similarity works better on short phrases).
 func BenchmarkAblationSimilarity(b *testing.B) {
-	enc := experiments.BuildEncoder(experiments.DefaultEncoderOpts(datasets.Fast), lexicon.Restaurants(), nil)
+	enc := core.BuildEncoder(core.EncoderOptsFor(datasets.Fast), lexicon.Restaurants(), nil)
 	conceptual := sim.NewConceptual()
 	cosine := &sim.Cosine{Provider: enc}
 	// Related pairs should outscore unrelated pairs; measure the margin.

@@ -3,42 +3,29 @@
 // the paper's corpus sizes (280 entities / ~7000 reviews, Table 3 dataset
 // sizes, 100 queries per difficulty, 15 training epochs).
 //
-// The "stages" section benchmarks every query-path stage in isolation
+// The "stages" section benchmarks the query-path stages in isolation
 // (parse, tagger Viterbi decode, pairing, full extraction, index build,
-// exact and similarity-fallback resolution, ranking, and the end-to-end
-// query) and writes the results both as a human-readable table and as
-// machine-readable JSON (-bench-out, default BENCH.json).
+// exact and similarity-fallback resolution, ranking) over the served
+// tagger (core.TrainTagger) and writes the results both as a human-readable
+// table and as machine-readable JSON (-bench-out, default BENCH.json). The
+// end-to-end query is what the benchmark/ module's query_cold and
+// query_warm workloads measure.
 //
-// The "parallel" section measures cold-path end-to-end query throughput at
-// one goroutine and at -parallel goroutines over the same pipeline: every
-// query is a distinct multi-sentence utterance (no extraction cache), so the
-// decode work is real and concurrent queries beat the single-goroutine
-// figure only by running on more processors. With -qps-guard the process
-// exits nonzero if the multi-goroutine pass is slower than the
-// single-goroutine pass — the regression CI smoke gate. The section also
-// compares the public facade sharded: the same cold workload at 1 shard /
-// 1 goroutine and at -parallel shards / -parallel goroutines, and the guard
-// extends to it — sharded concurrent QPS must not fall below the serial
-// single-shard baseline, so ranking every shard per query can never silently
-// cost more than concurrency buys.
+// The "quant" section times the cold Viterbi decode at float64 and at mixed
+// precision; with -quant-guard the process exits nonzero if mixed is not
+// quantGuardMin times faster.
 //
-// The "contention" section measures what a writer costs the
-// readers: -readers goroutines query continuously for a readers-only
-// baseline pass, then again while one goroutine rebuilds the index in a loop
-// publishing new snapshot generations the whole time. With pinned immutable
-// snapshots the reader QPS of the two passes should be close; a large gap
-// would mean readers are blocking on the writer. All sections append to the
-// same BENCH.json.
-//
-// The "cache" section measures the generation-keyed extraction cache: cold
-// (uncached) vs warm (cache pre-warmed) per-sentence extraction latency, the
-// warm pass's hit ratio, and end-to-end repeated-utterance query QPS with
-// the cache off and on. Each QPS pass runs for -parallel-dur.
-//
-// The "latency" section runs a closed-loop end-to-end query pass with
-// request telemetry attached and reports the latency distribution — p50,
-// p90, p99, p999 from the high-resolution log-linear histogram — alongside
-// the pass's QPS, so BENCH.json tracks tail latency and not just throughput.
+// The "parallel" section measures cold-path end-to-end query throughput
+// through the public facade: a 1-shard client at one goroutine and at
+// -parallel goroutines, and a -parallel-shard client at -parallel
+// goroutines. Every query is a distinct multi-sentence utterance and the
+// extraction cache is off, so the decode work is real and concurrent
+// queries beat the single-goroutine figure only by running on more
+// processors. With -qps-guard the process exits nonzero if either
+// concurrent pass is slower than the 1-shard, 1-goroutine pass — the
+// regression CI smoke gate: more goroutines must not mean fewer queries,
+// and ranking every shard per query must not cost more than concurrency
+// buys. All sections append to the same BENCH.json.
 //
 // The "ingest" section measures the streaming tier on the real filesystem:
 // durable append throughput under FsyncAlways (each ack is an fsync) and
@@ -60,9 +47,8 @@
 // Usage:
 //
 //	saccs-bench [-scale fast|paper]
-//	            [-only table2,table3,table4,table5,figures,stages,quant,parallel,contention,cache,latency,ingest,serve]
+//	            [-only table2,table3,table4,table5,figures,stages,quant,parallel,ingest,serve]
 //	            [-parallel N] [-parallel-dur 2s] [-qps-guard] [-quant-guard]
-//	            [-readers N] [-contention-dur 2s]
 //	            [-bench-out BENCH.json] [-metrics-addr :9090]
 package main
 
@@ -86,13 +72,10 @@ import (
 	"saccs/internal/core"
 	"saccs/internal/datasets"
 	"saccs/internal/experiments"
-	"saccs/internal/extcache"
 	"saccs/internal/index"
 	"saccs/internal/ingest"
 	"saccs/internal/nn"
 	"saccs/internal/obs"
-	"saccs/internal/pairing"
-	"saccs/internal/parse"
 	"saccs/internal/search"
 	"saccs/internal/server"
 	"saccs/internal/sim"
@@ -103,15 +86,13 @@ import (
 
 func main() {
 	scaleFlag := flag.String("scale", "fast", "experiment scale: fast or paper")
-	only := flag.String("only", "", "comma-separated subset: table2,table3,table4,table5,figures,stages,quant,parallel,contention,cache,latency,ingest,serve")
+	only := flag.String("only", "", "comma-separated subset: table2,table3,table4,table5,figures,stages,quant,parallel,ingest,serve")
 	benchOut := flag.String("bench-out", "BENCH.json", "file for the machine-readable benchmark results (empty disables)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :9090)")
 	parallelN := flag.Int("parallel", runtime.GOMAXPROCS(0), "goroutines for the parallel query benchmark")
-	qpsGuard := flag.Bool("qps-guard", false, "exit nonzero if the parallel section's multi-goroutine QPS falls below its single-goroutine QPS")
+	qpsGuard := flag.Bool("qps-guard", false, "exit nonzero if a concurrent pass of the parallel section falls below its 1-shard, 1-goroutine QPS")
 	quantGuard := flag.Bool("quant-guard", false, fmt.Sprintf("exit nonzero if the quant section's mixed-precision cold decode is not at least %gx the float64 decode", quantGuardMin))
 	parallelDur := flag.Duration("parallel-dur", 2*time.Second, "duration of each parallel benchmark pass")
-	readersN := flag.Int("readers", runtime.GOMAXPROCS(0), "reader goroutines for the contention benchmark")
-	contentionDur := flag.Duration("contention-dur", 2*time.Second, "duration of each contention benchmark pass")
 	flag.Parse()
 
 	var scale experiments.Scale
@@ -163,14 +144,11 @@ func main() {
 	run("table2", func() { experiments.Table2(scale, os.Stdout) })
 	run("stages", func() { stageBenchmarks(o, doc) })
 	run("quant", func() { quantBenchmarks(o, doc, *quantGuard) })
-	run("parallel", func() { parallelBenchmarks(o, doc, *parallelN, *parallelDur, *qpsGuard) })
-	run("contention", func() { contentionBenchmarks(o, doc, *readersN, *contentionDur) })
-	run("cache", func() { cacheBenchmarks(o, doc, *parallelDur) })
-	run("latency", func() { latencyBenchmarks(o, doc, *parallelDur) })
+	run("parallel", func() { parallelBenchmarks(doc, *parallelN, *parallelDur, *qpsGuard) })
 	run("ingest", func() { ingestBenchmarks(doc, *parallelDur) })
 	run("serve", func() { serveBenchmarks(doc, []int{1, 2, 4}, *parallelDur) })
 
-	if *benchOut != "" && (len(doc.Stages) > 0 || len(doc.Quant) > 0 || len(doc.Parallel) > 0 || len(doc.Contention) > 0 || doc.Cache != nil || doc.Latency != nil || doc.Ingest != nil || doc.Serve != nil) {
+	if *benchOut != "" && (len(doc.Stages) > 0 || len(doc.Quant) > 0 || len(doc.Parallel) > 0 || doc.Ingest != nil || doc.Serve != nil) {
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err == nil {
 			err = os.WriteFile(*benchOut, append(data, '\n'), 0o644)
@@ -178,14 +156,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *benchOut, err)
 			os.Exit(1)
-		}
-		cacheRows := 0
-		if doc.Cache != nil {
-			cacheRows = len(doc.Cache.Results)
-		}
-		latency := "no latency section"
-		if doc.Latency != nil {
-			latency = "latency quantiles"
 		}
 		ingestRows := 0
 		if doc.Ingest != nil {
@@ -195,8 +165,8 @@ func main() {
 		if doc.Serve != nil {
 			serveRows = len(doc.Serve.Passes)
 		}
-		fmt.Printf("wrote %s (%d stages, %d parallel passes, %d contention passes, %d cache rows, %s, %d ingest rows, %d serve passes)\n",
-			*benchOut, len(doc.Stages), len(doc.Parallel), len(doc.Contention), cacheRows, latency, ingestRows, serveRows)
+		fmt.Printf("wrote %s (%d stages, %d quant rows, %d parallel passes, %d ingest rows, %d serve passes)\n",
+			*benchOut, len(doc.Stages), len(doc.Quant), len(doc.Parallel), ingestRows, serveRows)
 	}
 }
 
@@ -209,60 +179,14 @@ type stageResult struct {
 	Iterations  int     `json:"iterations"`
 }
 
-// parallelResult is one throughput pass of the parallel benchmark. Shards is
-// 0 for the in-process core service passes and set for the facade passes
-// that compare a sharded client against the single-shard baseline.
+// parallelResult is one throughput pass of the parallel benchmark: a facade
+// client over Shards shards queried by Goroutines goroutines.
 type parallelResult struct {
-	Shards     int     `json:"shards,omitempty"`
+	Shards     int     `json:"shards"`
 	Goroutines int     `json:"goroutines"`
 	Queries    int64   `json:"queries"`
 	Seconds    float64 `json:"seconds"`
 	QPS        float64 `json:"qps"`
-}
-
-// contentionResult is one pass of the readers-vs-rebuild benchmark.
-type contentionResult struct {
-	// Mode is "readers-only" (baseline) or "readers+rebuild" (one writer
-	// republishing the index continuously under the readers).
-	Mode     string  `json:"mode"`
-	Readers  int     `json:"readers"`
-	Queries  int64   `json:"queries"`
-	Rebuilds int64   `json:"rebuilds"`
-	Seconds  float64 `json:"seconds"`
-	QPS      float64 `json:"qps"`
-}
-
-// cacheSection is the extraction-cache benchmark's BENCH.json entry.
-type cacheSection struct {
-	// Results holds the cold (uncached) and warm (cache pre-warmed)
-	// per-sentence extraction measurements.
-	Results []stageResult `json:"results"`
-	// Speedup is cold ns/op over warm ns/op.
-	Speedup float64 `json:"speedup"`
-	// HitRatio is the warm pass's cache hit ratio.
-	HitRatio float64 `json:"hit_ratio"`
-	// ColdQPS and WarmQPS are end-to-end repeated-utterance query
-	// throughput with the cache detached and attached.
-	ColdQPS float64 `json:"cold_qps"`
-	WarmQPS float64 `json:"warm_qps"`
-	// QPSSpeedup is WarmQPS over ColdQPS.
-	QPSSpeedup float64 `json:"qps_speedup"`
-}
-
-// latencySection is the tail-latency benchmark's BENCH.json entry: the
-// end-to-end query latency distribution read from the high-resolution
-// log-linear histogram after a closed-loop pass.
-type latencySection struct {
-	Queries int64   `json:"queries"`
-	Seconds float64 `json:"seconds"`
-	QPS     float64 `json:"qps"`
-	// Quantiles are in nanoseconds, accurate to the histogram's 1/32
-	// relative error.
-	P50Ns  float64 `json:"p50_ns"`
-	P90Ns  float64 `json:"p90_ns"`
-	P99Ns  float64 `json:"p99_ns"`
-	P999Ns float64 `json:"p999_ns"`
-	MeanNs float64 `json:"mean_ns"`
 }
 
 // ingestResult is one fsync-policy pass of the streaming-ingest benchmark.
@@ -337,20 +261,18 @@ type serveSection struct {
 
 // benchFile is the BENCH.json document.
 type benchFile struct {
-	Command    string             `json:"command"`
-	Stages     []stageResult      `json:"stages,omitempty"`
-	Quant      []stageResult      `json:"quant,omitempty"`
-	Parallel   []parallelResult   `json:"parallel,omitempty"`
-	Contention []contentionResult `json:"contention,omitempty"`
-	Cache      *cacheSection      `json:"cache,omitempty"`
-	Latency    *latencySection    `json:"latency,omitempty"`
-	Ingest     *ingestSection     `json:"ingest,omitempty"`
-	Serve      *serveSection      `json:"serve,omitempty"`
+	Command  string           `json:"command"`
+	Stages   []stageResult    `json:"stages,omitempty"`
+	Quant    []stageResult    `json:"quant,omitempty"`
+	Parallel []parallelResult `json:"parallel,omitempty"`
+	Ingest   *ingestSection   `json:"ingest,omitempty"`
+	Serve    *serveSection    `json:"serve,omitempty"`
 }
 
-// benchPipeline builds the fast pipeline the stage and parallel benchmarks
-// measure: trained tagger, tree pairer, service with the first 8 canonical
-// tags indexed. Built once and shared between sections.
+// benchPipeline builds the fast pipeline the stage and quant benchmarks
+// measure: the served tagger at mixed precision, the served pairer, and a
+// harness service holding the world's extracted review tags. Built once and
+// shared between sections.
 var benchPipeline struct {
 	once sync.Once
 	svc  *core.Service
@@ -362,25 +284,12 @@ func buildBenchPipeline(o *obs.Observer) (*core.Service, *core.Extractor, *tagge
 	benchPipeline.once.Do(func() {
 		fmt.Println("building the fast pipeline for the benchmarks...")
 		world := yelp.Generate(yelp.FastConfig())
-		data := datasets.S1(datasets.Fast)
-		encOpts := experiments.DefaultEncoderOpts(datasets.Fast)
-		encOpts.Obs = o
-		enc := experiments.BuildEncoder(encOpts, world.Domain, nil)
-		cfg := tagger.DefaultConfig()
-		cfg.Adversarial = true
-		cfg.Epsilon = 0.2
-		cfg.Precision = nn.Mixed // the serving default (saccs.Config.Precision)
-		tg := tagger.New(enc, cfg)
-		tg.Obs = o
-		tg.Train(data.Train)
-		ex := &core.Extractor{
-			Tagger: tg,
-			Pairer: pairing.Tree{Lex: parse.DomainLexicon(world.Domain), FromOpinions: true},
-		}
+		// nn.Mixed is the serving default (saccs.Config.Precision).
+		tg := core.TrainTagger(world.Domain, datasets.S1(datasets.Fast), datasets.Fast, true, 0.2, nn.Mixed, o)
+		ex := &core.Extractor{Tagger: tg, Pairer: core.ServedPairer(world.Domain)}
 		svc := core.NewService(world, ex, nil, core.DefaultConfig())
 		svc.SetObserver(o)
 		svc.BuildEntityTags(core.NeuralSource{E: ex})
-		svc.IndexTags(svc.CanonicalTags()[:8])
 		benchPipeline.svc, benchPipeline.ex, benchPipeline.tg = svc, ex, tg
 	})
 	return benchPipeline.svc, benchPipeline.ex, benchPipeline.tg
@@ -446,7 +355,6 @@ func stageBenchmarks(o *obs.Observer, doc *benchFile) {
 		{"rank", func() {
 			_, _ = paper.Ranker().TopK(context.Background(), nil, apiResults, queryTags, svc.Cfg.TopK)
 		}},
-		{"query", func() { svc.Query(utterance) }},
 	}
 
 	results := make([]stageResult, 0, len(stages))
@@ -546,82 +454,19 @@ func coldUtterances(n int) []string {
 	return out
 }
 
-// coldQueryPass runs g goroutines of end-to-end queries over the cold
-// utterance pool for dur. A shared round-robin counter hands every query the
-// next distinct utterance, so concurrent requests never carry the same
-// sentences.
-func coldQueryPass(svc *core.Service, pool []string, g int, dur time.Duration) (int64, float64) {
-	var n, seq atomic.Int64
-	var wg sync.WaitGroup
-	deadline := time.Now().Add(dur)
-	start := time.Now()
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				i := seq.Add(1)
-				svc.Query(pool[int(i)%len(pool)])
-				n.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	return n.Load(), time.Since(start).Seconds()
-}
-
-// parallelBenchmarks measures cold-path end-to-end Query throughput at 1 and
-// at workers goroutines over one shared pipeline. Every goroutine decodes its
-// own sentences, so the speedup row is what the extra processors buy: about
-// GOMAXPROCS at best, and ~1x on one CPU, where time-slicing N goroutines
+// parallelBenchmarks measures cold-path end-to-end Query throughput through
+// the public facade: a 1-shard client at 1 and at workers goroutines, and a
+// workers-shard client at workers goroutines. The extraction cache is off
+// and every query is a distinct utterance, so each goroutine decodes its own
+// sentences and the speedup rows are what the extra processors buy: about
+// GOMAXPROCS at best, and ~1x on one CPU, where time-slicing goroutines
 // through the same serial decodes gains nothing. With guard set, a
-// multi-goroutine pass slower than the single-goroutine one fails the process
-// — the CI regression gate.
-func parallelBenchmarks(o *obs.Observer, doc *benchFile, workers int, dur time.Duration, guard bool) {
+// concurrent pass slower than the 1-shard, 1-goroutine pass fails the
+// process — the CI regression gate, for goroutines and for shards alike.
+func parallelBenchmarks(doc *benchFile, workers int, dur time.Duration, guard bool) {
 	if workers < 1 {
 		workers = 1
 	}
-	svc, _, _ := buildBenchPipeline(o)
-	pool := coldUtterances(512)
-
-	measure := func(g int) parallelResult {
-		q, sec := coldQueryPass(svc, pool, g, dur)
-		return parallelResult{Goroutines: g, Queries: q, Seconds: sec, QPS: float64(q) / sec}
-	}
-	gs := []int{1}
-	if workers > 1 {
-		gs = append(gs, workers)
-	}
-	fmt.Printf("%-12s %10s %10s %12s\n", "goroutines", "queries", "seconds", "qps")
-	var rows []parallelResult
-	for _, g := range gs {
-		r := measure(g)
-		rows = append(rows, r)
-		fmt.Printf("%-12d %10d %10.2f %12.1f\n", r.Goroutines, r.Queries, r.Seconds, r.QPS)
-	}
-	if len(rows) == 2 && rows[0].QPS > 0 {
-		fmt.Printf("speedup %dx goroutines: %.2fx (GOMAXPROCS=%d)\n",
-			rows[1].Goroutines, rows[1].QPS/rows[0].QPS, runtime.GOMAXPROCS(0))
-	}
-	doc.Parallel = rows
-	if guard && len(rows) == 2 && rows[1].QPS < rows[0].QPS {
-		fmt.Fprintf(os.Stderr, "qps guard: %d goroutines %.1f QPS < 1 goroutine %.1f QPS — parallel queries must not be slower than serial\n",
-			rows[1].Goroutines, rows[1].QPS, rows[0].QPS)
-		os.Exit(1)
-	}
-	if workers > 1 {
-		shardedParallel(doc, workers, dur, guard)
-	}
-}
-
-// shardedParallel extends the parallel section through the public facade: the
-// same cold workload at 1 shard / 1 goroutine (the baseline everything since
-// PR 7 is measured against) and at `workers` shards / `workers` goroutines.
-// The extraction cache is off so every query decodes for real, and the guard
-// requires the sharded concurrent pass to hold the serial single-shard
-// baseline: ranking `workers` shards per query must cost less than the
-// concurrency around it buys.
-func shardedParallel(doc *benchFile, workers int, dur time.Duration, guard bool) {
 	mk := func(shards int) *saccs.Client {
 		cfg := saccs.DefaultConfig()
 		cfg.Shards = shards
@@ -636,12 +481,7 @@ func shardedParallel(doc *benchFile, workers int, dur time.Duration, guard bool)
 		}
 		return c
 	}
-	fmt.Printf("training facade clients (1 and %d shards)...\n", workers)
-	baseC, shardedC := mk(1), mk(workers)
-	defer baseC.Shutdown()
-	defer shardedC.Shutdown()
 	pool := coldUtterances(512)
-
 	pass := func(c *saccs.Client, shards, g int) parallelResult {
 		var n, seq atomic.Int64
 		var wg sync.WaitGroup
@@ -662,236 +502,40 @@ func shardedParallel(doc *benchFile, workers int, dur time.Duration, guard bool)
 		sec := time.Since(start).Seconds()
 		return parallelResult{Shards: shards, Goroutines: g, Queries: n.Load(), Seconds: sec, QPS: float64(n.Load()) / sec}
 	}
-	rows := []parallelResult{pass(baseC, 1, 1), pass(baseC, 1, workers), pass(shardedC, workers, workers)}
+
+	fmt.Println("training the 1-shard facade client...")
+	baseC := mk(1)
+	defer baseC.Shutdown()
+	rows := []parallelResult{pass(baseC, 1, 1)}
+	if workers > 1 {
+		fmt.Printf("training the %d-shard facade client...\n", workers)
+		shardedC := mk(workers)
+		defer shardedC.Shutdown()
+		rows = append(rows, pass(baseC, 1, workers), pass(shardedC, workers, workers))
+	}
 	fmt.Printf("%-8s %-12s %10s %10s %12s\n", "shards", "goroutines", "queries", "seconds", "qps")
 	for _, r := range rows {
 		fmt.Printf("%-8d %-12d %10d %10.2f %12.1f\n", r.Shards, r.Goroutines, r.Queries, r.Seconds, r.QPS)
 	}
-	if rows[0].QPS > 0 {
-		fmt.Printf("sharded speedup over the 1-shard serial baseline: %.2fx\n", rows[2].QPS/rows[0].QPS)
+	doc.Parallel = rows
+	if len(rows) < 3 || rows[0].QPS <= 0 {
+		return
 	}
-	doc.Parallel = append(doc.Parallel, rows...)
-	if guard && rows[2].QPS < rows[0].QPS {
+	fmt.Printf("speedup %d goroutines / 1 goroutine: %.2fx; %d shards x %d goroutines / 1 shard x 1 goroutine: %.2fx (GOMAXPROCS=%d)\n",
+		workers, rows[1].QPS/rows[0].QPS, workers, workers, rows[2].QPS/rows[0].QPS, runtime.GOMAXPROCS(0))
+	if !guard {
+		return
+	}
+	if rows[1].QPS < rows[0].QPS {
+		fmt.Fprintf(os.Stderr, "qps guard: %d goroutines %.1f QPS < 1 goroutine %.1f QPS — parallel queries must not be slower than serial\n",
+			rows[1].Goroutines, rows[1].QPS, rows[0].QPS)
+		os.Exit(1)
+	}
+	if rows[2].QPS < rows[0].QPS {
 		fmt.Fprintf(os.Stderr, "qps guard: %d shards x %d goroutines %.1f QPS < 1 shard x 1 goroutine %.1f QPS — sharded concurrent queries must beat the serial single-shard baseline\n",
 			rows[2].Shards, rows[2].Goroutines, rows[2].QPS, rows[0].QPS)
 		os.Exit(1)
 	}
-}
-
-// contentionBenchmarks measures reader throughput with and without a
-// concurrent writer. Pass one: `readers` goroutines run end-to-end queries
-// for dur (baseline). Pass two: the same readers run while one goroutine
-// rebuilds the indexed tag set in a tight loop, publishing a new snapshot
-// generation per iteration. The printed slowdown is the price readers pay
-// for a continuously churning writer — with pinned immutable snapshots it
-// should stay near 1x aside from the CPU the writer itself burns.
-func contentionBenchmarks(o *obs.Observer, doc *benchFile, readers int, dur time.Duration) {
-	if readers < 1 {
-		readers = 1
-	}
-	svc, _, _ := buildBenchPipeline(o)
-	canon := svc.CanonicalTags()
-	nTags := 8
-	if nTags > len(canon) {
-		nTags = len(canon)
-	}
-	utterances := []string{
-		"I want an Italian restaurant in Montreal with delicious food",
-		"somewhere with friendly staff and a quiet atmosphere",
-		"good food and attentive waiters please",
-		"a place with creative cooking and amazing pizza",
-	}
-	measure := func(mode string, rebuild bool) contentionResult {
-		var queries, rebuilds atomic.Int64
-		var wg sync.WaitGroup
-		deadline := time.Now().Add(dur)
-		start := time.Now()
-		for w := 0; w < readers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; time.Now().Before(deadline); i++ {
-					svc.Query(utterances[i%len(utterances)])
-					queries.Add(1)
-				}
-			}(w)
-		}
-		if rebuild {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for time.Now().Before(deadline) {
-					svc.IndexTags(canon[:nTags])
-					rebuilds.Add(1)
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start).Seconds()
-		return contentionResult{
-			Mode:     mode,
-			Readers:  readers,
-			Queries:  queries.Load(),
-			Rebuilds: rebuilds.Load(),
-			Seconds:  elapsed,
-			QPS:      float64(queries.Load()) / elapsed,
-		}
-	}
-	fmt.Printf("%-18s %8s %10s %10s %10s %12s\n", "mode", "readers", "queries", "rebuilds", "seconds", "qps")
-	rows := []contentionResult{
-		measure("readers-only", false),
-		measure("readers+rebuild", true),
-	}
-	for _, r := range rows {
-		fmt.Printf("%-18s %8d %10d %10d %10.2f %12.1f\n",
-			r.Mode, r.Readers, r.Queries, r.Rebuilds, r.Seconds, r.QPS)
-	}
-	if rows[0].QPS > 0 {
-		fmt.Printf("reader slowdown under continuous rebuild: %.2fx (GOMAXPROCS=%d)\n",
-			rows[0].QPS/rows[1].QPS, runtime.GOMAXPROCS(0))
-	}
-	doc.Contention = rows
-}
-
-// cacheBenchmarks measures what the generation-keyed extraction cache buys
-// on repeated sentences: cold (uncached) vs warm (pre-warmed cache)
-// per-sentence extraction latency and allocations, the warm pass's hit
-// ratio, and end-to-end repeated-utterance query throughput with the cache
-// detached and attached (dur per QPS pass). Real dialog traffic repeats
-// itself — canned phrasings, retried queries, reviews quoting the same
-// sentences — which is the regime the warm numbers model.
-func cacheBenchmarks(o *obs.Observer, doc *benchFile, dur time.Duration) {
-	svc, ex, tg := buildBenchPipeline(o)
-	utterances := []string{
-		"I want an Italian restaurant in Montreal with delicious food",
-		"somewhere with friendly staff and a quiet atmosphere",
-		"good food and attentive waiters please",
-		"a place with creative cooking and amazing pizza",
-	}
-	sents := make([][]string, len(utterances))
-	for i, u := range utterances {
-		sents[i] = tokenize.Words(u)
-	}
-
-	cold := &core.Extractor{Tagger: tg, Pairer: ex.Pairer}
-	cache := extcache.New(4096)
-	warm := &core.Extractor{Tagger: tg, Pairer: ex.Pairer, Cache: cache}
-	for _, s := range sents {
-		warm.ExtractFromTokens(s) // pre-warm: one decode per distinct sentence
-	}
-
-	bench := func(name string, fn func(i int)) stageResult {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fn(i)
-			}
-		})
-		return stageResult{
-			Name:        name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iterations:  r.N,
-		}
-	}
-	rows := []stageResult{
-		bench("extract.cold", func(i int) { cold.ExtractFromTokens(sents[i%len(sents)]) }),
-		bench("extract.warm", func(i int) { warm.ExtractFromTokens(sents[i%len(sents)]) }),
-	}
-	fmt.Printf("%-14s %14s %12s %12s\n", "pass", "ns/op", "allocs/op", "B/op")
-	for _, r := range rows {
-		fmt.Printf("%-14s %14.0f %12d %12d\n", r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-	}
-	sec := &cacheSection{Results: rows}
-	if rows[1].NsPerOp > 0 {
-		sec.Speedup = rows[0].NsPerOp / rows[1].NsPerOp
-	}
-	hits, misses, _ := cache.Stats()
-	if hits+misses > 0 {
-		sec.HitRatio = float64(hits) / float64(hits+misses)
-	}
-	fmt.Printf("warm speedup: %.1fx  hit ratio: %.4f (%d hits / %d misses)\n",
-		sec.Speedup, sec.HitRatio, hits, misses)
-
-	// End-to-end repeated-utterance QPS: the same four utterances through
-	// Service.Query, cache detached then attached. Single goroutine — the
-	// point is per-query cost, not parallel scaling.
-	measureQPS := func() float64 {
-		deadline := time.Now().Add(dur)
-		start := time.Now()
-		n := 0
-		for i := 0; time.Now().Before(deadline); i++ {
-			svc.Query(utterances[i%len(utterances)])
-			n++
-		}
-		return float64(n) / time.Since(start).Seconds()
-	}
-	ex.Cache = nil
-	sec.ColdQPS = measureQPS()
-	ex.Cache = cache
-	sec.WarmQPS = measureQPS()
-	ex.Cache = nil // leave the shared pipeline the way the other sections expect it
-	if sec.ColdQPS > 0 {
-		sec.QPSSpeedup = sec.WarmQPS / sec.ColdQPS
-	}
-	fmt.Printf("repeated-utterance query QPS: cold %.1f, warm %.1f (%.1fx)\n",
-		sec.ColdQPS, sec.WarmQPS, sec.QPSSpeedup)
-	doc.Cache = sec
-}
-
-// latencyBenchmarks measures the end-to-end query latency distribution: it
-// attaches request telemetry, runs a single-goroutine closed loop of
-// Service.Query calls for dur, and reads p50/p90/p99/p999 from the
-// log-linear request.latency.query histogram — the same histogram /metrics
-// exports — so BENCH.json tracks tail latency alongside throughput.
-func latencyBenchmarks(o *obs.Observer, doc *benchFile, dur time.Duration) {
-	svc, _, _ := buildBenchPipeline(o)
-	tel := obs.NewTelemetry(obs.TelemetryConfig{Metrics: o.Metrics})
-	o.SetTelemetry(tel)
-	defer func() {
-		o.SetTelemetry(nil) // leave the shared pipeline telemetry-free for other sections
-		tel.Close()
-	}()
-
-	utterances := []string{
-		"I want an Italian restaurant in Montreal with delicious food",
-		"somewhere with friendly staff and a quiet atmosphere",
-		"good food and attentive waiters please",
-		"a place with creative cooking and amazing pizza",
-	}
-	h := o.Metrics.Histogram("request.latency.query")
-	before := h.Count()
-	deadline := time.Now().Add(dur)
-	start := time.Now()
-	for i := 0; time.Now().Before(deadline); i++ {
-		svc.Query(utterances[i%len(utterances)])
-	}
-	elapsed := time.Since(start).Seconds()
-
-	snap := h.Snapshot()
-	sec := &latencySection{
-		Queries: snap.Count - before,
-		Seconds: elapsed,
-		P50Ns:   float64(snap.Quantile(0.5)),
-		P90Ns:   float64(snap.Quantile(0.9)),
-		P99Ns:   float64(snap.Quantile(0.99)),
-		P999Ns:  float64(snap.Quantile(0.999)),
-		MeanNs:  float64(snap.Mean()),
-	}
-	if elapsed > 0 {
-		sec.QPS = float64(sec.Queries) / elapsed
-	}
-	fmt.Printf("%-10s %10s %12s %12s %12s %12s %12s\n",
-		"queries", "qps", "p50", "p90", "p99", "p999", "mean")
-	fmt.Printf("%-10d %10.1f %12s %12s %12s %12s %12s\n",
-		sec.Queries, sec.QPS,
-		time.Duration(sec.P50Ns).Round(time.Microsecond),
-		time.Duration(sec.P90Ns).Round(time.Microsecond),
-		time.Duration(sec.P99Ns).Round(time.Microsecond),
-		time.Duration(sec.P999Ns).Round(time.Microsecond),
-		time.Duration(sec.MeanNs).Round(time.Microsecond))
-	doc.Latency = sec
 }
 
 // ingestTags is the synthetic streaming vocabulary. Reviews carry their tags

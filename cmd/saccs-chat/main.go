@@ -4,11 +4,14 @@
 //	I want an Italian restaurant in Montreal with delicious food
 //
 // and SACCS extracts the subjective tags, filters the objective search
-// results, and ranks them by degrees of truth. Special commands:
+// results, and ranks them by degrees of truth. It is a saccs.Client — the
+// pipeline saccs-server serves — over the demo world with the first eight
+// canonical tags indexed, so unknown tags are easy to provoke. Every reply
+// prints the tags the utterance queued for the next indexing round.
+// Special commands:
 //
 //	:tags        show the indexed subjective tags
-//	:history     show the user tag history (unknown tags seen so far)
-//	:reindex     run an indexing round over the history (Fig. 1's loop)
+//	:reindex     run an indexing round over the queued tags (Fig. 1's loop)
 //	:stats       dump the runtime metrics snapshot (counters, gauges, stage latencies)
 //	:trace       print the span tree of the most recent query
 //	:slow        print the worst-K slow-query log (trace IDs, stage timings)
@@ -27,41 +30,34 @@ import (
 	"strings"
 	"time"
 
-	"saccs/internal/core"
-	"saccs/internal/datasets"
-	"saccs/internal/experiments"
-	"saccs/internal/extcache"
-	"saccs/internal/nn"
+	"saccs"
 	"saccs/internal/obs"
-	"saccs/internal/pairing"
-	"saccs/internal/parse"
-	"saccs/internal/tagger"
 	"saccs/internal/yelp"
 )
 
 func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/slow and /debug/pprof on this address (e.g. :9090)")
 	slowThreshold := flag.Duration("slow-threshold", 100*time.Millisecond, "queries at or above this duration enter the slow-query log (:slow)")
-	precisionFlag := flag.String("precision", "mixed", "utterance decode arithmetic: float64 or mixed (indexing always runs float64)")
+	precision := flag.String("precision", "mixed", "utterance decode arithmetic: float64 or mixed (indexing always runs float64)")
 	flag.Parse()
-	precision, err := nn.ParsePrecision(*precisionFlag)
+
+	cfg := saccs.DefaultConfig()
+	cfg.Precision = *precision
+	// TraceSampleN 1 keeps :trace working for every query; the threshold only
+	// gates the slow-query log.
+	cfg.TraceSampleN = 1
+	cfg.SlowThreshold = *slowThreshold
+
+	fmt.Println("setting up: world + extractor (this takes a few seconds)...")
+	c, err := saccs.New(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "saccs-chat: %v\n", err)
 		os.Exit(1)
 	}
-
-	o := obs.NewObserver()
-	ring := obs.NewRing[obs.SpanRecord](512)
-	o.SetTracer(obs.NewTracer(ring))
-	// HeadSampleN 1 keeps :trace working for every query; the threshold only
-	// gates the slow-query log.
-	o.SetTelemetry(obs.NewTelemetry(obs.TelemetryConfig{
-		Metrics:       o.Metrics,
-		HeadSampleN:   1,
-		SlowThreshold: *slowThreshold,
-	}))
+	ring := saccs.NewRingSink(512)
+	c.SetTraceSink(ring)
 	if *metricsAddr != "" {
-		srv, err := obs.ServeObserver(*metricsAddr, o)
+		srv, err := c.ServeMetrics(*metricsAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "metrics server: %v\n", err)
 			os.Exit(1)
@@ -70,41 +66,21 @@ func main() {
 			srv.Addr, srv.Addr, srv.Addr)
 	}
 
-	fmt.Println("setting up: world + extractor (this takes a few seconds)...")
 	world := yelp.Generate(yelp.FastConfig())
-	data := datasets.S1(datasets.Fast)
-	encOpts := experiments.DefaultEncoderOpts(datasets.Fast)
-	encOpts.Obs = o
-	enc := experiments.BuildEncoder(encOpts, world.Domain, nil)
-	cfg := tagger.DefaultConfig()
-	cfg.Adversarial = true
-	cfg.Epsilon = 0.2
-	cfg.Precision = precision
-	tg := tagger.New(enc, cfg)
-	tg.Obs = o
-	tg.Train(data.Train)
-	pairer := pairing.Tree{Lex: parse.DomainLexicon(world.Domain), FromOpinions: true}
-	ex := &core.Extractor{
-		Tagger: tg,
-		Pairer: pairer,
-		// Interactive sessions repeat themselves; the generation-keyed cache
-		// serves repeated sentences without a decode (see :stats).
-		Cache: extcache.New(4096),
+	entities := make([]saccs.Entity, len(world.Entities))
+	for i, e := range world.Entities {
+		reviews := make([]string, len(e.Reviews))
+		for j, r := range e.Reviews {
+			reviews[j] = r.Text
+		}
+		entities[i] = saccs.Entity{ID: e.ID, Name: e.Name, City: e.City, Cuisine: e.Cuisine, Reviews: reviews}
 	}
-	svc := core.NewService(world, ex, nil, core.DefaultConfig())
-	svc.SetObserver(o)
-	// Review indexing always extracts on the float64 reference path, whatever
-	// -precision serves the REPL's utterance decodes — same split as the
-	// library facade, so the indexed world is precision-independent.
-	refEx := &core.Extractor{
-		Tagger: tagger.ReferenceView{M: tg},
-		Pairer: pairer,
-		Cache:  extcache.New(4096),
+	if err := c.IndexEntities(entities, c.CanonicalTags()[:8]); err != nil {
+		fmt.Fprintf(os.Stderr, "saccs-chat: %v\n", err)
+		os.Exit(1)
 	}
-	svc.BuildEntityTags(core.NeuralSource{E: refEx})
-	svc.IndexTags(svc.CanonicalTags()[:8])
 	fmt.Printf("ready: %d restaurants, %d reviews, %d tags indexed\n\n",
-		len(world.Entities), world.ReviewCount(), svc.Index.Len())
+		len(world.Entities), world.ReviewCount(), len(c.IndexedTags()))
 
 	sc := bufio.NewScanner(os.Stdin)
 	fmt.Print("you> ")
@@ -115,23 +91,21 @@ func main() {
 		case line == ":quit", line == ":q":
 			return
 		case line == ":tags":
-			fmt.Println(strings.Join(svc.Index.Tags(), ", "))
-		case line == ":history":
-			fmt.Println(svc.History.Pending())
+			fmt.Println(strings.Join(c.IndexedTags(), ", "))
 		case line == ":reindex":
-			added := svc.IndexPending()
-			fmt.Printf("indexed %v; index now has %d tags\n", added, svc.Index.Len())
+			added := c.Reindex()
+			fmt.Printf("indexed %v; index now has %d tags\n", added, len(c.IndexedTags()))
 		case line == ":stats":
-			o.Metrics.Snapshot().WriteText(os.Stdout)
+			c.Stats().WriteText(os.Stdout)
 		case line == ":trace":
 			spans := ring.All()
-			if root, ok := obs.LastRoot(spans); ok {
-				obs.WriteTree(os.Stdout, obs.Subtree(spans, root.ID))
+			if root, ok := saccs.LastRootSpan(spans); ok {
+				saccs.WriteSpanTree(os.Stdout, saccs.SpanSubtree(spans, root.ID))
 			} else {
 				fmt.Println("no spans recorded yet — run a query first")
 			}
 		case line == ":slow":
-			slow := o.Telemetry().SlowQueries()
+			slow := c.SlowQueries()
 			if len(slow) == 0 {
 				fmt.Printf("no slow queries recorded (threshold %s)\n", *slowThreshold)
 				break
@@ -147,18 +121,18 @@ func main() {
 				}
 			}
 		default:
-			resp := svc.Query(line)
-			fmt.Printf("intent=%s slots=%v tags=%v", resp.Intent.Name, resp.Intent.Slots, resp.Tags)
+			resp := c.Query(line)
+			fmt.Printf("intent=%s slots=%v tags=%v", resp.Intent, resp.Slots, resp.Tags)
 			if len(resp.UnknownTags) > 0 {
 				fmt.Printf(" (new tags queued: %v — :reindex to learn them)", resp.UnknownTags)
 			}
 			fmt.Println()
-			for i, s := range resp.Results {
+			for i, r := range resp.Results {
 				if i >= 5 {
 					break
 				}
-				e := world.Entity(s.EntityID)
-				fmt.Printf("  %d. %-16s %.1f★  degree %.2f\n", i+1, e.Name, e.Stars, s.Score)
+				e := world.Entity(r.ID)
+				fmt.Printf("  %d. %-16s %.1f★  degree %.2f\n", i+1, e.Name, e.Stars, r.Score)
 			}
 		}
 		fmt.Print("you> ")

@@ -26,16 +26,13 @@ import (
 	"saccs/internal/core"
 	"saccs/internal/corpus"
 	"saccs/internal/datasets"
-	"saccs/internal/experiments"
 	"saccs/internal/extcache"
 	"saccs/internal/index"
 	"saccs/internal/ingest"
 	"saccs/internal/nn"
 	"saccs/internal/obs"
 	"saccs/internal/pairing"
-	"saccs/internal/parse"
 	"saccs/internal/sim"
-	"saccs/internal/tagger"
 	"saccs/internal/yelp"
 )
 
@@ -86,20 +83,11 @@ func main() {
 		ex = &core.Extractor{Tagger: tg, Pairer: pairing.WordDistance{}}
 	} else {
 		fmt.Println("training the neural extractor...")
-		data := datasets.S1(datasets.Fast)
-		encOpts := experiments.DefaultEncoderOpts(datasets.Fast)
-		encOpts.Obs = o
-		enc := experiments.BuildEncoder(encOpts, world.Domain, nil)
-		cfg := tagger.DefaultConfig()
-		cfg.Adversarial = true
-		cfg.Epsilon = 0.2
-		cfg.Precision = precision
-		tg := tagger.New(enc, cfg)
-		tg.Obs = o
-		tg.Train(data.Train)
+		// The served tagger, trained exactly as saccs.New trains it.
+		tg := core.TrainTagger(world.Domain, datasets.S1(datasets.Fast), datasets.Fast, true, 0.2, precision, o)
 		ex = &core.Extractor{
 			Tagger: tg,
-			Pairer: pairing.Tree{Lex: parse.DomainLexicon(world.Domain), FromOpinions: true},
+			Pairer: core.ServedPairer(world.Domain),
 			// Reviews quote the same sentences; the cache decodes each once
 			// per build.
 			Cache: extcache.New(4096),

@@ -10,10 +10,7 @@ import (
 
 	"saccs/internal/core"
 	"saccs/internal/datasets"
-	"saccs/internal/experiments"
-	"saccs/internal/pairing"
-	"saccs/internal/parse"
-	"saccs/internal/tagger"
+	"saccs/internal/nn"
 	"saccs/internal/yelp"
 )
 
@@ -24,18 +21,8 @@ func main() {
 		len(world.Entities), world.ReviewCount())
 
 	fmt.Println("training the extractor...")
-	data := datasets.S1(datasets.Fast)
-	enc := experiments.BuildEncoder(experiments.DefaultEncoderOpts(datasets.Fast), world.Domain, nil)
-	cfg := tagger.DefaultConfig()
-	cfg.Adversarial = true
-	cfg.Epsilon = 0.2
-	tg := tagger.New(enc, cfg)
-	tg.Train(data.Train)
-
-	ex := &core.Extractor{
-		Tagger: tg,
-		Pairer: pairing.Tree{Lex: parse.DomainLexicon(world.Domain), FromOpinions: true},
-	}
+	tg := core.TrainTagger(world.Domain, datasets.S1(datasets.Fast), datasets.Fast, true, 0.2, nn.Float64, nil)
+	ex := &core.Extractor{Tagger: tg, Pairer: core.ServedPairer(world.Domain)}
 	svc := core.NewService(world, ex, nil, core.DefaultConfig())
 	fmt.Println("extracting subjective tags from all reviews...")
 	svc.BuildEntityTags(core.NeuralSource{E: ex})

@@ -7,12 +7,13 @@ package main
 import (
 	"fmt"
 
+	"saccs/internal/core"
 	"saccs/internal/datasets"
 	"saccs/internal/experiments"
 	"saccs/internal/lexicon"
+	"saccs/internal/nn"
 	"saccs/internal/pairing"
 	"saccs/internal/parse"
-	"saccs/internal/tagger"
 	"saccs/internal/tokenize"
 )
 
@@ -43,14 +44,8 @@ func main() {
 
 	fmt.Println("\n=== §4.3: adversarial robustness to typos ===")
 	d := datasets.S4(datasets.Fast)
-	enc := experiments.BuildEncoder(experiments.DefaultEncoderOpts(datasets.Fast), d.Domain, nil)
-	clean := tagger.New(enc, tagger.DefaultConfig())
-	clean.Train(d.Train)
-	advCfg := tagger.DefaultConfig()
-	advCfg.Adversarial = true
-	advCfg.Epsilon = 0.2
-	adv := tagger.New(enc, advCfg)
-	adv.Train(d.Train)
+	clean := core.TrainTagger(d.Domain, d, datasets.Fast, false, 0, nn.Float64, nil)
+	adv := core.TrainTagger(d.Domain, d, datasets.Fast, true, 0.2, nn.Float64, nil)
 	fmt.Printf("clean-trained tagger F1:       %.3f\n", clean.Evaluate(d.Test).F1)
 	fmt.Printf("adversarially trained (ε=0.2): %.3f\n", adv.Evaluate(d.Test).F1)
 

@@ -77,9 +77,6 @@ func DefaultSuite(seed int64) []Check {
 		{"oracle/extract-gen-swap", func() error {
 			return ExtractGenSwapOracle(seed+12, 6, 12)
 		}},
-		{"oracle/telemetry-inert", func() error {
-			return TelemetryOracle(seed+13, 16)
-		}},
 		{"oracle/gemm-blocked", func() error {
 			return GemmBlockedOracle(seed + 14)
 		}},

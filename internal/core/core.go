@@ -1,9 +1,14 @@
 // Package core assembles the paper's contribution — the Subjectivity Aware
-// Conversational Search Service (SACCS) — from its parts: the extraction
+// Conversational Search Service (SACCS) — from its parts. It owns the one
+// training recipe of the served extractor (TrainTagger, ServedPairer, and
+// the encoder options the paper experiments vary) and the extraction
 // pipeline (tagging §4 + pairing §5) that turns utterances and reviews into
-// subjective tags, the subjective tag inverted index with degrees of truth
-// (§3.1), and the filtering & ranking of Algorithm 1 over an objective
-// search API (§3.2–3.3), with the adaptive user-tag-history loop of Fig. 1.
+// subjective tags. Service is the paper-experiment harness around them: the
+// subjective tag inverted index with degrees of truth (§3.1) over a
+// generated world, and Algorithm 1's filtering & ranking (§3.2–3.3) of
+// queries given as tags, with the adaptive user-tag-history loop of Fig. 1.
+// The utterance → ranked-results pipeline is the saccs facade's
+// Client.QueryCtx.
 package core
 
 import (
@@ -211,18 +216,13 @@ func (e *Extractor) ExtractBatch(sentences [][]string, workers int) [][]string {
 
 // ExtractTags splits free text into sentences and extracts tags from each.
 func (e *Extractor) ExtractTags(text string) []string {
-	return e.ExtractTagsTraced(nil, text)
-}
-
-// ExtractTagsTraced is ExtractTags with per-sentence stage spans attached to
-// parent (see ExtractFromTokensTraced).
-func (e *Extractor) ExtractTagsTraced(parent *obs.Span, text string) []string {
 	// context.Background is never cancelled, so the error path is dead.
-	tags, _ := e.ExtractTagsCtx(context.Background(), parent, text)
+	tags, _ := e.ExtractTagsCtx(context.Background(), nil, text)
 	return tags
 }
 
-// ExtractTagsCtx is ExtractTagsTraced with cooperative cancellation: the
+// ExtractTagsCtx is ExtractTags with per-sentence stage spans attached to
+// parent (see ExtractFromTokensTraced) and cooperative cancellation: the
 // context is polled before each sentence's decode, so a cancelled or expired
 // context aborts with ctx's error and no partial tag list. (A single
 // sentence's Viterbi decode is not interruptible — stage boundaries are the
@@ -296,20 +296,12 @@ func DefaultConfig() Config {
 	return Config{ThetaIndex: 0.55, ThetaFilter: 0.45, Agg: search.MeanAgg, TopK: 10}
 }
 
-// Response is the answer to one subjective utterance.
-type Response struct {
-	// Intent is the dialog system's parse.
-	Intent search.Intent
-	// Tags are the subjective tags extracted from the utterance.
-	Tags []string
-	// UnknownTags are the extracted tags missing from the index (queued in
-	// the user tag history for the next indexing round).
-	UnknownTags []string
-	// Results are the filtered, ranked entities.
-	Results []search.Scored
-}
-
-// Service is the assembled SACCS system.
+// Service is the paper-experiment harness: a SACCS index over a generated
+// world, fed by a review-tag source (the extraction pipeline or the gold
+// annotation), indexed in rounds (IndexTags, IndexPending, ResetIndex) and
+// queried with subjective tags plus objective slots (QueryTags). The
+// utterance → ranked-results pipeline is the saccs facade's Client.QueryCtx;
+// Service carries no copy of it.
 type Service struct {
 	Cfg       Config
 	World     *yelp.World
@@ -503,91 +495,6 @@ func (s *Service) QueryTags(slots map[string]string, tags []string) []search.Sco
 	// context.Background is never cancelled, so the error path is dead.
 	ranked, _ := s.ranker(snap).TopK(context.Background(), nil, apiResults, lower(tags), s.Cfg.TopK)
 	return ranked
-}
-
-// Query answers a natural-language utterance end-to-end: intent + slots,
-// subjective tag extraction, index probe, filtering and ranking. With an
-// observer attached (SetObserver) it produces one root "query" span whose
-// children time every stage, and per-stage latency histograms.
-func (s *Service) Query(utterance string) Response {
-	// context.Background is never cancelled, so the error path is dead.
-	resp, _ := s.QueryCtx(context.Background(), utterance)
-	return resp
-}
-
-// QueryCtx is Query with cooperative cancellation: the context is polled at
-// every stage boundary (parse → tagger.decode → pairing → objective → rank),
-// between extraction sentences, and inside the per-tag similarity scan. On a
-// cancelled or expired context it returns ctx's error and a zero Response —
-// never partial results — and the root span (plus the interrupted stage's
-// span) carries a cancelled/deadline status.
-//
-// The query pins one index snapshot up front: every index probe reads that
-// immutable generation lock-free, so a concurrent indexing round neither
-// blocks nor changes the answer mid-request.
-func (s *Service) QueryCtx(ctx context.Context, utterance string) (Response, error) {
-	var t0 time.Time
-	if s.Obs != nil {
-		t0 = time.Now()
-	}
-	ctx, req := s.Obs.StartRequest(ctx, "query")
-	root := req.Root().Set("utterance_len", len(utterance))
-	req.Ev.UtteranceLen = len(utterance)
-	fail := func(err error) (Response, error) {
-		if s.Obs != nil {
-			s.Obs.Counter("query.interrupted.total").Inc()
-		}
-		req.Finish(err)
-		return Response{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return fail(err)
-	}
-	snap := s.Index.Current()
-	req.Ev.Generation = snap.Generation()
-
-	st := obs.BeginStage(s.Obs, root, "parse")
-	intent := search.ParseUtterance(utterance)
-	st.End()
-
-	tags, err := s.Extractor.ExtractTagsCtx(ctx, root, utterance)
-	if err != nil {
-		return fail(err)
-	}
-
-	var unknown []string
-	for _, t := range tags {
-		if !snap.Has(t) {
-			unknown = append(unknown, t)
-			s.History.Add(t)
-		}
-	}
-
-	if err := ctx.Err(); err != nil {
-		return fail(err)
-	}
-	st = obs.BeginStage(s.Obs, root, "objective")
-	apiResults := s.API.Search(intent.Slots)
-	st.Span().Set("results", len(apiResults))
-	st.End()
-
-	st = obs.BeginStage(s.Obs, root, "rank")
-	results, err := s.ranker(snap).TopK(ctx, st.Span(), apiResults, tags, s.Cfg.TopK)
-	if err != nil {
-		st.EndErr(err)
-		return fail(err)
-	}
-	st.End()
-
-	if s.Obs != nil {
-		s.Obs.Counter("query.total").Inc()
-		s.Obs.Counter("query.unknown_tags.total").Add(int64(len(unknown)))
-		s.Obs.Histogram("query.latency").ObserveSince(t0)
-	}
-	root.Set("tags", len(tags)).Set("unknown", len(unknown)).Set("results", len(results))
-	req.Ev.Tags, req.Ev.Unknown, req.Ev.Results = len(tags), len(unknown), len(results)
-	req.Finish(nil)
-	return Response{Intent: intent, Tags: tags, UnknownTags: unknown, Results: results}, nil
 }
 
 // CanonicalTags returns the world's feature tags sorted — the 18 tags of

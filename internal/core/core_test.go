@@ -7,6 +7,7 @@ import (
 	"saccs/internal/lexicon"
 	"saccs/internal/pairing"
 	"saccs/internal/parse"
+	"saccs/internal/search"
 	"saccs/internal/tokenize"
 	"saccs/internal/yelp"
 )
@@ -110,21 +111,26 @@ func TestKnownTagNotQueued(t *testing.T) {
 	}
 }
 
+// TestQueryEndToEnd drives the harness the way Table 2 reads an utterance:
+// the dialog parse fills the objective slots, the extractor yields the
+// subjective tags, and QueryTags filters and ranks.
 func TestQueryEndToEnd(t *testing.T) {
 	s := goldService(t)
 	s.IndexTags(s.CanonicalTags())
-	resp := s.Query("I want an Italian restaurant in Montreal with delicious food and nice staff")
-	if resp.Intent.Name != "searchRestaurant" {
-		t.Fatalf("intent: %s", resp.Intent.Name)
+	utterance := "I want an Italian restaurant in Montreal with delicious food and nice staff"
+	intent := search.ParseUtterance(utterance)
+	if intent.Name != "searchRestaurant" {
+		t.Fatalf("intent: %s", intent.Name)
 	}
-	if resp.Intent.Slots["cuisine"] != "italian" {
-		t.Fatalf("slots: %v", resp.Intent.Slots)
+	if intent.Slots["cuisine"] != "italian" {
+		t.Fatalf("slots: %v", intent.Slots)
 	}
-	if len(resp.Tags) < 2 {
-		t.Fatalf("extracted tags: %v", resp.Tags)
+	tags := s.Extractor.ExtractTags(utterance)
+	if len(tags) < 2 {
+		t.Fatalf("extracted tags: %v", tags)
 	}
 	foundFood, foundStaff := false, false
-	for _, tag := range resp.Tags {
+	for _, tag := range tags {
 		if tag == "delicious food" {
 			foundFood = true
 		}
@@ -133,13 +139,17 @@ func TestQueryEndToEnd(t *testing.T) {
 		}
 	}
 	if !foundFood || !foundStaff {
-		t.Fatalf("expected both subjective tags, got %v", resp.Tags)
+		t.Fatalf("expected both subjective tags, got %v", tags)
 	}
-	if len(resp.Results) == 0 {
+	results := s.QueryTags(intent.Slots, tags)
+	if len(results) == 0 {
 		t.Fatal("no results")
 	}
-	if len(resp.Results) > s.Cfg.TopK {
-		t.Fatalf("TopK not applied: %d", len(resp.Results))
+	if len(results) > s.Cfg.TopK {
+		t.Fatalf("TopK not applied: %d", len(results))
+	}
+	if s.History.Len() != 0 {
+		t.Fatalf("indexed tags queued: %v", s.History.Pending())
 	}
 }
 

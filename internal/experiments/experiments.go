@@ -3,20 +3,17 @@
 // Table 3 (dataset inventory), Table 4 (tagger F1 sweep), Table 5 (pairing
 // models), and Figures 1, 2 and 5. Each regenerator returns a structured
 // result and can print the paper-shaped table to a writer. Fast scale runs
-// in CI; Paper scale matches the paper's corpus sizes.
+// in CI; Paper scale matches the paper's corpus sizes. Table 2 measures the
+// served pipeline, trained by core.TrainTagger exactly as the saccs facade
+// trains it; the other tables build their own encoder variants with
+// core.BuildEncoder.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
-	"saccs/internal/bert"
-	"saccs/internal/corpus"
 	"saccs/internal/datasets"
-	"saccs/internal/lexicon"
-	"saccs/internal/obs"
-	"saccs/internal/tokenize"
 )
 
 // Scale aliases datasets.Scale for callers.
@@ -28,86 +25,9 @@ const (
 	Paper = datasets.Paper
 )
 
-// EncoderOpts sizes the MiniBERT encoders the experiments train.
-type EncoderOpts struct {
-	Cfg         bert.Config
-	GeneralSize int
-	MLM         bert.MLMConfig
-	Seed        int64
-	// Obs, when non-nil, is attached to the encoder before MLM training so
-	// pre-training epochs and later Encode calls are instrumented.
-	Obs *obs.Observer
-}
-
-// encoderOpts returns the per-scale encoder recipe.
-func encoderOpts(scale Scale) EncoderOpts {
-	cfg := bert.DefaultConfig()
-	mlm := bert.DefaultMLMConfig()
-	size := 200
-	if scale == Paper {
-		size = 1200
-		mlm.Epochs = 4
-	} else {
-		mlm.Epochs = 2
-	}
-	return EncoderOpts{Cfg: cfg, GeneralSize: size, MLM: mlm, Seed: 11}
-}
-
-// BuildEncoder pre-trains a MiniBERT on the general corpus and — when
-// domainCorpus is non-empty — post-trains it on the domain reviews (§4.2's
-// domain-knowledge step). The vocabulary covers the general corpus, the
-// domain lexicon, and every provided sentence.
-func BuildEncoder(opts EncoderOpts, domain *lexicon.Domain, domainCorpus [][]string) *bert.Model {
-	genRng := rand.New(rand.NewSource(opts.Seed))
-	general := corpus.GeneralCorpus(genRng, opts.GeneralSize)
-
-	vocab := tokenize.NewVocab()
-	vocab.AddAll(corpus.GeneralVocabulary())
-	vocab.AddAll(corpus.FunctionWords())
-	if domain != nil {
-		for _, f := range domain.Features {
-			for _, v := range append(append(append([]string{}, f.AspectSyns...), f.PosOps...), f.NegOps...) {
-				vocab.AddAll(tokenize.Words(v))
-			}
-		}
-	}
-	for _, s := range domainCorpus {
-		vocab.AddAll(s)
-	}
-
-	m := bert.New(rand.New(rand.NewSource(opts.Seed+1)), opts.Cfg, vocab)
-	m.SetObserver(opts.Obs)
-	m.TrainMLM(rand.New(rand.NewSource(opts.Seed+2)), general, opts.MLM)
-	if len(domainCorpus) > 0 {
-		// Post-training gets a longer run than the general phase when the
-		// domain corpus is small — the domain corpus is the knowledge being
-		// added (§4.2). Large corpora already provide enough steps per epoch.
-		domainMLM := opts.MLM
-		if len(domainCorpus) < 500 {
-			domainMLM.Epochs *= 3
-		}
-		m.TrainMLM(rand.New(rand.NewSource(opts.Seed+3)), domainCorpus, domainMLM)
-	}
-	return m
-}
-
-// tokensOf projects dataset examples onto token sequences for MLM.
-func tokensOf(examples []datasets.Example) [][]string {
-	out := make([][]string, len(examples))
-	for i, ex := range examples {
-		out[i] = ex.Tokens
-	}
-	return out
-}
-
 // fprintf writes formatted output when w is non-nil.
 func fprintf(w io.Writer, format string, args ...any) {
 	if w != nil {
 		fmt.Fprintf(w, format, args...)
 	}
 }
-
-// DefaultEncoderOpts exposes the per-scale encoder recipe for callers
-// outside the experiments (the public saccs facade trains its client
-// pipelines with the same settings the tables use).
-func DefaultEncoderOpts(scale Scale) EncoderOpts { return encoderOpts(scale) }

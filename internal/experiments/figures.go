@@ -3,6 +3,7 @@ package experiments
 import (
 	"io"
 
+	"saccs/internal/core"
 	"saccs/internal/datasets"
 	"saccs/internal/index"
 	"saccs/internal/lexicon"
@@ -75,7 +76,7 @@ type Figure2Result struct {
 // the given scale and the tree pairing heuristic.
 func Figure2(scale Scale, w io.Writer) Figure2Result {
 	d := datasets.S1(scale)
-	enc := BuildEncoder(encoderOpts(scale), d.Domain, tokensOf(d.Train))
+	enc := core.BuildEncoder(core.EncoderOptsFor(scale), d.Domain, core.Tokens(d.Train))
 	cfg := table4TaggerCfg(scale)
 	if cfg.Epochs < 6 {
 		cfg.Epochs = 6 // the demo sentence deserves a fully converged tagger
@@ -137,7 +138,7 @@ func Figure5(scale Scale, w io.Writer) Figure5Result {
 			trainTokens = append(trainTokens, tokenize.Words(v))
 		}
 	}
-	enc := BuildEncoder(encoderOpts(scale), domain, trainTokens)
+	enc := core.BuildEncoder(core.EncoderOptsFor(scale), domain, trainTokens)
 	devN := len(exs)
 	if devN > 200 {
 		devN = 200

@@ -9,10 +9,8 @@ import (
 	"saccs/internal/datasets"
 	"saccs/internal/ir"
 	"saccs/internal/metrics"
-	"saccs/internal/pairing"
-	"saccs/internal/parse"
+	"saccs/internal/nn"
 	"saccs/internal/simbaseline"
-	"saccs/internal/tagger"
 	"saccs/internal/tokenize"
 	"saccs/internal/yelp"
 )
@@ -161,19 +159,11 @@ func BuildTable2Env(scale Scale, w io.Writer) *Table2Env {
 	fprintf(w, "simulating crowd ground truth...\n")
 	truth := crowd.GroundTruth(world, crowd.DefaultConfig())
 
+	// The served pipeline, exactly as saccs.New trains it by default, at the
+	// float64 reference arithmetic the table is defined against.
 	fprintf(w, "training extractor (MLM + adversarial tagger)...\n")
-	d := datasets.S1(scale)
-	enc := BuildEncoder(encoderOpts(scale), world.Domain, tokensOf(d.Train))
-	tcfg := table4TaggerCfg(scale)
-	tcfg.Adversarial = true
-	tcfg.Epsilon = 0.2
-	tg := tagger.New(enc, tcfg)
-	tg.Train(d.Train)
-
-	ex := &core.Extractor{
-		Tagger: tg,
-		Pairer: pairing.Tree{Lex: parse.DomainLexicon(world.Domain), FromOpinions: true},
-	}
+	tg := core.TrainTagger(world.Domain, datasets.S1(scale), scale, true, 0.2, nn.Float64, nil)
+	ex := &core.Extractor{Tagger: tg, Pairer: core.ServedPairer(world.Domain)}
 	svc := core.NewService(world, ex, nil, core.DefaultConfig())
 	fprintf(w, "extracting subjective tags from reviews...\n")
 	svc.BuildEntityTags(core.NeuralSource{E: ex})

@@ -3,6 +3,7 @@ package experiments
 import (
 	"io"
 
+	"saccs/internal/core"
 	"saccs/internal/datasets"
 	"saccs/internal/tagger"
 )
@@ -51,7 +52,7 @@ func table4TaggerCfg(scale Scale) tagger.Config {
 func Table4(scale Scale, w io.Writer) Table4Result {
 	res := Table4Result{}
 	all := datasets.All(scale)
-	opts := encoderOpts(scale)
+	opts := core.EncoderOptsFor(scale)
 
 	rows := map[string]*Table4Row{}
 	order := []string{"OpineDB", "OpineDB + DK"}
@@ -66,8 +67,8 @@ func Table4(scale Scale, w io.Writer) Table4Result {
 	for di, d := range all {
 		res.Datasets = append(res.Datasets, d.Name)
 		// Plain encoder (Wikipedia-only BERT) and domain-adapted encoder.
-		plain := BuildEncoder(opts, d.Domain, nil)
-		dk := BuildEncoder(opts, d.Domain, tokensOf(d.Train))
+		plain := core.BuildEncoder(opts, d.Domain, nil)
+		dk := core.BuildEncoder(opts, d.Domain, core.Tokens(d.Train))
 
 		base := table4TaggerCfg(scale)
 

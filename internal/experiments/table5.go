@@ -3,6 +3,7 @@ package experiments
 import (
 	"io"
 
+	"saccs/internal/core"
 	"saccs/internal/datasets"
 	"saccs/internal/lexicon"
 	"saccs/internal/metrics"
@@ -62,11 +63,11 @@ func Table5(scale Scale, w io.Writer) Table5Result {
 	// The attention heuristic reads the heads of an encoder steeped in the
 	// domain (§5.1); give the pairing encoder a longer domain post-training
 	// than the default recipe.
-	opts := encoderOpts(scale)
+	opts := core.EncoderOptsFor(scale)
 	if opts.MLM.Epochs < 6 {
 		opts.MLM.Epochs = 6
 	}
-	enc := BuildEncoder(opts, domain, trainTokens)
+	enc := core.BuildEncoder(opts, domain, trainTokens)
 
 	// Qualitative analysis: pick the five best heads on a dev slice.
 	devN := len(trainExs) / 4

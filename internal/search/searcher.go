@@ -26,17 +26,8 @@ type View interface {
 	TopK(ctx context.Context, parent *obs.Span, apiResults, tags []string, thetaFilter float64, k int) ([]Scored, error)
 }
 
-// Searcher is the read surface the conversational facade needs from an index
-// arrangement: pin a consistent snapshot now, query it later. The
-// single-index client is one implementation (Single); the scatter-gather
-// shard router is another.
-type Searcher interface {
-	Pin() View
-}
-
-// Single adapts one *index.Index to the Searcher interface: Pin captures the
-// index's current immutable snapshot, exactly the per-request pinning the
-// unsharded client has always done.
+// Single pins views of one *index.Index: Pin captures the index's current
+// immutable snapshot — the per-request pinning of an unsharded client.
 type Single struct {
 	Index *index.Index
 	// Agg is the §3.3 cross-tag aggregation TopK ranks with.

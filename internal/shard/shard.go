@@ -45,7 +45,7 @@ import (
 	"saccs/internal/search"
 )
 
-// Router partitions entities across shards and implements search.Searcher
+// Router partitions entities across shards and pins search.View read views
 // over them. With one shard it degenerates to the plain single-index client:
 // no partitioning, no merge, bit-identical behavior.
 type Router struct {
@@ -197,15 +197,6 @@ func (r *Router) Pin() search.View {
 type View struct {
 	snaps []*index.Snapshot
 	agg   search.Aggregation
-}
-
-// Generations returns the pinned per-shard generation vector (a copy).
-func (v *View) Generations() []uint64 {
-	out := make([]uint64, len(v.snaps))
-	for i, s := range v.snaps {
-		out[i] = s.Generation()
-	}
-	return out
 }
 
 // Generation returns the sum of the pinned per-shard generations.

@@ -34,15 +34,12 @@ import (
 	"saccs/internal/automaton"
 	"saccs/internal/core"
 	"saccs/internal/datasets"
-	"saccs/internal/experiments"
 	"saccs/internal/extcache"
 	"saccs/internal/index"
 	"saccs/internal/ingest"
 	"saccs/internal/lexicon"
 	"saccs/internal/nn"
 	"saccs/internal/obs"
-	"saccs/internal/pairing"
-	"saccs/internal/parse"
 	"saccs/internal/search"
 	"saccs/internal/shard"
 	"saccs/internal/sim"
@@ -375,26 +372,14 @@ func New(cfg Config) (*Client, error) {
 		SlowThreshold: cfg.SlowThreshold,
 		SLOTarget:     cfg.SLOTarget,
 	}))
-	encOpts := experiments.DefaultEncoderOpts(scale)
-	encOpts.Obs = o
-	enc := experiments.BuildEncoder(encOpts, domain, trainTokens(data))
-	tcfg := tagger.DefaultConfig()
-	if scale == datasets.Paper {
-		tcfg.Epochs = 15
-	}
-	tcfg.Adversarial = cfg.Adversarial
-	tcfg.Epsilon = cfg.Epsilon
-	tcfg.Precision = precision
-	tg := tagger.New(enc, tcfg)
-	tg.Obs = o
-	tg.Train(data.Train)
+	tg := core.TrainTagger(domain, data, scale, cfg.Adversarial, cfg.Epsilon, precision, o)
 
 	measure := sim.NewConceptual()
 	hist := index.NewHistory()
 	hist.SetCap(cfg.HistoryLimit)
 	cache := extcache.New(cfg.ExtractCacheSize)
 	cache.SetObserver(o)
-	pairer := pairing.Tree{Lex: parse.DomainLexicon(domain), FromOpinions: true}
+	pairer := core.ServedPairer(domain)
 	// Index builds extract through a float64-pinned view of the same trained
 	// tagger, with a separate cache (entries must be bit-identical to a fresh
 	// decode at the extractor's own precision, so the two modes never share
@@ -444,14 +429,6 @@ func (c *Client) newRouter() *shard.Router {
 	})
 	r.SetObserver(c.o)
 	return r
-}
-
-func trainTokens(d *datasets.Dataset) [][]string {
-	out := make([][]string, len(d.Train))
-	for i, ex := range d.Train {
-		out[i] = ex.Tokens
-	}
-	return out
 }
 
 // ExtractTags runs the §4+§5 pipeline on free text and returns its
@@ -815,7 +792,10 @@ func (c *Client) IndexedTags() []string { return c.w.Load().router.Tags() }
 
 // Reindex drains the user tag history (unknown tags seen in queries) into
 // the index — the adaptive round of the paper's Fig. 1 — and returns the
-// tags added. It fans out across the index's worker pool; queries in flight
+// tags added. The new tags are indexed over every review the client holds,
+// streamed appends included (pending ones are published first), exactly as
+// a batch build with those tags would index them. It fans out across the
+// index's worker pool; queries in flight
 // keep their pinned snapshot and later queries see the extended index.
 func (c *Client) Reindex() []string {
 	tags, _ := c.ReindexCtx(context.Background())
@@ -846,7 +826,24 @@ func (c *Client) ReindexCtx(ctx context.Context) ([]string, error) {
 	st := obs.BeginStage(c.o, req.Root(), "history.drain")
 	st.Span().Set("pending", len(pend))
 	st.End()
-	if err := w.router.BuildCtx(ctx, pend, w.reviews); err != nil {
+	// The new tags cover every review the index holds. Once streaming has
+	// started that is the ingesters' state — seeded with the batch reviews,
+	// grown by every append — and not w.reviews, which only holds the last
+	// IndexEntities batch. Flushing first publishes every acknowledged append,
+	// so the old and new tags cover the same reviews; writeMu keeps new
+	// appends out until AddTags below widens the stream's vocabulary.
+	reviews := w.reviews
+	if c.ings != nil {
+		reviews = nil
+		for _, ing := range c.ings {
+			if err := ing.Flush(ctx); err != nil {
+				w.history.Requeue(pend)
+				return fail(err)
+			}
+			reviews = append(reviews, ing.State()...)
+		}
+	}
+	if err := w.router.BuildCtx(ctx, pend, reviews); err != nil {
 		w.history.Requeue(pend)
 		return fail(err)
 	}

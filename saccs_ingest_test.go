@@ -100,6 +100,60 @@ func TestStreamedIngestReproducesGolden(t *testing.T) {
 	}
 }
 
+// TestReindexAfterStreamCoversAppendedReviews: tags learned by Reindex after
+// streamed appends must be indexed over every review the client holds — the
+// appended ones included — exactly as a batch build of the whole world with
+// every tag up front would index them, on one shard and on several.
+func TestReindexAfterStreamCoversAppendedReviews(t *testing.T) {
+	base := newClient(t)
+	canon := base.CanonicalTags()
+	known, learned := canon[:len(canon)/2], canon[len(canon)/2:]
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Shards = shards
+			cfg.IngestPublishInterval = -1
+			batch := cloneForTest(t, base, cfg)
+			if err := batch.IndexEntities(goldenWorld(), canon); err != nil {
+				t.Fatal(err)
+			}
+
+			stream := cloneForTest(t, base, cfg)
+			if err := stream.IndexEntities(nil, known); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range goldenWorld() {
+				for _, r := range e.Reviews {
+					if err := stream.AppendReview(e.ID, r); err != nil {
+						t.Fatalf("append %s: %v", e.ID, err)
+					}
+				}
+			}
+			if err := stream.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			stream.QueryTags(learned) // queues every learned tag
+			if got := stream.Reindex(); len(got) != len(learned) {
+				t.Fatalf("Reindex learned %v, want %v", got, learned)
+			}
+			if err := stream.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+
+			want, got := batch.w.Load().router, stream.w.Load().router
+			for _, tag := range canon {
+				for i := 0; i < shards; i++ {
+					w, g := want.Shard(i).Lookup(tag), got.Shard(i).Lookup(tag)
+					if fmt.Sprint(w) != fmt.Sprint(g) {
+						t.Errorf("tag %q, shard %d: streamed + reindexed has %d postings %v, batch build %d %v",
+							tag, i, len(g), g, len(w), w)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestAppendReviewWALRecovery proves the facade durability contract on the
 // real filesystem: acknowledged reviews survive a client teardown and are
 // recovered — index included — by the next New on the same WALDir.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"saccs/internal/check"
 	"saccs/internal/obs"
 )
 
@@ -169,6 +171,79 @@ func TestGoldenQueriesWithSampling(t *testing.T) {
 				t.Fatal(err)
 			}
 			compareGolden(t, want, got)
+		})
+	}
+}
+
+// TestTelemetryInert checks that observability is inert on generated
+// traffic: the same utterance stream must produce identical tags, unknown
+// tags and ranked results with no trace sink and default telemetry, and with
+// the full stack on — span tracing into a ring, head sampling of every
+// request, a 1ns slow threshold (every request takes the slow-log path), and
+// SLO accounting. The instrumented pass must also really observe the
+// workload: one retained wide event per query, each with a trace ID and stage
+// timings. The client is a clone of the shared one with the first eight
+// canonical tags indexed, so unknown tags reach the similar-tag union and
+// the history.
+func TestTelemetryInert(t *testing.T) {
+	const queries = 16
+	base := newClient(t)
+	for _, seed := range []int64{1, 42} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			c := cloneForTest(t, base, DefaultConfig())
+			if err := c.IndexEntities(goldenWorld(), c.CanonicalTags()[:8]); err != nil {
+				t.Fatal(err)
+			}
+			g := check.NewGen(seed)
+			utterances := make([]string, queries)
+			for i := range utterances {
+				utterances[i] = g.Utterance()
+			}
+			replay := func() []Response {
+				out := make([]Response, len(utterances))
+				for i, u := range utterances {
+					out[i] = c.Query(u)
+				}
+				return out
+			}
+
+			bare := replay()
+			ring := NewRingSink(1024)
+			c.SetTraceSink(ring)
+			defer c.SetTraceSink(nil)
+			tel := swapTelemetry(t, c, obs.TelemetryConfig{
+				HeadSampleN:   1,
+				SlowThreshold: time.Nanosecond,
+				SLOTarget:     time.Second,
+			})
+			traced := replay()
+			tagged := 0
+			for i := range bare {
+				if len(bare[i].Tags) > 0 {
+					tagged++
+				}
+				b, tr := bare[i], traced[i]
+				if fmt.Sprint(b.Tags, b.UnknownTags, b.Results) != fmt.Sprint(tr.Tags, tr.UnknownTags, tr.Results) {
+					t.Fatalf("query %d %q: telemetry changed the answer\nbare:   %v %v %v\ntraced: %v %v %v",
+						i, utterances[i], b.Tags, b.UnknownTags, b.Results, tr.Tags, tr.UnknownTags, tr.Results)
+				}
+			}
+			if tagged == 0 {
+				t.Fatal("no generated utterance extracted a tag; the comparison is vacuous")
+			}
+
+			evs := tel.Events()
+			if len(evs) != queries {
+				t.Fatalf("%d wide events for %d queries", len(evs), queries)
+			}
+			for i, ev := range evs {
+				if ev.Kind != "query" || ev.Trace.IsZero() || ev.Duration <= 0 || len(ev.Stage) == 0 || !ev.Retained {
+					t.Fatalf("event %d not fully observed under a 1ns slow threshold: %+v", i, ev)
+				}
+			}
+			if len(ring.All()) == 0 {
+				t.Fatal("no spans retained despite full sampling")
+			}
 		})
 	}
 }
