@@ -52,8 +52,11 @@ lint: vet
 vet:
 	$(GO) vet ./... ./cmd/... ./examples/...
 
+# build also cross-compiles for arm64, so the pure-Go twins (the !amd64
+# files) of every assembly entry point in internal/mat keep building.
 build:
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
 
 # deps-check keeps the paper's evaluation out of the server binary: Table 2's
 # crowd ground truth, its IR and SIM baselines and the experiment
@@ -144,9 +147,14 @@ bench-ingest:
 # rebuilt index, prepared vs string-walking similarity, serial vs concurrent
 # query) and property/metamorphic checks (threshold monotonicity, tag strengthening,
 # rank permutation invariance, slot word boundaries), plus every committed
-# fuzz seed corpus replayed as plain regression tests.
+# fuzz seed corpus replayed as plain regression tests. It also runs the
+# trained-weight fingerprint (TestTrainTaggerFingerprint: the served recipe
+# trained on the vector kernels and again on the pure-Go ones must hash to
+# the recorded value), which -short skips and the race detector would make
+# take minutes.
 check:
 	$(GO) test -race -count=1 ./internal/check/...
+	$(GO) test -count=1 -run '^TestTrainTaggerFingerprint$$' ./internal/core/
 	$(GO) test -race -count=1 -run '^Fuzz' ./internal/tokenize/ ./internal/search/ \
 		./internal/parse/ ./internal/tagger/ ./internal/index/ ./internal/ingest/ \
 		./internal/mat/ ./internal/sim/

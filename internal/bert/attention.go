@@ -64,23 +64,19 @@ func (m *MultiHeadAttention) ForwardSeq(xs []mat.Vec) []mat.Vec {
 	}
 	scale := 1 / math.Sqrt(float64(m.HeadDim))
 	c.attn = make([][]mat.Vec, m.Heads)
-	c.headOut = make([]mat.Vec, n)
-	for i := range c.headOut {
-		c.headOut[i] = mat.NewVec(m.Dim)
-	}
+	c.headOut = nn.NewSeq(n, m.Dim)
 	scores := mat.NewVec(n)
 	for h := 0; h < m.Heads; h++ {
 		lo := h * m.HeadDim
 		hi := lo + m.HeadDim
-		c.attn[h] = make([]mat.Vec, n)
+		c.attn[h] = nn.NewSeq(n, n)
 		for i := 0; i < n; i++ {
 			qi := c.q[i][lo:hi]
 			for j := 0; j < n; j++ {
 				scores[j] = mat.Vec(qi).Dot(c.k[j][lo:hi]) * scale
 			}
-			a := mat.NewVec(n)
+			a := c.attn[h][i]
 			mat.Softmax(a, scores)
-			c.attn[h][i] = a
 			out := c.headOut[i][lo:hi]
 			for j := 0; j < n; j++ {
 				if a[j] == 0 {
@@ -112,14 +108,10 @@ func (m *MultiHeadAttention) BackwardSeq(dys []mat.Vec) []mat.Vec {
 	scale := 1 / math.Sqrt(float64(m.HeadDim))
 
 	dHeadOut := m.Wo.BackwardSeq(c.outputsRaw, dys)
-	dq := make([]mat.Vec, n)
-	dk := make([]mat.Vec, n)
-	dv := make([]mat.Vec, n)
-	for i := 0; i < n; i++ {
-		dq[i] = mat.NewVec(m.Dim)
-		dk[i] = mat.NewVec(m.Dim)
-		dv[i] = mat.NewVec(m.Dim)
-	}
+	dq := nn.NewSeq(n, m.Dim)
+	dk := nn.NewSeq(n, m.Dim)
+	dv := nn.NewSeq(n, m.Dim)
+	dA := mat.NewVec(n)
 	for h := 0; h < m.Heads; h++ {
 		lo := h * m.HeadDim
 		hi := lo + m.HeadDim
@@ -127,7 +119,6 @@ func (m *MultiHeadAttention) BackwardSeq(dys []mat.Vec) []mat.Vec {
 			a := c.attn[h][i]
 			dOut := mat.Vec(dHeadOut[i][lo:hi])
 			// dA[j] = dOut · v_j ; dv_j += a[j] * dOut
-			dA := mat.NewVec(n)
 			for j := 0; j < n; j++ {
 				dA[j] = dOut.Dot(c.v[j][lo:hi])
 				mat.Vec(dv[j][lo:hi]).AddScaled(a[j], dOut)
@@ -147,15 +138,12 @@ func (m *MultiHeadAttention) BackwardSeq(dys []mat.Vec) []mat.Vec {
 			}
 		}
 	}
-	dxs := make([]mat.Vec, n)
-	dxq := m.Wq.BackwardSeq(c.xs, dq)
+	dxs := m.Wq.BackwardSeq(c.xs, dq) // this call's own buffer: sum in place
 	dxk := m.Wk.BackwardSeq(c.xs, dk)
 	dxv := m.Wv.BackwardSeq(c.xs, dv)
-	for i := 0; i < n; i++ {
-		dx := dxq[i].Clone()
+	for i, dx := range dxs {
 		dx.Add(dxk[i])
 		dx.Add(dxv[i])
-		dxs[i] = dx
 	}
 	return dxs
 }

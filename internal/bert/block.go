@@ -53,28 +53,31 @@ func (b *Block) Params() []*nn.Param {
 func (b *Block) ForwardSeq(xs []mat.Vec) []mat.Vec {
 	c := &blockCache{xs: xs}
 	attnOut := b.Attn.ForwardSeq(xs)
-	c.res1 = make([]mat.Vec, len(xs))
-	for i := range xs {
-		v := xs[i].Clone()
-		v.Add(attnOut[i])
-		c.res1[i] = v
-	}
+	c.res1 = addSeq(xs, attnOut)
 	c.h1 = b.LN1.ForwardSeq(c.res1)
 
 	c.ffPre = b.FF1.ForwardSeq(c.h1)
-	c.ffAct = make([]mat.Vec, len(xs))
+	c.ffAct = nn.NewSeq(len(xs), b.FF1.Out)
 	for i := range c.ffPre {
-		c.ffAct[i] = nn.GELUVec(c.ffPre[i])
+		nn.GELUInto(c.ffAct[i], c.ffPre[i])
 	}
 	c.ffnOuts = b.FF2.ForwardSeq(c.ffAct)
-	c.res2In = make([]mat.Vec, len(xs))
-	for i := range xs {
-		v := c.h1[i].Clone()
-		v.Add(c.ffnOuts[i])
-		c.res2In[i] = v
-	}
+	c.res2In = addSeq(c.h1, c.ffnOuts)
 	b.cache = c
 	return b.LN2.ForwardSeq(c.res2In)
+}
+
+// addSeq returns the element-wise sums xs[i] + ys[i] as a new sequence.
+func addSeq(xs, ys []mat.Vec) []mat.Vec {
+	if len(xs) == 0 {
+		return nil
+	}
+	out := nn.NewSeq(len(xs), len(xs[0]))
+	for i, v := range out {
+		copy(v, xs[i])
+		v.Add(ys[i])
+	}
+	return out
 }
 
 // BackwardSeq backpropagates through the most recent ForwardSeq.
@@ -84,22 +87,20 @@ func (b *Block) BackwardSeq(dys []mat.Vec) []mat.Vec {
 	// res2 = h1 + FF2(gelu(FF1(h1)))
 	dFFOut := dRes2 // gradient into FF2 output
 	dFFAct := b.FF2.BackwardSeq(c.ffAct, dFFOut)
-	dFFPre := make([]mat.Vec, len(dys))
+	dFFPre := nn.NewSeq(len(dys), b.FF1.Out)
 	for i := range dFFAct {
-		dFFPre[i] = nn.GELUBackward(c.ffPre[i], dFFAct[i])
+		nn.GELUBackwardInto(dFFPre[i], c.ffPre[i], dFFAct[i])
 	}
 	dH1 := b.FF1.BackwardSeq(c.h1, dFFPre)
 	for i := range dH1 {
 		dH1[i].Add(dRes2[i]) // residual path
 	}
 	dRes1 := b.LN1.BackwardSeq(dH1)
-	// res1 = x + attn(x)
+	// res1 = x + attn(x): dRes1 is this call's own buffer and Attn has
+	// consumed it, so the residual sum is formed in place.
 	dAttn := b.Attn.BackwardSeq(dRes1)
-	dxs := make([]mat.Vec, len(dys))
 	for i := range dRes1 {
-		dx := dRes1[i].Clone()
-		dx.Add(dAttn[i])
-		dxs[i] = dx
+		dRes1[i].Add(dAttn[i])
 	}
-	return dxs
+	return dRes1
 }

@@ -49,7 +49,8 @@ func (ln *LayerNorm) Params() []*nn.Param { return []*nn.Param{ln.Gain, ln.Bias}
 // ForwardSeq normalizes each vector, caching intermediates for BackwardSeq.
 func (ln *LayerNorm) ForwardSeq(xs []mat.Vec) []mat.Vec {
 	ln.cache = make([]lnCache, len(xs))
-	ys := make([]mat.Vec, len(xs))
+	ys := nn.NewSeq(len(xs), ln.Dim)
+	xhats := nn.NewSeq(len(xs), ln.Dim)
 	for t, x := range xs {
 		mean := x.Mean()
 		var varSum float64
@@ -58,14 +59,12 @@ func (ln *LayerNorm) ForwardSeq(xs []mat.Vec) []mat.Vec {
 			varSum += d * d
 		}
 		std := math.Sqrt(varSum/float64(len(x)) + ln.Eps)
-		xhat := mat.NewVec(len(x))
-		y := mat.NewVec(len(x))
+		xhat, y := xhats[t], ys[t]
 		for i, v := range x {
 			xhat[i] = (v - mean) / std
 			y[i] = xhat[i]*ln.Gain.W.Data[i] + ln.Bias.W.Data[i]
 		}
 		ln.cache[t] = lnCache{xhat: xhat, std: std}
-		ys[t] = y
 	}
 	return ys
 }
@@ -90,11 +89,11 @@ func (ln *LayerNorm) ApplyInto(y, x mat.Vec) {
 
 // BackwardSeq backpropagates through the most recent ForwardSeq.
 func (ln *LayerNorm) BackwardSeq(dys []mat.Vec) []mat.Vec {
-	dxs := make([]mat.Vec, len(dys))
+	dxs := nn.NewSeq(len(dys), ln.Dim)
+	dxhat := mat.NewVec(ln.Dim)
 	n := float64(ln.Dim)
 	for t, dy := range dys {
 		c := ln.cache[t]
-		dxhat := mat.NewVec(ln.Dim)
 		var sumDxhat, sumDxhatXhat float64
 		for i, d := range dy {
 			ln.Gain.G.Data[i] += d * c.xhat[i]
@@ -103,11 +102,10 @@ func (ln *LayerNorm) BackwardSeq(dys []mat.Vec) []mat.Vec {
 			sumDxhat += dxhat[i]
 			sumDxhatXhat += dxhat[i] * c.xhat[i]
 		}
-		dx := mat.NewVec(ln.Dim)
+		dx := dxs[t]
 		for i := range dx {
 			dx[i] = (dxhat[i] - sumDxhat/n - c.xhat[i]*sumDxhatXhat/n) / c.std
 		}
-		dxs[t] = dx
 	}
 	return dxs
 }

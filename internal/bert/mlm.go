@@ -65,23 +65,7 @@ func (m *Model) TrainMLM(rng *rand.Rand, corpus [][]string, cfg MLMConfig) float
 				targets = append(targets, rng.Intn(len(masked)))
 				masked[targets[0]] = maskID
 			}
-			nn.ZeroGrads(params)
-			hs := m.Encode(masked)
-			dhs := make([]mat.Vec, len(hs))
-			for i := range dhs {
-				dhs[i] = mat.NewVec(m.Cfg.Dim)
-			}
-			var loss float64
-			for _, pos := range targets {
-				logits := m.MLMHead.Forward(hs[pos])
-				l, dLogits := nn.SoftmaxCE(logits, ids[pos])
-				loss += l
-				dhs[pos].Add(m.MLMHead.Backward(hs[pos], dLogits))
-			}
-			m.Backward(dhs)
-			nn.ClipGrads(params, cfg.ClipNorm)
-			opt.Step(params)
-			total += loss / float64(len(targets))
+			total += m.mlmStep(opt, params, ids, masked, targets, cfg.ClipNorm)
 			count++
 		}
 		if count > 0 {
@@ -94,6 +78,39 @@ func (m *Model) TrainMLM(rng *rand.Rand, corpus [][]string, cfg MLMConfig) float
 		}
 	}
 	return lastEpochLoss
+}
+
+// mlmStep is one masked-language-model update on a sentence: encode the
+// masked ids, score every target position against its original id through
+// the MLM head (one GEMM over the targets, forward and backward), then
+// backpropagate, clip and step. It returns the mean loss over the targets.
+// The head's weight gradient folds the targets in their order, as the
+// per-target Forward/Backward it replaces did, so every update is
+// bit-identical to it.
+func (m *Model) mlmStep(opt nn.Optimizer, params []*nn.Param, ids, masked, targets []int, clipNorm float64) float64 {
+	nn.ZeroGrads(params)
+	hs := m.Encode(masked)
+	th := make([]mat.Vec, len(targets))
+	for i, pos := range targets {
+		th[i] = hs[pos]
+	}
+	logits := m.MLMHead.ForwardSeq(th)
+	dLogits := make([]mat.Vec, len(targets))
+	var loss float64
+	for i, pos := range targets {
+		l, d := nn.SoftmaxCE(logits[i], ids[pos])
+		loss += l
+		dLogits[i] = d
+	}
+	dth := m.MLMHead.BackwardSeq(th, dLogits)
+	dhs := nn.NewSeq(len(hs), m.Cfg.Dim)
+	for i, pos := range targets {
+		dhs[pos].Add(dth[i])
+	}
+	m.Backward(dhs)
+	nn.ClipGrads(params, clipNorm)
+	opt.Step(params)
+	return loss / float64(len(targets))
 }
 
 // MLMLoss evaluates the mean per-token masked loss on a corpus without

@@ -140,11 +140,10 @@ func (m *Model) Encode(ids []int) []mat.Vec {
 	}
 	ids = m.truncate(ids)
 	m.lastIDs = ids
-	xs := make([]mat.Vec, len(ids))
+	xs := nn.NewSeq(len(ids), m.Cfg.Dim)
 	for i, id := range ids {
-		v := m.TokEmb.Lookup(id)
-		v.Add(m.PosEmb.Table.W.Row(i))
-		xs[i] = v
+		m.TokEmb.LookupInto(xs[i], id)
+		xs[i].Add(m.PosEmb.Table.W.Row(i))
 	}
 	m.lastEmbeds = xs
 	h := xs

@@ -1,7 +1,7 @@
 package mat
 
-// Cache-blocked matrix-multiply kernel for the inference forwards
-// (internal/nn, internal/bert).
+// Cache-blocked matrix-multiply kernels for the float64 inference forwards
+// and the training forward/backward (internal/nn, internal/bert).
 //
 // Exactness contract: for every output element, products are accumulated in
 // ascending k order — the same order MulVec and the naive triple loop use —
@@ -24,10 +24,11 @@ const (
 	gemmColBlock = 256
 )
 
-// ForceScalar routes MatMulInto and AddRows through their pure-Go paths until
-// the returned function is called. It exists for the tests of the packages
-// above mat, which pin each float64 inference forward against its training
-// twin on both dispatch paths; not for use while kernels run concurrently.
+// ForceScalar routes every float64 kernel with a vector twin — MatMulInto,
+// MatMulAddInto, AddRows, Mat.Scale and AdamStep — through its pure-Go path
+// until the returned function is called. It exists for the tests of the
+// packages above mat, which pin each float64 forward, backward and optimizer
+// step on both dispatch paths; not for use while kernels run concurrently.
 func ForceScalar() (restore func()) {
 	saved := hasAVX512
 	hasAVX512 = false
@@ -43,14 +44,42 @@ func ForceScalar() (restore func()) {
 // unfused multiply/add, lanes spanning output columns; the scalar blocked
 // path below is the portable fallback and the vector path's differential
 // reference. Both honor the same k-order contract.
-func MatMulInto(dst, a, b *Mat) {
+func MatMulInto(dst, a, b *Mat) { gemm(dst, a, b, false) }
+
+// MatMulAddInto computes dst += a·b: every output element starts from its
+// prior value in dst and adds the products in ascending k order, exactly as
+// a sequence of AddOuter(a column k, b row k) calls for k = 0, 1, … would.
+// It is MatMulInto's kernel with accumulators that load dst instead of
+// starting at zero — how the training backward folds a whole sequence's
+// weight gradient into G in one pass (G_W += dYᵀ·X, k = tokens in the order
+// the per-token loop visits them).
+func MatMulAddInto(dst, a, b *Mat) { gemm(dst, a, b, true) }
+
+// Zero-skip equivalence. MulVecT and AddOuter skip a zero multiplier; the
+// GEMMs do not. The two agree bit for bit on finite operands: a skipped
+// term is (±0)·x = ±0, and adding ±0 to an accumulator leaves it unchanged
+// unless the accumulator is −0 (+0 + −0 = +0). No accumulator is ever −0:
+// MatMulInto's start at +0, and the training backward's MatMulAddInto
+// accumulates into a gradient that ZeroGrads set to +0 and that only
+// additions have touched since. Under round-to-nearest a sum is −0 only
+// when both addends are −0, so a chain of additions that starts at +0
+// never reaches −0, and skipping a ±0 term or adding it give the same
+// bits. (With an infinite or NaN operand 0·x is NaN and the paths differ;
+// trained weights and activations are finite.) TestZeroSkipEquivalence
+// pins it.
+
+// gemm is MatMulInto (accumulate false: dst is overwritten) and
+// MatMulAddInto (accumulate true: dst is added to).
+func gemm(dst, a, b *Mat, accumulate bool) {
 	checkLen(a.Cols, b.Rows)
 	checkLen(dst.Rows, a.Rows)
 	checkLen(dst.Cols, b.Cols)
-	if gemmAsmInto(dst, a, b) {
+	if gemmAsmInto(dst, a, b, accumulate) {
 		return
 	}
-	dst.Zero()
+	if !accumulate {
+		dst.Zero()
+	}
 	for jb := 0; jb < b.Cols; jb += gemmColBlock {
 		je := jb + gemmColBlock
 		if je > b.Cols {

@@ -2,7 +2,8 @@
 
 package mat
 
-// AVX-512 fast path for MatMulInto.
+// AVX-512 fast paths for MatMulInto, MatMulAddInto and the element-wise
+// kernels (AddRows, Mat.Scale, AdamStep).
 //
 // The microkernels in gemm_amd64.s vectorize across *output columns*: one zmm
 // lane owns one output element, and per k step each lane executes exactly one
@@ -22,11 +23,15 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbv0() (eax, edx uint32)
 
-//go:noescape
-func saxpy2x32(k int, a0, a1, bp, d0, d1 *float64, bstride int)
+// The microkernels' load flag selects the accumulators' starting value: 0
+// zeroes them (MatMulInto), 1 loads them from the dst tile (MatMulAddInto).
+// Everything after that first instruction is shared.
 
 //go:noescape
-func saxpy1x32(k int, a0, bp, d0 *float64, bstride int)
+func saxpy2x32(k int, a0, a1, bp, d0, d1 *float64, bstride, load int)
+
+//go:noescape
+func saxpy1x32(k int, a0, bp, d0 *float64, bstride, load int)
 
 // hasAVX512 reports whether the CPU and OS support the zmm registers the
 // microkernels use. Tests may flip it to force the scalar path.
@@ -54,18 +59,23 @@ func detectAVX512() bool {
 	return b7&avx512fBit != 0
 }
 
-// gemmAsmInto computes dst = a·b with the AVX-512 microkernels and returns
-// true, or returns false with dst untouched when the CPU lacks AVX-512 or the
-// shape is degenerate (under one 32-column tile, empty k). Column tiles go
-// 32-wide, then a scalar tail the inference forwards never reach (their
-// float64 GEMMs have 64 or 128 columns); rows go in pairs with a single-row
-// remainder. Every tile fully overwrites its output elements, so no prior
-// zeroing of dst is needed on this path.
-func gemmAsmInto(dst, a, b *Mat) bool {
+// gemmAsmInto computes dst = a·b (dst += a·b when accumulate is set) with
+// the AVX-512 microkernels and returns true, or returns false with dst
+// untouched when the CPU lacks AVX-512 or the shape is degenerate (under one
+// 32-column tile, empty k). Column tiles go 32-wide, then a scalar tail the
+// production layers rarely reach (their float64 GEMMs mostly have 32, 64 or
+// 128 columns); rows go in pairs with a single-row remainder. Every tile
+// fully writes its output elements, so no prior zeroing of dst is needed on
+// this path.
+func gemmAsmInto(dst, a, b *Mat, accumulate bool) bool {
 	n := b.Cols
 	k := a.Cols
 	if !hasAVX512 || n < 32 || k == 0 || a.Rows == 0 {
 		return false
+	}
+	load := 0
+	if accumulate {
+		load = 1
 	}
 	bstride := n * 8 // bytes per packed B row
 	n32 := n &^ 31
@@ -76,10 +86,13 @@ func gemmAsmInto(dst, a, b *Mat) bool {
 		d0 := dst.Data[i*n : (i+1)*n]
 		d1 := dst.Data[(i+1)*n : (i+2)*n]
 		for j := 0; j < n32; j += 32 {
-			saxpy2x32(k, &a0[0], &a1[0], &b.Data[j], &d0[j], &d1[j], bstride)
+			saxpy2x32(k, &a0[0], &a1[0], &b.Data[j], &d0[j], &d1[j], bstride, load)
 		}
 		for j := n32; j < n; j++ {
 			var s0, s1 float64
+			if accumulate {
+				s0, s1 = d0[j], d1[j]
+			}
 			for kk := 0; kk < k; kk++ {
 				bv := b.Data[kk*n+j]
 				s0 += a0[kk] * bv
@@ -92,10 +105,13 @@ func gemmAsmInto(dst, a, b *Mat) bool {
 		a0 := a.Data[i*k : (i+1)*k]
 		d0 := dst.Data[i*n : (i+1)*n]
 		for j := 0; j < n32; j += 32 {
-			saxpy1x32(k, &a0[0], &b.Data[j], &d0[j], bstride)
+			saxpy1x32(k, &a0[0], &b.Data[j], &d0[j], bstride, load)
 		}
 		for j := n32; j < n; j++ {
 			var s float64
+			if accumulate {
+				s = d0[j]
+			}
 			for kk := 0; kk < k; kk++ {
 				s += a0[kk] * b.Data[kk*n+j]
 			}
@@ -122,4 +138,39 @@ func addVecFast(dst, src Vec) {
 	for i := n8 << 3; i < n; i++ {
 		dst[i] += src[i]
 	}
+}
+
+//go:noescape
+func vscale8n(dst *float64, s float64, n8 int)
+
+// scaleFast multiplies every element of v by s: the AVX-512 kernel covers
+// the 8-wide body and scaleGo the tail. One multiply per element, so the
+// result is bit-identical to scaleGo over the whole slice.
+func scaleFast(v []float64, s float64) {
+	n := len(v)
+	if !hasAVX512 || n < 8 {
+		scaleGo(v, s)
+		return
+	}
+	n8 := n >> 3
+	vscale8n(&v[0], s, n8)
+	scaleGo(v[n8<<3:], s)
+}
+
+//go:noescape
+func adam8n(w, grad, m, v *float64, n8 int, c *AdamCoeffs)
+
+// adamStepFast is AdamStep's amd64 dispatch: adam8n over the 8-wide body,
+// adamStepGo over the tail. Elements are independent, so splitting the
+// slice changes no result.
+func adamStepFast(w, g, m, v Vec, c *AdamCoeffs) {
+	n := len(w)
+	if !hasAVX512 || n < 8 {
+		adamStepGo(w, g, m, v, c)
+		return
+	}
+	n8 := n >> 3
+	adam8n(&w[0], &g[0], &m[0], &v[0], n8, c)
+	t := n8 << 3
+	adamStepGo(w[t:], g[t:], m[t:], v[t:], c)
 }

@@ -225,10 +225,13 @@ func (m *Mat) AddScaled(s float64, o *Mat) {
 	}
 }
 
-// Scale multiplies every element of m by s.
-func (m *Mat) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
+// Scale multiplies every element of m by s. It is element-wise — one
+// multiply per element — so its vector path is bit-identical to the loop.
+func (m *Mat) Scale(s float64) { scaleFast(m.Data, s) }
+
+func scaleGo(v []float64, s float64) {
+	for i := range v {
+		v[i] *= s
 	}
 }
 
@@ -249,10 +252,11 @@ func (m *Mat) MulVec(dst, v Vec) {
 // MulVecT computes dst = mᵀ · v where v has length m.Rows and dst length
 // m.Cols. dst is overwritten.
 //
-// The zero-skip is kept deliberately: MulVecT runs on the training backward
-// path where v is an upstream gradient that really is sparse (dropout masks,
-// softmax-CE one-hots zero entire rows), so the branch wins there — unlike
-// the dense inference kernels in gemm.go, which are branch-free.
+// It is the one-vector backward (Linear.Backward: the per-token reference
+// the batched training backward is pinned against, and single-example
+// training such as the pairing classifier's). It skips zero entries of v,
+// where the GEMMs in gemm.go are branch-free; the results are bit-identical
+// all the same (see the zero-skip argument beside MatMulAddInto).
 func (m *Mat) MulVecT(dst, v Vec) {
 	checkLen(len(v), m.Rows)
 	checkLen(len(dst), m.Cols)
@@ -270,10 +274,9 @@ func (m *Mat) MulVecT(dst, v Vec) {
 }
 
 // AddOuter accumulates the outer product u·vᵀ into m (rank-1 update),
-// where u has length m.Rows and v length m.Cols. Like MulVecT it keeps the
-// zero-skip because u is a gradient on the training path, where exact zeros
-// are common (masked tokens, one-hot targets); adding u[i]*v ≡ +0 row-wise
-// makes the skip a pure win there.
+// where u has length m.Rows and v length m.Cols. Like MulVecT it skips zero
+// entries of u and serves the one-vector backward; MatMulAddInto is the
+// same accumulation over a whole sequence at once, bit for bit.
 func (m *Mat) AddOuter(u, v Vec) {
 	checkLen(len(u), m.Rows)
 	checkLen(len(v), m.Cols)
@@ -293,8 +296,7 @@ func (m *Mat) AddOuter(u, v Vec) {
 // The kernel is branch-free: it used to skip k whenever a[i][k] == 0, a
 // "sparsity" shortcut that never fires on trained dense weights but puts a
 // data-dependent branch in the hottest loop of every dense multiply. The
-// skip survives only where operand sparsity is structural — the training
-// path's MulVecT and AddOuter.
+// skip survives only in the one-vector MulVecT and AddOuter.
 func MatMul(a, b *Mat) *Mat {
 	checkLen(a.Cols, b.Rows)
 	out := NewMat(a.Rows, b.Cols)

@@ -70,9 +70,9 @@ func gelu(x float64) float64 {
 	return 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
 }
 
-// GELUBackward returns dy scaled by dGELU/dx at the forward input x.
-func GELUBackward(x, dy mat.Vec) mat.Vec {
-	dx := mat.NewVec(len(x))
+// GELUBackwardInto writes into dx the upstream gradient dy scaled by
+// dGELU/dx at the forward input x.
+func GELUBackwardInto(dx, x, dy mat.Vec) {
 	const c = 0.7978845608028654
 	for i, v := range x {
 		inner := c * (v + 0.044715*v*v*v)
@@ -80,7 +80,6 @@ func GELUBackward(x, dy mat.Vec) mat.Vec {
 		dinner := c * (1 + 3*0.044715*v*v)
 		dx[i] = dy[i] * (0.5*(1+t) + 0.5*v*(1-t*t)*dinner)
 	}
-	return dx
 }
 
 // Dropout zeroes activations with probability P during training and rescales
@@ -96,35 +95,56 @@ func NewDropout(rng *rand.Rand, p float64) *Dropout {
 	return &Dropout{P: p, Train: true, rng: rng}
 }
 
-// Forward applies dropout and returns the output plus the mask needed for
-// the backward pass (nil in eval mode or when P==0).
-func (d *Dropout) Forward(x mat.Vec) (mat.Vec, []bool) {
+// ForwardSeq applies dropout to each vector of xs, drawing the keep
+// decisions token by token, element by element, and returns the outputs
+// plus the masks BackwardSeq needs (nil in eval mode or when P==0). The
+// outputs and the masks are each backed by one array.
+func (d *Dropout) ForwardSeq(xs []mat.Vec) ([]mat.Vec, [][]bool) {
+	if len(xs) == 0 {
+		return nil, nil
+	}
+	ys := NewSeq(len(xs), len(xs[0]))
 	if !d.Train || d.P <= 0 {
-		return x.Clone(), nil
-	}
-	y := mat.NewVec(len(x))
-	mask := make([]bool, len(x))
-	scale := 1 / (1 - d.P)
-	for i, v := range x {
-		if d.rng.Float64() >= d.P {
-			mask[i] = true
-			y[i] = v * scale
+		for i, x := range xs {
+			copy(ys[i], x)
 		}
+		return ys, nil
 	}
-	return y, mask
+	flat := make([]bool, len(xs)*len(xs[0]))
+	masks := make([][]bool, len(xs))
+	scale := 1 / (1 - d.P)
+	for t, x := range xs {
+		mask := flat[t*len(x) : (t+1)*len(x) : (t+1)*len(x)]
+		y := ys[t]
+		for i, v := range x {
+			if d.rng.Float64() >= d.P {
+				mask[i] = true
+				y[i] = v * scale
+			}
+		}
+		masks[t] = mask
+	}
+	return ys, masks
 }
 
-// Backward routes dy through the forward mask.
-func (d *Dropout) Backward(dy mat.Vec, mask []bool) mat.Vec {
-	if mask == nil {
-		return dy.Clone()
+// BackwardSeq routes each upstream gradient through its ForwardSeq mask
+// (masks nil: the identity).
+func (d *Dropout) BackwardSeq(dys []mat.Vec, masks [][]bool) []mat.Vec {
+	if len(dys) == 0 {
+		return nil
 	}
-	dx := mat.NewVec(len(dy))
+	dxs := NewSeq(len(dys), len(dys[0]))
 	scale := 1 / (1 - d.P)
-	for i, v := range dy {
-		if mask[i] {
-			dx[i] = v * scale
+	for t, dy := range dys {
+		if masks == nil {
+			copy(dxs[t], dy)
+			continue
+		}
+		for i, v := range dy {
+			if masks[t][i] {
+				dxs[t][i] = v * scale
+			}
 		}
 	}
-	return dx
+	return dxs
 }

@@ -89,14 +89,12 @@ func (c *CRF) NLL(emissions []mat.Vec, gold []int) (float64, []mat.Vec) {
 	L := c.L
 
 	// Forward pass (log space).
-	alpha := make([]mat.Vec, n)
-	alpha[0] = mat.NewVec(L)
+	alpha := NewSeq(n, L)
 	for j := 0; j < L; j++ {
 		alpha[0][j] = c.start(j) + emissions[0][j]
 	}
 	scratch := mat.NewVec(L)
 	for t := 1; t < n; t++ {
-		alpha[t] = mat.NewVec(L)
 		for j := 0; j < L; j++ {
 			for i := 0; i < L; i++ {
 				scratch[i] = alpha[t-1][i] + c.trans(i, j)
@@ -111,13 +109,11 @@ func (c *CRF) NLL(emissions []mat.Vec, gold []int) (float64, []mat.Vec) {
 	logZ := mat.LogSumExp(final)
 
 	// Backward pass.
-	beta := make([]mat.Vec, n)
-	beta[n-1] = mat.NewVec(L)
+	beta := NewSeq(n, L)
 	for j := 0; j < L; j++ {
 		beta[n-1][j] = c.End.W.At(0, j)
 	}
 	for t := n - 2; t >= 0; t-- {
-		beta[t] = mat.NewVec(L)
 		for i := 0; i < L; i++ {
 			for j := 0; j < L; j++ {
 				scratch[j] = c.trans(i, j) + emissions[t+1][j] + beta[t+1][j]
@@ -135,9 +131,8 @@ func (c *CRF) NLL(emissions []mat.Vec, gold []int) (float64, []mat.Vec) {
 	loss := logZ - score
 
 	// Emission gradients: unary marginals minus gold indicators.
-	dE := make([]mat.Vec, n)
+	dE := NewSeq(n, L)
 	for t := 0; t < n; t++ {
-		dE[t] = mat.NewVec(L)
 		for j := 0; j < L; j++ {
 			dE[t][j] = math.Exp(alpha[t][j] + beta[t][j] - logZ)
 		}

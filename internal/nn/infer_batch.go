@@ -45,20 +45,8 @@ func packedTransposed(slot *packSlot, p *Param) *mat.Mat {
 	if c := slot.p.Load(); c != nil && c.ver == v {
 		return c.m
 	}
-	w := p.W
-	t := mat.NewMat(w.Cols, w.Rows)
-	const tb = 16 // block the transpose so reads and writes both stay cache-local
-	for ib := 0; ib < w.Rows; ib += tb {
-		ie := min(ib+tb, w.Rows)
-		for jb := 0; jb < w.Cols; jb += tb {
-			je := min(jb+tb, w.Cols)
-			for i := ib; i < ie; i++ {
-				for j := jb; j < je; j++ {
-					t.Data[j*w.Rows+i] = w.Data[i*w.Cols+j]
-				}
-			}
-		}
-	}
+	t := mat.NewMat(p.W.Cols, p.W.Rows)
+	transposeInto(t, p.W)
 	slot.p.Store(&packedWeight{ver: v, m: t})
 	return t
 }

@@ -36,7 +36,8 @@ func NewLinear(rng *rand.Rand, name string, in, out int) *Linear {
 // Params returns the layer's learnable tensors.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
-// Forward computes y = W·x + b.
+// Forward computes y = W·x + b for one vector: the per-token reference
+// ForwardSeq is pinned against.
 func (l *Linear) Forward(x mat.Vec) mat.Vec {
 	y := mat.NewVec(l.Out)
 	l.Weight.W.MulVec(y, x)
@@ -45,7 +46,7 @@ func (l *Linear) Forward(x mat.Vec) mat.Vec {
 }
 
 // Backward accumulates gradients given upstream dy and the forward input x,
-// and returns dx.
+// and returns dx: the per-token reference BackwardSeq is pinned against.
 func (l *Linear) Backward(x, dy mat.Vec) mat.Vec {
 	l.Weight.G.AddOuter(dy, x)
 	l.Bias.G.Row(0).Add(dy)
@@ -54,20 +55,33 @@ func (l *Linear) Backward(x, dy mat.Vec) mat.Vec {
 	return dx
 }
 
-// ForwardSeq applies the layer to each vector in xs.
+// ForwardSeq applies the layer to each vector in xs as one GEMM,
+// Y = X·Wᵀ + b — InferBatch's arithmetic, so row i is bit-identical to
+// Forward(xs[i]). The returned vectors share one backing array.
 func (l *Linear) ForwardSeq(xs []mat.Vec) []mat.Vec {
-	ys := make([]mat.Vec, len(xs))
-	for i, x := range xs {
-		ys[i] = l.Forward(x)
-	}
+	a := getScratch()
+	defer trainScratch.Put(a)
+	y, ys := newSeqMat(len(xs), l.Out)
+	mat.MatMulInto(&y, packSeq(a, xs, l.In), transposed(a, l.Weight.W))
+	mat.AddRows(&y, l.Bias.W.Row(0))
 	return ys
 }
 
-// BackwardSeq backpropagates a sequence of upstream gradients.
+// BackwardSeq backpropagates a sequence of upstream gradients: the weight
+// gradient as one accumulating GEMM, G_W += dYᵀ·X, with the tokens as its k
+// dimension in sequence order (the order Backward's AddOuter calls add
+// them), the bias gradient per token in the same order, and dX = dY·W as
+// one GEMM. Every element is bit-identical to calling Backward per token.
 func (l *Linear) BackwardSeq(xs, dys []mat.Vec) []mat.Vec {
-	dxs := make([]mat.Vec, len(xs))
-	for i := range xs {
-		dxs[i] = l.Backward(xs[i], dys[i])
+	a := getScratch()
+	defer trainScratch.Put(a)
+	dy := packSeq(a, dys, l.Out)
+	mat.MatMulAddInto(l.Weight.G, transposed(a, dy), packSeq(a, xs, l.In))
+	gb := l.Bias.G.Row(0)
+	for _, d := range dys {
+		gb.Add(d)
 	}
+	dx, dxs := newSeqMat(len(dys), l.In)
+	mat.MatMulInto(&dx, dy, l.Weight.W)
 	return dxs
 }

@@ -29,27 +29,25 @@ func BCELogit(logit float64, target float64) (loss, prob, dLogit float64) {
 	return loss, prob, dLogit
 }
 
-// FGSM returns the fast-gradient-sign perturbation δ* = ε·sign(g) of Eq. 9,
-// where g is the loss gradient with respect to an input embedding. The
-// result lies on the l∞ ball of radius ε (Δ(x) of Eq. 6).
-func FGSM(grad mat.Vec, eps float64) mat.Vec {
-	d := mat.NewVec(len(grad))
-	for i, g := range grad {
-		switch {
-		case g > 0:
-			d[i] = eps
-		case g < 0:
-			d[i] = -eps
-		}
-	}
-	return d
-}
-
-// FGSMSeq applies FGSM to each token's embedding gradient.
+// FGSMSeq returns the fast-gradient-sign perturbation δ* = ε·sign(g) of
+// Eq. 9 for each token, where g is the loss gradient with respect to that
+// token's input embedding. Every δ* lies on the l∞ ball of radius ε (Δ(x) of
+// Eq. 6); the vectors share one backing array.
 func FGSMSeq(grads []mat.Vec, eps float64) []mat.Vec {
-	out := make([]mat.Vec, len(grads))
-	for i, g := range grads {
-		out[i] = FGSM(g, eps)
+	if len(grads) == 0 {
+		return nil
+	}
+	out := NewSeq(len(grads), len(grads[0]))
+	for t, grad := range grads {
+		d := out[t]
+		for i, g := range grad {
+			switch {
+			case g > 0:
+				d[i] = eps
+			case g < 0:
+				d[i] = -eps
+			}
+		}
 	}
 	return out
 }

@@ -43,91 +43,146 @@ func NewLSTM(rng *rand.Rand, name string, in, hidden int) *LSTM {
 // Params returns the layer's learnable tensors.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
-// lstmStep caches one timestep's forward intermediates for BPTT.
-type lstmStep struct {
-	x, hPrev, cPrev mat.Vec
-	i, f, g, o      mat.Vec
-	c, tc           mat.Vec // cell state and tanh(c)
-}
-
-// LSTMCache holds the forward pass state needed by Backward.
+// LSTMCache holds the forward pass state Backward needs, one token per row.
 type LSTMCache struct {
-	steps []lstmStep
+	x     mat.Mat // n×In inputs
+	gates mat.Mat // n×4H activations i, f, g, o
+	c, tc mat.Mat // n×H cell states and tanh(c)
+	h     mat.Mat // n×H hidden states (h_{t-1} is step t's recurrent input)
 }
 
 // Forward runs the LSTM over xs and returns the hidden state sequence plus
-// the cache for Backward. Initial hidden and cell states are zero.
+// the cache for Backward. Initial hidden and cell states are zero. The
+// input projection Wx·x of every token is one GEMM before the recurrence;
+// each step then adds its recurrent projection Wh·h_{t-1}, a one-row GEMM,
+// and the bias as (Wx·x + Wh·h) + b — the per-token MulVec recurrence's
+// operations in its order, so every value is bit-identical to it. The
+// returned vectors are views of the cache: callers must not modify them.
 func (l *LSTM) Forward(xs []mat.Vec) ([]mat.Vec, *LSTMCache) {
-	h := mat.NewVec(l.Hidden)
-	c := mat.NewVec(l.Hidden)
-	hs := make([]mat.Vec, len(xs))
-	cache := &LSTMCache{steps: make([]lstmStep, len(xs))}
-	z := mat.NewVec(4 * l.Hidden)
-	tmp := mat.NewVec(4 * l.Hidden)
-	for t, x := range xs {
-		l.Wx.W.MulVec(z, x)
-		l.Wh.W.MulVec(tmp, h)
-		z.Add(tmp)
-		z.Add(l.B.W.Row(0))
-		st := lstmStep{
-			x: x, hPrev: h.Clone(), cPrev: c.Clone(),
-			i: mat.NewVec(l.Hidden), f: mat.NewVec(l.Hidden),
-			g: mat.NewVec(l.Hidden), o: mat.NewVec(l.Hidden),
-			c: mat.NewVec(l.Hidden), tc: mat.NewVec(l.Hidden),
-		}
-		for j := 0; j < l.Hidden; j++ {
-			st.i[j] = Sigmoid(z[j])
-			st.f[j] = Sigmoid(z[l.Hidden+j])
-			st.g[j] = math.Tanh(z[2*l.Hidden+j])
-			st.o[j] = Sigmoid(z[3*l.Hidden+j])
-			st.c[j] = st.f[j]*st.cPrev[j] + st.i[j]*st.g[j]
-			st.tc[j] = math.Tanh(st.c[j])
-		}
-		c = st.c.Clone()
-		h = mat.NewVec(l.Hidden)
-		for j := 0; j < l.Hidden; j++ {
-			h[j] = st.o[j] * st.tc[j]
-		}
-		hs[t] = h.Clone()
-		cache.steps[t] = st
+	n, H := len(xs), l.Hidden
+	cache := &LSTMCache{}
+	buf := make([]float64, n*(l.In+7*H)) // one backing array for the whole cache
+	cut := func(m *mat.Mat, cols int) {
+		*m = mat.Mat{Rows: n, Cols: cols, Data: buf[: n*cols : n*cols]}
+		buf = buf[n*cols:]
 	}
-	return hs, cache
+	cut(&cache.x, l.In)
+	cut(&cache.gates, 4*H)
+	cut(&cache.c, H)
+	cut(&cache.tc, H)
+	cut(&cache.h, H)
+	if n == 0 {
+		return nil, cache
+	}
+	for t, x := range xs {
+		copy(cache.x.Row(t), x)
+	}
+
+	a := getScratch()
+	defer trainScratch.Put(a)
+	z := &cache.gates // holds Wx·x until each step overwrites its row with activations
+	mat.MatMulInto(z, &cache.x, transposed(a, l.Wx.W))
+	whT := transposed(a, l.Wh.W)
+	zh := a.MatRaw(1, 4*H)
+	hPrev := a.Mat(1, H)
+	cPrev := a.Vec(H)
+	bias := l.B.W.Row(0)
+	for t := 0; t < n; t++ {
+		mat.MatMulInto(zh, hPrev, whT)
+		zr, zhr := z.Row(t), zh.Row(0)
+		ct, tct, ht := cache.c.Row(t), cache.tc.Row(t), cache.h.Row(t)
+		for j := 0; j < H; j++ {
+			ig := Sigmoid((zr[j] + zhr[j]) + bias[j])
+			fg := Sigmoid((zr[H+j] + zhr[H+j]) + bias[H+j])
+			gg := math.Tanh((zr[2*H+j] + zhr[2*H+j]) + bias[2*H+j])
+			og := Sigmoid((zr[3*H+j] + zhr[3*H+j]) + bias[3*H+j])
+			zr[j], zr[H+j], zr[2*H+j], zr[3*H+j] = ig, fg, gg, og
+			ct[j] = fg*cPrev[j] + ig*gg
+			tct[j] = math.Tanh(ct[j])
+			ht[j] = og * tct[j]
+		}
+		cPrev = ct
+		hPrev.Data = ht
+	}
+	return rowViews(&cache.h), cache
 }
 
 // Backward backpropagates upstream gradients dhs (one per timestep, aligned
 // with the Forward output) through time, accumulating weight gradients and
 // returning per-timestep input gradients.
+//
+// Only the recurrence stays per step: the gate gradients dz_t, the bias
+// gradient and dh_{t-1} = Whᵀ·dz_t (a one-row GEMM). The weight gradients
+// G_Wx += Σ dz_t·x_tᵀ and G_Wh += Σ dz_t·h_{t-1}ᵀ and every dx_t = Wxᵀ·dz_t
+// are batched after the loop, with the GEMM's k dimension in the loop's
+// order (t descending) — the order the per-token AddOuter calls added the
+// terms — so every gradient is bit-identical to the per-token BPTT.
 func (l *LSTM) Backward(cache *LSTMCache, dhs []mat.Vec) []mat.Vec {
-	n := len(cache.steps)
-	dxs := make([]mat.Vec, n)
-	dhNext := mat.NewVec(l.Hidden)
-	dcNext := mat.NewVec(l.Hidden)
-	dz := mat.NewVec(4 * l.Hidden)
-	for t := n - 1; t >= 0; t-- {
-		st := cache.steps[t]
-		dh := dhs[t].Clone()
-		dh.Add(dhNext)
-		dc := dcNext.Clone()
-		for j := 0; j < l.Hidden; j++ {
-			do := dh[j] * st.tc[j]
-			dtc := dh[j] * st.o[j] * (1 - st.tc[j]*st.tc[j])
-			dcj := dc[j] + dtc
-			df := dcj * st.cPrev[j]
-			di := dcj * st.g[j]
-			dg := dcj * st.i[j]
-			dcNext[j] = dcj * st.f[j]
-			dz[j] = di * st.i[j] * (1 - st.i[j])
-			dz[l.Hidden+j] = df * st.f[j] * (1 - st.f[j])
-			dz[2*l.Hidden+j] = dg * (1 - st.g[j]*st.g[j])
-			dz[3*l.Hidden+j] = do * st.o[j] * (1 - st.o[j])
+	n, H := cache.x.Rows, l.Hidden
+	if n == 0 {
+		return nil
+	}
+	a := getScratch()
+	defer trainScratch.Put(a)
+	dZ := a.MatRaw(n, 4*H) // row r holds dz for step t = n-1-r
+	dzRow := mat.Mat{Rows: 1, Cols: 4 * H}
+	dhNext := a.Mat(1, H)
+	dcNext := a.Vec(H)
+	dh := a.Vec(H)
+	zero := a.Vec(H) // c_{-1}
+	gb := l.B.G.Row(0)
+	for r := 0; r < n; r++ {
+		t := n - 1 - r
+		g, tc := cache.gates.Row(t), cache.tc.Row(t)
+		cPrev := zero
+		if t > 0 {
+			cPrev = cache.c.Row(t - 1)
 		}
-		l.Wx.G.AddOuter(dz, st.x)
-		l.Wh.G.AddOuter(dz, st.hPrev)
-		l.B.G.Row(0).Add(dz)
-		dx := mat.NewVec(l.In)
-		l.Wx.W.MulVecT(dx, dz)
-		dxs[t] = dx
-		l.Wh.W.MulVecT(dhNext, dz)
+		for j := 0; j < H; j++ {
+			dh[j] = dhs[t][j] + dhNext.Data[j]
+		}
+		dz := dZ.Row(r)
+		for j := 0; j < H; j++ {
+			ig, fg, gg, og := g[j], g[H+j], g[2*H+j], g[3*H+j]
+			do := dh[j] * tc[j]
+			dtc := dh[j] * og * (1 - tc[j]*tc[j])
+			dcj := dcNext[j] + dtc
+			df := dcj * cPrev[j]
+			di := dcj * gg
+			dg := dcj * ig
+			dcNext[j] = dcj * fg
+			dz[j] = di * ig * (1 - ig)
+			dz[H+j] = df * fg * (1 - fg)
+			dz[2*H+j] = dg * (1 - gg*gg)
+			dz[3*H+j] = do * og * (1 - og)
+		}
+		gb.Add(dz)
+		if t > 0 {
+			dzRow.Data = dz
+			mat.MatMulInto(dhNext, &dzRow, l.Wh.W)
+		}
+	}
+
+	// k = loop order: row r of the B operands is step n-1-r.
+	dZT := transposed(a, dZ)
+	xRev := a.MatRaw(n, l.In)
+	hPrevRev := a.MatRaw(n, H)
+	for r := 0; r < n; r++ {
+		t := n - 1 - r
+		copy(xRev.Row(r), cache.x.Row(t))
+		if t > 0 {
+			copy(hPrevRev.Row(r), cache.h.Row(t-1))
+		} else {
+			hPrevRev.Row(r).Zero()
+		}
+	}
+	mat.MatMulAddInto(l.Wx.G, dZT, xRev)
+	mat.MatMulAddInto(l.Wh.G, dZT, hPrevRev)
+	dX := mat.Mat{Rows: n, Cols: l.In, Data: make([]float64, n*l.In)}
+	mat.MatMulInto(&dX, dZ, l.Wx.W)
+	dxs := make([]mat.Vec, n)
+	for r := 0; r < n; r++ {
+		dxs[n-1-r] = dX.Row(r)
 	}
 	return dxs
 }
@@ -167,12 +222,10 @@ func (b *BiLSTM) Forward(xs []mat.Vec) ([]mat.Vec, *BiLSTMCache) {
 		rev[n-1-i] = x
 	}
 	bhRev, bc := b.Bwd.Forward(rev)
-	out := make([]mat.Vec, n)
-	for t := 0; t < n; t++ {
-		v := mat.NewVec(b.OutDim())
+	out := NewSeq(n, b.OutDim())
+	for t, v := range out {
 		copy(v[:b.Fwd.Hidden], fh[t])
 		copy(v[b.Fwd.Hidden:], bhRev[n-1-t])
-		out[t] = v
 	}
 	return out, &BiLSTMCache{fwd: fc, bwd: bc, n: n}
 }
@@ -184,16 +237,13 @@ func (b *BiLSTM) Backward(cache *BiLSTMCache, dys []mat.Vec) []mat.Vec {
 	dFwd := make([]mat.Vec, n)
 	dBwdRev := make([]mat.Vec, n)
 	for t := 0; t < n; t++ {
-		dFwd[t] = mat.Vec(dys[t][:b.Fwd.Hidden]).Clone()
-		dBwdRev[n-1-t] = mat.Vec(dys[t][b.Fwd.Hidden:]).Clone()
+		dFwd[t] = dys[t][:b.Fwd.Hidden]
+		dBwdRev[n-1-t] = dys[t][b.Fwd.Hidden:]
 	}
-	dxF := b.Fwd.Backward(cache.fwd, dFwd)
+	dxs := b.Fwd.Backward(cache.fwd, dFwd)
 	dxBRev := b.Bwd.Backward(cache.bwd, dBwdRev)
-	dxs := make([]mat.Vec, n)
 	for t := 0; t < n; t++ {
-		dx := dxF[t].Clone()
-		dx.Add(dxBRev[n-1-t])
-		dxs[t] = dx
+		dxs[t].Add(dxBRev[n-1-t])
 	}
 	return dxs
 }

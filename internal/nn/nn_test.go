@@ -414,12 +414,12 @@ func TestBCELogit(t *testing.T) {
 }
 
 func TestFGSM(t *testing.T) {
-	d := FGSM(mat.Vec{0.3, -2, 0}, 0.5)
+	d := FGSMSeq([]mat.Vec{{0.3, -2, 0}}, 0.5)[0]
 	if d[0] != 0.5 || d[1] != -0.5 || d[2] != 0 {
 		t.Fatalf("FGSM: %v", d)
 	}
 	// l∞ bound holds for any input.
-	for _, v := range FGSM(mat.Vec{100, -100, 1e-9}, 0.2) {
+	for _, v := range FGSMSeq([]mat.Vec{{100, -100, 1e-9}}, 0.2)[0] {
 		if math.Abs(v) > 0.2 {
 			t.Fatalf("FGSM exceeds l∞ ball: %v", v)
 		}
@@ -433,38 +433,45 @@ func TestFGSM(t *testing.T) {
 func TestDropout(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	d := NewDropout(rng, 0.5)
-	x := mat.Vec{1, 1, 1, 1, 1, 1, 1, 1}
-	y, mask := d.Forward(x)
-	if mask == nil {
-		t.Fatal("training dropout must return a mask")
+	xs := []mat.Vec{{1, 1, 1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1, 1, 1}}
+	ys, masks := d.ForwardSeq(xs)
+	if masks == nil {
+		t.Fatal("training dropout must return masks")
 	}
-	kept := 0
-	for i, m := range mask {
-		if m {
-			kept++
-			if y[i] != 2 { // 1/(1-0.5)
-				t.Fatalf("inverted scaling wrong: %v", y[i])
+	for r, mask := range masks {
+		for i, m := range mask {
+			if m {
+				if ys[r][i] != 2 { // 1/(1-0.5)
+					t.Fatalf("inverted scaling wrong: %v", ys[r][i])
+				}
+			} else if ys[r][i] != 0 {
+				t.Fatal("dropped unit must be zero")
 			}
-		} else if y[i] != 0 {
-			t.Fatal("dropped unit must be zero")
 		}
 	}
-	dy := mat.Vec{1, 1, 1, 1, 1, 1, 1, 1}
-	dx := d.Backward(dy, mask)
-	for i := range dx {
-		if mask[i] && dx[i] != 2 || !mask[i] && dx[i] != 0 {
-			t.Fatalf("backward mask routing wrong at %d: %v", i, dx[i])
+	dys := []mat.Vec{{1, 1, 1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1, 1, 1}}
+	dxs := d.BackwardSeq(dys, masks)
+	for r, dx := range dxs {
+		for i := range dx {
+			if masks[r][i] && dx[i] != 2 || !masks[r][i] && dx[i] != 0 {
+				t.Fatalf("backward mask routing wrong at %d/%d: %v", r, i, dx[i])
+			}
 		}
 	}
 	d.Train = false
-	y2, mask2 := d.Forward(x)
-	if mask2 != nil {
+	ys2, masks2 := d.ForwardSeq(xs)
+	if masks2 != nil {
 		t.Fatal("eval mode must not mask")
 	}
-	for i := range y2 {
-		if y2[i] != x[i] {
-			t.Fatal("eval mode must be identity")
+	for r := range ys2 {
+		for i := range ys2[r] {
+			if ys2[r][i] != xs[r][i] {
+				t.Fatal("eval mode must be identity")
+			}
 		}
+	}
+	if dxs := d.BackwardSeq(dys, nil); dxs[1][3] != 1 {
+		t.Fatal("backward without masks must be identity")
 	}
 }
 
@@ -516,7 +523,8 @@ func TestActivationGradients(t *testing.T) {
 	dy := randVec(rng, 6)
 
 	// GELU
-	dx := GELUBackward(x, dy)
+	dx := mat.NewVec(len(x))
+	GELUBackwardInto(dx, x, dy)
 	for i := range x {
 		xi := x.Clone()
 		want := numGrad(func() float64 {

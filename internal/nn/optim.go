@@ -35,41 +35,53 @@ func (s *SGD) Step(params []*Param) {
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	t                     int
-	m, v                  map[*Param]*mat.Mat
+	// state holds each parameter's first and second moment estimates, in
+	// the order Step first saw the parameters; callers pass the same
+	// slice every step, so lookup is one pointer compare per parameter.
+	state []adamState
+}
+
+type adamState struct {
+	p    *Param
+	m, v mat.Vec
 }
 
 // NewAdam returns an Adam optimizer with the standard defaults
 // (β1=0.9, β2=0.999, ε=1e-8).
 func NewAdam(lr float64) *Adam {
-	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[*Param]*mat.Mat), v: make(map[*Param]*mat.Mat),
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+}
+
+// Step applies one Adam update to every parameter (mat.AdamStep: the
+// vectorized update, bit-identical to the scalar loop).
+func (a *Adam) Step(params []*Param) {
+	a.t++
+	c := mat.AdamCoeffs{
+		Beta1: a.Beta1, OneMinusBeta1: 1 - a.Beta1,
+		Beta2: a.Beta2, OneMinusBeta2: 1 - a.Beta2,
+		BC1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		BC2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		LR:  a.LR, Eps: a.Eps,
+	}
+	for i, p := range params {
+		s := a.moments(i, p)
+		mat.AdamStep(p.W.Data, p.G.Data, s.m, s.v, &c)
+		p.NoteMutated()
 	}
 }
 
-// Step applies one Adam update to every parameter.
-func (a *Adam) Step(params []*Param) {
-	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, p := range params {
-		m, ok := a.m[p]
-		if !ok {
-			m = mat.NewMat(p.W.Rows, p.W.Cols)
-			a.m[p] = m
-		}
-		v, ok := a.v[p]
-		if !ok {
-			v = mat.NewMat(p.W.Rows, p.W.Cols)
-			a.v[p] = v
-		}
-		for i, g := range p.G.Data {
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
-			mhat := m.Data[i] / bc1
-			vhat := v.Data[i] / bc2
-			p.W.Data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-		}
-		p.NoteMutated()
+// moments returns p's moment state, expected at position i; a parameter
+// seen for the first time gets zero moments.
+func (a *Adam) moments(i int, p *Param) *adamState {
+	if i < len(a.state) && a.state[i].p == p {
+		return &a.state[i]
 	}
+	for j := range a.state {
+		if a.state[j].p == p {
+			return &a.state[j]
+		}
+	}
+	n := len(p.W.Data)
+	a.state = append(a.state, adamState{p: p, m: mat.NewVec(n), v: mat.NewVec(n)})
+	return &a.state[len(a.state)-1]
 }

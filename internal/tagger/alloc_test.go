@@ -123,3 +123,41 @@ func TestGenerationChangesOnTrain(t *testing.T) {
 		t.Fatal("OpineDB Train did not change the generation")
 	}
 }
+
+// TestTrainStepAllocs pins the allocation count of one warm adversarial
+// training step at the served tagger's shape (DefaultConfig, a 64-wide
+// encoder) on a 12-token sentence: the BiLSTM caches and outputs, the
+// projection and CRF gradients, dropout masks and the FGSM direction (in
+// which the adversarial inputs are formed). The clean-gradient snapshot
+// reuses the Train call's buffers, and the optimizer step and the gradient
+// clip allocate nothing.
+func TestTrainStepAllocs(t *testing.T) {
+	words := []string{"the", "food", "is", "delicious", "and", "the", "staff", "is", "friendly", "but", "slow", "."}
+	v := tokenize.NewVocab()
+	v.AddAll(words)
+	enc := bert.New(rand.New(rand.NewSource(33)), bert.DefaultConfig(), v)
+	cfg := DefaultConfig()
+	cfg.Adversarial, cfg.Epsilon = true, 0.2
+	m := New(enc, cfg)
+	m.drop.Train = true
+	embeds := enc.EncodeTokens(words)
+	gold := make([]int, len(words))
+	for i := range gold {
+		gold[i] = int(tokenize.O)
+	}
+	gold[3], gold[1] = int(tokenize.BOP), int(tokenize.BAS)
+	opt := nn.NewAdam(cfg.LR)
+	params := m.Params()
+	clean := gradBuffers(params)
+	for i := 0; i < 3; i++ {
+		m.trainStep(opt, params, clean, embeds, gold, nil) // warm the scratch pool and Adam state
+	}
+	allocs := testing.AllocsPerRun(50, func() { m.trainStep(opt, params, clean, embeds, gold, nil) })
+	limit := 70.0 // the count measured today: lower it when a change removes one
+	if race.Enabled {
+		limit *= 2 // sync.Pool drops a quarter of its Puts: pin only the gross regression
+	}
+	if allocs > limit {
+		t.Fatalf("warm adversarial train step allocates %v times, want <= %v", allocs, limit)
+	}
+}

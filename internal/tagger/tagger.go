@@ -171,6 +171,9 @@ func New(enc Encoder, cfg Config) *Model {
 // equal generations as "bit-identical weights".
 func (m *Model) Generation() uint64 { return m.gen.Load() }
 
+// Encoder returns the encoder the tagger reads its embeddings from.
+func (m *Model) Encoder() Encoder { return m.enc }
+
 // Params returns the trainable tensors (the encoder stays frozen).
 func (m *Model) Params() []*nn.Param {
 	ps := m.bilstm.Params()
@@ -182,29 +185,31 @@ func (m *Model) Params() []*nn.Param {
 // gradients, and returns (loss, gradient w.r.t. the embeddings). The clean
 // and adversarial branches are mixed by the caller via gradient snapshots.
 func (m *Model) forwardLoss(embeds []mat.Vec, gold []int) (float64, []mat.Vec) {
-	dropped := make([]mat.Vec, len(embeds))
-	masks := make([][]bool, len(embeds))
-	for i, e := range embeds {
-		dropped[i], masks[i] = m.drop.Forward(e)
-	}
+	dropped, masks := m.drop.ForwardSeq(embeds)
 	hs, cache := m.bilstm.Forward(dropped)
 	emissions := m.proj.ForwardSeq(hs)
 	loss, dE := m.crf.NLL(emissions, gold)
 	dHs := m.proj.BackwardSeq(hs, dE)
 	dDropped := m.bilstm.Backward(cache, dHs)
-	dEmbeds := make([]mat.Vec, len(embeds))
-	for i := range dDropped {
-		dEmbeds[i] = m.drop.Backward(dDropped[i], masks[i])
+	return loss, m.drop.BackwardSeq(dDropped, masks)
+}
+
+// gradBuffers returns one buffer shaped like each parameter's gradient: the
+// clean branch's gradient snapshot, reused by every step of a Train call.
+func gradBuffers(params []*nn.Param) [][]float64 {
+	bufs := make([][]float64, len(params))
+	for i, p := range params {
+		bufs[i] = make([]float64, len(p.G.Data))
 	}
-	return loss, dEmbeds
+	return bufs
 }
 
 // trainStep processes one example, with or without the adversarial branch,
-// and applies the optimizer. When encBack is non-nil it receives the
-// combined gradient with respect to the input embeddings so the caller can
-// fine-tune the encoder.
-func (m *Model) trainStep(opt nn.Optimizer, embeds []mat.Vec, gold []int, encBack func([]mat.Vec)) float64 {
-	params := m.Params()
+// and applies the optimizer to params (m.Params()); clean (gradBuffers)
+// receives the clean branch's gradients. When encBack is non-nil it
+// receives the combined gradient with respect to the input embeddings so
+// the caller can fine-tune the encoder.
+func (m *Model) trainStep(opt nn.Optimizer, params []*nn.Param, clean [][]float64, embeds []mat.Vec, gold []int, encBack func([]mat.Vec)) float64 {
 	if !m.cfg.Adversarial {
 		nn.ZeroGrads(params)
 		loss, dEmbeds := m.forwardLoss(embeds, gold)
@@ -219,15 +224,15 @@ func (m *Model) trainStep(opt nn.Optimizer, embeds []mat.Vec, gold []int, encBac
 	// Clean pass: also yields ∇x l for the FGSM direction (Eq. 9's g).
 	nn.ZeroGrads(params)
 	cleanLoss, dEmbeds := m.forwardLoss(embeds, gold)
-	cleanGrads := snapshotGrads(params)
+	for i, p := range params {
+		copy(clean[i], p.G.Data)
+	}
 
-	// Adversarial example: x + ε·sign(g) (Eq. 7–9).
-	delta := nn.FGSMSeq(dEmbeds, m.cfg.Epsilon)
-	adv := make([]mat.Vec, len(embeds))
+	// Adversarial example: x + ε·sign(g) (Eq. 7–9), formed in δ*'s own
+	// buffer (float addition commutes exactly).
+	adv := nn.FGSMSeq(dEmbeds, m.cfg.Epsilon)
 	for i, e := range embeds {
-		v := e.Clone()
-		v.Add(delta[i])
-		adv[i] = v
+		adv[i].Add(e)
 	}
 	nn.ZeroGrads(params)
 	advLoss, dEmbedsAdv := m.forwardLoss(adv, gold)
@@ -235,7 +240,7 @@ func (m *Model) trainStep(opt nn.Optimizer, embeds []mat.Vec, gold []int, encBac
 	// Combine: grad = α·clean + (1−α)·adv (Eq. 8).
 	for pi, p := range params {
 		for i := range p.G.Data {
-			p.G.Data[i] = alpha*cleanGrads[pi][i] + (1-alpha)*p.G.Data[i]
+			p.G.Data[i] = alpha*clean[pi][i] + (1-alpha)*p.G.Data[i]
 		}
 	}
 	nn.ClipGrads(params, m.cfg.ClipNorm)
@@ -255,14 +260,6 @@ func (m *Model) trainStep(opt nn.Optimizer, embeds []mat.Vec, gold []int, encBac
 	return alpha*cleanLoss + (1-alpha)*advLoss
 }
 
-func snapshotGrads(params []*nn.Param) [][]float64 {
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		out[i] = append([]float64(nil), p.G.Data...)
-	}
-	return out
-}
-
 // Train fits the tagger on the examples and returns the mean loss of the
 // final epoch. With a frozen encoder its embeddings are computed once and
 // cached; with FineTuneEncoder they are recomputed per step and the tagging
@@ -274,6 +271,8 @@ func (m *Model) Train(examples []datasets.Example) float64 {
 	m.gen.Store(nextGen())
 	defer m.gen.Store(nextGen())
 	opt := nn.NewAdam(m.cfg.LR)
+	params := m.Params()
+	clean := gradBuffers(params)
 	m.drop.Train = true
 
 	te, ok := m.enc.(TrainableEncoder)
@@ -334,7 +333,7 @@ func (m *Model) Train(examples []datasets.Example) float64 {
 					encOpt.Step(encParams)
 				}
 			}
-			total += m.trainStep(opt, embeds, gold, encBack)
+			total += m.trainStep(opt, params, clean, embeds, gold, encBack)
 			n++
 		}
 		if n > 0 {
