@@ -49,8 +49,12 @@ lint: vet
 
 # ./... covers every package in the module; cmd/ and examples/ are listed
 # explicitly so the gate still covers them if the root pattern is narrowed.
+# The arm64 pass type-checks the test files too (make build compiles only
+# the packages), so a test that names an amd64-only symbol outside an
+# _amd64_test.go file fails here instead of on the first arm64 host.
 vet:
 	$(GO) vet ./... ./cmd/... ./examples/...
+	GOARCH=arm64 $(GO) vet ./...
 
 # build also cross-compiles for arm64, so the pure-Go twins (the !amd64
 # files) of every assembly entry point in internal/mat keep building.

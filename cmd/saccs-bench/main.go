@@ -219,7 +219,7 @@ type ingestResult struct {
 type ingestSection struct {
 	Results []ingestResult `json:"results"`
 	// RecoverySeconds is how long a fresh ingester took to replay the
-	// fsync-always pass's log (WAL + checkpoint + delta stack) at reopen.
+	// fsync-always pass's log (checkpoint + WAL tail) at reopen.
 	RecoverySeconds  float64 `json:"recovery_seconds"`
 	RecoveredReviews int     `json:"recovered_reviews"`
 	RecoveredPerSec  float64 `json:"recovered_per_sec"`
@@ -589,7 +589,6 @@ func ingestBenchmarks(doc *benchFile, dur time.Duration) {
 			Fsync:           policy,
 			PublishEvery:    64,
 			PublishInterval: -1,
-			CompactAfter:    8,
 			Obs:             io,
 		}, ix, ingestTags, nil, benchExtract)
 		if err != nil {
@@ -761,22 +760,22 @@ func serveBenchmarks(doc *benchFile, shardCounts []int, dur time.Duration) {
 		Timeout:   time.Minute,
 	}
 
-	startServer := func(shards int) (*server.Server, error) {
+	startServer := func(shards int) (*server.Server, *saccs.Client, error) {
 		cfg := saccs.DefaultConfig()
 		cfg.TrainingScale = "fast"
 		cfg.Shards = shards
 		c, err := saccs.New(cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := c.IndexEntities(serveWorld(), c.CanonicalTags()); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		s := server.New(c, server.Config{Addr: "127.0.0.1:0"})
 		if err := s.Start(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return s, nil
+		return s, c, nil
 	}
 
 	query := func(base string, i int) error {
@@ -874,7 +873,7 @@ func serveBenchmarks(doc *benchFile, shardCounts []int, dur time.Duration) {
 		"shards", "offered", "achieved", "requests", "errors", "p50", "p99", "p999", "sustained")
 	for _, shards := range shardCounts {
 		fmt.Printf("training %d-shard pipeline...\n", shards)
-		srv, err := startServer(shards)
+		srv, c, err := startServer(shards)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "serve bench: %d shards: %v\n", shards, err)
 			os.Exit(1)
@@ -917,6 +916,7 @@ func serveBenchmarks(doc *benchFile, shardCounts []int, dur time.Duration) {
 			fmt.Fprintf(os.Stderr, "serve bench: shutdown %d shards: %v\n", shards, err)
 			os.Exit(1)
 		}
+		c.Shutdown()
 	}
 	for _, r := range sec.MaxSustained {
 		fmt.Printf("max sustained @ %d shard(s): %.1f QPS\n", r.Shards, r.MaxSustainedQPS)

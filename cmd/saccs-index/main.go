@@ -4,9 +4,9 @@
 // extractor + similarity checker + indexer pipeline (Fig. 1) produces.
 //
 // With -stream the world's reviews are fed one by one through the streaming
-// ingest tier (WAL + delta builds + compaction) instead of one batch build —
-// the two paths produce identical indexes, which this command makes easy to
-// eyeball. Add -wal-dir to make the stream durable and replayable: run once,
+// ingest tier (WAL + delta builds + checkpoint compaction) instead of one
+// batch build — the two paths produce identical indexes, which this command
+// makes easy to eyeball. Add -wal-dir to make the stream durable and replayable: run once,
 // kill it, run again and watch recovery continue from the log.
 //
 // Usage:
@@ -120,7 +120,7 @@ func main() {
 
 // streamWorld feeds every review through the WAL-backed ingester, review by
 // review, the way a live service would — durable append, delta builds every
-// publish-every reviews, background compaction — and returns the quiescent
+// publish-every reviews, checkpoint compaction — and returns the quiescent
 // index. If walDir already holds a previous run's log, the world is recovered
 // from it instead of re-streamed (appends would double-count the reviews).
 func streamWorld(o *obs.Observer, world *yelp.World, ex *core.Extractor, tags []string, walDir string, publishEvery int) *index.Index {

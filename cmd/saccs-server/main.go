@@ -11,7 +11,7 @@
 // restart recovers the streamed world (per shard under wal-dir/shard-<i>).
 //
 // SIGINT/SIGTERM drains gracefully: /readyz flips to 503, in-flight requests
-// get -drain to finish, then the WAL is sealed.
+// get -drain to finish, then the client is shut down, which seals the WAL.
 //
 // Usage:
 //
@@ -96,5 +96,6 @@ func main() {
 	if err := srv.Shutdown(context.Background()); err != nil {
 		fmt.Fprintf(os.Stderr, "saccs-server: drain: %v\n", err)
 	}
+	client.Shutdown()
 	fmt.Fprintln(os.Stderr, "bye")
 }

@@ -87,7 +87,7 @@ func saveBytes(ix *index.Index) ([]byte, error) {
 
 // IngestQuiesceOracle checks the streaming tier's core equivalence: a world
 // streamed through the WAL-backed ingester — publishes every few reviews,
-// compaction folding mini-snapshots down — must, at quiescence, be
+// compaction checkpointing the state and truncating the WAL — must, at quiescence, be
 // bit-identical (DiffIndexes clean AND Save byte-equal) to one batch Build
 // over the same reviews. Then the filesystem is crashed with a torn trailing
 // write and reopened: recovery must reproduce the batch build over exactly

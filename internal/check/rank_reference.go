@@ -165,7 +165,7 @@ func RankReferenceOracle(seed int64, queries int) error {
 		return fmt.Errorf("rank-reference oracle (seed %d): the zero-degree entity reached no posting list", seed)
 	}
 	late := g.Entities(52)[48:] // e048..e051: unknown to before, numbered in after
-	if _, err := ix.MergeDelta(context.Background(), tags, late); err != nil {
+	if err := ix.MergeDelta(context.Background(), tags, late); err != nil {
 		return fmt.Errorf("rank-reference oracle (seed %d): streaming late entities: %w", seed, err)
 	}
 	after := ix.Current()

@@ -6,27 +6,23 @@ import (
 	"time"
 )
 
-// Delta is one mini-snapshot: the recomputed posting entries of a set of
+// delta is one mini-snapshot: the recomputed posting entries of a set of
 // dirty entities across a tag list, produced by an incremental (streaming)
 // indexing round. A delta is self-contained — Entities names every entity it
 // covers, and Postings[i] holds tag Tags[i]'s entries for those entities
-// only — so applying it to a base snapshot is "remove the dirty entities'
-// old entries, merge in the new ones".
+// only — so applying it to a snapshot is "remove the dirty entities' old
+// entries, merge in the new ones".
 //
 // Because Eq. 1's degree of truth for (tag, entity) depends only on that
 // entity's own accumulated review state, a delta computed from an entity's
 // full state is exactly what a batch rebuild would compute for it: merging a
 // delta into the published snapshot yields a generation bit-identical to a
-// full Build over the same world. (This is also why the duplicate-entity
-// merge rule across a stack of mini-snapshots is newest-wins, not
-// max-degree: Eq. 1 is not monotone — a mean-similarity can drop as reviews
-// accumulate — so only the entry computed from the largest review prefix
-// reproduces the batch build. See LoadStack.)
-type Delta struct {
-	// Seq is the durability watermark the delta was published at (the WAL
-	// sequence number of its last covered review); informational for
-	// in-memory application, authoritative for persisted stacks.
-	Seq uint64
+// full Build over the same world. (This is also why an entity that goes
+// dirty in several rounds keeps the newest entry, not the max-degree one:
+// Eq. 1 is not monotone — a mean-similarity can drop as reviews accumulate —
+// so only the entry computed from the largest review prefix reproduces the
+// batch build.)
+type delta struct {
 	// Entities are the dirty entity IDs the delta covers. Every posting
 	// entry in Postings refers to one of them.
 	Entities []string
@@ -43,12 +39,12 @@ type Delta struct {
 // new reviews — Eq. 1 is per-entity but not per-review), derives the next
 // generation by replacing those entities' entries, and publishes it
 // atomically. Readers in flight keep their pinned snapshot, exactly as with
-// Build. The applied delta is returned so callers can persist it (SaveDelta).
+// Build.
 //
 // The resulting generation is bit-identical to a full Build over the union
 // of the dirty state and the untouched entities, provided tags covers every
 // indexed tag the dirty entities may appear under.
-func (ix *Index) MergeDelta(ctx context.Context, tags []string, dirty []EntityReviews) (*Delta, error) {
+func (ix *Index) MergeDelta(ctx context.Context, tags []string, dirty []EntityReviews) error {
 	var t0 time.Time
 	if ix.o != nil {
 		t0 = time.Now()
@@ -56,13 +52,13 @@ func (ix *Index) MergeDelta(ctx context.Context, tags []string, dirty []EntityRe
 	cfg := ix.b.config()
 	postings, err := ix.b.Postings(ctx, tags, dirty, cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ids := make([]string, len(dirty))
 	for i, e := range dirty {
 		ids[i] = e.EntityID
 	}
-	d := &Delta{Entities: ids, Tags: tags, Postings: postings}
+	d := &delta{Entities: ids, Tags: tags, Postings: postings}
 	ix.publishMu.Lock()
 	n := ix.publish(ix.snap.Load().withDelta(d))
 	ix.publishMu.Unlock()
@@ -71,17 +67,7 @@ func (ix *Index) MergeDelta(ctx context.Context, tags []string, dirty []EntityRe
 		ix.tagsGauge.Set(float64(n))
 		ix.o.Counter("index.merge.entities.total").Add(int64(len(dirty)))
 	}
-	return d, nil
-}
-
-// ApplyDelta merges a precomputed delta (for example one read back with
-// ReadDelta) into the current generation and publishes the result. Unlike
-// MergeDelta it computes nothing — the delta's entries are trusted as-is, so
-// callers must validate untrusted deltas first (ReadDelta does).
-func (ix *Index) ApplyDelta(d *Delta) {
-	ix.publishMu.Lock()
-	ix.publish(ix.snap.Load().withDelta(d))
-	ix.publishMu.Unlock()
+	return nil
 }
 
 // withDelta derives the next generation from s by applying d: for each
@@ -89,7 +75,7 @@ func (ix *Index) ApplyDelta(d *Delta) {
 // entries merged in, preserving (degree desc, entity ID asc) order; tags the
 // delta does not cover keep their posting lists untouched (shared, not
 // copied). New tags are appended to the key order.
-func (s *Snapshot) withDelta(d *Delta) *Snapshot {
+func (s *Snapshot) withDelta(d *delta) *Snapshot {
 	next := s.derive(len(d.Tags))
 	ents, ords := s.ents.seal(d.Postings)
 	next.ents = ents

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"testing"
 
 	"saccs/internal/race"
@@ -57,23 +56,18 @@ func checkSealed(t *testing.T, label string, s *Snapshot) {
 
 // TestSealAssignsIdenticalOrdinals: however a world reaches an index — one
 // Build, a stream of MergeDelta rounds (entities arriving in ID order, as a
-// replayed WAL delivers them), Load of the saved snapshot, LoadStack of a
-// base plus deltas — seal numbers its entities identically, because new IDs
-// are numbered in ID order per sealed batch and nothing else about a batch
-// matters. Ordinals are never persisted, so the two restored indexes derive
-// theirs from the posting lists alone.
+// replayed WAL delivers them), Load of the saved snapshot — seal numbers its
+// entities identically, because new IDs are numbered in ID order per sealed
+// batch and nothing else about a batch matters. Ordinals are never
+// persisted, so the loaded index derives its own from the posting lists
+// alone.
 func TestSealAssignsIdenticalOrdinals(t *testing.T) {
 	tags, es := ordinalWorld()
 	built := testIndex()
 	built.Build(tags, es)
 
-	var saved, base bytes.Buffer
+	var saved bytes.Buffer
 	if err := built.Save(&saved); err != nil {
-		t.Fatal(err)
-	}
-	half := testIndex()
-	half.Build(tags, es[:10])
-	if err := half.Current().WriteBase(&base, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -85,7 +79,7 @@ func TestSealAssignsIdenticalOrdinals(t *testing.T) {
 			ix := testIndex()
 			ix.Build(tags, nil)
 			for lo := 0; lo < len(es); lo += 4 {
-				if _, err := ix.MergeDelta(context.Background(), tags, es[lo:min(lo+4, len(es))]); err != nil {
+				if err := ix.MergeDelta(context.Background(), tags, es[lo:min(lo+4, len(es))]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -94,27 +88,6 @@ func TestSealAssignsIdenticalOrdinals(t *testing.T) {
 		{"Load", func(t *testing.T) *Index {
 			ix := testIndex()
 			if err := ix.Load(bytes.NewReader(saved.Bytes())); err != nil {
-				t.Fatal(err)
-			}
-			return ix
-		}},
-		{"LoadStack", func(t *testing.T) *Index {
-			ix, scratch := testIndex(), testIndex()
-			scratch.Build(tags, es[:10])
-			var deltas []io.Reader
-			for lo, seq := 10, uint64(2); lo < len(es); lo, seq = lo+5, seq+1 {
-				d, err := scratch.MergeDelta(context.Background(), tags, es[lo:min(lo+5, len(es))])
-				if err != nil {
-					t.Fatal(err)
-				}
-				d.Seq = seq
-				var buf bytes.Buffer
-				if err := WriteDelta(&buf, 0.6, d); err != nil {
-					t.Fatal(err)
-				}
-				deltas = append(deltas, &buf)
-			}
-			if _, err := ix.LoadStack(bytes.NewReader(base.Bytes()), deltas...); err != nil {
 				t.Fatal(err)
 			}
 			return ix
@@ -173,7 +146,7 @@ func TestOrdinalsAppendOnlyAcrossGenerations(t *testing.T) {
 	}{
 		{"AddTag", func() { ix.AddTag(tags[2], es[5:]) }},
 		{"MergeDelta of earlier-sorting entities", func() {
-			if _, err := ix.MergeDelta(context.Background(), tags, es[:5]); err != nil {
+			if err := ix.MergeDelta(context.Background(), tags, es[:5]); err != nil {
 				t.Fatal(err)
 			}
 		}},

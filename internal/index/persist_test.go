@@ -96,10 +96,10 @@ func TestSaveLoadSaveByteStable(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsStackFraming pins the version-2 (LSM) framing rules: a
-// version-1 file must not smuggle version-2 fields, mini-snapshots are not
-// full worlds, and unknown kinds are refused. Every rejection leaves the
-// index unchanged.
+// TestLoadRejectsStackFraming pins the retirement of the version-2 base/delta
+// stack framing: a version-2 file of any kind is an unsupported version, and
+// a version-1 file must not carry the stack's kind, seq or entities fields.
+// Every rejection leaves the index unchanged.
 func TestLoadRejectsStackFraming(t *testing.T) {
 	cases := []struct {
 		name, input string
@@ -124,173 +124,4 @@ func TestLoadRejectsStackFraming(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestWriteBaseLoadRoundTrip: a version-2 base file carries the same world
-// as Save, so loading one and re-saving reproduces the version-1 snapshot
-// byte-for-byte.
-func TestWriteBaseLoadRoundTrip(t *testing.T) {
-	ix := testIndex()
-	ix.Build([]string{"good food", "nice staff"}, entities())
-	var v1, base bytes.Buffer
-	if err := ix.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Current().WriteBase(&base, 42); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(v1.Bytes(), base.Bytes()) {
-		t.Fatal("base file carries no version-2 framing")
-	}
-	re := testIndex()
-	if err := re.Load(bytes.NewReader(base.Bytes())); err != nil {
-		t.Fatalf("load base: %v", err)
-	}
-	var second bytes.Buffer
-	if err := re.Save(&second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v1.Bytes(), second.Bytes()) {
-		t.Fatalf("world drifted through base round-trip:\nwant: %s\ngot:  %s", v1.Bytes(), second.Bytes())
-	}
-}
-
-func testDelta() *Delta {
-	return &Delta{
-		Seq:      50,
-		Entities: []string{"vue", "newbie"},
-		Tags:     []string{"good food"},
-		Postings: [][]Entry{{{EntityID: "newbie", Degree: 0.9}, {EntityID: "vue", Degree: 0.7}}},
-	}
-}
-
-// TestWriteDeltaReadDeltaRoundTrip: a mini-snapshot survives its own wire
-// format without loss.
-func TestWriteDeltaReadDeltaRoundTrip(t *testing.T) {
-	d := testDelta()
-	var buf bytes.Buffer
-	if err := WriteDelta(&buf, 0.6, d); err != nil {
-		t.Fatal(err)
-	}
-	got, theta, err := ReadDelta(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("read delta: %v", err)
-	}
-	if theta != 0.6 || got.Seq != d.Seq {
-		t.Fatalf("framing drifted: theta=%v seq=%d", theta, got.Seq)
-	}
-	if len(got.Entities) != len(d.Entities) || got.Entities[0] != d.Entities[0] {
-		t.Fatalf("entities drifted: %v", got.Entities)
-	}
-	if len(got.Tags) != 1 || got.Tags[0] != "good food" || len(got.Postings[0]) != 2 {
-		t.Fatalf("postings drifted: %v %v", got.Tags, got.Postings)
-	}
-}
-
-// TestLoadStackEqualsDirectMerge: replaying base+delta files must land on
-// the same generation as applying the delta in memory.
-func TestLoadStackEqualsDirectMerge(t *testing.T) {
-	tags := []string{"good food", "nice staff"}
-	ix := testIndex()
-	ix.Build(tags, entities())
-	d := testDelta()
-
-	direct := testIndex()
-	direct.Build(tags, entities())
-	direct.ApplyDelta(d)
-
-	var base, delta bytes.Buffer
-	if err := ix.Current().WriteBase(&base, 42); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteDelta(&delta, 0.6, d); err != nil {
-		t.Fatal(err)
-	}
-	st := testIndex()
-	top, err := st.LoadStack(bytes.NewReader(base.Bytes()), bytes.NewReader(delta.Bytes()))
-	if err != nil {
-		t.Fatalf("load stack: %v", err)
-	}
-	if top != d.Seq {
-		t.Fatalf("stack top watermark = %d, want %d", top, d.Seq)
-	}
-	var a, b bytes.Buffer
-	if err := st.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := direct.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("stack replay differs from direct merge:\nstack:  %s\ndirect: %s", a.Bytes(), b.Bytes())
-	}
-}
-
-// TestLoadStackRejectsBadStacks pins the stack-level strictness: no
-// version-1 base, no watermark regressions, no deltas posting entities they
-// did not declare dirty.
-func TestLoadStackRejectsBadStacks(t *testing.T) {
-	tags := []string{"good food"}
-	goodBase := func() *bytes.Reader {
-		ix := testIndex()
-		ix.Build(tags, entities())
-		var b bytes.Buffer
-		if err := ix.Current().WriteBase(&b, 42); err != nil {
-			t.Fatal(err)
-		}
-		return bytes.NewReader(b.Bytes())
-	}
-	deltaBytes := func(d *Delta) *bytes.Reader {
-		var b bytes.Buffer
-		if err := WriteDelta(&b, 0.6, d); err != nil {
-			t.Fatal(err)
-		}
-		return bytes.NewReader(b.Bytes())
-	}
-
-	t.Run("v1 base is a mixed-version stack", func(t *testing.T) {
-		ix := testIndex()
-		ix.Build(tags, entities())
-		var v1 bytes.Buffer
-		if err := ix.Save(&v1); err != nil {
-			t.Fatal(err)
-		}
-		st := testIndex()
-		if _, err := st.LoadStack(bytes.NewReader(v1.Bytes())); err == nil {
-			t.Fatal("version-1 base accepted")
-		} else if !strings.Contains(err.Error(), "mixed-version stack") {
-			t.Fatalf("unexpected error: %v", err)
-		}
-	})
-	t.Run("delta watermark not above base", func(t *testing.T) {
-		d := testDelta()
-		d.Seq = 42 // equal to the base watermark
-		st := testIndex()
-		if _, err := st.LoadStack(goodBase(), deltaBytes(d)); err == nil {
-			t.Fatal("stale delta accepted")
-		}
-	})
-	t.Run("delta watermark regression", func(t *testing.T) {
-		hi, lo := testDelta(), testDelta()
-		hi.Seq, lo.Seq = 60, 50
-		st := testIndex()
-		if _, err := st.LoadStack(goodBase(), deltaBytes(hi), deltaBytes(lo)); err == nil {
-			t.Fatal("regressing delta stack accepted")
-		}
-	})
-	t.Run("delta posts outside dirty set", func(t *testing.T) {
-		raw := `{"version":2,"kind":"delta","seq":50,"theta_index":0.6,"entities":["vue"],` +
-			`"tags":[{"tag":"good food","entries":[{"EntityID":"stranger","Degree":0.5}]}]}`
-		st := testIndex()
-		if _, err := st.LoadStack(goodBase(), strings.NewReader(raw)); err == nil {
-			t.Fatal("delta posting an undeclared entity accepted")
-		}
-	})
-	t.Run("delta with no dirty entities", func(t *testing.T) {
-		raw := `{"version":2,"kind":"delta","seq":50,"theta_index":0.6,"tags":[]}`
-		st := testIndex()
-		if _, err := st.LoadStack(goodBase(), strings.NewReader(raw)); err == nil {
-			t.Fatal("empty dirty set accepted")
-		}
-	})
 }

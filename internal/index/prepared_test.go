@@ -36,8 +36,8 @@ func checkKeysAligned(t *testing.T, label string, s *Snapshot) {
 // TestPreparedKeysSharedAcrossGenerations: a key is prepared when it first
 // enters a generation and the record is carried, not rebuilt, into every
 // generation derived from it — by Build, AddTag, a re-bound posting list or
-// a delta — while Load and LoadStack, which replace the contents wholesale,
-// prepare every key afresh and leave the index bytes as they were.
+// a delta — while Load, which replaces the contents wholesale, prepares
+// every key afresh and leaves the index bytes as they were.
 func TestPreparedKeysSharedAcrossGenerations(t *testing.T) {
 	tags := []string{"good food", "nice staff"}
 	ix := testIndex()
@@ -47,9 +47,10 @@ func TestPreparedKeysSharedAcrossGenerations(t *testing.T) {
 
 	ix.Build([]string{"good food"}, entities()) // re-bound, not new
 	ix.AddTag("creative cooking", entities())
-	d := testDelta()
-	d.Tags, d.Postings = append(d.Tags, "friendly staff"), append(d.Postings, []Entry{{EntityID: d.Entities[0], Degree: 0.5}})
-	ix.ApplyDelta(d)
+	dirty := []EntityReviews{{EntityID: "vue", ReviewCount: 5, Tags: []string{"good food", "friendly staff"}}}
+	if err := ix.MergeDelta(context.Background(), []string{"good food", "friendly staff"}, dirty); err != nil {
+		t.Fatal(err)
+	}
 	last := ix.Current()
 	checkKeysAligned(t, "derived", last)
 	if len(last.keys) != 4 {
@@ -81,26 +82,6 @@ func TestPreparedKeysSharedAcrossGenerations(t *testing.T) {
 	}
 	if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
 		t.Fatal("index bytes changed across Load")
-	}
-
-	var base bytes.Buffer
-	if err := loaded.WriteBase(&base, 7); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.LoadStack(bytes.NewReader(base.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	stacked := ix.Current()
-	checkKeysAligned(t, "load stack", stacked)
-	if wordsOf(stacked, 0) == wordsOf(loaded, 0) {
-		t.Fatal("LoadStack kept a record instead of preparing it")
-	}
-	var restacked bytes.Buffer
-	if err := ix.Save(&restacked); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(saved.Bytes(), restacked.Bytes()) {
-		t.Fatal("index bytes changed across LoadStack")
 	}
 }
 

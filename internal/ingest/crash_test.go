@@ -91,9 +91,9 @@ func verifyRecovery(t *testing.T, fs *MemFS, cfg Config, items []streamItem, ack
 
 // sweepCrashMatrix kills the scenario at every mutating filesystem operation
 // in turn — WAL record writes (mid-record: a failed write persists half its
-// payload), per-append fsyncs, segment-header writes at rotation, delta-file
-// writes at publish, and under compaction the checkpoint tmp/sync/rename,
-// base rewrite, superseded-file removes, and WAL truncation — and proves
+// payload), per-append fsyncs, segment-header writes at rotation, and under
+// compaction the checkpoint tmp/sync/rename, superseded-file removes, and
+// WAL truncation — and proves
 // recovery at each kill point for both a clean record-boundary crash
 // (torn=0) and a torn trailing write (torn=3).
 func sweepCrashMatrix(t *testing.T, cfg Config, items []streamItem) {
@@ -120,7 +120,7 @@ func sweepCrashMatrix(t *testing.T, cfg Config, items []streamItem) {
 
 func TestCrashMatrixStreaming(t *testing.T) {
 	// Publish-heavy, no compaction: kill points land on WAL appends, fsyncs,
-	// rotations, and delta-file writes.
+	// and rotations.
 	items := genStream(21, 60, 6, testTags)
 	sweepCrashMatrix(t, Config{
 		Dir:             "ingest",
@@ -231,8 +231,7 @@ func TestCrashMatrixMetadata(t *testing.T) {
 
 func TestCrashMatrixCompacting(t *testing.T) {
 	// Compaction after every publish: kill points land inside checkpoint
-	// write/sync/rename, base-snapshot rewrite, superseded-artifact removal,
-	// and WAL truncation — the window where an interrupted cleanup must
+	// write/sync/rename, superseded-artifact removal, and WAL truncation — the window where an interrupted cleanup must
 	// never orphan the only durable copy of an acknowledged review.
 	items := genStream(22, 40, 5, testTags)
 	sweepCrashMatrix(t, Config{

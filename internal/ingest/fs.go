@@ -2,10 +2,10 @@
 // index: an append-only, CRC-checksummed write-ahead log that acknowledges a
 // review only once it is durable, a delta-build path that extracts tags at
 // ingest time and folds per-batch mini-snapshots into the published
-// index.Snapshot with bounded staleness, and LSM-style compaction that
-// checkpoints entity state, rewrites the base snapshot, and truncates the
-// WAL past the durable watermark. Open replays the WAL so a crash never
-// loses an acknowledged review.
+// index.Snapshot with bounded staleness, and compaction that checkpoints
+// entity state and truncates the WAL past the durable watermark. The WAL
+// and the checkpoint are the only durable artifacts: Open rebuilds the
+// index from them, so a crash never loses an acknowledged review.
 //
 // Everything that touches disk goes through the FS seam below, so the
 // crash-recovery test harness can substitute MemFS: an in-memory filesystem
@@ -22,8 +22,8 @@ import (
 	"sort"
 )
 
-// FS is the filesystem seam: the minimal surface the WAL, checkpoints, and
-// snapshot files need. OSFS is the real thing; MemFS is the fault-injecting
+// FS is the filesystem seam: the minimal surface the WAL and checkpoints
+// need. OSFS is the real thing; MemFS is the fault-injecting
 // test double.
 type FS interface {
 	// Create opens name for writing, truncating any existing content.

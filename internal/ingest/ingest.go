@@ -1,11 +1,9 @@
 package ingest
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -20,10 +18,10 @@ type Config struct {
 	// FS is the filesystem seam (nil → OSFS). Only consulted when Dir is
 	// set.
 	FS FS
-	// Dir is the durability directory: WAL segments, entity-state
-	// checkpoints, and base/delta snapshot files live here. Empty disables
-	// durability — appends still flow into the index with bounded staleness,
-	// but nothing survives a restart.
+	// Dir is the durability directory: WAL segments and entity-state
+	// checkpoints live here, and nothing else. Empty disables durability —
+	// appends still flow into the index with bounded staleness, but nothing
+	// survives a restart.
 	Dir string
 	// Fsync is the WAL durability policy (default FsyncAlways).
 	Fsync FsyncPolicy
@@ -39,8 +37,9 @@ type Config struct {
 	// silently stall; negative disables the ticker (Flush and PublishEvery
 	// still publish).
 	PublishInterval time.Duration
-	// CompactAfter folds the delta stack into a fresh base after this many
-	// publications (default 8; negative disables auto-compaction).
+	// CompactAfter compacts after this many publications: the entity state
+	// is checkpointed and the WAL it covers truncated (default 8; negative
+	// disables auto-compaction).
 	CompactAfter int
 	// Obs receives ingest telemetry (nil disables).
 	Obs *obs.Observer
@@ -76,7 +75,7 @@ type ExtractFunc func(texts []string) [][]string
 // entityState is one entity's accumulated stream state: how many reviews
 // have arrived and every tag extracted from them, in arrival order. This is
 // exactly the index.EntityReviews a batch build would be handed, which is
-// why a delta recomputed from it is bit-identical to the batch posting.
+// why postings recomputed from it are bit-identical to the batch posting.
 type entityState struct {
 	reviews int
 	tags    []string
@@ -104,26 +103,26 @@ type pendingReview struct {
 // Ingester is the streaming write path: Append acknowledges a review once
 // the WAL has it durable, publication batches turn pending reviews into a
 // mini-snapshot merged into the live index.Snapshot, and compaction folds
-// the accumulated state into a checkpoint + base snapshot and truncates the
-// WAL. Safe for concurrent use; readers querying the index are never
-// blocked (they pin immutable snapshots).
+// the accumulated state into a checkpoint and truncates the WAL. Safe for
+// concurrent use; readers querying the index are never blocked (they pin
+// immutable snapshots).
 type Ingester struct {
 	cfg     Config
 	extract ExtractFunc
 
-	mu         sync.Mutex
-	ix         *index.Index
-	wal        *WAL // nil when cfg.Dir == ""
-	tags       []string
-	state      map[string]*entityState
-	meta       map[string]EntityMeta // durable entity metadata (upsert semantics)
-	order      []string              // entity first-seen order (deterministic iteration)
-	pending    []pendingReview
-	oldestWait time.Time // arrival of pending[0] (publish-lag numerator)
-	appended   uint64    // count-only when wal == nil
-	published  uint64    // watermark of the last publication
-	deltaCount int       // publications since the last compaction
-	closed     bool
+	mu           sync.Mutex
+	ix           *index.Index
+	wal          *WAL // nil when cfg.Dir == ""
+	tags         []string
+	state        map[string]*entityState
+	meta         map[string]EntityMeta // durable entity metadata (upsert semantics)
+	order        []string              // entity first-seen order (deterministic iteration)
+	pending      []pendingReview
+	oldestWait   time.Time // arrival of pending[0] (publish-lag numerator)
+	appended     uint64    // count-only when wal == nil
+	published    uint64    // watermark of the last publication
+	sinceCompact int       // publications since the last compaction
+	closed       bool
 
 	done chan struct{} // closes the staleness ticker
 	tick *time.Ticker
@@ -141,10 +140,10 @@ type Ingester struct {
 // generations stay equivalent to batch builds); seed is the entity state the
 // stream continues from — typically the batch-built world, or nil to start
 // empty. When cfg.Dir is set, Open recovers first: the newest valid
-// checkpoint restores entity state, any surviving base + delta stack is
-// published as an interim generation, the WAL tail past the checkpoint is
-// replayed through extract, and a full deterministic build is published — so
-// no acknowledged review is ever lost.
+// checkpoint restores entity state, the WAL tail past it is replayed through
+// extract, and one full deterministic build is published — so no
+// acknowledged review is ever lost, and recovery publishes exactly one
+// generation.
 func Open(cfg Config, ix *index.Index, tags []string, seed []index.EntityReviews, extract ExtractFunc) (*Ingester, error) {
 	if extract == nil {
 		return nil, fmt.Errorf("ingest: nil extract function")
@@ -369,8 +368,8 @@ func (g *Ingester) Flush(ctx context.Context) error {
 
 // publishLocked is one delta round: batch-extract the pending reviews, fold
 // them into the per-entity state, recompute the dirty entities' postings
-// over the full tag list, merge-publish the next generation, and (with a
-// Dir) write the mini-snapshot file. Caller holds g.mu.
+// over the full tag list, and merge-publish the next generation. Caller
+// holds g.mu.
 func (g *Ingester) publishLocked(ctx context.Context) error {
 	t0 := time.Now()
 	batch := g.pending
@@ -407,15 +406,13 @@ func (g *Ingester) publishLocked(ctx context.Context) error {
 		}
 		dirty = append(dirty, index.EntityReviews{EntityID: id, ReviewCount: st.reviews, Tags: st.tags})
 	}
-	d, err := g.ix.MergeDelta(ctx, g.tags, dirty)
-	if err != nil {
+	if err := g.ix.MergeDelta(ctx, g.tags, dirty); err != nil {
 		return err
 	}
 	for id, st := range staged {
 		g.state[id] = st
 	}
 	watermark := batch[len(batch)-1].seq
-	d.Seq = watermark
 	g.pending = g.pending[len(batch):]
 	if len(g.pending) == 0 {
 		g.pending = nil
@@ -430,13 +427,8 @@ func (g *Ingester) publishLocked(ctx context.Context) error {
 		g.lagHist.Observe(time.Since(g.oldestWait))
 		g.oldestWait = time.Time{}
 	}
-	if g.cfg.Dir != "" {
-		// Delta files are derived data (the WAL is the durability source),
-		// so a write failure only costs the recovery fast path.
-		g.writeDeltaFile(d)
-	}
-	g.deltaCount++
-	if g.cfg.CompactAfter > 0 && g.deltaCount >= g.cfg.CompactAfter {
+	g.sinceCompact++
+	if g.cfg.CompactAfter > 0 && g.sinceCompact >= g.cfg.CompactAfter {
 		if err := g.compactLocked(); err != nil {
 			g.cfg.Obs.Counter("ingest.compact.errors.total").Inc()
 		}
@@ -444,26 +436,14 @@ func (g *Ingester) publishLocked(ctx context.Context) error {
 	return nil
 }
 
-func deltaName(seq uint64) string { return fmt.Sprintf("delta-%016x.snap", seq) }
-func baseName(seq uint64) string  { return fmt.Sprintf("base-%016x.snap", seq) }
-func ckptName(seq uint64) string  { return fmt.Sprintf("state-%016x.ckpt", seq) }
+func ckptName(seq uint64) string { return fmt.Sprintf("state-%016x.ckpt", seq) }
 
-func (g *Ingester) writeDeltaFile(d *index.Delta) {
-	f, err := g.cfg.FS.Create(join(g.cfg.Dir, deltaName(d.Seq)))
-	if err != nil {
-		return
-	}
-	_ = index.WriteDelta(f, 0, d)
-	_ = f.Close()
-}
-
-// Compact folds the ingested state into durable artifacts: an entity-state
-// checkpoint and a base snapshot at the published watermark, after which the
-// delta files and every WAL segment at or below the watermark are removed.
-// Pending (unpublished) reviews stay in the WAL. Compaction is incremental
-// in effect only — a crash anywhere during it recovers, because the
-// checkpoint is made durable (tmp + sync + rename) before anything is
-// deleted.
+// Compact folds the ingested state into one durable artifact: an
+// entity-state checkpoint at the published watermark, after which every
+// WAL segment at or below the watermark is removed. Pending (unpublished)
+// reviews stay in the WAL. A crash anywhere during compaction recovers,
+// because the checkpoint is made durable (tmp + sync + rename + directory
+// sync) before anything is deleted.
 func (g *Ingester) Compact() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -474,7 +454,7 @@ func (g *Ingester) Compact() error {
 }
 
 func (g *Ingester) compactLocked() error {
-	g.deltaCount = 0
+	g.sinceCompact = 0
 	if g.cfg.Dir == "" {
 		return nil
 	}
@@ -482,33 +462,23 @@ func (g *Ingester) compactLocked() error {
 	if err := g.writeCheckpointLocked(watermark); err != nil {
 		return err
 	}
-	// Base snapshot: the published generation at the watermark (pending
-	// reviews are not in it by construction — they have not been published).
-	if f, err := g.cfg.FS.Create(join(g.cfg.Dir, baseName(watermark))); err == nil {
-		_ = g.ix.Current().WriteBase(f, watermark)
-		_ = f.Sync()
-		_ = f.Close()
-	}
-	// Now that the checkpoint is durable, drop superseded artifacts:
-	// older checkpoints/bases, folded deltas, covered WAL segments.
+	// Now that the checkpoint is durable, drop superseded artifacts: older
+	// checkpoints, a checkpoint temp file a crash left behind, and the
+	// base/delta snapshot files older builds wrote beside them. None of
+	// them is read on recovery, so the removals need no fence of their own.
 	if names, err := g.cfg.FS.ReadDir(g.cfg.Dir); err == nil {
 		for _, n := range names {
 			var seq uint64
 			switch {
 			case parseSeq(n, "state-", ".ckpt", &seq) && seq < watermark,
-				parseSeq(n, "base-", ".snap", &seq) && seq < watermark,
-				parseSeq(n, "delta-", ".snap", &seq) && seq <= watermark:
+				parseSeq(n, "state-", ".ckpt.tmp", &seq),
+				parseSeq(n, "base-", ".snap", &seq),
+				parseSeq(n, "delta-", ".snap", &seq):
 				if err := g.cfg.FS.Remove(join(g.cfg.Dir, n)); err != nil {
 					return err
 				}
 			}
 		}
-	}
-	// One fence covers the base snapshot's entry and the removals above;
-	// correctness never depends on it (base is derived data, resurrected
-	// removals are skipped by recovery) but the recovery fast path does.
-	if err := g.cfg.FS.SyncDir(g.cfg.Dir); err != nil {
-		return err
 	}
 	if g.wal != nil {
 		if err := g.wal.TruncateTo(watermark); err != nil {
@@ -592,11 +562,10 @@ func parseSeq(name, prefix, suffix string, out *uint64) bool {
 }
 
 // recover restores state from cfg.Dir: newest valid checkpoint → entity
-// state and tag list; surviving base + delta stack → interim published
-// generation (best-effort fast path); WAL records past the checkpoint →
-// re-extracted and folded in; then one full deterministic build is
-// published. Acked-but-unpublished reviews thus reappear exactly as if they
-// had streamed in normally.
+// state and tag list; WAL records past the checkpoint → re-extracted and
+// folded in; then one full deterministic build is published. Acked-but-
+// unpublished reviews thus reappear exactly as if they had streamed in
+// normally.
 func (g *Ingester) recover() error {
 	t0 := time.Now()
 	fsys := g.cfg.FS
@@ -612,19 +581,13 @@ func (g *Ingester) recover() error {
 	// Newest checkpoint that parses wins; torn or unparseable ones (a crash
 	// during the pre-rename sync) fall back to their predecessor.
 	var ckptSeqs []uint64
-	var baseSeqs, deltaSeqs []uint64
 	for _, n := range names {
 		var seq uint64
-		switch {
-		case parseSeq(n, "state-", ".ckpt", &seq):
+		if parseSeq(n, "state-", ".ckpt", &seq) {
 			ckptSeqs = append(ckptSeqs, seq)
-		case parseSeq(n, "base-", ".snap", &seq):
-			baseSeqs = append(baseSeqs, seq)
-		case parseSeq(n, "delta-", ".snap", &seq):
-			deltaSeqs = append(deltaSeqs, seq)
 		}
 	}
-	sortDesc(ckptSeqs)
+	sort.Slice(ckptSeqs, func(i, j int) bool { return ckptSeqs[i] > ckptSeqs[j] })
 	var ckptSeq uint64
 	for _, seq := range ckptSeqs {
 		data, rerr := fsys.ReadFile(join(dir, ckptName(seq)))
@@ -668,11 +631,6 @@ func (g *Ingester) recover() error {
 		ckptSeq = seq
 		break
 	}
-
-	// Interim fast path: publish the newest base + its delta stack so
-	// queries see a near-current index while the tail replays. Failures are
-	// ignored — these files are derived data.
-	g.loadStackBestEffort(baseSeqs, deltaSeqs)
 
 	// WAL replay: every record past the checkpoint re-enters the pipeline.
 	wal, recs, err := OpenWAL(fsys, dir, WALOptions{
@@ -770,38 +728,6 @@ func (g *Ingester) vocabularyPublished() bool {
 		}
 	}
 	return true
-}
-
-// loadStackBestEffort publishes the newest surviving base + delta stack as
-// an interim generation. Any parse or framing failure abandons the fast
-// path silently — the WAL replay that follows rebuilds everything anyway.
-func (g *Ingester) loadStackBestEffort(baseSeqs, deltaSeqs []uint64) {
-	if len(baseSeqs) == 0 {
-		return
-	}
-	sortDesc(baseSeqs)
-	base := baseSeqs[0]
-	data, err := g.cfg.FS.ReadFile(join(g.cfg.Dir, baseName(base)))
-	if err != nil {
-		return
-	}
-	sort.Slice(deltaSeqs, func(i, j int) bool { return deltaSeqs[i] < deltaSeqs[j] })
-	var deltas []io.Reader
-	for _, seq := range deltaSeqs {
-		if seq <= base {
-			continue
-		}
-		d, derr := g.cfg.FS.ReadFile(join(g.cfg.Dir, deltaName(seq)))
-		if derr != nil {
-			return
-		}
-		deltas = append(deltas, bytes.NewReader(d))
-	}
-	_, _ = g.ix.LoadStack(bytes.NewReader(data), deltas...)
-}
-
-func sortDesc(seqs []uint64) {
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
 }
 
 // Published returns the watermark of the last published generation.
@@ -906,11 +832,7 @@ func (g *Ingester) Rebase(ix *index.Index, tags []string, seed []index.EntityRev
 	} else {
 		g.published = g.appended
 	}
-	g.deltaCount = 0
-	if g.cfg.Dir != "" {
-		return g.compactLocked()
-	}
-	return nil
+	return g.compactLocked()
 }
 
 // Close flushes pending reviews, stops the staleness ticker, and seals the

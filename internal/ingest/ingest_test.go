@@ -557,3 +557,73 @@ func TestRebaseResetsStreamState(t *testing.T) {
 		t.Fatalf("close 2: %v", err)
 	}
 }
+
+// TestLegacyStackFilesIgnoredAndCleaned: older builds also wrote derived
+// base/delta snapshot files beside the WAL and the checkpoint. Recovery
+// reads none of them — Open publishes exactly one generation, the batch
+// build of the WAL — and the next compaction deletes them, leaving only the
+// two durable artifacts.
+func TestLegacyStackFilesIgnoredAndCleaned(t *testing.T) {
+	fs := NewMemFS()
+	items := genStream(41, 24, 4, testTags)
+	cfg := Config{FS: fs, Dir: "ingest", PublishEvery: -1, PublishInterval: -1, CompactAfter: -1}
+	ing, err := Open(cfg, index.New(flatSim, 0.5), testTags, nil, splitExtract)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	appendAll(t, ing, items)
+	if err := ing.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	// A version-2 base at watermark 8, a delta above it posting an entity
+	// the stream never saw, a corrupt delta at or below the base, and the
+	// torn temp file of a checkpoint a crash never renamed.
+	legacy := map[string]string{
+		"base-0000000000000008.snap": `{"version":2,"kind":"full","seq":8,"theta_index":0.5,` +
+			`"tags":[{"tag":"good food","entries":[{"EntityID":"stale","Degree":0.9}]}]}`,
+		"delta-0000000000000010.snap": `{"version":2,"kind":"delta","seq":16,"theta_index":0.5,"entities":["stale"],` +
+			`"tags":[{"tag":"good food","entries":[{"EntityID":"stale","Degree":0.8}]}]}`,
+		"delta-0000000000000004.snap":     `{"version":2,"kind":"delta","seq":`,
+		"state-0000000000000003.ckpt.tmp": `{"version":1,"seq":3,`,
+	}
+	for name, body := range legacy {
+		f, err := fs.Create(join("ingest", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ix := index.New(flatSim, 0.5)
+	before := ix.Current().Generation()
+	ing2, err := Open(cfg, ix, testTags, nil, splitExtract)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if got := ix.Current().Generation() - before; got != 1 {
+		t.Fatalf("recovery published %d generations, want exactly 1", got)
+	}
+	mustEqualIndexes(t, "recovery beside legacy stack files", ix, batchIndex(items))
+	if err := ing2.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	names, err := fs.ReadDir("ingest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		var seq uint64
+		if !parseSeq(n, "wal-", ".seg", &seq) && !parseSeq(n, "state-", ".ckpt", &seq) {
+			t.Fatalf("compaction left %q behind: %v", n, names)
+		}
+	}
+	if err := ing2.Close(); err != nil {
+		t.Fatalf("close 2: %v", err)
+	}
+}

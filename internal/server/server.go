@@ -20,6 +20,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"saccs"
@@ -40,12 +41,15 @@ type Config struct {
 	DrainTimeout time.Duration
 }
 
-// Server owns one HTTP listener over one Client.
+// Server owns one HTTP listener over one Client. It does not own the
+// client: Shutdown drains the server, and the caller shuts the client down.
 type Server struct {
 	c   *saccs.Client
 	cfg Config
 	mux *http.ServeMux
 	srv *http.Server
+	// drained is set once Shutdown has drained; every write is refused after.
+	drained atomic.Bool
 }
 
 // New assembles the serving mux over c. Start opens the listener; Handler
@@ -63,9 +67,9 @@ func New(c *saccs.Client, cfg Config) *Server {
 	s := &Server{c: c, cfg: cfg, mux: obs.ObserverMux(c.Observer())}
 	s.mux.HandleFunc("/v1/query", s.post(s.handleQuery))
 	s.mux.HandleFunc("/v1/extract", s.post(s.handleExtract))
-	s.mux.HandleFunc("/v1/append", s.post(s.handleAppend))
-	s.mux.HandleFunc("/v1/register", s.post(s.handleRegister))
-	s.mux.HandleFunc("/v1/reindex", s.post(s.handleReindex))
+	s.mux.HandleFunc("/v1/append", s.post(s.write(s.handleAppend)))
+	s.mux.HandleFunc("/v1/register", s.post(s.write(s.handleRegister)))
+	s.mux.HandleFunc("/v1/reindex", s.post(s.write(s.handleReindex)))
 	return s
 }
 
@@ -94,8 +98,10 @@ func (s *Server) Addr() string {
 
 // Shutdown drains gracefully: readiness flips to 503 first (so load
 // balancers stop routing here), in-flight requests get up to DrainTimeout to
-// finish, and only then is the client sealed — pending streamed reviews
-// published and the WAL closed cleanly.
+// finish, and from then on the server refuses every write with 503 while
+// its handler (reached through Handler) still answers queries. The client
+// stays open: it was handed to New, so its owner calls Client.Shutdown to
+// publish pending streamed reviews, close the WAL and seal its write side.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.c.Observer().Telemetry().Health().MarkShutdown()
 	var err error
@@ -104,7 +110,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		defer cancel()
 		err = s.srv.Shutdown(dctx)
 	}
-	s.c.Shutdown()
+	s.drained.Store(true)
 	return err
 }
 
@@ -125,6 +131,18 @@ func (s *Server) post(h func(w http.ResponseWriter, r *http.Request)) http.Handl
 				r = r.WithContext(obs.ContextWithTrace(r.Context(), tr))
 				w.Header().Set("traceparent", tp)
 			}
+		}
+		h(w, r)
+	}
+}
+
+// write wraps a write handler: once Shutdown has drained the server, the
+// write is refused before its body is read.
+func (s *Server) write(h func(w http.ResponseWriter, r *http.Request)) func(w http.ResponseWriter, r *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.drained.Load() {
+			httpError(w, http.StatusServiceUnavailable, "server is shut down")
+			return
 		}
 		h(w, r)
 	}
@@ -165,11 +183,11 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 }
 
 // writeErr maps a facade error to a status: a cancelled or timed-out request
-// (the caller hung up, or the deadline passed mid-rank) is the client's
-// fault, everything else is a 500.
+// (the caller hung up, or the deadline passed mid-rank) and a write refused
+// because the client is shut down are 503, everything else is a 500.
 func writeErr(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, saccs.ErrShutdown) {
 		code = http.StatusServiceUnavailable
 	}
 	httpError(w, code, err.Error())

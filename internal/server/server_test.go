@@ -21,8 +21,8 @@ import (
 
 // The trained pipeline is expensive (seconds) and immutable once built:
 // every test shares one sharded client over the seeded demo world. The drain
-// test seals it, so it must run last (it does — tests run in source order
-// within this file).
+// test shuts it down for good, so it must run last (it does — tests run in
+// source order within this file).
 var (
 	sharedOnce   sync.Once
 	sharedClient *saccs.Client
@@ -281,8 +281,8 @@ func TestGoldenReplayOverLoopback(t *testing.T) {
 // TestAppendWithMetadata streams a review with entity metadata through the
 // API and checks both land: the entity is registered with its identity and
 // the review is acknowledged. It runs after the golden replay because the
-// streamed review eventually publishes into the shared index (and the
-// preceding drain sealed the stream — an append transparently reopens it).
+// streamed review eventually publishes into the shared index (the replay's
+// drain left the shared client open: a server does not shut its client).
 func TestAppendWithMetadata(t *testing.T) {
 	s := testServer(t)
 	body := `{"entity_id":"e900","review":"wonderful fresh pasta and a lovely view","name":"Trattoria 900","city":"montreal","cuisine":"italian"}`
@@ -296,4 +296,48 @@ func TestAppendWithMetadata(t *testing.T) {
 	if e.Name != "Trattoria 900" || e.City != "montreal" || e.Cuisine != "italian" {
 		t.Fatalf("metadata lost: %+v", e)
 	}
+}
+
+// TestShutdownDrainsAndSealsWrites is the write side of the drain contract,
+// and it runs last because it seals the shared client. After Server.Shutdown
+// the server still answers queries and refuses every write with 503, while
+// the client it was handed stays open. After Client.Shutdown, a fresh server
+// over that client refuses every write with 503 naming ErrShutdown.
+func TestShutdownDrainsAndSealsWrites(t *testing.T) {
+	c := testClient(t)
+	writes := map[string]string{
+		"/v1/append":   `{"entity_id":"e901","review":"delicious food"}`,
+		"/v1/register": `{"entity_id":"e901","name":"Sealed"}`,
+		"/v1/reindex":  ``,
+	}
+	refused := func(s *Server, why string) {
+		t.Helper()
+		if w := postJSON(t, s.Handler(), "/v1/query", `{"utterance":"a place with delicious food"}`); w.Code != http.StatusOK {
+			t.Fatalf("query: %d: %s", w.Code, w.Body.String())
+		}
+		for path, body := range writes {
+			w := postJSON(t, s.Handler(), path, body)
+			if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), why) {
+				t.Fatalf("%s: %d %s, want 503 naming %q", path, w.Code, w.Body.String(), why)
+			}
+		}
+		if _, ok := c.Entity("e901"); ok {
+			t.Fatal("a refused write registered an entity")
+		}
+	}
+
+	s := New(c, Config{Addr: "127.0.0.1:0"})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	refused(s, "server is shut down")
+	if err := c.AppendReview("e902", "fresh pasta"); err != nil {
+		t.Fatalf("Server.Shutdown sealed the client it was handed: %v", err)
+	}
+
+	c.Shutdown()
+	refused(New(c, Config{}), saccs.ErrShutdown.Error())
 }

@@ -19,6 +19,7 @@ package saccs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -184,14 +185,16 @@ func Float(v float64) *float64 { return &v }
 // StageError is the typed failure of a context-aware Client call: the
 // pipeline stage that observed the cancellation or expired deadline plus the
 // underlying context error. errors.Is sees through it to context.Canceled /
-// context.DeadlineExceeded. A call returning a StageError produced no
-// partial results and published no partial state.
+// context.DeadlineExceeded, and to ErrShutdown for a write refused after
+// Shutdown. A call returning a StageError produced no partial results and
+// published no partial state.
 type StageError struct {
 	// Stage names the pipeline stage that observed the failure: "parse",
 	// "extract", "objective", "rank", "index", "reindex", "append", or
 	// "register".
 	Stage string
-	// Err is the context's error (or a wrapper around it).
+	// Err is the context's error (or a wrapper around it), ErrShutdown, or
+	// the write path's own failure.
 	Err error
 }
 
@@ -200,6 +203,12 @@ func (e *StageError) Error() string { return "saccs: " + e.Stage + ": " + e.Err.
 
 // Unwrap exposes the underlying context error to errors.Is/As.
 func (e *StageError) Unwrap() error { return e.Err }
+
+// ErrShutdown is why a write fails once the client is shut down: after
+// Shutdown, AppendReview, RegisterEntity, IndexEntities and Reindex return a
+// *StageError wrapping it, while queries keep answering over the index the
+// client had.
+var ErrShutdown = errors.New("client is shut down")
 
 // Entity is a business (or any reviewable item) a Client can index.
 type Entity struct {
@@ -273,11 +282,15 @@ type Client struct {
 	writeMu sync.Mutex
 
 	// ings are the per-shard streaming ingesters behind AppendReview
-	// (ings[i] feeds shard i): nil until the first append (or until New
-	// recovers a WALDir). Guarded by writeMu; each ingester is internally
-	// synchronized, and the lock order is always writeMu → ingester, never
-	// the reverse.
+	// (ings[i] feeds shard i). They are opened at most once per client: by
+	// New when a WALDir is set (recovery runs before any reader exists),
+	// otherwise by the first append. Guarded by writeMu; each ingester is
+	// internally synchronized, and the lock order is always writeMu →
+	// ingester, never the reverse.
 	ings []*ingest.Ingester
+	// shut is set by Shutdown and never cleared: every write checks it
+	// under writeMu and refuses with ErrShutdown.
+	shut bool
 
 	// o is the client's always-on metrics registry plus an optional tracer
 	// attached via SetTraceSink.
@@ -547,6 +560,9 @@ func (c *Client) IndexEntitiesCtx(ctx context.Context, entities []Entity, tags [
 	hist.SetCap(c.cfg.HistoryLimit)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
+	if c.shut {
+		return &StageError{Stage: "index", Err: ErrShutdown}
+	}
 	w := newWorld(slices.Clone(entities), reviews, router, hist)
 	c.w.Store(w)
 	if c.ings != nil {
@@ -617,6 +633,10 @@ func (c *Client) AppendReviewCtx(ctx context.Context, entityID, review string) e
 		return fail(fmt.Errorf("empty entity ID"))
 	}
 	c.writeMu.Lock()
+	if c.shut {
+		c.writeMu.Unlock()
+		return fail(ErrShutdown)
+	}
 	if c.ings == nil {
 		if err := c.openIngestLocked(); err != nil {
 			c.writeMu.Unlock()
@@ -671,10 +691,8 @@ func (c *Client) RegisterEntityCtx(ctx context.Context, e Entity) error {
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if c.ings == nil && c.cfg.WALDir != "" {
-		if err := c.openIngestLocked(); err != nil {
-			return fail(err)
-		}
+	if c.shut {
+		return fail(ErrShutdown)
 	}
 	w := c.w.Load()
 	// Durability first: only a metadata record the WAL acknowledged may
@@ -714,7 +732,8 @@ func (c *Client) Quiesce() error {
 // world, seeding each with its slice of the batch-extracted reviews so
 // streamed appends land on top of the indexed corpus. With a WALDir it first
 // recovers any durable state — recovered entities come back with their
-// persisted metadata, or as bare-ID stubs when none was ever written. Caller
+// persisted metadata, or as bare-ID stubs when none was ever written. It
+// runs at most once per client, before Shutdown (see Client.ings). Caller
 // holds writeMu.
 func (c *Client) openIngestLocked() error {
 	w := c.w.Load()
@@ -814,6 +833,9 @@ func (c *Client) ReindexCtx(ctx context.Context) ([]string, error) {
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
+	if c.shut {
+		return fail(ErrShutdown)
+	}
 	if err := ctx.Err(); err != nil {
 		return fail(err)
 	}
@@ -1055,16 +1077,18 @@ func (c *Client) Events() []obs.Event { return c.o.Telemetry().Events() }
 func (c *Client) SlowQueries() []obs.Event { return c.o.Telemetry().SlowQueries() }
 
 // Shutdown marks the client not-ready (the /readyz endpoint turns 503),
-// stops background telemetry, and seals the streaming ingester: pending
-// streamed reviews are published and the WAL is closed cleanly, so a
-// restart recovers from the checkpoint without replay repairs. The client
-// still answers queries — shutdown only signals orchestrators to drain
-// traffic. Safe to call more than once; AppendReview after Shutdown reopens
-// the stream.
+// stops background telemetry, and seals the write side for good: pending
+// streamed reviews are published, the WAL is closed cleanly, and every later
+// AppendReview, RegisterEntity, IndexEntities or Reindex returns a
+// *StageError wrapping ErrShutdown. The client still answers queries over
+// the index it had — shutdown only signals orchestrators to drain traffic.
+// To write again, start a new client: with Config.WALDir set, New recovers
+// exactly the world this one acknowledged. Safe to call more than once.
 func (c *Client) Shutdown() {
 	c.writeMu.Lock()
 	ings := c.ings
 	c.ings = nil
+	c.shut = true
 	c.writeMu.Unlock()
 	for _, ing := range ings {
 		_ = ing.Close()

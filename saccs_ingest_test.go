@@ -3,8 +3,10 @@ package saccs
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"saccs/internal/index"
@@ -209,6 +211,164 @@ func TestAppendReviewWALRecovery(t *testing.T) {
 		t.Fatalf("recovered ranking wrong: %v", got)
 	}
 	second.Shutdown()
+}
+
+// TestWritesAfterShutdownAreRefused: Shutdown seals the write side for good.
+// Each write after it fails with ErrShutdown and leaves the served index
+// byte for byte as it was. That covers a superseding IndexEntities followed
+// by an append, which must not bring the pre-Shutdown world back from the
+// checkpoint, and an append without a WAL, which must not reopen an empty
+// stream that forgets the reviews already streamed. A fresh client on the
+// same WALDir recovers exactly the world acknowledged before Shutdown.
+func TestWritesAfterShutdownAreRefused(t *testing.T) {
+	base := newClient(t)
+	canon := base.CanonicalTags()
+	known, learned := canon[:len(canon)/2], canon[len(canon)/2:]
+	world2 := []Entity{{ID: "hut", Name: "Pizza Hut", Reviews: []string{"The food was bland and the staff was rude."}}}
+	for _, withWAL := range []bool{true, false} {
+		t.Run(fmt.Sprintf("wal=%v", withWAL), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.IngestPublishEvery = 2
+			cfg.IngestPublishInterval = -1
+			if withWAL {
+				cfg.WALDir = t.TempDir()
+			}
+			c := cloneForTest(t, base, cfg)
+			if err := c.IndexEntities(nil, known); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []string{
+				"The food is delicious and the staff is friendly.",
+				"Really good food. The waiters were very attentive.",
+				"Amazing pizza and a quiet atmosphere.",
+			} {
+				if err := c.AppendReview("vue", r); err != nil {
+					t.Fatalf("append: %v", err)
+				}
+			}
+			if err := c.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			saved := func(c *Client) []byte {
+				var buf bytes.Buffer
+				if err := c.SaveIndex(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			before := saved(c)
+			c.Shutdown()
+
+			c.QueryTags(learned) // queues tags for the refused Reindex below
+			writes := []struct {
+				stage string
+				run   func() error
+			}{
+				{"index", func() error { return c.IndexEntities(world2, canon) }},
+				{"append", func() error { return c.AppendReview("vue", "The food was bland.") }},
+				{"append", func() error { return c.AppendReview("hut", "The staff was rude.") }},
+				{"register", func() error { return c.RegisterEntity(Entity{ID: "hut", City: "Paris"}) }},
+				{"reindex", func() error { _, err := c.ReindexCtx(context.Background()); return err }},
+			}
+			for i, w := range writes {
+				err := w.run()
+				var serr *StageError
+				if !errors.Is(err, ErrShutdown) || !errors.As(err, &serr) || serr.Stage != w.stage {
+					t.Fatalf("write %d after Shutdown: %v, want a %q StageError wrapping ErrShutdown", i, err, w.stage)
+				}
+				if err := c.Quiesce(); err != nil {
+					t.Fatal(err)
+				}
+				if got := saved(c); !bytes.Equal(got, before) {
+					t.Fatalf("write %d after Shutdown changed the index:\nbefore: %s\nafter:  %s", i, before, got)
+				}
+			}
+			if _, ok := c.Entity("hut"); ok {
+				t.Fatal("a refused write registered an entity")
+			}
+			if got := c.QueryTags([]string{"delicious food"}); len(got) == 0 || got[0].ID != "vue" {
+				t.Fatalf("query after Shutdown: %v, want vue first", got)
+			}
+			if withWAL {
+				fresh := cloneForTest(t, base, cfg)
+				if got := saved(fresh); !bytes.Equal(got, before) {
+					t.Fatalf("fresh client recovered a different world:\nbefore: %s\nafter:  %s", before, got)
+				}
+				fresh.Shutdown()
+			}
+		})
+	}
+}
+
+// TestShutdownRacingAppends: appends racing Shutdown either are
+// acknowledged or fail with ErrShutdown, and what was acknowledged is
+// exactly what the sealed client serves and what a fresh client on the same
+// WALDir recovers.
+func TestShutdownRacingAppends(t *testing.T) {
+	base := newClient(t)
+	cfg := DefaultConfig()
+	cfg.WALDir = t.TempDir()
+	cfg.IngestPublishEvery = 3
+	cfg.IngestPublishInterval = -1
+	c := cloneForTest(t, base, cfg)
+	if err := c.IndexEntities(nil, base.CanonicalTags()); err != nil {
+		t.Fatal(err)
+	}
+	texts := []string{
+		"The food is delicious and the staff is friendly.",
+		"The food was bland and the staff was rude.",
+		"Amazing pizza and a quiet atmosphere.",
+	}
+	const writers, started = 3, 12
+	var acked atomic.Int64
+	var once sync.Once
+	ready := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 10000; i++ {
+				err := c.AppendReview(fmt.Sprintf("racer%d", g), texts[(g+i)%len(texts)])
+				if errors.Is(err, ErrShutdown) {
+					return
+				}
+				if err != nil {
+					t.Errorf("writer %d: %v", g, err)
+					return
+				}
+				if acked.Add(1) == started {
+					once.Do(func() { close(ready) })
+				}
+			}
+			t.Errorf("writer %d: no append was refused after Shutdown", g)
+		}(g)
+	}
+	<-ready
+	c.Shutdown()
+	wg.Wait()
+
+	var served, recovered bytes.Buffer
+	if err := c.SaveIndex(&served); err != nil {
+		t.Fatal(err)
+	}
+	fresh := cloneForTest(t, base, cfg)
+	defer fresh.Shutdown()
+	if err := fresh.SaveIndex(&recovered); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served.Bytes(), recovered.Bytes()) {
+		t.Fatalf("recovered index differs from the one the sealed client serves:\nserved:    %s\nrecovered: %s", served.Bytes(), recovered.Bytes())
+	}
+	var reviews int64
+	for _, ing := range fresh.ings {
+		for _, er := range ing.State() {
+			reviews += int64(er.ReviewCount)
+		}
+	}
+	if reviews != acked.Load() {
+		t.Fatalf("recovered %d reviews, %d were acknowledged", reviews, acked.Load())
+	}
 }
 
 // TestAppendReviewFailureLeavesNoPhantomEntity: a refused append must not
