@@ -25,10 +25,11 @@ const (
 )
 
 // ForceScalar routes every float64 kernel with a vector twin — MatMulInto,
-// MatMulAddInto, AddRows, Mat.Scale and AdamStep — through its pure-Go path
-// until the returned function is called. It exists for the tests of the
-// packages above mat, which pin each float64 forward, backward and optimizer
-// step on both dispatch paths; not for use while kernels run concurrently.
+// MatMulAddInto, AddRows, Mat.Scale, AdamStep, ExpRow, TanhRow and
+// SigmoidRow — through its pure-Go path until the returned function is
+// called. It exists for the tests of the packages above mat, which pin each
+// float64 forward, backward and optimizer step on both dispatch paths; not
+// for use while kernels run concurrently.
 func ForceScalar() (restore func()) {
 	saved := hasAVX512
 	hasAVX512 = false

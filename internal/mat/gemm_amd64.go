@@ -43,8 +43,13 @@ func detectAVX512() bool {
 		return false
 	}
 	_, _, c1, _ := cpuid(1, 0)
-	const osxsaveBit = 1 << 27
-	if c1&osxsaveBit == 0 {
+	// FMA (bit 12) and AVX (bit 28) are math.useFMA's test: math.Exp takes
+	// its fused arm only when both are present, and the float64 row kernels
+	// transcribe that arm, so a CPU (or VM) that masks either keeps every
+	// float64 kernel on the pure-Go path rather than let ExpRow drift from
+	// math.Exp in the last bit.
+	const osxsaveBit, fmaBit, avxBit = 1 << 27, 1 << 12, 1 << 28
+	if c1&(osxsaveBit|fmaBit|avxBit) != osxsaveBit|fmaBit|avxBit {
 		return false
 	}
 	// XCR0 must enable XMM (bit 1), YMM (bit 2), and the AVX-512 state

@@ -15,3 +15,9 @@ func addVecFast(dst, src Vec) { dst.Add(src) }
 func scaleFast(v []float64, s float64) { scaleGo(v, s) }
 
 func adamStepFast(w, g, m, v Vec, c *AdamCoeffs) { adamStepGo(w, g, m, v, c) }
+
+func expRowAsm64(dst, src []float64) bool { return false }
+
+func tanhRowAsm64(dst, src []float64) bool { return false }
+
+func sigmoidRowAsm64(dst, src []float64) bool { return false }

@@ -131,10 +131,12 @@ func Softmax(dst, src Vec) {
 		return
 	}
 	m := src.Max()
-	var sum float64
 	for i, x := range src {
-		e := math.Exp(x - m)
-		dst[i] = e
+		dst[i] = x - m
+	}
+	ExpRow(dst, dst)
+	var sum float64
+	for _, e := range dst {
 		sum += e
 	}
 	inv := 1 / sum
@@ -143,7 +145,9 @@ func Softmax(dst, src Vec) {
 	}
 }
 
-// LogSumExp returns log(sum(exp(v))) computed stably.
+// LogSumExp returns log(sum(exp(v))) computed stably. It stays a scalar
+// loop: its callers are the CRF's forward-backward rows, L = 5 labels wide,
+// under one 8-lane block of ExpRow.
 func LogSumExp(v Vec) float64 {
 	if len(v) == 0 {
 		return math.Inf(-1)

@@ -8,8 +8,10 @@ import (
 
 // Row-kernel benchmarks at the decode's widths (64 = Dim and 2H, 128 = FFDim
 // and 4H), each as its pure-Go loop and, on AVX-512 machines, its vector
-// twin: the recorded pairs behind every asm row kernel in quant_amd64.s
-// (a twin stays only at ≥ 2× its Go loop). Run with
+// twin: the recorded pairs behind every asm row kernel in quant_amd64.s and
+// fastmath64_amd64.s (a twin stays only at ≥ 2× its Go loop). The float64
+// rows add the widths of a softmax row (8 and 24: a sentence's tokens) and
+// of one LSTM gate group (32 = H). Run with
 //
 //	go test -run '^$' -bench 'Row|Softmax' -cpu 1 ./internal/mat/
 func benchRowPaths(b *testing.B, width int, fn func()) {
@@ -95,3 +97,27 @@ func BenchmarkSoftmaxCols(b *testing.B) {
 		SoftmaxCols32(s, 0.35355339, stat)
 	})
 }
+
+func benchRow64(width int) []float64 {
+	rng := rand.New(rand.NewSource(int64(width)))
+	row := make([]float64, width)
+	for i := range row {
+		row[i] = rng.NormFloat64() * 2
+	}
+	return row
+}
+
+// benchRow64Kernel times one float64 row kernel: its Go path is the scalar
+// math.Exp / math.Tanh / Sigmoid per element.
+func benchRow64Kernel(b *testing.B, row func(dst, src []float64)) {
+	for _, w := range []int{8, 24, 32, 64, 128} {
+		src, dst := benchRow64(w), make([]float64, w)
+		benchRowPaths(b, w, func() { row(dst, src) })
+	}
+}
+
+func BenchmarkExpRow64(b *testing.B) { benchRow64Kernel(b, ExpRow) }
+
+func BenchmarkTanhRow64(b *testing.B) { benchRow64Kernel(b, TanhRow) }
+
+func BenchmarkSigmoidRow64(b *testing.B) { benchRow64Kernel(b, SigmoidRow) }

@@ -7,20 +7,11 @@ import (
 	"saccs/internal/mat"
 )
 
-// Sigmoid returns 1/(1+e^-x) computed stably.
-func Sigmoid(x float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
-}
-
-// SigmoidVec applies Sigmoid element-wise, returning a new vector.
+// SigmoidVec applies mat.Sigmoid element-wise, returning a new vector.
 func SigmoidVec(x mat.Vec) mat.Vec {
 	y := mat.NewVec(len(x))
 	for i, v := range x {
-		y[i] = Sigmoid(v)
+		y[i] = mat.Sigmoid(v)
 	}
 	return y
 }
@@ -70,15 +61,19 @@ func gelu(x float64) float64 {
 	return 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
 }
 
-// GELUBackwardInto writes into dx the upstream gradient dy scaled by
-// dGELU/dx at the forward input x.
+// GELUBackwardInto writes into dx (which must alias neither x nor dy) the
+// upstream gradient dy scaled by dGELU/dx at the forward input x. dx holds
+// the tanh row until the last loop overwrites it element by element.
 func GELUBackwardInto(dx, x, dy mat.Vec) {
 	const c = 0.7978845608028654
+	t := dx[:len(x)]
 	for i, v := range x {
-		inner := c * (v + 0.044715*v*v*v)
-		t := math.Tanh(inner)
+		t[i] = c * (v + 0.044715*v*v*v)
+	}
+	mat.TanhRow(t, t)
+	for i, v := range x {
 		dinner := c * (1 + 3*0.044715*v*v)
-		dx[i] = dy[i] * (0.5*(1+t) + 0.5*v*(1-t*t)*dinner)
+		dx[i] = dy[i] * (0.5*(1+t[i]) + 0.5*v*(1-t[i]*t[i])*dinner)
 	}
 }
 

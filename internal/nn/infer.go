@@ -12,10 +12,18 @@ import (
 // same order and write no receiver state — any number of goroutines may run
 // them concurrently, each with its own Arena.
 
-// GELUInto applies the tanh-approximation GELU element-wise into y.
+// GELUInto applies the tanh-approximation GELU element-wise into y (which
+// must not alias x): gelu's tanh argument as a row, one mat.TanhRow over it,
+// then gelu's product — its operations in its order.
 func GELUInto(y, x mat.Vec) {
+	const c = 0.7978845608028654 // sqrt(2/pi)
+	y = y[:len(x)]
 	for i, v := range x {
-		y[i] = gelu(v)
+		y[i] = c * (v + 0.044715*v*v*v)
+	}
+	mat.TanhRow(y, y)
+	for i, v := range x {
+		y[i] = 0.5 * v * (1 + y[i])
 	}
 }
 

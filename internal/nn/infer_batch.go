@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"sync/atomic"
 
 	"saccs/internal/mat"
@@ -88,14 +87,13 @@ func (l *LSTM) InferBatch(xs *mat.Mat, a *Arena) *mat.Mat {
 	hr, zhr := h.Row(0), zh.Row(0)
 	for t := 0; t < xs.Rows; t++ {
 		mat.MatMulInto(zh, h, whp)
-		zxr := zx.Row(t)
-		for j := 0; j < H; j++ {
-			ig := Sigmoid((zxr[j] + zhr[j]) + bias[j])
-			fg := Sigmoid((zxr[H+j] + zhr[H+j]) + bias[H+j])
-			gg := math.Tanh((zxr[2*H+j] + zhr[2*H+j]) + bias[2*H+j])
-			og := Sigmoid((zxr[3*H+j] + zhr[3*H+j]) + bias[3*H+j])
-			c[j] = fg*c[j] + ig*gg
-			hr[j] = og * math.Tanh(c[j])
+		ig, fg, gg, og := gateActivations(zx.Row(t), zhr, bias)
+		for j := range c {
+			c[j] = fg[j]*c[j] + ig[j]*gg[j]
+		}
+		mat.TanhRow(hr, c)
+		for j := range hr {
+			hr[j] = og[j] * hr[j]
 		}
 		copy(out.Row(t), hr)
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -36,6 +37,36 @@ func TestGELUIntoMatchesGELUVec(t *testing.T) {
 			t.Fatalf("gelu[%d]: %v != %v", i, got[i], want[i])
 		}
 	}
+}
+
+// TestGELURowsIdenticalToScalar pins GELUInto and GELUBackwardInto, which
+// run their tanh as one mat.TanhRow, to the per-element expressions with
+// math.Tanh, on both kernel paths, at ragged widths and over inputs that
+// reach tanh's rational arm, its exp arm and its saturation.
+func TestGELURowsIdenticalToScalar(t *testing.T) {
+	const c = 0.7978845608028654
+	onBothKernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(33))
+		for _, n := range []int{1, 5, 8, 13, 17, 64, 128} {
+			x, dy := randVec(rng, n), randVec(rng, n)
+			for i := range x {
+				x[i] *= []float64{0.1, 1, 4, 40}[i%4]
+			}
+			y, dx := mat.NewVec(n), mat.NewVec(n)
+			GELUInto(y, x)
+			GELUBackwardInto(dx, x, dy)
+			for i, v := range x {
+				if want := gelu(v); y[i] != want {
+					t.Fatalf("n=%d GELUInto[%d](%v) = %v, want %v", n, i, v, y[i], want)
+				}
+				th := math.Tanh(c * (v + 0.044715*v*v*v))
+				want := dy[i] * (0.5*(1+th) + 0.5*v*(1-th*th)*(c*(1+3*0.044715*v*v)))
+				if dx[i] != want {
+					t.Fatalf("n=%d GELUBackwardInto[%d](%v) = %v, want %v", n, i, v, dx[i], want)
+				}
+			}
+		}
+	})
 }
 
 func TestDecodeArenaMatchesDecode(t *testing.T) {

@@ -22,7 +22,7 @@ func SoftmaxCE(logits mat.Vec, gold int) (float64, mat.Vec) {
 // a {0,1} target, returning (loss, probability, dLogit). It powers the
 // discriminative pairing classifier (§5.2).
 func BCELogit(logit float64, target float64) (loss, prob, dLogit float64) {
-	prob = Sigmoid(logit)
+	prob = mat.Sigmoid(logit)
 	p := math.Min(math.Max(prob, 1e-12), 1-1e-12)
 	loss = -(target*math.Log(p) + (1-target)*math.Log(1-p))
 	dLogit = prob - target

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 
 	"saccs/internal/mat"
@@ -91,20 +90,33 @@ func (l *LSTM) Forward(xs []mat.Vec) ([]mat.Vec, *LSTMCache) {
 		mat.MatMulInto(zh, hPrev, whT)
 		zr, zhr := z.Row(t), zh.Row(0)
 		ct, tct, ht := cache.c.Row(t), cache.tc.Row(t), cache.h.Row(t)
-		for j := 0; j < H; j++ {
-			ig := Sigmoid((zr[j] + zhr[j]) + bias[j])
-			fg := Sigmoid((zr[H+j] + zhr[H+j]) + bias[H+j])
-			gg := math.Tanh((zr[2*H+j] + zhr[2*H+j]) + bias[2*H+j])
-			og := Sigmoid((zr[3*H+j] + zhr[3*H+j]) + bias[3*H+j])
-			zr[j], zr[H+j], zr[2*H+j], zr[3*H+j] = ig, fg, gg, og
-			ct[j] = fg*cPrev[j] + ig*gg
-			tct[j] = math.Tanh(ct[j])
-			ht[j] = og * tct[j]
+		ig, fg, gg, og := gateActivations(zr, zhr, bias)
+		for j := range ct {
+			ct[j] = fg[j]*cPrev[j] + ig[j]*gg[j]
+		}
+		mat.TanhRow(tct, ct)
+		for j := range ht {
+			ht[j] = og[j] * tct[j]
 		}
 		cPrev = ct
 		hPrev.Data = ht
 	}
 	return rowViews(&cache.h), cache
+}
+
+// gateActivations turns one step's 4H gate row into the gates in place:
+// z = (z + zh) + b, then Sigmoid over i and f, tanh over g and Sigmoid over o
+// as three row kernels, the per-element calls' arithmetic. It returns the
+// four H-wide gate views of z.
+func gateActivations(z, zh, bias mat.Vec) (ig, fg, gg, og mat.Vec) {
+	H := len(z) / 4
+	for j := range z {
+		z[j] = (z[j] + zh[j]) + bias[j]
+	}
+	mat.SigmoidRow(z[:2*H], z[:2*H])
+	mat.TanhRow(z[2*H:3*H], z[2*H:3*H])
+	mat.SigmoidRow(z[3*H:], z[3*H:])
+	return z[:H], z[H : 2*H], z[2*H : 3*H], z[3*H:]
 }
 
 // Backward backpropagates upstream gradients dhs (one per timestep, aligned

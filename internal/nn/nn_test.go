@@ -549,13 +549,13 @@ func TestActivationGradients(t *testing.T) {
 }
 
 func TestSigmoidStable(t *testing.T) {
-	if got := Sigmoid(1000); got != 1 {
+	if got := mat.Sigmoid(1000); got != 1 {
 		t.Fatalf("Sigmoid(1000)=%v", got)
 	}
-	if got := Sigmoid(-1000); got != 0 {
+	if got := mat.Sigmoid(-1000); got != 0 {
 		t.Fatalf("Sigmoid(-1000)=%v", got)
 	}
-	if math.Abs(Sigmoid(0)-0.5) > 1e-12 {
+	if math.Abs(mat.Sigmoid(0)-0.5) > 1e-12 {
 		t.Fatal("Sigmoid(0) != 0.5")
 	}
 }

@@ -181,10 +181,10 @@ func refLSTMForward(l *LSTM, xs []mat.Vec) ([]mat.Vec, []refStep) {
 			c: mat.NewVec(l.Hidden), tc: mat.NewVec(l.Hidden),
 		}
 		for j := 0; j < l.Hidden; j++ {
-			st.i[j] = Sigmoid(z[j])
-			st.f[j] = Sigmoid(z[l.Hidden+j])
+			st.i[j] = mat.Sigmoid(z[j])
+			st.f[j] = mat.Sigmoid(z[l.Hidden+j])
 			st.g[j] = math.Tanh(z[2*l.Hidden+j])
-			st.o[j] = Sigmoid(z[3*l.Hidden+j])
+			st.o[j] = mat.Sigmoid(z[3*l.Hidden+j])
 			st.c[j] = st.f[j]*st.cPrev[j] + st.i[j]*st.g[j]
 			st.tc[j] = math.Tanh(st.c[j])
 		}

@@ -194,7 +194,7 @@ func (c *Classifier) Train(cands []Candidate, labels []float64) float64 {
 // Predict returns the positive-class probability for a candidate.
 func (c *Classifier) Predict(cand Candidate) float64 {
 	logit, _, _ := c.forward(c.features(cand))
-	return nn.Sigmoid(logit)
+	return mat.Sigmoid(logit)
 }
 
 // CandidateFromExample converts a datasets.PairingExample.
