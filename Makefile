@@ -96,22 +96,18 @@ bench:
 
 # bench-smoke exercises the parallel query path end-to-end for a fraction of
 # a second — enough to catch a deadlock or crash in the concurrent pipeline
-# without slowing CI. Both passes run on facade clients (saccs.New, the
+# without slowing CI. Both passes run on one facade client (saccs.New, the
 # served model and query path, extraction cache off). -qps-guard fails the
-# run if a 1-shard client queried by 4 goroutines drops below the same
-# client at 1 goroutine (the parallel-scaling regression this repo once
-# shipped: more goroutines, fewer queries), or if a 4-shard client queried
-# by 4 goroutines drops below that 1-shard serial baseline, i.e. ranking
-# four shards per query may not cost more than the second processor buys.
-# Every decode is solo on its caller's goroutine, so both ratios are
-# processor scaling: ~2x at the 2 Ps of the reference box, ~1x at
-# GOMAXPROCS=1 (0.98-0.99 measured) — where the guards are a coin flip and
-# bench-smoke is not meaningful. Five consecutive `make bench-smoke` runs on
-# the reference box (go1.24.0, Xeon 2.10 GHz, nproc 2), all five passing:
-# 4 goroutines / 1 goroutine 1.83 2.20 2.74 2.40 1.53; 4 shards x 4
-# goroutines / 1 shard x 1 goroutine 1.75 1.85 2.46 1.87 1.42. The spread is
-# the host's: the 300 ms single-goroutine pass moves with it most (1 095 to
-# 1 657 QPS over the five runs).
+# run if the client queried by 4 goroutines drops below the same client at
+# 1 goroutine (the parallel-scaling regression this repo once shipped: more
+# goroutines, fewer queries). Every decode is solo on its caller's
+# goroutine, so the ratio is processor scaling: ~2x at the 2 Ps of the
+# reference box, ~1x at GOMAXPROCS=1 (0.98-0.99 measured) — where the guard
+# is a coin flip and bench-smoke is not meaningful. Five consecutive
+# `make bench-smoke` runs on the reference box (go1.24.0, Xeon 2.10 GHz,
+# nproc 2), all five passing: 4 goroutines / 1 goroutine 1.83 2.20 2.74
+# 2.40 1.53. The spread is the host's: the 300 ms single-goroutine pass
+# moves with it most (1 095 to 1 657 QPS over the five runs).
 # -quant-guard fails the run if the mixed-precision cold decode is not at
 # least 1.5x the float64 decode (quantGuardMin in cmd/saccs-bench) — the
 # quantized kernels' reason to exist. Ten earlier runs read 2.70 2.72 2.17
@@ -142,12 +138,10 @@ benchmark-check:
 	$(GO) -C benchmark test -short ./...
 
 # bench-serve drives the real HTTP tier (cmd/saccs-server's stack) with an
-# open-loop load generator at shard counts {1,2,4}: fixed arrival rates on a
-# ladder calibrated against the 1-shard server, latency quantiles measured
-# from scheduled arrival time (no coordinated omission), and the max
-# sustained rate per shard count. Appends the serve section to BENCH.json.
-# (The sharding regression gate lives in bench-smoke's parallel section,
-# where it is independent of the machine's core count.)
+# open-loop load generator: fixed arrival rates on a ladder calibrated
+# against the same server, latency quantiles measured from scheduled arrival
+# time (no coordinated omission), and the max sustained rate. Appends the
+# serve section to BENCH.json.
 bench-serve:
 	$(GO) run ./cmd/saccs-bench -only serve -parallel-dur 2s
 

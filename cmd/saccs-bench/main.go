@@ -16,16 +16,14 @@
 // quantGuardMin times faster.
 //
 // The "parallel" section measures cold-path end-to-end query throughput
-// through the public facade: a 1-shard client at one goroutine and at
-// -parallel goroutines, and a -parallel-shard client at -parallel
+// through the public facade: one client at one goroutine and at -parallel
 // goroutines. Every query is a distinct multi-sentence utterance and the
 // extraction cache is off, so the decode work is real and concurrent
 // queries beat the single-goroutine figure only by running on more
-// processors. With -qps-guard the process exits nonzero if either
-// concurrent pass is slower than the 1-shard, 1-goroutine pass — the
-// regression CI smoke gate: more goroutines must not mean fewer queries,
-// and ranking every shard per query must not cost more than concurrency
-// buys. All sections append to the same BENCH.json.
+// processors. With -qps-guard the process exits nonzero if the concurrent
+// pass is slower than the 1-goroutine pass — the regression CI smoke gate:
+// more goroutines must not mean fewer queries. All sections append to the
+// same BENCH.json.
 //
 // The "ingest" section measures the streaming tier on the real filesystem:
 // durable append throughput under FsyncAlways (each ack is an fsync) and
@@ -33,16 +31,15 @@
 // the ingest histograms, and the crash-recovery figure — how fast a reopened
 // ingester replays the log it just wrote.
 //
-// The "serve" section benchmarks the HTTP tier end to end: for each shard
-// count (1, 2, 4) it trains a facade client, starts a real saccs-server on
-// loopback, and drives /v1/query with an open-loop load generator — requests
-// fire at fixed arrival rates regardless of how fast earlier ones complete,
-// and latency is measured from each request's scheduled arrival time, so
-// queueing delay under overload is charged to the server, never hidden by a
-// slow client (no coordinated omission). The rate ladder is calibrated once
-// against the 1-shard server and reused for every shard count, so the
-// max-sustained figures (highest offered rate with achieved/offered >= 0.95
-// and zero errors) are directly comparable.
+// The "serve" section benchmarks the HTTP tier end to end: it trains a
+// facade client, starts a real saccs-server on loopback, and drives
+// /v1/query with an open-loop load generator — requests fire at fixed
+// arrival rates regardless of how fast earlier ones complete, and latency is
+// measured from each request's scheduled arrival time, so queueing delay
+// under overload is charged to the server, never hidden by a slow client (no
+// coordinated omission). The rate ladder is calibrated against the same
+// server, and the max-sustained figure is the highest offered rate with
+// achieved/offered >= 0.95 and zero errors.
 //
 // Usage:
 //
@@ -90,7 +87,7 @@ func main() {
 	benchOut := flag.String("bench-out", "BENCH.json", "file for the machine-readable benchmark results (empty disables)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :9090)")
 	parallelN := flag.Int("parallel", runtime.GOMAXPROCS(0), "goroutines for the parallel query benchmark")
-	qpsGuard := flag.Bool("qps-guard", false, "exit nonzero if a concurrent pass of the parallel section falls below its 1-shard, 1-goroutine QPS")
+	qpsGuard := flag.Bool("qps-guard", false, "exit nonzero if the concurrent pass of the parallel section falls below its 1-goroutine QPS")
 	quantGuard := flag.Bool("quant-guard", false, fmt.Sprintf("exit nonzero if the quant section's mixed-precision cold decode is not at least %gx the float64 decode", quantGuardMin))
 	parallelDur := flag.Duration("parallel-dur", 2*time.Second, "duration of each parallel benchmark pass")
 	flag.Parse()
@@ -146,7 +143,7 @@ func main() {
 	run("quant", func() { quantBenchmarks(o, doc, *quantGuard) })
 	run("parallel", func() { parallelBenchmarks(doc, *parallelN, *parallelDur, *qpsGuard) })
 	run("ingest", func() { ingestBenchmarks(doc, *parallelDur) })
-	run("serve", func() { serveBenchmarks(doc, []int{1, 2, 4}, *parallelDur) })
+	run("serve", func() { serveBenchmarks(doc, *parallelDur) })
 
 	if *benchOut != "" && (len(doc.Stages) > 0 || len(doc.Quant) > 0 || len(doc.Parallel) > 0 || doc.Ingest != nil || doc.Serve != nil) {
 		data, err := json.MarshalIndent(doc, "", "  ")
@@ -180,9 +177,8 @@ type stageResult struct {
 }
 
 // parallelResult is one throughput pass of the parallel benchmark: a facade
-// client over Shards shards queried by Goroutines goroutines.
+// client queried by Goroutines goroutines.
 type parallelResult struct {
-	Shards     int     `json:"shards"`
 	Goroutines int     `json:"goroutines"`
 	Queries    int64   `json:"queries"`
 	Seconds    float64 `json:"seconds"`
@@ -225,10 +221,9 @@ type ingestSection struct {
 	RecoveredPerSec  float64 `json:"recovered_per_sec"`
 }
 
-// servePass is one open-loop pass of the HTTP serving benchmark: one shard
-// count driven at one fixed offered arrival rate.
+// servePass is one open-loop pass of the HTTP serving benchmark: the server
+// driven at one fixed offered arrival rate.
 type servePass struct {
-	Shards     int     `json:"shards"`
 	OfferedQPS float64 `json:"offered_qps"`
 	// AchievedQPS is completed requests over the full pass (scheduled span
 	// plus drain); Sustained means achieved/offered >= 0.95 with no errors.
@@ -243,20 +238,15 @@ type servePass struct {
 	P999Ns float64 `json:"p999_ns"`
 }
 
-// serveShardRow summarizes one shard count: the highest offered rate on the
-// shared ladder the server sustained.
-type serveShardRow struct {
-	Shards          int     `json:"shards"`
-	MaxSustainedQPS float64 `json:"max_sustained_qps"`
-}
-
 // serveSection is the HTTP serving benchmark's BENCH.json entry.
 type serveSection struct {
-	// CalibratedQPS is the closed-loop throughput estimate of the 1-shard
-	// server the shared rate ladder was derived from.
-	CalibratedQPS float64         `json:"calibrated_qps"`
-	Passes        []servePass     `json:"passes"`
-	MaxSustained  []serveShardRow `json:"max_sustained"`
+	// CalibratedQPS is the closed-loop throughput estimate the rate ladder
+	// was derived from.
+	CalibratedQPS float64     `json:"calibrated_qps"`
+	Passes        []servePass `json:"passes"`
+	// MaxSustainedQPS is the highest offered rate on the ladder the server
+	// sustained.
+	MaxSustainedQPS float64 `json:"max_sustained_qps"`
 }
 
 // benchFile is the BENCH.json document.
@@ -455,34 +445,31 @@ func coldUtterances(n int) []string {
 }
 
 // parallelBenchmarks measures cold-path end-to-end Query throughput through
-// the public facade: a 1-shard client at 1 and at workers goroutines, and a
-// workers-shard client at workers goroutines. The extraction cache is off
-// and every query is a distinct utterance, so each goroutine decodes its own
-// sentences and the speedup rows are what the extra processors buy: about
-// GOMAXPROCS at best, and ~1x on one CPU, where time-slicing goroutines
-// through the same serial decodes gains nothing. With guard set, a
-// concurrent pass slower than the 1-shard, 1-goroutine pass fails the
-// process — the CI regression gate, for goroutines and for shards alike.
+// the public facade: one client at 1 and at workers goroutines. The
+// extraction cache is off and every query is a distinct utterance, so each
+// goroutine decodes its own sentences and the speedup row is what the extra
+// processors buy: about GOMAXPROCS at best, and ~1x on one CPU, where
+// time-slicing goroutines through the same serial decodes gains nothing.
+// With guard set, a concurrent pass slower than the 1-goroutine pass fails
+// the process — the CI regression gate.
 func parallelBenchmarks(doc *benchFile, workers int, dur time.Duration, guard bool) {
 	if workers < 1 {
 		workers = 1
 	}
-	mk := func(shards int) *saccs.Client {
-		cfg := saccs.DefaultConfig()
-		cfg.Shards = shards
-		cfg.ExtractCacheSize = 0
-		c, err := saccs.New(cfg)
-		if err == nil {
-			err = c.IndexEntities(serveWorld(), c.CanonicalTags())
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parallel bench: %d shard(s): %v\n", shards, err)
-			os.Exit(1)
-		}
-		return c
+	cfg := saccs.DefaultConfig()
+	cfg.ExtractCacheSize = 0
+	fmt.Println("training the facade client...")
+	c, err := saccs.New(cfg)
+	if err == nil {
+		err = c.IndexEntities(serveWorld(), c.CanonicalTags())
 	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "parallel bench: %v\n", err)
+		os.Exit(1)
+	}
+	defer c.Shutdown()
 	pool := coldUtterances(512)
-	pass := func(c *saccs.Client, shards, g int) parallelResult {
+	pass := func(g int) parallelResult {
 		var n, seq atomic.Int64
 		var wg sync.WaitGroup
 		deadline := time.Now().Add(dur)
@@ -500,40 +487,26 @@ func parallelBenchmarks(doc *benchFile, workers int, dur time.Duration, guard bo
 		}
 		wg.Wait()
 		sec := time.Since(start).Seconds()
-		return parallelResult{Shards: shards, Goroutines: g, Queries: n.Load(), Seconds: sec, QPS: float64(n.Load()) / sec}
+		return parallelResult{Goroutines: g, Queries: n.Load(), Seconds: sec, QPS: float64(n.Load()) / sec}
 	}
 
-	fmt.Println("training the 1-shard facade client...")
-	baseC := mk(1)
-	defer baseC.Shutdown()
-	rows := []parallelResult{pass(baseC, 1, 1)}
+	rows := []parallelResult{pass(1)}
 	if workers > 1 {
-		fmt.Printf("training the %d-shard facade client...\n", workers)
-		shardedC := mk(workers)
-		defer shardedC.Shutdown()
-		rows = append(rows, pass(baseC, 1, workers), pass(shardedC, workers, workers))
+		rows = append(rows, pass(workers))
 	}
-	fmt.Printf("%-8s %-12s %10s %10s %12s\n", "shards", "goroutines", "queries", "seconds", "qps")
+	fmt.Printf("%-12s %10s %10s %12s\n", "goroutines", "queries", "seconds", "qps")
 	for _, r := range rows {
-		fmt.Printf("%-8d %-12d %10d %10.2f %12.1f\n", r.Shards, r.Goroutines, r.Queries, r.Seconds, r.QPS)
+		fmt.Printf("%-12d %10d %10.2f %12.1f\n", r.Goroutines, r.Queries, r.Seconds, r.QPS)
 	}
 	doc.Parallel = rows
-	if len(rows) < 3 || rows[0].QPS <= 0 {
+	if len(rows) < 2 || rows[0].QPS <= 0 {
 		return
 	}
-	fmt.Printf("speedup %d goroutines / 1 goroutine: %.2fx; %d shards x %d goroutines / 1 shard x 1 goroutine: %.2fx (GOMAXPROCS=%d)\n",
-		workers, rows[1].QPS/rows[0].QPS, workers, workers, rows[2].QPS/rows[0].QPS, runtime.GOMAXPROCS(0))
-	if !guard {
-		return
-	}
-	if rows[1].QPS < rows[0].QPS {
+	fmt.Printf("speedup %d goroutines / 1 goroutine: %.2fx (GOMAXPROCS=%d)\n",
+		workers, rows[1].QPS/rows[0].QPS, runtime.GOMAXPROCS(0))
+	if guard && rows[1].QPS < rows[0].QPS {
 		fmt.Fprintf(os.Stderr, "qps guard: %d goroutines %.1f QPS < 1 goroutine %.1f QPS — parallel queries must not be slower than serial\n",
 			rows[1].Goroutines, rows[1].QPS, rows[0].QPS)
-		os.Exit(1)
-	}
-	if rows[2].QPS < rows[0].QPS {
-		fmt.Fprintf(os.Stderr, "qps guard: %d shards x %d goroutines %.1f QPS < 1 shard x 1 goroutine %.1f QPS — sharded concurrent queries must beat the serial single-shard baseline\n",
-			rows[2].Shards, rows[2].Goroutines, rows[2].QPS, rows[0].QPS)
 		os.Exit(1)
 	}
 }
@@ -734,21 +707,18 @@ func serveWorld() []saccs.Entity {
 }
 
 // serveBenchmarks drives the real HTTP tier with an open-loop load generator.
-// For each shard count it trains a facade client over the demo world, starts
-// a server on loopback, and replays /v1/query at the fixed arrival rates of a
-// shared ladder calibrated once against the 1-shard server. Open loop means
-// arrivals fire on schedule no matter how slow earlier requests are, and each
-// request's latency is clocked from its scheduled arrival — so when the
-// server falls behind, the queueing shows up in the quantiles instead of
-// silently throttling the generator (coordinated omission). A rate is
-// sustained when achieved/offered >= 0.95 with zero errors; the per-shard
-// summary is the highest sustained rung. The query pool repeats four
-// utterances, keeping the extraction cache warm so per-request cost is
-// dominated by resolution and ranking — the work that actually shards. (How
-// sustained QPS moves with shard count depends on the cores available, so
-// the regression gate on sharding lives in the parallel section's facade
-// comparison, not here.)
-func serveBenchmarks(doc *benchFile, shardCounts []int, dur time.Duration) {
+// It trains a facade client over the demo world, starts a server on
+// loopback, and replays /v1/query at the fixed arrival rates of a ladder
+// calibrated against that server. Open loop means arrivals fire on schedule
+// no matter how slow earlier requests are, and each request's latency is
+// clocked from its scheduled arrival — so when the server falls behind, the
+// queueing shows up in the quantiles instead of silently throttling the
+// generator (coordinated omission). A rate is sustained when
+// achieved/offered >= 0.95 with zero errors; the summary is the highest
+// sustained rung. The query pool repeats four utterances, keeping the
+// extraction cache warm so per-request cost is dominated by resolution and
+// ranking.
+func serveBenchmarks(doc *benchFile, dur time.Duration) {
 	utterances := []string{
 		"I want an Italian restaurant in Montreal with delicious food",
 		"somewhere with friendly staff and a quiet atmosphere",
@@ -760,10 +730,9 @@ func serveBenchmarks(doc *benchFile, shardCounts []int, dur time.Duration) {
 		Timeout:   time.Minute,
 	}
 
-	startServer := func(shards int) (*server.Server, *saccs.Client, error) {
+	startServer := func() (*server.Server, *saccs.Client, error) {
 		cfg := saccs.DefaultConfig()
 		cfg.TrainingScale = "fast"
-		cfg.Shards = shards
 		c, err := saccs.New(cfg)
 		if err != nil {
 			return nil, nil, err
@@ -819,7 +788,7 @@ func serveBenchmarks(doc *benchFile, shardCounts []int, dur time.Duration) {
 	// measurement, because each request's latency is clocked from its
 	// scheduled arrival time, not from when a connection freed up).
 	const workers = 32
-	openLoop := func(base string, shards int, rate float64) servePass {
+	openLoop := func(base string, rate float64) servePass {
 		n := int(rate * dur.Seconds())
 		if n < 1 {
 			n = 1
@@ -855,7 +824,6 @@ func serveBenchmarks(doc *benchFile, shardCounts []int, dur time.Duration) {
 		}
 		achieved := float64(int64(n)-errs.Load()) / elapsed
 		return servePass{
-			Shards:      shards,
 			OfferedQPS:  rate,
 			AchievedQPS: achieved,
 			Requests:    int64(n),
@@ -867,59 +835,44 @@ func serveBenchmarks(doc *benchFile, shardCounts []int, dur time.Duration) {
 		}
 	}
 
-	sec := &serveSection{}
+	fmt.Println("training the served pipeline...")
+	srv, c, err := startServer()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "serve bench: %v\n", err)
+		os.Exit(1)
+	}
+	base := "http://" + srv.Addr()
+	// Calibration doubles as the warm-up: it opens every pool connection and
+	// fills the extraction cache, so no rung is charged for TCP handshakes or
+	// cold decodes.
+	sec := &serveSection{CalibratedQPS: closedLoop(base, workers, dur)}
 	var ladder []float64
-	fmt.Printf("%-8s %12s %12s %10s %8s %10s %10s %10s %10s\n",
-		"shards", "offered", "achieved", "requests", "errors", "p50", "p99", "p999", "sustained")
-	for _, shards := range shardCounts {
-		fmt.Printf("training %d-shard pipeline...\n", shards)
-		srv, c, err := startServer(shards)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve bench: %d shards: %v\n", shards, err)
-			os.Exit(1)
-		}
-		base := "http://" + srv.Addr()
-		// Warm before measuring: a short closed-loop burst opens every pool
-		// connection and fills the extraction cache, so no rung is charged
-		// for TCP handshakes or cold decodes. (The calibrated server gets
-		// this for free from calibration; the others need it explicitly.)
-		closedLoop(base, workers, dur/8)
-		if ladder == nil {
-			cal := closedLoop(base, workers, dur)
-			sec.CalibratedQPS = cal
-			// 0.3x anchors the ladder low enough that a shard count whose
-			// per-shard overhead dominates on this machine still lands a
-			// nonzero sustained figure instead of failing every rung.
-			for _, m := range []float64{0.3, 0.5, 0.7, 0.9, 1.1} {
-				ladder = append(ladder, cal*m)
-			}
-			fmt.Printf("calibrated %.1f QPS closed-loop on %d shard(s); ladder %.1f..%.1f\n",
-				cal, shards, ladder[0], ladder[len(ladder)-1])
-		}
-		maxSustained := 0.0
-		for _, rate := range ladder {
-			p := openLoop(base, shards, rate)
-			sec.Passes = append(sec.Passes, p)
-			if p.Sustained && p.OfferedQPS > maxSustained {
-				maxSustained = p.OfferedQPS
-			}
-			fmt.Printf("%-8d %12.1f %12.1f %10d %8d %10s %10s %10s %10v\n",
-				p.Shards, p.OfferedQPS, p.AchievedQPS, p.Requests, p.Errors,
-				time.Duration(p.P50Ns).Round(time.Microsecond),
-				time.Duration(p.P99Ns).Round(time.Microsecond),
-				time.Duration(p.P999Ns).Round(time.Microsecond),
-				p.Sustained)
-		}
-		sec.MaxSustained = append(sec.MaxSustained, serveShardRow{Shards: shards, MaxSustainedQPS: maxSustained})
-		httpc.CloseIdleConnections()
-		if err := srv.Shutdown(context.Background()); err != nil {
-			fmt.Fprintf(os.Stderr, "serve bench: shutdown %d shards: %v\n", shards, err)
-			os.Exit(1)
-		}
-		c.Shutdown()
+	for _, m := range []float64{0.3, 0.5, 0.7, 0.9, 1.1} {
+		ladder = append(ladder, sec.CalibratedQPS*m)
 	}
-	for _, r := range sec.MaxSustained {
-		fmt.Printf("max sustained @ %d shard(s): %.1f QPS\n", r.Shards, r.MaxSustainedQPS)
+	fmt.Printf("calibrated %.1f QPS closed-loop; ladder %.1f..%.1f\n",
+		sec.CalibratedQPS, ladder[0], ladder[len(ladder)-1])
+	fmt.Printf("%12s %12s %10s %8s %10s %10s %10s %10s\n",
+		"offered", "achieved", "requests", "errors", "p50", "p99", "p999", "sustained")
+	for _, rate := range ladder {
+		p := openLoop(base, rate)
+		sec.Passes = append(sec.Passes, p)
+		if p.Sustained && p.OfferedQPS > sec.MaxSustainedQPS {
+			sec.MaxSustainedQPS = p.OfferedQPS
+		}
+		fmt.Printf("%12.1f %12.1f %10d %8d %10s %10s %10s %10v\n",
+			p.OfferedQPS, p.AchievedQPS, p.Requests, p.Errors,
+			time.Duration(p.P50Ns).Round(time.Microsecond),
+			time.Duration(p.P99Ns).Round(time.Microsecond),
+			time.Duration(p.P999Ns).Round(time.Microsecond),
+			p.Sustained)
 	}
+	httpc.CloseIdleConnections()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		fmt.Fprintf(os.Stderr, "serve bench: shutdown: %v\n", err)
+		os.Exit(1)
+	}
+	c.Shutdown()
+	fmt.Printf("max sustained: %.1f QPS\n", sec.MaxSustainedQPS)
 	doc.Serve = sec
 }

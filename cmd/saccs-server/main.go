@@ -3,19 +3,16 @@
 // operational surface (/metrics, /healthz, /readyz, /debug/slow,
 // /debug/pprof) on one listener.
 //
-// At startup it trains the extraction pipeline, optionally seeds the demo
-// Yelp world, and with -shards > 1 partitions the subjective tag index
-// across that many shards — answers stay byte-identical to a single index,
-// a query ranks each shard in turn and merges. With -wal-dir every streamed
-// review and entity registration is fsynced before acknowledgment, and a
-// restart recovers the streamed world (per shard under wal-dir/shard-<i>).
+// At startup it trains the extraction pipeline and optionally seeds the demo
+// Yelp world. With -wal-dir every streamed review and entity registration is
+// fsynced before acknowledgment, and a restart recovers the streamed world.
 //
 // SIGINT/SIGTERM drains gracefully: /readyz flips to 503, in-flight requests
 // get -drain to finish, then the client is shut down, which seals the WAL.
 //
 // Usage:
 //
-//	saccs-server [-addr :8080] [-shards 4] [-wal-dir /var/lib/saccs]
+//	saccs-server [-addr :8080] [-wal-dir /var/lib/saccs]
 //	             [-seed-demo] [-domain restaurants] [-drain 5s]
 package main
 
@@ -35,7 +32,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	shards := flag.Int("shards", 1, "number of index shards (entities partition by consistent hashing; 1 = single index)")
 	walDir := flag.String("wal-dir", "", "durable WAL directory (empty: streamed writes are memory-only)")
 	domain := flag.String("domain", "restaurants", "lexicon domain: restaurants, electronics, or hotels")
 	scale := flag.String("training-scale", "fast", "training scale: fast or paper")
@@ -51,7 +47,6 @@ func main() {
 	cfg.Domain = *domain
 	cfg.TrainingScale = *scale
 	cfg.Precision = *precision
-	cfg.Shards = *shards
 	cfg.WALDir = *walDir
 	cfg.TopK = *topK
 	cfg.SlowThreshold = *slow
@@ -79,7 +74,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "saccs-server: seeding demo world: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "indexed %d demo entities across %d shard(s)\n", len(ents), max(1, *shards))
+		fmt.Fprintf(os.Stderr, "indexed %d demo entities\n", len(ents))
 	}
 
 	srv := server.New(client, server.Config{Addr: *addr, MaxBodyBytes: *maxBody, DrainTimeout: *drain})

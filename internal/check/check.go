@@ -86,9 +86,6 @@ func DefaultSuite(seed int64) []Check {
 		{"oracle/ingest-prefix", func() error {
 			return IngestPrefixOracle(seed+17, 6, 48)
 		}},
-		{"oracle/shard-merge", func() error {
-			return ShardMergeOracle(seed+18, []int{1, 2, 3, 5}, 16)
-		}},
 		{"oracle/rank-reference", func() error {
 			return RankReferenceOracle(seed+20, 24)
 		}},

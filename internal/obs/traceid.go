@@ -84,8 +84,8 @@ func (s *SpanID) UnmarshalText(b []byte) error {
 // Trace is the request-scoped trace identity carried through
 // context.Context and across process boundaries: the trace ID shared by
 // every span of the request, the current (root or parent) span ID, and the
-// head-sampling decision, which propagates so one shard's decision to retain
-// a trace is honored by every shard the request fans out to.
+// head-sampling decision, which propagates so a caller's decision to retain
+// a trace is honored by every process the request passes through.
 type Trace struct {
 	TraceID TraceID
 	SpanID  SpanID
@@ -147,8 +147,8 @@ func NewTrace() Trace {
 
 // Traceparent serializes the trace in the W3C trace-context traceparent
 // form: "00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>", with flag
-// bit 0 carrying Sampled. The future saccs-server forwards this header so a
-// scatter-gathered query keeps one trace ID across every shard.
+// bit 0 carrying Sampled. saccs-server accepts this header, so a caller's
+// trace and the client's wide events share one trace ID.
 func (tr Trace) Traceparent() string {
 	flags := "00"
 	if tr.Sampled {

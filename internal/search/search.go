@@ -301,3 +301,14 @@ func RankedIDs(scored []Scored) []string {
 	}
 	return out
 }
+
+// Truncate caps a ranked list at k entries; k <= 0 leaves it unbounded.
+func Truncate(s []Scored, k int) []Scored { return s[:bound(len(s), k)] }
+
+// bound is the length of a list of n results capped at k; k <= 0 is no cap.
+func bound(n, k int) int {
+	if k > 0 && k < n {
+		return k
+	}
+	return n
+}

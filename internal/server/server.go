@@ -7,7 +7,7 @@
 // The handlers are a thin shell: every request parses its body, ingests an
 // optional W3C traceparent header into the request context (so the client's
 // wide events join the caller's trace), and calls the corresponding Client
-// method. All ranking, sharding, durability, and telemetry semantics live
+// method. All ranking, durability, and telemetry semantics live
 // below the facade; the HTTP layer adds only transport concerns — method
 // checks, body-size limits, JSON framing, and graceful drain.
 package server

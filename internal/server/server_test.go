@@ -20,7 +20,7 @@ import (
 )
 
 // The trained pipeline is expensive (seconds) and immutable once built:
-// every test shares one sharded client over the seeded demo world. The drain
+// every test shares one client over the seeded demo world. The drain
 // test shuts it down for good, so it must run last (it does — tests run in
 // source order within this file).
 var (
@@ -45,9 +45,7 @@ func demoEntities() []saccs.Entity {
 func testClient(t *testing.T) *saccs.Client {
 	t.Helper()
 	sharedOnce.Do(func() {
-		cfg := saccs.DefaultConfig()
-		cfg.Shards = 2
-		c, err := saccs.New(cfg)
+		c, err := saccs.New(saccs.DefaultConfig())
 		if err != nil {
 			sharedErr = err
 			return
@@ -196,9 +194,8 @@ type goldenFile struct {
 
 // TestGoldenReplayOverLoopback replays every golden utterance through the
 // real server — TCP listener, HTTP client, JSON round trip — against the
-// sharded demo world and requires the answers to match the same snapshots
-// the in-process single-index client pins: the serving tier must add framing,
-// not semantics.
+// demo world and requires the answers to match the same snapshots the
+// in-process client pins: the serving tier must add framing, not semantics.
 func TestGoldenReplayOverLoopback(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "golden", "*.json"))
 	if err != nil || len(files) == 0 {

@@ -23,7 +23,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
+	"os"
 	"runtime"
 	"slices"
 	"sort"
@@ -42,7 +42,6 @@ import (
 	"saccs/internal/nn"
 	"saccs/internal/obs"
 	"saccs/internal/search"
-	"saccs/internal/shard"
 	"saccs/internal/sim"
 	"saccs/internal/tagger"
 	"saccs/internal/tokenize"
@@ -72,15 +71,6 @@ type Config struct {
 	ThetaFilter float64
 	// TopK truncates query answers (DefaultConfig: 10; 0 = all).
 	TopK int
-	// Shards partitions the subjective tag index across this many
-	// independent shards by consistent hashing of entity IDs (0 or 1 keeps
-	// the single-index layout). A query ranks the shards one after another
-	// and merges the per-shard top-K answers into results byte-identical to
-	// a single index over the same world; writes route each entity to its
-	// owning shard, which is what sharding parallelises. With WALDir set and Shards > 1,
-	// shard i persists under WALDir/shard-<i>. The shard count is fixed
-	// for the client's lifetime — changing it means a fresh IndexEntities.
-	Shards int
 	// Adversarial enables FGSM training of the tagger (DefaultConfig: true).
 	Adversarial bool
 	// Epsilon is the adversarial perturbation radius (DefaultConfig: 0.2).
@@ -273,21 +263,20 @@ type Client struct {
 	refExtr *core.Extractor
 	measure sim.Measure
 
-	// w is the client's current world — entities, reviews, shard router,
-	// and tag history published as one unit, so a query pinning it never
+	// w is the client's current world — entities, reviews, index, and tag
+	// history published as one unit, so a query pinning it never
 	// observes entities from one IndexEntities call and postings from
 	// another. Readers only Load; writeMu serializes the writers that swap
 	// it.
 	w       atomic.Pointer[world]
 	writeMu sync.Mutex
 
-	// ings are the per-shard streaming ingesters behind AppendReview
-	// (ings[i] feeds shard i). They are opened at most once per client: by
-	// New when a WALDir is set (recovery runs before any reader exists),
-	// otherwise by the first append. Guarded by writeMu; each ingester is
-	// internally synchronized, and the lock order is always writeMu →
-	// ingester, never the reverse.
-	ings []*ingest.Ingester
+	// ing is the streaming ingester behind AppendReview. It is opened at
+	// most once per client: by New when a WALDir is set (recovery runs
+	// before any reader exists), otherwise by the first append. Guarded by
+	// writeMu; the ingester is internally synchronized, and the lock order
+	// is always writeMu → ingester, never the reverse.
+	ing *ingest.Ingester
 	// shut is set by Shutdown and never cleared: every write checks it
 	// under writeMu and refuses with ErrShutdown.
 	shut bool
@@ -298,8 +287,8 @@ type Client struct {
 }
 
 // world is one generation of the client's indexed state. The slices are
-// frozen once published; router and history mutate safely behind their own
-// internal synchronization (each shard republishes snapshots atomically,
+// frozen once published; ix and history mutate safely behind their own
+// internal synchronization (the index republishes snapshots atomically,
 // history is a locked queue).
 type world struct {
 	// ents holds every entity in ascending ID order and ids their IDs in
@@ -310,19 +299,19 @@ type world struct {
 	ents    []Entity
 	ids     []string
 	reviews []index.EntityReviews
-	router  *shard.Router
+	ix      *index.Index
 	history *index.History
 }
 
 // newWorld assembles a world over ents (distinct IDs, any order; the slice
 // is taken over and sorted in place).
-func newWorld(ents []Entity, reviews []index.EntityReviews, router *shard.Router, history *index.History) *world {
+func newWorld(ents []Entity, reviews []index.EntityReviews, ix *index.Index, history *index.History) *world {
 	slices.SortFunc(ents, func(a, b Entity) int { return strings.Compare(a.ID, b.ID) })
 	ids := make([]string, len(ents))
 	for i, e := range ents {
 		ids[i] = e.ID
 	}
-	return &world{ents: ents, ids: ids, reviews: reviews, router: router, history: history}
+	return &world{ents: ents, ids: ids, reviews: reviews, ix: ix, history: history}
 }
 
 // entity looks an entity up by ID.
@@ -417,7 +406,7 @@ func New(cfg Config) (*Client, error) {
 		measure: measure,
 		o:       o,
 	}
-	c.w.Store(&world{router: c.newRouter(), history: hist})
+	c.w.Store(&world{ix: c.newIndex(), history: hist})
 	// A durable WAL directory is opened eagerly so a restart recovers its
 	// streamed world (checkpoint + WAL replay) before the first call — not
 	// only once somebody happens to append.
@@ -432,16 +421,12 @@ func New(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// newRouter builds an empty shard router sized by Config.Shards, with every
-// shard's index wired into the client's observer. The extraction pipeline
-// and the (immutable) similarity measure are shared — only postings are
-// partitioned.
-func (c *Client) newRouter() *shard.Router {
-	r := shard.New(c.cfg.Shards, search.MeanAgg, func() *index.Index {
-		return index.New(c.measure, c.cfg.ThetaIndex)
-	})
-	r.SetObserver(c.o)
-	return r
+// newIndex builds an empty subjective tag index wired into the client's
+// observer.
+func (c *Client) newIndex() *index.Index {
+	ix := index.New(c.measure, c.cfg.ThetaIndex)
+	ix.SetObserver(c.o)
+	return ix
 }
 
 // ExtractTags runs the §4+§5 pipeline on free text and returns its
@@ -548,12 +533,12 @@ func (c *Client) IndexEntitiesCtx(ctx context.Context, entities []Entity, tags [
 	if err := ctx.Err(); err != nil {
 		return &StageError{Stage: "extract", Err: err}
 	}
-	router := c.newRouter()
+	ix := c.newIndex()
 	low := make([]string, len(tags))
 	for i, t := range tags {
 		low[i] = strings.ToLower(t)
 	}
-	if err := router.BuildCtx(ctx, low, reviews); err != nil {
+	if err := ix.BuildCtx(ctx, low, reviews); err != nil {
 		return &StageError{Stage: "index", Err: err}
 	}
 	hist := index.NewHistory()
@@ -563,39 +548,33 @@ func (c *Client) IndexEntitiesCtx(ctx context.Context, entities []Entity, tags [
 	if c.shut {
 		return &StageError{Stage: "index", Err: ErrShutdown}
 	}
-	w := newWorld(slices.Clone(entities), reviews, router, hist)
+	w := newWorld(slices.Clone(entities), reviews, ix, hist)
 	c.w.Store(w)
-	if c.ings != nil {
-		// The batch world supersedes the streamed one: rebase each shard's
-		// ingester on its slice of the fresh index (checkpointing entity
-		// metadata and truncating the WAL behind it) so future appends
-		// continue from here.
-		parts := router.Partition(reviews)
-		metas := partitionMeta(w.ents, router.N())
-		for i, ing := range c.ings {
-			if err := ing.Rebase(router.Shard(i), low, parts[i], metas[i]); err != nil {
-				return &StageError{Stage: "index", Err: err}
-			}
+	if c.ing != nil {
+		// The batch world supersedes the streamed one: rebase the ingester on
+		// the fresh index (checkpointing entity metadata and truncating the
+		// WAL behind it) so future appends continue from here.
+		if err := c.ing.Rebase(ix, low, reviews, entityMeta(w.ents)); err != nil {
+			return &StageError{Stage: "index", Err: err}
 		}
 	}
 	return nil
 }
 
-// partitionMeta splits the non-empty entity metadata by owning shard, in the
-// shape each shard's ingester persists (checkpoint meta / WAL metadata
-// records).
-func partitionMeta(entities []Entity, n int) []map[string]ingest.EntityMeta {
-	out := make([]map[string]ingest.EntityMeta, n)
+// entityMeta collects the non-empty entity metadata in the shape the
+// ingester persists (checkpoint meta / WAL metadata records); nil when there
+// is none.
+func entityMeta(entities []Entity) map[string]ingest.EntityMeta {
+	var out map[string]ingest.EntityMeta
 	for _, e := range entities {
 		m := ingest.EntityMeta{Name: e.Name, City: e.City, Cuisine: e.Cuisine}
 		if m == (ingest.EntityMeta{}) {
 			continue
 		}
-		s := shard.Owner(e.ID, n)
-		if out[s] == nil {
-			out[s] = map[string]ingest.EntityMeta{}
+		if out == nil {
+			out = map[string]ingest.EntityMeta{}
 		}
-		out[s][e.ID] = m
+		out[e.ID] = m
 	}
 	return out
 }
@@ -637,7 +616,7 @@ func (c *Client) AppendReviewCtx(ctx context.Context, entityID, review string) e
 		c.writeMu.Unlock()
 		return fail(ErrShutdown)
 	}
-	if c.ings == nil {
+	if c.ing == nil {
 		if err := c.openIngestLocked(); err != nil {
 			c.writeMu.Unlock()
 			return fail(err)
@@ -650,7 +629,7 @@ func (c *Client) AppendReviewCtx(ctx context.Context, entityID, review string) e
 	if !known {
 		c.w.Store(w.withEntity(Entity{ID: entityID}))
 	}
-	_, err := c.ings[w.router.Owner(entityID)].Append(ctx, entityID, review)
+	_, err := c.ing.Append(ctx, entityID, review)
 	if err != nil && !known {
 		// The append was refused, so no review exists for the stub: roll
 		// the world back rather than leave a phantom entity visible to
@@ -697,9 +676,9 @@ func (c *Client) RegisterEntityCtx(ctx context.Context, e Entity) error {
 	w := c.w.Load()
 	// Durability first: only a metadata record the WAL acknowledged may
 	// become visible to queries.
-	if c.ings != nil {
+	if c.ing != nil {
 		m := ingest.EntityMeta{Name: e.Name, City: e.City, Cuisine: e.Cuisine}
-		if _, err := c.ings[w.router.Owner(e.ID)].PutMeta(ctx, e.ID, m); err != nil {
+		if _, err := c.ing.PutMeta(ctx, e.ID, m); err != nil {
 			return fail(err)
 		}
 	}
@@ -718,54 +697,40 @@ func (c *Client) RegisterEntityCtx(ctx context.Context, e Entity) error {
 // instead of sleeping.
 func (c *Client) Quiesce() error {
 	c.writeMu.Lock()
-	ings := c.ings
+	ing := c.ing
 	c.writeMu.Unlock()
-	for _, ing := range ings {
-		if err := ing.Flush(context.Background()); err != nil {
-			return err
-		}
+	if ing == nil {
+		return nil
 	}
-	return nil
+	return ing.Flush(context.Background())
 }
 
-// openIngestLocked opens one streaming ingester per shard over the current
-// world, seeding each with its slice of the batch-extracted reviews so
-// streamed appends land on top of the indexed corpus. With a WALDir it first
-// recovers any durable state — recovered entities come back with their
-// persisted metadata, or as bare-ID stubs when none was ever written. It
-// runs at most once per client, before Shutdown (see Client.ings). Caller
-// holds writeMu.
+// openIngestLocked opens the streaming ingester over the current world,
+// seeding it with the batch-extracted reviews so streamed appends land on
+// top of the indexed corpus. With a WALDir it first recovers any durable
+// state — recovered entities come back with their persisted metadata, or as
+// bare-ID stubs when none was ever written. It runs at most once per client,
+// before Shutdown (see Client.ing). Caller holds writeMu.
 func (c *Client) openIngestLocked() error {
-	w := c.w.Load()
-	r := w.router
-	parts := r.Partition(w.reviews)
-	metas := partitionMeta(w.ents, r.N())
-	ings := make([]*ingest.Ingester, r.N())
-	for i := range ings {
-		dir := c.cfg.WALDir
-		if dir != "" && r.N() > 1 {
-			dir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
-		}
-		ing, err := ingest.Open(ingest.Config{
-			Dir:             dir,
-			PublishEvery:    c.cfg.IngestPublishEvery,
-			PublishInterval: c.cfg.IngestPublishInterval,
-			Obs:             c.o,
-		}, r.Shard(i), r.Shard(i).Tags(), parts[i], c.extractReviewTags)
-		if err != nil {
-			for _, g := range ings[:i] {
-				_ = g.Close()
-			}
-			return err
-		}
-		// Known metadata rides along in memory so a later Rebase checkpoint
-		// carries it; recovery below pulls the opposite direction.
-		if len(metas[i]) > 0 {
-			ing.SeedMeta(metas[i])
-		}
-		ings[i] = ing
+	if err := refuseShardedWAL(c.cfg.WALDir); err != nil {
+		return err
 	}
-	c.ings = ings
+	w := c.w.Load()
+	ing, err := ingest.Open(ingest.Config{
+		Dir:             c.cfg.WALDir,
+		PublishEvery:    c.cfg.IngestPublishEvery,
+		PublishInterval: c.cfg.IngestPublishInterval,
+		Obs:             c.o,
+	}, w.ix, w.ix.Tags(), w.reviews, c.extractReviewTags)
+	if err != nil {
+		return err
+	}
+	// Known metadata rides along in memory so a later Rebase checkpoint
+	// carries it; recovery below pulls the opposite direction.
+	if meta := entityMeta(w.ents); meta != nil {
+		ing.SeedMeta(meta)
+	}
+	c.ing = ing
 	// Recovery can resurface entities the in-memory world has never seen
 	// (their reviews or metadata arrived through the WAL in a previous
 	// process): rebuild each with its persisted identity, or a stub when
@@ -778,17 +743,42 @@ func (c *Client) openIngestLocked() error {
 			recovered = append(recovered, Entity{ID: id, Name: m.Name, City: m.City, Cuisine: m.Cuisine})
 		}
 	}
-	for _, ing := range ings {
-		meta := ing.Meta()
-		for _, er := range ing.State() {
-			resurface(er.EntityID, meta[er.EntityID])
-		}
-		for id, m := range meta {
-			resurface(id, m)
-		}
+	meta := ing.Meta()
+	for _, er := range ing.State() {
+		resurface(er.EntityID, meta[er.EntityID])
+	}
+	for id, m := range meta {
+		resurface(id, m)
 	}
 	if len(recovered) > 0 {
-		c.w.Store(newWorld(append(slices.Clip(w.ents), recovered...), w.reviews, w.router, w.history))
+		c.w.Store(newWorld(append(slices.Clip(w.ents), recovered...), w.reviews, w.ix, w.history))
+	}
+	return nil
+}
+
+// refuseShardedWAL fails when dir holds shard-<i> subdirectories: the
+// per-shard layout of a client that partitioned its index. Recovery reads
+// only the flat layout, so opening such a directory would silently drop
+// every review acknowledged under them.
+func refuseShardedWAL(dir string) error {
+	if dir == "" {
+		return nil
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
+		return err
+	}
+	var sharded []string
+	for _, e := range entries {
+		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
+			sharded = append(sharded, e.Name())
+		}
+	}
+	if len(sharded) > 0 {
+		return fmt.Errorf("WAL directory %s holds per-shard logs (%s) written by a sharded client; only the flat layout is recovered", dir, strings.Join(sharded, ", "))
 	}
 	return nil
 }
@@ -807,7 +797,7 @@ func (c *Client) extractReviewTags(texts []string) [][]string {
 }
 
 // IndexedTags returns the current index keys.
-func (c *Client) IndexedTags() []string { return c.w.Load().router.Tags() }
+func (c *Client) IndexedTags() []string { return c.w.Load().ix.Tags() }
 
 // Reindex drains the user tag history (unknown tags seen in queries) into
 // the index — the adaptive round of the paper's Fig. 1 — and returns the
@@ -849,35 +839,32 @@ func (c *Client) ReindexCtx(ctx context.Context) ([]string, error) {
 	st.Span().Set("pending", len(pend))
 	st.End()
 	// The new tags cover every review the index holds. Once streaming has
-	// started that is the ingesters' state — seeded with the batch reviews,
+	// started that is the ingester's state — seeded with the batch reviews,
 	// grown by every append — and not w.reviews, which only holds the last
 	// IndexEntities batch. Flushing first publishes every acknowledged append,
 	// so the old and new tags cover the same reviews; writeMu keeps new
 	// appends out until AddTags below widens the stream's vocabulary.
 	reviews := w.reviews
-	if c.ings != nil {
-		reviews = nil
-		for _, ing := range c.ings {
-			if err := ing.Flush(ctx); err != nil {
-				w.history.Requeue(pend)
-				return fail(err)
-			}
-			reviews = append(reviews, ing.State()...)
+	if c.ing != nil {
+		if err := c.ing.Flush(ctx); err != nil {
+			w.history.Requeue(pend)
+			return fail(err)
 		}
+		reviews = c.ing.State()
 	}
-	if err := w.router.BuildCtx(ctx, pend, reviews); err != nil {
+	if err := w.ix.BuildCtx(ctx, pend, reviews); err != nil {
 		w.history.Requeue(pend)
 		return fail(err)
 	}
-	for _, ing := range c.ings {
+	if c.ing != nil {
 		// Widen the streaming vocabulary too, so future delta publications
 		// cover the tags just reindexed (durably, when a WALDir is set).
-		if err := ing.AddTags(pend); err != nil {
+		if err := c.ing.AddTags(pend); err != nil {
 			return fail(err)
 		}
 	}
 	req.Ev.Tags = len(pend)
-	req.Ev.Generation = w.router.Generation()
+	req.Ev.Generation = w.ix.Current().Generation()
 	req.Finish(nil)
 	return pend, nil
 }
@@ -928,11 +915,10 @@ func (c *Client) QueryCtx(ctx context.Context, utterance string, opts ...QueryOp
 		req.Ev.TopK, req.Ev.ThetaFilter = opts[0].TopK, opts[0].ThetaFilter
 	}
 	w := c.w.Load()
-	// Pin a consistent vector of shard snapshots once, up front: the whole
-	// request reads one immutable generation per shard even while writers
-	// republish underneath it.
-	view := w.router.Pin()
-	req.Ev.Generation = view.Generation()
+	// Pin the index snapshot once, up front: the whole request reads one
+	// immutable generation even while writers republish underneath it.
+	snap := w.ix.Current()
+	req.Ev.Generation = snap.Generation()
 	fail := func(stage string, err error) (Response, error) {
 		c.o.Counter("query.interrupted.total").Inc()
 		serr := &StageError{Stage: stage, Err: err}
@@ -954,7 +940,7 @@ func (c *Client) QueryCtx(ctx context.Context, utterance string, opts ...QueryOp
 
 	var unknown []string
 	for _, t := range tags {
-		if !view.Has(t) {
+		if !snap.Has(t) {
 			unknown = append(unknown, t)
 			w.history.Add(t)
 		}
@@ -969,7 +955,8 @@ func (c *Client) QueryCtx(ctx context.Context, utterance string, opts ...QueryOp
 	st.End()
 
 	st = obs.BeginStage(c.o, root, "rank")
-	ranked, err := view.TopK(ctx, st.Span(), apiResults, tags, theta, topK)
+	rk := search.Ranker{Snap: snap, ThetaFilter: theta, Agg: search.MeanAgg}
+	ranked, err := rk.TopK(ctx, st.Span(), apiResults, tags, topK)
 	if err != nil {
 		st.EndErr(err)
 		return fail("rank", err)
@@ -1017,15 +1004,16 @@ func (c *Client) QueryTagsCtx(ctx context.Context, tags []string, opts ...QueryO
 		}
 	}
 	w := c.w.Load()
-	view := w.router.Pin()
+	snap := w.ix.Current()
 	low := make([]string, len(tags))
 	for i, t := range tags {
 		low[i] = strings.ToLower(t)
-		if !view.Has(low[i]) {
+		if !snap.Has(low[i]) {
 			w.history.Add(low[i])
 		}
 	}
-	ranked, err := view.TopK(ctx, nil, w.ids, low, theta, topK)
+	rk := search.Ranker{Snap: snap, ThetaFilter: theta, Agg: search.MeanAgg}
+	ranked, err := rk.TopK(ctx, nil, w.ids, low, topK)
 	if err != nil {
 		c.o.Counter("query.interrupted.total").Inc()
 		return nil, &StageError{Stage: "rank", Err: err}
@@ -1086,11 +1074,11 @@ func (c *Client) SlowQueries() []obs.Event { return c.o.Telemetry().SlowQueries(
 // exactly the world this one acknowledged. Safe to call more than once.
 func (c *Client) Shutdown() {
 	c.writeMu.Lock()
-	ings := c.ings
-	c.ings = nil
+	ing := c.ing
+	c.ing = nil
 	c.shut = true
 	c.writeMu.Unlock()
-	for _, ing := range ings {
+	if ing != nil {
 		_ = ing.Close()
 	}
 	c.o.Telemetry().Close()
@@ -1223,30 +1211,17 @@ func objectiveFilter(w *world, slots map[string]string) []string {
 // SaveIndex writes the current subjective tag index as JSON so it can be
 // reloaded without re-extracting reviews. It serializes the snapshot
 // current at the moment of the call, unaffected by concurrent rebuilds.
-// The single-index serialization format has no shard framing, so a sharded
-// client (Config.Shards > 1) refuses with an error.
-func (c *Client) SaveIndex(w io.Writer) error {
-	r := c.w.Load().router
-	if r.N() > 1 {
-		return fmt.Errorf("saccs: SaveIndex unsupported with %d shards (use the WAL for durable sharded state)", r.N())
-	}
-	return r.Shard(0).Save(w)
-}
+func (c *Client) SaveIndex(w io.Writer) error { return c.w.Load().ix.Save(w) }
 
 // LoadIndex restores a previously saved index. The loaded postings are
 // validated fully before anything is published, then swapped in atomically;
 // on error the client keeps serving its previous index. The client's
 // entities must be re-registered separately (IndexEntities with an empty
-// tag list keeps reviews without rebuilding the postings). Like SaveIndex,
-// it refuses on a sharded client.
+// tag list keeps reviews without rebuilding the postings).
 func (c *Client) LoadIndex(r io.Reader) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	rt := c.w.Load().router
-	if rt.N() > 1 {
-		return fmt.Errorf("saccs: LoadIndex unsupported with %d shards (use the WAL for durable sharded state)", rt.N())
-	}
-	return rt.Shard(0).Load(r)
+	return c.w.Load().ix.Load(r)
 }
 
 // CorrectTag routes a possibly misspelled tag onto the closest indexed tag
@@ -1254,7 +1229,7 @@ func (c *Client) LoadIndex(r io.Reader) error {
 // returns the input unchanged when nothing is close enough.
 func (c *Client) CorrectTag(tag string) string {
 	trie := automaton.New()
-	c.w.Load().router.EachTag(func(t string) bool { trie.Add(t); return true })
+	c.w.Load().ix.EachTag(func(t string) bool { trie.Add(t); return true })
 	if fixed, ok := trie.Closest(strings.ToLower(tag), 2); ok {
 		return fixed
 	}

@@ -194,37 +194,6 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// TestGoldenShardedQueries proves the scatter-gather serving contract end to
-// end: a client partitioned across 3 shards must answer every canonical
-// utterance byte-identically to the single-index golden snapshots — same
-// tags, same ranking, scores to 1e-9.
-func TestGoldenShardedQueries(t *testing.T) {
-	if *updateGolden {
-		t.Skip("snapshots are updated by the unsharded TestGoldenQueries")
-	}
-	base := goldenIndexedClient(t)
-	cfg := DefaultConfig()
-	cfg.Shards = 3
-	c := cloneForTest(t, base, cfg)
-	if err := c.IndexEntities(goldenWorld(), c.CanonicalTags()); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range goldenUtterances {
-		t.Run(tc.name, func(t *testing.T) {
-			got := snapshotResponse(tc.utterance, c.Query(tc.utterance))
-			data, err := os.ReadFile(goldenPath(tc.name))
-			if err != nil {
-				t.Fatalf("missing golden snapshot (run TestGoldenQueries -update to create): %v", err)
-			}
-			var want goldenResponse
-			if err := json.Unmarshal(data, &want); err != nil {
-				t.Fatalf("corrupt golden snapshot: %v", err)
-			}
-			compareGolden(t, want, got)
-		})
-	}
-}
-
 // TestGoldenWorldStable guards the snapshot's foundation: the seeded world
 // itself must not drift (entity count, first/last IDs, total review count).
 // If this fails, regenerating the golden files is expected — the queries

@@ -5,11 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"saccs/internal/index"
+	"saccs/internal/ingest"
 	"saccs/internal/obs"
 )
 
@@ -31,7 +34,7 @@ func cloneForTest(t *testing.T, c *Client, cfg Config) *Client {
 		measure: c.measure,
 		o:       o,
 	}
-	clone.w.Store(&world{router: clone.newRouter(), history: hist})
+	clone.w.Store(&world{ix: clone.newIndex(), history: hist})
 	if cfg.WALDir != "" {
 		clone.writeMu.Lock()
 		err := clone.openIngestLocked()
@@ -105,55 +108,51 @@ func TestStreamedIngestReproducesGolden(t *testing.T) {
 // TestReindexAfterStreamCoversAppendedReviews: tags learned by Reindex after
 // streamed appends must be indexed over every review the client holds — the
 // appended ones included — exactly as a batch build of the whole world with
-// every tag up front would index them, on one shard and on several.
+// every tag up front would index them.
 func TestReindexAfterStreamCoversAppendedReviews(t *testing.T) {
 	base := newClient(t)
 	canon := base.CanonicalTags()
 	known, learned := canon[:len(canon)/2], canon[len(canon)/2:]
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Shards = shards
-			cfg.IngestPublishInterval = -1
-			batch := cloneForTest(t, base, cfg)
-			if err := batch.IndexEntities(goldenWorld(), canon); err != nil {
-				t.Fatal(err)
-			}
+	// The one index runs as subtest "shards=1", the name the case is reported under.
+	t.Run("shards=1", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.IngestPublishInterval = -1
+		batch := cloneForTest(t, base, cfg)
+		if err := batch.IndexEntities(goldenWorld(), canon); err != nil {
+			t.Fatal(err)
+		}
 
-			stream := cloneForTest(t, base, cfg)
-			if err := stream.IndexEntities(nil, known); err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range goldenWorld() {
-				for _, r := range e.Reviews {
-					if err := stream.AppendReview(e.ID, r); err != nil {
-						t.Fatalf("append %s: %v", e.ID, err)
-					}
+		stream := cloneForTest(t, base, cfg)
+		if err := stream.IndexEntities(nil, known); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range goldenWorld() {
+			for _, r := range e.Reviews {
+				if err := stream.AppendReview(e.ID, r); err != nil {
+					t.Fatalf("append %s: %v", e.ID, err)
 				}
 			}
-			if err := stream.Quiesce(); err != nil {
-				t.Fatal(err)
-			}
-			stream.QueryTags(learned) // queues every learned tag
-			if got := stream.Reindex(); len(got) != len(learned) {
-				t.Fatalf("Reindex learned %v, want %v", got, learned)
-			}
-			if err := stream.Quiesce(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := stream.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		stream.QueryTags(learned) // queues every learned tag
+		if got := stream.Reindex(); len(got) != len(learned) {
+			t.Fatalf("Reindex learned %v, want %v", got, learned)
+		}
+		if err := stream.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
 
-			want, got := batch.w.Load().router, stream.w.Load().router
-			for _, tag := range canon {
-				for i := 0; i < shards; i++ {
-					w, g := want.Shard(i).Lookup(tag), got.Shard(i).Lookup(tag)
-					if fmt.Sprint(w) != fmt.Sprint(g) {
-						t.Errorf("tag %q, shard %d: streamed + reindexed has %d postings %v, batch build %d %v",
-							tag, i, len(g), g, len(w), w)
-					}
-				}
+		want, got := batch.w.Load().ix, stream.w.Load().ix
+		for _, tag := range canon {
+			w, g := want.Lookup(tag), got.Lookup(tag)
+			if fmt.Sprint(w) != fmt.Sprint(g) {
+				t.Errorf("tag %q: streamed + reindexed has %d postings %v, batch build %d %v",
+					tag, len(g), g, len(w), w)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestAppendReviewWALRecovery proves the facade durability contract on the
@@ -211,6 +210,42 @@ func TestAppendReviewWALRecovery(t *testing.T) {
 		t.Fatalf("recovered ranking wrong: %v", got)
 	}
 	second.Shutdown()
+}
+
+// TestShardedWALDirIsRefused: a WALDir holding the per-shard logs of a
+// sharded client (shard-<i>/ subdirectories) must fail recovery with an
+// error naming them, never open as an empty world that silently drops every
+// review acknowledged under them.
+func TestShardedWALDirIsRefused(t *testing.T) {
+	base := newClient(t)
+	dir := t.TempDir()
+	ing, err := ingest.Open(ingest.Config{Dir: filepath.Join(dir, "shard-0")},
+		index.New(base.measure, 0.55), nil, nil, base.extractReviewTags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ing.Append(context.Background(), "e1", "great food"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Drive recovery the way New and cloneForTest do.
+	c := cloneForTest(t, base, DefaultConfig())
+	c.cfg.WALDir = dir
+	c.writeMu.Lock()
+	err = c.openIngestLocked()
+	c.writeMu.Unlock()
+	if err == nil {
+		t.Fatal("a sharded WAL directory was opened")
+	}
+	if msg := err.Error(); !strings.Contains(msg, dir) || !strings.Contains(msg, "shard-0") {
+		t.Fatalf("error %q does not name the directory and its shard-0 entry", msg)
+	}
+	if c.ing != nil || len(c.w.Load().ids) != 0 {
+		t.Fatal("a refused recovery left an ingester or entities behind")
+	}
 }
 
 // TestWritesAfterShutdownAreRefused: Shutdown seals the write side for good.
@@ -361,10 +396,8 @@ func TestShutdownRacingAppends(t *testing.T) {
 		t.Fatalf("recovered index differs from the one the sealed client serves:\nserved:    %s\nrecovered: %s", served.Bytes(), recovered.Bytes())
 	}
 	var reviews int64
-	for _, ing := range fresh.ings {
-		for _, er := range ing.State() {
-			reviews += int64(er.ReviewCount)
-		}
+	for _, er := range fresh.ing.State() {
+		reviews += int64(er.ReviewCount)
 	}
 	if reviews != acked.Load() {
 		t.Fatalf("recovered %d reviews, %d were acknowledged", reviews, acked.Load())

@@ -112,7 +112,7 @@ func TestClientUnknownTagAndReindex(t *testing.T) {
 		t.Fatal("Reindex added nothing")
 	}
 	for _, tag := range added {
-		if !c.w.Load().router.Pin().Has(tag) {
+		if !c.w.Load().ix.Current().Has(tag) {
 			t.Fatalf("tag %q not indexed after Reindex", tag)
 		}
 	}
@@ -170,12 +170,12 @@ func TestConfigZeroValuesHonored(t *testing.T) {
 	if err := c.IndexEntities(demoEntities(), []string{"delicious food"}); err != nil {
 		t.Fatal(err)
 	}
-	zero := c.w.Load().router.Shard(0).Lookup("delicious food")
+	zero := c.w.Load().ix.Lookup("delicious food")
 	def := newClient(t)
 	if err := def.IndexEntities(demoEntities(), []string{"delicious food"}); err != nil {
 		t.Fatal(err)
 	}
-	if len(zero) < len(def.w.Load().router.Shard(0).Lookup("delicious food")) {
+	if len(zero) < len(def.w.Load().ix.Lookup("delicious food")) {
 		t.Fatalf("theta_index 0 produced fewer postings (%d) than 0.55", len(zero))
 	}
 }
