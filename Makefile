@@ -16,9 +16,9 @@ GO ?= go
 FUZZTIME ?= 30s
 
 # Minimum acceptable total test coverage (percent), measured by `make cover`.
-# Recorded from the seed tree; raise it when coverage genuinely improves,
-# never lower it to make a PR pass.
-COVER_BASELINE ?= 77.3
+# Raised from the seed tree's 77.3 once the tree read 80.2; raise it when
+# coverage genuinely improves, never lower it to make a PR pass.
+COVER_BASELINE ?= 79.5
 
 .PHONY: ci lint vet build deps-check test test-short race race-full bench bench-smoke \
 	bench-ingest bench-serve benchmark-check check obs-lint fuzz-smoke cover loc
@@ -185,7 +185,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzPreparedPhrase$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/sim/
 
 # cover measures total -short coverage and fails if it regresses below
-# COVER_BASELINE (the value recorded from the seed tree).
+# COVER_BASELINE.
 cover:
 	$(GO) test -short -coverprofile=coverage.out ./...
 	@total=$$($(GO) tool cover -func=coverage.out | tail -1 | awk '{sub(/%/, "", $$NF); print $$NF}'); \

@@ -343,7 +343,8 @@ func stageBenchmarks(o *obs.Observer, doc *benchFile) {
 		{"index.resolve.exact", func() { paper.Index.Resolve(exactTag, svc.Cfg.ThetaFilter) }},
 		{"index.resolve.similar", func() { paper.Index.Resolve(similarTag, svc.Cfg.ThetaFilter) }},
 		{"rank", func() {
-			_, _ = paper.Ranker().TopK(context.Background(), nil, apiResults, queryTags, svc.Cfg.TopK)
+			rk := paper.Ranker()
+			_, _ = rk.TopK(context.Background(), nil, search.NewCandidates(rk.Snap, apiResults), queryTags, svc.Cfg.TopK)
 		}},
 	}
 

@@ -218,7 +218,7 @@ func RankReferenceOracle(seed int64, queries int) error {
 				want := ref.rank(api, qt)
 				rk := &search.Ranker{Snap: snap, ThetaFilter: theta, Agg: agg}
 				for _, k := range []int{0, 1, topK, len(api) + 5} {
-					got, err := rk.TopK(context.Background(), nil, api, qt, k)
+					got, err := rk.TopK(context.Background(), nil, search.NewCandidates(snap, api), qt, k)
 					if err != nil {
 						return fmt.Errorf("rank-reference oracle (seed %d): query %d: %w", seed, q, err)
 					}

@@ -492,8 +492,9 @@ func (s *Service) QueryTags(slots map[string]string, tags []string) []search.Sco
 			s.History.Add(strings.ToLower(t))
 		}
 	}
-	// context.Background is never cancelled, so the error path is dead.
-	ranked, _ := s.ranker(snap).TopK(context.Background(), nil, apiResults, lower(tags), s.Cfg.TopK)
+	// context.Background is never cancelled and the candidates are resolved
+	// against snap, so the error path is dead.
+	ranked, _ := s.ranker(snap).TopK(context.Background(), nil, search.NewCandidates(snap, apiResults), lower(tags), s.Cfg.TopK)
 	return ranked
 }
 

@@ -48,6 +48,30 @@ func TestRankCtxCancelledReturnsNoPartialResults(t *testing.T) {
 	}
 }
 
+// TestTopKRejectsStaleCandidates: Candidates resolved against one generation
+// must not rank against another — with or without tags — and resolving them
+// again against the new generation ranks as Rank does.
+func TestTopKRejectsStaleCandidates(t *testing.T) {
+	ix := buildIndex()
+	before := ix.Current()
+	api := []string{"anchovy", "hut", "vue"}
+	stale := NewCandidates(before, api)
+	ix.AddTag("tasty food", []index.EntityReviews{{EntityID: "vue", ReviewCount: 10, Tags: []string{"tasty food"}}})
+	r := &Ranker{Snap: ix.Current(), ThetaFilter: 0.5}
+	if stale.Generation() == r.Snap.Generation() {
+		t.Fatalf("fixture: AddTag kept generation %d", stale.Generation())
+	}
+	for _, tags := range [][]string{{"good food"}, nil} {
+		if out, err := r.TopK(context.Background(), nil, stale, tags, 0); !errors.Is(err, ErrStaleCandidates) || out != nil {
+			t.Fatalf("tags %v: stale candidates ranked: %v, %v", tags, out, err)
+		}
+	}
+	got, err := r.TopK(context.Background(), nil, NewCandidates(r.Snap, api), []string{"good food"}, 0)
+	if err != nil || !reflect.DeepEqual(got, r.Rank(api, []string{"good food"})) {
+		t.Fatalf("fresh candidates: %v, %v", got, err)
+	}
+}
+
 // TestRankCtxDeadlineObservedMidRank sweeps the expiry across every poll
 // point of a multi-tag ranking (n = 0, 1, 2, …): wherever the deadline
 // lands, the call must fail with the context error and nil results; once n
@@ -122,8 +146,9 @@ func TestRankCtxAllocsRegression(t *testing.T) {
 	if snap.Has(tags[1]) || len(snap.Resolve(tags[1], 0.45)) == 0 {
 		t.Fatalf("%q must miss the index and resolve through the similar-tag union", tags[1])
 	}
+	cands := NewCandidates(snap, ids)
 	rank := func() {
-		if out, err := r.TopK(context.Background(), nil, ids, tags, 10); err != nil || len(out) != 10 {
+		if out, err := r.TopK(context.Background(), nil, cands, tags, 10); err != nil || len(out) != 10 {
 			t.Fatalf("rank: %d results, %v", len(out), err)
 		}
 	}
@@ -144,7 +169,8 @@ func TestRankCtxCancelledReturnsScratch(t *testing.T) {
 	snap, ids := paperScaleIndex()
 	r := &Ranker{Snap: snap, ThetaFilter: 0.45}
 	tags := []string{"good food", "delicious food"}
-	if _, err := r.TopK(context.Background(), nil, ids, tags, 10); err != nil {
+	cands := NewCandidates(snap, ids)
+	if _, err := r.TopK(context.Background(), nil, cands, tags, 10); err != nil {
 		t.Fatal(err)
 	}
 	// Expire at the third poll: after the entry check and the first tag's
@@ -152,7 +178,7 @@ func TestRankCtxCancelledReturnsScratch(t *testing.T) {
 	ctx := &countdownCtx{Context: context.Background(), err: context.DeadlineExceeded}
 	cancelled := func() {
 		ctx.after = 2
-		if out, err := r.TopK(ctx, nil, ids, tags, 10); !errors.Is(err, context.DeadlineExceeded) || out != nil {
+		if out, err := r.TopK(ctx, nil, cands, tags, 10); !errors.Is(err, context.DeadlineExceeded) || out != nil {
 			t.Fatalf("mid-rank expiry: %v, %v", out, err)
 		}
 	}
@@ -175,7 +201,7 @@ func TestTopKIsPrefixOfFullRank(t *testing.T) {
 				t.Fatalf("agg %v tags %v: full rank has %d entries, want the 42 distinct API results", agg, tags, len(full))
 			}
 			for k := 1; k <= len(full)+2; k++ {
-				got, err := r.TopK(context.Background(), nil, api, tags, k)
+				got, err := r.TopK(context.Background(), nil, NewCandidates(snap, api), tags, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -210,7 +236,7 @@ func TestScratchSharedAcrossIndexesAndGoroutines(t *testing.T) {
 	want := make([][]Scored, len(qs))
 	for i, q := range qs {
 		var err error
-		if want[i], err = q.r.TopK(context.Background(), nil, q.api, q.tags, q.k); err != nil || len(want[i]) == 0 {
+		if want[i], err = q.r.TopK(context.Background(), nil, NewCandidates(q.r.Snap, q.api), q.tags, q.k); err != nil || len(want[i]) == 0 {
 			t.Fatalf("baseline %d: %v %v", i, want[i], err)
 		}
 	}
@@ -221,7 +247,7 @@ func TestScratchSharedAcrossIndexesAndGoroutines(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 200; n++ {
 				i := (n + g) % len(qs)
-				got, err := qs[i].r.TopK(context.Background(), nil, qs[i].api, qs[i].tags, qs[i].k)
+				got, err := qs[i].r.TopK(context.Background(), nil, NewCandidates(qs[i].r.Snap, qs[i].api), qs[i].tags, qs[i].k)
 				if err != nil || !reflect.DeepEqual(got, want[i]) {
 					t.Errorf("goroutine %d pass %d query %d: %v (%v), want %v", g, n, i, got, err, want[i])
 					return

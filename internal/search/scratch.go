@@ -34,7 +34,6 @@ type scratch struct {
 	// first matched; a tag that never matches it leaves its cell zero.
 	cells   []float64
 	matched []int32  // ordinals with seen == epoch, in first-match order
-	apiOrds []int32  // apiResults' ordinals, -1 where the snapshot has none
 	tail    []string // unmatched API results (cleared before the scratch is pooled)
 	// probe is the index's share of the scratch: the prepared query tag and
 	// the similar keys of each unknown tag's vocabulary scan (reset before
@@ -59,7 +58,7 @@ func (sc *scratch) begin(entities, tags int) {
 		clear(sc.slots)
 		sc.epoch = 1
 	}
-	sc.matched, sc.apiOrds = sc.matched[:0], sc.apiOrds[:0]
+	sc.matched = sc.matched[:0]
 }
 
 // release returns the scratch to the pool, dropping the ID strings and the
@@ -108,10 +107,10 @@ func (sc *scratch) add(ord int32, tag int, degree float64) bool {
 // snapshot has no ordinal for — in ascending ID order without duplicates.
 // Callers that hand over an ID-sorted candidate set (the facade does) pay
 // one linear pass; anything else is sorted here.
-func (sc *scratch) unmatched(apiResults []string) []string {
+func (sc *scratch) unmatched(cands Candidates) []string {
 	sc.tail = sc.tail[:0]
-	for i, id := range apiResults {
-		if ord := sc.apiOrds[i]; ord < 0 || sc.slots[ord].seen != sc.epoch {
+	for i, id := range cands.ids {
+		if ord := cands.ords[i]; ord < 0 || sc.slots[ord].seen != sc.epoch {
 			sc.tail = append(sc.tail, id)
 		}
 	}

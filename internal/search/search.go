@@ -7,6 +7,8 @@ package search
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"slices"
 	"strings"
 
@@ -125,16 +127,62 @@ type Ranker struct {
 	Agg Aggregation
 }
 
+// Candidates is S_api numbered for one index generation: the objective
+// API's entity IDs and, in parallel, their ordinals in the snapshot they were
+// resolved against (-1 for an ID that snapshot has never numbered). Ordinals
+// mean something only within that generation, so TopK refuses Candidates
+// resolved against any other. A Candidates value is read-only once built: a
+// caller that ranks the same API answer many times against one generation
+// (the facade memoises one per slot key and generation) resolves it once and
+// shares it across goroutines. It holds the generation's number, not the
+// snapshot, so keeping one pins no superseded generation's memory.
+//
+// Generation numbers are per index: Candidates must be ranked against a
+// snapshot of the index they were resolved on.
+type Candidates struct {
+	ids  []string
+	ords []int32
+	gen  uint64
+}
+
+// NewCandidates resolves the API result IDs against snap: one ID → ordinal
+// lookup per ID. ids is retained, not copied, and must not be written to
+// afterwards.
+func NewCandidates(snap *index.Snapshot, ids []string) Candidates {
+	ords := make([]int32, len(ids))
+	for i, id := range ids {
+		ord, ok := snap.Ordinal(id)
+		if !ok {
+			ord = -1
+		}
+		ords[i] = ord
+	}
+	return Candidates{ids: ids, ords: ords, gen: snap.Generation()}
+}
+
+// Len returns the number of API results.
+func (c Candidates) Len() int { return len(c.ids) }
+
+// Generation returns the index generation the ordinals were resolved in.
+func (c Candidates) Generation() uint64 { return c.gen }
+
+// ErrStaleCandidates is why TopK refuses Candidates resolved against another
+// generation than the ranker's snapshot: their ordinals would stamp the wrong
+// entities.
+var ErrStaleCandidates = errors.New("search: candidates resolved against another index generation")
+
 // Rank is RankCtx without tracing or cancellation.
 func (r *Ranker) Rank(apiResults []string, tags []string) []Scored {
-	// context.Background is never cancelled, so the error path is dead.
-	out, _ := r.TopK(context.Background(), nil, apiResults, tags, 0)
+	// context.Background is never cancelled and the candidates are resolved
+	// against r.Snap, so the error path is dead.
+	out, _ := r.TopK(context.Background(), nil, NewCandidates(r.Snap, apiResults), tags, 0)
 	return out
 }
 
-// RankCtx is TopK unbounded: the full total order over apiResults.
+// RankCtx is TopK unbounded over apiResults resolved against r.Snap: the
+// full total order over apiResults.
 func (r *Ranker) RankCtx(ctx context.Context, parent *obs.Span, apiResults []string, tags []string) ([]Scored, error) {
-	return r.TopK(ctx, parent, apiResults, tags, 0)
+	return r.TopK(ctx, parent, NewCandidates(r.Snap, apiResults), tags, 0)
 }
 
 // TopK executes lines 6–12 of Algorithm 1 and returns the first k results
@@ -156,14 +204,17 @@ func (r *Ranker) RankCtx(ctx context.Context, parent *obs.Span, apiResults []str
 // polled before each probe and periodically inside a probe's similarity
 // scan: a cancelled or expired context aborts with ctx's error and no partial
 // results, the failed probe's span carrying a cancelled/deadline status.
-func (r *Ranker) TopK(ctx context.Context, parent *obs.Span, apiResults []string, tags []string, k int) ([]Scored, error) {
+func (r *Ranker) TopK(ctx context.Context, parent *obs.Span, cands Candidates, tags []string, k int) ([]Scored, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if gen := r.Snap.Generation(); cands.gen != gen {
+		return nil, fmt.Errorf("%w: resolved against generation %d, ranking generation %d", ErrStaleCandidates, cands.gen, gen)
+	}
 	if len(tags) == 0 {
-		out := make([]Scored, bound(len(apiResults), k))
+		out := make([]Scored, bound(len(cands.ids), k))
 		for i := range out {
-			out[i].EntityID = apiResults[i]
+			out[i].EntityID = cands.ids[i]
 		}
 		return out, nil
 	}
@@ -173,14 +224,10 @@ func (r *Ranker) TopK(ctx context.Context, parent *obs.Span, apiResults []string
 
 	// S_api as a stamp per ordinal. An ID the snapshot has no ordinal for
 	// appears in no posting list, so it can only ever rank in the tail.
-	for _, id := range apiResults {
-		ord, ok := r.Snap.Ordinal(id)
-		if ok {
+	for _, ord := range cands.ords {
+		if ord >= 0 {
 			sc.slots[ord].api = sc.epoch
-		} else {
-			ord = -1
 		}
-		sc.apiOrds = append(sc.apiOrds, ord)
 	}
 
 	// S_t per tag, restricted to S_api, written into the entity's row of
@@ -213,7 +260,7 @@ func (r *Ranker) TopK(ctx context.Context, parent *obs.Span, apiResults []string
 	total := matched
 	var tail []string
 	if k <= 0 || k > matched {
-		tail = sc.unmatched(apiResults)
+		tail = sc.unmatched(cands)
 		total += len(tail)
 	}
 	out := make([]Scored, 0, bound(total, k))

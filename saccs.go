@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"os"
 	"runtime"
@@ -287,9 +288,9 @@ type Client struct {
 }
 
 // world is one generation of the client's indexed state. The slices are
-// frozen once published; ix and history mutate safely behind their own
-// internal synchronization (the index republishes snapshots atomically,
-// history is a locked queue).
+// frozen once published; ix, history and cands mutate safely behind their
+// own internal synchronization (the index republishes snapshots atomically,
+// history is a locked queue, cands is swapped copy-on-write).
 type world struct {
 	// ents holds every entity in ascending ID order and ids their IDs in
 	// parallel. The order is maintained where a world is rebuilt, not per
@@ -301,6 +302,11 @@ type world struct {
 	reviews []index.EntityReviews
 	ix      *index.Index
 	history *index.History
+	// cands memoises the objective API's answers over ents, keyed by slot:
+	// a copy-on-write map that queries read with one atomic load and that a
+	// miss replaces by compare-and-swap, so no query takes a lock (see
+	// world.candidates). Every new world starts with an empty memo.
+	cands atomic.Pointer[map[candidateKey]*candidateSet]
 }
 
 // newWorld assembles a world over ents (distinct IDs, any order; the slice
@@ -326,16 +332,71 @@ func (w *world) entity(id string) (Entity, bool) {
 // withEntity returns a copy of w in which e replaces the entity of the same
 // ID, or is inserted at its place in the order when there is none.
 func (w *world) withEntity(e Entity) *world {
-	next := *w
-	i, known := slices.BinarySearch(w.ids, e.ID)
+	ents, ids := w.ents, w.ids
+	i, known := slices.BinarySearch(ids, e.ID)
 	if known {
-		next.ents = slices.Clone(w.ents)
-		next.ents[i] = e
+		ents = slices.Clone(ents)
+		ents[i] = e
 	} else {
-		next.ents = slices.Insert(slices.Clip(w.ents), i, e)
-		next.ids = slices.Insert(slices.Clip(w.ids), i, e.ID)
+		ents = slices.Insert(slices.Clip(ents), i, e)
+		ids = slices.Insert(slices.Clip(ids), i, e.ID)
 	}
-	return &next
+	return &world{ents: ents, ids: ids, reviews: w.reviews, ix: w.ix, history: w.history}
+}
+
+// candidateKey is one question to the objective API: the cuisine and
+// location slots search.ParseUtterance filled, "" for a slot it left empty.
+// Both slots come from fixed vocabularies, so a world sees at most
+// (cuisines+1) × (locations+1) keys.
+type candidateKey struct{ cuisine, location string }
+
+// candidateSet is one key's answer over one world: the matching IDs in
+// ascending order, fixed for the world's lifetime, and those IDs resolved
+// against the newest index generation any query has ranked them in.
+type candidateSet struct {
+	ids    []string
+	latest atomic.Pointer[search.Candidates]
+}
+
+// candidates answers the objective API for slots over w, numbered for snap
+// (which must be a snapshot of w.ix). The first query of a world under a key
+// runs the linear filter and the first of a generation resolves its IDs'
+// ordinals; every other query reuses both.
+func (w *world) candidates(slots map[string]string, snap *index.Snapshot) search.Candidates {
+	key := candidateKey{cuisine: slots[search.SlotCuisine], location: slots[search.SlotLocation]}
+	for {
+		cur := w.cands.Load()
+		var sets map[candidateKey]*candidateSet
+		if cur != nil {
+			sets = *cur
+		}
+		if set, ok := sets[key]; ok {
+			return set.at(snap)
+		}
+		next := make(map[candidateKey]*candidateSet, len(sets)+1)
+		maps.Copy(next, sets)
+		next[key] = &candidateSet{ids: objectiveFilter(w, key)}
+		// Won or lost, the next pass finds the key unless a racing miss
+		// for another key swapped first.
+		w.cands.CompareAndSwap(cur, &next)
+	}
+}
+
+// at returns the set's IDs resolved against snap, resolving them only when
+// no query has yet done so in snap's generation. Only a newer generation
+// replaces the memoised one, so a query still ranking an older snapshot
+// cannot evict the ordinals current queries need.
+func (s *candidateSet) at(snap *index.Snapshot) search.Candidates {
+	gen := snap.Generation()
+	cur := s.latest.Load()
+	if cur != nil && cur.Generation() == gen {
+		return *cur
+	}
+	next := search.NewCandidates(snap, s.ids)
+	for (cur == nil || cur.Generation() < gen) && !s.latest.CompareAndSwap(cur, &next) {
+		cur = s.latest.Load()
+	}
+	return next
 }
 
 // New trains a SACCS extraction pipeline (MiniBERT masked-language-model
@@ -950,13 +1011,13 @@ func (c *Client) QueryCtx(ctx context.Context, utterance string, opts ...QueryOp
 		return fail("objective", err)
 	}
 	st = obs.BeginStage(c.o, root, "objective")
-	apiResults := objectiveFilter(w, in.slots)
-	st.Span().Set("results", len(apiResults))
+	cands := w.candidates(in.slots, snap)
+	st.Span().Set("results", cands.Len())
 	st.End()
 
 	st = obs.BeginStage(c.o, root, "rank")
 	rk := search.Ranker{Snap: snap, ThetaFilter: theta, Agg: search.MeanAgg}
-	ranked, err := rk.TopK(ctx, st.Span(), apiResults, tags, topK)
+	ranked, err := rk.TopK(ctx, st.Span(), cands, tags, topK)
 	if err != nil {
 		st.EndErr(err)
 		return fail("rank", err)
@@ -1013,7 +1074,7 @@ func (c *Client) QueryTagsCtx(ctx context.Context, tags []string, opts ...QueryO
 		}
 	}
 	rk := search.Ranker{Snap: snap, ThetaFilter: theta, Agg: search.MeanAgg}
-	ranked, err := rk.TopK(ctx, nil, w.ids, low, topK)
+	ranked, err := rk.TopK(ctx, nil, w.candidates(nil, snap), low, topK)
 	if err != nil {
 		c.o.Counter("query.interrupted.total").Inc()
 		return nil, &StageError{Stage: "rank", Err: err}
@@ -1185,22 +1246,22 @@ func parseIntentSlots(utterance string) intentView {
 	return intentView{name: in.Name, slots: in.Slots}
 }
 
-// objectiveFilter plays the §3.2 objective API over one pinned world. The
-// result is in ascending ID order and must not be written to: with no slot
-// to filter on it is the world's own ID list.
-func objectiveFilter(w *world, slots map[string]string) []string {
-	cuisine, byCuisine := slots["cuisine"]
-	city, byCity := slots["location"]
-	if !byCuisine && !byCity {
+// objectiveFilter plays the §3.2 objective API over one world: one linear
+// pass matching each filled slot case-insensitively. The result is in
+// ascending ID order and must not be written to: with no slot to filter on
+// it is the world's own ID list. Queries reach it through world.candidates,
+// once per world and key.
+func objectiveFilter(w *world, key candidateKey) []string {
+	if key == (candidateKey{}) {
 		return w.ids
 	}
-	out := make([]string, 0, len(w.ents))
+	var out []string
 	for i := range w.ents {
 		e := &w.ents[i]
-		if byCuisine && !strings.EqualFold(e.Cuisine, cuisine) {
+		if key.cuisine != "" && !strings.EqualFold(e.Cuisine, key.cuisine) {
 			continue
 		}
-		if byCity && !strings.EqualFold(e.City, city) {
+		if key.location != "" && !strings.EqualFold(e.City, key.location) {
 			continue
 		}
 		out = append(out, e.ID)
