@@ -72,11 +72,18 @@ build:
 # deps-check keeps the paper's evaluation out of the server binary: Table 2's
 # crowd ground truth, its IR and SIM baselines and the experiment
 # regenerators are linked by the benchmark tool, never by cmd/saccs-server,
-# which reaches the trained model through internal/core alone.
+# which reaches the trained model through internal/core alone. The second
+# check keeps the synthetic world generator (internal/yelp) out of the code
+# every request runs through — the facade and the HTTP tier; the server's
+# main links it only for its -seed-demo flag.
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/saccs-server | grep -E '^saccs/internal/(experiments|crowd|ir|simbaseline)$$'); \
 	if [ -n "$$bad" ]; then \
 		echo "cmd/saccs-server links paper-evaluation packages:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$($(GO) list -deps . ./internal/server | grep -E '^saccs/internal/yelp$$'); \
+	if [ -n "$$bad" ]; then \
+		echo "the facade or the HTTP tier links the world generator:"; echo "$$bad"; exit 1; \
 	fi
 
 test:

@@ -8,6 +8,7 @@
 package saccs
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -50,41 +51,47 @@ func table2Env(b *testing.B) *experiments.Table2Env {
 }
 
 var (
-	goldOnce sync.Once
-	goldSvc  *core.Service
-	goldTru  *crowd.Truth
+	goldOnce    sync.Once
+	goldW       *yelp.World
+	goldReviews []index.EntityReviews
+	goldTru     *crowd.Truth
 )
 
-// goldWorld builds a gold-extraction service once (for ablation benches that
-// isolate index/ranking behaviour).
-func goldWorld(b *testing.B) (*core.Service, *crowd.Truth) {
+// goldWorld builds the fast world's gold review tags once (for ablation
+// benches that isolate index/ranking behaviour), through the producer every
+// index build uses.
+func goldWorld(b *testing.B) (*yelp.World, []index.EntityReviews, *crowd.Truth) {
 	b.Helper()
 	goldOnce.Do(func() {
-		w := yelp.Generate(yelp.FastConfig())
-		goldTru = crowd.GroundTruth(w, crowd.DefaultConfig())
-		goldSvc = core.NewService(w, nil, nil, core.DefaultConfig())
-		goldSvc.BuildEntityTags(core.GoldSource{})
+		goldW = yelp.Generate(yelp.FastConfig())
+		goldTru = crowd.GroundTruth(goldW, crowd.DefaultConfig())
+		goldReviews, _ = core.EntityReviews(context.Background(), goldW.IDs(), goldW.Reviews(), (*yelp.Review).GoldTags)
 	})
-	return goldSvc, goldTru
+	return goldW, goldReviews, goldTru
 }
 
-func entityIDsOf(svc *core.Service) []string {
-	ids := make([]string, len(svc.World.Entities))
-	for i, e := range svc.World.Entities {
-		ids[i] = e.ID
-	}
-	return ids
+// goldIndex indexes the world's canonical tags over reviews at the paper's
+// θ_index, with or without Eq. 1's review-count weighting.
+func goldIndex(w *yelp.World, reviews []index.EntityReviews, weighting bool) *index.Index {
+	ix := index.New(sim.NewConceptual(), core.ThetaIndex)
+	ix.SetReviewWeighting(weighting)
+	ix.Build(core.CanonicalTags(w.Domain), reviews)
+	return ix
 }
 
-// meanNDCGOverQueries evaluates the service over the Short+Medium+Long sets.
-func meanNDCGOverQueries(svc *core.Service, truth *crowd.Truth, topK int) float64 {
-	qs := experiments.MakeQueries(svc.CanonicalTags(), 12, 5)
-	ids := entityIDsOf(svc)
+// meanNDCGOverQueries ranks the Short+Medium+Long sets over every entity of
+// the world with Algorithm 1 under agg and returns their mean NDCG.
+func meanNDCGOverQueries(ix *index.Index, w *yelp.World, truth *crowd.Truth, agg search.Aggregation, topK int) float64 {
+	qs := experiments.MakeQueries(core.CanonicalTags(w.Domain), 12, 5)
+	ids := w.IDs()
+	snap := ix.Current()
+	rk := search.Ranker{Snap: snap, ThetaFilter: core.ThetaFilter, Agg: agg}
+	cands := search.NewCandidates(snap, ids)
 	var vals []float64
 	for _, d := range []experiments.Difficulty{experiments.Short, experiments.Medium, experiments.Long} {
 		for _, q := range qs[d] {
 			gains := truth.Gains(q.Tags, ids)
-			ranked := svc.QueryTags(nil, q.Tags)
+			ranked, _ := rk.TopK(context.Background(), nil, cands, q.Tags, topK)
 			rids := make([]string, len(ranked))
 			for i, s := range ranked {
 				rids[i] = s.EntityID
@@ -100,8 +107,7 @@ func meanNDCGOverQueries(svc *core.Service, truth *crowd.Truth, topK int) float6
 // BenchmarkTable1Index measures one indexing round: computing Eq. 1 degrees
 // of truth for a tag over the whole world (Table 1's structure).
 func BenchmarkTable1Index(b *testing.B) {
-	svc, _ := goldWorld(b)
-	entities := svc.EntityTags()
+	_, entities, _ := goldWorld(b)
 	measure := sim.NewConceptual()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -309,20 +315,13 @@ func BenchmarkFigure5Attention(b *testing.B) {
 // BenchmarkAblationDegreeOfTruth compares Eq. 1 with and without the
 // log(|Re|+1) review-count weighting, reporting both NDCGs.
 func BenchmarkAblationDegreeOfTruth(b *testing.B) {
-	svc, truth := goldWorld(b)
+	w, reviews, truth := goldWorld(b)
 	var with, without float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		svc.ResetIndex()
-		svc.IndexTags(svc.CanonicalTags())
-		with = meanNDCGOverQueries(svc, truth, 10)
-
-		svc.ResetIndex()
-		svc.Index.SetReviewWeighting(false)
-		svc.IndexTags(svc.CanonicalTags())
-		without = meanNDCGOverQueries(svc, truth, 10)
+		with = meanNDCGOverQueries(goldIndex(w, reviews, true), w, truth, search.MeanAgg, 10)
+		without = meanNDCGOverQueries(goldIndex(w, reviews, false), w, truth, search.MeanAgg, 10)
 	}
-	svc.ResetIndex()
 	b.ReportMetric(with, "ndcg-weighted")
 	b.ReportMetric(without, "ndcg-unweighted")
 }
@@ -330,7 +329,7 @@ func BenchmarkAblationDegreeOfTruth(b *testing.B) {
 // BenchmarkAblationAggregation compares the §3.3 aggregation strategies
 // (mean / product / min) on multi-tag queries.
 func BenchmarkAblationAggregation(b *testing.B) {
-	svc, truth := goldWorld(b)
+	w, reviews, truth := goldWorld(b)
 	scores := map[string]float64{}
 	aggs := []struct {
 		name string
@@ -339,13 +338,9 @@ func BenchmarkAblationAggregation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, a := range aggs {
-			svc.ResetIndex()
-			svc.Cfg.Agg = a.agg
-			svc.IndexTags(svc.CanonicalTags())
-			scores[a.name] = meanNDCGOverQueries(svc, truth, 10)
+			scores[a.name] = meanNDCGOverQueries(goldIndex(w, reviews, true), w, truth, a.agg, 10)
 		}
 	}
-	svc.ResetIndex()
 	for _, a := range aggs {
 		b.ReportMetric(scores[a.name], "ndcg-"+a.name)
 	}
@@ -480,9 +475,9 @@ func BenchmarkCRFViterbi(b *testing.B) {
 // BenchmarkBM25Search measures one expanded-query search over the world's
 // review corpus.
 func BenchmarkBM25Search(b *testing.B) {
-	svc, _ := goldWorld(b)
+	w, _, _ := goldWorld(b)
 	var docs []ir.Doc
-	for _, e := range svc.World.Entities {
+	for _, e := range w.Entities {
 		var toks []string
 		for _, r := range e.Reviews {
 			toks = append(toks, tokenize.Words(r.Text)...)
@@ -500,10 +495,10 @@ func BenchmarkBM25Search(b *testing.B) {
 // BenchmarkSIMEnumeration measures the SIM baseline's full combination sweep
 // for one query.
 func BenchmarkSIMEnumeration(b *testing.B) {
-	svc, truth := goldWorld(b)
-	gains := truth.Gains([]string{"quiet atmosphere"}, entityIDsOf(svc))
+	w, _, truth := goldWorld(b)
+	gains := truth.Gains([]string{"quiet atmosphere"}, w.IDs())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		simbaseline.Best(svc.World, gains, 10, 2)
+		simbaseline.Best(w, gains, 10, 2)
 	}
 }

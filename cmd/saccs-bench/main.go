@@ -260,43 +260,42 @@ type benchFile struct {
 }
 
 // benchPipeline builds the fast pipeline the stage and quant benchmarks
-// measure: the served tagger at mixed precision, the served pairer, and a
-// harness service holding the world's extracted review tags. Built once and
-// shared between sections.
+// measure: the served tagger at mixed precision and the served pairer over
+// the fast world. Built once and shared between sections.
 var benchPipeline struct {
-	once sync.Once
-	svc  *core.Service
-	ex   *core.Extractor
-	tg   *tagger.Model
+	once  sync.Once
+	world *yelp.World
+	ex    *core.Extractor
+	tg    *tagger.Model
 }
 
-func buildBenchPipeline(o *obs.Observer) (*core.Service, *core.Extractor, *tagger.Model) {
+func buildBenchPipeline(o *obs.Observer) (*yelp.World, *core.Extractor, *tagger.Model) {
 	benchPipeline.once.Do(func() {
 		fmt.Println("building the fast pipeline for the benchmarks...")
 		world := yelp.Generate(yelp.FastConfig())
 		// nn.Mixed is the serving default (saccs.Config.Precision).
 		tg := core.TrainTagger(world.Domain, datasets.S1(datasets.Fast), datasets.Fast, true, 0.2, nn.Mixed, o)
-		ex := &core.Extractor{Tagger: tg, Pairer: core.ServedPairer(world.Domain)}
-		svc := core.NewService(world, ex, nil, core.DefaultConfig())
-		svc.SetObserver(o)
-		svc.BuildEntityTags(core.NeuralSource{E: ex})
-		benchPipeline.svc, benchPipeline.ex, benchPipeline.tg = svc, ex, tg
+		ex := &core.Extractor{Tagger: tg, Pairer: core.ServedPairer(world.Domain), Obs: o}
+		benchPipeline.world, benchPipeline.ex, benchPipeline.tg = world, ex, tg
 	})
-	return benchPipeline.svc, benchPipeline.ex, benchPipeline.tg
+	return benchPipeline.world, benchPipeline.ex, benchPipeline.tg
 }
 
 // stageBenchmarks measures every query-path stage in isolation with
 // testing.Benchmark and reports ns/op plus allocation counts, printing a
 // human table and appending rows to doc.
 func stageBenchmarks(o *obs.Observer, doc *benchFile) {
-	svc, ex, tg := buildBenchPipeline(o)
-	canon := svc.CanonicalTags()
+	world, ex, tg := buildBenchPipeline(o)
+	canon := core.CanonicalTags(world.Domain)
+	ctx := context.Background()
 
 	utterance := "I want an Italian restaurant in Montreal with delicious food and nice staff"
 	tokens := tokenize.Words(utterance)
-	intent := search.ParseUtterance(utterance)
 	queryTags := ex.ExtractTags(utterance)
-	entityTags := svc.EntityTags()
+	// The index.build row's input: the world's review tags, through the
+	// producer every index build uses.
+	entityTags, _ := core.EntityReviews(ctx, world.IDs(), world.Reviews(),
+		func(r *yelp.Review) []string { return ex.ExtractTags(r.Text) })
 
 	// Pre-split spans so the pairing stage is measured alone.
 	labels := tg.Predict(tokens)
@@ -317,15 +316,19 @@ func stageBenchmarks(o *obs.Observer, doc *benchFile) {
 	// candidate set, and on the 36-entity pipeline world above the rank row
 	// read a tenth of what a query at that scale pays. Gold review tags stand
 	// in for neural extraction — the rows time the index, not the extractor.
-	paper := core.NewService(yelp.Generate(yelp.DefaultConfig()), nil, nil, svc.Cfg)
-	paper.BuildEntityTags(core.GoldSource{})
-	paper.IndexTags(canon[:8])
-	apiResults := paper.API.Search(intent.Slots)
+	// The §6.1 world is all Italian/Montreal, so the utterance's objective
+	// slots keep every entity: rank ranks them all.
+	paperWorld := yelp.Generate(yelp.DefaultConfig())
+	paperTags, _ := core.EntityReviews(ctx, paperWorld.IDs(), paperWorld.Reviews(), (*yelp.Review).GoldTags)
+	paper := index.New(sim.NewConceptual(), core.ThetaIndex)
+	paper.Build(buildTags, paperTags)
+	paperIDs := paperWorld.IDs()
 	var exactTag string
-	paper.Index.EachTag(func(t string) bool { exactTag = t; return false })
+	paper.EachTag(func(t string) bool { exactTag = t; return false })
 	// The last canonical tags are not indexed, so resolving one exercises
 	// the similarity fallback of Algorithm 1.
 	similarTag := strings.ToLower(canon[len(canon)-1])
+	topK := saccs.DefaultConfig().TopK
 
 	stages := []struct {
 		name string
@@ -337,14 +340,14 @@ func stageBenchmarks(o *obs.Observer, doc *benchFile) {
 		{"pairing.pairs", func() { ex.Pairer.Pairs(tokens, aspects, opinions) }},
 		{"extract", func() { ex.ExtractFromTokens(tokens) }},
 		{"index.build", func() {
-			ix := index.New(sim.NewConceptual(), svc.Cfg.ThetaIndex)
+			ix := index.New(sim.NewConceptual(), core.ThetaIndex)
 			ix.Build(buildTags, entityTags)
 		}},
-		{"index.resolve.exact", func() { paper.Index.Resolve(exactTag, svc.Cfg.ThetaFilter) }},
-		{"index.resolve.similar", func() { paper.Index.Resolve(similarTag, svc.Cfg.ThetaFilter) }},
+		{"index.resolve.exact", func() { paper.Resolve(exactTag, core.ThetaFilter) }},
+		{"index.resolve.similar", func() { paper.Resolve(similarTag, core.ThetaFilter) }},
 		{"rank", func() {
-			rk := paper.Ranker()
-			_, _ = rk.TopK(context.Background(), nil, search.NewCandidates(rk.Snap, apiResults), queryTags, svc.Cfg.TopK)
+			rk := search.Ranker{Snap: paper.Current(), ThetaFilter: core.ThetaFilter, Agg: search.MeanAgg}
+			_, _ = rk.TopK(ctx, nil, search.NewCandidates(rk.Snap, paperIDs), queryTags, topK)
 		}},
 	}
 
@@ -557,7 +560,7 @@ func ingestBenchmarks(doc *benchFile, dur time.Duration) {
 			os.Exit(1)
 		}
 		io := obs.NewObserver()
-		ix := index.New(sim.NewConceptual(), core.DefaultConfig().ThetaIndex)
+		ix := index.New(sim.NewConceptual(), core.ThetaIndex)
 		ing, err := ingest.Open(ingest.Config{
 			Dir:             dir,
 			Fsync:           policy,
@@ -667,7 +670,7 @@ func ingestBenchmarks(doc *benchFile, dur time.Duration) {
 	}
 
 	// Recovery replay: reopen the fsync-always log cold and time Open.
-	ix := index.New(sim.NewConceptual(), core.DefaultConfig().ThetaIndex)
+	ix := index.New(sim.NewConceptual(), core.ThetaIndex)
 	start := time.Now()
 	ing, err := ingest.Open(ingest.Config{Dir: alwaysDir, PublishInterval: -1}, ix, ingestTags, nil, benchExtract)
 	if err != nil {

@@ -4,20 +4,30 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"saccs/internal/automaton"
 	"saccs/internal/core"
+	"saccs/internal/index"
 	"saccs/internal/profile"
+	"saccs/internal/search"
+	"saccs/internal/sim"
 	"saccs/internal/trust"
 	"saccs/internal/yelp"
 )
 
 func main() {
+	// The world's gold review tags stand in for extraction, isolating the
+	// extensions from tagging noise; they enter the same producer and index
+	// build the server uses.
 	world := yelp.Generate(yelp.FastConfig())
-	svc := core.NewService(world, nil, nil, core.DefaultConfig())
-	svc.BuildEntityTags(core.GoldSource{})
-	svc.IndexTags(svc.CanonicalTags())
+	ctx := context.Background()
+	gold, _ := core.EntityReviews(ctx, world.IDs(), world.Reviews(), (*yelp.Review).GoldTags)
+	ix := index.New(sim.NewConceptual(), core.ThetaIndex)
+	ix.Build(core.CanonicalTags(world.Domain), gold)
+	snap := ix.Current()
+	rk := search.Ranker{Snap: snap, ThetaFilter: core.ThetaFilter, Agg: search.MeanAgg}
 
 	// --- user profiles -------------------------------------------------------
 	fmt.Println("== user profiles ==")
@@ -29,8 +39,8 @@ func main() {
 	}
 	fmt.Printf("alice's standing preferences: %v\n", p.Preferences())
 
-	plain := svc.QueryTags(nil, []string{"good food"})
-	personal := p.Personalize(svc.Index, plain, 0.4, 3)
+	plain, _ := rk.TopK(ctx, nil, search.NewCandidates(snap, world.IDs()), []string{"good food"}, 10)
+	personal := p.Personalize(ix, plain, 0.4, 3)
 	fmt.Println("query 'good food' — top 3 without / with personalization:")
 	for i := 0; i < 3 && i < len(plain); i++ {
 		fmt.Printf("  %d. %-18s | %s\n",
@@ -60,7 +70,7 @@ func main() {
 	// --- search automaton ----------------------------------------------------
 	fmt.Println("\n== tag automaton (typo routing) ==")
 	trie := automaton.New()
-	trie.AddAll(svc.Index.Tags())
+	trie.AddAll(ix.Tags())
 	for _, q := range []string{"delicous food", "nice staf", "romantic amb"} {
 		if fixed, ok := trie.Closest(q, 2); ok {
 			fmt.Printf("  %-16q -> %q\n", q, fixed)

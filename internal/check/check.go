@@ -72,7 +72,7 @@ func DefaultSuite(seed int64) []Check {
 			return ExtractionCacheOracle(seed+10, 16)
 		}},
 		{"oracle/extract-batch", func() error {
-			return ExtractBatchOracle(seed+11, 24, []int{2, 4, 8})
+			return ExtractBatchOracle(seed+11, 8, []int{2, 4, 8})
 		}},
 		{"oracle/extract-gen-swap", func() error {
 			return ExtractGenSwapOracle(seed+12, 6, 12)

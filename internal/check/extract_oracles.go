@@ -1,13 +1,16 @@
 package check
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"saccs/internal/core"
 	"saccs/internal/datasets"
 	"saccs/internal/extcache"
+	"saccs/internal/index"
 	"saccs/internal/lexicon"
 	"saccs/internal/mat"
 	"saccs/internal/pairing"
@@ -150,59 +153,45 @@ func ExtractionCacheOracle(seed int64, nSentences int) error {
 	return nil
 }
 
-// ExtractBatchOracle checks that batched extraction is schedule-independent:
-// ExtractBatch at every worker count must equal the serial sentence loop, and
-// a Service's batched BuildEntityTags (sentence-granularity fan-out) must
-// produce entity tag multisets identical to the serial per-entity walk.
-func ExtractBatchOracle(seed int64, nSentences int, workers []int) error {
-	g := NewGen(seed)
-	m := checkModel(seed + 1)
-	p := checkPairer()
-	ex := &core.Extractor{Tagger: m, Pairer: p, Cache: extcache.New(128)}
-
-	sentences := make([][]string, nSentences)
-	for i := range sentences {
-		sentences[i] = tokenize.Words(g.Utterance())
-	}
-	want := make([][]string, len(sentences))
-	for i, s := range sentences {
-		want[i] = ex.ExtractFromTokens(s)
-	}
-	for _, w := range workers {
-		got := ex.ExtractBatch(sentences, w)
-		for i := range want {
-			if err := DiffStrings(fmt.Sprintf("%d-worker batch sentence %d (seed %d)", w, i, seed), want[i], got[i]); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Full-service comparison: serial (Workers=1) vs batched (Workers>1)
-	// BuildEntityTags over a generated world, sharing one extractor.
+// ExtractBatchOracle checks that the index build's batch extraction is
+// schedule-independent: core.EntityReviews over a generated world's review
+// texts, with one cached extractor shared by every worker, must equal its
+// output at one worker with an uncached extractor, at every worker count.
+// The producer sizes its pool from GOMAXPROCS, so the oracle sets GOMAXPROCS
+// to each count for the run and restores it after.
+func ExtractBatchOracle(seed int64, entities int, workers []int) error {
 	world := yelp.Generate(yelp.Config{
-		Entities: 8, MeanReviews: 4, Seed: seed, City: "montreal", Cuisine: "italian",
+		Entities: entities, MeanReviews: 4, Seed: seed, City: "montreal", Cuisine: "italian",
 	})
-	svc := core.NewService(world, ex, nil, core.DefaultConfig())
-	svc.Workers = 1
-	svc.BuildEntityTags(core.NeuralSource{E: ex})
-	serial := svc.EntityTags()
+	m := checkModel(seed + 1)
+	produce := func(ex *core.Extractor, procs int) []index.EntityReviews {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		// context.Background is never cancelled, so the error path is dead.
+		out, _ := core.EntityReviews(context.Background(), world.IDs(), world.Reviews(),
+			func(r *yelp.Review) []string { return ex.ExtractTags(r.Text) })
+		return out
+	}
+	serial := produce(&core.Extractor{Tagger: m, Pairer: checkPairer()}, 1)
+	tagged := 0
+	for _, er := range serial {
+		tagged += len(er.Tags)
+	}
+	if tagged == 0 {
+		return fmt.Errorf("batch oracle (seed %d): the world extracts no tag; the comparison would be vacuous", seed)
+	}
+	cached := &core.Extractor{Tagger: m, Pairer: checkPairer(), Cache: extcache.New(128)}
 	for _, w := range workers {
-		if w <= 1 {
-			continue
-		}
-		svc.Workers = w
-		svc.BuildEntityTags(core.NeuralSource{E: ex})
-		batched := svc.EntityTags()
-		if len(batched) != len(serial) {
-			return fmt.Errorf("batch oracle (seed %d): %d entities batched vs %d serial", seed, len(batched), len(serial))
+		got := produce(cached, w)
+		if len(got) != len(serial) {
+			return fmt.Errorf("batch oracle (seed %d): %d entities at %d workers vs %d serial", seed, len(got), w, len(serial))
 		}
 		for i := range serial {
-			if batched[i].EntityID != serial[i].EntityID || batched[i].ReviewCount != serial[i].ReviewCount {
-				return fmt.Errorf("batch oracle (seed %d): entity %d header (%s, %d) vs (%s, %d)", seed, i,
-					batched[i].EntityID, batched[i].ReviewCount, serial[i].EntityID, serial[i].ReviewCount)
+			if got[i].EntityID != serial[i].EntityID || got[i].ReviewCount != serial[i].ReviewCount {
+				return fmt.Errorf("batch oracle (seed %d): entity %d header (%s, %d) at %d workers vs (%s, %d) serial", seed, i,
+					got[i].EntityID, got[i].ReviewCount, w, serial[i].EntityID, serial[i].ReviewCount)
 			}
 			if err := DiffStrings(fmt.Sprintf("%d-worker entity %s tags (seed %d)", w, serial[i].EntityID, seed),
-				serial[i].Tags, batched[i].Tags); err != nil {
+				serial[i].Tags, got[i].Tags); err != nil {
 				return err
 			}
 		}

@@ -1,14 +1,12 @@
 // Package core assembles the paper's contribution — the Subjectivity Aware
 // Conversational Search Service (SACCS) — from its parts. It owns the one
 // training recipe of the served extractor (TrainTagger, ServedPairer, and
-// the encoder options the paper experiments vary) and the extraction
-// pipeline (tagging §4 + pairing §5) that turns utterances and reviews into
-// subjective tags. Service is the paper-experiment harness around them: the
-// subjective tag inverted index with degrees of truth (§3.1) over a
-// generated world, and Algorithm 1's filtering & ranking (§3.2–3.3) of
-// queries given as tags, with the adaptive user-tag-history loop of Fig. 1.
-// The utterance → ranked-results pipeline is the saccs facade's
-// Client.QueryCtx.
+// the encoder options the paper experiments vary), the extraction pipeline
+// (tagging §4 + pairing §5) that turns utterances and reviews into
+// subjective tags, and EntityReviews, the one producer of the review tags
+// every index build consumes (§3.1): the saccs facade's IndexEntities, Table
+// 2, the commands and the examples. The utterance → ranked-results pipeline
+// is the saccs facade's Client.QueryCtx.
 package core
 
 import (
@@ -18,17 +16,13 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"saccs/internal/corpus"
 	"saccs/internal/extcache"
 	"saccs/internal/index"
+	"saccs/internal/lexicon"
 	"saccs/internal/obs"
 	"saccs/internal/pairing"
-	"saccs/internal/search"
-	"saccs/internal/sim"
 	"saccs/internal/tokenize"
-	"saccs/internal/yelp"
 )
 
 // Tagger labels tokens with IOB aspect/opinion classes; tagger.Model and
@@ -40,8 +34,8 @@ type Tagger interface {
 // Generationer identifies a tagger's weight state; tagger.Model and
 // tagger.OpineDB both satisfy it. Equal generations promise bit-identical
 // predictions, which is what lets the extraction cache serve a stored result
-// in place of a decode. A Tagger without a generation (GoldTagger, test
-// fakes) is simply never cached.
+// in place of a decode. A Tagger without a generation (the tests' gold
+// tagger and fakes) is simply never cached.
 type Generationer interface {
 	Generation() uint64
 }
@@ -173,48 +167,8 @@ func (e *Extractor) finishExtract(parent *obs.Span, tokens []string, labels []to
 	return tags
 }
 
-// ExtractBatch extracts tags from many tokenized sentences, fanning the
-// sentences (not their callers' coarser units) across at most workers
-// goroutines: 0 means GOMAXPROCS, 1 forces serial. Results land in input
-// order, and since sentence extractions are independent the output is
-// identical to calling ExtractFromTokens in a loop, for any worker count.
-// The workers share the extractor's cache, so duplicated sentences are
-// decoded once. Requires a reentrant Tagger/Pairer when workers > 1 (every
-// production pipeline in this repo is; pairing.Attention is not).
-func (e *Extractor) ExtractBatch(sentences [][]string, workers int) [][]string {
-	out := make([][]string, len(sentences))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(sentences) {
-		workers = len(sentences)
-	}
-	if workers <= 1 {
-		for i, s := range sentences {
-			out[i] = e.ExtractFromTokens(s)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sentences) {
-					return
-				}
-				out[i] = e.ExtractFromTokens(sentences[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// ExtractTags splits free text into sentences and extracts tags from each.
+// ExtractTags splits free text into sentences, extracts tags from each, and
+// returns every distinct tag once, in first-mention order.
 func (e *Extractor) ExtractTags(text string) []string {
 	// context.Background is never cancelled, so the error path is dead.
 	tags, _ := e.ExtractTagsCtx(context.Background(), nil, text)
@@ -244,299 +198,75 @@ func (e *Extractor) ExtractTagsCtx(ctx context.Context, parent *obs.Span, text s
 	return tags, nil
 }
 
-// ReviewTagSource yields subjective tags for a review. NeuralSource runs the
-// extraction pipeline; GoldSource reads the generator's gold mentions and is
-// used to isolate index/ranking quality from extraction noise in ablations.
-type ReviewTagSource interface {
-	Tags(r *yelp.Review) []string
-}
+// The paper's two similarity thresholds: ThetaIndex is Eq. 1's review-tag
+// threshold θ_index (§3.1) and ThetaFilter Algorithm 1's unknown-tag
+// threshold θ_filter (§3.2). The facade's DefaultConfig, Table 2 and the
+// commands all read them from here.
+const (
+	ThetaIndex  = 0.55
+	ThetaFilter = 0.45
+)
 
-// NeuralSource extracts review tags with the full pipeline.
-type NeuralSource struct {
-	E *Extractor
-}
-
-// Tags runs the extractor over every sentence of the review.
-func (n NeuralSource) Tags(r *yelp.Review) []string {
-	var out []string
-	for _, s := range r.Sentences {
-		out = append(out, n.E.ExtractFromTokens(s.Tokens)...)
-	}
-	return out
-}
-
-// GoldSource reads the generator's gold annotation.
-type GoldSource struct{}
-
-// Tags renders each gold mention as "<opinion> <aspect>".
-func (GoldSource) Tags(r *yelp.Review) []string {
-	var out []string
-	for _, s := range r.Sentences {
-		for _, m := range s.Mentions {
-			out = append(out, m.OpinionText(s.Tokens)+" "+m.AspectText(s.Tokens))
-		}
-	}
-	return out
-}
-
-// Config tunes the service.
-type Config struct {
-	// ThetaIndex is the Eq. 1 review-tag similarity threshold.
-	ThetaIndex float64
-	// ThetaFilter is the Algorithm 1 unknown-tag similarity threshold.
-	ThetaFilter float64
-	// Agg is the §3.3 cross-tag aggregation.
-	Agg search.Aggregation
-	// TopK truncates query answers (0 = all).
-	TopK int
-}
-
-// DefaultConfig returns the thresholds used across the reproduction.
-func DefaultConfig() Config {
-	return Config{ThetaIndex: 0.55, ThetaFilter: 0.45, Agg: search.MeanAgg, TopK: 10}
-}
-
-// Service is the paper-experiment harness: a SACCS index over a generated
-// world, fed by a review-tag source (the extraction pipeline or the gold
-// annotation), indexed in rounds (IndexTags, IndexPending, ResetIndex) and
-// queried with subjective tags plus objective slots (QueryTags). The
-// utterance → ranked-results pipeline is the saccs facade's Client.QueryCtx;
-// Service carries no copy of it.
-type Service struct {
-	Cfg       Config
-	World     *yelp.World
-	Extractor *Extractor
-	Measure   sim.Measure
-	Index     *index.Index
-	History   *index.History
-	API       *search.API
-	// Obs is the service's observability handle (nil when disabled); use
-	// SetObserver to attach it so the index and extractor are wired too.
-	Obs *obs.Observer
-	// Workers bounds BuildEntityTags' extraction fan-out: 0 (the default)
-	// uses GOMAXPROCS, 1 forces serial extraction. Set 1 when the extractor
-	// is not reentrant — every production Tagger/Pairer in this repo is, but
-	// the attention-readback pairing heuristic (pairing.Attention) is not.
-	Workers int
-
-	entityTags []index.EntityReviews
-}
-
-// SetObserver threads an observer through every instrumented component the
-// service owns. Call before serving; ResetIndex preserves the wiring.
-func (s *Service) SetObserver(o *obs.Observer) {
-	s.Obs = o
-	s.Index.SetObserver(o)
-	if s.Extractor != nil {
-		s.Extractor.Obs = o
-		s.Extractor.Cache.SetObserver(o)
-	}
-}
-
-// NewService wires a SACCS instance over a world. The similarity measure
-// defaults to conceptual similarity (§3.1) when nil.
-func NewService(w *yelp.World, ex *Extractor, measure sim.Measure, cfg Config) *Service {
-	if measure == nil {
-		measure = sim.NewConceptual()
-	}
-	ix := index.New(measure, cfg.ThetaIndex)
-	return &Service{
-		Cfg:       cfg,
-		World:     w,
-		Extractor: ex,
-		Measure:   measure,
-		Index:     ix,
-		History:   index.NewHistory(),
-		API:       &search.API{World: w},
-	}
-}
-
-// BuildEntityTags runs the tag source over every review once and caches the
-// per-entity tag multisets the indexer consumes. Extraction fans out across
-// at most Workers goroutines; each result lands in its input-order slot, so
-// the cached tag multisets are identical for any worker count.
+// EntityReviews is the one producer of the index's input: entity i is
+// ids[i] with reviews[i], and tags turns one review into its subjective
+// tags. A review contributes each distinct tag once (the dedup rule of
+// DESIGN.md §2), so tags must return a review's tags without repeats —
+// Extractor.ExtractTags over the review text does, and so does
+// yelp.Review.GoldTags, the gold ablation. The per-review lists of one entity
+// are concatenated in review order, and ReviewCount is len(reviews[i]).
 //
-// A NeuralSource is fanned out at sentence granularity (Extractor.
-// ExtractBatch): every (entity, review, sentence) becomes one task, so a few
-// review-heavy entities cannot serialize the build the way per-entity tasks
-// would, and duplicated sentences share one cached decode. Any other source
-// keeps the per-entity fan-out.
-func (s *Service) BuildEntityTags(src ReviewTagSource) {
-	var t0 time.Time
-	if s.Obs != nil {
-		t0 = time.Now()
-	}
-	out := make([]index.EntityReviews, len(s.World.Entities))
-	w := s.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if ns, ok := src.(NeuralSource); ok && w > 1 {
-		s.buildEntityTagsBatched(ns, w, out)
-	} else {
-		if w > len(s.World.Entities) {
-			w = len(s.World.Entities)
-		}
-		s.buildEntityTagsByEntity(src, w, out)
-	}
-	s.entityTags = out
-	if s.Obs != nil {
-		s.Obs.Histogram("extract.reviews").ObserveSince(t0)
-		s.Obs.Gauge("extract.entities").Set(float64(len(s.entityTags)))
-		s.Obs.Gauge("extract.workers").Set(float64(w))
-	}
-}
-
-// buildEntityTagsByEntity is the per-entity fan-out: one task per entity.
-func (s *Service) buildEntityTagsByEntity(src ReviewTagSource, w int, out []index.EntityReviews) {
+// Entities fan out across GOMAXPROCS goroutines (tags must be reentrant), one
+// entity per task, and each result lands in its input slot, so the output is
+// identical for any degree of parallelism. ctx is polled between entities; a
+// cancelled or expired context returns ctx's error and no partial result.
+func EntityReviews[R any](ctx context.Context, ids []string, reviews [][]R, tags func(R) []string) ([]index.EntityReviews, error) {
+	out := make([]index.EntityReviews, len(ids))
 	extract := func(i int) {
-		e := s.World.Entities[i]
-		er := index.EntityReviews{EntityID: e.ID, ReviewCount: len(e.Reviews)}
-		for _, r := range e.Reviews {
-			er.Tags = append(er.Tags, src.Tags(r)...)
+		er := index.EntityReviews{EntityID: ids[i], ReviewCount: len(reviews[i])}
+		for _, r := range reviews[i] {
+			er.Tags = append(er.Tags, tags(r)...)
 		}
 		out[i] = er
 	}
-	if w <= 1 {
-		for i := range s.World.Entities {
+	workers := min(runtime.GOMAXPROCS(0), len(ids))
+	if workers <= 1 {
+		for i := range ids {
+			if ctx.Err() != nil {
+				break
+			}
 			extract(i)
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.World.Entities) {
-					return
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for ctx.Err() == nil {
+					i := int(next.Add(1)) - 1
+					if i >= len(ids) {
+						return
+					}
+					extract(i)
 				}
-				extract(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// buildEntityTagsBatched flattens every (entity, review, sentence) into one
-// job list, extracts all sentences through ExtractBatch (which applies the
-// Workers bound), and reassembles per-entity tag multisets in input order —
-// byte-identical to the serial per-entity walk.
-func (s *Service) buildEntityTagsBatched(ns NeuralSource, w int, out []index.EntityReviews) {
-	var sentences [][]string
-	var owner []int // flattened sentence -> entity slot
-	for i, e := range s.World.Entities {
-		out[i] = index.EntityReviews{EntityID: e.ID, ReviewCount: len(e.Reviews)}
-		for _, r := range e.Reviews {
-			for _, sent := range r.Sentences {
-				sentences = append(sentences, sent.Tokens)
-				owner = append(owner, i)
-			}
+			}()
 		}
+		wg.Wait()
 	}
-	tags := ns.E.ExtractBatch(sentences, w)
-	for j, t := range tags {
-		out[owner[j]].Tags = append(out[owner[j]].Tags, t...)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	return out, nil
 }
 
-// EntityTags exposes the cached extraction (after BuildEntityTags).
-func (s *Service) EntityTags() []index.EntityReviews {
-	return append([]index.EntityReviews(nil), s.entityTags...)
-}
-
-// ResetIndex discards the index and user tag history, keeping the cached
-// entity tags — used to sweep index sizes over one extraction pass.
-func (s *Service) ResetIndex() {
-	s.Index = index.New(s.Measure, s.Cfg.ThetaIndex)
-	s.Index.SetObserver(s.Obs)
-	s.History = index.NewHistory()
-}
-
-// Ranker returns an Algorithm 1 ranker pinned to the index generation
-// current at the call, configured from Cfg. A ranker reads one immutable
-// snapshot for its whole life; call again to see later indexing rounds.
-func (s *Service) Ranker() *search.Ranker { return s.ranker(s.Index.Current()) }
-
-func (s *Service) ranker(snap *index.Snapshot) *search.Ranker {
-	return &search.Ranker{Snap: snap, ThetaFilter: s.Cfg.ThetaFilter, Agg: s.Cfg.Agg}
-}
-
-// IndexTags runs an indexing round for the given tags (Fig. 1's indexer),
-// fanning out across the index's worker pool (index.Index.SetWorkers).
-// BuildEntityTags must have run first.
-func (s *Service) IndexTags(tags []string) {
-	s.Index.Build(lower(tags), s.entityTags)
-}
-
-// IndexPending drains the user tag history into the index — the adaptive
-// round of §3.1 — and returns the tags indexed.
-func (s *Service) IndexPending() []string {
-	pend := s.History.Drain()
-	s.IndexTags(pend)
-	return pend
-}
-
-// QueryTags answers a query expressed directly as subjective tags plus
-// objective slots (the Table 2 harness path). Unknown tags go to the
-// history. The whole query reads one pinned index snapshot, so it is
-// lock-free and unaffected by concurrent indexing rounds.
-func (s *Service) QueryTags(slots map[string]string, tags []string) []search.Scored {
-	snap := s.Index.Current()
-	apiResults := s.API.Search(slots)
-	for _, t := range tags {
-		if !snap.Has(strings.ToLower(t)) {
-			s.History.Add(strings.ToLower(t))
-		}
-	}
-	// context.Background is never cancelled and the candidates are resolved
-	// against snap, so the error path is dead.
-	ranked, _ := s.ranker(snap).TopK(context.Background(), nil, search.NewCandidates(snap, apiResults), lower(tags), s.Cfg.TopK)
-	return ranked
-}
-
-// CanonicalTags returns the world's feature tags sorted — the 18 tags of
+// CanonicalTags returns the domain's feature tags sorted — the 18 tags of
 // §6.2 for the restaurants domain.
-func (s *Service) CanonicalTags() []string {
-	var tags []string
-	for _, f := range s.World.Domain.Features {
-		tags = append(tags, f.Name)
+func CanonicalTags(d *lexicon.Domain) []string {
+	tags := make([]string, len(d.Features))
+	for i, f := range d.Features {
+		tags[i] = f.Name
 	}
 	sort.Strings(tags)
 	return tags
-}
-
-func lower(tags []string) []string {
-	out := make([]string, len(tags))
-	for i, t := range tags {
-		out[i] = strings.ToLower(t)
-	}
-	return out
-}
-
-// GoldTagger tags sentences by replaying the generator's gold labels; it
-// exists for tests and ablations that isolate the pairing or ranking stages
-// from tagging noise. It matches sentences by their joined token text.
-type GoldTagger struct {
-	gold map[string][]tokenize.Label
-}
-
-// NewGoldTagger indexes gold sentences for lookup.
-func NewGoldTagger(sentences []corpus.Sentence) *GoldTagger {
-	g := &GoldTagger{gold: map[string][]tokenize.Label{}}
-	for _, s := range sentences {
-		g.gold[strings.Join(s.Tokens, " ")] = s.Labels
-	}
-	return g
-}
-
-// Predict returns the stored gold labels, or all-O for unknown sentences.
-func (g *GoldTagger) Predict(tokens []string) []tokenize.Label {
-	if labels, ok := g.gold[strings.Join(tokens, " ")]; ok {
-		return labels
-	}
-	return make([]tokenize.Label, len(tokens))
 }

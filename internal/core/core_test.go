@@ -1,56 +1,81 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"saccs/internal/corpus"
+	"saccs/internal/index"
 	"saccs/internal/lexicon"
 	"saccs/internal/pairing"
 	"saccs/internal/parse"
 	"saccs/internal/search"
+	"saccs/internal/sim"
 	"saccs/internal/tokenize"
 	"saccs/internal/yelp"
 )
 
-// goldService builds a SACCS service over a fast world using gold review
-// tags (isolating index/ranking behaviour from extraction noise).
-func goldService(t *testing.T) *Service {
-	t.Helper()
-	w := yelp.Generate(yelp.FastConfig())
-	var sentences []corpus.Sentence
-	for _, e := range w.Entities {
-		for _, r := range e.Reviews {
-			sentences = append(sentences, r.Sentences...)
-		}
-	}
-	// Also teach the gold tagger the test utterance of TestQueryEndToEnd.
-	utterance := corpus.Sentence{
-		Tokens: []string{"i", "want", "an", "italian", "restaurant", "in",
-			"montreal", "with", "delicious", "food", "and", "nice", "staff"},
-		Labels: []tokenize.Label{
-			tokenize.O, tokenize.O, tokenize.O, tokenize.O, tokenize.O,
-			tokenize.O, tokenize.O, tokenize.O, tokenize.BOP, tokenize.BAS,
-			tokenize.O, tokenize.BOP, tokenize.BAS,
-		},
-	}
-	sentences = append(sentences, utterance)
-	ex := &Extractor{
-		Tagger: NewGoldTagger(sentences),
-		Pairer: pairing.Tree{Lex: parse.DomainLexicon(w.Domain), FromOpinions: true},
-	}
-	s := NewService(w, ex, nil, DefaultConfig())
-	s.BuildEntityTags(GoldSource{})
-	return s
+// GoldTagger tags sentences by replaying the generator's gold labels, so the
+// tests below can isolate pairing, indexing and ranking from tagging noise.
+// It matches sentences by their joined token text.
+type GoldTagger struct {
+	gold map[string][]tokenize.Label
 }
 
-func TestServiceIndexAndQuery(t *testing.T) {
-	s := goldService(t)
-	s.IndexTags(s.CanonicalTags())
-	if s.Index.Len() != 18 {
-		t.Fatalf("indexed %d tags, want 18", s.Index.Len())
+// NewGoldTagger indexes gold sentences for lookup.
+func NewGoldTagger(sentences []corpus.Sentence) *GoldTagger {
+	g := &GoldTagger{gold: map[string][]tokenize.Label{}}
+	for _, s := range sentences {
+		g.gold[strings.Join(s.Tokens, " ")] = s.Labels
 	}
-	s.Cfg.TopK = 0 // rank everything for the statistical check
-	got := s.QueryTags(nil, []string{"nice staff"})
+	return g
+}
+
+// Predict returns the stored gold labels, or all-O for unknown sentences.
+func (g *GoldTagger) Predict(tokens []string) []tokenize.Label {
+	if labels, ok := g.gold[strings.Join(tokens, " ")]; ok {
+		return labels
+	}
+	return make([]tokenize.Label, len(tokens))
+}
+
+// goldIndex generates the fast world and indexes tags over its gold review
+// tags, through the producer every index build uses.
+func goldIndex(t *testing.T, tags []string) (*yelp.World, *index.Index) {
+	t.Helper()
+	w := yelp.Generate(yelp.FastConfig())
+	reviews, err := EntityReviews(context.Background(), w.IDs(), w.Reviews(), (*yelp.Review).GoldTags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := index.New(sim.NewConceptual(), ThetaIndex)
+	ix.Build(tags, reviews)
+	return w, ix
+}
+
+// rankAll runs Algorithm 1 over every entity of w at the paper's θ_filter.
+func rankAll(t *testing.T, w *yelp.World, ix *index.Index, tags []string, topK int) []search.Scored {
+	t.Helper()
+	snap := ix.Current()
+	rk := search.Ranker{Snap: snap, ThetaFilter: ThetaFilter, Agg: search.MeanAgg}
+	got, err := rk.TopK(context.Background(), nil, search.NewCandidates(snap, w.IDs()), tags, topK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestEntityReviewsRankTracksLatentQuality builds the 18-tag index from the
+// producer's gold review tags and checks that Algorithm 1's ranking tracks
+// the generator's latent quality.
+func TestEntityReviewsRankTracksLatentQuality(t *testing.T) {
+	w, ix := goldIndex(t, CanonicalTags(lexicon.Restaurants()))
+	if ix.Len() != 18 {
+		t.Fatalf("indexed %d tags, want 18", ix.Len())
+	}
+	got := rankAll(t, w, ix, []string{"nice staff"}, 0)
 	if len(got) < 6 {
 		t.Fatalf("too few results: %d", len(got))
 	}
@@ -62,7 +87,7 @@ func TestServiceIndexAndQuery(t *testing.T) {
 	half := len(got) / 2
 	var topQ, botQ float64
 	for i, sc := range got {
-		q := s.World.Entity(sc.EntityID).Quality[staffFeat]
+		q := w.Entity(sc.EntityID).Quality[staffFeat]
 		if i < half {
 			topQ += q
 		} else {
@@ -76,80 +101,96 @@ func TestServiceIndexAndQuery(t *testing.T) {
 	}
 }
 
-func TestUnknownTagGoesToHistoryAndNextRound(t *testing.T) {
-	s := goldService(t)
-	s.IndexTags([]string{"good food", "nice staff"})
-	if s.Index.Has("romantic ambiance") {
-		t.Fatal("setup: tag should be unknown")
-	}
-	got := s.QueryTags(nil, []string{"romantic ambiance"})
-	// Real-time answer from similar tags may or may not be non-empty, but
-	// the tag must be queued (§3.1's adaptive loop).
-	if s.History.Len() != 1 {
-		t.Fatalf("history length %d", s.History.Len())
-	}
-	indexed := s.IndexPending()
-	if len(indexed) != 1 || indexed[0] != "romantic ambiance" {
-		t.Fatalf("IndexPending: %v", indexed)
-	}
-	if !s.Index.Has("romantic ambiance") {
-		t.Fatal("pending tag not indexed")
-	}
-	after := s.QueryTags(nil, []string{"romantic ambiance"})
-	if len(after) == 0 {
-		t.Fatal("indexed tag must now answer directly")
-	}
-	_ = got
-}
-
-func TestKnownTagNotQueued(t *testing.T) {
-	s := goldService(t)
-	s.IndexTags([]string{"good food"})
-	s.QueryTags(nil, []string{"good food"})
-	if s.History.Len() != 0 {
-		t.Fatal("known tags must not queue")
-	}
-}
-
-// TestQueryEndToEnd drives the harness the way Table 2 reads an utterance:
-// the dialog parse fills the objective slots, the extractor yields the
-// subjective tags, and QueryTags filters and ranks.
+// TestQueryEndToEnd drives an utterance the way a query reads one: the
+// dialog parse fills the objective slots, the extractor yields the
+// subjective tags, and Algorithm 1 filters and ranks the entities the slots
+// keep over an index built by the producer.
 func TestQueryEndToEnd(t *testing.T) {
-	s := goldService(t)
-	s.IndexTags(s.CanonicalTags())
 	utterance := "I want an Italian restaurant in Montreal with delicious food and nice staff"
+	gold := corpus.Sentence{
+		Tokens: tokenize.Words(utterance),
+		Labels: []tokenize.Label{
+			tokenize.O, tokenize.O, tokenize.O, tokenize.O, tokenize.O,
+			tokenize.O, tokenize.O, tokenize.O, tokenize.BOP, tokenize.BAS,
+			tokenize.O, tokenize.BOP, tokenize.BAS,
+		},
+	}
+	ex := &Extractor{
+		Tagger: NewGoldTagger([]corpus.Sentence{gold}),
+		Pairer: ServedPairer(lexicon.Restaurants()),
+	}
 	intent := search.ParseUtterance(utterance)
-	if intent.Name != "searchRestaurant" {
-		t.Fatalf("intent: %s", intent.Name)
+	if intent.Name != "searchRestaurant" || intent.Slots[search.SlotCuisine] != "italian" {
+		t.Fatalf("intent %s, slots %v", intent.Name, intent.Slots)
 	}
-	if intent.Slots["cuisine"] != "italian" {
-		t.Fatalf("slots: %v", intent.Slots)
-	}
-	tags := s.Extractor.ExtractTags(utterance)
-	if len(tags) < 2 {
-		t.Fatalf("extracted tags: %v", tags)
-	}
-	foundFood, foundStaff := false, false
-	for _, tag := range tags {
-		if tag == "delicious food" {
-			foundFood = true
-		}
-		if tag == "nice staff" {
-			foundStaff = true
-		}
-	}
-	if !foundFood || !foundStaff {
+	tags := ex.ExtractTags(utterance)
+	if strings.Join(tags, "|") != "delicious food|nice staff" {
 		t.Fatalf("expected both subjective tags, got %v", tags)
 	}
-	results := s.QueryTags(intent.Slots, tags)
-	if len(results) == 0 {
-		t.Fatal("no results")
+	w, ix := goldIndex(t, CanonicalTags(lexicon.Restaurants()))
+	for _, e := range w.Entities {
+		// The world is all Italian/Montreal: the slots keep every entity.
+		if !strings.EqualFold(e.Cuisine, intent.Slots[search.SlotCuisine]) ||
+			!strings.EqualFold(e.City, intent.Slots[search.SlotLocation]) {
+			t.Fatalf("entity %s (%s, %s) outside the slots %v", e.ID, e.Cuisine, e.City, intent.Slots)
+		}
 	}
-	if len(results) > s.Cfg.TopK {
-		t.Fatalf("TopK not applied: %d", len(results))
+	for _, tag := range tags {
+		if !ix.Has(tag) {
+			t.Fatalf("tag %q is not indexed", tag)
+		}
 	}
-	if s.History.Len() != 0 {
-		t.Fatalf("indexed tags queued: %v", s.History.Pending())
+	results := rankAll(t, w, ix, tags, 10)
+	if len(results) != 10 {
+		t.Fatalf("TopK 10 returned %d results", len(results))
+	}
+}
+
+// TestEntityReviewsCancelled checks that a context cancelled mid-build
+// returns its error and no partial result.
+func TestEntityReviewsCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	ids := []string{"a", "b", "c"}
+	got, err := EntityReviews(ctx, ids, [][]string{{"r"}, {"r"}, {"r"}}, func(r string) []string {
+		cancel()
+		return []string{r}
+	})
+	if !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("cancelled build returned %v, %v", got, err)
+	}
+}
+
+// TestReviewRepeatsCountOnce pins the dedup rule of DESIGN.md §2 on both
+// per-review tag functions: a review that repeats a mention contributes
+// the tag once, and the producer counts it once per review.
+func TestReviewRepeatsCountOnce(t *testing.T) {
+	tokens := []string{"the", "food", "is", "delicious", "."}
+	labels := []tokenize.Label{tokenize.O, tokenize.BAS, tokenize.O, tokenize.BOP, tokenize.O}
+	mention := corpus.Mention{
+		Aspect:  tokenize.Span{Kind: tokenize.AspectSpan, Start: 1, End: 2},
+		Opinion: tokenize.Span{Kind: tokenize.OpinionSpan, Start: 3, End: 4},
+	}
+	sent := corpus.Sentence{Tokens: tokens, Labels: labels, Mentions: []corpus.Mention{mention}}
+	review := &yelp.Review{
+		Sentences: []corpus.Sentence{sent, sent},
+		Text:      "The food is delicious. The food is delicious.",
+	}
+	ex := &Extractor{Tagger: NewGoldTagger([]corpus.Sentence{sent}), Pairer: ServedPairer(lexicon.Restaurants())}
+	perReview := map[string]func(*yelp.Review) []string{
+		"extractor": func(r *yelp.Review) []string { return ex.ExtractTags(r.Text) },
+		"gold":      (*yelp.Review).GoldTags,
+	}
+	for name, tags := range perReview {
+		if got := tags(review); len(got) != 1 || got[0] != "delicious food" {
+			t.Fatalf("%s: a review repeating one mention gave %v, want [delicious food]", name, got)
+		}
+		got, err := EntityReviews(context.Background(), []string{"e"}, [][]*yelp.Review{{review, review}}, tags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0].ReviewCount != 2 || strings.Join(got[0].Tags, "|") != "delicious food|delicious food" {
+			t.Fatalf("%s: two repeating reviews gave %+v, want the tag once per review", name, got[0])
+		}
 	}
 }
 
@@ -209,8 +250,7 @@ func TestClassifierPairerThreshold(t *testing.T) {
 }
 
 func TestCanonicalTags(t *testing.T) {
-	s := goldService(t)
-	tags := s.CanonicalTags()
+	tags := CanonicalTags(lexicon.Restaurants())
 	if len(tags) != 18 {
 		t.Fatalf("canonical tags: %d", len(tags))
 	}
@@ -222,8 +262,8 @@ func TestCanonicalTags(t *testing.T) {
 }
 
 func TestNeuralVsGoldSourceAgreement(t *testing.T) {
-	// With a gold tagger inside the "neural" source, both sources must
-	// produce overlapping tag multisets for the same review.
+	// With a gold tagger inside the extractor, the extracted tags of a review
+	// text and its gold tags must overlap.
 	w := yelp.Generate(yelp.FastConfig())
 	var sentences []corpus.Sentence
 	for _, e := range w.Entities {
@@ -233,12 +273,10 @@ func TestNeuralVsGoldSourceAgreement(t *testing.T) {
 	}
 	ex := &Extractor{
 		Tagger: NewGoldTagger(sentences),
-		Pairer: pairing.Tree{Lex: parse.DomainLexicon(w.Domain), FromOpinions: true},
+		Pairer: ServedPairer(w.Domain),
 	}
-	neural := NeuralSource{E: ex}
-	gold := GoldSource{}
 	r := w.Entities[0].Reviews[0]
-	nt, gt := neural.Tags(r), gold.Tags(r)
+	nt, gt := ex.ExtractTags(r.Text), r.GoldTags()
 	if len(gt) == 0 {
 		t.Skip("review without mentions")
 	}

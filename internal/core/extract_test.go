@@ -102,16 +102,28 @@ func TestConcurrentExtractMatchesSerial(t *testing.T) {
 		t.Fatal("the fixture extracts no tag at all; the comparison would be vacuous")
 	}
 
-	// The build-side fan-out: sentences spread over workers, results in
-	// input order, identical to the serial loop.
-	tokenized := make([][]string, len(sentences))
-	for i, s := range sentences {
-		tokenized[i] = tokenize.Words(s)
+	// The build-side fan-out: entities spread over GOMAXPROCS workers sharing
+	// one cached extractor, results in input order, identical to the serial,
+	// uncached extraction of each entity's texts.
+	ids := make([]string, 4)
+	byEntity := make([][]string, len(ids))
+	for i := range ids {
+		ids[i] = fmt.Sprint("e", i)
+		byEntity[i] = texts[4*i : 4*i+4]
 	}
-	serial := (&Extractor{Tagger: m, Pairer: allPairs{}}).ExtractBatch(tokenized, 1)
-	fanout := &Extractor{Tagger: m, Pairer: allPairs{}, Cache: extcache.New(64)}
-	if fanned := fanout.ExtractBatch(tokenized, 4); fmt.Sprint(fanned) != fmt.Sprint(serial) {
-		t.Fatalf("ExtractBatch over 4 workers %v, serial %v", fanned, serial)
+	build := &Extractor{Tagger: taggers[1], Pairer: allPairs{}, Cache: extcache.New(64)}
+	built, err := EntityReviews(context.Background(), ids, byEntity, build.ExtractTags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, er := range built {
+		var wantTags []string
+		for _, tags := range want[1][4*i : 4*i+4] {
+			wantTags = append(wantTags, tags...)
+		}
+		if er.EntityID != ids[i] || er.ReviewCount != 4 || fmt.Sprint(er.Tags) != fmt.Sprint(wantTags) {
+			t.Fatalf("EntityReviews entity %d: %+v, want %s with tags %v", i, er, ids[i], wantTags)
+		}
 	}
 
 	var wg sync.WaitGroup

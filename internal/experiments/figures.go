@@ -28,7 +28,7 @@ type Figure1Result struct {
 // "romantic ambiance", which lands in the user tag history.
 func Figure1(w io.Writer) Figure1Result {
 	measure := sim.NewConceptual()
-	ix := index.New(measure, 0.55)
+	ix := index.New(measure, core.ThetaIndex)
 	entities := []index.EntityReviews{
 		{EntityID: "E1", ReviewCount: 1, Tags: []string{"good food"}},
 		{EntityID: "E3", ReviewCount: 1, Tags: []string{"superb atmosphere"}},

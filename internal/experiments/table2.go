@@ -1,15 +1,19 @@
 package experiments
 
 import (
+	"context"
 	"io"
 	"math/rand"
 
 	"saccs/internal/core"
 	"saccs/internal/crowd"
 	"saccs/internal/datasets"
+	"saccs/internal/index"
 	"saccs/internal/ir"
 	"saccs/internal/metrics"
 	"saccs/internal/nn"
+	"saccs/internal/search"
+	"saccs/internal/sim"
 	"saccs/internal/simbaseline"
 	"saccs/internal/tokenize"
 	"saccs/internal/yelp"
@@ -126,22 +130,16 @@ func defaultTable2Options(scale Scale) Table2Options {
 }
 
 // Table2Env bundles the expensive shared state (world, ground truth,
-// trained extractor) so ablation benches can reuse it.
+// extracted review tags) so ablation benches can reuse it.
 type Table2Env struct {
-	World   *yelp.World
-	Truth   *crowd.Truth
-	Service *core.Service
+	World *yelp.World
+	Truth *crowd.Truth
+	// Reviews are the world's review tags, extracted once by
+	// core.EntityReviews over the review texts — the build input the saccs
+	// facade's IndexEntities produces for the same world.
+	Reviews []index.EntityReviews
 	Queries map[Difficulty][]Query
 	Opts    Table2Options
-}
-
-// entityIDs lists all world entity ids.
-func (e *Table2Env) entityIDs() []string {
-	out := make([]string, len(e.World.Entities))
-	for i, en := range e.World.Entities {
-		out[i] = en.ID
-	}
-	return out
 }
 
 // BuildTable2Env generates the world, simulates the crowd ground truth,
@@ -164,22 +162,29 @@ func BuildTable2Env(scale Scale, w io.Writer) *Table2Env {
 	fprintf(w, "training extractor (MLM + adversarial tagger)...\n")
 	tg := core.TrainTagger(world.Domain, datasets.S1(scale), scale, true, 0.2, nn.Float64, nil)
 	ex := &core.Extractor{Tagger: tg, Pairer: core.ServedPairer(world.Domain)}
-	svc := core.NewService(world, ex, nil, core.DefaultConfig())
 	fprintf(w, "extracting subjective tags from reviews...\n")
-	svc.BuildEntityTags(core.NeuralSource{E: ex})
+	// context.Background is never cancelled, so the error path is dead.
+	reviews, _ := core.EntityReviews(context.Background(), world.IDs(), world.Reviews(),
+		func(r *yelp.Review) []string { return ex.ExtractTags(r.Text) })
 
 	opts := defaultTable2Options(scale)
-	var canon []string
-	for _, f := range world.Domain.Features {
-		canon = append(canon, f.Name)
-	}
 	return &Table2Env{
 		World:   world,
 		Truth:   truth,
-		Service: svc,
-		Queries: MakeQueries(canon, opts.QueriesPerSet, opts.Seed),
+		Reviews: reviews,
+		Queries: MakeQueries(featureTags(world), opts.QueriesPerSet, opts.Seed),
 		Opts:    opts,
 	}
+}
+
+// featureTags lists the domain's feature tags in lexicon order — the order
+// query sampling and the growth shuffle are seeded against.
+func featureTags(w *yelp.World) []string {
+	tags := make([]string, len(w.Domain.Features))
+	for i, f := range w.Domain.Features {
+		tags[i] = f.Name
+	}
+	return tags
 }
 
 // EvalIR scores the BM25 + query-expansion baseline.
@@ -218,25 +223,31 @@ func (e *Table2Env) EvalSIM(attrs int) Table2Row {
 	return row
 }
 
-// EvalSACCS scores the service with the first size canonical tags indexed
-// (the §6.2 adaptivity sweep: 6, 12, 18 tags).
-func (e *Table2Env) EvalSACCS(size int) Table2Row {
-	// Deterministic growth order: shuffle canonical tags once.
-	var canon []string
-	for _, f := range e.World.Domain.Features {
-		canon = append(canon, f.Name)
-	}
+// Index builds the SACCS index over the first size canonical tags (the
+// §6.2 adaptivity sweep: 6, 12, 18 tags) in a fixed shuffled growth order,
+// at the paper's θ_index, from the extracted review tags.
+func (e *Table2Env) Index(size int) *index.Index {
+	canon := featureTags(e.World)
 	rng := rand.New(rand.NewSource(17))
 	rng.Shuffle(len(canon), func(i, j int) { canon[i], canon[j] = canon[j], canon[i] })
-	if size > len(canon) {
-		size = len(canon)
-	}
-	e.Service.ResetIndex()
-	e.Service.IndexTags(canon[:size])
+	ix := index.New(sim.NewConceptual(), core.ThetaIndex)
+	ix.Build(canon[:min(size, len(canon))], e.Reviews)
+	return ix
+}
 
-	row := Table2Row{System: saccsName(size)}
+// EvalSACCS scores SACCS with the first size canonical tags indexed. A Table
+// 2 query carries tags and no objective slots, so Algorithm 1 filters and
+// ranks every entity of the world.
+func (e *Table2Env) EvalSACCS(size int) Table2Row {
+	snap := e.Index(size).Current()
+	rk := search.Ranker{Snap: snap, ThetaFilter: core.ThetaFilter, Agg: search.MeanAgg}
+	cands := search.NewCandidates(snap, e.World.IDs())
+
+	row := Table2Row{System: saccsName(min(size, len(e.World.Domain.Features)))}
 	e.forEachSet(&row, func(q Query, gains map[string]float64) float64 {
-		ranked := e.Service.QueryTags(nil, q.Tags)
+		// context.Background is never cancelled and cands is resolved
+		// against snap, so the error path is dead.
+		ranked, _ := rk.TopK(context.Background(), nil, cands, q.Tags, e.Opts.TopK)
 		ids := make([]string, len(ranked))
 		for i, s := range ranked {
 			ids[i] = s.EntityID
@@ -260,7 +271,7 @@ func saccsName(size int) string {
 
 // forEachSet fills a row by averaging the scorer over each difficulty set.
 func (e *Table2Env) forEachSet(row *Table2Row, score func(q Query, gains map[string]float64) float64) {
-	ids := e.entityIDs()
+	ids := e.World.IDs()
 	for _, d := range []Difficulty{Short, Medium, Long} {
 		var vals []float64
 		for _, q := range e.Queries[d] {

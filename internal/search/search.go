@@ -1,8 +1,10 @@
 // Package search implements the conversational plumbing of §3: a dialog shim
 // with intent recognition and slot filling (the capabilities the paper
-// assumes of the underlying dialog system), an objective search API over the
-// Yelp world (the paper's TripAdvisor/Yelp role), and the filtering &
-// ranking of Algorithm 1 with the §3.3 aggregation strategies.
+// assumes of the underlying dialog system), and the filtering & ranking of
+// Algorithm 1 with the §3.3 aggregation strategies. The objective search API
+// whose answer Algorithm 1 re-filters (the paper's TripAdvisor/Yelp role) is
+// the caller's: the saccs facade's objective filter, or every entity for a
+// Table 2 query, which carries no slots.
 package search
 
 import (
@@ -14,7 +16,6 @@ import (
 
 	"saccs/internal/index"
 	"saccs/internal/obs"
-	"saccs/internal/yelp"
 )
 
 // Intent is the dialog system's reading of an utterance: intent name plus
@@ -69,28 +70,6 @@ func utteranceWords(utterance string) map[string]bool {
 		words[w] = true
 	}
 	return words
-}
-
-// API is the objective search service of §3.2: it answers slot-filtered
-// queries with entity ids, ignoring every subjective signal — exactly the
-// S_api the paper re-filters.
-type API struct {
-	World *yelp.World
-}
-
-// Search returns the ids of entities matching the objective slots.
-func (a *API) Search(slots map[string]string) []string {
-	var out []string
-	for _, e := range a.World.Entities {
-		if c, ok := slots[SlotCuisine]; ok && !strings.EqualFold(e.Cuisine, c) {
-			continue
-		}
-		if l, ok := slots[SlotLocation]; ok && !strings.EqualFold(e.City, l) {
-			continue
-		}
-		out = append(out, e.ID)
-	}
-	return out
 }
 
 // Aggregation selects how degrees of truth combine across tags (§3.3).

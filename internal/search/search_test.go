@@ -5,7 +5,6 @@ import (
 
 	"saccs/internal/index"
 	"saccs/internal/sim"
-	"saccs/internal/yelp"
 )
 
 func TestParseUtterance(t *testing.T) {
@@ -46,23 +45,6 @@ func TestParseUtteranceWordBoundaries(t *testing.T) {
 		if in.Slots[SlotLocation] != tc.location {
 			t.Errorf("%q: location = %q, want %q", tc.utterance, in.Slots[SlotLocation], tc.location)
 		}
-	}
-}
-
-func TestAPISearchFilters(t *testing.T) {
-	w := yelp.Generate(yelp.FastConfig())
-	api := &API{World: w}
-	all := api.Search(map[string]string{})
-	if len(all) != len(w.Entities) {
-		t.Fatalf("unfiltered search: %d", len(all))
-	}
-	match := api.Search(map[string]string{SlotCuisine: "italian", SlotLocation: "montreal"})
-	if len(match) != len(w.Entities) {
-		t.Fatalf("world is all-Italian-Montreal; got %d", len(match))
-	}
-	none := api.Search(map[string]string{SlotCuisine: "french"})
-	if len(none) != 0 {
-		t.Fatalf("french search must be empty: %d", len(none))
 	}
 }
 

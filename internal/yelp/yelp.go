@@ -28,6 +28,26 @@ type Review struct {
 	Text      string
 }
 
+// GoldTags renders the review's gold mentions as "<opinion> <aspect>" tags,
+// each distinct tag once in first-mention order — the same per-review dedup
+// the extractor applies (core.Extractor.ExtractTags), so gold and extracted
+// review tags enter Eq. 1 under one rule. It is the gold ablation's input to
+// core.EntityReviews, isolating index and ranking from extraction noise.
+func (r *Review) GoldTags() []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, s := range r.Sentences {
+		for _, m := range s.Mentions {
+			tag := m.OpinionText(s.Tokens) + " " + m.AspectText(s.Tokens)
+			if !seen[tag] {
+				seen[tag] = true
+				out = append(out, tag)
+			}
+		}
+	}
+	return out
+}
+
 // Entity is one business.
 type Entity struct {
 	ID      string
@@ -57,6 +77,25 @@ func (w *World) ReviewCount() int {
 		n += len(e.Reviews)
 	}
 	return n
+}
+
+// IDs returns the entity IDs in world order.
+func (w *World) IDs() []string {
+	out := make([]string, len(w.Entities))
+	for i, e := range w.Entities {
+		out[i] = e.ID
+	}
+	return out
+}
+
+// Reviews returns each entity's reviews in world order, parallel to IDs —
+// the shape core.EntityReviews consumes.
+func (w *World) Reviews() [][]*Review {
+	out := make([][]*Review, len(w.Entities))
+	for i, e := range w.Entities {
+		out[i] = e.Reviews
+	}
+	return out
 }
 
 // Entity returns the entity with the given id, or nil.

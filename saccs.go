@@ -25,9 +25,7 @@ import (
 	"maps"
 	"net/http"
 	"os"
-	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -141,8 +139,8 @@ func DefaultConfig() Config {
 	return Config{
 		Domain:           "restaurants",
 		TrainingScale:    "fast",
-		ThetaIndex:       0.55,
-		ThetaFilter:      0.45,
+		ThetaIndex:       core.ThetaIndex,
+		ThetaFilter:      core.ThetaFilter,
 		TopK:             10,
 		Adversarial:      true,
 		Epsilon:          0.2,
@@ -517,20 +515,14 @@ func (c *Client) ExtractTagsCtx(ctx context.Context, text string) ([]string, err
 
 // CanonicalTags returns the domain's built-in subjective feature tags —
 // a convenient starter set for IndexEntities.
-func (c *Client) CanonicalTags() []string {
-	var tags []string
-	for _, f := range c.domain.Features {
-		tags = append(tags, f.Name)
-	}
-	sort.Strings(tags)
-	return tags
-}
+func (c *Client) CanonicalTags() []string { return core.CanonicalTags(c.domain) }
 
 // IndexEntities extracts subjective tags from every entity's reviews and
-// builds the inverted index for the given tag set. Extraction fans out
-// across GOMAXPROCS goroutines (the pipeline is reentrant) and the build
-// fans out per tag; results are merged in input order, so the index is
-// identical for any degree of parallelism. Calling IndexEntities again
+// builds the inverted index for the given tag set. Extraction runs through
+// core.EntityReviews, fanned out per entity across GOMAXPROCS goroutines
+// (the pipeline is reentrant), and the build fans out per tag; results are
+// merged in input order, so the index is identical for any degree of
+// parallelism. Calling IndexEntities again
 // builds a complete replacement world off to the side and publishes it
 // atomically — queries already in flight finish against the old index, the
 // next query sees the new one.
@@ -539,12 +531,14 @@ func (c *Client) IndexEntities(entities []Entity, tags []string) error {
 }
 
 // IndexEntitiesCtx is IndexEntities with cooperative cancellation: the
-// context is polled inside the extraction worker loop and the index build.
-// On cancellation it returns a *StageError wrapping ctx's error and
+// context is polled between entities during extraction and inside the index
+// build. On cancellation it returns a *StageError wrapping ctx's error and
 // publishes nothing — the client keeps serving its previous index.
 func (c *Client) IndexEntitiesCtx(ctx context.Context, entities []Entity, tags []string) error {
 	seen := make(map[string]bool, len(entities))
-	for _, e := range entities {
+	ids := make([]string, len(entities))
+	texts := make([][]string, len(entities))
+	for i, e := range entities {
 		if e.ID == "" {
 			return fmt.Errorf("saccs: entity with empty ID")
 		}
@@ -552,46 +546,10 @@ func (c *Client) IndexEntitiesCtx(ctx context.Context, entities []Entity, tags [
 			return fmt.Errorf("saccs: duplicate entity ID %q", e.ID)
 		}
 		seen[e.ID] = true
+		ids[i], texts[i] = e.ID, e.Reviews
 	}
-	reviews := make([]index.EntityReviews, len(entities))
-	extract := func(i int) {
-		e := entities[i]
-		er := index.EntityReviews{EntityID: e.ID, ReviewCount: len(e.Reviews)}
-		for _, r := range e.Reviews {
-			er.Tags = append(er.Tags, c.refExtr.ExtractTags(r)...)
-		}
-		reviews[i] = er
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entities) {
-		workers = len(entities)
-	}
-	if workers <= 1 {
-		for i := range entities {
-			if ctx.Err() != nil {
-				break
-			}
-			extract(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= len(entities) {
-						return
-					}
-					extract(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
+	reviews, err := core.EntityReviews(ctx, ids, texts, c.refExtr.ExtractTags)
+	if err != nil {
 		return &StageError{Stage: "extract", Err: err}
 	}
 	ix := c.newIndex()
