@@ -21,7 +21,7 @@ FUZZTIME ?= 30s
 COVER_BASELINE ?= 79.5
 
 .PHONY: ci lint vet build deps-check test test-short race race-full bench bench-smoke \
-	bench-ingest bench-serve benchmark-check check obs-lint fuzz-smoke cover loc
+	bench-serve benchmark-check check obs-lint fuzz-smoke cover loc
 
 ci: lint build deps-check race check obs-lint fuzz-smoke bench-smoke benchmark-check cover
 
@@ -130,9 +130,8 @@ bench:
 # 1.68 1.77 1.64 1.74 against the parent's 2.29 2.26 2.66 2.48 in four
 # alternating runs taken in a slow spell. The floor stays at 1.5; the lowest
 # run clears it by 7 %, not 15 % (ROADMAP item 3 weighs what mixed buys).
-# It writes no BENCH.json.
 bench-smoke:
-	$(GO) run ./cmd/saccs-bench -only parallel,quant -parallel 4 -parallel-dur 300ms -qps-guard -quant-guard -bench-out ""
+	$(GO) run ./cmd/saccs-bench -only parallel,quant -parallel 4 -parallel-dur 300ms -qps-guard -quant-guard
 
 # benchmark-check vets and short-tests the benchmark/ module. It is a module
 # of its own (not under ./...), built against this tree's facade and the
@@ -147,17 +146,10 @@ benchmark-check:
 # bench-serve drives the real HTTP tier (cmd/saccs-server's stack) with an
 # open-loop load generator: fixed arrival rates on a ladder calibrated
 # against the same server, latency quantiles measured from scheduled arrival
-# time (no coordinated omission), and the max sustained rate. Appends the
-# serve section to BENCH.json.
+# time (no coordinated omission), and the max sustained rate. It prints the
+# ladder to stdout.
 bench-serve:
 	$(GO) run ./cmd/saccs-bench -only serve -parallel-dur 2s
-
-# bench-ingest measures the streaming-ingest tier on the real filesystem:
-# durable append throughput under FsyncAlways and FsyncBatch, the
-# durable-ack and publish-lag latency quantiles, and the crash-recovery
-# replay rate at reopen. Appends the ingest section to BENCH.json.
-bench-ingest:
-	$(GO) run ./cmd/saccs-bench -only ingest -parallel-dur 2s
 
 # check runs the correctness harness under the race detector: the
 # internal/check differential oracles (serial vs parallel build, persisted vs

@@ -1,15 +1,10 @@
 // Command saccs-bench regenerates every table and figure of the paper's
-// evaluation (§6). By default it runs at fast (CI) scale; -scale paper uses
+// evaluation (§6) and runs the three measurements the benchmark/ module does
+// not: the decode-precision ratio, parallel query scaling and the open-loop
+// HTTP rate ladder. By default it runs at fast (CI) scale; -scale paper uses
 // the paper's corpus sizes (280 entities / ~7000 reviews, Table 3 dataset
-// sizes, 100 queries per difficulty, 15 training epochs).
-//
-// The "stages" section benchmarks the query-path stages in isolation
-// (parse, tagger Viterbi decode, pairing, full extraction, index build,
-// exact and similarity-fallback resolution, ranking) over the served
-// tagger (core.TrainTagger) and writes the results both as a human-readable
-// table and as machine-readable JSON (-bench-out, default BENCH.json). The
-// end-to-end query is what the benchmark/ module's query_cold and
-// query_warm workloads measure.
+// sizes, 100 queries per difficulty, 15 training epochs). Every section
+// prints to stdout; the tool writes no file.
 //
 // The "quant" section times the cold Viterbi decode at float64 and at mixed
 // precision; with -quant-guard the process exits nonzero if mixed is not
@@ -22,14 +17,7 @@
 // queries beat the single-goroutine figure only by running on more
 // processors. With -qps-guard the process exits nonzero if the concurrent
 // pass is slower than the 1-goroutine pass — the regression CI smoke gate:
-// more goroutines must not mean fewer queries. All sections append to the
-// same BENCH.json.
-//
-// The "ingest" section measures the streaming tier on the real filesystem:
-// durable append throughput under FsyncAlways (each ack is an fsync) and
-// FsyncBatch (sync at publication), append and publish-lag quantiles from
-// the ingest histograms, and the crash-recovery figure — how fast a reopened
-// ingester replays the log it just wrote.
+// more goroutines must not mean fewer queries.
 //
 // The "serve" section benchmarks the HTTP tier end to end: it trains a
 // facade client, starts a real saccs-server on loopback, and drives
@@ -44,20 +32,20 @@
 // Usage:
 //
 //	saccs-bench [-scale fast|paper]
-//	            [-only table2,table3,table4,table5,figures,stages,quant,parallel,ingest,serve]
+//	            [-only table2,table3,table4,table5,figures,quant,parallel,serve]
 //	            [-parallel N] [-parallel-dur 2s] [-qps-guard] [-quant-guard]
-//	            [-bench-out BENCH.json] [-metrics-addr :9090]
+//	            [-metrics-addr :9090]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -69,22 +57,41 @@ import (
 	"saccs/internal/core"
 	"saccs/internal/datasets"
 	"saccs/internal/experiments"
-	"saccs/internal/index"
-	"saccs/internal/ingest"
+	"saccs/internal/lexicon"
 	"saccs/internal/nn"
 	"saccs/internal/obs"
-	"saccs/internal/search"
 	"saccs/internal/server"
-	"saccs/internal/sim"
-	"saccs/internal/tagger"
 	"saccs/internal/tokenize"
 	"saccs/internal/yelp"
 )
 
+// sections lists every -only name in the order main runs them.
+var sections = []string{"table3", "figures", "table5", "table4", "table2", "quant", "parallel", "serve"}
+
+// parseOnly turns the -only value into the set of sections to run. An empty
+// value selects every section; a name that is not a section is an error, so
+// a stale invocation fails instead of silently running nothing.
+func parseOnly(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		for _, name := range sections {
+			want[name] = true
+		}
+		return want, nil
+	}
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(sections, name) {
+			return nil, fmt.Errorf("unknown section %q (valid: %s)", name, strings.Join(sections, ","))
+		}
+		want[name] = true
+	}
+	return want, nil
+}
+
 func main() {
 	scaleFlag := flag.String("scale", "fast", "experiment scale: fast or paper")
-	only := flag.String("only", "", "comma-separated subset: table2,table3,table4,table5,figures,stages,quant,parallel,ingest,serve")
-	benchOut := flag.String("bench-out", "BENCH.json", "file for the machine-readable benchmark results (empty disables)")
+	only := flag.String("only", "", "comma-separated subset: "+strings.Join(sections, ","))
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :9090)")
 	parallelN := flag.Int("parallel", runtime.GOMAXPROCS(0), "goroutines for the parallel query benchmark")
 	qpsGuard := flag.Bool("qps-guard", false, "exit nonzero if the concurrent pass of the parallel section falls below its 1-goroutine QPS")
@@ -102,6 +109,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q (want fast or paper)\n", *scaleFlag)
 		os.Exit(2)
 	}
+	want, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-only: %v\n", err)
+		os.Exit(2)
+	}
 
 	o := obs.NewObserver()
 	if *metricsAddr != "" {
@@ -113,14 +125,8 @@ func main() {
 		fmt.Printf("metrics: http://%s/metrics  pprof: http://%s/debug/pprof\n", srv.Addr, srv.Addr)
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, name := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(name)] = true
-		}
-	}
 	run := func(name string, f func()) {
-		if len(want) > 0 && !want[name] {
+		if !want[name] {
 			return
 		}
 		start := time.Now()
@@ -129,7 +135,6 @@ func main() {
 		fmt.Printf("(%s took %s)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
-	doc := &benchFile{Command: strings.TrimSpace("saccs-bench " + strings.Join(os.Args[1:], " "))}
 	run("table3", func() { experiments.Table3(scale, os.Stdout) })
 	run("figures", func() {
 		experiments.Figure1(os.Stdout)
@@ -139,253 +144,25 @@ func main() {
 	run("table5", func() { experiments.Table5(scale, os.Stdout) })
 	run("table4", func() { experiments.Table4(scale, os.Stdout) })
 	run("table2", func() { experiments.Table2(scale, os.Stdout) })
-	run("stages", func() { stageBenchmarks(o, doc) })
-	run("quant", func() { quantBenchmarks(o, doc, *quantGuard) })
-	run("parallel", func() { parallelBenchmarks(doc, *parallelN, *parallelDur, *qpsGuard) })
-	run("ingest", func() { ingestBenchmarks(doc, *parallelDur) })
-	run("serve", func() { serveBenchmarks(doc, *parallelDur) })
-
-	if *benchOut != "" && (len(doc.Stages) > 0 || len(doc.Quant) > 0 || len(doc.Parallel) > 0 || doc.Ingest != nil || doc.Serve != nil) {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*benchOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *benchOut, err)
-			os.Exit(1)
-		}
-		ingestRows := 0
-		if doc.Ingest != nil {
-			ingestRows = len(doc.Ingest.Results)
-		}
-		serveRows := 0
-		if doc.Serve != nil {
-			serveRows = len(doc.Serve.Passes)
-		}
-		fmt.Printf("wrote %s (%d stages, %d quant rows, %d parallel passes, %d ingest rows, %d serve passes)\n",
-			*benchOut, len(doc.Stages), len(doc.Quant), len(doc.Parallel), ingestRows, serveRows)
-	}
-}
-
-// stageResult is one row of BENCH.json.
-type stageResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Iterations  int     `json:"iterations"`
-}
-
-// parallelResult is one throughput pass of the parallel benchmark: a facade
-// client queried by Goroutines goroutines.
-type parallelResult struct {
-	Goroutines int     `json:"goroutines"`
-	Queries    int64   `json:"queries"`
-	Seconds    float64 `json:"seconds"`
-	QPS        float64 `json:"qps"`
-}
-
-// ingestResult is one fsync-policy pass of the streaming-ingest benchmark.
-type ingestResult struct {
-	// Mode is "fsync-always" (every ack is an fsync) or "fsync-batch"
-	// (sync at publication boundaries).
-	Mode string `json:"mode"`
-	// Goroutines is how many concurrent appenders drove the pass (absent or
-	// 1: the serial baseline). The fsync-batch rows at 1/4/16 goroutines
-	// measure group-commit ack latency: appends acknowledge without a
-	// per-record fsync and the publication-boundary sync amortizes across
-	// everything the group appended since the last barrier, so the ack
-	// quantiles show pure WAL contention rather than storage flushes.
-	Goroutines    int     `json:"goroutines,omitempty"`
-	Appends       int64   `json:"appends"`
-	Seconds       float64 `json:"seconds"`
-	AppendsPerSec float64 `json:"appends_per_sec"`
-	// Append quantiles are the durable-ack latency seen by callers.
-	AppendP50Ns float64 `json:"append_p50_ns"`
-	AppendP99Ns float64 `json:"append_p99_ns"`
-	// Publish-lag quantiles measure bounded staleness: per publication, how
-	// long its oldest pending review waited to become queryable.
-	PublishLagP50Ns float64 `json:"publish_lag_p50_ns"`
-	PublishLagP99Ns float64 `json:"publish_lag_p99_ns"`
-	Publishes       int64   `json:"publishes"`
-	Compactions     int64   `json:"compactions"`
-}
-
-// ingestSection is the streaming-ingest benchmark's BENCH.json entry.
-type ingestSection struct {
-	Results []ingestResult `json:"results"`
-	// RecoverySeconds is how long a fresh ingester took to replay the
-	// fsync-always pass's log (checkpoint + WAL tail) at reopen.
-	RecoverySeconds  float64 `json:"recovery_seconds"`
-	RecoveredReviews int     `json:"recovered_reviews"`
-	RecoveredPerSec  float64 `json:"recovered_per_sec"`
-}
-
-// servePass is one open-loop pass of the HTTP serving benchmark: the server
-// driven at one fixed offered arrival rate.
-type servePass struct {
-	OfferedQPS float64 `json:"offered_qps"`
-	// AchievedQPS is completed requests over the full pass (scheduled span
-	// plus drain); Sustained means achieved/offered >= 0.95 with no errors.
-	AchievedQPS float64 `json:"achieved_qps"`
-	Requests    int64   `json:"requests"`
-	Errors      int64   `json:"errors"`
-	Sustained   bool    `json:"sustained"`
-	// Latency quantiles are measured from each request's scheduled arrival
-	// time, not its send time, so queueing under overload is included.
-	P50Ns  float64 `json:"p50_ns"`
-	P99Ns  float64 `json:"p99_ns"`
-	P999Ns float64 `json:"p999_ns"`
-}
-
-// serveSection is the HTTP serving benchmark's BENCH.json entry.
-type serveSection struct {
-	// CalibratedQPS is the closed-loop throughput estimate the rate ladder
-	// was derived from.
-	CalibratedQPS float64     `json:"calibrated_qps"`
-	Passes        []servePass `json:"passes"`
-	// MaxSustainedQPS is the highest offered rate on the ladder the server
-	// sustained.
-	MaxSustainedQPS float64 `json:"max_sustained_qps"`
-}
-
-// benchFile is the BENCH.json document.
-type benchFile struct {
-	Command  string           `json:"command"`
-	Stages   []stageResult    `json:"stages,omitempty"`
-	Quant    []stageResult    `json:"quant,omitempty"`
-	Parallel []parallelResult `json:"parallel,omitempty"`
-	Ingest   *ingestSection   `json:"ingest,omitempty"`
-	Serve    *serveSection    `json:"serve,omitempty"`
-}
-
-// benchPipeline builds the fast pipeline the stage and quant benchmarks
-// measure: the served tagger at mixed precision and the served pairer over
-// the fast world. Built once and shared between sections.
-var benchPipeline struct {
-	once  sync.Once
-	world *yelp.World
-	ex    *core.Extractor
-	tg    *tagger.Model
-}
-
-func buildBenchPipeline(o *obs.Observer) (*yelp.World, *core.Extractor, *tagger.Model) {
-	benchPipeline.once.Do(func() {
-		fmt.Println("building the fast pipeline for the benchmarks...")
-		world := yelp.Generate(yelp.FastConfig())
-		// nn.Mixed is the serving default (saccs.Config.Precision).
-		tg := core.TrainTagger(world.Domain, datasets.S1(datasets.Fast), datasets.Fast, true, 0.2, nn.Mixed, o)
-		ex := &core.Extractor{Tagger: tg, Pairer: core.ServedPairer(world.Domain), Obs: o}
-		benchPipeline.world, benchPipeline.ex, benchPipeline.tg = world, ex, tg
-	})
-	return benchPipeline.world, benchPipeline.ex, benchPipeline.tg
-}
-
-// stageBenchmarks measures every query-path stage in isolation with
-// testing.Benchmark and reports ns/op plus allocation counts, printing a
-// human table and appending rows to doc.
-func stageBenchmarks(o *obs.Observer, doc *benchFile) {
-	world, ex, tg := buildBenchPipeline(o)
-	canon := core.CanonicalTags(world.Domain)
-	ctx := context.Background()
-
-	utterance := "I want an Italian restaurant in Montreal with delicious food and nice staff"
-	tokens := tokenize.Words(utterance)
-	queryTags := ex.ExtractTags(utterance)
-	// The index.build row's input: the world's review tags, through the
-	// producer every index build uses.
-	entityTags, _ := core.EntityReviews(ctx, world.IDs(), world.Reviews(),
-		func(r *yelp.Review) []string { return ex.ExtractTags(r.Text) })
-
-	// Pre-split spans so the pairing stage is measured alone.
-	labels := tg.Predict(tokens)
-	var aspects, opinions []tokenize.Span
-	for _, sp := range tokenize.Spans(labels) {
-		if sp.Kind == tokenize.AspectSpan {
-			aspects = append(aspects, sp)
-		} else {
-			opinions = append(opinions, sp)
-		}
-	}
-	buildTags := make([]string, 0, 8)
-	for _, t := range canon[:8] {
-		buildTags = append(buildTags, strings.ToLower(t))
-	}
-	// Resolve and rank are timed on the paper's §6.1 world (280 candidates),
-	// the scale BENCHMARK.json's workloads run at: both are linear in the
-	// candidate set, and on the 36-entity pipeline world above the rank row
-	// read a tenth of what a query at that scale pays. Gold review tags stand
-	// in for neural extraction — the rows time the index, not the extractor.
-	// The §6.1 world is all Italian/Montreal, so the utterance's objective
-	// slots keep every entity: rank ranks them all.
-	paperWorld := yelp.Generate(yelp.DefaultConfig())
-	paperTags, _ := core.EntityReviews(ctx, paperWorld.IDs(), paperWorld.Reviews(), (*yelp.Review).GoldTags)
-	paper := index.New(sim.NewConceptual(), core.ThetaIndex)
-	paper.Build(buildTags, paperTags)
-	paperIDs := paperWorld.IDs()
-	var exactTag string
-	paper.EachTag(func(t string) bool { exactTag = t; return false })
-	// The last canonical tags are not indexed, so resolving one exercises
-	// the similarity fallback of Algorithm 1.
-	similarTag := strings.ToLower(canon[len(canon)-1])
-	topK := saccs.DefaultConfig().TopK
-
-	stages := []struct {
-		name string
-		fn   func()
-	}{
-		{"parse", func() { search.ParseUtterance(utterance) }},
-		{"tagger.decode", func() { tg.Predict(tokens) }},
-		{"tagger.decode.float64", func() { tg.PredictAt(tokens, nn.Float64) }},
-		{"pairing.pairs", func() { ex.Pairer.Pairs(tokens, aspects, opinions) }},
-		{"extract", func() { ex.ExtractFromTokens(tokens) }},
-		{"index.build", func() {
-			ix := index.New(sim.NewConceptual(), core.ThetaIndex)
-			ix.Build(buildTags, entityTags)
-		}},
-		{"index.resolve.exact", func() { paper.Resolve(exactTag, core.ThetaFilter) }},
-		{"index.resolve.similar", func() { paper.Resolve(similarTag, core.ThetaFilter) }},
-		{"rank", func() {
-			rk := search.Ranker{Snap: paper.Current(), ThetaFilter: core.ThetaFilter, Agg: search.MeanAgg}
-			_, _ = rk.TopK(ctx, nil, search.NewCandidates(rk.Snap, paperIDs), queryTags, topK)
-		}},
-	}
-
-	results := make([]stageResult, 0, len(stages))
-	fmt.Printf("%-22s %14s %12s %12s\n", "stage", "ns/op", "allocs/op", "B/op")
-	for _, st := range stages {
-		fn := st.fn
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fn()
-			}
-		})
-		row := stageResult{
-			Name:        st.name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iterations:  r.N,
-		}
-		results = append(results, row)
-		fmt.Printf("%-22s %14.0f %12d %12d\n", row.Name, row.NsPerOp, row.AllocsPerOp, row.BytesPerOp)
-	}
-	doc.Stages = results
+	run("quant", func() { quantBenchmarks(o, *quantGuard) })
+	run("parallel", func() { parallelBenchmarks(*parallelN, *parallelDur, *qpsGuard) })
+	run("serve", func() { serveBenchmarks(*parallelDur) })
 }
 
 // quantGuardMin is the -quant-guard floor: mixed cold decode over float64
 // cold decode. The Makefile's bench-smoke comment records the runs behind it.
 const quantGuardMin = 1.5
 
-// quantBenchmarks measures the cold Viterbi decode at each precision mode
-// over the shared pipeline and reports the mixed-mode speedup against full
-// float64. With guard set the process exits nonzero if the mixed decode is
-// not at least quantGuardMin times float64
+// quantBenchmarks measures the cold Viterbi decode of the served tagger
+// (core.TrainTagger at fast scale) at each precision mode and reports the
+// mixed-mode speedup against full float64. With guard set the process exits
+// nonzero if the mixed decode is not at least quantGuardMin times float64
 // (oracle/quant-drift separately pins that the speed does not come at the
 // cost of label agreement).
-func quantBenchmarks(o *obs.Observer, doc *benchFile, guard bool) {
-	_, _, tg := buildBenchPipeline(o)
+func quantBenchmarks(o *obs.Observer, guard bool) {
+	fmt.Println("training the served tagger...")
+	// nn.Mixed is the serving default (saccs.Config.Precision).
+	tg := core.TrainTagger(lexicon.Restaurants(), datasets.S1(datasets.Fast), datasets.Fast, true, 0.2, nn.Mixed, o)
 	tokens := tokenize.Words("I want an Italian restaurant in Montreal with delicious food and nice staff")
 
 	modes := []struct {
@@ -395,9 +172,9 @@ func quantBenchmarks(o *obs.Observer, doc *benchFile, guard bool) {
 		{"tagger.decode.float64", nn.Float64},
 		{"tagger.decode.mixed", nn.Mixed},
 	}
-	results := make([]stageResult, 0, len(modes))
+	nsPerOp := make([]float64, len(modes))
 	fmt.Printf("%-22s %14s %12s %12s\n", "mode", "ns/op", "allocs/op", "B/op")
-	for _, m := range modes {
+	for i, m := range modes {
 		p := m.p
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -405,21 +182,13 @@ func quantBenchmarks(o *obs.Observer, doc *benchFile, guard bool) {
 				tg.PredictAt(tokens, p)
 			}
 		})
-		row := stageResult{
-			Name:        m.name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iterations:  r.N,
-		}
-		results = append(results, row)
-		fmt.Printf("%-22s %14.0f %12d %12d\n", row.Name, row.NsPerOp, row.AllocsPerOp, row.BytesPerOp)
+		nsPerOp[i] = float64(r.T.Nanoseconds()) / float64(r.N)
+		fmt.Printf("%-22s %14.0f %12d %12d\n", m.name, nsPerOp[i], r.AllocsPerOp(), r.AllocedBytesPerOp())
 	}
-	f64, mixed := results[0].NsPerOp, results[1].NsPerOp
+	f64, mixed := nsPerOp[0], nsPerOp[1]
 	if mixed > 0 {
 		fmt.Printf("mixed cold decode: %.2fx float64\n", f64/mixed)
 	}
-	doc.Quant = results
 	if guard && mixed > 0 && f64/mixed < quantGuardMin {
 		fmt.Fprintf(os.Stderr, "quant guard: mixed cold decode is %.2fx float64, want >= %gx\n", f64/mixed, quantGuardMin)
 		os.Exit(1)
@@ -448,6 +217,15 @@ func coldUtterances(n int) []string {
 	return out
 }
 
+// parallelResult is one throughput pass of the parallel benchmark: a facade
+// client queried by Goroutines goroutines.
+type parallelResult struct {
+	Goroutines int
+	Queries    int64
+	Seconds    float64
+	QPS        float64
+}
+
 // parallelBenchmarks measures cold-path end-to-end Query throughput through
 // the public facade: one client at 1 and at workers goroutines. The
 // extraction cache is off and every query is a distinct utterance, so each
@@ -456,7 +234,7 @@ func coldUtterances(n int) []string {
 // time-slicing goroutines through the same serial decodes gains nothing.
 // With guard set, a concurrent pass slower than the 1-goroutine pass fails
 // the process — the CI regression gate.
-func parallelBenchmarks(doc *benchFile, workers int, dur time.Duration, guard bool) {
+func parallelBenchmarks(workers int, dur time.Duration, guard bool) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -502,7 +280,6 @@ func parallelBenchmarks(doc *benchFile, workers int, dur time.Duration, guard bo
 	for _, r := range rows {
 		fmt.Printf("%-12d %10d %10.2f %12.1f\n", r.Goroutines, r.Queries, r.Seconds, r.QPS)
 	}
-	doc.Parallel = rows
 	if len(rows) < 2 || rows[0].QPS <= 0 {
 		return
 	}
@@ -513,186 +290,6 @@ func parallelBenchmarks(doc *benchFile, workers int, dur time.Duration, guard bo
 			rows[1].Goroutines, rows[1].QPS, rows[0].QPS)
 		os.Exit(1)
 	}
-}
-
-// ingestTags is the synthetic streaming vocabulary. Reviews carry their tags
-// inline ("tag | tag") and benchExtract splits them back out, so the section
-// measures the ingest tier itself — WAL append + fsync, delta builds,
-// compaction — not the neural extractor in front of it.
-var ingestTags = []string{
-	"delicious food", "nice staff", "quiet atmosphere", "creative cooking",
-	"fair prices", "fresh ingredients", "generous portions", "quick service",
-	"cozy decor", "good view",
-}
-
-func benchExtract(texts []string) [][]string {
-	out := make([][]string, len(texts))
-	for i, t := range texts {
-		for _, p := range strings.Split(t, " | ") {
-			if p != "" {
-				out[i] = append(out[i], p)
-			}
-		}
-	}
-	return out
-}
-
-// ingestBenchmarks measures the streaming-ingest tier on the real
-// filesystem. Two duration-bound append passes — FsyncAlways (the durability
-// default: every acknowledged review is on stable storage) and FsyncBatch
-// (sync at publication boundaries) — each over its own WAL directory with
-// its own observer, reporting throughput, the durable-ack latency quantiles,
-// and the publish-lag quantiles that quantify bounded staleness. The
-// fsync-always log is then reopened by a fresh ingester and the recovery
-// replay is timed: the crash-restart figure.
-func ingestBenchmarks(doc *benchFile, dur time.Duration) {
-	const nEntities = 256
-	review := func(i int) (string, string) {
-		t1 := ingestTags[i%len(ingestTags)]
-		t2 := ingestTags[(i*7+3)%len(ingestTags)]
-		return fmt.Sprintf("ent-%d", i%nEntities), t1 + " | " + t2
-	}
-
-	pass := func(mode string, policy ingest.FsyncPolicy, workers int) (ingestResult, string) {
-		dir, err := os.MkdirTemp("", "saccs-ingest-bench-*")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ingest bench: %v\n", err)
-			os.Exit(1)
-		}
-		io := obs.NewObserver()
-		ix := index.New(sim.NewConceptual(), core.ThetaIndex)
-		ing, err := ingest.Open(ingest.Config{
-			Dir:             dir,
-			Fsync:           policy,
-			PublishEvery:    64,
-			PublishInterval: -1,
-			Obs:             io,
-		}, ix, ingestTags, nil, benchExtract)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ingest bench: open: %v\n", err)
-			os.Exit(1)
-		}
-		ctx := context.Background()
-		deadline := time.Now().Add(dur)
-		start := time.Now()
-		var n int64
-		if workers <= 1 {
-			for i := 0; time.Now().Before(deadline); i++ {
-				id, text := review(i)
-				if _, err := ing.Append(ctx, id, text); err != nil {
-					fmt.Fprintf(os.Stderr, "ingest bench: append: %v\n", err)
-					os.Exit(1)
-				}
-				n++
-			}
-		} else {
-			// Concurrent appenders stride the review stream so every record
-			// is distinct; the total lands in n after the barrier.
-			var total atomic.Int64
-			var wg sync.WaitGroup
-			for g := 0; g < workers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					var mine int64
-					for i := g; time.Now().Before(deadline); i += workers {
-						id, text := review(i)
-						if _, err := ing.Append(ctx, id, text); err != nil {
-							fmt.Fprintf(os.Stderr, "ingest bench: append: %v\n", err)
-							os.Exit(1)
-						}
-						mine++
-					}
-					total.Add(mine)
-				}(g)
-			}
-			wg.Wait()
-			n = total.Load()
-		}
-		if err := ing.Flush(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "ingest bench: flush: %v\n", err)
-			os.Exit(1)
-		}
-		sec := time.Since(start).Seconds()
-		if err := ing.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "ingest bench: close: %v\n", err)
-			os.Exit(1)
-		}
-		app := io.Histogram("ingest.append").Snapshot()
-		lag := io.Histogram("ingest.publish.lag").Snapshot()
-		return ingestResult{
-			Mode:            mode,
-			Goroutines:      workers,
-			Appends:         n,
-			Seconds:         sec,
-			AppendsPerSec:   float64(n) / sec,
-			AppendP50Ns:     float64(app.Quantile(0.5)),
-			AppendP99Ns:     float64(app.Quantile(0.99)),
-			PublishLagP50Ns: float64(lag.Quantile(0.5)),
-			PublishLagP99Ns: float64(lag.Quantile(0.99)),
-			Publishes:       lag.Count,
-			Compactions:     int64(io.Counter("ingest.compactions.total").Value()),
-		}, dir
-	}
-
-	fmt.Printf("%-14s %4s %10s %12s %12s %12s %12s %12s %10s\n",
-		"mode", "g", "appends", "appends/s", "ack p50", "ack p99", "lag p50", "lag p99", "compacts")
-	sec := &ingestSection{}
-	var alwaysDir string
-	// The serial fsync-always/fsync-batch baselines, then the group-commit
-	// ladder: fsync-batch under 4 and 16 concurrent appenders (1 is the
-	// serial row), showing how the publication-boundary sync amortizes while
-	// WAL-mutex contention grows the ack quantiles.
-	for _, m := range []struct {
-		mode    string
-		policy  ingest.FsyncPolicy
-		workers int
-	}{
-		{"fsync-always", ingest.FsyncAlways, 1},
-		{"fsync-batch", ingest.FsyncBatch, 1},
-		{"fsync-batch", ingest.FsyncBatch, 4},
-		{"fsync-batch", ingest.FsyncBatch, 16},
-	} {
-		r, dir := pass(m.mode, m.policy, m.workers)
-		sec.Results = append(sec.Results, r)
-		fmt.Printf("%-14s %4d %10d %12.0f %12s %12s %12s %12s %10d\n",
-			r.Mode, r.Goroutines, r.Appends, r.AppendsPerSec,
-			time.Duration(r.AppendP50Ns).Round(time.Microsecond),
-			time.Duration(r.AppendP99Ns).Round(time.Microsecond),
-			time.Duration(r.PublishLagP50Ns).Round(time.Microsecond),
-			time.Duration(r.PublishLagP99Ns).Round(time.Microsecond),
-			r.Compactions)
-		if m.mode == "fsync-always" {
-			alwaysDir = dir
-		} else {
-			_ = os.RemoveAll(dir)
-		}
-	}
-
-	// Recovery replay: reopen the fsync-always log cold and time Open.
-	ix := index.New(sim.NewConceptual(), core.ThetaIndex)
-	start := time.Now()
-	ing, err := ingest.Open(ingest.Config{Dir: alwaysDir, PublishInterval: -1}, ix, ingestTags, nil, benchExtract)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ingest bench: recovery open: %v\n", err)
-		os.Exit(1)
-	}
-	sec.RecoverySeconds = time.Since(start).Seconds()
-	for _, e := range ing.State() {
-		sec.RecoveredReviews += e.ReviewCount
-	}
-	if sec.RecoverySeconds > 0 {
-		sec.RecoveredPerSec = float64(sec.RecoveredReviews) / sec.RecoverySeconds
-	}
-	if err := ing.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "ingest bench: recovery close: %v\n", err)
-		os.Exit(1)
-	}
-	_ = os.RemoveAll(alwaysDir)
-	fmt.Printf("recovery replay: %d reviews in %v (%.0f reviews/s)\n",
-		sec.RecoveredReviews, time.Duration(sec.RecoverySeconds*float64(time.Second)).Round(time.Millisecond),
-		sec.RecoveredPerSec)
-	doc.Ingest = sec
 }
 
 // serveWorld converts the seeded demo Yelp world into facade entities — the
@@ -710,6 +307,21 @@ func serveWorld() []saccs.Entity {
 	return out
 }
 
+// servePass is one open-loop pass of the HTTP serving benchmark: the server
+// driven at one fixed offered arrival rate.
+type servePass struct {
+	OfferedQPS float64
+	// AchievedQPS is completed requests over the full pass (scheduled span
+	// plus drain); Sustained means achieved/offered >= 0.95 with no errors.
+	AchievedQPS float64
+	Requests    int64
+	Errors      int64
+	Sustained   bool
+	// Latency quantiles are measured from each request's scheduled arrival
+	// time, not its send time, so queueing under overload is included.
+	P50Ns, P99Ns, P999Ns float64
+}
+
 // serveBenchmarks drives the real HTTP tier with an open-loop load generator.
 // It trains a facade client over the demo world, starts a server on
 // loopback, and replays /v1/query at the fixed arrival rates of a ladder
@@ -722,7 +334,7 @@ func serveWorld() []saccs.Entity {
 // sustained rung. The query pool repeats four utterances, keeping the
 // extraction cache warm so per-request cost is dominated by resolution and
 // ranking.
-func serveBenchmarks(doc *benchFile, dur time.Duration) {
+func serveBenchmarks(dur time.Duration) {
 	utterances := []string{
 		"I want an Italian restaurant in Montreal with delicious food",
 		"somewhere with friendly staff and a quiet atmosphere",
@@ -849,20 +461,20 @@ func serveBenchmarks(doc *benchFile, dur time.Duration) {
 	// Calibration doubles as the warm-up: it opens every pool connection and
 	// fills the extraction cache, so no rung is charged for TCP handshakes or
 	// cold decodes.
-	sec := &serveSection{CalibratedQPS: closedLoop(base, workers, dur)}
+	calibrated := closedLoop(base, workers, dur)
 	var ladder []float64
 	for _, m := range []float64{0.3, 0.5, 0.7, 0.9, 1.1} {
-		ladder = append(ladder, sec.CalibratedQPS*m)
+		ladder = append(ladder, calibrated*m)
 	}
 	fmt.Printf("calibrated %.1f QPS closed-loop; ladder %.1f..%.1f\n",
-		sec.CalibratedQPS, ladder[0], ladder[len(ladder)-1])
+		calibrated, ladder[0], ladder[len(ladder)-1])
 	fmt.Printf("%12s %12s %10s %8s %10s %10s %10s %10s\n",
 		"offered", "achieved", "requests", "errors", "p50", "p99", "p999", "sustained")
+	var maxSustained float64
 	for _, rate := range ladder {
 		p := openLoop(base, rate)
-		sec.Passes = append(sec.Passes, p)
-		if p.Sustained && p.OfferedQPS > sec.MaxSustainedQPS {
-			sec.MaxSustainedQPS = p.OfferedQPS
+		if p.Sustained && p.OfferedQPS > maxSustained {
+			maxSustained = p.OfferedQPS
 		}
 		fmt.Printf("%12.1f %12.1f %10d %8d %10s %10s %10s %10v\n",
 			p.OfferedQPS, p.AchievedQPS, p.Requests, p.Errors,
@@ -877,6 +489,5 @@ func serveBenchmarks(doc *benchFile, dur time.Duration) {
 		os.Exit(1)
 	}
 	c.Shutdown()
-	fmt.Printf("max sustained: %.1f QPS\n", sec.MaxSustainedQPS)
-	doc.Serve = sec
+	fmt.Printf("max sustained: %.1f QPS\n", maxSustained)
 }

@@ -6,6 +6,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"saccs/internal/automaton"
 	"saccs/internal/core"
@@ -56,9 +57,15 @@ func main() {
 		"r3":    {"good food", "helpful staff"},
 		"shill": {"bland food", "rude staff"}, // paid competitor review
 	}
+	// Sorted IDs, so the reports print in the same order on every run.
+	ids := make([]string, 0, len(reviews))
+	for id := range reviews {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
 	sigs := make([]trust.ReviewSignals, 0, len(reviews))
-	for id, tags := range reviews {
-		sigs = append(sigs, trust.SignalsFromTags(id, tags))
+	for _, id := range ids {
+		sigs = append(sigs, trust.SignalsFromTags(id, reviews[id]))
 	}
 	for _, rep := range d.Analyze(sigs) {
 		fmt.Printf("  %-6s agreement %+.2f  weight %.2f  suspicious=%v\n",

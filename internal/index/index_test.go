@@ -319,37 +319,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestDynamicTheta(t *testing.T) {
-	base := 0.5
-	if got := DynamicTheta(base, "good food"); got != base {
-		t.Fatalf("generic tag must keep the base: %v", got)
-	}
-	specific := DynamicTheta(base, "true to its roots cuisine")
-	if specific >= base {
-		t.Fatalf("specific tag must lower the threshold: %v", specific)
-	}
-	if specific < base-0.15-1e-12 {
-		t.Fatalf("threshold clamp violated: %v", specific)
-	}
-}
-
-func TestResolveDynamic(t *testing.T) {
-	ix := testIndex()
-	ix.Build([]string{"good food"}, entities())
-	exact := ix.Resolve("good food", DynamicTheta(0.5, "good food"))
-	if len(exact) == 0 {
-		t.Fatal("exact resolve")
-	}
-	// A long specific unknown tag gets a lowered threshold and therefore at
-	// least as many results as the static resolve.
-	tag := "wonderfully flavorful gastronomic food"
-	static := ix.Resolve(tag, 0.5)
-	dynamic := ix.Resolve(tag, DynamicTheta(0.5, tag))
-	if len(dynamic) < len(static) {
-		t.Fatalf("dynamic resolve must not lose results: %d vs %d", len(dynamic), len(static))
-	}
-}
-
 // TestParallelBuildDeterministic pins the tentpole's merge contract: a Build
 // fanned out across many workers must produce an index byte-identical to a
 // serial one — same key order, same posting order, same degrees.

@@ -23,8 +23,6 @@ type Config struct {
 	// appends still flow into the index with bounded staleness, but nothing
 	// survives a restart.
 	Dir string
-	// Fsync is the WAL durability policy (default FsyncAlways).
-	Fsync FsyncPolicy
 	// SegmentBytes rotates WAL segments (default 1 MiB).
 	SegmentBytes int
 	// PublishEvery bounds staleness by count: a publication runs once this
@@ -218,8 +216,7 @@ func (g *Ingester) noteEntityLocked(id string) {
 }
 
 // Append acknowledges one review. With a WAL the call returns only after
-// the record is durable under the configured fsync policy (FsyncAlways: on
-// stable storage before the ack); without one it is a purely in-memory
+// the record is on stable storage; without one it is a purely in-memory
 // enqueue. The review's tags become queryable within the staleness bound —
 // after at most PublishEvery further appends or PublishInterval elapsed
 // time, whichever comes first.
@@ -265,11 +262,11 @@ func (g *Ingester) Append(ctx context.Context, entityID, review string) (uint64,
 }
 
 // PutMeta durably upserts one entity's metadata: with a WAL the call
-// returns only after the metadata record is fsynced (under FsyncAlways),
-// and checkpoints carry it from then on, so a recovered entity keeps its
-// identity. An upsert identical to the stored metadata is acknowledged
-// without touching the log, which makes callers free to PutMeta on every
-// append. Returns the record's sequence number (0 for the dedup no-op).
+// returns only after the metadata record is fsynced, and checkpoints carry
+// it from then on, so a recovered entity keeps its identity. An upsert
+// identical to the stored metadata is acknowledged without touching the log,
+// which makes callers free to PutMeta on every append. Returns the record's
+// sequence number (0 for the dedup no-op).
 func (g *Ingester) PutMeta(ctx context.Context, entityID string, m EntityMeta) (uint64, error) {
 	if entityID == "" {
 		return 0, fmt.Errorf("ingest: empty entity ID")
@@ -345,10 +342,10 @@ func (g *Ingester) Meta() map[string]EntityMeta {
 	return out
 }
 
-// Flush publishes every pending review and, with a WAL under FsyncBatch,
-// syncs it first. After Flush returns the published snapshot reflects every
-// acknowledged append — the quiescence point the differential oracle
-// compares at.
+// Flush syncs the WAL and publishes every pending review. The sync is a
+// barrier only: every acknowledged append is already on stable storage.
+// After Flush returns the published snapshot reflects every acknowledged
+// append — the quiescence point the differential oracle compares at.
 func (g *Ingester) Flush(ctx context.Context) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -635,7 +632,6 @@ func (g *Ingester) recover() error {
 	// WAL replay: every record past the checkpoint re-enters the pipeline.
 	wal, recs, err := OpenWAL(fsys, dir, WALOptions{
 		SegmentBytes: g.cfg.SegmentBytes,
-		Fsync:        g.cfg.Fsync,
 		Obs:          g.cfg.Obs,
 	})
 	if err != nil {

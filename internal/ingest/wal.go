@@ -61,23 +61,6 @@ const (
 	KindMeta
 )
 
-// FsyncPolicy is the WAL durability knob.
-type FsyncPolicy int
-
-const (
-	// FsyncAlways syncs after every appended record: Append returning nil
-	// means the review is durable. The default, and the only policy under
-	// which the "no acknowledged review is ever lost" contract holds per
-	// append.
-	FsyncAlways FsyncPolicy = iota
-	// FsyncBatch defers syncing to explicit Sync calls (the ingester syncs
-	// at every publication): a crash may lose the unsynced suffix, but never
-	// tears a record mid-way.
-	FsyncBatch
-	// FsyncNever never syncs (benchmarks and tests only).
-	FsyncNever
-)
-
 // Record is one acknowledged entry in the log: a review (KindReview, Body
 // holds the review text) or an entity-metadata upsert (KindMeta, Body holds
 // the JSON-encoded EntityMeta).
@@ -232,7 +215,6 @@ func segName(firstSeq uint64) string { return fmt.Sprintf("wal-%016x.seg", first
 type WAL struct {
 	fs     FS
 	dir    string
-	policy FsyncPolicy
 	segMax int
 
 	mu      sync.Mutex
@@ -251,11 +233,10 @@ type WAL struct {
 	segGauge  *obs.Gauge
 }
 
-// WALOptions configures OpenWAL. Zero values mean: 1 MiB segments,
-// FsyncAlways, no observer.
+// WALOptions configures OpenWAL. Zero values mean: 1 MiB segments, no
+// observer.
 type WALOptions struct {
 	SegmentBytes int
-	Fsync        FsyncPolicy
 	Obs          *obs.Observer
 }
 
@@ -287,7 +268,6 @@ func OpenWAL(fsys FS, dir string, opts WALOptions) (*WAL, []Record, error) {
 	w := &WAL{
 		fs:        fsys,
 		dir:       dir,
-		policy:    opts.Fsync,
 		segMax:    opts.SegmentBytes,
 		nextSeq:   1,
 		appendCtr: opts.Obs.Counter("ingest.wal.appends.total"),
@@ -402,12 +382,12 @@ func (w *WAL) NextSeq() uint64 {
 	return w.nextSeq
 }
 
-// Append durably logs one review and returns its sequence number. Under
-// FsyncAlways a nil error means the record is on stable storage — this is
-// the acknowledgment the ingest tier's durability contract hangs on. On a
-// write error the partial record is truncated away (or, failing that, the
-// segment is abandoned and the next append rotates), so a failed append can
-// never corrupt the log for its successors.
+// Append durably logs one review and returns its sequence number. A nil
+// error means the record is on stable storage — this is the acknowledgment
+// the ingest tier's durability contract hangs on. On a write error the
+// partial record is truncated away (or, failing that, the segment is
+// abandoned and the next append rotates), so a failed append can never
+// corrupt the log for its successors.
 func (w *WAL) Append(entity, review string) (uint64, error) {
 	return w.append(KindReview, entity, review)
 }
@@ -450,27 +430,28 @@ func (w *WAL) append(kind RecordKind, entity, body string) (uint64, error) {
 	w.segs[len(w.segs)-1].count++
 	seq := w.nextSeq
 	w.nextSeq++
-	if w.policy == FsyncAlways {
-		if err := w.syncLocked(); err != nil {
-			// The record is written but not known durable: undo the
-			// bookkeeping and report failure — the caller must not
-			// acknowledge. A crash may or may not keep the bytes; replay
-			// tolerates both (the record was never acknowledged).
-			w.segs[len(w.segs)-1].count--
-			w.curSize -= len(rec)
-			w.nextSeq = seq
-			if terr := w.cur.Truncate(int64(w.curSize)); terr != nil {
-				_ = w.cur.Close()
-				w.cur = nil
-			}
-			return 0, err
+	if err := w.syncLocked(); err != nil {
+		// The record is written but not known durable: undo the
+		// bookkeeping and report failure — the caller must not
+		// acknowledge. A crash may or may not keep the bytes; replay
+		// tolerates both (the record was never acknowledged).
+		w.segs[len(w.segs)-1].count--
+		w.curSize -= len(rec)
+		w.nextSeq = seq
+		if terr := w.cur.Truncate(int64(w.curSize)); terr != nil {
+			_ = w.cur.Close()
+			w.cur = nil
 		}
+		return 0, err
 	}
 	w.appendCtr.Inc()
 	return seq, nil
 }
 
-// Sync flushes buffered records to stable storage (the FsyncBatch barrier).
+// Sync fsyncs the open segment and, if it is new, its directory entry.
+// Every acknowledged append has already done both, so Sync adds no
+// durability an ack lacks; it is the explicit barrier Ingester.Flush takes
+// before publishing.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -481,9 +462,6 @@ func (w *WAL) Sync() error {
 }
 
 func (w *WAL) syncLocked() error {
-	if w.policy == FsyncNever {
-		return nil
-	}
 	t0 := time.Now()
 	if err := w.cur.Sync(); err != nil {
 		return err
@@ -529,11 +507,9 @@ func (w *WAL) ensureSegmentLocked(recLen int) error {
 		_ = f.Close()
 		return err
 	}
-	if w.policy == FsyncAlways {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return err
-		}
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		return err
 	}
 	w.cur = f
 	w.curSize = walHeaderSize
@@ -617,8 +593,7 @@ func (w *WAL) SegmentCount() int {
 	return len(w.segs)
 }
 
-// Close seals the log (final sync under FsyncAlways/FsyncBatch) and releases
-// the open segment.
+// Close seals the log (final sync) and releases the open segment.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -83,31 +83,6 @@ func TestWALReplayEmptyDirAndSeqStart(t *testing.T) {
 	wantRecords(t, got, acked)
 }
 
-func TestWALBatchPolicyCrashKeepsSyncedPrefix(t *testing.T) {
-	fs := NewMemFS()
-	w, _ := mustOpenWAL(t, fs, WALOptions{Fsync: FsyncBatch})
-	synced := appendN(t, w, 0, 5)
-	if err := w.Sync(); err != nil {
-		t.Fatalf("sync: %v", err)
-	}
-	unsynced := appendN(t, w, 5, 4)
-	// Crash with every possible torn length of the unsynced suffix: replay
-	// must always recover at least the synced prefix, and anything beyond it
-	// must be a clean prefix of the unsynced appends — never garbage.
-	for torn := 0; torn < 400; torn += 7 {
-		crashed := fs.Crash(torn)
-		_, got, err := OpenWAL(crashed, "wal", WALOptions{Fsync: FsyncBatch})
-		if err != nil {
-			t.Fatalf("torn=%d: reopen: %v", torn, err)
-		}
-		if len(got) < len(synced) {
-			t.Fatalf("torn=%d: lost synced records: %d < %d", torn, len(got), len(synced))
-		}
-		all := append(append([]Record(nil), synced...), unsynced...)
-		wantRecords(t, got, all[:len(got)])
-	}
-}
-
 func TestWALCorruptMiddleRejected(t *testing.T) {
 	fs := NewMemFS()
 	w, _ := mustOpenWAL(t, fs, WALOptions{SegmentBytes: 256})
@@ -186,11 +161,10 @@ func TestWALCorruptFinalRecordRepairedAsTornTail(t *testing.T) {
 }
 
 func TestWALCrashWithoutDirSyncKeepsAckedRecords(t *testing.T) {
-	// Under FsyncAlways every ack implies the segment's directory entry is
-	// durable too: a crash right after the ack (nothing else synced) must
-	// not lose the record — the regression a missing SyncDir fence causes,
-	// now modeled by MemFS dropping files whose entry never reached a
-	// directory sync.
+	// Every ack implies the segment's directory entry is durable too: a
+	// crash right after the ack (nothing else synced) must not lose the
+	// record — the regression a missing SyncDir fence causes, now modeled
+	// by MemFS dropping files whose entry never reached a directory sync.
 	fs := NewMemFS()
 	w, _ := mustOpenWAL(t, fs, WALOptions{})
 	acked := appendN(t, w, 0, 3)

@@ -16,37 +16,6 @@ func SigmoidVec(x mat.Vec) mat.Vec {
 	return y
 }
 
-// TanhVec applies tanh element-wise, returning a new vector.
-func TanhVec(x mat.Vec) mat.Vec {
-	y := mat.NewVec(len(x))
-	for i, v := range x {
-		y[i] = math.Tanh(v)
-	}
-	return y
-}
-
-// ReLUVec applies max(0,x) element-wise, returning a new vector.
-func ReLUVec(x mat.Vec) mat.Vec {
-	y := mat.NewVec(len(x))
-	for i, v := range x {
-		if v > 0 {
-			y[i] = v
-		}
-	}
-	return y
-}
-
-// ReLUBackward returns dy masked by the forward activation y.
-func ReLUBackward(y, dy mat.Vec) mat.Vec {
-	dx := mat.NewVec(len(y))
-	for i := range y {
-		if y[i] > 0 {
-			dx[i] = dy[i]
-		}
-	}
-	return dx
-}
-
 // GELUVec applies the tanh-approximation GELU used by transformer FFNs.
 func GELUVec(x mat.Vec) mat.Vec {
 	y := mat.NewVec(len(x))

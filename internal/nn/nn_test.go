@@ -534,18 +534,6 @@ func TestActivationGradients(t *testing.T) {
 			t.Fatalf("GELU grad[%d]: got %v want %v", i, dx[i], want)
 		}
 	}
-	// ReLU
-	y := ReLUVec(x)
-	dxr := ReLUBackward(y, dy)
-	for i := range x {
-		want := 0.0
-		if x[i] > 0 {
-			want = dy[i]
-		}
-		if dxr[i] != want {
-			t.Fatalf("ReLU grad[%d]: got %v want %v", i, dxr[i], want)
-		}
-	}
 }
 
 func TestSigmoidStable(t *testing.T) {

@@ -319,15 +319,6 @@ func compareScored(a, b Scored) int {
 	return strings.Compare(a.EntityID, b.EntityID)
 }
 
-// RankedIDs projects a scored list onto entity ids.
-func RankedIDs(scored []Scored) []string {
-	out := make([]string, len(scored))
-	for i, s := range scored {
-		out[i] = s.EntityID
-	}
-	return out
-}
-
 // Truncate caps a ranked list at k entries; k <= 0 leaves it unbounded.
 func Truncate(s []Scored, k int) []Scored { return s[:bound(len(s), k)] }
 

@@ -147,13 +147,6 @@ func TestAggregations(t *testing.T) {
 	}
 }
 
-func TestRankedIDs(t *testing.T) {
-	ids := RankedIDs([]Scored{{EntityID: "a"}, {EntityID: "b"}})
-	if len(ids) != 2 || ids[0] != "a" {
-		t.Fatalf("RankedIDs: %v", ids)
-	}
-}
-
 func TestRankDeterministicTieBreak(t *testing.T) {
 	r := &Ranker{Snap: buildIndex().Current(), ThetaFilter: 0.5}
 	a := r.Rank([]string{"vue", "hut", "anchovy"}, []string{"good food"})

@@ -186,50 +186,3 @@ func clampProb(p float64) float64 {
 	const eps = 1e-3
 	return math.Min(1-eps, math.Max(eps, p))
 }
-
-// FitTied runs EM like FitGenerative but ties each labeling function's
-// sensitivity and specificity to a single accuracy parameter — the
-// assumption of the original Snorkel generative model [48]. With
-// heterogeneous, class-asymmetric labeling functions the tied model is the
-// weaker fit; the paper's observation that majority vote beats the
-// probabilistic model (§6.4) holds under exactly this model.
-func FitTied(votes [][]Vote, iters int) (*Generative, error) {
-	g, err := FitGenerative(votes, 0) // validate + initialize
-	if err != nil {
-		return nil, err
-	}
-	post := make([]float64, len(votes))
-	nLF := len(g.Sens)
-	for it := 0; it < iters; it++ {
-		for i, row := range votes {
-			post[i] = g.Posterior(row)
-		}
-		var priorSum float64
-		for _, p := range post {
-			priorSum += p
-		}
-		g.Prior = clampProb(priorSum / float64(len(votes)))
-		for j := 0; j < nLF; j++ {
-			var correct, total float64
-			for i, row := range votes {
-				v := row[j]
-				if v == Abstain {
-					continue
-				}
-				p := post[i]
-				if v == Positive {
-					correct += p
-				} else {
-					correct += 1 - p
-				}
-				total++
-			}
-			if total > 0 {
-				acc := clampProb(correct / total)
-				g.Sens[j] = acc
-				g.Spec[j] = acc
-			}
-		}
-	}
-	return g, nil
-}

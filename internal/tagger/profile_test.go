@@ -11,8 +11,8 @@ import (
 
 // BenchmarkPredict measures one float64 reference decode at production model
 // dimensions (bert.DefaultConfig + tagger.DefaultConfig) on a 13-token
-// sentence: the `tagger.decode.float64` stage of BENCH.json and the
-// arithmetic review indexing runs on. Run with -cpuprofile to see the kernel
+// sentence: the `tagger.decode.float64` row of `saccs-bench -only quant` and
+// the arithmetic review indexing runs on. Run with -cpuprofile to see the kernel
 // breakdown.
 func BenchmarkPredict(b *testing.B) {
 	m, tokens := benchModel()
@@ -24,8 +24,9 @@ func BenchmarkPredict(b *testing.B) {
 }
 
 // BenchmarkPredictMixed measures the served decode — nn.Mixed, the
-// `tagger.decode` stage of BENCH.json — on a 19-token sentence, the mean
-// length of a `query_cold` operation of the repository benchmark.
+// `tagger.decode.mixed` row of `saccs-bench -only quant` — on a 19-token
+// sentence, the mean length of a `query_cold` operation of the repository
+// benchmark.
 func BenchmarkPredictMixed(b *testing.B) {
 	m, tokens := benchModel()
 	b.ResetTimer()

@@ -1235,8 +1235,10 @@ func (c *Client) SaveIndex(w io.Writer) error { return c.w.Load().ix.Save(w) }
 // LoadIndex restores a previously saved index. The loaded postings are
 // validated fully before anything is published, then swapped in atomically;
 // on error the client keeps serving its previous index. The client's
-// entities must be re-registered separately (IndexEntities with an empty
-// tag list keeps reviews without rebuilding the postings).
+// entities must be re-registered separately, with RegisterEntity: it
+// records their objective metadata and leaves the loaded postings alone.
+// IndexEntities would not do — it builds a fresh index and drops what was
+// loaded.
 func (c *Client) LoadIndex(r io.Reader) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()

@@ -2,6 +2,7 @@ package saccs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -274,6 +275,55 @@ func TestClientSaveLoadIndex(t *testing.T) {
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatalf("result %d changed: %v vs %v", i, before[i], after[i])
+		}
+	}
+}
+
+// TestLoadIndexThenRegisterEntityKeepsPostings pins LoadIndex's documented
+// restart recipe: a fresh client loads a saved index and re-registers the
+// entities with RegisterEntity (metadata only, no reviews). The loaded
+// postings must survive the registration, and a slot-filtered Query must
+// see the entities and rank them as the client that saved the index did.
+func TestLoadIndexThenRegisterEntityKeepsPostings(t *testing.T) {
+	src := newClient(t)
+	if err := src.IndexEntities(demoEntities(), src.CanonicalTags()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := src.SaveIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const utterance = "I want an Italian restaurant in Montreal with delicious food"
+	wantTags := src.IndexedTags()
+	wantScores := src.QueryTags([]string{"creative cooking"})
+	want := src.Query(utterance)
+
+	c, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if err := c.LoadIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range demoEntities() {
+		if err := c.RegisterEntity(Entity{ID: e.ID, Name: e.Name, City: e.City, Cuisine: e.Cuisine}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.IndexedTags(); !reflect.DeepEqual(got, wantTags) {
+		t.Fatalf("indexed tags after RegisterEntity: %d %v, want %d %v", len(got), got, len(wantTags), wantTags)
+	}
+	if got := c.QueryTags([]string{"creative cooking"}); len(got) == 0 || !reflect.DeepEqual(got, wantScores) {
+		t.Fatalf("creative cooking after RegisterEntity: %v, want %v", got, wantScores)
+	}
+	got := c.Query(utterance)
+	if len(got.Results) == 0 || !reflect.DeepEqual(got.Results, want.Results) {
+		t.Fatalf("slot-filtered query after RegisterEntity: %v, want %v", got.Results, want.Results)
+	}
+	for _, r := range got.Results {
+		if r.ID == "anchovy" {
+			t.Fatal("objective filter leaked a Melbourne entity")
 		}
 	}
 }
