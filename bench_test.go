@@ -23,6 +23,7 @@ import (
 	"saccs/internal/mat"
 	"saccs/internal/metrics"
 	"saccs/internal/nn"
+	"saccs/internal/obs"
 	"saccs/internal/pairing"
 	"saccs/internal/parse"
 	"saccs/internal/search"
@@ -451,6 +452,63 @@ func BenchmarkAblationPairing(b *testing.B) {
 	b.ReportMetric(100*accs[0], "acc-worddist")
 	b.ReportMetric(100*accs[1], "acc-tree-as")
 	b.ReportMetric(100*accs[2], "acc-tree-op")
+}
+
+// --- request telemetry --------------------------------------------------------
+
+// BenchmarkQueryTelemetry measures what request telemetry costs a warm
+// QueryCtx over the golden world (the utterance's sentences in the
+// extraction cache, its candidate set memoised), in ns/op and allocs/op,
+// in three modes: no trace sink, as under DefaultConfig (stage times go
+// straight into the wide event, no span tree); a RingSink (every request
+// builds, buffers and delivers its span tree); and a RingSink with
+// HeadSampleN 1 (every request head-sampled as well).
+//
+//	go test -run '^$' -bench QueryTelemetry -benchmem .
+func BenchmarkQueryTelemetry(b *testing.B) {
+	c := cloneForTest(b, newClient(b), DefaultConfig())
+	defer c.Shutdown()
+	if err := c.IndexEntities(goldenWorld(), c.CanonicalTags()); err != nil {
+		b.Fatal(err)
+	}
+	const utterance = "I want an Italian restaurant in Montreal with delicious food and helpful waiters"
+	o := c.Observer()
+	plain := o.Telemetry()
+	for _, mode := range []struct {
+		name  string
+		sink  bool
+		headN int
+	}{
+		{"sink=none", false, 0},
+		{"sink=ring", true, 0},
+		{"sink=ring,head=1", true, 1},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			if mode.headN > 0 {
+				tel := obs.NewTelemetry(obs.TelemetryConfig{Metrics: o.Metrics, HeadSampleN: mode.headN})
+				o.SetTelemetry(tel)
+				defer func() {
+					o.SetTelemetry(plain)
+					tel.Close()
+				}()
+			}
+			if mode.sink {
+				c.SetTraceSink(NewRingSink(512))
+				defer c.SetTraceSink(nil)
+			}
+			ctx := context.Background()
+			if _, err := c.QueryCtx(ctx, utterance); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.QueryCtx(ctx, utterance); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // --- microbenchmarks on the substrates ---------------------------------------

@@ -97,11 +97,11 @@ func (e *Extractor) ExtractFromTokens(tokens []string) []string {
 	return e.ExtractFromTokensTraced(nil, tokens)
 }
 
-// ExtractFromTokensTraced is ExtractFromTokens with tracing: under a live
-// parent span it opens "tagger.decode" and "pairing.pairs" children — the §4
-// Viterbi decode and the §5 pairing stages of the pipeline. Cache hits emit
-// the same two stage spans (so trace shapes and stage histograms are
-// unaffected by caching) with a "cached" attribute set.
+// ExtractFromTokensTraced is ExtractFromTokens with tracing: under parent it
+// times "tagger.decode" and "pairing.pairs" stages — the §4 Viterbi decode
+// and the §5 pairing stages of the pipeline — as child spans when parent is
+// live. Cache hits emit the same two stages (so trace shapes and stage
+// histograms are unaffected by caching) marked Cached.
 func (e *Extractor) ExtractFromTokensTraced(parent *obs.Span, tokens []string) []string {
 	var gen uint64
 	var key string
@@ -113,10 +113,13 @@ func (e *Extractor) ExtractFromTokensTraced(parent *obs.Span, tokens []string) [
 			key = strings.Join(tokens, "\x1f")
 			if tags, ok := e.Cache.Get(gen, key); ok {
 				st := obs.BeginStage(e.Obs, parent, "tagger.decode")
-				st.Span().Set("tokens", len(tokens)).Set("cached", 1)
+				if sp := st.Span(); sp.Live() {
+					sp.Set("tokens", len(tokens))
+				}
+				st.Cached()
 				st.End()
 				st = obs.BeginStage(e.Obs, parent, "pairing.pairs")
-				st.Span().Set("cached", 1)
+				st.Cached()
 				st.End()
 				return tags
 			}
@@ -124,7 +127,9 @@ func (e *Extractor) ExtractFromTokensTraced(parent *obs.Span, tokens []string) [
 	}
 	st := obs.BeginStage(e.Obs, parent, "tagger.decode")
 	labels := e.Tagger.Predict(tokens)
-	st.Span().Set("tokens", len(tokens))
+	if sp := st.Span(); sp.Live() {
+		sp.Set("tokens", len(tokens))
+	}
 	st.End()
 	// Store only if the weights did not change while we were decoding: a
 	// Train that overlapped this decode bumped the generation at its start,
@@ -150,7 +155,9 @@ func (e *Extractor) finishExtract(parent *obs.Span, tokens []string, labels []to
 	}
 	st := obs.BeginStage(e.Obs, parent, "pairing.pairs")
 	pairs := e.Pairer.Pairs(tokens, aspects, opinions)
-	st.Span().Set("aspects", len(aspects)).Set("opinions", len(opinions)).Set("pairs", len(pairs))
+	if sp := st.Span(); sp.Live() {
+		sp.Set("aspects", len(aspects)).Set("opinions", len(opinions)).Set("pairs", len(pairs))
+	}
 	st.End()
 	var tags []string
 	seen := map[string]bool{}

@@ -27,7 +27,7 @@ type Event struct {
 	// Generation is the index snapshot generation the request read.
 	Generation uint64 `json:"generation,omitempty"`
 	// CacheHits/CacheMisses count extraction-cache outcomes within the
-	// request (derived from tagger.decode spans' cached attribute).
+	// request: tagger.decode stages marked Stage.Cached, and those not.
 	CacheHits   int `json:"cache_hits,omitempty"`
 	CacheMisses int `json:"cache_misses,omitempty"`
 	// Tags is the number of subjective tags extracted; Unknown the number of
@@ -50,8 +50,12 @@ type Event struct {
 // StageNames is the wide-event stage schema: every pipeline stage span name
 // that may appear as an Event.Stage key. The obs-lint test asserts the
 // pipeline emits no stage outside this list, so an uninstrumented stage is a
-// CI failure rather than a silent telemetry gap.
-var StageNames = []string{
+// CI failure rather than a silent telemetry gap. A request sums its stages in
+// fixed arrays indexed by position in this list; a stage named outside it is
+// timed by its histogram and span but has no wide-event entry.
+var StageNames = stageNames[:]
+
+var stageNames = [...]string{
 	"parse",
 	"tagger.decode",
 	"pairing.pairs",
@@ -64,8 +68,22 @@ var StageNames = []string{
 	"history.drain",
 }
 
-// spanBuffer accumulates a request's spans until its tail-sampling fate is
-// decided at Finish.
+// decodeStage is the position of the stage whose cache outcomes the wide
+// event counts.
+var decodeStage = stageIndex("tagger.decode")
+
+// stageIndex returns name's position in StageNames, or -1.
+func stageIndex(name string) int {
+	for i, n := range stageNames {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// spanBuffer accumulates the spans of a request with a sink attached until
+// its tail-sampling fate is decided at Finish.
 type spanBuffer struct {
 	mu    sync.Mutex
 	spans []SpanRecord
@@ -236,6 +254,10 @@ func sampleRuntime(reg *Registry) {
 // sampling, and feeds the latency/SLO accounting. A degenerate Request (from
 // a nil or telemetry-less Observer) accepts all of this as a no-op, so
 // instrumented code needs no nil checks.
+//
+// The request's stages (BeginStage under Root) run one at a time: they share
+// the request's stage sums, which are plain arrays indexed by position in
+// StageNames.
 type Request struct {
 	// Ev is the wide event under construction. Time, Kind, Trace, Root,
 	// Duration, Status, Error, Stage, CacheHits/Misses, Retained and
@@ -243,22 +265,29 @@ type Request struct {
 	// rest.
 	Ev Event
 
-	tel   *Telemetry
-	o     *Observer
-	root  *Span
+	tel *Telemetry
+	o   *Observer
+	// root is live only when a sink was attached at StartRequest; then buf
+	// holds the request's finished spans until Finish.
+	root  Span
 	buf   *spanBuffer
 	trace Trace
 	head  bool
 	done  bool
+	// hits counts the tagger.decode stages marked Cached; stage and runs are
+	// the summed duration and the run count of each stage in StageNames.
+	hits  int32
+	stage [len(stageNames)]time.Duration
+	runs  [len(stageNames)]int32
 }
 
-// Root returns the request's root span (nil when tracing is off), for
-// attaching stage children.
+// Root returns the request's root span, for attaching stages. It is live
+// only when a sink was attached when the request started.
 func (r *Request) Root() *Span {
 	if r == nil {
 		return nil
 	}
-	return r.root
+	return &r.root
 }
 
 // Trace returns the request's trace identity (zero without telemetry).
@@ -269,17 +298,30 @@ func (r *Request) Trace() Trace {
 	return r.trace
 }
 
+// addStage adds one run of stage i, lasting d, to the request's stage sums.
+func (r *Request) addStage(i int, d time.Duration) {
+	if i >= 0 {
+		r.stage[i] += d
+		r.runs[i]++
+	}
+}
+
 // StartRequest opens an instrumented request of the given kind. It always
 // returns a usable *Request (never nil) and a context carrying the request's
 // trace identity. Without telemetry it degrades to the pre-telemetry
 // behavior: a root span on the attached tracer and no wide event. With
 // telemetry, the request joins the trace in ctx if present (propagation) or
-// mints a fresh one, and its spans are buffered until Finish decides their
-// retention.
+// mints a fresh one. Its stage durations go into the request itself; only
+// when a sink is attached does it also build a span tree, buffered until
+// Finish decides its retention.
 func (o *Observer) StartRequest(ctx context.Context, kind string) (context.Context, *Request) {
-	tel := o.Telemetry()
+	tel, tracer := o.Telemetry(), o.Tracer()
 	if tel == nil {
-		return ctx, &Request{o: o, root: o.StartSpan(kind)}
+		req := &Request{o: o}
+		if tracer != nil {
+			req.root = Span{t: tracer, id: nextSpanID(), name: kind, start: time.Now()}
+		}
+		return ctx, req
 	}
 	tr, ok := TraceFrom(ctx)
 	if !ok || !tr.Valid() {
@@ -289,46 +331,44 @@ func (o *Observer) StartRequest(ctx context.Context, kind string) (context.Conte
 	if !head && tel.sampler.SampleHead() {
 		head = true
 	}
-	buf := &spanBuffer{}
-	root := NewTraceTracer(buf, tr.TraceID).Start(kind)
-	req := &Request{
-		tel:   tel,
-		o:     o,
-		root:  root,
-		buf:   buf,
-		trace: Trace{TraceID: tr.TraceID, SpanID: SpanID(root.id), Sampled: head},
-		head:  head,
+	req := &Request{tel: tel, o: o, head: head}
+	req.root = Span{req: req, id: nextSpanID(), name: kind, start: time.Now()}
+	if tracer != nil {
+		req.buf = &spanBuffer{}
+		req.root.t = NewTraceTracer(req.buf, tr.TraceID)
 	}
-	req.Ev.Time = root.start
+	req.trace = Trace{TraceID: tr.TraceID, SpanID: SpanID(req.root.id), Sampled: head}
+	req.Ev.Time = req.root.start
 	req.Ev.Kind = kind
 	req.Ev.Trace = tr.TraceID
-	req.Ev.Root = SpanID(root.id)
-	return ContextWithTrace(ctx, req.trace), req
+	req.Ev.Root = SpanID(req.root.id)
+	return context.WithValue(ctx, traceKey{}, &req.trace), req
 }
 
 // Finish completes the request: closes the root span, assembles the wide
-// event (per-stage durations and cache hit/miss aggregated from the span
-// buffer), decides span-tree retention, records the event into the ring,
-// and feeds the request-latency histogram, SLO accounting, and slow-query
-// log. Nil-safe and idempotent.
+// event (per-stage durations and cache hit/miss counts from the request's
+// stage sums), decides span-tree retention and delivers a retained tree,
+// records the event into the ring, and feeds the request-latency histogram,
+// SLO accounting, and slow-query log. Nil-safe and idempotent.
 func (r *Request) Finish(err error) {
 	if r == nil || r.done {
 		return
 	}
 	r.done = true
-	if r.tel == nil {
-		// Degenerate request: just close the root span (pre-telemetry path).
-		if err != nil {
-			r.root.SetStatus(err)
-		}
-		r.root.End()
-		return
-	}
 	if err != nil {
 		r.root.SetStatus(err)
 	}
-	d := r.root.End()
-	spans := r.buf.take()
+	if r.tel == nil {
+		// Degenerate request: just close the root span (pre-telemetry path).
+		r.root.End()
+		return
+	}
+	d := time.Since(r.root.start)
+	var spans []SpanRecord
+	if r.root.Live() {
+		r.root.record(d)
+		spans = r.buf.take()
+	}
 
 	ev := &r.Ev
 	ev.Duration = d
@@ -336,34 +376,26 @@ func (r *Request) Finish(err error) {
 	if err != nil {
 		ev.Error = err.Error()
 	}
-	ev.Stage = make(map[string]time.Duration, 8)
-	rootID := r.root.id
-	for _, s := range spans {
-		if s.ID == rootID {
-			continue
+	n := 0
+	for _, runs := range r.runs {
+		if runs > 0 {
+			n++
 		}
-		ev.Stage[s.Name] += s.Duration
-		if s.Name == "tagger.decode" {
-			hit := false
-			for _, a := range s.Attrs {
-				if a.Key == "cached" {
-					if v, ok := a.Value.(int); ok && v == 1 {
-						hit = true
-					}
-					break
-				}
-			}
-			if hit {
-				ev.CacheHits++
-			} else {
-				ev.CacheMisses++
+	}
+	if n > 0 {
+		ev.Stage = make(map[string]time.Duration, n)
+		for i, runs := range r.runs {
+			if runs > 0 {
+				ev.Stage[stageNames[i]] = r.stage[i]
 			}
 		}
 	}
+	ev.CacheHits = int(r.hits)
+	ev.CacheMisses = int(r.runs[decodeStage] - r.hits)
 
 	retained, reason := r.tel.sampler.Decide(ev.Status, d, r.head)
 	ev.Retained, ev.RetainReason = retained, reason
-	if retained {
+	if retained && len(spans) > 0 {
 		if sink := sinkOf(r.o.Tracer()); sink != nil {
 			for _, s := range spans {
 				sink.Record(s)

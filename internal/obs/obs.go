@@ -119,37 +119,69 @@ func (o *Observer) Histogram(name string) *Histogram {
 }
 
 // Stage times one named pipeline stage: a child span under parent (when
-// tracing) plus a latency histogram "stage.<name>" (when metrics are on).
+// parent is live), a latency histogram "stage.<name>" (when metrics are on),
+// and the stage's entry in the wide event of the request parent belongs to.
 // The zero Stage is a no-op, so BeginStage/End can wrap stages
 // unconditionally.
 type Stage struct {
-	span  *Span
-	hist  *Histogram
-	start time.Time
+	// span is the live child span or, under a parent that is not live, the
+	// parent itself, so that sub-stages still reach the request (span.req).
+	span *Span
+	hist *Histogram
+	// idx is the stage's position in StageNames, -1 outside a request.
+	idx    int
+	cached bool
+	start  time.Time
 }
 
 // BeginStage opens a stage. Either o or parent (or both) may be nil.
 func BeginStage(o *Observer, parent *Span, name string) Stage {
-	st := Stage{span: parent.Child(name)}
+	st := Stage{span: parent, idx: -1}
+	if parent != nil && parent.req != nil {
+		st.idx = stageIndex(name)
+	}
+	if parent.Live() {
+		st.span = parent.Child(name)
+	}
 	if o != nil && o.Metrics != nil {
 		st.hist = o.Metrics.member(&o.Metrics.stages, name)
 	}
-	if st.span != nil || st.hist != nil {
+	if st.span.Live() || st.hist != nil || st.idx >= 0 {
 		st.start = time.Now()
 	}
 	return st
 }
 
-// Span exposes the stage's span so sub-stages can attach children to it.
+// Span exposes the stage's span so sub-stages can attach to it. Under a
+// parent that is not live it is that parent, so box attribute values for it
+// only behind a Live check.
 func (st Stage) Span() *Span { return st.span }
 
-// End closes the stage's span and records its latency.
+// Cached marks the stage as answered from a cache: a live span gets the
+// attribute cached=1, and the request's wide event counts a cached
+// tagger.decode stage as a cache hit (an unmarked one as a miss).
+func (st *Stage) Cached() {
+	st.cached = true
+	st.span.Set("cached", 1)
+}
+
+// End closes the stage's span and records its latency. A live span adds
+// itself to the request's stage sums as it ends; otherwise End adds the
+// stage's duration directly.
 func (st Stage) End() {
-	if st.span == nil && st.hist == nil {
+	live := st.span.Live()
+	if !live && st.hist == nil && st.idx < 0 {
 		return
 	}
 	d := time.Since(st.start)
-	st.span.End()
+	if live {
+		st.span.End()
+	} else if st.idx >= 0 {
+		st.span.req.addStage(st.idx, d)
+	}
+	if st.cached && st.idx == decodeStage {
+		st.span.req.hits++
+	}
 	st.hist.Observe(d)
 }
 

@@ -71,9 +71,18 @@ func (t *Tracer) Start(name string) *Span {
 
 // Span is one timed, named region of work. A span and its children must be
 // used from a single goroutine; sibling spans may run on different
-// goroutines. All methods are nil-safe.
+// goroutines, except under a request, whose stages run one at a time
+// (Request). All methods are nil-safe.
+//
+// A span is live when it records to a sink (Live). A request with no sink
+// attached has a root span that is not live: it carries the request's stage
+// sums for BeginStage, but Child returns nil and Set, SetStatus and End do
+// nothing, so call sites that box attribute values guard them with Live.
 type Span struct {
-	t      *Tracer
+	t *Tracer
+	// req is the request whose stage sums this span's stages feed; nil
+	// outside a request.
+	req    *Request
 	id     uint64
 	parent uint64
 	name   string
@@ -81,43 +90,57 @@ type Span struct {
 	attrs  []Attr
 }
 
-// Child opens a sub-span.
+// Live reports whether the span records to a sink: false for a nil span and
+// for the root of a request with no sink attached.
+func (s *Span) Live() bool { return s != nil && s.t != nil }
+
+// Child opens a sub-span of a live span; it returns nil under a span that is
+// not live.
 func (s *Span) Child(name string) *Span {
-	if s == nil {
+	if !s.Live() {
 		return nil
 	}
-	return &Span{t: s.t, id: nextSpanID(), parent: s.id, name: name, start: time.Now()}
+	return &Span{t: s.t, req: s.req, id: nextSpanID(), parent: s.id, name: name, start: time.Now()}
 }
 
 // Set attaches a key/value attribute and returns the span for chaining.
 func (s *Span) Set(key string, value any) *Span {
-	if s == nil {
-		return nil
+	if s.Live() {
+		s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 	return s
 }
 
 // SetStatus annotates the span with a "status" attribute derived from err
 // (StatusOf) and returns the span for chaining. Nil-safe.
 func (s *Span) SetStatus(err error) *Span {
-	if s == nil {
-		return nil
+	if !s.Live() {
+		return s
 	}
 	return s.Set("status", StatusOf(err))
 }
 
-// End closes the span, delivers it to the sink, and returns its duration.
+// End closes the span, delivers it to the sink, and returns its duration; a
+// span that is not live returns 0. A stage span under a request also adds its
+// duration to the request's stage sums.
 func (s *Span) End() time.Duration {
-	if s == nil {
+	if !s.Live() {
 		return 0
 	}
 	d := time.Since(s.start)
+	s.record(d)
+	if r := s.req; r != nil && s != &r.root {
+		r.addStage(stageIndex(s.name), d)
+	}
+	return d
+}
+
+// record delivers the completed span, with duration d, to the sink.
+func (s *Span) record(d time.Duration) {
 	s.t.sink.Record(SpanRecord{
 		Trace: s.t.trace, ID: s.id, Parent: s.parent, Name: s.name,
 		Start: s.start, Duration: d, Attrs: s.attrs,
 	})
-	return d
 }
 
 // LastRoot returns the most recently started root span (Parent == 0) in

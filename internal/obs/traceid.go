@@ -225,17 +225,22 @@ func parseHexField(s string) (uint64, error) {
 	return strconv.ParseUint(s, 16, 64)
 }
 
-// traceKey keys the Trace stored in a context.
+// traceKey keys the *Trace stored in a context. A pointer boxes into the
+// context's value without an allocation of its own, so a request stores a
+// pointer to its own (immutable) trace identity.
 type traceKey struct{}
 
 // ContextWithTrace returns a context carrying tr; requests started under it
 // (Observer.StartRequest) join the trace instead of minting a new ID.
 func ContextWithTrace(ctx context.Context, tr Trace) context.Context {
-	return context.WithValue(ctx, traceKey{}, tr)
+	return context.WithValue(ctx, traceKey{}, &tr)
 }
 
 // TraceFrom returns the trace carried by ctx, if any.
 func TraceFrom(ctx context.Context) (Trace, bool) {
-	tr, ok := ctx.Value(traceKey{}).(Trace)
-	return tr, ok
+	tr, ok := ctx.Value(traceKey{}).(*Trace)
+	if !ok {
+		return Trace{}, false
+	}
+	return *tr, true
 }

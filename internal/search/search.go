@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"saccs/internal/index"
 	"saccs/internal/obs"
@@ -37,39 +39,83 @@ var locations = []string{"montreal", "melbourne", "lyon", "paris", "toronto", "s
 
 // ParseUtterance runs the lightweight intent recognizer and slot filler. Any
 // utterance asking for a place to eat maps to the searchRestaurant intent;
-// cuisine and location slots are keyword-filled. Keywords match whole words
-// only — "comparison" does not fill location=paris, nor "indiana-style"
-// cuisine=indian.
+// cuisine and location slots are keyword-filled: the first cuisine in
+// cuisines order that the utterance mentions, then the first location in
+// locations order. Keywords match whole words only — "comparison" does not
+// fill location=paris, nor "indiana-style" cuisine=indian. A word is a
+// maximal run of runes that lowercase (as strings.ToLower does) to a-z or
+// 0-9; the fields are matched in place, without lowering a copy.
 func ParseUtterance(utterance string) Intent {
-	words := utteranceWords(utterance)
-	in := Intent{Name: "searchRestaurant", Slots: map[string]string{}}
-	for _, c := range cuisines {
-		if words[c] {
-			in.Slots[SlotCuisine] = c
-			break
+	cuisine, location := len(cuisines), len(locations)
+	match := func(word string) {
+		cuisine = min(cuisine, keywordIndex(word, cuisines[:cuisine]))
+		location = min(location, keywordIndex(word, locations[:location]))
+	}
+	start := -1
+	for i, r := range utterance {
+		if _, ok := slotRune(r); ok {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start >= 0 {
+			match(utterance[start:i])
+			start = -1
 		}
 	}
-	for _, l := range locations {
-		if words[l] {
-			in.Slots[SlotLocation] = l
-			break
-		}
+	if start >= 0 {
+		match(utterance[start:])
+	}
+	in := Intent{Name: "searchRestaurant", Slots: map[string]string{}}
+	if cuisine < len(cuisines) {
+		in.Slots[SlotCuisine] = cuisines[cuisine]
+	}
+	if location < len(locations) {
+		in.Slots[SlotLocation] = locations[location]
 	}
 	return in
 }
 
-// utteranceWords lowercases the utterance and splits it into a word set on
-// every non-alphanumeric boundary, so slot keywords cannot match inside a
-// longer word.
-func utteranceWords(utterance string) map[string]bool {
-	fields := strings.FieldsFunc(strings.ToLower(utterance), func(r rune) bool {
-		return !('a' <= r && r <= 'z' || '0' <= r && r <= '9')
-	})
-	words := make(map[string]bool, len(fields))
-	for _, w := range fields {
-		words[w] = true
+// keywordIndex returns the index of the first keyword in vocab that word
+// spells, or len(vocab) if it spells none.
+func keywordIndex(word string, vocab []string) int {
+	for k, kw := range vocab {
+		if spells(word, kw) {
+			return k
+		}
 	}
-	return words
+	return len(vocab)
+}
+
+// spells reports whether word, lowered rune by rune by slotRune, is the
+// ASCII keyword kw.
+func spells(word, kw string) bool {
+	j := 0
+	for _, r := range word {
+		if j == len(kw) {
+			return false
+		}
+		if lr, _ := slotRune(r); lr != rune(kw[j]) {
+			return false
+		}
+		j++
+	}
+	return j == len(kw)
+}
+
+// slotRune lowers r as strings.ToLower does (so U+0130 'İ' becomes 'i') and
+// reports whether the result is a word rune: a-z or 0-9. Invalid UTF-8
+// decodes to utf8.RuneError, which is not.
+func slotRune(r rune) (rune, bool) {
+	if r < utf8.RuneSelf {
+		if 'A' <= r && r <= 'Z' {
+			r += 'a' - 'A'
+		}
+	} else {
+		r = unicode.ToLower(r)
+	}
+	return r, 'a' <= r && r <= 'z' || '0' <= r && r <= '9'
 }
 
 // Aggregation selects how degrees of truth combine across tags (§3.3).
@@ -177,11 +223,12 @@ func (r *Ranker) RankCtx(ctx context.Context, parent *obs.Span, apiResults []str
 // unranked. The whole output is ordered by Less, so a bounded k is a
 // selection, not a sort of everything followed by a cut.
 //
-// When parent is a live span, each tag's index probe becomes an
-// "index.resolve" child annotated with the tag, the postings it read and how
-// many of them were API results; a nil parent costs nothing. The context is
-// polled before each probe and periodically inside a probe's similarity
-// scan: a cancelled or expired context aborts with ctx's error and no partial
+// Each tag's index probe is an "index.resolve" stage under parent: a child
+// span annotated with the tag, the postings it read and how many of them were
+// API results when parent is live, else only a duration added to the
+// request's stage sums; a nil parent costs nothing. The context is polled
+// before each probe and periodically inside a probe's similarity scan: a
+// cancelled or expired context aborts with ctx's error and no partial
 // results, the failed probe's span carrying a cancelled/deadline status.
 func (r *Ranker) TopK(ctx context.Context, parent *obs.Span, cands Candidates, tags []string, k int) ([]Scored, error) {
 	if err := ctx.Err(); err != nil {
@@ -213,9 +260,11 @@ func (r *Ranker) TopK(ctx context.Context, parent *obs.Span, cands Candidates, t
 	// degree cells.
 	for i, tag := range tags {
 		// The attributes are set only on a live span: boxing them allocates
-		// whether or not there is a span to take them.
-		sp := parent.Child("index.resolve")
-		if sp != nil {
+		// whether or not there is a span to take them. The stage has no
+		// observer: the index times resolves in its own histogram.
+		st := obs.BeginStage(nil, parent, "index.resolve")
+		sp := st.Span()
+		if sp.Live() {
 			sp.Set("tag", tag)
 		}
 		inAPI := 0
@@ -225,12 +274,13 @@ func (r *Ranker) TopK(ctx context.Context, parent *obs.Span, cands Candidates, t
 			}
 		})
 		if err != nil {
-			sp.SetStatus(err).End()
+			st.EndErr(err)
 			return nil, err
 		}
-		if sp != nil {
-			sp.Set("postings", n).Set("in_api", inAPI).End()
+		if sp.Live() {
+			sp.Set("postings", n).Set("in_api", inAPI)
 		}
+		st.End()
 	}
 
 	// Every matched entity precedes every unmatched one under Less (coverage

@@ -1,6 +1,9 @@
 package search
 
 import (
+	"maps"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"saccs/internal/index"
@@ -45,6 +48,81 @@ func TestParseUtteranceWordBoundaries(t *testing.T) {
 		if in.Slots[SlotLocation] != tc.location {
 			t.Errorf("%q: location = %q, want %q", tc.utterance, in.Slots[SlotLocation], tc.location)
 		}
+	}
+}
+
+// parseUtteranceReference is the slot filler ParseUtterance replaced: it
+// lowercases a copy of the utterance and looks each keyword up in the
+// utterance's word set. TestParseUtteranceMatchesReference holds the in-place
+// scanner to it.
+func parseUtteranceReference(utterance string) Intent {
+	words := utteranceWords(utterance)
+	in := Intent{Name: "searchRestaurant", Slots: map[string]string{}}
+	for _, c := range cuisines {
+		if words[c] {
+			in.Slots[SlotCuisine] = c
+			break
+		}
+	}
+	for _, l := range locations {
+		if words[l] {
+			in.Slots[SlotLocation] = l
+			break
+		}
+	}
+	return in
+}
+
+// utteranceWords lowercases the utterance and splits it into a word set on
+// every non-alphanumeric boundary, so slot keywords cannot match inside a
+// longer word.
+func utteranceWords(utterance string) map[string]bool {
+	fields := strings.FieldsFunc(strings.ToLower(utterance), func(r rune) bool {
+		return !('a' <= r && r <= 'z' || '0' <= r && r <= '9')
+	})
+	words := make(map[string]bool, len(fields))
+	for _, w := range fields {
+		words[w] = true
+	}
+	return words
+}
+
+// TestParseUtteranceMatchesReference is a differential test of the in-place
+// slot scanner against the lowercase-and-word-set reference: fixed edge
+// cases (non-ASCII runes that lowercase to ASCII, invalid UTF-8, keyword
+// priority, keywords inside longer words) and random utterances assembled
+// from keywords, near-misses, separators and non-ASCII runes.
+func TestParseUtteranceMatchesReference(t *testing.T) {
+	check := func(utt string) {
+		t.Helper()
+		got, want := ParseUtterance(utt), parseUtteranceReference(utt)
+		if got.Name != want.Name || !maps.Equal(got.Slots, want.Slots) {
+			t.Fatalf("%q: got %v %v, reference %v %v", utt, got.Name, got.Slots, want.Name, want.Slots)
+		}
+	}
+	for _, utt := range []string{
+		"", " ", "italian", "ITALIAN in PARIS", "\u0130TALIAN food in PAR\u0130S",
+		"paris italian lyon french", "sydney then montreal, chinese then italian",
+		"italiano parisian lyonnaise", "indian-style", "in\u00a0paris", "\xffparis\xff",
+		"pa\xffris", "italian\u0301", "\u212aitchen in lyon", "9italian", "italian9 paris_",
+		"\u00e9paris", "par\u00cds", "toronto\ttoronto\nsydney",
+	} {
+		check(utt)
+	}
+	pieces := []string{
+		"italian", "French", "JAPANESE", "mexican", "Indian", "chinese",
+		"montreal", "Melbourne", "LYON", "paris", "toronto", "Sydney",
+		"italiano", "indiana", "pari", "lyons", "food", "in", "a", "7",
+		"\u0130", "\u212a", "\u00e9", "\u00df", "\xff", "\u0301",
+		" ", ",", "-", "!", "\t", "_", "'",
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 20000; n++ {
+		var b strings.Builder
+		for k := rng.Intn(10); k >= 0; k-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		check(b.String())
 	}
 }
 

@@ -855,7 +855,9 @@ func (c *Client) ReindexCtx(ctx context.Context) ([]string, error) {
 		return nil, nil
 	}
 	st := obs.BeginStage(c.o, req.Root(), "history.drain")
-	st.Span().Set("pending", len(pend))
+	if sp := st.Span(); sp.Live() {
+		sp.Set("pending", len(pend))
+	}
 	st.End()
 	// The new tags cover every review the index holds. Once streaming has
 	// started that is the ingester's state — seeded with the batch reviews,
@@ -928,7 +930,10 @@ func (c *Client) QueryCtx(ctx context.Context, utterance string, opts ...QueryOp
 		}
 	}
 	ctx, req := c.o.StartRequest(ctx, "query")
-	root := req.Root().Set("utterance_len", len(utterance))
+	root := req.Root()
+	if root.Live() {
+		root.Set("utterance_len", len(utterance))
+	}
 	req.Ev.UtteranceLen = len(utterance)
 	if len(opts) > 0 {
 		req.Ev.TopK, req.Ev.ThetaFilter = opts[0].TopK, opts[0].ThetaFilter
@@ -970,7 +975,9 @@ func (c *Client) QueryCtx(ctx context.Context, utterance string, opts ...QueryOp
 	}
 	st = obs.BeginStage(c.o, root, "objective")
 	cands := w.candidates(in.slots, snap)
-	st.Span().Set("results", cands.Len())
+	if sp := st.Span(); sp.Live() {
+		sp.Set("results", cands.Len())
+	}
 	st.End()
 
 	st = obs.BeginStage(c.o, root, "rank")
@@ -989,7 +996,9 @@ func (c *Client) QueryCtx(ctx context.Context, utterance string, opts ...QueryOp
 	c.o.Counter("query.total").Inc()
 	c.o.Counter("query.unknown_tags.total").Add(int64(len(unknown)))
 	c.o.Histogram("query.latency").ObserveSince(t0)
-	root.Set("tags", len(tags)).Set("unknown", len(unknown)).Set("results", len(results))
+	if root.Live() {
+		root.Set("tags", len(tags)).Set("unknown", len(unknown)).Set("results", len(results))
+	}
 	req.Ev.Tags, req.Ev.Unknown, req.Ev.Results = len(tags), len(unknown), len(results)
 	req.Finish(nil)
 	return Response{

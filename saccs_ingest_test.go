@@ -20,7 +20,7 @@ import (
 // pipeline (retraining takes seconds; the weights are immutable after New)
 // but with its own world, index, ingester, and observer — the shape a
 // process restart has, minus the training cost.
-func cloneForTest(t *testing.T, c *Client, cfg Config) *Client {
+func cloneForTest(t testing.TB, c *Client, cfg Config) *Client {
 	t.Helper()
 	o := obs.NewObserver()
 	o.SetTelemetry(obs.NewTelemetry(obs.TelemetryConfig{Metrics: o.Metrics}))

@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"saccs/internal/check"
+	"saccs/internal/extcache"
 	"saccs/internal/obs"
 )
 
@@ -245,6 +247,81 @@ func TestTelemetryInert(t *testing.T) {
 				t.Fatal("no spans retained despite full sampling")
 			}
 		})
+	}
+}
+
+// TestWideEventsIndependentOfSink checks that a query's wide event does not
+// depend on whether a trace sink is attached. With no sink the request builds
+// no span tree and its stages time themselves straight into the event; with
+// a RingSink they are spans, buffered and delivered. The same utterances must
+// yield events with the same stage keys, cache hits and misses, tag, unknown
+// and result counts, and generation. Each pass runs on its own clone with a
+// fresh extraction cache, so both meet the same misses and hits; the first
+// eight canonical tags leave some query tags unknown.
+func TestWideEventsIndependentOfSink(t *testing.T) {
+	base := newClient(t)
+	utterances := []string{
+		"I want an Italian restaurant in Montreal with delicious food and helpful waiters",
+		"a place with friendly staff. The pizza should be amazing!",
+		"I want an Italian restaurant in Montreal with delicious food and helpful waiters",
+		"somewhere romantic please",
+		"a place with friendly staff. The pizza should be amazing!",
+		"French food in Paris with a quiet atmosphere",
+	}
+	run := func(sink obs.SpanSink) []obs.Event {
+		t.Helper()
+		c := cloneForTest(t, base, DefaultConfig())
+		defer c.Shutdown()
+		extr := *c.extr
+		extr.Cache = extcache.New(64)
+		c.extr = &extr
+		if err := c.IndexEntities(goldenWorld(), c.CanonicalTags()[:8]); err != nil {
+			t.Fatal(err)
+		}
+		c.SetTraceSink(sink)
+		for _, u := range utterances {
+			c.Query(u)
+		}
+		return c.Events()
+	}
+	bare := run(nil)
+	ring := NewRingSink(1024)
+	traced := run(ring)
+	if len(ring.All()) == 0 {
+		t.Fatal("the RingSink pass recorded no spans")
+	}
+	if len(bare) != len(utterances) || len(traced) != len(utterances) {
+		t.Fatalf("%d and %d wide events for %d queries", len(bare), len(traced), len(utterances))
+	}
+	stageKeys := func(ev obs.Event) []string {
+		keys := make([]string, 0, len(ev.Stage))
+		for k := range ev.Stage {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	hits, misses, unknown := 0, 0, 0
+	for i := range bare {
+		b, tr := bare[i], traced[i]
+		if b.Kind != "query" || len(b.Stage) == 0 {
+			t.Fatalf("query %d: no-sink event not observed: %+v", i, b)
+		}
+		if bk, tk := stageKeys(b), stageKeys(tr); fmt.Sprint(bk) != fmt.Sprint(tk) {
+			t.Errorf("query %d: stage keys %v without a sink, %v with one", i, bk, tk)
+		}
+		if b.CacheHits != tr.CacheHits || b.CacheMisses != tr.CacheMisses {
+			t.Errorf("query %d: cache hits/misses %d/%d without a sink, %d/%d with one",
+				i, b.CacheHits, b.CacheMisses, tr.CacheHits, tr.CacheMisses)
+		}
+		if b.Tags != tr.Tags || b.Unknown != tr.Unknown || b.Results != tr.Results || b.Generation != tr.Generation {
+			t.Errorf("query %d: tags/unknown/results/generation %d/%d/%d/%d without a sink, %d/%d/%d/%d with one",
+				i, b.Tags, b.Unknown, b.Results, b.Generation, tr.Tags, tr.Unknown, tr.Results, tr.Generation)
+		}
+		hits, misses, unknown = hits+b.CacheHits, misses+b.CacheMisses, unknown+b.Unknown
+	}
+	if hits == 0 || misses == 0 || unknown == 0 {
+		t.Fatalf("the comparison is vacuous: %d cache hits, %d misses, %d unknown tags", hits, misses, unknown)
 	}
 }
 

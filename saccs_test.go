@@ -16,7 +16,7 @@ var (
 
 // newClient trains one shared fast client for the facade tests. Tests that
 // index entities re-index, which resets the client's corpus state anyway.
-func newClient(t *testing.T) *Client {
+func newClient(t testing.TB) *Client {
 	t.Helper()
 	clientOnce.Do(func() {
 		sharedClient, sharedErr = New(DefaultConfig())
