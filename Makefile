@@ -25,7 +25,24 @@ COVER_BASELINE ?= 79.5
 .PHONY: ci lint vet build deps-check test test-short race race-full bench bench-smoke \
 	bench-serve benchmark-check check obs-lint fuzz-smoke cover loc
 
-ci: lint build deps-check race check obs-lint fuzz-smoke benchmark-check cover bench-smoke
+# ci runs each target in this order, one `make` per target, and prints each
+# target's wall time: after every target, and as a table at the end (or when
+# a target fails, which stops the run with that target's exit status).
+CI_TARGETS = lint build deps-check race check obs-lint fuzz-smoke benchmark-check cover bench-smoke
+
+ci:
+	@summary=""; \
+	for t in $(CI_TARGETS); do \
+		start=$$(date +%s%N); \
+		$(MAKE) --no-print-directory $$t; rc=$$?; \
+		line=$$(awk -v t=$$t -v s=$$start -v e=$$(date +%s%N) 'BEGIN { printf "%-16s %7.1f s", t, (e - s) / 1e9 }'); \
+		echo "ci: $$line"; \
+		summary="$$summary  $$line\n"; \
+		if [ $$rc -ne 0 ]; then \
+			printf 'ci wall time per target (%s failed):\n%b' "$$t" "$$summary"; exit $$rc; \
+		fi; \
+	done; \
+	printf 'ci wall time per target:\n%b' "$$summary"
 
 # obs-lint gates the telemetry schema: every stage.* span the query pipeline
 # emits must have a matching registered stage-latency histogram and must
@@ -77,7 +94,9 @@ build:
 # which reaches the trained model through internal/core alone. The second
 # check keeps the synthetic world generator (internal/yelp) out of the code
 # every request runs through — the facade and the HTTP tier; the server's
-# main links it only for its -seed-demo flag.
+# main links it only for its -seed-demo flag. The third keeps test support
+# (internal/obs/promtext, the Prometheus text validator) out of the facade,
+# every command and every example: only tests import it.
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/saccs-server | grep -E '^saccs/internal/(experiments|crowd|ir|simbaseline)$$'); \
 	if [ -n "$$bad" ]; then \
@@ -86,6 +105,10 @@ deps-check:
 	@bad=$$($(GO) list -deps . ./internal/server | grep -E '^saccs/internal/yelp$$'); \
 	if [ -n "$$bad" ]; then \
 		echo "the facade or the HTTP tier links the world generator:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$($(GO) list -deps . ./cmd/... ./examples/... | grep -E '^saccs/internal/obs/promtext$$'); \
+	if [ -n "$$bad" ]; then \
+		echo "a shipped package links test support:"; echo "$$bad"; exit 1; \
 	fi
 
 test:
@@ -196,10 +219,17 @@ cover:
 
 # loc prints non-test .go line counts (wc -l, nothing filtered): the five
 # inference-engine packages and the module outside benchmark/ (ROADMAP item
-# 2; 5558 and 24472 at a0bb2ef), and internal/obs (2394 at 5e139b5).
+# 2; 5558 and 24472 at a0bb2ef), and internal/obs (2394 at 5e139b5). Test
+# support — non-test files that only tests import — is counted on its own
+# line and left out of the module's production count (which read 22706,
+# test support included, before the Prometheus validator moved out of
+# internal/obs).
+TEST_SUPPORT = internal/obs/promtext
+
 loc:
 	@echo "mat+nn+bert+tagger+core: $$(ls internal/mat/*.go internal/nn/*.go internal/bert/*.go \
 		internal/tagger/*.go internal/core/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@echo "internal/obs: $$(ls internal/obs/*.go | grep -v _test.go | xargs cat | wc -l)"
-	@echo "module outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
-		! -path './.bench_build/*' | xargs cat | wc -l)"
+	@echo "test support ($(TEST_SUPPORT)): $$(ls $(addsuffix /*.go,$(TEST_SUPPORT)) | grep -v _test.go | xargs cat | wc -l)"
+	@echo "module outside benchmark/, production: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+		! -path './.bench_build/*' $(foreach d,$(TEST_SUPPORT),! -path './$(d)/*') | xargs cat | wc -l)"

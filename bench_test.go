@@ -23,7 +23,6 @@ import (
 	"saccs/internal/mat"
 	"saccs/internal/metrics"
 	"saccs/internal/nn"
-	"saccs/internal/obs"
 	"saccs/internal/pairing"
 	"saccs/internal/parse"
 	"saccs/internal/search"
@@ -459,10 +458,9 @@ func BenchmarkAblationPairing(b *testing.B) {
 // BenchmarkQueryTelemetry measures what request telemetry costs a warm
 // QueryCtx over the golden world (the utterance's sentences in the
 // extraction cache, its candidate set memoised), in ns/op and allocs/op,
-// in three modes: no trace sink, as under DefaultConfig (stage times go
-// straight into the wide event, no span tree); a RingSink (every request
-// builds, buffers and delivers its span tree); and a RingSink with
-// HeadSampleN 1 (every request head-sampled as well).
+// in two modes: no trace sink, as under DefaultConfig (stage times go
+// straight into the wide event, no span tree); and a RingSink (every
+// request builds its span tree and delivers each span as it ends).
 //
 //	go test -run '^$' -bench QueryTelemetry -benchmem .
 func BenchmarkQueryTelemetry(b *testing.B) {
@@ -472,26 +470,14 @@ func BenchmarkQueryTelemetry(b *testing.B) {
 		b.Fatal(err)
 	}
 	const utterance = "I want an Italian restaurant in Montreal with delicious food and helpful waiters"
-	o := c.Observer()
-	plain := o.Telemetry()
 	for _, mode := range []struct {
-		name  string
-		sink  bool
-		headN int
+		name string
+		sink bool
 	}{
-		{"sink=none", false, 0},
-		{"sink=ring", true, 0},
-		{"sink=ring,head=1", true, 1},
+		{"sink=none", false},
+		{"sink=ring", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			if mode.headN > 0 {
-				tel := obs.NewTelemetry(obs.TelemetryConfig{Metrics: o.Metrics, HeadSampleN: mode.headN})
-				o.SetTelemetry(tel)
-				defer func() {
-					o.SetTelemetry(plain)
-					tel.Close()
-				}()
-			}
 			if mode.sink {
 				c.SetTraceSink(NewRingSink(512))
 				defer c.SetTraceSink(nil)

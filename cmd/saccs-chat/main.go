@@ -37,15 +37,12 @@ import (
 
 func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/slow and /debug/pprof on this address (e.g. :9090)")
-	slowThreshold := flag.Duration("slow-threshold", 100*time.Millisecond, "queries at or above this duration enter the slow-query log (:slow)")
+	slowThreshold := flag.Duration("slow-threshold", 100*time.Millisecond, "queries at or above this duration, or slower than the rolling p99 of request.latency.query after 100 queries, enter the slow-query log (:slow); 0 logs errored requests only")
 	precision := flag.String("precision", "mixed", "utterance decode arithmetic: float64 or mixed (indexing always runs float64)")
 	flag.Parse()
 
 	cfg := saccs.DefaultConfig()
 	cfg.Precision = *precision
-	// TraceSampleN 1 keeps :trace working for every query; the threshold only
-	// gates the slow-query log.
-	cfg.TraceSampleN = 1
 	cfg.SlowThreshold = *slowThreshold
 
 	fmt.Println("setting up: world + extractor (this takes a few seconds)...")

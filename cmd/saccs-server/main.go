@@ -39,7 +39,7 @@ func main() {
 	drain := flag.Duration("drain", 5*time.Second, "graceful-drain window for in-flight requests at shutdown")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum request body bytes")
 	topK := flag.Int("top-k", 10, "default answer truncation (0 = all)")
-	slow := flag.Duration("slow-threshold", 0, "mark queries at or above this duration slow (0 disables)")
+	slow := flag.Duration("slow-threshold", 0, "queries at or above this duration, or slower than the rolling p99 of request.latency.query after 100 queries, enter /debug/slow (0: errored requests only)")
 	precision := flag.String("precision", "mixed", "utterance decode arithmetic: float64 or mixed (indexing always runs float64)")
 	flag.Parse()
 

@@ -41,10 +41,6 @@ type Event struct {
 	// ThetaFilter/TopK record per-request option overrides, when present.
 	ThetaFilter *float64 `json:"theta_filter,omitempty"`
 	TopK        *int     `json:"top_k,omitempty"`
-	// Retained reports whether the full span tree was kept (tail sampling);
-	// RetainReason is why: "error", "slow", "head", or "all".
-	Retained     bool   `json:"retained,omitempty"`
-	RetainReason string `json:"retain_reason,omitempty"`
 }
 
 // StageNames is the wide-event stage schema: every pipeline stage span name
@@ -82,79 +78,46 @@ func stageIndex(name string) int {
 	return -1
 }
 
-// spanBuffer accumulates the spans of a request with a sink attached until
-// its tail-sampling fate is decided at Finish.
-type spanBuffer struct {
-	mu    sync.Mutex
-	spans []SpanRecord
-}
-
-func (b *spanBuffer) Record(rec SpanRecord) {
-	b.mu.Lock()
-	b.spans = append(b.spans, rec)
-	b.mu.Unlock()
-}
-
-func (b *spanBuffer) take() []SpanRecord {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := b.spans
-	b.spans = nil
-	return s
-}
-
 // Fixed telemetry sizes and periods.
 const (
 	// EventRingSize bounds the in-memory wide-event ring.
 	EventRingSize = 256
 	// slowLogSize bounds the worst-K slow-query log.
 	slowLogSize = 64
-	// sloObjective is the target good-request fraction the error-budget
-	// burn gauge is scaled by.
-	sloObjective = 0.99
 	// runtimeEvery is the period of the runtime gauge sampler (goroutines,
 	// heap, GC); the gauges are also refreshed when telemetry starts.
 	runtimeEvery = 10 * time.Second
 )
 
-// TelemetryConfig configures NewTelemetry. Zero values disable the sampling
-// and SLO knobs.
+// TelemetryConfig configures NewTelemetry.
 type TelemetryConfig struct {
-	// Metrics is the registry request-latency histograms and SLO counters
-	// register in. A nil Metrics gets a fresh registry.
+	// Metrics is the registry the request-latency histograms register in. A
+	// nil Metrics gets a fresh registry.
 	Metrics *Registry
-	// HeadSampleN retains the full span tree of every Nth request regardless
-	// of latency (1 = every request, 0 = no head sampling).
-	HeadSampleN int
-	// SlowThreshold marks requests at or above this duration slow: their
-	// span trees are retained and they enter the slow-query log. Zero
-	// disables the fixed threshold (the rolling-p99 rule still applies).
+	// SlowThreshold arms the slow-query log's latency rule (slowRule): a
+	// query at or above it, or slower than the rolling p99 of
+	// request.latency.query, enters the log. Zero logs errored requests
+	// only.
 	SlowThreshold time.Duration
-	// SLOTarget is the query latency objective; requests at or under it are
-	// good, above it bad. Zero disables SLO accounting.
-	SLOTarget time.Duration
 }
 
-// Telemetry is the request-scoped half of the Observer: wide events, tail
-// sampling, the slow-query log, SLO accounting, request-latency histograms,
-// readiness, and runtime gauges. Attach with Observer.SetTelemetry.
+// Telemetry is the request-scoped half of the Observer: wide events, the
+// slow-query log, request-latency histograms, readiness, and runtime
+// gauges. Attach with Observer.SetTelemetry.
 type Telemetry struct {
-	reg     *Registry
-	events  *Ring[Event]
-	sampler *Sampler
-	slow    *SlowLog
-	slo     *SLO
-	health  *Health
+	reg    *Registry
+	events *Ring[Event]
+	slow   *SlowLog
+	rule   slowRule // the slow log's latency rule
+	health *Health
 
 	stop chan struct{}
 	done chan struct{}
 	once sync.Once
 }
 
-// NewTelemetry builds a telemetry pipeline from cfg. With no sampling knobs
-// set (HeadSampleN, SlowThreshold both zero) span retention is pass-through:
-// every request's spans reach the attached trace sink, preserving the
-// pre-telemetry tracing behavior.
+// NewTelemetry builds a telemetry pipeline from cfg and starts its runtime
+// gauge sampler; Close stops it.
 func NewTelemetry(cfg TelemetryConfig) *Telemetry {
 	reg := cfg.Metrics
 	if reg == nil {
@@ -168,15 +131,8 @@ func NewTelemetry(cfg TelemetryConfig) *Telemetry {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	if cfg.HeadSampleN > 0 || cfg.SlowThreshold > 0 {
-		t.sampler = &Sampler{
-			HeadN: cfg.HeadSampleN,
-			Slow:  cfg.SlowThreshold,
-			hist:  reg.member(&reg.latencies, "query"),
-		}
-	}
-	if cfg.SLOTarget > 0 {
-		t.slo = NewSLO(reg, cfg.SLOTarget)
+	if cfg.SlowThreshold > 0 {
+		t.rule = slowRule{threshold: cfg.SlowThreshold, p99: reg.member(&reg.latencies, "query")}
 	}
 	sampleRuntime(reg)
 	go t.runtimeLoop()
@@ -250,9 +206,9 @@ func sampleRuntime(reg *Registry) {
 
 // Request is one in-flight instrumented request. Callers fill the exported
 // Ev fields as facts become known (generation, tag counts, option overrides)
-// and call Finish exactly once; Finish assembles the wide event, applies tail
-// sampling, and feeds the latency/SLO accounting. A degenerate Request (from
-// a nil or telemetry-less Observer) accepts all of this as a no-op, so
+// and call Finish exactly once; Finish assembles the wide event and feeds the
+// latency accounting and the slow-query log. A degenerate Request (from a
+// nil or telemetry-less Observer) accepts all of this as a no-op, so
 // instrumented code needs no nil checks.
 //
 // The request's stages (BeginStage under Root) run one at a time: they share
@@ -260,19 +216,16 @@ func sampleRuntime(reg *Registry) {
 // StageNames.
 type Request struct {
 	// Ev is the wide event under construction. Time, Kind, Trace, Root,
-	// Duration, Status, Error, Stage, CacheHits/Misses, Retained and
-	// RetainReason are filled by StartRequest/Finish; the caller sets the
-	// rest.
+	// Duration, Status, Error, Stage and CacheHits/Misses are filled by
+	// StartRequest/Finish; the caller sets the rest.
 	Ev Event
 
 	tel *Telemetry
-	o   *Observer
-	// root is live only when a sink was attached at StartRequest; then buf
-	// holds the request's finished spans until Finish.
+	// sink is the span sink attached when the request started, nil for none;
+	// with one, every span of the request is live.
+	sink  SpanSink
 	root  Span
-	buf   *spanBuffer
 	trace Trace
-	head  bool
 	done  bool
 	// hits counts the tagger.decode stages marked Cached; stage and runs are
 	// the summed duration and the run count of each stage in StageNames.
@@ -308,36 +261,23 @@ func (r *Request) addStage(i int, d time.Duration) {
 
 // StartRequest opens an instrumented request of the given kind. It always
 // returns a usable *Request (never nil) and a context carrying the request's
-// trace identity. Without telemetry it degrades to the pre-telemetry
-// behavior: a root span on the attached tracer and no wide event. With
-// telemetry, the request joins the trace in ctx if present (propagation) or
-// mints a fresh one. Its stage durations go into the request itself; only
-// when a sink is attached does it also build a span tree, buffered until
-// Finish decides its retention.
+// trace identity. The request captures the sink attached now: with one,
+// each of its spans goes to that sink as it ends. Without telemetry there is
+// no wide event and no trace identity. With telemetry, the request joins the
+// trace in ctx if present (propagation, keeping the caller's sampled flag)
+// or mints a fresh one, and its stage durations go into the request itself,
+// sink or no sink.
 func (o *Observer) StartRequest(ctx context.Context, kind string) (context.Context, *Request) {
-	tel, tracer := o.Telemetry(), o.Tracer()
-	if tel == nil {
-		req := &Request{o: o}
-		if tracer != nil {
-			req.root = Span{t: tracer, id: nextSpanID(), name: kind, start: time.Now()}
-		}
+	req := &Request{tel: o.Telemetry(), sink: o.loadSink()}
+	req.root = Span{req: req, id: nextSpanID(), name: kind, start: time.Now()}
+	if req.tel == nil {
 		return ctx, req
 	}
 	tr, ok := TraceFrom(ctx)
 	if !ok || !tr.Valid() {
 		tr = NewTrace()
 	}
-	head := tr.Sampled
-	if !head && tel.sampler.SampleHead() {
-		head = true
-	}
-	req := &Request{tel: tel, o: o, head: head}
-	req.root = Span{req: req, id: nextSpanID(), name: kind, start: time.Now()}
-	if tracer != nil {
-		req.buf = &spanBuffer{}
-		req.root.t = NewTraceTracer(req.buf, tr.TraceID)
-	}
-	req.trace = Trace{TraceID: tr.TraceID, SpanID: SpanID(req.root.id), Sampled: head}
+	req.trace = Trace{TraceID: tr.TraceID, SpanID: SpanID(req.root.id), Sampled: tr.Sampled}
 	req.Ev.Time = req.root.start
 	req.Ev.Kind = kind
 	req.Ev.Trace = tr.TraceID
@@ -345,29 +285,25 @@ func (o *Observer) StartRequest(ctx context.Context, kind string) (context.Conte
 	return context.WithValue(ctx, traceKey{}, &req.trace), req
 }
 
-// Finish completes the request: closes the root span, assembles the wide
-// event (per-stage durations and cache hit/miss counts from the request's
-// stage sums), decides span-tree retention and delivers a retained tree,
-// records the event into the ring, and feeds the request-latency histogram,
-// SLO accounting, and slow-query log. Nil-safe and idempotent.
+// Finish completes the request: delivers the root span to the request's
+// sink (after its children), assembles the wide event (per-stage durations
+// and cache hit/miss counts from the request's stage sums), records the
+// event into the ring, and feeds the request-latency histogram and the
+// slow-query log. Nil-safe and idempotent.
 func (r *Request) Finish(err error) {
 	if r == nil || r.done {
 		return
 	}
 	r.done = true
-	if err != nil {
-		r.root.SetStatus(err)
+	d := time.Since(r.root.start)
+	if r.root.Live() {
+		if err != nil {
+			r.root.SetStatus(err)
+		}
+		r.root.record(d)
 	}
 	if r.tel == nil {
-		// Degenerate request: just close the root span (pre-telemetry path).
-		r.root.End()
 		return
-	}
-	d := time.Since(r.root.start)
-	var spans []SpanRecord
-	if r.root.Live() {
-		r.root.record(d)
-		spans = r.buf.take()
 	}
 
 	ev := &r.Ev
@@ -393,32 +329,9 @@ func (r *Request) Finish(err error) {
 	ev.CacheHits = int(r.hits)
 	ev.CacheMisses = int(r.runs[decodeStage] - r.hits)
 
-	retained, reason := r.tel.sampler.Decide(ev.Status, d, r.head)
-	ev.Retained, ev.RetainReason = retained, reason
-	if retained && len(spans) > 0 {
-		if sink := sinkOf(r.o.Tracer()); sink != nil {
-			for _, s := range spans {
-				sink.Record(s)
-			}
-		}
-	}
-
 	r.tel.events.Record(*ev)
 	r.tel.reg.member(&r.tel.reg.latencies, ev.Kind).Observe(d)
-	if ev.Kind == "query" {
-		r.tel.slo.Record(d, ev.Status)
-		if ev.Status != StatusOK || r.tel.sampler.IsSlow(d) {
-			r.tel.slow.Insert(*ev)
-		}
-	} else if ev.Status != StatusOK {
+	if ev.Status != StatusOK || (ev.Kind == "query" && r.tel.rule.slow(d)) {
 		r.tel.slow.Insert(*ev)
 	}
-}
-
-// sinkOf exposes a tracer's sink for span-tree flush at retention time.
-func sinkOf(t *Tracer) SpanSink {
-	if t == nil {
-		return nil
-	}
-	return t.sink
 }

@@ -97,7 +97,7 @@ func TestJSONLEventSink(t *testing.T) {
 func newTestObserver(cfg TelemetryConfig) (*Observer, *Ring[SpanRecord], *Telemetry) {
 	o := NewObserver()
 	ring := NewRing[SpanRecord](256)
-	o.SetTracer(NewTracer(ring))
+	o.SetSink(ring)
 	if cfg.Metrics == nil {
 		cfg.Metrics = o.Metrics
 	}
@@ -107,12 +107,13 @@ func newTestObserver(cfg TelemetryConfig) (*Observer, *Ring[SpanRecord], *Teleme
 }
 
 func TestRequestWideEventAssembly(t *testing.T) {
-	o, ring, tel := newTestObserver(TelemetryConfig{HeadSampleN: 1})
+	o, ring, tel := newTestObserver(TelemetryConfig{})
 	defer tel.Close()
 
 	ctx, req := o.StartRequest(context.Background(), "query")
 	tr, ok := TraceFrom(ctx)
-	if !ok || !tr.Valid() || !tr.Sampled {
+	// A minted trace is not sampled: only a caller's traceparent sets the flag.
+	if !ok || !tr.Valid() || tr.Sampled {
 		t.Fatalf("request context trace: %+v, %v", tr, ok)
 	}
 	stage := req.Root().Child("parse")
@@ -140,14 +141,11 @@ func TestRequestWideEventAssembly(t *testing.T) {
 	if ev.Stage["parse"] < time.Millisecond || ev.Stage["rank"] < 0 {
 		t.Fatalf("stage durations: %v", ev.Stage)
 	}
-	if !ev.Retained || ev.RetainReason != "head" {
-		t.Fatalf("retention: %v %q", ev.Retained, ev.RetainReason)
-	}
-	// Head-sampled: the span tree reached the trace sink, stamped with the
+	// The span tree reached the trace sink, root last, stamped with the
 	// request's trace ID.
 	spans := ring.All()
-	if len(spans) != 3 {
-		t.Fatalf("%d spans flushed, want 3", len(spans))
+	if len(spans) != 3 || spans[2].Name != "query" || spans[2].ID != uint64(ev.Root) {
+		t.Fatalf("spans delivered: %+v", spans)
 	}
 	for _, s := range spans {
 		if s.Trace != tr.TraceID {
@@ -156,36 +154,37 @@ func TestRequestWideEventAssembly(t *testing.T) {
 	}
 }
 
+// TestRequestTailSamplingDrops checks slow-log membership under a 1h
+// threshold: a fast, ok request stays out of the log, an errored one enters
+// it, and both deliver their spans to the sink.
 func TestRequestTailSamplingDrops(t *testing.T) {
-	// Head sampling every 10^9th request and a 1h slow threshold: a fast, ok
-	// request must retain nothing.
-	o, ring, tel := newTestObserver(TelemetryConfig{HeadSampleN: 1 << 30, SlowThreshold: time.Hour})
+	o, ring, tel := newTestObserver(TelemetryConfig{SlowThreshold: time.Hour})
 	defer tel.Close()
 
 	_, req := o.StartRequest(context.Background(), "query")
 	req.Root().Child("parse").End()
 	req.Finish(nil)
 
-	if evs := tel.Events(); len(evs) != 1 || evs[0].Retained {
+	if evs := tel.Events(); len(evs) != 1 || evs[0].Status != StatusOK {
 		t.Fatalf("fast request events: %+v", evs)
 	}
-	if spans := ring.All(); len(spans) != 0 {
-		t.Fatalf("fast unsampled request flushed %d spans", len(spans))
+	if spans := ring.All(); len(spans) != 2 {
+		t.Fatalf("fast request delivered %d spans, want 2", len(spans))
 	}
 	if slow := tel.SlowQueries(); len(slow) != 0 {
 		t.Fatalf("fast request entered the slow log: %+v", slow)
 	}
 
-	// An errored request is always retained and slow-logged.
+	// An errored request is always slow-logged.
 	_, req = o.StartRequest(context.Background(), "query")
 	req.Root().Child("parse").End()
 	req.Finish(errors.New("boom"))
 	evs := tel.Events()
-	if len(evs) != 2 || !evs[1].Retained || evs[1].RetainReason != "error" {
+	if len(evs) != 2 || evs[1].Status != StatusError {
 		t.Fatalf("errored request events: %+v", evs)
 	}
-	if spans := ring.All(); len(spans) != 2 {
-		t.Fatalf("errored request flushed %d spans, want 2", len(spans))
+	if spans := ring.All(); len(spans) != 4 {
+		t.Fatalf("two requests delivered %d spans, want 4", len(spans))
 	}
 	slow := tel.SlowQueries()
 	if len(slow) != 1 || slow[0].Error != "boom" {
@@ -194,7 +193,7 @@ func TestRequestTailSamplingDrops(t *testing.T) {
 }
 
 func TestRequestJoinsContextTrace(t *testing.T) {
-	o, _, tel := newTestObserver(TelemetryConfig{HeadSampleN: 1 << 30, SlowThreshold: time.Hour})
+	o, _, tel := newTestObserver(TelemetryConfig{SlowThreshold: time.Hour})
 	defer tel.Close()
 
 	parent, err := ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
@@ -206,15 +205,14 @@ func TestRequestJoinsContextTrace(t *testing.T) {
 	if got := req.Trace().TraceID; got != parent.TraceID {
 		t.Fatalf("request minted trace %s instead of joining %s", got, parent.TraceID)
 	}
-	// The upstream sampled flag propagates: this request is head-retained
-	// even though local head sampling would not have picked it.
+	// The upstream sampled flag propagates to the request's own trace.
 	child, _ := TraceFrom(ctx2)
 	if !child.Sampled {
 		t.Fatal("upstream sampled flag dropped")
 	}
 	req.Finish(nil)
 	evs := tel.Events()
-	if len(evs) != 1 || !evs[0].Retained || evs[0].RetainReason != "head" {
+	if len(evs) != 1 {
 		t.Fatalf("propagated-sampled request: %+v", evs)
 	}
 	if evs[0].Trace != parent.TraceID {
@@ -225,7 +223,7 @@ func TestRequestJoinsContextTrace(t *testing.T) {
 func TestRequestDegenerateWithoutTelemetry(t *testing.T) {
 	o := NewObserver()
 	ring := NewRing[SpanRecord](16)
-	o.SetTracer(NewTracer(ring))
+	o.SetSink(ring)
 	_, req := o.StartRequest(context.Background(), "query")
 	req.Root().Child("parse").End()
 	req.Finish(nil)

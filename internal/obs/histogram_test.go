@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"saccs/internal/obs/promtext"
 )
 
 // TestHDRQuantileAccuracy checks the histogram's high-dynamic-range
@@ -174,7 +176,7 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 			var buf bytes.Buffer
 			r.WritePrometheus(&buf)
 			out := buf.String()
-			if err := ValidatePrometheusText(strings.NewReader(out)); err != nil {
+			if err := promtext.Validate(strings.NewReader(out)); err != nil {
 				t.Fatalf("exposition: %v\n%s", err, out)
 			}
 			for _, want := range []string{

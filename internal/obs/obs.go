@@ -1,13 +1,13 @@
-// Package obs is the runtime observability subsystem: hierarchical tracing
-// spans with pluggable sinks (a generic in-memory Ring and a generic JSONL
+// Package obs is the runtime observability subsystem: per-request span trees
+// delivered to a pluggable sink (a generic in-memory Ring and a generic JSONL
 // writer, each serving spans and wide events alike); a registry of atomic
 // counters, gauges and one log-linear latency Histogram type, exported to
 // Prometheus as p50/p90/p99/p999 summaries; request-scoped telemetry (wide
-// events, tail sampling, the slow-query log, SLO accounting, readiness); and
-// ObserverMux, which serves all of it plus /debug/pprof over net/http.
+// events, the slow-query log, readiness); and ObserverMux, which serves all
+// of it plus /debug/pprof over net/http.
 //
 // The package is stdlib-only and designed around a nil-safe no-op fast path:
-// a nil *Observer, *Tracer, *Span, or any nil instrument accepts every call
+// a nil *Observer, *Request, *Span, or any nil instrument accepts every call
 // as a cheap no-op, so instrumented code needs no conditionals beyond an
 // optional `if x.obs != nil` guard where even a time.Now() would be too much.
 package obs
@@ -20,18 +20,18 @@ import (
 )
 
 // Observer bundles the halves of the subsystem — a metrics registry, an
-// (optionally attached) tracer, and (optionally attached) request-scoped
+// (optionally attached) span sink, and (optionally attached) request-scoped
 // telemetry — into the single handle instrumented components hold. Metrics
-// is fixed at construction; the tracer and telemetry may be swapped at
+// is fixed at construction; the sink and telemetry may be swapped at
 // runtime (atomically, so concurrent queries may race with
 // enabling/disabling either).
 type Observer struct {
 	Metrics *Registry
-	tracer  atomic.Pointer[Tracer]
+	sink    atomic.Pointer[SpanSink]
 	tel     atomic.Pointer[Telemetry]
 }
 
-// NewObserver returns an observer with a fresh registry and no tracer.
+// NewObserver returns an observer with a fresh registry and no sink.
 func NewObserver() *Observer {
 	return &Observer{Metrics: NewRegistry()}
 }
@@ -73,25 +73,28 @@ func (o *Observer) Snapshot() Snapshot {
 	return s
 }
 
-// SetTracer attaches (or, with nil, detaches) a tracer.
-func (o *Observer) SetTracer(t *Tracer) {
+// SetSink attaches (or, with nil, detaches) the sink that receives every
+// request's spans. In-flight requests keep the sink they started with.
+func (o *Observer) SetSink(sink SpanSink) {
 	if o == nil {
 		return
 	}
-	o.tracer.Store(t)
+	if sink == nil {
+		o.sink.Store(nil)
+		return
+	}
+	o.sink.Store(&sink)
 }
 
-// Tracer returns the currently attached tracer, possibly nil.
-func (o *Observer) Tracer() *Tracer {
+// loadSink returns the currently attached span sink, possibly nil.
+func (o *Observer) loadSink() SpanSink {
 	if o == nil {
 		return nil
 	}
-	return o.tracer.Load()
-}
-
-// StartSpan opens a root span on the attached tracer (nil without one).
-func (o *Observer) StartSpan(name string) *Span {
-	return o.Tracer().Start(name)
+	if p := o.sink.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Counter returns the named counter from the registry (nil-safe).

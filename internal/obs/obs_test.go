@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -37,49 +39,71 @@ func TestNilSafety(t *testing.T) {
 	}
 	var o *Observer
 	o.Counter("x").Inc()
-	o.SetTracer(nil)
-	sp := o.StartSpan("root")
-	sp.Set("k", "v").Child("child").End()
-	if sp.End() != 0 {
-		t.Fatal("nil span End")
+	o.SetSink(nil)
+	if o.loadSink() != nil {
+		t.Fatal("nil observer has a sink")
 	}
+	_, req := o.StartRequest(context.Background(), "root")
+	sp := req.Root()
+	sp.Set("k", "v").Child("child").End()
+	if sp.Live() || sp.End() != 0 {
+		t.Fatal("a request without a sink has a live root")
+	}
+	req.Finish(errors.New("x"))
 	st := BeginStage(o, nil, "parse")
 	st.End()
-	var tr *Tracer
-	if tr.Start("x") != nil {
-		t.Fatal("nil tracer Start")
+	var nilReq *Request
+	var nilSpan *Span
+	nilReq.Finish(nil)
+	nilSpan.Set("k", "v").SetStatus(errors.New("x")).Child("child").End()
+	if nilReq.Root() != nil || nilSpan.Live() || nilSpan.End() != 0 {
+		t.Fatal("nil request or span not inert")
 	}
 }
 
 func TestNoopSpanZeroAllocs(t *testing.T) {
-	var o *Observer
+	var req *Request
 	allocs := testing.AllocsPerRun(100, func() {
-		sp := o.StartSpan("query")
+		sp := req.Root()
+		st := BeginStage(nil, sp, "parse")
 		child := sp.Child("parse")
 		child.Set("k", 1)
 		child.End()
-		sp.End()
+		st.End()
+		req.Finish(nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocates: %v allocs/op", allocs)
 	}
 }
 
+// sinkObserver returns an observer, without telemetry, whose requests record
+// to sink.
+func sinkObserver(sink SpanSink) *Observer {
+	o := NewObserver()
+	o.SetSink(sink)
+	return o
+}
+
 func TestSpanHierarchyAndRingSink(t *testing.T) {
 	ring := NewRing[SpanRecord](16)
-	tr := NewTracer(ring)
-	root := tr.Start("query").Set("utterance", "hi")
+	_, req := sinkObserver(ring).StartRequest(context.Background(), "query")
+	root := req.Root().Set("utterance", "hi")
 	c1 := root.Child("parse")
 	time.Sleep(time.Millisecond)
 	c1.End()
 	c2 := root.Child("rank")
 	c2.Child("index.resolve").Set("tag", "delicious food").End()
 	c2.End()
-	root.End()
+	req.Finish(nil)
 
 	spans := ring.All()
 	if len(spans) != 4 {
 		t.Fatalf("spans: %d", len(spans))
+	}
+	// Spans reach the sink as they end: children first, the root last.
+	if spans[3].Name != "query" || spans[0].Name != "parse" {
+		t.Fatalf("delivery order: %+v", spans)
 	}
 	rec, ok := LastRoot(spans)
 	if !ok || rec.Name != "query" || rec.Parent != 0 {
@@ -108,10 +132,9 @@ func TestSpanHierarchyAndRingSink(t *testing.T) {
 
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(NewJSONL[SpanRecord](&buf))
-	sp := tr.Start("query")
-	sp.Child("parse").Set("n", 3).End()
-	sp.End()
+	_, req := sinkObserver(NewJSONL[SpanRecord](&buf)).StartRequest(context.Background(), "query")
+	req.Root().Child("parse").Set("n", 3).End()
+	req.Finish(nil)
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("lines: %d", len(lines))
@@ -162,8 +185,8 @@ func TestSnapshotAndPrometheus(t *testing.T) {
 }
 
 func TestConcurrentInstruments(t *testing.T) {
-	r := NewRegistry()
-	tr := NewTracer(NewRing[SpanRecord](64))
+	o := sinkObserver(NewRing[SpanRecord](64))
+	r := o.Metrics
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -173,9 +196,9 @@ func TestConcurrentInstruments(t *testing.T) {
 				r.Counter("c").Inc()
 				r.Gauge("g").Add(1)
 				r.Histogram("h").Observe(time.Microsecond)
-				sp := tr.Start("root")
-				sp.Child("leaf").End()
-				sp.End()
+				_, req := o.StartRequest(context.Background(), "root")
+				req.Root().Child("leaf").End()
+				req.Finish(nil)
 			}
 		}()
 	}

@@ -1,4 +1,7 @@
-package obs
+// Package promtext validates the Prometheus text exposition format. It is
+// test support: the /metrics tests feed the live payload through Validate,
+// and no production package imports it (make deps-check).
+package promtext
 
 import (
 	"bufio"
@@ -10,7 +13,7 @@ import (
 	"strings"
 )
 
-// ValidatePrometheusText checks a payload against the Prometheus text
+// Validate checks a payload against the Prometheus text
 // exposition format (0.0.4): comment/TYPE syntax, metric-name and label
 // grammar, parseable sample values, and the histogram/summary contracts —
 // every histogram has monotonically non-decreasing buckets ending in a
@@ -19,7 +22,7 @@ import (
 // or nil for a conformant payload. The /metrics test feeds the full live
 // payload through this, so a malformed series is a test failure rather than
 // a scrape-time surprise.
-func ValidatePrometheusText(r io.Reader) error {
+func Validate(r io.Reader) error {
 	type hist struct {
 		typ     string // "histogram" or "summary"
 		buckets []promBucket

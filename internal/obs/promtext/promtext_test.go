@@ -1,14 +1,11 @@
-package obs
+package promtext
 
 import (
-	"bytes"
-	"context"
 	"strings"
 	"testing"
-	"time"
 )
 
-func TestValidatePrometheusTextAccepts(t *testing.T) {
+func TestValidateAccepts(t *testing.T) {
 	valid := []string{
 		"",
 		"# HELP x y\n# TYPE q_total counter\nq_total 5\n",
@@ -27,13 +24,13 @@ func TestValidatePrometheusTextAccepts(t *testing.T) {
 		"untyped_metric 1 1700000000\n",
 	}
 	for i, in := range valid {
-		if err := ValidatePrometheusText(strings.NewReader(in)); err != nil {
+		if err := Validate(strings.NewReader(in)); err != nil {
 			t.Errorf("valid payload %d rejected: %v\n%s", i, err, in)
 		}
 	}
 }
 
-func TestValidatePrometheusTextRejects(t *testing.T) {
+func TestValidateRejects(t *testing.T) {
 	invalid := []struct {
 		name, in string
 	}{
@@ -59,51 +56,8 @@ func TestValidatePrometheusTextRejects(t *testing.T) {
 		{"summary missing count", "# TYPE s summary\ns{quantile=\"0.5\"} 1\ns_sum 1\n"},
 	}
 	for _, c := range invalid {
-		if err := ValidatePrometheusText(strings.NewReader(c.in)); err == nil {
+		if err := Validate(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: accepted\n%s", c.name, c.in)
-		}
-	}
-}
-
-// TestWritePrometheusConformant feeds a fully populated registry — counters,
-// gauges, latency summaries, SLO instruments — through
-// the exposition validator: whatever /metrics serves must parse under the
-// text-format grammar with coherent summary invariants.
-func TestWritePrometheusConformant(t *testing.T) {
-	o, _, tel := newTestObserver(TelemetryConfig{
-		HeadSampleN:   2,
-		SlowThreshold: time.Millisecond,
-		SLOTarget:     50 * time.Millisecond,
-	})
-	defer tel.Close()
-
-	o.Counter("query.total").Add(7)
-	o.Gauge("index.generation").Set(3)
-	for i := 0; i < 50; i++ {
-		o.Histogram("stage.parse.latency").Observe(time.Duration(i) * time.Microsecond)
-	}
-	for i := 0; i < 200; i++ {
-		_, req := o.StartRequest(context.Background(), "query")
-		req.Finish(nil)
-	}
-
-	var buf bytes.Buffer
-	o.Metrics.WritePrometheus(&buf)
-	out := buf.String()
-	if err := ValidatePrometheusText(strings.NewReader(out)); err != nil {
-		t.Fatalf("WritePrometheus output fails the exposition grammar: %v\n%s", err, out)
-	}
-	for _, want := range []string{
-		"request_latency_query_seconds{quantile=\"0.5\"}",
-		"request_latency_query_seconds{quantile=\"0.999\"}",
-		"request_latency_query_seconds_count 200",
-		"slo_error_budget_burn",
-		"slo_requests_good_total",
-		"runtime_goroutines",
-		"stage_parse_latency_seconds{quantile=\"0.99\"}",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("/metrics payload missing %q", want)
 		}
 	}
 }

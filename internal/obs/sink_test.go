@@ -129,7 +129,7 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 
 // TestJSONLSinkWriterErrors checks that a failing writer never panics the
 // sink or the traced operation, that records written before the failure are
-// intact JSON lines, and that the sink keeps accepting records (so a tracer
+// intact JSON lines, and that the sink keeps accepting records (so tracing
 // outlives a transient sink failure).
 func TestJSONLSinkWriterErrors(t *testing.T) {
 	w := &failAfterWriter{n: 2}

@@ -15,8 +15,8 @@ type Attr struct {
 
 // SpanRecord is the completed form of a span, as delivered to sinks.
 type SpanRecord struct {
-	// Trace identifies the request the span belongs to; zero when the span
-	// was produced by a tracer with no trace identity (NewTracer).
+	// Trace identifies the request the span belongs to; zero when the
+	// request ran without telemetry.
 	Trace TraceID `json:"trace_id,omitempty"`
 	// ID is process-unique; Parent is 0 for root spans.
 	ID     uint64    `json:"id"`
@@ -34,54 +34,22 @@ type SpanSink interface {
 	Record(SpanRecord)
 }
 
-// Tracer hands out hierarchical spans and forwards completed ones to its
-// sink. A nil *Tracer is the disabled fast path: Start returns a nil *Span,
-// and every span method on nil is a no-op with zero allocations. Span IDs
-// come from a process-global counter, so spans from many tracers (one per
-// request under telemetry) never collide in a shared sink.
-type Tracer struct {
-	sink  SpanSink
-	trace TraceID
-}
-
-// NewTracer returns a tracer writing completed spans to sink, with no trace
-// identity (spans carry a zero trace ID).
-func NewTracer(sink SpanSink) *Tracer {
-	if sink == nil {
-		return nil
-	}
-	return &Tracer{sink: sink}
-}
-
-// NewTraceTracer returns a tracer whose spans are all stamped with trace.
-func NewTraceTracer(sink SpanSink, trace TraceID) *Tracer {
-	if sink == nil {
-		return nil
-	}
-	return &Tracer{sink: sink, trace: trace}
-}
-
-// Start opens a root span.
-func (t *Tracer) Start(name string) *Span {
-	if t == nil {
-		return nil
-	}
-	return &Span{t: t, id: nextSpanID(), name: name, start: time.Now()}
-}
-
-// Span is one timed, named region of work. A span and its children must be
-// used from a single goroutine; sibling spans may run on different
-// goroutines, except under a request, whose stages run one at a time
-// (Request). All methods are nil-safe.
+// Span is one timed, named region of work within a request (the root span
+// is the request itself). A request's stages run one at a time (Request),
+// so its spans are used from one goroutine at a time. All methods are
+// nil-safe.
 //
-// A span is live when it records to a sink (Live). A request with no sink
-// attached has a root span that is not live: it carries the request's stage
-// sums for BeginStage, but Child returns nil and Set, SetStatus and End do
-// nothing, so call sites that box attribute values guard them with Live.
+// A span is live when its request records to a sink (Live): it then goes to
+// that sink as it ends, stamped with the request's trace ID, so a request's
+// children arrive before its root. A request with no sink attached has a
+// root span that is not live: it carries the request's stage sums for
+// BeginStage, but Child returns nil and Set, SetStatus and End do nothing,
+// so call sites that box attribute values guard them with Live. Span IDs come
+// from a process-global counter, so spans of concurrent requests never
+// collide in a shared sink.
 type Span struct {
-	t *Tracer
-	// req is the request whose stage sums this span's stages feed; nil
-	// outside a request.
+	// req is the request the span belongs to, whose sink it records to and
+	// whose stage sums its stages feed.
 	req    *Request
 	id     uint64
 	parent uint64
@@ -91,8 +59,8 @@ type Span struct {
 }
 
 // Live reports whether the span records to a sink: false for a nil span and
-// for the root of a request with no sink attached.
-func (s *Span) Live() bool { return s != nil && s.t != nil }
+// for every span of a request with no sink attached.
+func (s *Span) Live() bool { return s != nil && s.req != nil && s.req.sink != nil }
 
 // Child opens a sub-span of a live span; it returns nil under a span that is
 // not live.
@@ -100,7 +68,7 @@ func (s *Span) Child(name string) *Span {
 	if !s.Live() {
 		return nil
 	}
-	return &Span{t: s.t, req: s.req, id: nextSpanID(), parent: s.id, name: name, start: time.Now()}
+	return &Span{req: s.req, id: nextSpanID(), parent: s.id, name: name, start: time.Now()}
 }
 
 // Set attaches a key/value attribute and returns the span for chaining.
@@ -120,25 +88,25 @@ func (s *Span) SetStatus(err error) *Span {
 	return s.Set("status", StatusOf(err))
 }
 
-// End closes the span, delivers it to the sink, and returns its duration; a
-// span that is not live returns 0. A stage span under a request also adds its
-// duration to the request's stage sums.
+// End closes a child span, delivers it to the sink, adds its duration to the
+// request's stage sums, and returns the duration; a span that is not live
+// returns 0. The root span ends with its request (Request.Finish).
 func (s *Span) End() time.Duration {
 	if !s.Live() {
 		return 0
 	}
 	d := time.Since(s.start)
 	s.record(d)
-	if r := s.req; r != nil && s != &r.root {
+	if r := s.req; s != &r.root {
 		r.addStage(stageIndex(s.name), d)
 	}
 	return d
 }
 
-// record delivers the completed span, with duration d, to the sink.
+// record delivers the completed span, with duration d, to its request's sink.
 func (s *Span) record(d time.Duration) {
-	s.t.sink.Record(SpanRecord{
-		Trace: s.t.trace, ID: s.id, Parent: s.parent, Name: s.name,
+	s.req.sink.Record(SpanRecord{
+		Trace: s.req.trace.TraceID, ID: s.id, Parent: s.parent, Name: s.name,
 		Start: s.start, Duration: d, Attrs: s.attrs,
 	})
 }

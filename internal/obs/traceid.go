@@ -31,7 +31,7 @@ func (t TraceID) MarshalText() ([]byte, error) { return []byte(t.String()), nil 
 
 // UnmarshalText parses the 32-hex-digit form written by MarshalText. Unlike
 // ParseTraceparent it accepts the all-zero form (and ""), so span records
-// from tracers without a trace identity round-trip through JSON.
+// of requests without a trace identity round-trip through JSON.
 func (t *TraceID) UnmarshalText(b []byte) error {
 	if len(b) == 0 {
 		*t = TraceID{}
@@ -84,13 +84,13 @@ func (s *SpanID) UnmarshalText(b []byte) error {
 // Trace is the request-scoped trace identity carried through
 // context.Context and across process boundaries: the trace ID shared by
 // every span of the request, the current (root or parent) span ID, and the
-// head-sampling decision, which propagates so a caller's decision to retain
-// a trace is honored by every process the request passes through.
+// caller's sampling decision.
 type Trace struct {
 	TraceID TraceID
 	SpanID  SpanID
-	// Sampled is the W3C "sampled" flag: the request was head-sampled for
-	// full span-tree retention.
+	// Sampled is the W3C "sampled" flag. SACCS samples nothing itself: a
+	// request carries the flag of the caller's traceparent unchanged, and a
+	// trace it mints is not sampled.
 	Sampled bool
 }
 
@@ -140,7 +140,7 @@ func nextSpanID() uint64 {
 }
 
 // NewTrace returns a fresh trace identity: new trace ID, new span ID, not
-// head-sampled.
+// sampled.
 func NewTrace() Trace {
 	return Trace{TraceID: NewTraceID(), SpanID: SpanID(nextSpanID())}
 }

@@ -89,24 +89,13 @@ type Config struct {
 	// cached answer is always bit-identical to a fresh decode
 	// (DefaultConfig: 4096 entries; 0 disables caching).
 	ExtractCacheSize int
-	// TraceSampleN head-samples every Nth request for full span-tree
-	// retention (1 retains every request, 0 disables head sampling). While
-	// both TraceSampleN and SlowThreshold are 0 — the DefaultConfig — tail
-	// sampling is off entirely: every request's spans reach the trace sink,
-	// as in earlier releases.
-	TraceSampleN int
-	// SlowThreshold marks requests at or above this duration slow: their
-	// span trees are retained regardless of sampling and they enter the
-	// worst-K slow-query log (Stats().Slow, /debug/slow, saccs-chat :slow).
-	// Setting it (or TraceSampleN) also arms the adaptive rule that retains
-	// any request slower than the rolling p99. 0 disables the threshold.
+	// SlowThreshold arms the latency rule of the worst-K slow-query log
+	// (Stats().Slow, /debug/slow, saccs-chat :slow): a query at or above it
+	// enters the log, and so does one slower than the rolling p99 of
+	// request.latency.query once that histogram holds 100 observations.
+	// Errored requests enter the log whatever the threshold; 0 (the
+	// DefaultConfig) logs only them.
 	SlowThreshold time.Duration
-	// SLOTarget is the query-latency service-level objective: queries at or
-	// under it count good, the rest bad, feeding the
-	// slo.requests.{good,bad}.total counters and the slo.error_budget.burn
-	// gauge (bad fraction over the 1% error budget). 0 disables SLO
-	// accounting.
-	SLOTarget time.Duration
 	// Precision selects the inference arithmetic of the utterance decode —
 	// the latency-critical tagger forward behind Query, Chat, and
 	// ExtractTags: "mixed" (the "" default) runs int8 GEMMs with float32
@@ -280,8 +269,8 @@ type Client struct {
 	// under writeMu and refuses with ErrShutdown.
 	shut bool
 
-	// o is the client's always-on metrics registry plus an optional tracer
-	// attached via SetTraceSink.
+	// o is the client's always-on metrics registry and request telemetry,
+	// plus an optional span sink attached via SetTraceSink.
 	o *obs.Observer
 }
 
@@ -429,9 +418,7 @@ func New(cfg Config) (*Client, error) {
 	o := obs.NewObserver()
 	o.SetTelemetry(obs.NewTelemetry(obs.TelemetryConfig{
 		Metrics:       o.Metrics,
-		HeadSampleN:   cfg.TraceSampleN,
 		SlowThreshold: cfg.SlowThreshold,
-		SLOTarget:     cfg.SLOTarget,
 	}))
 	tg := core.TrainTagger(domain, data, scale, cfg.Adversarial, cfg.Epsilon, precision, o)
 
@@ -1077,14 +1064,15 @@ func (c *Client) TagLabels(sentence string) (tokens []string, labels []string) {
 // stage.objective, stage.rank) and per-request-kind ones
 // (Snapshot.Histograms["request.latency.query"].Quantile for p50/p99/p999,
 // within 1/32 of the true value), the worst-K slow-query log (Snapshot.Slow,
-// slowest first), index build/resolve instruments, SLO counters when Config.SLOTarget is
-// set, and the training gauges recorded while New trained the pipeline.
+// slowest first; Config.SlowThreshold), index build/resolve instruments,
+// runtime gauges, and the training gauges recorded while New trained the
+// pipeline.
 // Metrics are always on; their cost is a few atomic operations per query.
 func (c *Client) Stats() obs.Snapshot { return c.o.Snapshot() }
 
 // Events returns the most recent wide events, oldest first: one structured
 // record per finished request (trace ID, per-stage durations, index
-// generation, cache hits, result counts, status, sampling verdict).
+// generation, cache hits, result counts, status).
 func (c *Client) Events() []obs.Event { return c.o.Telemetry().Events() }
 
 // SlowQueries returns the worst-K slow or errored requests, slowest first —
@@ -1113,11 +1101,13 @@ func (c *Client) Shutdown() {
 }
 
 // SetTraceSink enables span tracing into sink (for example
-// NewRingSink(512) or NewJSONLSink(file)); a nil sink disables
-// tracing again. Disabled tracing costs nothing on the query path. The sink
-// swap is atomic and may happen while queries are in flight.
+// NewRingSink(512) or NewJSONLSink(file)): every request's spans go to it
+// as they end, children before their root, each stamped with the request's
+// trace ID. A nil sink disables tracing again; disabled tracing builds no
+// span at all. The sink swap is atomic and may happen while queries are in
+// flight: a request keeps the sink it started with.
 func (c *Client) SetTraceSink(sink obs.SpanSink) {
-	c.o.SetTracer(obs.NewTracer(sink))
+	c.o.SetSink(sink)
 }
 
 // Observer exposes the client's observability handle — useful to serve the
@@ -1127,7 +1117,7 @@ func (c *Client) Observer() *obs.Observer { return c.o }
 
 // ServeMetrics starts an HTTP server exposing the client's observability
 // surface: /metrics (Prometheus text, including the request-latency
-// summaries and SLO series), /healthz (liveness — 200 whenever the process
+// summaries and runtime gauges), /healthz (liveness — 200 whenever the process
 // serves HTTP), /readyz (readiness — 200 only between the first index
 // publication and Shutdown), /debug/slow (the worst-K slow-query log as
 // JSON), and the pprof handlers under /debug/pprof.
@@ -1166,13 +1156,14 @@ type (
 	// TraceID is the 128-bit per-request identity stamped on spans and
 	// events, rendered as 32 hex digits.
 	TraceID = obs.TraceID
-	// Trace is a request's trace identity (trace ID, span ID, sampled flag)
-	// as carried through context.Context and W3C traceparent strings.
+	// Trace is a request's trace identity (trace ID, span ID, and the
+	// caller's sampled flag) as carried through context.Context and W3C
+	// traceparent strings.
 	Trace = obs.Trace
 )
 
 // ContextWithTrace returns a context carrying tr; Client requests started
-// under it join the trace (same trace ID, propagated sampling decision)
+// under it join the trace (same trace ID, the caller's sampled flag)
 // instead of minting a new one — the cross-process propagation hook.
 func ContextWithTrace(ctx context.Context, tr Trace) context.Context {
 	return obs.ContextWithTrace(ctx, tr)

@@ -18,11 +18,12 @@ import (
 	"saccs/internal/check"
 	"saccs/internal/extcache"
 	"saccs/internal/obs"
+	"saccs/internal/obs/promtext"
 )
 
 // swapTelemetry attaches a fresh telemetry pipeline to the shared client for
 // one test and restores the original afterward. The shared registry is
-// untouched — only the event ring, sampler, and slow log are per-test.
+// untouched — only the event ring and the slow log are per-test.
 func swapTelemetry(t *testing.T, c *Client, cfg obs.TelemetryConfig) *obs.Telemetry {
 	t.Helper()
 	if cfg.Metrics == nil {
@@ -38,11 +39,11 @@ func swapTelemetry(t *testing.T, c *Client, cfg obs.TelemetryConfig) *obs.Teleme
 	return tel
 }
 
-// TestTailSamplingAcceptance drives the tentpole acceptance shape end to end
-// on the public surface: a fast request under strict sampling knobs yields a
-// wide event but retains no span tree, while a slow request (1ns threshold)
-// and an errored request yield wide events with trace IDs and stage timings,
-// retained span trees, and slow-log entries visible through Stats().Slow,
+// TestTailSamplingAcceptance drives the slow-query log end to end on the
+// public surface: a fast request under a 1h threshold yields a wide event but
+// no slow-log entry, while a slow request (1ns threshold) and an errored
+// request yield wide events with trace IDs and stage timings, span trees in
+// the sink, and slow-log entries visible through Stats().Slow,
 // SlowQueries(), and the /debug/slow endpoint.
 func TestTailSamplingAcceptance(t *testing.T) {
 	c := newClient(t)
@@ -53,26 +54,23 @@ func TestTailSamplingAcceptance(t *testing.T) {
 	c.SetTraceSink(ring)
 	defer c.SetTraceSink(nil)
 
-	// Phase 1: unreachable thresholds — a normal query is observed (wide
-	// event) but not retained (no span tree, no slow-log entry).
-	swapTelemetry(t, c, obs.TelemetryConfig{HeadSampleN: 1 << 30, SlowThreshold: time.Hour})
+	// Phase 1: an unreachable threshold — a normal query is observed (wide
+	// event) but not slow-logged.
+	swapTelemetry(t, c, obs.TelemetryConfig{SlowThreshold: time.Hour})
 	c.Query("an Italian restaurant in Montreal with delicious food")
 	evs := c.Events()
 	if len(evs) != 1 {
 		t.Fatalf("%d wide events, want 1", len(evs))
 	}
-	if ev := evs[0]; ev.Retained || ev.Kind != "query" || ev.Trace.IsZero() {
+	if ev := evs[0]; ev.Kind != "query" || ev.Trace.IsZero() {
 		t.Fatalf("fast request event: %+v", ev)
-	}
-	if spans := ring.All(); len(spans) != 0 {
-		t.Fatalf("fast unsampled request flushed %d spans", len(spans))
 	}
 	if slow := c.SlowQueries(); len(slow) != 0 {
 		t.Fatalf("fast request entered the slow log: %+v", slow)
 	}
 
-	// Phase 2: a 1ns threshold makes the same query slow — retained span
-	// tree, stage timings, and a slow-log entry on every surface.
+	// Phase 2: a 1ns threshold makes the same query slow — span tree, stage
+	// timings, and a slow-log entry on every surface.
 	tel := swapTelemetry(t, c, obs.TelemetryConfig{SlowThreshold: time.Nanosecond})
 	c.Query("an Italian restaurant in Montreal with delicious food")
 	evs = tel.Events()
@@ -80,9 +78,6 @@ func TestTailSamplingAcceptance(t *testing.T) {
 		t.Fatalf("%d wide events, want 1", len(evs))
 	}
 	ev := evs[0]
-	if !ev.Retained || ev.RetainReason != "slow" {
-		t.Fatalf("slow request retention: %+v", ev)
-	}
 	if ev.Trace.IsZero() || ev.Duration <= 0 || ev.Results == 0 {
 		t.Fatalf("slow request event: %+v", ev)
 	}
@@ -100,7 +95,7 @@ func TestTailSamplingAcceptance(t *testing.T) {
 		t.Fatalf("span trace %s != event trace %s", root.Trace, ev.Trace)
 	}
 	if got := len(obs.Subtree(spans, root.ID)); got < 5 {
-		t.Fatalf("retained span tree has %d spans, want >= 5", got)
+		t.Fatalf("slow request span tree has %d spans, want >= 5", got)
 	}
 
 	// The slow-log entry is the same event on every surface.
@@ -125,16 +120,16 @@ func TestTailSamplingAcceptance(t *testing.T) {
 	}
 	checkSlow("/debug/slow", fromHTTP)
 
-	// Phase 3: a cancelled request is retained as an error even with
-	// sampling otherwise off.
-	tel = swapTelemetry(t, c, obs.TelemetryConfig{HeadSampleN: 1 << 30, SlowThreshold: time.Hour})
+	// Phase 3: a cancelled request is slow-logged as an error even under an
+	// unreachable threshold.
+	tel = swapTelemetry(t, c, obs.TelemetryConfig{SlowThreshold: time.Hour})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := c.QueryCtx(ctx, "delicious food"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled query error: %v", err)
 	}
 	evs = tel.Events()
-	if len(evs) != 1 || !evs[0].Retained || evs[0].RetainReason != "error" || evs[0].Status != "cancelled" {
+	if len(evs) != 1 || evs[0].Status != "cancelled" {
 		t.Fatalf("cancelled request events: %+v", evs)
 	}
 	if len(tel.SlowQueries()) != 1 {
@@ -143,8 +138,8 @@ func TestTailSamplingAcceptance(t *testing.T) {
 }
 
 // TestGoldenQueriesWithSampling replays the golden utterances with the full
-// telemetry stack on — tracing, head sampling, a 1ns slow threshold, SLO
-// accounting — and compares against the committed snapshots: telemetry must
+// telemetry stack on — tracing into a ring and a 1ns slow threshold (every
+// request takes the slow-log path) — and compares against the committed snapshots: telemetry must
 // never perturb results.
 func TestGoldenQueriesWithSampling(t *testing.T) {
 	c := newClient(t)
@@ -156,11 +151,7 @@ func TestGoldenQueriesWithSampling(t *testing.T) {
 	ring := obs.NewRing[obs.SpanRecord](1024)
 	c.SetTraceSink(ring)
 	defer c.SetTraceSink(nil)
-	swapTelemetry(t, c, obs.TelemetryConfig{
-		HeadSampleN:   1,
-		SlowThreshold: time.Nanosecond,
-		SLOTarget:     time.Second,
-	})
+	swapTelemetry(t, c, obs.TelemetryConfig{SlowThreshold: time.Nanosecond})
 	for _, tc := range goldenUtterances {
 		t.Run(tc.name, func(t *testing.T) {
 			got := snapshotResponse(tc.utterance, c.Query(tc.utterance))
@@ -180,11 +171,10 @@ func TestGoldenQueriesWithSampling(t *testing.T) {
 // TestTelemetryInert checks that observability is inert on generated
 // traffic: the same utterance stream must produce identical tags, unknown
 // tags and ranked results with no trace sink and default telemetry, and with
-// the full stack on — span tracing into a ring, head sampling of every
-// request, a 1ns slow threshold (every request takes the slow-log path), and
-// SLO accounting. The instrumented pass must also really observe the
-// workload: one retained wide event per query, each with a trace ID and stage
-// timings. The client is a clone of the shared one with the first eight
+// the full stack on — span tracing into a ring and a 1ns slow threshold
+// (every request takes the slow-log path). The instrumented pass must also
+// really observe the workload: one wide event per query, each with a trace
+// ID and stage timings. The client is a clone of the shared one with the first eight
 // canonical tags indexed, so unknown tags reach the similar-tag union and
 // the history.
 func TestTelemetryInert(t *testing.T) {
@@ -213,11 +203,7 @@ func TestTelemetryInert(t *testing.T) {
 			ring := NewRingSink(1024)
 			c.SetTraceSink(ring)
 			defer c.SetTraceSink(nil)
-			tel := swapTelemetry(t, c, obs.TelemetryConfig{
-				HeadSampleN:   1,
-				SlowThreshold: time.Nanosecond,
-				SLOTarget:     time.Second,
-			})
+			tel := swapTelemetry(t, c, obs.TelemetryConfig{SlowThreshold: time.Nanosecond})
 			traced := replay()
 			tagged := 0
 			for i := range bare {
@@ -239,12 +225,12 @@ func TestTelemetryInert(t *testing.T) {
 				t.Fatalf("%d wide events for %d queries", len(evs), queries)
 			}
 			for i, ev := range evs {
-				if ev.Kind != "query" || ev.Trace.IsZero() || ev.Duration <= 0 || len(ev.Stage) == 0 || !ev.Retained {
+				if ev.Kind != "query" || ev.Trace.IsZero() || ev.Duration <= 0 || len(ev.Stage) == 0 {
 					t.Fatalf("event %d not fully observed under a 1ns slow threshold: %+v", i, ev)
 				}
 			}
 			if len(ring.All()) == 0 {
-				t.Fatal("no spans retained despite full sampling")
+				t.Fatal("no spans reached the attached sink")
 			}
 		})
 	}
@@ -253,7 +239,7 @@ func TestTelemetryInert(t *testing.T) {
 // TestWideEventsIndependentOfSink checks that a query's wide event does not
 // depend on whether a trace sink is attached. With no sink the request builds
 // no span tree and its stages time themselves straight into the event; with
-// a RingSink they are spans, buffered and delivered. The same utterances must
+// a RingSink they are spans, delivered as they end. The same utterances must
 // yield events with the same stage keys, cache hits and misses, tag, unknown
 // and result counts, and generation. Each pass runs on its own clone with a
 // fresh extraction cache, so both meet the same misses and hits; the first
@@ -328,14 +314,14 @@ func TestWideEventsIndependentOfSink(t *testing.T) {
 // TestClientStatsHDRAndSLO checks the latency-accounting surface: the
 // request-latency quantiles appear in Stats().Histograms and the full
 // /metrics payload — p50/p90/p99/p999 summaries for request.latency.query and
-// every stage.* histogram, SLO counters and burn gauge — parses under the
-// Prometheus exposition grammar.
+// every stage.* histogram — parses under the Prometheus exposition grammar.
+// No slo_* series is exported.
 func TestClientStatsHDRAndSLO(t *testing.T) {
 	c := newClient(t)
 	if err := c.IndexEntities(demoEntities(), c.CanonicalTags()); err != nil {
 		t.Fatal(err)
 	}
-	swapTelemetry(t, c, obs.TelemetryConfig{SLOTarget: time.Minute})
+	swapTelemetry(t, c, obs.TelemetryConfig{})
 	const n = 5
 	for i := 0; i < n; i++ {
 		c.Query("a place with friendly staff")
@@ -349,12 +335,6 @@ func TestClientStatsHDRAndSLO(t *testing.T) {
 	if p50 <= 0 || p99 < p50 || p999 < p99 {
 		t.Fatalf("quantiles out of order: p50=%v p99=%v p999=%v", p50, p99, p999)
 	}
-	if good := snap.Counters["slo.requests.good.total"]; good < n {
-		t.Fatalf("slo.requests.good.total: %d, want >= %d", good, n)
-	}
-	if _, ok := snap.Gauges["slo.error_budget.burn"]; !ok {
-		t.Fatal("slo.error_budget.burn gauge missing")
-	}
 
 	srv, err := c.ServeMetrics("127.0.0.1:0")
 	if err != nil {
@@ -367,7 +347,7 @@ func TestClientStatsHDRAndSLO(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var sb strings.Builder
-	if err := obs.ValidatePrometheusText(io.TeeReader(resp.Body, &sb)); err != nil {
+	if err := promtext.Validate(io.TeeReader(resp.Body, &sb)); err != nil {
 		t.Fatalf("/metrics fails the exposition grammar: %v", err)
 	}
 	out := sb.String()
@@ -375,11 +355,13 @@ func TestClientStatsHDRAndSLO(t *testing.T) {
 		`request_latency_query_seconds{quantile="0.5"}`,
 		`request_latency_query_seconds{quantile="0.99"}`,
 		`request_latency_query_seconds{quantile="0.999"}`,
-		"slo_error_budget_burn",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if strings.Contains(out, "slo_") {
+		t.Error("/metrics exports an slo_* series")
 	}
 	for name := range snap.Histograms {
 		if !strings.HasPrefix(name, "stage.") && !strings.HasPrefix(name, "request.latency.") {
@@ -395,8 +377,8 @@ func TestClientStatsHDRAndSLO(t *testing.T) {
 }
 
 // TestConfigTelemetryKnobs proves the Config plumbing end to end with one
-// dedicated client: TraceSampleN/SlowThreshold/SLOTarget arm sampling, the
-// slow log, and SLO accounting, and the readiness lifecycle follows index
+// dedicated client: SlowThreshold arms the slow log, and the readiness
+// lifecycle follows index
 // publication — not ready before the first IndexEntities, ready after,
 // permanently not ready after Shutdown.
 func TestConfigTelemetryKnobs(t *testing.T) {
@@ -404,9 +386,7 @@ func TestConfigTelemetryKnobs(t *testing.T) {
 		t.Skip("trains a second pipeline")
 	}
 	cfg := DefaultConfig()
-	cfg.TraceSampleN = 1
 	cfg.SlowThreshold = time.Nanosecond
-	cfg.SLOTarget = time.Second
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -443,15 +423,11 @@ func TestConfigTelemetryKnobs(t *testing.T) {
 		t.Fatal("no wide events with telemetry knobs set")
 	}
 	last := evs[len(evs)-1]
-	if !last.Retained || last.Trace.IsZero() {
-		t.Fatalf("knob-armed query not retained: %+v", last)
+	if last.Kind != "query" || last.Trace.IsZero() {
+		t.Fatalf("knob-armed query event: %+v", last)
 	}
 	if len(c.SlowQueries()) == 0 {
 		t.Fatal("1ns SlowThreshold produced no slow-log entries")
-	}
-	snap := c.Stats()
-	if snap.Counters["slo.requests.good.total"]+snap.Counters["slo.requests.bad.total"] == 0 {
-		t.Fatal("SLOTarget produced no SLO accounting")
 	}
 
 	c.Shutdown()
@@ -471,7 +447,7 @@ func TestTraceSinkSwapRace(t *testing.T) {
 	if err := c.IndexEntities(demoEntities(), c.CanonicalTags()); err != nil {
 		t.Fatal(err)
 	}
-	swapTelemetry(t, c, obs.TelemetryConfig{HeadSampleN: 2, SlowThreshold: time.Nanosecond})
+	swapTelemetry(t, c, obs.TelemetryConfig{SlowThreshold: time.Nanosecond})
 	defer c.SetTraceSink(nil)
 
 	var wg sync.WaitGroup
@@ -506,6 +482,84 @@ func TestTraceSinkSwapRace(t *testing.T) {
 	}
 }
 
+// TestConcurrentRequestsDeliverWholeTrees runs QueryCtx from several
+// goroutines with a RingSink attached. Each request hands its spans to the
+// sink as they end, so the spans of concurrent requests interleave there;
+// every request's root must still head a complete subtree — one span name
+// per stage its wide event timed, and no span of its trace outside the
+// subtree — and every span in it must carry that request's trace ID.
+func TestConcurrentRequestsDeliverWholeTrees(t *testing.T) {
+	c := newClient(t)
+	if err := c.IndexEntities(demoEntities(), c.CanonicalTags()); err != nil {
+		t.Fatal(err)
+	}
+	ring := NewRingSink(4096)
+	c.SetTraceSink(ring)
+	defer c.SetTraceSink(nil)
+	tel := swapTelemetry(t, c, obs.TelemetryConfig{})
+	utterances := []string{
+		"an Italian restaurant in Montreal with delicious food",
+		"a place with friendly staff and a splendiferous vibe",
+		"delicious food in Montreal",
+		"somewhere romantic with helpful waiters",
+	}
+	const workers, per = 4, 6
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*per)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if _, err := c.QueryCtx(context.Background(), utterances[(g+i)%len(utterances)]); err != nil {
+					errs <- err
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	spans := ring.All()
+	perTrace := map[obs.TraceID]int{}
+	for _, s := range spans {
+		perTrace[s.Trace]++
+	}
+	evs := tel.Events()
+	if len(evs) != workers*per {
+		t.Fatalf("%d wide events for %d queries", len(evs), workers*per)
+	}
+	for i, ev := range evs {
+		sub := obs.Subtree(spans, uint64(ev.Root))
+		if len(sub) == 0 || sub[0].Name != "query" || sub[0].Parent != 0 {
+			t.Fatalf("request %d: no root span %s in the sink", i, ev.Root)
+		}
+		stages := map[string]bool{}
+		for _, s := range sub {
+			if s.Trace != ev.Trace {
+				t.Fatalf("request %d: span %s carries trace %s, want %s", i, s.Name, s.Trace, ev.Trace)
+			}
+			if s.Parent != 0 {
+				stages[s.Name] = true
+			}
+		}
+		if len(stages) != len(ev.Stage) {
+			t.Fatalf("request %d: span names %v, wide-event stages %v", i, stages, ev.Stage)
+		}
+		for name := range ev.Stage {
+			if !stages[name] {
+				t.Fatalf("request %d: stage %s has no span in the subtree", i, name)
+			}
+		}
+		if n := perTrace[ev.Trace]; n != len(sub) {
+			t.Fatalf("request %d: %d spans carry its trace, %d are in its subtree", i, n, len(sub))
+		}
+	}
+}
+
 // TestObsLint is the telemetry schema gate run by `make ci` (obs-lint): every
 // child stage span the pipeline emits must be declared in obs.StageNames,
 // must have a registered latency histogram, and must surface in the wide
@@ -519,7 +573,7 @@ func TestObsLint(t *testing.T) {
 	ring := obs.NewRing[obs.SpanRecord](2048)
 	c.SetTraceSink(ring)
 	defer c.SetTraceSink(nil)
-	tel := swapTelemetry(t, c, obs.TelemetryConfig{HeadSampleN: 1})
+	tel := swapTelemetry(t, c, obs.TelemetryConfig{})
 
 	// Cover every request kind: query (with an unknown tag so history.drain
 	// has work), extract, and reindex.
