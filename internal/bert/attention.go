@@ -13,20 +13,11 @@ import (
 type MultiHeadAttention struct {
 	Dim, Heads, HeadDim int
 	Wq, Wk, Wv, Wo      *nn.Linear
-	cache               *mhaCache
 
 	// qkv caches Wq/Wk/Wv frozen as one stacked int8 weight for the
 	// reduced-precision forward (infer_quant.go); their own Quantize copies
 	// are never built on that path. Never copy an attention block by value.
 	qkv nn.StackedQuant
-}
-
-type mhaCache struct {
-	xs         []mat.Vec
-	q, k, v    []mat.Vec   // per token, full Dim
-	attn       [][]mat.Vec // [head][i] -> weights over j
-	headOut    []mat.Vec   // per token, concatenated head outputs
-	outputsRaw []mat.Vec   // Wo input (== headOut)
 }
 
 // NewMultiHeadAttention returns an attention block; dim must divide by heads.
@@ -52,98 +43,121 @@ func (m *MultiHeadAttention) Params() []*nn.Param {
 	return ps
 }
 
-// ForwardSeq runs self-attention over the sequence and returns the per-token
-// outputs. Attention matrices are cached and retrievable via Attention.
-func (m *MultiHeadAttention) ForwardSeq(xs []mat.Vec) []mat.Vec {
-	n := len(xs)
-	c := &mhaCache{
-		xs: xs,
-		q:  m.Wq.ForwardSeq(xs),
-		k:  m.Wk.ForwardSeq(xs),
-		v:  m.Wv.ForwardSeq(xs),
-	}
+// Forward runs self-attention over a sequence, a token per row of x, every
+// matrix carved from a. The Q/K/V/O projections are GEMMs over all rows;
+// the score, softmax and weighted-sum loops run per head and token. With a
+// tape it records Q, K, V and the attention rows (head h, token i at row
+// h·n+i) for Backward, and keeps the attention rows for Model.Attention.
+func (m *MultiHeadAttention) Forward(x *mat.Mat, a *nn.Arena, t *nn.Tape) *mat.Mat {
+	n := x.Rows
+	q := m.Wq.ForwardRows(x, a, t)
+	k := m.Wk.ForwardRows(x, a, t)
+	v := m.Wv.ForwardRows(x, a, t)
 	scale := 1 / math.Sqrt(float64(m.HeadDim))
-	c.attn = make([][]mat.Vec, m.Heads)
-	c.headOut = nn.NewSeq(n, m.Dim)
-	scores := mat.NewVec(n)
+	headOut := a.Mat(n, m.Dim)
+	sc := a.Vec(n)
+	at := a.Vec(n) // inference: one reused attention row
+	var attn *mat.Mat
+	if t != nil {
+		attn = a.MatRaw(m.Heads*n, n)
+		t.Push(q, k, v, attn)
+		t.Keep(attn)
+	}
 	for h := 0; h < m.Heads; h++ {
 		lo := h * m.HeadDim
 		hi := lo + m.HeadDim
-		c.attn[h] = nn.NewSeq(n, n)
 		for i := 0; i < n; i++ {
-			qi := c.q[i][lo:hi]
-			for j := 0; j < n; j++ {
-				scores[j] = mat.Vec(qi).Dot(c.k[j][lo:hi]) * scale
+			if attn != nil {
+				at = attn.Row(h*n + i)
 			}
-			a := c.attn[h][i]
-			mat.Softmax(a, scores)
-			out := c.headOut[i][lo:hi]
+			// The dot and weighted-sum loops below are Vec.Dot and
+			// Vec.AddScaled inlined (same per-element order, ascending
+			// k/j, zero-weight skip preserved) — the call and slicing
+			// overhead of 2·n² tiny vector ops per head dominates at
+			// HeadDim 8, so the serial kernels are spelled out here.
+			qi := q.Row(i)[lo:hi:hi]
+			// Two keys per iteration: each dot keeps Vec.Dot's ascending-d
+			// accumulation (bit-identical), but the two independent sum
+			// chains overlap in the FP pipeline where a single chain is
+			// latency-bound.
+			j := 0
+			for ; j+1 < n; j += 2 {
+				kj0 := k.Row(j)[lo:hi:hi]
+				kj1 := k.Row(j + 1)[lo:hi:hi]
+				var s0, s1 float64
+				for d, qv := range qi {
+					s0 += qv * kj0[d]
+					s1 += qv * kj1[d]
+				}
+				sc[j] = s0 * scale
+				sc[j+1] = s1 * scale
+			}
+			for ; j < n; j++ {
+				kj := k.Row(j)[lo:hi:hi]
+				var s float64
+				for d, qv := range qi {
+					s += qv * kj[d]
+				}
+				sc[j] = s * scale
+			}
+			mat.Softmax(at, sc)
+			out := headOut.Row(i)[lo:hi:hi]
 			for j := 0; j < n; j++ {
-				if a[j] == 0 {
+				aj := at[j]
+				if aj == 0 {
 					continue
 				}
-				mat.Vec(out).AddScaled(a[j], c.v[j][lo:hi])
+				vj := v.Row(j)[lo:hi:hi]
+				for d := range out {
+					out[d] += aj * vj[d]
+				}
 			}
 		}
 	}
-	c.outputsRaw = c.headOut
-	m.cache = c
-	return m.Wo.ForwardSeq(c.headOut)
+	return m.Wo.ForwardRows(headOut, a, t)
 }
 
-// Attention returns the cached attention matrix of one head: row i is token
-// i's distribution over the sequence (Fig. 5's heatmap rows).
-func (m *MultiHeadAttention) Attention(head int) []mat.Vec {
-	if m.cache == nil || head < 0 || head >= m.Heads {
-		return nil
-	}
-	return m.cache.attn[head]
-}
-
-// BackwardSeq backpropagates through the most recent ForwardSeq and returns
-// per-token input gradients.
-func (m *MultiHeadAttention) BackwardSeq(dys []mat.Vec) []mat.Vec {
-	c := m.cache
-	n := len(dys)
+// Backward pops what Forward recorded, backpropagates the upstream
+// gradients dy (a row per token) and returns the input gradients.
+func (m *MultiHeadAttention) Backward(t *nn.Tape, dy *mat.Mat) *mat.Mat {
+	dHeadOut := m.Wo.BackwardRows(t, dy)
+	attn, v, k, q := t.Pop(), t.Pop(), t.Pop(), t.Pop()
+	n := dy.Rows
 	scale := 1 / math.Sqrt(float64(m.HeadDim))
-
-	dHeadOut := m.Wo.BackwardSeq(c.outputsRaw, dys)
-	dq := nn.NewSeq(n, m.Dim)
-	dk := nn.NewSeq(n, m.Dim)
-	dv := nn.NewSeq(n, m.Dim)
-	dA := mat.NewVec(n)
+	dq, dk, dv := t.Mat(n, m.Dim), t.Mat(n, m.Dim), t.Mat(n, m.Dim)
+	dA := t.Vec(n)
 	for h := 0; h < m.Heads; h++ {
 		lo := h * m.HeadDim
 		hi := lo + m.HeadDim
 		for i := 0; i < n; i++ {
-			a := c.attn[h][i]
-			dOut := mat.Vec(dHeadOut[i][lo:hi])
+			at := attn.Row(h*n + i)
+			dOut := dHeadOut.Row(i)[lo:hi]
 			// dA[j] = dOut · v_j ; dv_j += a[j] * dOut
 			for j := 0; j < n; j++ {
-				dA[j] = dOut.Dot(c.v[j][lo:hi])
-				mat.Vec(dv[j][lo:hi]).AddScaled(a[j], dOut)
+				dA[j] = dOut.Dot(v.Row(j)[lo:hi])
+				dv.Row(j)[lo:hi].AddScaled(at[j], dOut)
 			}
 			// Softmax backward: dS[j] = a[j]*(dA[j] - Σ_k a[k] dA[k])
 			var dot float64
 			for j := 0; j < n; j++ {
-				dot += a[j] * dA[j]
+				dot += at[j] * dA[j]
 			}
 			for j := 0; j < n; j++ {
-				dS := a[j] * (dA[j] - dot) * scale
+				dS := at[j] * (dA[j] - dot) * scale
 				if dS == 0 {
 					continue
 				}
-				mat.Vec(dq[i][lo:hi]).AddScaled(dS, c.k[j][lo:hi])
-				mat.Vec(dk[j][lo:hi]).AddScaled(dS, c.q[i][lo:hi])
+				dq.Row(i)[lo:hi].AddScaled(dS, k.Row(j)[lo:hi])
+				dk.Row(j)[lo:hi].AddScaled(dS, q.Row(i)[lo:hi])
 			}
 		}
 	}
-	dxs := m.Wq.BackwardSeq(c.xs, dq) // this call's own buffer: sum in place
-	dxk := m.Wk.BackwardSeq(c.xs, dk)
-	dxv := m.Wv.BackwardSeq(c.xs, dv)
-	for i, dx := range dxs {
-		dx.Add(dxk[i])
-		dx.Add(dxv[i])
-	}
-	return dxs
+	// The tape pops Wv, Wk, Wq in that order; the input gradient still sums
+	// as (dq + dk) + dv.
+	dxv := m.Wv.BackwardRows(t, dv)
+	dxk := m.Wk.BackwardRows(t, dk)
+	dx := m.Wq.BackwardRows(t, dq)
+	mat.Vec(dx.Data).Add(dxk.Data)
+	mat.Vec(dx.Data).Add(dxv.Data)
+	return dx
 }

@@ -3,6 +3,7 @@ package bert
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"saccs/internal/corpus"
@@ -157,6 +158,41 @@ func TestContextualEmbeddings(t *testing.T) {
 	if diff.Norm() < 1e-9 {
 		t.Fatal("contextual embeddings are identical across contexts")
 	}
+}
+
+// TestBackwardConsumesOneEncode pins Model.Backward's contract: one
+// Backward per Encode. With no Encode, after a second Backward, or after a
+// TrainMLM (which drops the tape), it fails with a message naming the rule.
+func TestBackwardConsumesOneEncode(t *testing.T) {
+	m := New(rand.New(rand.NewSource(9)), tinyConfig(), tinyVocab())
+	words := []string{"the", "food", "is", "delicious"}
+	dhs := func() []mat.Vec {
+		out := make([]mat.Vec, len(words))
+		for i := range out {
+			out[i] = mat.NewVec(m.Cfg.Dim)
+			out[i][0] = 1
+		}
+		return out
+	}
+	wantPanic := func(when string) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "Backward without an unconsumed Encode") {
+				t.Fatalf("Backward %s: recovered %q, want the one-Backward-per-Encode panic", when, msg)
+			}
+		}()
+		m.Backward(dhs())
+	}
+	wantPanic("before any Encode")
+	m.EncodeTokens(words)
+	if dx := m.Backward(dhs()); len(dx) != len(words) {
+		t.Fatalf("Backward returned %d rows, want %d", len(dx), len(words))
+	}
+	wantPanic("a second time")
+	m.EncodeTokens(words)
+	m.TrainMLM(rand.New(rand.NewSource(10)), [][]string{words}, MLMConfig{Epochs: 1, LR: 1e-3, MaskProb: 0.15, ClipNorm: 5})
+	wantPanic("after TrainMLM")
 }
 
 func TestTrainMLMReducesLoss(t *testing.T) {

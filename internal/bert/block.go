@@ -14,18 +14,6 @@ type Block struct {
 	Attn     *MultiHeadAttention
 	LN1, LN2 *LayerNorm
 	FF1, FF2 *nn.Linear
-
-	cache *blockCache
-}
-
-type blockCache struct {
-	xs      []mat.Vec // block input
-	res1    []mat.Vec // x + attn(x), LN1 input
-	h1      []mat.Vec // LN1 output (FFN input)
-	ffPre   []mat.Vec // FF1 output pre-GELU
-	ffAct   []mat.Vec // GELU output
-	res2In  []mat.Vec // h1 + FF2(ffAct), LN2 input
-	ffnOuts []mat.Vec
 }
 
 // NewBlock builds one encoder layer.
@@ -49,58 +37,50 @@ func (b *Block) Params() []*nn.Param {
 	return ps
 }
 
-// ForwardSeq runs the layer over a token vector sequence.
-func (b *Block) ForwardSeq(xs []mat.Vec) []mat.Vec {
-	c := &blockCache{xs: xs}
-	attnOut := b.Attn.ForwardSeq(xs)
-	c.res1 = addSeq(xs, attnOut)
-	c.h1 = b.LN1.ForwardSeq(c.res1)
-
-	c.ffPre = b.FF1.ForwardSeq(c.h1)
-	c.ffAct = nn.NewSeq(len(xs), b.FF1.Out)
-	for i := range c.ffPre {
-		nn.GELUInto(c.ffAct[i], c.ffPre[i])
+// Forward runs the layer over a sequence, a token per row of x, every matrix
+// carved from a: res1 = x + attn(x), h1 = LN1(res1), res2 = h1 +
+// FF2(gelu(FF1(h1))), out = LN2(res2). With a tape its sublayers record
+// themselves, and the block records the pre-GELU FFN rows.
+func (b *Block) Forward(x *mat.Mat, a *nn.Arena, t *nn.Tape) *mat.Mat {
+	n := x.Rows
+	res1 := addRows(a, x, b.Attn.Forward(x, a, t))
+	h1 := b.LN1.Forward(res1, a, t)
+	ffPre := b.FF1.ForwardRows(h1, a, t)
+	if t != nil {
+		t.Push(ffPre)
 	}
-	c.ffnOuts = b.FF2.ForwardSeq(c.ffAct)
-	c.res2In = addSeq(c.h1, c.ffnOuts)
-	b.cache = c
-	return b.LN2.ForwardSeq(c.res2In)
+	ffAct := a.MatRaw(n, ffPre.Cols)
+	for i := 0; i < n; i++ {
+		nn.GELUInto(ffAct.Row(i), ffPre.Row(i))
+	}
+	res2 := addRows(a, h1, b.FF2.ForwardRows(ffAct, a, t))
+	return b.LN2.Forward(res2, a, t)
 }
 
-// addSeq returns the element-wise sums xs[i] + ys[i] as a new sequence.
-func addSeq(xs, ys []mat.Vec) []mat.Vec {
-	if len(xs) == 0 {
-		return nil
-	}
-	out := nn.NewSeq(len(xs), len(xs[0]))
-	for i, v := range out {
-		copy(v, xs[i])
-		v.Add(ys[i])
-	}
+// addRows returns x + y, element-wise, in a matrix carved from a.
+func addRows(a *nn.Arena, x, y *mat.Mat) *mat.Mat {
+	out := a.MatRaw(x.Rows, x.Cols)
+	copy(out.Data, x.Data)
+	mat.Vec(out.Data).Add(y.Data)
 	return out
 }
 
-// BackwardSeq backpropagates through the most recent ForwardSeq.
-func (b *Block) BackwardSeq(dys []mat.Vec) []mat.Vec {
-	c := b.cache
-	dRes2 := b.LN2.BackwardSeq(dys)
+// Backward pops what Forward recorded, backpropagates the upstream
+// gradients dy (a row per token) and returns the input gradients.
+func (b *Block) Backward(t *nn.Tape, dy *mat.Mat) *mat.Mat {
+	dRes2 := b.LN2.Backward(t, dy)
 	// res2 = h1 + FF2(gelu(FF1(h1)))
-	dFFOut := dRes2 // gradient into FF2 output
-	dFFAct := b.FF2.BackwardSeq(c.ffAct, dFFOut)
-	dFFPre := nn.NewSeq(len(dys), b.FF1.Out)
-	for i := range dFFAct {
-		nn.GELUBackwardInto(dFFPre[i], c.ffPre[i], dFFAct[i])
+	dFFAct := b.FF2.BackwardRows(t, dRes2)
+	ffPre := t.Pop()
+	dFFPre := t.MatRaw(ffPre.Rows, ffPre.Cols)
+	for i := 0; i < ffPre.Rows; i++ {
+		nn.GELUBackwardInto(dFFPre.Row(i), ffPre.Row(i), dFFAct.Row(i))
 	}
-	dH1 := b.FF1.BackwardSeq(c.h1, dFFPre)
-	for i := range dH1 {
-		dH1[i].Add(dRes2[i]) // residual path
-	}
-	dRes1 := b.LN1.BackwardSeq(dH1)
+	dH1 := b.FF1.BackwardRows(t, dFFPre)
+	mat.Vec(dH1.Data).Add(dRes2.Data) // residual path
+	dRes1 := b.LN1.Backward(t, dH1)
 	// res1 = x + attn(x): dRes1 is this call's own buffer and Attn has
 	// consumed it, so the residual sum is formed in place.
-	dAttn := b.Attn.BackwardSeq(dRes1)
-	for i := range dRes1 {
-		dRes1[i].Add(dAttn[i])
-	}
+	mat.Vec(dRes1.Data).Add(b.Attn.Backward(t, dRes1).Data)
 	return dRes1
 }

@@ -6,6 +6,7 @@ import (
 
 	"saccs/internal/mat"
 	"saccs/internal/nn"
+	"saccs/internal/tokenize"
 )
 
 // onBothKernelPaths runs f on mat's vector kernels (where the CPU has them)
@@ -44,20 +45,14 @@ func requireSameVecs(t *testing.T, what string, want, got []mat.Vec) {
 
 // matRows views the rows of m as vectors.
 func matRows(m *mat.Mat) []mat.Vec {
-	out := make([]mat.Vec, m.Rows)
-	for i := range out {
-		out[i] = m.Row(i)
-	}
-	return out
+	var a nn.Arena
+	return a.Rows(m)
 }
 
 // packVecs copies a sequence of vectors into the rows of one matrix.
 func packVecs(xs []mat.Vec, dim int) *mat.Mat {
-	m := mat.NewMat(len(xs), dim)
-	for i, x := range xs {
-		copy(m.Row(i), x)
-	}
-	return m
+	var a nn.Arena
+	return a.Pack(xs, dim)
 }
 
 func randVecs(rng *rand.Rand, n, dim int) []mat.Vec {
@@ -71,54 +66,98 @@ func randVecs(rng *rand.Rand, n, dim int) []mat.Vec {
 	return xs
 }
 
-// The float64 GEMM forward promises bit-identical hidden states to the
-// training forward, layer by layer: the golden snapshots, the index bytes and
-// the extraction cache's determinism contract all rest on inference executing
-// Encode's float operations in Encode's order. Lengths cover empty, one
-// token, a ragged middle, a full MaxLen window and beyond it.
+// requireSameAttention compares one layer's attention rows, as the taped
+// forward records them (head h, token i at row h·n+i), with the reference's.
+func requireSameAttention(t *testing.T, what string, want [][]mat.Vec, got *mat.Mat) {
+	t.Helper()
+	if got == nil {
+		t.Fatalf("%s: no attention rows recorded", what)
+	}
+	var flat []mat.Vec
+	for _, head := range want {
+		flat = append(flat, head...)
+	}
+	requireSameVecs(t, what, flat, matRows(got))
+}
 
-func TestAttentionInferBatchMatchesForwardSeq(t *testing.T) {
+// The float64 forward promises hidden states bit-identical to the per-token
+// reference of reference_test.go, layer by layer, with and without a tape:
+// the golden snapshots, the index bytes and the extraction cache's
+// determinism contract all rest on inference executing the reference's
+// float operations in its order, and training runs the same forward on a
+// tape. Lengths cover empty, one token, a ragged middle, a full MaxLen
+// window and beyond it.
+
+func TestAttentionForwardMatchesReference(t *testing.T) {
 	onBothKernelPaths(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(26))
 		m := NewMultiHeadAttention(rng, "t", 16, 4)
 		for _, n := range []int{0, 1, 7, 16, 28} {
 			xs := randVecs(rng, n, m.Dim)
-			want := m.ForwardSeq(xs)
+			want, wantAttn := refAttention(m, xs)
 			var a nn.Arena
-			got := m.InferBatch(packVecs(xs, m.Dim), &a)
-			requireSameVecs(t, "attention", want, matRows(got))
+			requireSameVecs(t, "attention", want, matRows(m.Forward(packVecs(xs, m.Dim), &a, nil)))
+			var tape nn.Tape
+			got := m.Forward(packVecs(xs, m.Dim), &tape.Arena, &tape)
+			requireSameVecs(t, "taped attention", want, matRows(got))
+			requireSameAttention(t, "taped attention rows", wantAttn, tape.Kept(0))
 		}
 	})
 }
 
-func TestBlockInferBatchMatchesForwardSeq(t *testing.T) {
+func TestBlockForwardMatchesReference(t *testing.T) {
 	onBothKernelPaths(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(27))
 		b := NewBlock(rng, "t", 16, 4, 24)
 		for _, n := range []int{0, 1, 7, 16, 28} {
 			xs := randVecs(rng, n, 16)
-			want := b.ForwardSeq(xs)
+			want, _ := refBlock(b, xs)
 			var a nn.Arena
-			got := b.InferBatch(packVecs(xs, 16), &a)
-			requireSameVecs(t, "block", want, matRows(got))
+			requireSameVecs(t, "block", want, matRows(b.Forward(packVecs(xs, 16), &a, nil)))
+			var tape nn.Tape
+			requireSameVecs(t, "taped block", want, matRows(b.Forward(packVecs(xs, 16), &tape.Arena, &tape)))
 		}
 	})
 }
 
-func TestInferMatchesEncode(t *testing.T) {
+// referenceModel is the two-layer model the whole-encoder identities run on.
+func referenceModel() (*Model, *tokenize.Vocab) {
+	v := tinyVocab()
+	return New(rand.New(rand.NewSource(21)), Config{Layers: 2, Heads: 2, Dim: 8, FFDim: 12, MaxLen: 16}, v), v
+}
+
+func TestEncodeAndInferMatchReference(t *testing.T) {
 	onBothKernelPaths(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(21))
-		v := tinyVocab()
-		m := New(rng, Config{Layers: 2, Heads: 2, Dim: 8, FFDim: 12, MaxLen: 16}, v)
+		m, v := referenceModel()
 		for _, n := range []int{0, 1, 7, m.Cfg.MaxLen, m.Cfg.MaxLen + 12} {
 			ids := v.Encode(cycleTokens(n))
-			want := m.Encode(ids)
+			want, _ := refEncode(m, ids)
 			if len(want) != min(n, m.Cfg.MaxLen) {
-				t.Fatalf("Encode kept %d of %d tokens", len(want), n)
+				t.Fatalf("reference kept %d of %d tokens", len(want), n)
 			}
+			requireSameVecs(t, "Encode", want, m.Encode(ids))
 			requireSameVecs(t, "Infer", want, m.Infer(ids))
 			var a nn.Arena
 			requireSameVecs(t, "InferTokensArena", want, matRows(m.InferTokensArena(cycleTokens(n), &a)))
+		}
+	})
+}
+
+// TestAttentionReadbackMatchesReference pins the Fig. 5 readback: after
+// EncodeTokens, Model.Attention(layer, head) is the reference forward's
+// attention rows for that layer and head, bit for bit.
+func TestAttentionReadbackMatchesReference(t *testing.T) {
+	onBothKernelPaths(t, func(t *testing.T) {
+		m, v := referenceModel()
+		for _, n := range []int{0, 1, 7, m.Cfg.MaxLen, m.Cfg.MaxLen + 12} {
+			tokens := cycleTokens(n)
+			_, wantAttn := refEncode(m, v.Encode(tokens))
+			m.EncodeTokens(tokens)
+			for layer := range m.Blocks {
+				for head := 0; head < m.Cfg.Heads; head++ {
+					requireSameVecs(t, "Attention", wantAttn[layer][head], m.Attention(layer, head))
+				}
+			}
 		}
 	})
 }

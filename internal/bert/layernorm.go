@@ -17,16 +17,10 @@ import (
 // LayerNorm normalizes a vector to zero mean / unit variance and applies a
 // learned affine transform.
 type LayerNorm struct {
-	Dim   int
-	Gain  *nn.Param // 1×Dim
-	Bias  *nn.Param // 1×Dim
-	Eps   float64
-	cache []lnCache
-}
-
-type lnCache struct {
-	xhat mat.Vec
-	std  float64
+	Dim  int
+	Gain *nn.Param // 1×Dim
+	Bias *nn.Param // 1×Dim
+	Eps  float64
 }
 
 // NewLayerNorm returns a layer norm with gain 1 and bias 0.
@@ -46,66 +40,60 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 // Params returns the learnable tensors.
 func (ln *LayerNorm) Params() []*nn.Param { return []*nn.Param{ln.Gain, ln.Bias} }
 
-// ForwardSeq normalizes each vector, caching intermediates for BackwardSeq.
-func (ln *LayerNorm) ForwardSeq(xs []mat.Vec) []mat.Vec {
-	ln.cache = make([]lnCache, len(xs))
-	ys := nn.NewSeq(len(xs), ln.Dim)
-	xhats := nn.NewSeq(len(xs), ln.Dim)
-	for t, x := range xs {
-		mean := x.Mean()
+// Forward normalizes each row of x into rows carved from a: xhat =
+// (x − mean)/std, then xhat·gain + bias. With a tape it records every row's
+// xhat and std for Backward.
+func (ln *LayerNorm) Forward(x *mat.Mat, a *nn.Arena, t *nn.Tape) *mat.Mat {
+	n := x.Rows
+	y := a.MatRaw(n, ln.Dim)
+	xhat, std := a.MatRaw(1, ln.Dim), (*mat.Mat)(nil) // inference: one reused xhat row
+	if t != nil {
+		xhat, std = a.MatRaw(n, ln.Dim), a.MatRaw(n, 1)
+		t.Push(xhat, std)
+	}
+	gain, bias := ln.Gain.W.Data, ln.Bias.W.Data
+	for r := 0; r < n; r++ {
+		xr, yr, hr := x.Row(r), y.Row(r), xhat.Row(0)
+		mean := xr.Mean()
 		var varSum float64
-		for _, v := range x {
+		for _, v := range xr {
 			d := v - mean
 			varSum += d * d
 		}
-		std := math.Sqrt(varSum/float64(len(x)) + ln.Eps)
-		xhat, y := xhats[t], ys[t]
-		for i, v := range x {
-			xhat[i] = (v - mean) / std
-			y[i] = xhat[i]*ln.Gain.W.Data[i] + ln.Bias.W.Data[i]
+		s := math.Sqrt(varSum/float64(len(xr)) + ln.Eps)
+		if std != nil {
+			hr = xhat.Row(r)
+			std.Data[r] = s
 		}
-		ln.cache[t] = lnCache{xhat: xhat, std: std}
+		for i, v := range xr {
+			hr[i] = (v - mean) / s
+			yr[i] = hr[i]*gain[i] + bias[i]
+		}
 	}
-	return ys
+	return y
 }
 
-// ApplyInto normalizes x into the caller-provided y — the allocation-free
-// inference row kernel. It computes exactly what ForwardSeq computes for one
-// vector (same mean/variance/affine order), writes no receiver state, and is
-// safe for concurrent callers (BackwardSeq still requires a prior
-// ForwardSeq).
-func (ln *LayerNorm) ApplyInto(y, x mat.Vec) {
-	mean := x.Mean()
-	var varSum float64
-	for _, v := range x {
-		d := v - mean
-		varSum += d * d
-	}
-	std := math.Sqrt(varSum/float64(len(x)) + ln.Eps)
-	for i, v := range x {
-		y[i] = (v-mean)/std*ln.Gain.W.Data[i] + ln.Bias.W.Data[i]
-	}
-}
-
-// BackwardSeq backpropagates through the most recent ForwardSeq.
-func (ln *LayerNorm) BackwardSeq(dys []mat.Vec) []mat.Vec {
-	dxs := nn.NewSeq(len(dys), ln.Dim)
-	dxhat := mat.NewVec(ln.Dim)
+// Backward pops what Forward recorded, backpropagates the upstream
+// gradients dy (a row per token) and returns the input gradients.
+func (ln *LayerNorm) Backward(t *nn.Tape, dy *mat.Mat) *mat.Mat {
+	std, xhat := t.Pop(), t.Pop()
+	dx := t.MatRaw(dy.Rows, ln.Dim)
+	dxhat := t.Vec(ln.Dim)
 	n := float64(ln.Dim)
-	for t, dy := range dys {
-		c := ln.cache[t]
+	for r := 0; r < dy.Rows; r++ {
+		d, xh, s := dy.Row(r), xhat.Row(r), std.Data[r]
 		var sumDxhat, sumDxhatXhat float64
-		for i, d := range dy {
-			ln.Gain.G.Data[i] += d * c.xhat[i]
-			ln.Bias.G.Data[i] += d
-			dxhat[i] = d * ln.Gain.W.Data[i]
+		for i, dv := range d {
+			ln.Gain.G.Data[i] += dv * xh[i]
+			ln.Bias.G.Data[i] += dv
+			dxhat[i] = dv * ln.Gain.W.Data[i]
 			sumDxhat += dxhat[i]
-			sumDxhatXhat += dxhat[i] * c.xhat[i]
+			sumDxhatXhat += dxhat[i] * xh[i]
 		}
-		dx := dxs[t]
-		for i := range dx {
-			dx[i] = (dxhat[i] - sumDxhat/n - c.xhat[i]*sumDxhatXhat/n) / c.std
+		dxr := dx.Row(r)
+		for i := range dxr {
+			dxr[i] = (dxhat[i] - sumDxhat/n - xh[i]*sumDxhatXhat/n) / s
 		}
 	}
-	return dxs
+	return dx
 }

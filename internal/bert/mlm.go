@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"time"
 
-	"saccs/internal/mat"
 	"saccs/internal/nn"
 	"saccs/internal/tokenize"
 )
@@ -77,37 +76,41 @@ func (m *Model) TrainMLM(rng *rand.Rand, corpus [][]string, cfg MLMConfig) float
 			m.o.Counter("bert.mlm.epochs.total").Inc()
 		}
 	}
+	// The MLM head's transposes and logits are the tape's largest records:
+	// drop its storage rather than keep it for the model's lifetime.
+	m.tape = nn.Tape{}
 	return lastEpochLoss
 }
 
 // mlmStep is one masked-language-model update on a sentence: encode the
 // masked ids, score every target position against its original id through
-// the MLM head (one GEMM over the targets, forward and backward), then
-// backpropagate, clip and step. It returns the mean loss over the targets.
-// The head's weight gradient folds the targets in their order, as the
-// per-target Forward/Backward it replaces did, so every update is
-// bit-identical to it.
+// the MLM head (one GEMM over the targets, forward and backward, on the
+// encoder's tape), then backpropagate, clip and step. It returns the mean
+// loss over the targets. The head's weight gradient folds the targets in
+// their order, as the per-target Forward/Backward it replaces did, so every
+// update is bit-identical to it.
 func (m *Model) mlmStep(opt nn.Optimizer, params []*nn.Param, ids, masked, targets []int, clipNorm float64) float64 {
 	nn.ZeroGrads(params)
-	hs := m.Encode(masked)
-	th := make([]mat.Vec, len(targets))
+	hs := m.encode(masked)
+	t := &m.tape
+	th := t.MatRaw(len(targets), m.Cfg.Dim)
 	for i, pos := range targets {
-		th[i] = hs[pos]
+		copy(th.Row(i), hs.Row(pos))
 	}
-	logits := m.MLMHead.ForwardSeq(th)
-	dLogits := make([]mat.Vec, len(targets))
+	logits := m.MLMHead.ForwardRows(th, &t.Arena, t)
+	dLogits := t.MatRaw(len(targets), logits.Cols)
 	var loss float64
 	for i, pos := range targets {
-		l, d := nn.SoftmaxCE(logits[i], ids[pos])
+		l, d := nn.SoftmaxCE(logits.Row(i), ids[pos])
 		loss += l
-		dLogits[i] = d
+		copy(dLogits.Row(i), d)
 	}
-	dth := m.MLMHead.BackwardSeq(th, dLogits)
-	dhs := nn.NewSeq(len(hs), m.Cfg.Dim)
+	dth := m.MLMHead.BackwardRows(t, dLogits)
+	dhs := t.Mat(hs.Rows, m.Cfg.Dim)
 	for i, pos := range targets {
-		dhs[pos].Add(dth[i])
+		dhs.Row(pos).Add(dth.Row(i))
 	}
-	m.Backward(dhs)
+	m.backward(dhs)
 	nn.ClipGrads(params, clipNorm)
 	opt.Step(params)
 	return loss / float64(len(targets))

@@ -42,8 +42,10 @@ type Model struct {
 	// MLMHead projects hidden states back onto the vocabulary.
 	MLMHead *nn.Linear
 
-	lastIDs    []int
-	lastEmbeds []mat.Vec
+	// lastIDs and tape record the last Encode: Backward and Attention read
+	// them until the next Encode.
+	lastIDs []int
+	tape    nn.Tape
 
 	// scratch recycles per-call inference buffers across goroutines; see
 	// Infer. Counters (attached via SetObserver) track pool traffic:
@@ -131,26 +133,41 @@ func (m *Model) truncate(ids []int) []int {
 }
 
 // Encode runs the encoder over token ids and returns one contextual vector
-// per token. Sequences longer than MaxLen are truncated. The internal caches
-// remain valid for Attention and backward passes until the next Encode.
+// per token, in one freshly allocated backing array. Sequences longer than
+// MaxLen are truncated. It runs the inference forward on the model's tape:
+// the hidden states are Infer's bit for bit, and the tape stays valid for
+// Attention and one Backward until the next Encode. Encode is not
+// reentrant.
 func (m *Model) Encode(ids []int) []mat.Vec {
+	return copyRows(m.encode(ids))
+}
+
+// encode is Encode without the copy: the last layer's rows, carved from the
+// tape.
+func (m *Model) encode(ids []int) *mat.Mat {
 	if m.o != nil {
 		defer m.encHist.ObserveSince(time.Now())
 		m.encTokens.Add(int64(len(ids)))
 	}
 	ids = m.truncate(ids)
 	m.lastIDs = ids
-	xs := nn.NewSeq(len(ids), m.Cfg.Dim)
+	t := &m.tape
+	t.Reset()
+	x := t.MatRaw(len(ids), m.Cfg.Dim)
 	for i, id := range ids {
-		m.TokEmb.LookupInto(xs[i], id)
-		xs[i].Add(m.PosEmb.Table.W.Row(i))
+		m.embedInto(x.Row(i), id, i)
 	}
-	m.lastEmbeds = xs
-	h := xs
-	for _, b := range m.Blocks {
-		h = b.ForwardSeq(h)
+	return m.blocks(x, &t.Arena, t)
+}
+
+// copyRows copies h's rows out into one backing array and one header slice.
+func copyRows(h *mat.Mat) []mat.Vec {
+	out := make([]mat.Vec, h.Rows)
+	flat := append([]float64(nil), h.Data...)
+	for i := range out {
+		out[i] = flat[i*h.Cols : (i+1)*h.Cols : (i+1)*h.Cols]
 	}
-	return h
+	return out
 }
 
 // EncodeTokens tokenizes against the model vocabulary and encodes.
@@ -158,13 +175,13 @@ func (m *Model) EncodeTokens(tokens []string) []mat.Vec {
 	return m.Encode(m.Vocab.Encode(tokens))
 }
 
-// Infer is the reentrant counterpart of Encode: the same hidden states, bit
-// for bit, from the GEMM forward of batch.go. No receiver state is written,
-// so any number of goroutines may infer concurrently. Per-call buffers come
-// from a pooled arena; the returned vectors are copied out of it (one backing
-// array for the whole sequence), so they outlive the call. Because no caches
-// are kept, Backward and Attention do not see Infer calls — use Encode for
-// training and for the §5.1 attention-pairing readback.
+// Infer is the reentrant counterpart of Encode: the same forward and the
+// same hidden states, bit for bit, with no tape. No receiver state is
+// written, so any number of goroutines may infer concurrently. Per-call
+// buffers come from a pooled arena; the returned vectors are copied out of
+// it (one backing array for the whole sequence), so they outlive the call.
+// Backward and Attention do not see Infer calls — use Encode for training
+// and for the §5.1 attention-pairing readback.
 func (m *Model) Infer(ids []int) []mat.Vec {
 	if m.o != nil {
 		defer m.encHist.ObserveSince(time.Now())
@@ -181,14 +198,8 @@ func (m *Model) Infer(ids []int) []mat.Vec {
 	for i, id := range ids {
 		m.embedInto(x.Row(i), id, i)
 	}
-	h := m.inferBlocks(x, &s.Arena)
-	// Copy results out of the arena before pooling it: one flat backing
-	// array plus one header slice for the whole sequence.
-	out := make([]mat.Vec, h.Rows)
-	flat := append([]float64(nil), h.Data...)
-	for i := range out {
-		out[i] = flat[i*h.Cols : (i+1)*h.Cols : (i+1)*h.Cols]
-	}
+	// Copy results out of the arena before pooling it.
+	out := copyRows(m.blocks(x, &s.Arena, nil))
 	m.scratch.Put(s)
 	return out
 }
@@ -200,27 +211,45 @@ func (m *Model) InferTokens(tokens []string) []mat.Vec {
 }
 
 // Backward backpropagates upstream gradients through the blocks and the
-// embeddings of the most recent Encode. It returns the gradient with respect
-// to the summed token+position input embeddings (useful for FGSM).
+// embeddings of the most recent Encode, consuming its tape: one Backward
+// per Encode. It returns the gradient with respect to the summed
+// token+position input embeddings (useful for FGSM), as views into the tape
+// that stay valid until the next Encode. It panics if no Encode's tape is
+// left to consume: no Encode yet, a second Backward, or a TrainMLM since.
 func (m *Model) Backward(dhs []mat.Vec) []mat.Vec {
-	d := dhs
+	t := &m.tape
+	if t.Len() == 0 {
+		panic("bert: Backward without an unconsumed Encode: call Encode once before each Backward")
+	}
+	return t.Rows(m.backward(t.Pack(dhs, m.Cfg.Dim)))
+}
+
+// backward is Backward over the tape's rows.
+func (m *Model) backward(d *mat.Mat) *mat.Mat {
 	for i := len(m.Blocks) - 1; i >= 0; i-- {
-		d = m.Blocks[i].BackwardSeq(d)
+		d = m.Blocks[i].Backward(&m.tape, d)
 	}
 	for i, id := range m.lastIDs {
-		m.TokEmb.Accumulate(id, d[i])
-		m.PosEmb.Accumulate(i, d[i])
+		m.TokEmb.Accumulate(id, d.Row(i))
+		m.PosEmb.Accumulate(i, d.Row(i))
 	}
 	return d
 }
 
 // Attention returns the attention matrix of (layer, head) from the most
-// recent Encode: row i is token i's attention distribution (Fig. 5).
+// recent Encode, read from its tape: row i is token i's attention
+// distribution (Fig. 5). The rows stay valid until the next Encode.
 func (m *Model) Attention(layer, head int) []mat.Vec {
-	if layer < 0 || layer >= len(m.Blocks) {
+	attn := m.tape.Kept(layer)
+	if attn == nil || head < 0 || head >= m.Cfg.Heads {
 		return nil
 	}
-	return m.Blocks[layer].Attn.Attention(head)
+	n := attn.Cols
+	rows := m.tape.Seq(n)
+	for i := range rows {
+		rows[i] = attn.Row(head*n + i)
+	}
+	return rows
 }
 
 // EmbeddingDim returns the contextual vector width.

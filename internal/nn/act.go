@@ -59,56 +59,44 @@ func NewDropout(rng *rand.Rand, p float64) *Dropout {
 	return &Dropout{P: p, Train: true, rng: rng}
 }
 
-// ForwardSeq applies dropout to each vector of xs, drawing the keep
-// decisions token by token, element by element, and returns the outputs
-// plus the masks BackwardSeq needs (nil in eval mode or when P==0). The
-// outputs and the masks are each backed by one array.
-func (d *Dropout) ForwardSeq(xs []mat.Vec) ([]mat.Vec, [][]bool) {
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	ys := NewSeq(len(xs), len(xs[0]))
+// Forward applies dropout to x's rows, into rows carved from a, drawing the
+// keep decisions token by token, element by element. With a tape it records
+// the keep mask for Backward. In eval mode, or when P ≤ 0, it returns x
+// itself and records a nil mask.
+func (d *Dropout) Forward(x *mat.Mat, a *Arena, t *Tape) *mat.Mat {
 	if !d.Train || d.P <= 0 {
-		for i, x := range xs {
-			copy(ys[i], x)
+		if t != nil {
+			t.Push(nil)
 		}
-		return ys, nil
+		return x
 	}
-	flat := make([]bool, len(xs)*len(xs[0]))
-	masks := make([][]bool, len(xs))
+	y, keep := a.Mat(x.Rows, x.Cols), a.Mat(x.Rows, x.Cols)
 	scale := 1 / (1 - d.P)
-	for t, x := range xs {
-		mask := flat[t*len(x) : (t+1)*len(x) : (t+1)*len(x)]
-		y := ys[t]
-		for i, v := range x {
-			if d.rng.Float64() >= d.P {
-				mask[i] = true
-				y[i] = v * scale
-			}
+	for i, v := range x.Data {
+		if d.rng.Float64() >= d.P {
+			keep.Data[i] = 1
+			y.Data[i] = v * scale
 		}
-		masks[t] = mask
 	}
-	return ys, masks
+	if t != nil {
+		t.Push(keep)
+	}
+	return y
 }
 
-// BackwardSeq routes each upstream gradient through its ForwardSeq mask
-// (masks nil: the identity).
-func (d *Dropout) BackwardSeq(dys []mat.Vec, masks [][]bool) []mat.Vec {
-	if len(dys) == 0 {
-		return nil
+// Backward pops the mask Forward recorded and routes the upstream gradients
+// through it (a nil mask: the identity, dy itself).
+func (d *Dropout) Backward(t *Tape, dy *mat.Mat) *mat.Mat {
+	keep := t.Pop()
+	if keep == nil {
+		return dy
 	}
-	dxs := NewSeq(len(dys), len(dys[0]))
+	dx := t.Mat(dy.Rows, dy.Cols)
 	scale := 1 / (1 - d.P)
-	for t, dy := range dys {
-		if masks == nil {
-			copy(dxs[t], dy)
-			continue
-		}
-		for i, v := range dy {
-			if masks[t][i] {
-				dxs[t][i] = v * scale
-			}
+	for i, k := range keep.Data {
+		if k != 0 {
+			dx.Data[i] = dy.Data[i] * scale
 		}
 	}
-	return dxs
+	return dx
 }

@@ -2,12 +2,12 @@ package nn
 
 import "saccs/internal/mat"
 
-// Arena is a bump allocator for the inference fast path: vectors, vector
+// Arena is a bump allocator for the forward passes: vectors, vector
 // headers, and int scratch are carved out of a few flat backing arrays that
 // one Reset recycles wholesale. A warm arena makes an entire forward pass
 // (embeddings → transformer blocks → BiLSTM → projection → Viterbi)
-// allocation-free — the per-decode cost the training-path Forward methods
-// pay in fresh makes becomes three pointer bumps.
+// allocation-free, and a training Tape is an Arena that also records what
+// the backward pass reads.
 //
 // Ownership contract: every slice or matrix an Arena method returns belongs
 // to the arena and is valid only until the next Reset. An Arena serves
@@ -97,6 +97,27 @@ func (a *Arena) Seq(n int) []mat.Vec {
 		s[i] = nil
 	}
 	return s
+}
+
+// Rows returns m's rows as a vector sequence, headers carved from the arena:
+// the views share m's storage. It hands a matrix forward's rows to the APIs
+// that take one vector per token (the CRF, FGSMSeq, Encoder.Backward).
+func (a *Arena) Rows(m *mat.Mat) []mat.Vec {
+	rows := a.Seq(m.Rows)
+	for i := range rows {
+		rows[i] = m.Row(i)
+	}
+	return rows
+}
+
+// Pack copies a vector sequence into an arena matrix, one cols-wide vector
+// per row — the way back in from those APIs.
+func (a *Arena) Pack(vs []mat.Vec, cols int) *mat.Mat {
+	m := a.MatRaw(len(vs), cols)
+	for i, v := range vs {
+		copy(m.Row(i), v)
+	}
+	return m
 }
 
 // Mat returns a zeroed rows×cols matrix backed by the arena: the data comes

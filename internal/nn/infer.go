@@ -6,11 +6,12 @@ import (
 	"saccs/internal/mat"
 )
 
-// Arena-backed inference kernels with no matrix form: the element-wise GELU
-// and the Viterbi decode. Like the GEMM forwards in infer_batch.go they
-// execute the exact float operations of their training twins in the exact
-// same order and write no receiver state — any number of goroutines may run
-// them concurrently, each with its own Arena.
+// Row kernels with no matrix form: the element-wise GELU of bert's
+// feed-forward layers (forward and backward) and the arena-backed Viterbi
+// decode. GELUInto executes the scalar gelu's float operations and
+// DecodeArena the Decode recursion, each in the same order, and neither
+// writes receiver state — any number of goroutines may run them
+// concurrently, each with its own Arena.
 
 // GELUInto applies the tanh-approximation GELU element-wise into y (which
 // must not alias x): gelu's tanh argument as a row, one mat.TanhRow over it,

@@ -7,12 +7,15 @@ import (
 	"saccs/internal/mat"
 )
 
-// The float64 GEMM forwards must be bit-identical to the training Forward of
-// the same layer: that one hop is what lets inference run on them while the
-// goldens and the index stay defined by the training arithmetic. These tests
-// run one sequence at a time — empty, single-token, a ragged middle, a full
-// bert MaxLen window and beyond — and compare every output element for exact
-// equality, on the vector kernels and with them forced off.
+// The float64 forward with no tape — the one inference runs — must be
+// bit-identical to the per-token reference of the same layer (Linear.Forward,
+// the per-token LSTM of train_test.go): that one hop is what lets the GEMM
+// forward serve while the goldens and the index stay defined by the
+// per-token arithmetic. These tests run one sequence at a time — empty,
+// single-token, a ragged middle, a full bert MaxLen window and beyond — and
+// compare every output element for exact equality, on the vector kernels
+// and with them forced off. train_test.go pins the taped forward and its
+// backward against the same references.
 
 var seqLens = []int{0, 1, 7, 48, 60}
 
@@ -27,7 +30,7 @@ func onBothKernelPaths(t *testing.T, f func(t *testing.T)) {
 }
 
 // seqMat lays a random sequence out one token per row and returns the rows
-// as the training forward's []mat.Vec view of the same memory.
+// as a vector sequence over the same memory.
 func seqMat(rng *rand.Rand, n, dim int) (*mat.Mat, []mat.Vec) {
 	x := mat.NewMat(n, dim)
 	seq := make([]mat.Vec, n)
@@ -38,22 +41,10 @@ func seqMat(rng *rand.Rand, n, dim int) (*mat.Mat, []mat.Vec) {
 	return x, seq
 }
 
-func requireRowsEqual(t *testing.T, name string, want []mat.Vec, got *mat.Mat) {
-	t.Helper()
-	if got.Rows != len(want) {
-		t.Fatalf("%s: %d rows, want %d", name, got.Rows, len(want))
-	}
-	for r, w := range want {
-		g := got.Row(r)
-		if len(g) != len(w) {
-			t.Fatalf("%s: token %d: length %d want %d", name, r, len(g), len(w))
-		}
-		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("%s: token %d elem %d = %v, want %v (bit-exact)", name, r, i, g[i], w[i])
-			}
-		}
-	}
+// rowsOf views the rows of m as vectors.
+func rowsOf(m *mat.Mat) []mat.Vec {
+	var a Arena
+	return a.Rows(m)
 }
 
 func TestLinearInferBatchMatchesForward(t *testing.T) {
@@ -66,8 +57,12 @@ func TestLinearInferBatchMatchesForward(t *testing.T) {
 			}
 			for _, n := range seqLens {
 				x, seq := seqMat(rng, n, dims[0])
+				want := make([]mat.Vec, n)
+				for i, v := range seq {
+					want[i] = l.Forward(v)
+				}
 				var a Arena
-				requireRowsEqual(t, "Linear.InferBatch", l.ForwardSeq(seq), l.InferBatch(x, &a))
+				requireSeqBits(t, "Linear.ForwardRows", want, rowsOf(l.ForwardRows(x, &a, nil)))
 			}
 		}
 	})
@@ -79,9 +74,9 @@ func TestLSTMInferBatchMatchesForward(t *testing.T) {
 		l := NewLSTM(rng, "t", 16, 8)
 		for _, n := range seqLens {
 			x, seq := seqMat(rng, n, 16)
-			want, _ := l.Forward(seq)
+			want, _ := refLSTMForward(l, seq)
 			var a Arena
-			requireRowsEqual(t, "LSTM.InferBatch", want, l.InferBatch(x, &a))
+			requireSeqBits(t, "LSTM.Forward", want, rowsOf(l.Forward(x, &a, nil)))
 		}
 	})
 }
@@ -92,9 +87,8 @@ func TestBiLSTMInferBatchMatchesForward(t *testing.T) {
 		b := NewBiLSTM(rng, "t", 16, 8)
 		for _, n := range seqLens {
 			x, seq := seqMat(rng, n, 16)
-			want, _ := b.Forward(seq)
 			var a Arena
-			requireRowsEqual(t, "BiLSTM.InferBatch", want, b.InferBatch(x, &a))
+			requireSeqBits(t, "BiLSTM.Forward", refBiLSTMForward(b, seq), rowsOf(b.Forward(x, &a, nil)))
 		}
 	})
 }

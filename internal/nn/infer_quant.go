@@ -73,7 +73,7 @@ func (l *Linear) InferF32Batch(x *mat.Mat32, a *Arena) *mat.Mat32 {
 
 // inferQuant runs the LSTM over one already quantized sequence in reduced
 // precision and writes each token's hidden state into columns
-// [off, off+Hidden) of its row of out. It mirrors InferBatch's structure: the
+// [off, off+Hidden) of its row of out. It mirrors Forward's structure: the
 // input projection of every token is one int8 GEMM (bias fused), then each
 // time step runs the recurrent projection as a one-row float32 GEMM against
 // the pre-transposed WhT. reverse walks the sequence from its last token to
@@ -120,7 +120,7 @@ func (l *LSTM) inferQuant(out *mat.Mat32, off int, xq QuantRows, a *Arena, rever
 
 // InferQuantBatch runs the bidirectional LSTM over one sequence in reduced
 // precision and returns per-token [fwd_t ; bwd_t] concatenations — the
-// float32 twin of BiLSTM.InferBatch. The input rows are quantized once and
+// float32 twin of BiLSTM.Forward. The input rows are quantized once and
 // both directions' input projections read the same codes.
 func (b *BiLSTM) InferQuantBatch(xs *mat.Mat32, a *Arena) *mat.Mat32 {
 	xq := QuantizeActRows(xs, a)

@@ -12,7 +12,7 @@ type Linear struct {
 	Weight  *Param // Out×In
 	Bias    *Param // 1×Out
 
-	// pack caches Weightᵀ for the batched GEMM path, keyed on the weight
+	// pack caches Weightᵀ for the inference forward, keyed on the weight
 	// version (see packedTransposed); quant and f32 cache the frozen
 	// reduced-precision inference copies the same way (see quant.go). Never
 	// copy a Linear by value.
@@ -37,7 +37,7 @@ func NewLinear(rng *rand.Rand, name string, in, out int) *Linear {
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
 // Forward computes y = W·x + b for one vector: the per-token reference
-// ForwardSeq is pinned against.
+// ForwardRows is pinned against.
 func (l *Linear) Forward(x mat.Vec) mat.Vec {
 	y := mat.NewVec(l.Out)
 	l.Weight.W.MulVec(y, x)
@@ -46,7 +46,7 @@ func (l *Linear) Forward(x mat.Vec) mat.Vec {
 }
 
 // Backward accumulates gradients given upstream dy and the forward input x,
-// and returns dx: the per-token reference BackwardSeq is pinned against.
+// and returns dx: the per-token reference BackwardRows is pinned against.
 func (l *Linear) Backward(x, dy mat.Vec) mat.Vec {
 	l.Weight.G.AddOuter(dy, x)
 	l.Bias.G.Row(0).Add(dy)
@@ -55,33 +55,35 @@ func (l *Linear) Backward(x, dy mat.Vec) mat.Vec {
 	return dx
 }
 
-// ForwardSeq applies the layer to each vector in xs as one GEMM,
-// Y = X·Wᵀ + b — InferBatch's arithmetic, so row i is bit-identical to
-// Forward(xs[i]). The returned vectors share one backing array.
-func (l *Linear) ForwardSeq(xs []mat.Vec) []mat.Vec {
-	a := getScratch()
-	defer trainScratch.Put(a)
-	y, ys := newSeqMat(len(xs), l.Out)
-	mat.MatMulInto(&y, packSeq(a, xs, l.In), transposed(a, l.Weight.W))
-	mat.AddRows(&y, l.Bias.W.Row(0))
-	return ys
+// ForwardRows computes Y = X·Wᵀ + b for a sequence, a token per row of x,
+// into rows carved from a. Row i is bit-identical to Forward(x_i): the GEMM
+// accumulates each output element's products in ascending k order, exactly
+// like MulVec, and the bias adds after the full dot, exactly like Forward.
+// With a tape it records x for BackwardRows.
+func (l *Linear) ForwardRows(x *mat.Mat, a *Arena, t *Tape) *mat.Mat {
+	y := a.MatRaw(x.Rows, l.Out)
+	mat.MatMulInto(y, x, weightT(&l.pack, l.Weight, a, t))
+	mat.AddRows(y, l.Bias.W.Row(0))
+	if t != nil {
+		t.Push(x)
+	}
+	return y
 }
 
-// BackwardSeq backpropagates a sequence of upstream gradients: the weight
-// gradient as one accumulating GEMM, G_W += dYᵀ·X, with the tokens as its k
-// dimension in sequence order (the order Backward's AddOuter calls add
-// them), the bias gradient per token in the same order, and dX = dY·W as
-// one GEMM. Every element is bit-identical to calling Backward per token.
-func (l *Linear) BackwardSeq(xs, dys []mat.Vec) []mat.Vec {
-	a := getScratch()
-	defer trainScratch.Put(a)
-	dy := packSeq(a, dys, l.Out)
-	mat.MatMulAddInto(l.Weight.G, transposed(a, dy), packSeq(a, xs, l.In))
+// BackwardRows pops the input ForwardRows recorded and backpropagates the
+// upstream gradients dy, a row per token: the weight gradient as one
+// accumulating GEMM, G_W += dYᵀ·X, with the tokens as its k dimension in
+// sequence order (the order Backward's AddOuter calls add them), the bias
+// gradient per token in the same order, and dX = dY·W as one GEMM. Every
+// element is bit-identical to calling Backward per token.
+func (l *Linear) BackwardRows(t *Tape, dy *mat.Mat) *mat.Mat {
+	x := t.Pop()
+	mat.MatMulAddInto(l.Weight.G, transposed(&t.Arena, dy), x)
 	gb := l.Bias.G.Row(0)
-	for _, d := range dys {
-		gb.Add(d)
+	for i := 0; i < dy.Rows; i++ {
+		gb.Add(dy.Row(i))
 	}
-	dx, dxs := newSeqMat(len(dys), l.In)
-	mat.MatMulInto(&dx, dy, l.Weight.W)
-	return dxs
+	dx := t.MatRaw(dy.Rows, l.In)
+	mat.MatMulInto(dx, dy, l.Weight.W)
+	return dx
 }

@@ -14,9 +14,10 @@ type LSTM struct {
 	Wh         *Param // 4H×H
 	B          *Param // 1×4H
 
-	// packWx/packWh cache the transposed weights for the GEMM forward, keyed
-	// on the weight versions (see packedTransposed); quant caches the frozen
-	// reduced-precision copy (see quant.go). Never copy an LSTM by value.
+	// packWx/packWh cache the transposed weights for the inference forward,
+	// keyed on the weight versions (see packedTransposed); quant caches the
+	// frozen reduced-precision copy (see quant.go). Never copy an LSTM by
+	// value.
 	packWx, packWh packSlot
 	quant          quantSlot[LSTMQuant]
 }
@@ -42,55 +43,34 @@ func NewLSTM(rng *rand.Rand, name string, in, hidden int) *LSTM {
 // Params returns the layer's learnable tensors.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
-// LSTMCache holds the forward pass state Backward needs, one token per row.
-type LSTMCache struct {
-	x     mat.Mat // n×In inputs
-	gates mat.Mat // n×4H activations i, f, g, o
-	c, tc mat.Mat // n×H cell states and tanh(c)
-	h     mat.Mat // n×H hidden states (h_{t-1} is step t's recurrent input)
-}
-
-// Forward runs the LSTM over xs and returns the hidden state sequence plus
-// the cache for Backward. Initial hidden and cell states are zero. The
-// input projection Wx·x of every token is one GEMM before the recurrence;
-// each step then adds its recurrent projection Wh·h_{t-1}, a one-row GEMM,
-// and the bias as (Wx·x + Wh·h) + b — the per-token MulVec recurrence's
-// operations in its order, so every value is bit-identical to it. The
-// returned vectors are views of the cache: callers must not modify them.
-func (l *LSTM) Forward(xs []mat.Vec) ([]mat.Vec, *LSTMCache) {
-	n, H := len(xs), l.Hidden
-	cache := &LSTMCache{}
-	buf := make([]float64, n*(l.In+7*H)) // one backing array for the whole cache
-	cut := func(m *mat.Mat, cols int) {
-		*m = mat.Mat{Rows: n, Cols: cols, Data: buf[: n*cols : n*cols]}
-		buf = buf[n*cols:]
+// Forward runs the LSTM over a sequence, a token per row of x, and returns
+// the hidden states in the same layout, every matrix carved from a. Initial
+// hidden and cell states are zero. The input projection Wx·x of every token
+// is one GEMM before the recurrence; each step then adds its recurrent
+// projection Wh·h_{t-1}, a one-row GEMM, and the bias as (Wx·x + Wh·h) + b —
+// the per-token MulVec recurrence's operations in its order, so every value
+// is bit-identical to it. With a tape it records x, the gate activations,
+// the cell states c, tanh(c) and the hidden states for Backward.
+func (l *LSTM) Forward(x *mat.Mat, a *Arena, t *Tape) *mat.Mat {
+	n, H := x.Rows, l.Hidden
+	z := a.MatRaw(n, 4*H) // Wx·x until each step overwrites its row with the gates
+	c, tc, h := a.MatRaw(n, H), a.MatRaw(n, H), a.MatRaw(n, H)
+	if t != nil {
+		t.Push(x, z, c, tc, h)
 	}
-	cut(&cache.x, l.In)
-	cut(&cache.gates, 4*H)
-	cut(&cache.c, H)
-	cut(&cache.tc, H)
-	cut(&cache.h, H)
 	if n == 0 {
-		return nil, cache
+		return h
 	}
-	for t, x := range xs {
-		copy(cache.x.Row(t), x)
-	}
-
-	a := getScratch()
-	defer trainScratch.Put(a)
-	z := &cache.gates // holds Wx·x until each step overwrites its row with activations
-	mat.MatMulInto(z, &cache.x, transposed(a, l.Wx.W))
-	whT := transposed(a, l.Wh.W)
+	mat.MatMulInto(z, x, weightT(&l.packWx, l.Wx, a, t))
+	whT := weightT(&l.packWh, l.Wh, a, t)
 	zh := a.MatRaw(1, 4*H)
 	hPrev := a.Mat(1, H)
 	cPrev := a.Vec(H)
 	bias := l.B.W.Row(0)
-	for t := 0; t < n; t++ {
+	for s := 0; s < n; s++ {
 		mat.MatMulInto(zh, hPrev, whT)
-		zr, zhr := z.Row(t), zh.Row(0)
-		ct, tct, ht := cache.c.Row(t), cache.tc.Row(t), cache.h.Row(t)
-		ig, fg, gg, og := gateActivations(zr, zhr, bias)
+		ct, tct, ht := c.Row(s), tc.Row(s), h.Row(s)
+		ig, fg, gg, og := gateActivations(z.Row(s), zh.Row(0), bias)
 		for j := range ct {
 			ct[j] = fg[j]*cPrev[j] + ig[j]*gg[j]
 		}
@@ -101,7 +81,7 @@ func (l *LSTM) Forward(xs []mat.Vec) ([]mat.Vec, *LSTMCache) {
 		cPrev = ct
 		hPrev.Data = ht
 	}
-	return rowViews(&cache.h), cache
+	return h
 }
 
 // gateActivations turns one step's 4H gate row into the gates in place:
@@ -119,9 +99,10 @@ func gateActivations(z, zh, bias mat.Vec) (ig, fg, gg, og mat.Vec) {
 	return z[:H], z[H : 2*H], z[2*H : 3*H], z[3*H:]
 }
 
-// Backward backpropagates upstream gradients dhs (one per timestep, aligned
-// with the Forward output) through time, accumulating weight gradients and
-// returning per-timestep input gradients.
+// Backward pops what Forward recorded and backpropagates the upstream
+// gradients dh (a row per timestep, aligned with the Forward output) through
+// time, accumulating weight gradients and returning the input gradients in
+// the same layout.
 //
 // Only the recurrence stays per step: the gate gradients dz_t, the bias
 // gradient and dh_{t-1} = Whᵀ·dz_t (a one-row GEMM). The weight gradients
@@ -129,35 +110,36 @@ func gateActivations(z, zh, bias mat.Vec) (ig, fg, gg, og mat.Vec) {
 // are batched after the loop, with the GEMM's k dimension in the loop's
 // order (t descending) — the order the per-token AddOuter calls added the
 // terms — so every gradient is bit-identical to the per-token BPTT.
-func (l *LSTM) Backward(cache *LSTMCache, dhs []mat.Vec) []mat.Vec {
-	n, H := cache.x.Rows, l.Hidden
+func (l *LSTM) Backward(t *Tape, dh *mat.Mat) *mat.Mat {
+	h, tc, c, gates, x := t.Pop(), t.Pop(), t.Pop(), t.Pop(), t.Pop()
+	n, H := x.Rows, l.Hidden
+	dx := t.MatRaw(n, l.In)
 	if n == 0 {
-		return nil
+		return dx
 	}
-	a := getScratch()
-	defer trainScratch.Put(a)
-	dZ := a.MatRaw(n, 4*H) // row r holds dz for step t = n-1-r
+	a := &t.Arena
+	dZ := a.MatRaw(n, 4*H) // row r holds dz for step s = n-1-r
 	dzRow := mat.Mat{Rows: 1, Cols: 4 * H}
 	dhNext := a.Mat(1, H)
 	dcNext := a.Vec(H)
-	dh := a.Vec(H)
+	dhs := a.Vec(H)
 	zero := a.Vec(H) // c_{-1}
 	gb := l.B.G.Row(0)
 	for r := 0; r < n; r++ {
-		t := n - 1 - r
-		g, tc := cache.gates.Row(t), cache.tc.Row(t)
+		s := n - 1 - r
+		g, tcs, up := gates.Row(s), tc.Row(s), dh.Row(s)
 		cPrev := zero
-		if t > 0 {
-			cPrev = cache.c.Row(t - 1)
+		if s > 0 {
+			cPrev = c.Row(s - 1)
 		}
 		for j := 0; j < H; j++ {
-			dh[j] = dhs[t][j] + dhNext.Data[j]
+			dhs[j] = up[j] + dhNext.Data[j]
 		}
 		dz := dZ.Row(r)
 		for j := 0; j < H; j++ {
 			ig, fg, gg, og := g[j], g[H+j], g[2*H+j], g[3*H+j]
-			do := dh[j] * tc[j]
-			dtc := dh[j] * og * (1 - tc[j]*tc[j])
+			do := dhs[j] * tcs[j]
+			dtc := dhs[j] * og * (1 - tcs[j]*tcs[j])
 			dcj := dcNext[j] + dtc
 			df := dcj * cPrev[j]
 			di := dcj * gg
@@ -169,7 +151,7 @@ func (l *LSTM) Backward(cache *LSTMCache, dhs []mat.Vec) []mat.Vec {
 			dz[3*H+j] = do * og * (1 - og)
 		}
 		gb.Add(dz)
-		if t > 0 {
+		if s > 0 {
 			dzRow.Data = dz
 			mat.MatMulInto(dhNext, &dzRow, l.Wh.W)
 		}
@@ -180,23 +162,22 @@ func (l *LSTM) Backward(cache *LSTMCache, dhs []mat.Vec) []mat.Vec {
 	xRev := a.MatRaw(n, l.In)
 	hPrevRev := a.MatRaw(n, H)
 	for r := 0; r < n; r++ {
-		t := n - 1 - r
-		copy(xRev.Row(r), cache.x.Row(t))
-		if t > 0 {
-			copy(hPrevRev.Row(r), cache.h.Row(t-1))
+		s := n - 1 - r
+		copy(xRev.Row(r), x.Row(s))
+		if s > 0 {
+			copy(hPrevRev.Row(r), h.Row(s-1))
 		} else {
 			hPrevRev.Row(r).Zero()
 		}
 	}
 	mat.MatMulAddInto(l.Wx.G, dZT, xRev)
 	mat.MatMulAddInto(l.Wh.G, dZT, hPrevRev)
-	dX := mat.Mat{Rows: n, Cols: l.In, Data: make([]float64, n*l.In)}
-	mat.MatMulInto(&dX, dZ, l.Wx.W)
-	dxs := make([]mat.Vec, n)
+	dXRev := a.MatRaw(n, l.In)
+	mat.MatMulInto(dXRev, dZ, l.Wx.W)
 	for r := 0; r < n; r++ {
-		dxs[n-1-r] = dX.Row(r)
+		copy(dx.Row(n-1-r), dXRev.Row(r))
 	}
-	return dxs
+	return dx
 }
 
 // BiLSTM runs a forward and a backward LSTM over the sequence and
@@ -219,43 +200,41 @@ func (b *BiLSTM) Params() []*Param { return append(b.Fwd.Params(), b.Bwd.Params(
 // OutDim returns the concatenated output dimension.
 func (b *BiLSTM) OutDim() int { return b.Fwd.Hidden + b.Bwd.Hidden }
 
-// BiLSTMCache holds both directions' forward caches.
-type BiLSTMCache struct {
-	fwd, bwd *LSTMCache
-	n        int
+// Forward runs both directions over a sequence (see LSTM.Forward for the
+// layout) and returns per-token [fwd_t ; bwd_t] concatenations. With a tape
+// each direction records itself, forward first.
+func (b *BiLSTM) Forward(x *mat.Mat, a *Arena, t *Tape) *mat.Mat {
+	n := x.Rows
+	fh := b.Fwd.Forward(x, a, t)
+	rev := a.MatRaw(n, x.Cols)
+	for i := 0; i < n; i++ {
+		copy(rev.Row(n-1-i), x.Row(i))
+	}
+	bhRev := b.Bwd.Forward(rev, a, t)
+	H := b.Fwd.Hidden
+	out := a.MatRaw(n, b.OutDim())
+	for s := 0; s < n; s++ {
+		v := out.Row(s)
+		copy(v[:H], fh.Row(s))
+		copy(v[H:], bhRev.Row(n-1-s))
+	}
+	return out
 }
 
-// Forward returns per-token [fwd_t ; bwd_t] concatenations.
-func (b *BiLSTM) Forward(xs []mat.Vec) ([]mat.Vec, *BiLSTMCache) {
-	n := len(xs)
-	fh, fc := b.Fwd.Forward(xs)
-	rev := make([]mat.Vec, n)
-	for i, x := range xs {
-		rev[n-1-i] = x
+// Backward splits the concatenated upstream gradients, backpropagates both
+// directions (backward first: the tape pops in reverse) and returns the
+// summed input gradients per token, fwd_t + bwd_t.
+func (b *BiLSTM) Backward(t *Tape, dy *mat.Mat) *mat.Mat {
+	n, H := dy.Rows, b.Fwd.Hidden
+	dFwd, dBwdRev := t.MatRaw(n, H), t.MatRaw(n, b.Bwd.Hidden)
+	for s := 0; s < n; s++ {
+		copy(dFwd.Row(s), dy.Row(s)[:H])
+		copy(dBwdRev.Row(n-1-s), dy.Row(s)[H:])
 	}
-	bhRev, bc := b.Bwd.Forward(rev)
-	out := NewSeq(n, b.OutDim())
-	for t, v := range out {
-		copy(v[:b.Fwd.Hidden], fh[t])
-		copy(v[b.Fwd.Hidden:], bhRev[n-1-t])
+	dxBRev := b.Bwd.Backward(t, dBwdRev)
+	dx := b.Fwd.Backward(t, dFwd)
+	for s := 0; s < n; s++ {
+		dx.Row(s).Add(dxBRev.Row(n - 1 - s))
 	}
-	return out, &BiLSTMCache{fwd: fc, bwd: bc, n: n}
-}
-
-// Backward splits the concatenated upstream gradients and backpropagates
-// both directions, returning summed input gradients per token.
-func (b *BiLSTM) Backward(cache *BiLSTMCache, dys []mat.Vec) []mat.Vec {
-	n := cache.n
-	dFwd := make([]mat.Vec, n)
-	dBwdRev := make([]mat.Vec, n)
-	for t := 0; t < n; t++ {
-		dFwd[t] = dys[t][:b.Fwd.Hidden]
-		dBwdRev[n-1-t] = dys[t][b.Fwd.Hidden:]
-	}
-	dxs := b.Fwd.Backward(cache.fwd, dFwd)
-	dxBRev := b.Bwd.Backward(cache.bwd, dBwdRev)
-	for t := 0; t < n; t++ {
-		dxs[t].Add(dxBRev[n-1-t])
-	}
-	return dxs
+	return dx
 }

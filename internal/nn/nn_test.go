@@ -84,33 +84,43 @@ func TestEmbeddingLookupCloned(t *testing.T) {
 	}
 }
 
-func TestLSTMGradCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	l := NewLSTM(rng, "lstm", 3, 2)
-	xs := []mat.Vec{randVec(rng, 3), randVec(rng, 3), randVec(rng, 3)}
-	targets := []mat.Vec{randVec(rng, 2), randVec(rng, 2), randVec(rng, 2)}
+// seqLoss is 0.5·Σ‖y_t − target_t‖² over a sequence's rows, and upstream
+// returns its gradient with respect to y.
+func seqLoss(y *mat.Mat, targets []mat.Vec) float64 {
+	var s float64
+	for i, tg := range targets {
+		d := y.Row(i).Clone()
+		d.Sub(tg)
+		s += 0.5 * d.Dot(d)
+	}
+	return s
+}
 
+func upstream(y *mat.Mat, targets []mat.Vec) *mat.Mat {
+	dy := mat.NewMat(y.Rows, y.Cols)
+	for i, tg := range targets {
+		copy(dy.Row(i), y.Row(i))
+		dy.Row(i).Sub(tg)
+	}
+	return dy
+}
+
+// gradCheckSeq checks a sequence layer's taped backward against finite
+// differences of seqLoss over its taped forward (which transposes the
+// weights it reads on each call, so the perturbations take effect), for
+// every parameter and every input element.
+func gradCheckSeq(t *testing.T, params []*Param, x *mat.Mat, targets []mat.Vec,
+	forward func(x *mat.Mat, a *Arena, tp *Tape) *mat.Mat, backward func(tp *Tape, dy *mat.Mat) *mat.Mat) {
+	t.Helper()
 	loss := func() float64 {
-		hs, _ := l.Forward(xs)
-		var s float64
-		for t2, h := range hs {
-			d := h.Clone()
-			d.Sub(targets[t2])
-			s += 0.5 * d.Dot(d)
-		}
-		return s
+		var tp Tape
+		return seqLoss(forward(x, &tp.Arena, &tp), targets)
 	}
-	hs, cache := l.Forward(xs)
-	dhs := make([]mat.Vec, len(hs))
-	for i, h := range hs {
-		d := h.Clone()
-		d.Sub(targets[i])
-		dhs[i] = d
-	}
-	ZeroGrads(l.Params())
-	dxs := l.Backward(cache, dhs)
-
-	for _, p := range l.Params() {
+	var tape Tape
+	y := forward(x, &tape.Arena, &tape)
+	ZeroGrads(params)
+	dx := backward(&tape, upstream(y, targets))
+	for _, p := range params {
 		for i := range p.W.Data {
 			want := numGrad(loss, &p.W.Data[i])
 			if relErr(p.G.Data[i], want) > 1e-5 {
@@ -118,71 +128,43 @@ func TestLSTMGradCheck(t *testing.T) {
 			}
 		}
 	}
-	for ti, x := range xs {
-		for i := range x {
-			want := numGrad(loss, &x[i])
-			if relErr(dxs[ti][i], want) > 1e-5 {
-				t.Fatalf("dx[%d][%d]: got %v want %v", ti, i, dxs[ti][i], want)
-			}
+	for i := range x.Data {
+		want := numGrad(loss, &x.Data[i])
+		if relErr(dx.Data[i], want) > 1e-5 {
+			t.Fatalf("dx[%d]: got %v want %v", i, dx.Data[i], want)
 		}
 	}
+}
+
+func TestLSTMGradCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	l := NewLSTM(rng, "lstm", 3, 2)
+	x := mat.FromRows([][]float64{randVec(rng, 3), randVec(rng, 3), randVec(rng, 3)})
+	targets := []mat.Vec{randVec(rng, 2), randVec(rng, 2), randVec(rng, 2)}
+	gradCheckSeq(t, l.Params(), x, targets, l.Forward, l.Backward)
 }
 
 func TestBiLSTMGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	b := NewBiLSTM(rng, "bi", 3, 2)
-	xs := []mat.Vec{randVec(rng, 3), randVec(rng, 3)}
+	x := mat.FromRows([][]float64{randVec(rng, 3), randVec(rng, 3)})
 	targets := []mat.Vec{randVec(rng, 4), randVec(rng, 4)}
-
-	loss := func() float64 {
-		ys, _ := b.Forward(xs)
-		var s float64
-		for t2, y := range ys {
-			d := y.Clone()
-			d.Sub(targets[t2])
-			s += 0.5 * d.Dot(d)
-		}
-		return s
-	}
-	ys, cache := b.Forward(xs)
-	dys := make([]mat.Vec, len(ys))
-	for i, y := range ys {
-		d := y.Clone()
-		d.Sub(targets[i])
-		dys[i] = d
-	}
-	ZeroGrads(b.Params())
-	dxs := b.Backward(cache, dys)
-	for _, p := range b.Params() {
-		for i := range p.W.Data {
-			want := numGrad(loss, &p.W.Data[i])
-			if relErr(p.G.Data[i], want) > 1e-5 {
-				t.Fatalf("%s grad[%d]: got %v want %v", p.Name, i, p.G.Data[i], want)
-			}
-		}
-	}
-	for ti, x := range xs {
-		for i := range x {
-			want := numGrad(loss, &x[i])
-			if relErr(dxs[ti][i], want) > 1e-5 {
-				t.Fatalf("dx[%d][%d]: got %v want %v", ti, i, dxs[ti][i], want)
-			}
-		}
-	}
+	gradCheckSeq(t, b.Params(), x, targets, b.Forward, b.Backward)
 }
 
 func TestBiLSTMOutputConcatenation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := NewBiLSTM(rng, "bi", 2, 3)
-	xs := []mat.Vec{randVec(rng, 2), randVec(rng, 2), randVec(rng, 2)}
-	ys, _ := b.Forward(xs)
-	if len(ys) != 3 || len(ys[0]) != 6 {
-		t.Fatalf("BiLSTM output shape wrong: %d×%d", len(ys), len(ys[0]))
+	x := mat.FromRows([][]float64{randVec(rng, 2), randVec(rng, 2), randVec(rng, 2)})
+	var a Arena
+	ys := b.Forward(x, &a, nil)
+	if ys.Rows != 3 || ys.Cols != 6 {
+		t.Fatalf("BiLSTM output shape wrong: %d×%d", ys.Rows, ys.Cols)
 	}
 	// Forward half of first token must equal forward LSTM's own first output.
-	fh, _ := b.Fwd.Forward(xs)
+	fh := b.Fwd.Forward(x, &a, nil)
 	for j := 0; j < 3; j++ {
-		if ys[0][j] != fh[0][j] {
+		if ys.At(0, j) != fh.At(0, j) {
 			t.Fatal("forward half mismatch")
 		}
 	}
@@ -433,45 +415,39 @@ func TestFGSM(t *testing.T) {
 func TestDropout(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	d := NewDropout(rng, 0.5)
-	xs := []mat.Vec{{1, 1, 1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1, 1, 1}}
-	ys, masks := d.ForwardSeq(xs)
-	if masks == nil {
-		t.Fatal("training dropout must return masks")
+	x := mat.FromRows([][]float64{{1, 1, 1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1, 1, 1}})
+	var tape Tape
+	y := d.Forward(x, &tape.Arena, &tape)
+	keep := tape.recs[len(tape.recs)-1]
+	if keep == nil {
+		t.Fatal("training dropout must record a mask")
 	}
-	for r, mask := range masks {
-		for i, m := range mask {
-			if m {
-				if ys[r][i] != 2 { // 1/(1-0.5)
-					t.Fatalf("inverted scaling wrong: %v", ys[r][i])
-				}
-			} else if ys[r][i] != 0 {
-				t.Fatal("dropped unit must be zero")
+	for i, k := range keep.Data {
+		if k != 0 {
+			if y.Data[i] != 2 { // 1/(1-0.5)
+				t.Fatalf("inverted scaling wrong: %v", y.Data[i])
 			}
+		} else if y.Data[i] != 0 {
+			t.Fatal("dropped unit must be zero")
 		}
 	}
-	dys := []mat.Vec{{1, 1, 1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1, 1, 1}}
-	dxs := d.BackwardSeq(dys, masks)
-	for r, dx := range dxs {
-		for i := range dx {
-			if masks[r][i] && dx[i] != 2 || !masks[r][i] && dx[i] != 0 {
-				t.Fatalf("backward mask routing wrong at %d/%d: %v", r, i, dx[i])
-			}
+	dy := mat.FromRows([][]float64{{1, 1, 1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1, 1, 1}})
+	dx := d.Backward(&tape, dy)
+	for i, k := range keep.Data {
+		if k != 0 && dx.Data[i] != 2 || k == 0 && dx.Data[i] != 0 {
+			t.Fatalf("backward mask routing wrong at %d: %v", i, dx.Data[i])
 		}
 	}
 	d.Train = false
-	ys2, masks2 := d.ForwardSeq(xs)
-	if masks2 != nil {
+	tape.Reset()
+	if y2 := d.Forward(x, &tape.Arena, &tape); y2 != x {
+		t.Fatal("eval mode must be identity")
+	}
+	if tape.recs[0] != nil {
 		t.Fatal("eval mode must not mask")
 	}
-	for r := range ys2 {
-		for i := range ys2[r] {
-			if ys2[r][i] != xs[r][i] {
-				t.Fatal("eval mode must be identity")
-			}
-		}
-	}
-	if dxs := d.BackwardSeq(dys, nil); dxs[1][3] != 1 {
-		t.Fatal("backward without masks must be identity")
+	if dx := d.Backward(&tape, dy); dx != dy {
+		t.Fatal("backward without a mask must be identity")
 	}
 }
 

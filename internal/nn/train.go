@@ -1,38 +1,88 @@
 package nn
 
 import (
-	"sync"
-
 	"saccs/internal/mat"
 )
 
-// The training forward and backward (Linear.ForwardSeq/BackwardSeq,
-// LSTM.Forward/Backward) run on the same exactness-preserving GEMMs as the
-// float64 inference forward: each layer does one mat.MatMulInto per
-// sequence instead of a MulVec per token, and folds a whole sequence's
-// weight gradient into G with one mat.MatMulAddInto instead of an AddOuter
-// per token. Every output element still sees the per-token code's float
-// operations in the per-token code's order, so trained weights are
-// bit-identical to the per-token reference (train_test.go pins each layer
-// against it; the zero-skip argument beside mat.MatMulAddInto covers the
-// gradient rows the per-token kernels skipped).
+// Every float64 layer has one forward over a sequence, a token per row of a
+// *mat.Mat, that takes an optional *Tape. Inference passes nil: nothing is
+// recorded and the layer writes no state, so any number of goroutines may
+// run it, each with its own Arena. Training passes a tape, and the layer
+// pushes what its Backward reads — its input and whatever its own gradient
+// needs (LSTM gates and cell states, attention rows, layer-norm statistics,
+// dropout masks). Backward pops them in reverse, so a model's backward calls
+// its layers' Backwards in the reverse of the forward order. Recording never
+// changes an operation: the taped forward is the inference forward, float
+// for float, and the per-token references of train_test.go and
+// infer_batch_test.go pin both against the per-token code (MulVec per
+// projection, AddOuter per gradient term).
 //
-// The operands the GEMMs need in another layout — transposed weights,
-// sequences packed one token per row, transposed gradient rows — are
-// rebuilt every call from scratch borrowed for the call's duration. They
-// never go through a layer's packSlot: weights change on every optimizer
-// step, so caching them there would only churn the inference forward's
-// cache (and a concurrent Predict may be holding it).
+// The forward runs on the exactness-preserving GEMMs (DESIGN.md §9): each
+// projection is one mat.MatMulInto per sequence, and each backward folds a
+// whole sequence's weight gradient into G with one mat.MatMulAddInto whose k
+// dimension visits the tokens in the per-token loop's order. Weights go to
+// the GEMM transposed. Inference reads the copy cached on the layer against
+// the weight version (packedTransposed); a taped forward transposes into its
+// own arena on each call instead, because the weights change on every
+// optimizer step — caching them on the layer would only churn the inference
+// forward's cache, which a concurrent Predict may be holding.
 
-// trainScratch lends one training call its temporaries. An arena serves one
-// call at a time and goes back, Reset, when the call returns; nothing it
-// holds outlives the call.
-var trainScratch = sync.Pool{New: func() any { return new(Arena) }}
+// Tape records a training forward for its backward pass. Its Arena holds the
+// recorded matrices, the forward's outputs and the backward's temporaries;
+// Reset recycles all of it for the next step, so a warm tape allocates
+// nothing. A tape serves one goroutine at a time.
+type Tape struct {
+	Arena
+	recs []*mat.Mat
+	kept []*mat.Mat
+}
 
-func getScratch() *Arena {
-	a := trainScratch.Get().(*Arena)
-	a.Reset()
-	return a
+// Reset empties the tape and recycles its arena.
+func (t *Tape) Reset() {
+	t.Arena.Reset()
+	t.recs = t.recs[:0]
+	t.kept = t.kept[:0]
+}
+
+// Push records ms, in order, for the backward pass. A nil entry is allowed
+// (dropout records one when it masks nothing).
+func (t *Tape) Push(ms ...*mat.Mat) { t.recs = append(t.recs, ms...) }
+
+// Len returns the number of records not yet popped.
+func (t *Tape) Len() int { return len(t.recs) }
+
+// Pop returns the most recently pushed record and removes it. It panics if
+// none is left: a backward with no taped forward before it, or a second
+// backward of one forward.
+func (t *Tape) Pop() *mat.Mat {
+	if len(t.recs) == 0 {
+		panic("nn: Tape.Pop on an empty tape: each taped forward allows one backward")
+	}
+	m := t.recs[len(t.recs)-1]
+	t.recs = t.recs[:len(t.recs)-1]
+	return m
+}
+
+// Keep records m for reading back after the forward, in the order of the
+// Keep calls since the last Reset; the backward pass does not consume it.
+// bert keeps each layer's attention rows here (Fig. 5).
+func (t *Tape) Keep(m *mat.Mat) { t.kept = append(t.kept, m) }
+
+// Kept returns the i-th matrix kept since the last Reset, or nil.
+func (t *Tape) Kept(i int) *mat.Mat {
+	if i < 0 || i >= len(t.kept) {
+		return nil
+	}
+	return t.kept[i]
+}
+
+// weightT returns pᵀ for a forward: the copy cached in slot for inference
+// (t nil), a fresh transpose carved from a for a taped forward.
+func weightT(slot *packSlot, p *Param, a *Arena, t *Tape) *mat.Mat {
+	if t == nil {
+		return packedTransposed(slot, p)
+	}
+	return transposed(a, p.W)
 }
 
 // transposeInto writes wᵀ into t (w.Cols×w.Rows). Eight source rows go at
@@ -70,35 +120,14 @@ func transposed(a *Arena, w *mat.Mat) *mat.Mat {
 	return t
 }
 
-// packSeq copies a vector sequence into an arena matrix, one token per row.
-func packSeq(a *Arena, xs []mat.Vec, dim int) *mat.Mat {
-	x := a.MatRaw(len(xs), dim)
-	for i, v := range xs {
-		copy(x.Row(i), v)
-	}
-	return x
-}
-
 // NewSeq returns n zeroed vectors of width dim backed by one array: a
-// training sequence for two allocations instead of n+1.
+// sequence for two allocations instead of n+1 (the CRF's forward–backward
+// tables and gradients, FGSMSeq's perturbations).
 func NewSeq(n, dim int) []mat.Vec {
-	_, seq := newSeqMat(n, dim)
-	return seq
-}
-
-// newSeqMat is NewSeq that also returns the matrix view of the sequence
-// (one token per row), for a GEMM to write into.
-func newSeqMat(n, dim int) (mat.Mat, []mat.Vec) {
-	m := mat.Mat{Rows: n, Cols: dim, Data: make([]float64, n*dim)}
-	return m, rowViews(&m)
-}
-
-// rowViews returns m's rows as the []mat.Vec sequence the layers exchange;
-// the vectors share m's storage.
-func rowViews(m *mat.Mat) []mat.Vec {
-	out := make([]mat.Vec, m.Rows)
+	flat := make([]float64, n*dim)
+	out := make([]mat.Vec, n)
 	for i := range out {
-		out[i] = m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols]
+		out[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return out
 }

@@ -3,20 +3,21 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"saccs/internal/mat"
 )
 
-// The batched training forward and backward (train.go) must be bit-identical
-// to the per-token reference: Linear.Forward/Backward, and the per-token
-// LSTM below (the MulVec / MulVecT / AddOuter recurrence the GEMM version
-// replaced). Each test runs the reference on one copy of a layer and the
-// batched code on an identically initialized copy, for every sequence
-// length in seqLens, on both kernel dispatch paths, and compares outputs,
-// input gradients and the accumulated weight gradients for exact equality.
-// Backward runs twice per length so G also accumulates onto a nonzero prior
-// value; upstream gradients include all-zero and −0 rows, the entries the
+// The taped forward and its backward must be bit-identical to the per-token
+// reference: Linear.Forward/Backward, and the per-token LSTM below (the
+// MulVec / MulVecT / AddOuter recurrence the GEMM version replaced). Each
+// test runs the reference on one copy of a layer and the taped code on an
+// identically initialized copy, for every sequence length in seqLens, on
+// both kernel dispatch paths, and compares outputs, input gradients and the
+// accumulated weight gradients for exact equality. Each length runs two
+// forward/backward passes so G also accumulates onto a nonzero prior value;
+// upstream gradients include all-zero and −0 rows, the entries the
 // zero-skipping reference kernels skip.
 
 // gradSeq returns n random upstream gradients of width dim, with row 1 all
@@ -68,26 +69,35 @@ func requireParamGrads(t *testing.T, want, got []*Param) {
 	}
 }
 
+// packRows copies a vector sequence into a matrix, one vector per row.
+func packRows(vs []mat.Vec, cols int) *mat.Mat {
+	var a Arena
+	return a.Pack(vs, cols)
+}
+
 func TestLinearSeqMatchesPerToken(t *testing.T) {
 	onBothKernelPaths(t, func(t *testing.T) {
 		for _, dims := range [][2]int{{64, 64}, {64, 128}, {128, 64}, {64, 5}, {64, 400}, {31, 7}, {1, 1}} {
 			ref := NewLinear(rand.New(rand.NewSource(21)), "t", dims[0], dims[1])
 			got := NewLinear(rand.New(rand.NewSource(21)), "t", dims[0], dims[1])
 			rng := rand.New(rand.NewSource(22))
+			var tape Tape
 			for _, n := range seqLens {
 				xs := gradSeq(rng, n, dims[0])
 				want := make([]mat.Vec, n)
 				for i, x := range xs {
 					want[i] = ref.Forward(x)
 				}
-				requireSeqBits(t, "ForwardSeq", want, got.ForwardSeq(xs))
 				for pass := 0; pass < 2; pass++ {
+					tape.Reset()
+					y := got.ForwardRows(packRows(xs, dims[0]), &tape.Arena, &tape)
+					requireSeqBits(t, "ForwardRows", want, rowsOf(y))
 					dys := gradSeq(rng, n, dims[1])
 					wantDx := make([]mat.Vec, n)
 					for i := range xs {
 						wantDx[i] = ref.Backward(xs[i], dys[i])
 					}
-					requireSeqBits(t, "BackwardSeq dx", wantDx, got.BackwardSeq(xs, dys))
+					requireSeqBits(t, "BackwardRows dx", wantDx, rowsOf(got.BackwardRows(&tape, packRows(dys, dims[1]))))
 					requireParamGrads(t, ref.Params(), got.Params())
 				}
 			}
@@ -101,14 +111,17 @@ func TestLSTMMatchesPerToken(t *testing.T) {
 			ref := NewLSTM(rand.New(rand.NewSource(23)), "t", dims[0], dims[1])
 			got := NewLSTM(rand.New(rand.NewSource(23)), "t", dims[0], dims[1])
 			rng := rand.New(rand.NewSource(24))
+			var tape Tape
 			for _, n := range seqLens {
 				xs := gradSeq(rng, n, dims[0])
 				wantHs, steps := refLSTMForward(ref, xs)
-				hs, cache := got.Forward(xs)
-				requireSeqBits(t, "LSTM.Forward", wantHs, hs)
 				for pass := 0; pass < 2; pass++ {
+					tape.Reset()
+					hs := got.Forward(packRows(xs, dims[0]), &tape.Arena, &tape)
+					requireSeqBits(t, "LSTM.Forward", wantHs, rowsOf(hs))
 					dhs := gradSeq(rng, n, dims[1])
-					requireSeqBits(t, "LSTM.Backward dx", refLSTMBackward(ref, steps, dhs), got.Backward(cache, dhs))
+					dx := got.Backward(&tape, packRows(dhs, dims[1]))
+					requireSeqBits(t, "LSTM.Backward dx", refLSTMBackward(ref, steps, dhs), rowsOf(dx))
 					requireParamGrads(t, ref.Params(), got.Params())
 				}
 			}
@@ -121,19 +134,18 @@ func TestBiLSTMMatchesPerToken(t *testing.T) {
 		ref := NewBiLSTM(rand.New(rand.NewSource(25)), "t", 64, 32)
 		got := NewBiLSTM(rand.New(rand.NewSource(25)), "t", 64, 32)
 		rng := rand.New(rand.NewSource(26))
+		var tape Tape
 		for _, n := range seqLens {
 			xs := gradSeq(rng, n, 64)
 			rev := make([]mat.Vec, n)
 			for i, x := range xs {
 				rev[n-1-i] = x
 			}
-			fh, fSteps := refLSTMForward(ref.Fwd, xs)
-			bh, bSteps := refLSTMForward(ref.Bwd, rev)
-			out, cache := got.Forward(xs)
-			for i := range xs {
-				requireBits(t, "BiLSTM.Forward fwd", fh[i], out[i][:32])
-				requireBits(t, "BiLSTM.Forward bwd", bh[n-1-i], out[i][32:])
-			}
+			_, fSteps := refLSTMForward(ref.Fwd, xs)
+			_, bSteps := refLSTMForward(ref.Bwd, rev)
+			tape.Reset()
+			out := got.Forward(packRows(xs, 64), &tape.Arena, &tape)
+			requireSeqBits(t, "BiLSTM.Forward", refBiLSTMForward(ref, xs), rowsOf(out))
 			dys := gradSeq(rng, n, 64)
 			dF, dB := make([]mat.Vec, n), make([]mat.Vec, n)
 			for i, d := range dys {
@@ -147,10 +159,48 @@ func TestBiLSTMMatchesPerToken(t *testing.T) {
 				v.Add(dxB[n-1-i])
 				want[i] = v
 			}
-			requireSeqBits(t, "BiLSTM.Backward dx", want, got.Backward(cache, dys))
+			requireSeqBits(t, "BiLSTM.Backward dx", want, rowsOf(got.Backward(&tape, packRows(dys, 64))))
 			requireParamGrads(t, ref.Params(), got.Params())
 		}
 	})
+}
+
+// TestTapePopEmptyPanics pins that a backward with nothing left on its
+// tape fails with a message naming the rule, not an index out of range: a
+// second Backward of one taped forward, here.
+func TestTapePopEmptyPanics(t *testing.T) {
+	l := NewLinear(rand.New(rand.NewSource(28)), "t", 4, 3)
+	var tape Tape
+	l.ForwardRows(packRows(gradSeq(rand.New(rand.NewSource(29)), 2, 4), 4), &tape.Arena, &tape)
+	dy := packRows(gradSeq(rand.New(rand.NewSource(30)), 2, 3), 3)
+	l.BackwardRows(&tape, dy)
+	if tape.Len() != 0 {
+		t.Fatalf("tape holds %d records after the backward, want 0", tape.Len())
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "empty tape") {
+			t.Fatalf("second backward: recovered %q, want the empty-tape panic", msg)
+		}
+	}()
+	l.BackwardRows(&tape, dy)
+}
+
+// refBiLSTMForward is the per-token BiLSTM forward: [fwd_t ; bwd_t] from
+// refLSTMForward over the sequence and over its reverse.
+func refBiLSTMForward(b *BiLSTM, xs []mat.Vec) []mat.Vec {
+	n := len(xs)
+	rev := make([]mat.Vec, n)
+	for i, x := range xs {
+		rev[n-1-i] = x
+	}
+	fh, _ := refLSTMForward(b.Fwd, xs)
+	bh, _ := refLSTMForward(b.Bwd, rev)
+	out := make([]mat.Vec, n)
+	for i := range out {
+		out[i] = append(fh[i].Clone(), bh[n-1-i]...)
+	}
+	return out
 }
 
 // refStep is one timestep of the per-token reference LSTM.

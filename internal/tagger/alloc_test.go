@@ -44,13 +44,26 @@ func TestPredictAllocsRegression(t *testing.T) {
 	}
 }
 
-// TestPredictMatchesTrainingForward pins the float64 inference forward
-// directly against the training pipeline (enc.EncodeTokens → bilstm.Forward →
-// proj.ForwardSeq → crf.Decode): every emission bit for bit, hence the exact
-// label path — the bit-identity contract behind the extraction cache, the
-// index bytes and the golden snapshots. Lengths cover empty, one token, a
-// ragged middle, a full MaxLen window and beyond it, on the vector kernels
-// and with them forced off.
+// trainingEmissions runs the forward training runs (forwardLoss without its
+// dropout) on a tape over the encoder's EncodeTokens vectors — bert's
+// taped Encode for a bert encoder — and returns the emission rows.
+func trainingEmissions(m *Model, tokens []string) []mat.Vec {
+	var tape nn.Tape
+	a := &tape.Arena
+	x := a.Pack(m.enc.EncodeTokens(tokens), m.enc.EmbeddingDim())
+	return a.Rows(m.proj.ForwardRows(m.bilstm.Forward(x, a, &tape), a, &tape))
+}
+
+// TestPredictMatchesTrainingForward pins the float64 decode against the
+// forward as training runs it: the encoder's taped Encode, then the BiLSTM
+// and projection on a tape, then crf.Decode. Both sides are one forward
+// per layer, run without and with a tape; the per-layer references behind
+// it are bert's TestEncodeAndInferMatchReference and nn's
+// TestBiLSTMMatchesPerToken / TestLinearSeqMatchesPerToken. Every emission
+// must match bit for bit, hence the exact label path — the bit-identity
+// contract behind the extraction cache, the index bytes and the golden
+// snapshots. Lengths cover empty, one token, a ragged middle, a full MaxLen
+// window and beyond it, on the vector kernels and with them forced off.
 func TestPredictMatchesTrainingForward(t *testing.T) {
 	words := []string{"the", "food", "is", "delicious", "staff", "friendly", "and", "service", "slow", "."}
 	v := tokenize.NewVocab()
@@ -63,8 +76,7 @@ func TestPredictMatchesTrainingForward(t *testing.T) {
 			for i := range tokens {
 				tokens[i] = words[(i*7+i/4)%len(words)]
 			}
-			hs, _ := m.bilstm.Forward(enc.EncodeTokens(tokens))
-			emissions := m.proj.ForwardSeq(hs)
+			emissions := trainingEmissions(m, tokens)
 			got := m.EmissionsAt(tokens, nn.Float64)
 			if len(got) != len(emissions) {
 				t.Fatalf("n=%d: %d emission rows, training forward %d", n, len(got), len(emissions))
@@ -126,11 +138,12 @@ func TestGenerationChangesOnTrain(t *testing.T) {
 
 // TestTrainStepAllocs pins the allocation count of one warm adversarial
 // training step at the served tagger's shape (DefaultConfig, a 64-wide
-// encoder) on a 12-token sentence: the BiLSTM caches and outputs, the
-// projection and CRF gradients, dropout masks and the FGSM direction (in
-// which the adversarial inputs are formed). The clean-gradient snapshot
-// reuses the Train call's buffers, and the optimizer step and the gradient
-// clip allocate nothing.
+// encoder) on a 12-token sentence: the CRF's forward–backward tables and
+// emission gradients of both passes and the FGSM direction. Everything
+// else — the dropout masks, the BiLSTM and projection records and
+// gradients, the adversarial inputs — comes from the warm tape; the
+// clean-gradient snapshot reuses the Train call's buffers, and the optimizer
+// step and the gradient clip allocate nothing.
 func TestTrainStepAllocs(t *testing.T) {
 	words := []string{"the", "food", "is", "delicious", "and", "the", "staff", "is", "friendly", "but", "slow", "."}
 	v := tokenize.NewVocab()
@@ -140,7 +153,8 @@ func TestTrainStepAllocs(t *testing.T) {
 	cfg.Adversarial, cfg.Epsilon = true, 0.2
 	m := New(enc, cfg)
 	m.drop.Train = true
-	embeds := enc.EncodeTokens(words)
+	var a nn.Arena
+	embeds := a.Pack(enc.EncodeTokens(words), enc.EmbeddingDim())
 	gold := make([]int, len(words))
 	for i := range gold {
 		gold[i] = int(tokenize.O)
@@ -149,14 +163,13 @@ func TestTrainStepAllocs(t *testing.T) {
 	opt := nn.NewAdam(cfg.LR)
 	params := m.Params()
 	clean := gradBuffers(params)
+	var tape nn.Tape
 	for i := 0; i < 3; i++ {
-		m.trainStep(opt, params, clean, embeds, gold, nil) // warm the scratch pool and Adam state
+		m.trainStep(&tape, opt, params, clean, embeds, gold, nil) // warm the tape and Adam state
 	}
-	allocs := testing.AllocsPerRun(50, func() { m.trainStep(opt, params, clean, embeds, gold, nil) })
-	limit := 70.0 // the count measured today: lower it when a change removes one
-	if race.Enabled {
-		limit *= 2 // sync.Pool drops a quarter of its Puts: pin only the gross regression
-	}
+	allocs := testing.AllocsPerRun(50, func() { m.trainStep(&tape, opt, params, clean, embeds, gold, nil) })
+	// The step touches no sync.Pool, so -race measures the same count.
+	limit := 18.0 // the count measured today: lower it when a change removes one
 	if allocs > limit {
 		t.Fatalf("warm adversarial train step allocates %v times, want <= %v", allocs, limit)
 	}

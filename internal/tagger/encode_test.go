@@ -61,9 +61,8 @@ func TestPlainEncoderIsCopiedIntoRows(t *testing.T) {
 		o := NewOpineDB(enc, cfg)
 		for s, seq := range seqs {
 			embeds := enc.EncodeTokens(seq)
-			hs, _ := m.bilstm.Forward(embeds)
 			want := make([]tokenize.Label, len(seq))
-			for i, l := range m.crf.Decode(m.proj.ForwardSeq(hs)) {
+			for i, l := range m.crf.Decode(trainingEmissions(m, seq)) {
 				want[i] = tokenize.Label(l)
 			}
 			for _, p := range []nn.Precision{nn.Float64, nn.Mixed} {

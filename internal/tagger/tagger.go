@@ -38,9 +38,9 @@ type Encoder interface {
 // one sequence, a token per row, every buffer carved from the caller's
 // arena; *bert.Model satisfies it. Predict runs on it so any number of
 // goroutines can tag concurrently and a warm decode allocates nothing but
-// its labels. Train always uses EncodeTokens — fine-tuning needs the
-// encoder's caches — and so does inference over an encoder without this
-// forward (see encode).
+// its labels. Train uses EncodeTokens — the same forward, recorded on the
+// encoder's tape for fine-tuning — and so does inference over an encoder
+// without this forward (see encode).
 type ArenaEncoder interface {
 	InferTokensArena(tokens []string, a *nn.Arena) *mat.Mat
 }
@@ -56,9 +56,11 @@ type QuantEncoder interface {
 }
 
 // TrainableEncoder is an encoder the tagger can fine-tune end-to-end;
-// *bert.Model satisfies it. Fine-tuning on the tagging task is what makes
-// BERT's attention heads align aspects with opinions (§5.1: "we have it
-// already trained on aspect/opinion extraction").
+// *bert.Model satisfies it: EncodeTokens records its forward on the
+// encoder's tape and Backward consumes that tape, once per EncodeTokens.
+// Fine-tuning on the tagging task is what makes BERT's attention heads
+// align aspects with opinions (§5.1: "we have it already trained on
+// aspect/opinion extraction").
 type TrainableEncoder interface {
 	Encoder
 	Backward(dhs []mat.Vec) []mat.Vec
@@ -181,17 +183,17 @@ func (m *Model) Params() []*nn.Param {
 	return append(ps, m.crf.Params()...)
 }
 
-// forwardLoss runs embeddings → BiLSTM → proj → CRF, accumulates parameter
-// gradients, and returns (loss, gradient w.r.t. the embeddings). The clean
-// and adversarial branches are mixed by the caller via gradient snapshots.
-func (m *Model) forwardLoss(embeds []mat.Vec, gold []int) (float64, []mat.Vec) {
-	dropped, masks := m.drop.ForwardSeq(embeds)
-	hs, cache := m.bilstm.Forward(dropped)
-	emissions := m.proj.ForwardSeq(hs)
-	loss, dE := m.crf.NLL(emissions, gold)
-	dHs := m.proj.BackwardSeq(hs, dE)
-	dDropped := m.bilstm.Backward(cache, dHs)
-	return loss, m.drop.BackwardSeq(dDropped, masks)
+// forwardLoss runs embeddings → dropout → BiLSTM → proj → CRF on the tape,
+// backpropagates, accumulating parameter gradients, and returns (loss,
+// gradient w.r.t. the embeddings). The clean and adversarial branches are
+// mixed by the caller via gradient snapshots.
+func (m *Model) forwardLoss(t *nn.Tape, embeds *mat.Mat, gold []int) (float64, *mat.Mat) {
+	a := &t.Arena
+	dropped := m.drop.Forward(embeds, a, t)
+	emissions := m.proj.ForwardRows(m.bilstm.Forward(dropped, a, t), a, t)
+	loss, dE := m.crf.NLL(a.Rows(emissions), gold)
+	dHs := m.proj.BackwardRows(t, a.Pack(dE, emissions.Cols))
+	return loss, m.drop.Backward(t, m.bilstm.Backward(t, dHs))
 }
 
 // gradBuffers returns one buffer shaped like each parameter's gradient: the
@@ -204,38 +206,38 @@ func gradBuffers(params []*nn.Param) [][]float64 {
 	return bufs
 }
 
-// trainStep processes one example, with or without the adversarial branch,
-// and applies the optimizer to params (m.Params()); clean (gradBuffers)
-// receives the clean branch's gradients. When encBack is non-nil it
-// receives the combined gradient with respect to the input embeddings so
-// the caller can fine-tune the encoder.
-func (m *Model) trainStep(opt nn.Optimizer, params []*nn.Param, clean [][]float64, embeds []mat.Vec, gold []int, encBack func([]mat.Vec)) float64 {
+// trainStep processes one example, its embeddings a row per token of x, on
+// the tape t (reset here, so x must not come from it), with or without the
+// adversarial branch, and applies the optimizer to params (m.Params());
+// clean (gradBuffers) receives the clean branch's gradients. When encBack is
+// non-nil it receives the combined gradient with respect to the input
+// embeddings so the caller can fine-tune the encoder.
+func (m *Model) trainStep(t *nn.Tape, opt nn.Optimizer, params []*nn.Param, clean [][]float64, x *mat.Mat, gold []int, encBack func([]mat.Vec)) float64 {
+	t.Reset()
 	if !m.cfg.Adversarial {
 		nn.ZeroGrads(params)
-		loss, dEmbeds := m.forwardLoss(embeds, gold)
+		loss, dEmbeds := m.forwardLoss(t, x, gold)
 		nn.ClipGrads(params, m.cfg.ClipNorm)
 		opt.Step(params)
 		if encBack != nil {
-			encBack(dEmbeds)
+			encBack(t.Rows(dEmbeds))
 		}
 		return loss
 	}
 	alpha := m.cfg.Alpha
 	// Clean pass: also yields ∇x l for the FGSM direction (Eq. 9's g).
 	nn.ZeroGrads(params)
-	cleanLoss, dEmbeds := m.forwardLoss(embeds, gold)
+	cleanLoss, dEmbeds := m.forwardLoss(t, x, gold)
 	for i, p := range params {
 		copy(clean[i], p.G.Data)
 	}
 
-	// Adversarial example: x + ε·sign(g) (Eq. 7–9), formed in δ*'s own
-	// buffer (float addition commutes exactly).
-	adv := nn.FGSMSeq(dEmbeds, m.cfg.Epsilon)
-	for i, e := range embeds {
-		adv[i].Add(e)
-	}
+	// Adversarial example: δ* + x (Eq. 7–9; float addition commutes
+	// exactly).
+	adv := t.Pack(nn.FGSMSeq(t.Rows(dEmbeds), m.cfg.Epsilon), x.Cols)
+	mat.Vec(adv.Data).Add(x.Data)
 	nn.ZeroGrads(params)
-	advLoss, dEmbedsAdv := m.forwardLoss(adv, gold)
+	advLoss, dEmbedsAdv := m.forwardLoss(t, adv, gold)
 
 	// Combine: grad = α·clean + (1−α)·adv (Eq. 8).
 	for pi, p := range params {
@@ -248,12 +250,10 @@ func (m *Model) trainStep(opt nn.Optimizer, params []*nn.Param, clean [][]float6
 	if encBack != nil {
 		// δ* is a constant w.r.t. x, so the adversarial branch's embedding
 		// gradient flows straight through x + δ*.
-		combined := make([]mat.Vec, len(dEmbeds))
-		for i := range dEmbeds {
-			v := dEmbeds[i].Clone()
+		combined := t.Rows(dEmbeds)
+		for i, v := range combined {
 			v.Scale(alpha)
-			v.AddScaled(1-alpha, dEmbedsAdv[i])
-			combined[i] = v
+			v.AddScaled(1-alpha, dEmbedsAdv.Row(i))
 		}
 		encBack(combined)
 	}
@@ -261,9 +261,10 @@ func (m *Model) trainStep(opt nn.Optimizer, params []*nn.Param, clean [][]float6
 }
 
 // Train fits the tagger on the examples and returns the mean loss of the
-// final epoch. With a frozen encoder its embeddings are computed once and
-// cached; with FineTuneEncoder they are recomputed per step and the tagging
-// loss flows back into the encoder at EncoderLR.
+// final epoch. With a frozen encoder its embeddings are computed once, by
+// the encoder's inference forward, and cached; with FineTuneEncoder they are
+// recomputed per step and the tagging loss flows back into the encoder at
+// EncoderLR.
 func (m *Model) Train(examples []datasets.Example) float64 {
 	// Bump the generation before touching any weight and again after the
 	// last update: a Predict that overlaps Train sees different generations
@@ -273,6 +274,7 @@ func (m *Model) Train(examples []datasets.Example) float64 {
 	opt := nn.NewAdam(m.cfg.LR)
 	params := m.Params()
 	clean := gradBuffers(params)
+	var tape nn.Tape
 	m.drop.Train = true
 
 	te, ok := m.enc.(TrainableEncoder)
@@ -288,13 +290,18 @@ func (m *Model) Train(examples []datasets.Example) float64 {
 		encParams = te.EncoderParams()
 	}
 
-	var cached [][]mat.Vec
+	// A frozen encoder's embeddings come from its inference forward, once;
+	// a fine-tuned one's from EncodeTokens, recorded on the encoder's tape,
+	// at every step (rows packed into step).
+	var cached []*mat.Mat
+	var step nn.Arena
 	golds := make([][]int, len(examples))
 	if !fineTune {
-		cached = make([][]mat.Vec, len(examples))
+		cached = make([]*mat.Mat, len(examples))
 		for i, ex := range examples {
-			cached[i] = m.enc.EncodeTokens(ex.Tokens)
-			golds[i] = goldIDs(ex.Labels, len(cached[i]))
+			step.Reset()
+			cached[i] = encode(m.enc, ex.Tokens, &step).Clone()
+			golds[i] = goldIDs(ex.Labels, cached[i].Rows)
 		}
 	}
 
@@ -313,15 +320,16 @@ func (m *Model) Train(examples []datasets.Example) float64 {
 		var total float64
 		var n int
 		for _, idx := range order {
-			var embeds []mat.Vec
+			var embeds *mat.Mat
 			var gold []int
 			if fineTune {
-				embeds = m.enc.EncodeTokens(examples[idx].Tokens)
-				gold = goldIDs(examples[idx].Labels, len(embeds))
+				step.Reset()
+				embeds = step.Pack(m.enc.EncodeTokens(examples[idx].Tokens), m.enc.EmbeddingDim())
+				gold = goldIDs(examples[idx].Labels, embeds.Rows)
 			} else {
 				embeds, gold = cached[idx], golds[idx]
 			}
-			if len(embeds) == 0 {
+			if embeds.Rows == 0 {
 				continue
 			}
 			var encBack func([]mat.Vec)
@@ -333,7 +341,7 @@ func (m *Model) Train(examples []datasets.Example) float64 {
 					encOpt.Step(encParams)
 				}
 			}
-			total += m.trainStep(opt, params, clean, embeds, gold, encBack)
+			total += m.trainStep(&tape, opt, params, clean, embeds, gold, encBack)
 			n++
 		}
 		if n > 0 {
@@ -369,12 +377,7 @@ func encode(enc Encoder, tokens []string, a *nn.Arena) *mat.Mat {
 	if ae, ok := enc.(ArenaEncoder); ok {
 		return ae.InferTokensArena(tokens, a)
 	}
-	vs := enc.EncodeTokens(tokens)
-	x := a.MatRaw(len(vs), enc.EmbeddingDim())
-	for i, v := range vs {
-		copy(x.Row(i), v)
-	}
-	return x
+	return a.Pack(enc.EncodeTokens(tokens), enc.EmbeddingDim())
 }
 
 // emissions is the forward up to the CRF — encoder, BiLSTM, projection — at
@@ -392,7 +395,7 @@ func (m *Model) emissions(tokens []string, a *nn.Arena, p nn.Precision) *mat.Mat
 		}
 		return em
 	}
-	return m.proj.InferBatch(m.bilstm.InferBatch(encode(m.enc, tokens, a), a), a)
+	return m.proj.ForwardRows(m.bilstm.Forward(encode(m.enc, tokens, a), a, nil), a, nil)
 }
 
 // Predict tags a sentence with Viterbi decoding at the configured precision.
@@ -408,9 +411,8 @@ func (m *Model) Predict(tokens []string) []tokenize.Label {
 // and the benchmarks decode at float64 and mixed on one model without
 // mutating it. One pooled arena is threaded through the inference forward
 // (emissions) and the Viterbi decode, so a warm call allocates only the
-// labels it returns. The float64 forward executes the training Forward's
-// float operations in the same order, so its labels are bit-for-bit the
-// training pipeline's.
+// labels it returns. The float64 forward is the one training runs, with no
+// tape, so its labels are bit-for-bit the training pipeline's.
 func (m *Model) PredictAt(tokens []string, p nn.Precision) []tokenize.Label {
 	if m.Obs != nil {
 		defer m.Obs.Histogram("tagger.predict").ObserveSince(time.Now())
@@ -419,11 +421,7 @@ func (m *Model) PredictAt(tokens []string, p nn.Precision) []tokenize.Label {
 	a.Reset()
 	em := m.emissions(tokens, a, p)
 	out := make([]tokenize.Label, len(tokens))
-	rows := a.Seq(em.Rows)
-	for t := range rows {
-		rows[t] = em.Row(t)
-	}
-	for i, l := range m.crf.DecodeArena(rows, a) {
+	for i, l := range m.crf.DecodeArena(a.Rows(em), a) {
 		out[i] = tokenize.Label(l)
 	}
 	arenaPool.Put(a)

@@ -298,10 +298,9 @@ func TestLoadIndexThenRegisterEntityKeepsPostings(t *testing.T) {
 	wantScores := src.QueryTags([]string{"creative cooking"})
 	want := src.Query(utterance)
 
-	c, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A clone is a restart's shape — a fresh world, index and ingester over
+	// the same trained weights — without retraining.
+	c := cloneForTest(t, src, DefaultConfig())
 	defer c.Shutdown()
 	if err := c.LoadIndex(&buf); err != nil {
 		t.Fatal(err)
