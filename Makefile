@@ -206,6 +206,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/ingest/
 	$(GO) test -fuzz '^FuzzQuantRoundTrip$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/mat/
 	$(GO) test -fuzz '^FuzzRow64Kernels$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/mat/
+	$(GO) test -fuzz '^FuzzRow32Kernels$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/mat/
 	$(GO) test -fuzz '^FuzzPreparedPhrase$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/sim/
 
 # cover measures total -short coverage and fails if it regresses below

@@ -51,7 +51,7 @@ func (b *Block) InferQuantBatch(xs *mat.Mat32, a *nn.Arena) *mat.Mat32 {
 	b.LN1.addNormRows32(h1, xs, attnOut)
 	ffPre := b.FF1.InferQuantBatch(h1, a)
 	ffAct := a.Mat32Raw(xs.Rows, ffPre.Cols)
-	nn.GELURow32(ffAct.Data, ffPre.Data)
+	mat.GELURow32(ffAct.Data, ffPre.Data)
 	ffnOut := b.FF2.InferQuantBatch(ffAct, a)
 	out := a.Mat32Raw(xs.Rows, xs.Cols)
 	b.LN2.addNormRows32(out, h1, ffnOut)
@@ -113,7 +113,9 @@ func (ln *LayerNorm) addNormRows32(y, x, r *mat.Mat32) {
 // every output element is written after the last read of it) with the
 // moments computed in float64 — layer norm is the drift amplifier of the stack (it divides by
 // a variance that quantization error perturbs), so the mixed mode keeps its
-// internals at full precision and rounds once on output.
+// internals at full precision and rounds once on output. The moment sums
+// run in element order (reordering them would move bits); the output pass
+// is mat.NormRow32.
 func (ln *LayerNorm) ApplyInto32(y, x mat.Vec32) {
 	var sum float64
 	for _, v := range x {
@@ -126,7 +128,5 @@ func (ln *LayerNorm) ApplyInto32(y, x mat.Vec32) {
 		varSum += d * d
 	}
 	std := math.Sqrt(varSum/float64(len(x)) + ln.Eps)
-	for i, v := range x {
-		y[i] = float32((float64(v)-mean)/std*ln.Gain.W.Data[i] + ln.Bias.W.Data[i])
-	}
+	mat.NormRow32(y, x, ln.Gain.W.Data, ln.Bias.W.Data, mean, std)
 }

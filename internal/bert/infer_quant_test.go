@@ -149,3 +149,52 @@ func TestQuantEncoderTracksFloat64(t *testing.T) {
 		t.Fatalf("quantized hidden states off by %v against a float64 scale of %v", maxErr, maxAbs)
 	}
 }
+
+// TestAddNormRows32MatchesPerRow pins the residual layer norm of the mixed
+// decode, whose output pass runs on mat.NormRow32, to the per-element
+// sequence it replaced, bit for bit, on both kernel paths.
+func TestAddNormRows32MatchesPerRow(t *testing.T) {
+	onBothKernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(44))
+		for _, d := range []int{24, 64} {
+			ln := NewLayerNorm("ln", d)
+			for i := range ln.Gain.W.Data {
+				ln.Gain.W.Data[i] = 1 + 0.3*rng.NormFloat64()
+				ln.Bias.W.Data[i] = 0.2 * rng.NormFloat64()
+			}
+			for rows := 0; rows <= 9; rows++ {
+				x, r := mat.NewMat32(rows, d), mat.NewMat32(rows, d)
+				for i := range x.Data {
+					x.Data[i] = float32(rng.NormFloat64() * 2)
+					r.Data[i] = float32(rng.NormFloat64())
+				}
+				want := mat.NewMat32(rows, d)
+				for i := 0; i < rows; i++ {
+					row := want.Row(i)
+					var sum float64
+					for j := range row {
+						row[j] = x.Row(i)[j] + r.Row(i)[j]
+						sum += float64(row[j])
+					}
+					mean := sum / float64(d)
+					var varSum float64
+					for _, v := range row {
+						dv := float64(v) - mean
+						varSum += dv * dv
+					}
+					std := math.Sqrt(varSum/float64(d) + ln.Eps)
+					for j, v := range row {
+						row[j] = float32((float64(v)-mean)/std*ln.Gain.W.Data[j] + ln.Bias.W.Data[j])
+					}
+				}
+				got := mat.NewMat32(rows, d)
+				ln.addNormRows32(got, x, r)
+				for i, w := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
+						t.Fatalf("d=%d rows=%d: [%d] = %v, per-row reference %v", d, rows, i, got.Data[i], w)
+					}
+				}
+			}
+		}
+	})
+}

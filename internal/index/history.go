@@ -14,12 +14,13 @@ import "sync"
 // tag is forgotten entirely — dropped from the pending queue if still queued,
 // and re-queued like a brand-new tag if a later utterance mentions it again.
 type History struct {
-	mu      sync.Mutex
-	cap     int
-	pending []string
+	mu  sync.Mutex
+	cap int
+	// seen maps every remembered tag to whether it is queued in pending.
 	seen    map[string]bool
+	pending tagQueue
 	// arrival records seen tags oldest-first, driving eviction order.
-	arrival []string
+	arrival tagQueue
 }
 
 // NewHistory returns an empty, unbounded history.
@@ -52,29 +53,34 @@ func (h *History) Add(tag string) {
 		return
 	}
 	h.mu.Lock()
-	if !h.seen[tag] {
+	if _, ok := h.seen[tag]; !ok {
 		h.seen[tag] = true
-		h.arrival = append(h.arrival, tag)
-		h.pending = append(h.pending, tag)
+		h.arrival.push(tag)
+		h.pending.push(tag)
 		h.evictLocked()
 	}
 	h.mu.Unlock()
 }
 
 // evictLocked drops oldest-seen tags until the cap holds; h.mu must be held.
+// A queued oldest tag is almost always the head of pending, which arrives in
+// the same order; only a Requeue out of arrival order puts it elsewhere, and
+// then it is found by a scan.
 func (h *History) evictLocked() {
 	if h.cap <= 0 {
 		return
 	}
-	for len(h.arrival) > h.cap {
-		oldest := h.arrival[0]
-		h.arrival = h.arrival[1:]
+	for h.arrival.len() > h.cap {
+		oldest := h.arrival.pop()
+		queued := h.seen[oldest]
 		delete(h.seen, oldest)
-		for i, t := range h.pending {
-			if t == oldest {
-				h.pending = append(h.pending[:i], h.pending[i+1:]...)
-				break
-			}
+		if !queued {
+			continue
+		}
+		if h.pending.items()[0] == oldest {
+			h.pending.pop()
+		} else {
+			h.pending.remove(oldest)
 		}
 	}
 }
@@ -84,7 +90,7 @@ func (h *History) evictLocked() {
 func (h *History) Pending() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]string(nil), h.pending...)
+	return append([]string(nil), h.pending.items()...)
 }
 
 // Each calls f for every queued tag in arrival order without copying,
@@ -93,7 +99,7 @@ func (h *History) Pending() []string {
 func (h *History) Each(f func(tag string) bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, t := range h.pending {
+	for _, t := range h.pending.items() {
 		if !f(t) {
 			return
 		}
@@ -105,8 +111,11 @@ func (h *History) Each(f func(tag string) bool) {
 func (h *History) Drain() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := h.pending
-	h.pending = nil
+	out := h.pending.items()
+	for _, t := range out {
+		h.seen[t] = false
+	}
+	h.pending = tagQueue{}
 	return out
 }
 
@@ -117,19 +126,15 @@ func (h *History) Drain() []string {
 func (h *History) Requeue(tags []string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	queued := make(map[string]bool, len(h.pending))
-	for _, t := range h.pending {
-		queued[t] = true
-	}
 	var front []string
 	for _, t := range tags {
-		if h.seen[t] && !queued[t] {
+		if queued, ok := h.seen[t]; ok && !queued {
 			front = append(front, t)
-			queued[t] = true
+			h.seen[t] = true
 		}
 	}
 	if len(front) > 0 {
-		h.pending = append(front, h.pending...)
+		h.pending = tagQueue{s: append(front, h.pending.items()...)}
 	}
 }
 
@@ -137,5 +142,48 @@ func (h *History) Requeue(tags []string) {
 func (h *History) Len() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.pending)
+	return h.pending.len()
+}
+
+// tagQueue is a FIFO of tags over one slice: pop advances a head index, and
+// once the popped prefix reaches half the slice the live tail is copied down
+// in place. Each tag is copied at most once per pop on average, and a queue
+// that stays near one size stops allocating once its backing array holds
+// twice that size.
+type tagQueue struct {
+	s    []string
+	head int
+}
+
+func (q *tagQueue) len() int { return len(q.s) - q.head }
+
+// items returns the queued tags oldest-first, sharing the queue's storage.
+func (q *tagQueue) items() []string { return q.s[q.head:] }
+
+func (q *tagQueue) push(t string) { q.s = append(q.s, t) }
+
+// pop removes and returns the oldest tag; the queue must not be empty.
+func (q *tagQueue) pop() string {
+	t := q.s[q.head]
+	q.s[q.head] = ""
+	q.head++
+	if 2*q.head >= len(q.s) {
+		n := copy(q.s, q.s[q.head:])
+		clear(q.s[n:])
+		q.s, q.head = q.s[:n], 0
+	}
+	return t
+}
+
+// remove deletes the first queued occurrence of t, if any.
+func (q *tagQueue) remove(t string) {
+	live := q.items()
+	for i, v := range live {
+		if v == t {
+			copy(live[i:], live[i+1:])
+			live[len(live)-1] = ""
+			q.s = q.s[:len(q.s)-1]
+			return
+		}
+	}
 }

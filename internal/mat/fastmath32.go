@@ -2,17 +2,17 @@ package mat
 
 import "math"
 
-// Float32 row transcendentals for the reduced-precision inference tier. The
-// decode applies each of them to whole rows — every softmax score of a head,
-// the 4H gate row of an LSTM step, an FFN row — so they take slices: the
-// pure-Go loops below keep the polynomial in registers across elements, and
-// on AVX-512 machines the multiple-of-16 prefix of a row runs on a vector
-// twin (quant_amd64.s) that performs the same unfused float32 multiply and
-// add per lane in the same order. Both forms are pure float32 arithmetic —
-// IEEE-exact — so a row's result is the same bits on every platform and
-// dispatch path; TestRowKernelPathsBitIdentical pins the asm/Go identity and
-// TestRowKernelsMatchScalarReference the identity with the one-element
-// definitions kept in the tests.
+// Float32 row kernels for the reduced-precision inference tier. The decode
+// applies each of them to whole rows — every softmax score of a head, the 4H
+// gate row of an LSTM step, an FFN row, a layer norm's output — so they take
+// slices. The pure-Go loops below are the definition and the path for hosts
+// without AVX-512; on AVX-512 machines the whole row runs on a vector twin
+// (fastmath32_amd64.s), its last block under a k-mask, that performs the same
+// unfused multiply and add per lane in the same order. Both forms are pure
+// IEEE arithmetic, so a row's result is the same bits on every platform and
+// dispatch path; TestRowKernelPathsBitIdentical and FuzzRow32Kernels pin the
+// asm/Go identity and TestRowKernelsMatchScalarReference the identity with
+// the one-element definitions kept in the tests.
 
 // Exp32 constants: range reduction x = n·ln2 + r with the classic hi/lo
 // split of ln2, then a degree-5 minimax polynomial for e^r on
@@ -55,8 +55,9 @@ const (
 // ~88.02 and to 0 below ~-87.34 (the float32 normal range); NaN propagates.
 func ExpRow32(dst, src []float32) {
 	checkLen(len(dst), len(src))
-	k := expRowAsm(dst, src)
-	expRowGo(dst[k:], src[k:])
+	if !expRowAsm(dst, src) {
+		expRowGo(dst, src)
+	}
 }
 
 func expRowGo(dst, src []float32) {
@@ -100,8 +101,9 @@ func expRowGo(dst, src []float32) {
 // alias src), accurate to a few ulp everywhere; NaN propagates.
 func TanhRow32(dst, src []float32) {
 	checkLen(len(dst), len(src))
-	k := tanhRowAsm(dst, src)
-	tanhRowGo(dst[k:], src[k:])
+	if !tanhRowAsm(dst, src) {
+		tanhRowGo(dst, src)
+	}
 }
 
 func tanhRowGo(dst, src []float32) {
@@ -130,19 +132,73 @@ func tanhRowGo(dst, src []float32) {
 }
 
 // SigmoidRow32 writes the logistic 1/(1+e^-x) for every element of src into
-// dst, which must not alias src: one ExpRow32 over -|x|, then the
-// numerically stable quotient — 1/(1+e) where x's sign bit is clear,
-// e/(1+e) where it is set (at -0 both are exactly 0.5; NaN propagates).
+// dst, which must not alias src: e^-|x|, then the numerically stable
+// quotient — 1/(1+e) where x's sign bit is clear, e/(1+e) where it is set
+// (at -0 both are exactly 0.5; NaN propagates).
 func SigmoidRow32(dst, src []float32) {
 	checkLen(len(dst), len(src))
+	if !sigmoidRowAsm(dst, src) {
+		sigmoidRowGo(dst, src)
+	}
+}
+
+func sigmoidRowGo(dst, src []float32) {
+	dst = dst[:len(src)]
 	for i, x := range src {
 		dst[i] = math.Float32frombits(math.Float32bits(x) | 1<<31)
 	}
-	ExpRow32(dst, dst)
+	expRowGo(dst, dst)
 	const one = 0x3f800000
 	for i, x := range src {
 		e := math.Float32bits(dst[i])
 		neg := uint32(int32(math.Float32bits(x)) >> 31) // all ones where x < 0
 		dst[i] = math.Float32frombits(e&neg|one&^neg) / (1 + dst[i])
+	}
+}
+
+// GELU constants, as the float64 gelu has them: sqrt(2/pi) and the cubic
+// term's coefficient.
+const (
+	geluC = 0.7978845608028654
+	geluK = 0.044715
+)
+
+// GELURow32 applies the tanh-approximation GELU to every element of src
+// into dst, which must not alias src, entirely in float32:
+// 0.5·v·(1 + tanh(c·(v + 0.044715·v·v·v))), with TanhRow32's tanh.
+func GELURow32(dst, src []float32) {
+	checkLen(len(dst), len(src))
+	if !geluRowAsm(dst, src) {
+		geluRowGo(dst, src)
+	}
+}
+
+func geluRowGo(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = geluC * (v + geluK*v*v*v)
+	}
+	tanhRowGo(dst, dst)
+	for i, v := range src {
+		dst[i] = 0.5 * v * (1 + dst[i])
+	}
+}
+
+// NormRow32 is a layer norm's output pass over one float32 row: dst[i] =
+// float32((float64(src[i])−mean)/std·gain[i] + bias[i]), rounded once to
+// float32. dst may alias src; gain and bias have len(src) elements.
+func NormRow32(dst, src []float32, gain, bias []float64, mean, std float64) {
+	checkLen(len(dst), len(src))
+	checkLen(len(gain), len(src))
+	checkLen(len(bias), len(src))
+	if !normRowAsm(dst, src, gain, bias, mean, std) {
+		normRowGo(dst, src, gain, bias, mean, std)
+	}
+}
+
+func normRowGo(dst, src []float32, gain, bias []float64, mean, std float64) {
+	dst, gain, bias = dst[:len(src)], gain[:len(src)], bias[:len(src)]
+	for i, v := range src {
+		dst[i] = float32((float64(v)-mean)/std*gain[i] + bias[i])
 	}
 }

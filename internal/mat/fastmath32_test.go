@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -72,7 +73,16 @@ func refSigmoid32(x float32) float32 {
 	return e / (1 + e)
 }
 
-// rowKernels lists every float32 row kernel with its scalar reference.
+// refGELU32 is the per-element GELU the decode ran before GELURow32 took
+// whole rows: the tanh argument, a one-element tanh, the product.
+func refGELU32(v float32) float32 {
+	const c = 0.7978845608028654
+	th := refTanh32(c * (v + 0.044715*v*v*v))
+	return 0.5 * v * (1 + th)
+}
+
+// rowKernels lists every element-wise float32 row kernel with its scalar
+// reference.
 var rowKernels = []struct {
 	name string
 	row  func(dst, src []float32)
@@ -81,6 +91,65 @@ var rowKernels = []struct {
 	{"ExpRow32", ExpRow32, refExp32},
 	{"TanhRow32", TanhRow32, refTanh32},
 	{"SigmoidRow32", SigmoidRow32, refSigmoid32},
+	{"GELURow32", GELURow32, refGELU32},
+}
+
+// normRowCase runs NormRow32 over src the way LayerNorm.ApplyInto32 does:
+// float64 moments summed in element order, seeded gain and bias around 1
+// and 0.
+func normRowCase(dst, src []float32) {
+	n := len(src)
+	if n == 0 {
+		NormRow32(dst, src, nil, nil, 0, 1)
+		return
+	}
+	rng := rand.New(rand.NewSource(int64(n)))
+	gain, bias := make([]float64, n), make([]float64, n)
+	for i := range gain {
+		gain[i], bias[i] = 1+0.2*rng.NormFloat64(), 0.1*rng.NormFloat64()
+	}
+	var sum float64
+	for _, v := range src {
+		sum += float64(v)
+	}
+	mean := sum / float64(n)
+	var varSum float64
+	for _, v := range src {
+		d := float64(v) - mean
+		varSum += d * d
+	}
+	NormRow32(dst, src, gain, bias, mean, math.Sqrt(varSum/float64(n)+1e-5))
+}
+
+// softmaxColsCase runs SoftmaxCols32 over src as the densest matrix of
+// at most 48 columns it fills: the transposed scores of a head.
+func softmaxColsCase(dst, src []float32) {
+	copy(dst, src)
+	cols := min(len(src), 48)
+	if cols == 0 {
+		return
+	}
+	rows := len(src) / cols
+	SoftmaxCols32(&Mat32{Rows: rows, Cols: cols, Data: dst[:rows*cols]}, 0.35355339, make([]float32, cols))
+}
+
+// rowPathKernels is every float32 row kernel with a vector twin, as a
+// function of one row: the element-wise ones, NormRow32 and SoftmaxCols32.
+// It is the table TestRowKernelPathsBitIdentical and FuzzRow32Kernels run
+// on both dispatch paths. finite marks the kernels that reduce over the row
+// (a single Inf or NaN makes the whole row NaN), which the test feeds
+// finite rows.
+var rowPathKernels = []struct {
+	name   string
+	row    func(dst, src []float32)
+	finite bool
+}{
+	{"ExpRow32", ExpRow32, false},
+	{"TanhRow32", TanhRow32, false},
+	{"SigmoidRow32", SigmoidRow32, false},
+	{"GELURow32", GELURow32, false},
+	{"NormRow32", normRowCase, true},
+	{"SoftmaxCols32", softmaxColsCase, true},
 }
 
 // rowKernelInputs returns n inputs: the edge cases every kernel branches or
@@ -113,9 +182,17 @@ func sameBits32(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
-// rowKernelWidths covers the vector boundary (15/16/17), the decode's row
-// widths (32, 64, 128) and a whole 19×19 softmax matrix (361).
-var rowKernelWidths = []int{0, 1, 15, 16, 17, 32, 64, 100, 128, 361}
+// rowKernelWidths covers every length 0..64 (each masked tail of one to four
+// 16-lane blocks, and of the 8-lane NormRow32), rows of 8..256 (a
+// sentence's tokens, Dim, 4H and FFDim) and a whole 19×19 softmax matrix
+// (361).
+var rowKernelWidths = func() []int {
+	var ws []int
+	for n := 0; n <= 64; n++ {
+		ws = append(ws, n)
+	}
+	return append(ws, 65, 96, 100, 127, 128, 200, 255, 256, 361)
+}()
 
 // TestRowKernelsMatchScalarReference pins the row kernels — on whatever path
 // this machine dispatches to — to the scalar definitions they replaced, bit
@@ -136,30 +213,204 @@ func TestRowKernelsMatchScalarReference(t *testing.T) {
 	}
 }
 
+// guard32 is the sentinel rowWithGuard fills past a row's end.
+const guard32 = 0x7fc0dead
+
+// rowWithGuard returns a zeroed n-element slice whose backing array runs on
+// for 32 elements of a NaN sentinel, so a masked store that spilled past the
+// row would show; checkGuard32 reads the sentinel back.
+func rowWithGuard(n int) []float32 {
+	buf := make([]float32, n+32)
+	for i := n; i < len(buf); i++ {
+		buf[i] = math.Float32frombits(guard32)
+	}
+	return buf[:n]
+}
+
+func checkGuard32(t *testing.T, name string, row []float32) {
+	t.Helper()
+	for i, v := range row[len(row):cap(row)] {
+		if math.Float32bits(v) != guard32 {
+			t.Fatalf("%s: wrote %v at %d past the end of a %d-element row", name, v, i, len(row))
+		}
+	}
+}
+
 // TestRowKernelPathsBitIdentical forces the pure-Go loops and compares them
-// with the vector twins on the same rows (the flag is only ever downgraded).
+// with the vector twins on the same rows, bit for bit (any two NaNs equal),
+// at every width of rowKernelWidths; the vector twin must write nothing past
+// the row. The flag is only ever downgraded.
 func TestRowKernelPathsBitIdentical(t *testing.T) {
 	if !hasAVX512 {
 		t.Skip("no AVX-512 on this machine; only the Go path exists")
 	}
 	defer func() { hasAVX512 = true }()
 	rng := rand.New(rand.NewSource(42))
-	for _, k := range rowKernels {
+	for _, k := range rowPathKernels {
 		for _, n := range rowKernelWidths {
 			src := rowKernelInputs(rng, n)
-			asm := make([]float32, n)
-			pure := make([]float32, n)
+			if k.finite {
+				src = finiteRow(rng, n)
+			}
+			asm, pure := rowWithGuard(n), rowWithGuard(n)
 			hasAVX512 = true
 			k.row(asm, src)
 			hasAVX512 = false
 			k.row(pure, src)
+			checkGuard32(t, k.name, asm)
 			for i := range src {
 				if !sameBits32(asm[i], pure[i]) {
-					t.Fatalf("%s width %d: f(%v) = %v on AVX-512, %v in Go", k.name, n, src[i], asm[i], pure[i])
+					t.Fatalf("%s width %d: [%d] (%v) = %v on AVX-512, %v in Go", k.name, n, i, src[i], asm[i], pure[i])
 				}
 			}
 		}
 	}
+}
+
+// finiteRow returns n seeded activations: normal spread, a few large
+// logits, and signed zeros and subnormals at fixed places.
+func finiteRow(rng *rand.Rand, n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = float32(rng.NormFloat64() * 3)
+		if rng.Intn(10) == 0 {
+			out[i] *= 30
+		}
+	}
+	for i, v := range []float32{0, float32(math.Copysign(0, -1)), 1e-45, -1e-40} {
+		if j := 3 * i; j < n {
+			out[j] = v
+		}
+	}
+	return out
+}
+
+// TestSoftmaxCols32MaxEdgeCases feeds the column max the inputs where
+// `if v > stat { stat = v }` and a max instruction can part ways — NaN before
+// and after numbers, +0 against -0 in either order, ±Inf, subnormals, equal
+// maxima — and requires the vector path to reproduce the Go path and the
+// per-column reference bit for bit (any two NaNs equal).
+func TestSoftmaxCols32MaxEdgeCases(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negz := float32(math.Copysign(0, -1))
+	cols := [][]float32{
+		{nan, 1, 2},
+		{1, nan, 2},
+		{1, 2, nan},
+		{0, negz, 0},
+		{negz, 0, negz},
+		{negz, negz},
+		{0, 0},
+		{-1e-45, 1e-45, 0},
+		{1e-45, negz, -1e-45},
+		{inf, 1, 2},
+		{1, -inf, 2},
+		{-inf, -inf},
+		{inf, inf},
+		{3, 3, 3},
+		{-2, 5, 5, -2},
+		{1e-38, 1e-39, 1e-40},
+	}
+	// One matrix per height: column c holds the case c's scores, padded
+	// with -Inf (exp → 0, a neutral addend) to the tallest case.
+	rows := 0
+	for _, c := range cols {
+		rows = max(rows, len(c))
+	}
+	paths := []bool{false}
+	if hasAVX512 {
+		paths = append(paths, true)
+		defer func() { hasAVX512 = true }()
+	}
+	for _, width := range []int{len(cols), 17, 33} {
+		src := NewMat32(rows, width)
+		for c := 0; c < width; c++ {
+			col := cols[c%len(cols)]
+			for r := 0; r < rows; r++ {
+				v := -inf
+				if r < len(col) {
+					v = col[r]
+				}
+				src.Data[r*width+c] = v
+			}
+		}
+		want := NewMat32(rows, width)
+		colIn, colOut := make([]float32, rows), make([]float32, rows)
+		for c := 0; c < width; c++ {
+			for r := range colIn {
+				colIn[r] = src.Data[r*width+c]
+			}
+			refSoftmax32(colOut, colIn)
+			for r, v := range colOut {
+				want.Data[r*width+c] = v
+			}
+		}
+		for _, vec := range paths {
+			hasAVX512 = vec
+			got := &Mat32{Rows: rows, Cols: width, Data: append([]float32(nil), src.Data...)}
+			SoftmaxCols32(got, 1, make([]float32, width))
+			for i, w := range want.Data {
+				if !sameBits32(got.Data[i], w) {
+					t.Fatalf("width %d avx512=%v: column %d row %d = %v, reference %v",
+						width, vec, i%width, i/width, got.Data[i], w)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRow32Kernels feeds arbitrary bit patterns, as one row of any length,
+// through every float32 row kernel with a vector twin and requires the
+// vector path to reproduce the Go path bit for bit (any two NaNs equal),
+// and the element-wise ones their scalar reference. The committed corpus
+// (testdata/fuzz/FuzzRow32Kernels) holds rows of the edge inputs at ragged
+// lengths.
+func FuzzRow32Kernels(f *testing.F) {
+	le := binary.LittleEndian
+	seed := func(vals ...float32) {
+		b := make([]byte, 4*len(vals))
+		for i, v := range vals {
+			le.PutUint32(b[i*4:], math.Float32bits(v))
+		}
+		f.Add(b)
+	}
+	seed(1, -2.5, 0.25, 7, -88, 88.5, 3)
+	seed(rowKernelInputs(rand.New(rand.NewSource(7)), 25)...)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := min(len(data)/4, 256)
+		src := make([]float32, n)
+		for i := range src {
+			src[i] = math.Float32frombits(le.Uint32(data[i*4:]))
+		}
+		for _, k := range rowKernels {
+			dst := make([]float32, n)
+			k.row(dst, src)
+			for i, x := range src {
+				if want := k.ref(x); !sameBits32(dst[i], want) {
+					t.Fatalf("%s(%v [%#08x]) = %v, reference %v (len %d)", k.name, x, math.Float32bits(x), dst[i], want, n)
+				}
+			}
+		}
+		if !hasAVX512 {
+			return
+		}
+		defer func() { hasAVX512 = true }()
+		for _, k := range rowPathKernels {
+			asm, pure := rowWithGuard(n), make([]float32, n)
+			hasAVX512 = true
+			k.row(asm, src)
+			hasAVX512 = false
+			k.row(pure, src)
+			hasAVX512 = true
+			checkGuard32(t, k.name, asm)
+			for i := range src {
+				if !sameBits32(asm[i], pure[i]) {
+					t.Fatalf("%s len %d: [%d] (%#08x) = %v on AVX-512, %v in Go", k.name, n, i, math.Float32bits(src[i]), asm[i], pure[i])
+				}
+			}
+		}
+	})
 }
 
 // relErr32 is |got-want|/max(|want|, tiny) in float64.

@@ -24,12 +24,16 @@ const (
 	gemmColBlock = 256
 )
 
-// ForceScalar routes every float64 kernel with a vector twin — MatMulInto,
+// ForceScalar routes every kernel with a vector twin through its pure-Go
+// path until the returned function is called: the float64 ones (MatMulInto,
 // MatMulAddInto, AddRows, Mat.Scale, AdamStep, ExpRow, TanhRow and
-// SigmoidRow — through its pure-Go path until the returned function is
-// called. It exists for the tests of the packages above mat, which pin each
-// float64 forward, backward and optimizer step on both dispatch paths; not
-// for use while kernels run concurrently.
+// SigmoidRow) and the float32 ones of the mixed decode (MatMulF32Into,
+// SoftmaxCols32, ExpRow32, TanhRow32, SigmoidRow32, GELURow32, NormRow32,
+// and the int8 GEMM's quantizer and epilogue; its integer accumulator
+// kernels keep their own feature flags, and integer sums agree on every
+// path anyway). It exists for the tests of the packages above mat, which pin
+// each forward, backward and optimizer step on both dispatch paths; not for
+// use while kernels run concurrently.
 func ForceScalar() (restore func()) {
 	saved := hasAVX512
 	hasAVX512 = false

@@ -44,15 +44,23 @@ func (m *Mat32) Zero() {
 // softmax, in place: column c of an attention head's transposed score matrix
 // holds one query's scores over the keys. Per column it is the textbook
 // sequence — subtract the max, exponentiate, sum in ascending row order,
-// multiply by the reciprocal of the sum — run as whole-row passes so no pass
-// carries a dependency from one element to the next, with one ExpRow32 over
-// the entire matrix. stat is scratch of at least s.Cols.
+// multiply by the reciprocal of the sum. The Go path runs it as whole-row
+// passes so no pass carries a dependency from one element to the next; the
+// AVX-512 path (fastmath32_amd64.s) spans sixteen columns per vector, each
+// lane repeating its column's exact sequence. stat is scratch of at least
+// s.Cols.
 func SoftmaxCols32(s *Mat32, scale float32, stat []float32) {
 	n := s.Cols
 	if s.Rows == 0 || n == 0 {
 		return
 	}
-	stat = stat[:n]
+	if !softmaxColsAsm(s.Data[:s.Rows*n], s.Rows, n, scale) {
+		softmaxColsGo(s, scale, stat[:n])
+	}
+}
+
+func softmaxColsGo(s *Mat32, scale float32, stat []float32) {
+	n := s.Cols
 	data := s.Data[:s.Rows*n]
 	for i, v := range data[:n] {
 		data[i] = v * scale
@@ -74,7 +82,7 @@ func SoftmaxCols32(s *Mat32, scale float32, stat []float32) {
 			row[i] -= m
 		}
 	}
-	ExpRow32(data, data)
+	expRowGo(data, data)
 	clear(stat)
 	for j := 0; j < s.Rows; j++ {
 		row := data[j*n : (j+1)*n]
@@ -97,7 +105,9 @@ func SoftmaxCols32(s *Mat32, scale float32, stat []float32) {
 // float32) and dst is M×N, overwritten. Per output element products
 // accumulate in ascending k order with an unfused multiply and add each —
 // the float32 twin of MatMulInto's contract — so the AVX-512 path
-// (quant_amd64.s) and this scalar fallback are bit-identical.
+// (quant_amd64.s), which covers any N ≥ 1 with its last column block under a
+// k-mask, and this scalar loop (the path for hosts without AVX-512) are
+// bit-identical.
 func MatMulF32Into(dst, a, b *Mat32) {
 	checkLen(a.Cols, b.Rows)
 	checkLen(dst.Rows, a.Rows)

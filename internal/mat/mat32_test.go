@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,9 +27,14 @@ var f32Shapes = []struct{ m, k, n int }{
 	{2, 7, 32},
 	{3, 16, 33},
 	{5, 24, 48},
-	{4, 32, 15}, // below the 16-col asm floor: scalar path
+	{4, 32, 15}, // one masked 16-column block
+	{13, 8, 13}, // a 13-token head's scores: K_h·Q_hᵀ
+	{8, 13, 13}, // its context: V_hᵀ·Aᵀ
+	{3, 5, 17},  // a full block and a one-column masked block
+	{2, 9, 31},
 	{7, 12, 100},
 	{8, 64, 128},
+	{1, 32, 128}, // the LSTM step: h·WhT
 }
 
 // TestMatMulF32AsmMatchesScalar pins the float32 determinism contract: the
@@ -51,6 +57,37 @@ func TestMatMulF32AsmMatchesScalar(t *testing.T) {
 			MatMulF32Into(scalar, a, b)
 			hasAVX512 = true
 			requireBitEqual32(t, "f32 asm vs scalar", want, scalar)
+		}
+	}
+}
+
+// TestMatMulF32DecodeShapes runs the mixed decode's float32 GEMM shapes at
+// every sentence length 1..64 — a head's scores (M = n, K = HeadDim 8,
+// N = n) and context (M = 8, K = n, N = n) — and the LSTM step, on both
+// dispatch paths: each must match the naive triple loop bit for bit, and
+// the vector path must write nothing past dst.
+func TestMatMulF32DecodeShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	type shape struct{ m, k, n int }
+	shapes := []shape{{1, 32, 128}}
+	for n := 1; n <= 64; n++ {
+		shapes = append(shapes, shape{n, 8, n}, shape{8, n, n})
+	}
+	paths := []bool{false}
+	if hasAVX512 {
+		paths = append(paths, true)
+		defer func() { hasAVX512 = true }()
+	}
+	for _, sh := range shapes {
+		a := randMat32(rng, sh.m, sh.k)
+		b := randMat32(rng, sh.k, sh.n)
+		want := naiveMatMul32(a, b)
+		for _, vec := range paths {
+			hasAVX512 = vec
+			got := &Mat32{Rows: sh.m, Cols: sh.n, Data: rowWithGuard(sh.m * sh.n)}
+			MatMulF32Into(got, a, b)
+			requireBitEqual32(t, fmt.Sprintf("%dx%d·%dx%d avx512=%v", sh.m, sh.k, sh.k, sh.n, vec), want, got)
+			checkGuard32(t, "MatMulF32Into", got.Data)
 		}
 	}
 }

@@ -177,7 +177,8 @@ func (q *Int8Weights) Dequantize() *Mat {
 // a padded row of length padK(len(src)); the padding is written as 128
 // (code 0), so kernels can stream whole 64-byte groups unconditionally. It
 // runs in front of every int8 GEMM, so both passes — max-abs, then codes —
-// are branch-free, with AVX-512 twins for the multiple-of-16 prefix.
+// are branch-free, with AVX-512 twins that take the whole row (its last
+// block under a k-mask).
 func QuantizeRowU8(dst []uint8, src []float32) float32 {
 	checkLen(len(dst), padK(len(src)))
 	s := quantScale(float64(math.Float32frombits(maxAbsBits(src))))

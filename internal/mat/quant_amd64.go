@@ -2,8 +2,6 @@
 
 package mat
 
-import "math"
-
 // AVX-512 fast paths for the quantized kernel family (quant_amd64.s).
 //
 // Integer path: all int8 kernels fill the identical int32 accumulator — the
@@ -15,7 +13,10 @@ import "math"
 // Float32 path: the f32saxpy kernels follow gemm_amd64.s exactly — lanes
 // span output columns, one unfused VMULPS + VADDPS per k in ascending k
 // order — so MatMulF32Into's vector path rounds identically to its scalar
-// fallback. No FMA anywhere.
+// fallback. No FMA anywhere. The 16-column kernels take a lane mask, so the
+// last partial column block runs masked and any N ≥ 1 stays on the vector
+// path; so do the quantizer's and the epilogue's row kernels, whose last
+// block of a row is masked too.
 
 //go:noescape
 func int8DotVNNI(acc *int32, a *uint8, packed *int8, groups, blocks int)
@@ -30,10 +31,10 @@ func f32saxpy2x32(k int, a0, a1, bp, d0, d1 *float32, bstride int)
 func f32saxpy1x32(k int, a0, bp, d0 *float32, bstride int)
 
 //go:noescape
-func f32saxpy2x16(k int, a0, a1, bp, d0, d1 *float32, bstride int)
+func f32saxpy2x16(k int, a0, a1, bp, d0, d1 *float32, bstride, mask int)
 
 //go:noescape
-func f32saxpy1x16(k int, a0, bp, d0 *float32, bstride int)
+func f32saxpy1x16(k int, a0, bp, d0 *float32, bstride, mask int)
 
 // hasAVX512VNNI / hasAVX512BW gate the two int8 vector kernels. Tests flip
 // them (and hasAVX512) to force every downgrade path and compare results.
@@ -94,18 +95,17 @@ func int8GemvInto(acc []int32, arow []uint8, w *Int8Weights) {
 
 // gemm32AsmInto computes dst = a·b with the float32 AVX-512 microkernels and
 // returns true, or returns false with dst untouched when the CPU lacks
-// AVX-512 or the shape is degenerate. Column tiles go 32-wide, then 16-wide,
-// then a scalar tail; rows go in pairs with a single-row remainder — the
-// float32 twin of gemmAsmInto.
+// AVX-512 or the shape is degenerate (empty k). Column tiles go 32-wide,
+// then 16-wide with the last one masked to the columns left; rows go in
+// pairs with a single-row remainder — the float32 twin of gemmAsmInto.
 func gemm32AsmInto(dst, a, b *Mat32) bool {
 	n := b.Cols
 	k := a.Cols
-	if !hasAVX512 || n < 16 || k == 0 || a.Rows == 0 {
+	if !hasAVX512 || n == 0 || k == 0 || a.Rows == 0 {
 		return false
 	}
 	bstride := n * 4 // bytes per packed B row
 	n32 := n &^ 31
-	n16 := n &^ 15
 	i := 0
 	for ; i+2 <= a.Rows; i += 2 {
 		a0 := a.Data[i*k : (i+1)*k]
@@ -115,17 +115,8 @@ func gemm32AsmInto(dst, a, b *Mat32) bool {
 		for j := 0; j < n32; j += 32 {
 			f32saxpy2x32(k, &a0[0], &a1[0], &b.Data[j], &d0[j], &d1[j], bstride)
 		}
-		for j := n32; j < n16; j += 16 {
-			f32saxpy2x16(k, &a0[0], &a1[0], &b.Data[j], &d0[j], &d1[j], bstride)
-		}
-		for j := n16; j < n; j++ {
-			var s0, s1 float32
-			for kk := 0; kk < k; kk++ {
-				bv := b.Data[kk*n+j]
-				s0 += a0[kk] * bv
-				s1 += a1[kk] * bv
-			}
-			d0[j], d1[j] = s0, s1
+		for j := n32; j < n; j += 16 {
+			f32saxpy2x16(k, &a0[0], &a1[0], &b.Data[j], &d0[j], &d1[j], bstride, laneMask(n-j))
 		}
 	}
 	if i < a.Rows {
@@ -134,25 +125,20 @@ func gemm32AsmInto(dst, a, b *Mat32) bool {
 		for j := 0; j < n32; j += 32 {
 			f32saxpy1x32(k, &a0[0], &b.Data[j], &d0[j], bstride)
 		}
-		for j := n32; j < n16; j += 16 {
-			f32saxpy1x16(k, &a0[0], &b.Data[j], &d0[j], bstride)
-		}
-		for j := n16; j < n; j++ {
-			var s float32
-			for kk := 0; kk < k; kk++ {
-				s += a0[kk] * b.Data[kk*n+j]
-			}
-			d0[j] = s
+		for j := n32; j < n; j += 16 {
+			f32saxpy1x16(k, &a0[0], &b.Data[j], &d0[j], bstride, laneMask(n-j))
 		}
 	}
 	return true
 }
 
-//go:noescape
-func expRowAVX512(dst, src *float32, n int, consts *float32)
-
-//go:noescape
-func tanhRowAVX512(dst, src *float32, n int, consts *float32)
+// laneMask selects the first min(left, 16) float32 lanes of a zmm.
+func laneMask(left int) int {
+	if left >= 16 {
+		return 0xFFFF
+	}
+	return 1<<left - 1
+}
 
 //go:noescape
 func maxAbsAVX512(lanes *uint32, src *float32, n int)
@@ -163,67 +149,38 @@ func quantCodesAVX512(dst *uint8, src *float32, n int, consts *uint32, inv float
 //go:noescape
 func dequantRowAVX512(out *float32, acc, corr *int32, scales, bias *float32, n int, sa float32)
 
-// Constant tables the row kernels read as embedded broadcasts; the offsets
-// in quant_amd64.s index these.
-var (
-	expConsts = [...]float32{expHi, expLo, log2e, 0.5, ln2Hi, ln2Lo,
-		expP0, expP1, expP2, expP3, expP4, expP5, 1, float32(math.Inf(1))}
-	tanhConsts = [...]float32{tanhClamp, -tanhClamp,
-		tanhA0, tanhA1, tanhA2, tanhA3, tanhA4, tanhA5, tanhA6, tanhB0, tanhB1, tanhB2, tanhB3}
-	// magic = 1.5·2²³ as bits, magic+127, magic-127, and the +128 offset.
-	quantConsts = [...]uint32{0x4B400000, 0x4B400000 + 127, 0x4B400000 - 127, 128}
-)
+// quantConsts is read by quantCodesAVX512 as embedded broadcasts: magic =
+// 1.5·2²³ as bits, magic+127, magic-127, and the +128 offset.
+var quantConsts = [...]uint32{0x4B400000, 0x4B400000 + 127, 0x4B400000 - 127, 128}
 
-// vecPrefix is the length of the multiple-of-16 prefix of an n-element row
-// the AVX-512 row kernels take; the pure-Go twins finish the rest.
-func vecPrefix(n int) int {
-	if !hasAVX512 {
-		return 0
-	}
-	return n &^ 15
-}
-
-func expRowAsm(dst, src []float32) int {
-	k := vecPrefix(len(src))
-	if k > 0 {
-		expRowAVX512(&dst[0], &src[0], k, &expConsts[0])
-	}
-	return k
-}
-
-func tanhRowAsm(dst, src []float32) int {
-	k := vecPrefix(len(src))
-	if k > 0 {
-		tanhRowAVX512(&dst[0], &src[0], k, &tanhConsts[0])
-	}
-	return k
-}
+// The row dispatchers below run the whole row on the vector kernel where the
+// CPU has AVX-512, and the Go twin otherwise.
 
 func maxAbsBits(src []float32) uint32 {
-	k := vecPrefix(len(src))
-	m := maxAbsBitsGo(src[k:])
-	if k > 0 {
-		var lanes [16]uint32
-		maxAbsAVX512(&lanes[0], &src[0], k)
-		for _, v := range lanes {
-			m = max(m, v)
-		}
+	if !hasAVX512 || len(src) == 0 {
+		return maxAbsBitsGo(src)
+	}
+	var lanes [16]uint32
+	maxAbsAVX512(&lanes[0], &src[0], len(src))
+	var m uint32
+	for _, v := range lanes {
+		m = max(m, v)
 	}
 	return m
 }
 
 func quantCodes(dst []uint8, src []float32, inv float32) {
-	k := vecPrefix(len(src))
-	if k > 0 {
-		quantCodesAVX512(&dst[0], &src[0], k, &quantConsts[0], inv)
+	if !hasAVX512 || len(src) == 0 {
+		quantCodesGo(dst, src, inv)
+		return
 	}
-	quantCodesGo(dst[k:], src[k:], inv)
+	quantCodesAVX512(&dst[0], &src[0], len(src), &quantConsts[0], inv)
 }
 
 func dequantRow(out []float32, acc, corr []int32, scales, bias []float32, sa float32) {
-	k := vecPrefix(len(out))
-	if k > 0 {
-		dequantRowAVX512(&out[0], &acc[0], &corr[0], &scales[0], &bias[0], k, sa)
+	if !hasAVX512 || len(out) == 0 {
+		dequantRowGo(out, acc, corr, scales, bias, sa)
+		return
 	}
-	dequantRowGo(out[k:], acc[k:], corr[k:], scales[k:], bias[k:], sa)
+	dequantRowAVX512(&out[0], &acc[0], &corr[0], &scales[0], &bias[0], len(out), sa)
 }

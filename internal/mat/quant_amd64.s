@@ -199,8 +199,12 @@ f32s1x32_loop:
 	VZEROUPPER
 	RET
 
-// func f32saxpy2x16(k int, a0, a1, bp, d0, d1 *float32, bstride int)
-TEXT ·f32saxpy2x16(SB), NOSPLIT, $0-56
+// func f32saxpy2x16(k int, a0, a1, bp, d0, d1 *float32, bstride, mask int)
+//
+// Two A rows × the 16-column block's live columns (mask's set bits): B is
+// read and dst written under the mask, so the last partial block of any N
+// runs here with masked-off lanes neither loaded nor stored.
+TEXT ·f32saxpy2x16(SB), NOSPLIT, $0-64
 	MOVQ   k+0(FP), CX
 	MOVQ   a0+8(FP), SI
 	MOVQ   a1+16(FP), DI
@@ -208,13 +212,15 @@ TEXT ·f32saxpy2x16(SB), NOSPLIT, $0-56
 	MOVQ   d0+32(FP), R8
 	MOVQ   d1+40(FP), R9
 	MOVQ   bstride+48(FP), DX
+	MOVQ   mask+56(FP), AX
+	KMOVW  AX, K1
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z2, Z2, Z2
 
 f32s2x16_loop:
 	VBROADCASTSS (SI), Z4
 	VBROADCASTSS (DI), Z5
-	VMOVUPS      (BX), Z6
+	VMOVUPS.Z    (BX), K1, Z6
 	VMULPS       Z6, Z4, Z8
 	VADDPS       Z8, Z0, Z0
 	VMULPS       Z6, Z5, Z10
@@ -225,23 +231,25 @@ f32s2x16_loop:
 	DECQ         CX
 	JNZ          f32s2x16_loop
 
-	VMOVUPS Z0, (R8)
-	VMOVUPS Z2, (R9)
+	VMOVUPS Z0, K1, (R8)
+	VMOVUPS Z2, K1, (R9)
 	VZEROUPPER
 	RET
 
-// func f32saxpy1x16(k int, a0, bp, d0 *float32, bstride int)
-TEXT ·f32saxpy1x16(SB), NOSPLIT, $0-40
+// func f32saxpy1x16(k int, a0, bp, d0 *float32, bstride, mask int)
+TEXT ·f32saxpy1x16(SB), NOSPLIT, $0-48
 	MOVQ   k+0(FP), CX
 	MOVQ   a0+8(FP), SI
 	MOVQ   bp+16(FP), BX
 	MOVQ   d0+24(FP), R8
 	MOVQ   bstride+32(FP), DX
+	MOVQ   mask+40(FP), AX
+	KMOVW  AX, K1
 	VPXORQ Z0, Z0, Z0
 
 f32s1x16_loop:
 	VBROADCASTSS (SI), Z4
-	VMOVUPS      (BX), Z6
+	VMOVUPS.Z    (BX), K1, Z6
 	VMULPS       Z6, Z4, Z8
 	VADDPS       Z8, Z0, Z0
 	ADDQ         $4, SI
@@ -249,107 +257,23 @@ f32s1x16_loop:
 	DECQ         CX
 	JNZ          f32s1x16_loop
 
-	VMOVUPS Z0, (R8)
+	VMOVUPS Z0, K1, (R8)
 	VZEROUPPER
 	RET
 
 // Row kernels around the int8 GEMM, 16 float32 lanes per iteration over a
-// row whose length n is a positive multiple of 16 (the Go callers finish
-// ragged tails on the pure-Go twins). Each lane performs exactly the Go
-// twin's operations in its order — separate VMULPS/VADDPS, never FMA — so
-// the two are bit-identical. Constants come from the Go side's tables (R8)
-// as embedded broadcasts, so both forms read the same values.
+// row of any positive length n. Full blocks load and store whole vectors;
+// the last partial block runs the same body under K7, the tail's n mod 16
+// lanes (masked loads and stores). Each lane performs exactly the Go twin's
+// operations in its order, so the two are bit-identical.
 
-// HORNER: acc = acc*x + consts[off/4].
-#define HORNER(acc, x, off) VMULPS x, acc, acc; VADDPS.BCST off(R8), acc, acc
-
-// func expRowAVX512(dst, src *float32, n int, consts *float32)
-//
-// expRowGo per lane: floor via VRNDSCALEPS, 2^n assembled by adding n<<23
-// to the bits of 1.0, and the three special cases (x > hi, x < lo, NaN)
-// computed on garbage and then overwritten under compare masks.
-TEXT ·expRowAVX512(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ consts+24(FP), R8
-
-exp_loop:
-	VMOVUPS      (SI), Z0
-	VMULPS.BCST  8(R8), Z0, Z2  // x*log2e
-	VADDPS.BCST  12(R8), Z2, Z2 // + 0.5
-	VRNDSCALEPS  $9, Z2, Z2     // fn = floor(fx)
-	VCVTPS2DQ    Z2, Z3         // n
-	VMULPS.BCST  16(R8), Z2, Z4
-	VSUBPS       Z4, Z0, Z1     // r = x - fn*ln2Hi
-	VMULPS.BCST  20(R8), Z2, Z4
-	VSUBPS       Z4, Z1, Z1     // r -= fn*ln2Lo
-	VMULPS       Z1, Z1, Z5     // z = r*r
-	VBROADCASTSS 24(R8), Z6     // y = P0
-	HORNER(Z6, Z1, 28)
-	HORNER(Z6, Z1, 32)
-	HORNER(Z6, Z1, 36)
-	HORNER(Z6, Z1, 40)
-	HORNER(Z6, Z1, 44)
-	VMULPS       Z5, Z6, Z6
-	VADDPS       Z1, Z6, Z6
-	VADDPS.BCST  48(R8), Z6, Z6 // y*z + r + 1
-	VPSLLD       $23, Z3, Z3
-	VPADDD.BCST  48(R8), Z3, Z3 // bits of 2^n
-	VMULPS       Z3, Z6, Z6
-	VCMPPS.BCST  $0x0E, 0(R8), Z0, K1
-	VBROADCASTSS 52(R8), K1, Z6 // x > hi: +Inf
-	VCMPPS.BCST  $0x01, 4(R8), Z0, K2
-	VPXORD       Z6, Z6, K2, Z6 // x < lo: 0
-	VCMPPS       $0x03, Z0, Z0, K3
-	VMOVAPS      Z0, K3, Z6     // NaN: x
-	VMOVUPS      Z6, (DI)
-	ADDQ         $64, SI
-	ADDQ         $64, DI
-	SUBQ         $16, CX
-	JNZ          exp_loop
-	VZEROUPPER
-	RET
-
-// func tanhRowAVX512(dst, src *float32, n int, consts *float32)
-TEXT ·tanhRowAVX512(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ consts+24(FP), R8
-
-tanh_loop:
-	VMOVUPS      (SI), Z0
-	VMAXPS.BCST  4(R8), Z0, Z1
-	VMINPS.BCST  0(R8), Z1, Z1 // clamp to ±tanhClamp
-	VMULPS       Z1, Z1, Z2    // x2
-	VBROADCASTSS 8(R8), Z3     // alpha = A0
-	HORNER(Z3, Z2, 12)
-	HORNER(Z3, Z2, 16)
-	HORNER(Z3, Z2, 20)
-	HORNER(Z3, Z2, 24)
-	HORNER(Z3, Z2, 28)
-	HORNER(Z3, Z2, 32)
-	VMULPS       Z1, Z3, Z3    // alpha *= x
-	VBROADCASTSS 36(R8), Z4    // beta = B0
-	HORNER(Z4, Z2, 40)
-	HORNER(Z4, Z2, 44)
-	HORNER(Z4, Z2, 48)
-	VDIVPS       Z4, Z3, Z3    // alpha / beta
-	VCMPPS       $0x03, Z0, Z0, K1
-	VMOVAPS      Z0, K1, Z3    // NaN: x
-	VMOVUPS      Z3, (DI)
-	ADDQ         $64, SI
-	ADDQ         $64, DI
-	SUBQ         $16, CX
-	JNZ          tanh_loop
-	VZEROUPPER
-	RET
+#define TAIL_MASK MOVL $1, AX; SHLL CX, AX; DECL AX; KMOVW AX, K7
 
 // func maxAbsAVX512(lanes *uint32, src *float32, n int)
 //
 // Per-lane max of |v| over the row, NaN skipped: VMAXPS returns its second
-// source — the running max — whenever the new value is NaN. The caller
+// source — the running max — whenever the new value is NaN. Masked-off
+// lanes load +0, which cannot raise a max that starts at +0. The caller
 // reduces the 16 lanes.
 TEXT ·maxAbsAVX512(SB), NOSPLIT, $0-24
 	MOVQ       lanes+0(FP), DI
@@ -358,43 +282,73 @@ TEXT ·maxAbsAVX512(SB), NOSPLIT, $0-24
 	VPXORQ     Z0, Z0, Z0
 	VPTERNLOGD $0xFF, Z2, Z2, Z2
 	VPSRLD     $1, Z2, Z2 // 0x7fffffff
+	CMPQ       CX, $16
+	JL         maxabs_tail
 
 maxabs_loop:
 	VPANDD (SI), Z2, Z1
 	VMAXPS Z0, Z1, Z0
 	ADDQ   $64, SI
 	SUBQ   $16, CX
-	JNZ    maxabs_loop
+	CMPQ   CX, $16
+	JGE    maxabs_loop
+
+maxabs_tail:
+	TESTQ       CX, CX
+	JZ          maxabs_done
+	TAIL_MASK
+	VMOVDQU32.Z (SI), K7, Z1
+	VPANDD      Z2, Z1, Z1
+	VMAXPS      Z0, Z1, Z0
+
+maxabs_done:
 	VMOVDQU32 Z0, (DI)
 	VZEROUPPER
 	RET
 
+// CODES16(x): the offset-binary codes of x·inv in Z0's dword lanes, with
+// the clamp moved in front of the bit extraction (the sum is clamped to
+// magic±127 as a float, which is the same monotone map) so the integer
+// subtraction cannot wrap; NaN lanes are zero-masked to code 0.
+#define CODES16(x) \
+	VMULPS        x, Z1, Z0; \
+	VADDPS.BCST   0(R8), Z0, Z0; \
+	VCMPPS        $0x07, Z0, Z0, K1; \
+	VMINPS.BCST   4(R8), Z0, Z0; \
+	VMAXPS.BCST   8(R8), Z0, Z0; \
+	VPSUBD.BCST.Z 0(R8), Z0, K1, Z0; \
+	VPADDD.BCST   12(R8), Z0, Z0
+
 // func quantCodesAVX512(dst *uint8, src *float32, n int, consts *uint32, inv float32)
 //
-// quantCodesGo per lane, with the clamp moved in front of the bit extraction
-// (the sum is clamped to magic±127 as a float, which is the same monotone
-// map) so the integer subtraction cannot wrap; NaN lanes are zero-masked to
-// code 0.
+// quantCodesGo per lane (CODES16).
 TEXT ·quantCodesAVX512(SB), NOSPLIT, $0-36
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         n+16(FP), CX
 	MOVQ         consts+24(FP), R8
 	VBROADCASTSS inv+32(FP), Z1
+	CMPQ         CX, $16
+	JL           codes_tail
 
 codes_loop:
-	VMULPS      (SI), Z1, Z0
-	VADDPS.BCST 0(R8), Z0, Z0 // v*inv + magic
-	VCMPPS      $0x07, Z0, Z0, K1
-	VMINPS.BCST 4(R8), Z0, Z0
-	VMAXPS.BCST 8(R8), Z0, Z0
-	VPSUBD.BCST.Z 0(R8), Z0, K1, Z0
-	VPADDD.BCST 12(R8), Z0, Z0 // + 128
-	VPMOVDB     Z0, (DI)
-	ADDQ        $64, SI
-	ADDQ        $16, DI
-	SUBQ        $16, CX
-	JNZ         codes_loop
+	CODES16((SI))
+	VPMOVDB Z0, (DI)
+	ADDQ    $64, SI
+	ADDQ    $16, DI
+	SUBQ    $16, CX
+	CMPQ    CX, $16
+	JGE     codes_loop
+
+codes_tail:
+	TESTQ     CX, CX
+	JZ        codes_done
+	TAIL_MASK
+	VMOVUPS.Z (SI), K7, Z2
+	CODES16(Z2)
+	VPMOVDB   Z0, K7, (DI)
+
+codes_done:
 	VZEROUPPER
 	RET
 
@@ -409,18 +363,38 @@ TEXT ·dequantRowAVX512(SB), NOSPLIT, $0-52
 	MOVQ         bias+32(FP), R9
 	MOVQ         n+40(FP), CX
 	VBROADCASTSS sa+48(FP), Z3
-	XORQ         AX, AX
+	XORQ         BX, BX
+	CMPQ         CX, $16
+	JL           dequant_tail
 
 dequant_loop:
-	VMOVDQU32 (SI)(AX*1), Z0
-	VPSUBD    (DX)(AX*1), Z0, Z0
+	VMOVDQU32 (SI)(BX*1), Z0
+	VPSUBD    (DX)(BX*1), Z0, Z0
 	VCVTDQ2PS Z0, Z0
-	VMULPS    (R8)(AX*1), Z3, Z1
+	VMULPS    (R8)(BX*1), Z3, Z1
 	VMULPS    Z1, Z0, Z0
-	VADDPS    (R9)(AX*1), Z0, Z0
-	VMOVUPS   Z0, (DI)(AX*1)
-	ADDQ      $64, AX
+	VADDPS    (R9)(BX*1), Z0, Z0
+	VMOVUPS   Z0, (DI)(BX*1)
+	ADDQ      $64, BX
 	SUBQ      $16, CX
-	JNZ       dequant_loop
+	CMPQ      CX, $16
+	JGE       dequant_loop
+
+dequant_tail:
+	TESTQ       CX, CX
+	JZ          dequant_done
+	TAIL_MASK
+	VMOVDQU32.Z (SI)(BX*1), K7, Z0
+	VMOVDQU32.Z (DX)(BX*1), K7, Z4
+	VPSUBD      Z4, Z0, Z0
+	VCVTDQ2PS   Z0, Z0
+	VMOVUPS.Z   (R8)(BX*1), K7, Z5
+	VMULPS      Z5, Z3, Z1
+	VMULPS      Z1, Z0, Z0
+	VMOVUPS.Z   (R9)(BX*1), K7, Z6
+	VADDPS      Z6, Z0, Z0
+	VMOVUPS     Z0, K7, (DI)(BX*1)
+
+dequant_done:
 	VZEROUPPER
 	RET

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -47,6 +48,46 @@ func TestInt8KernelPathsBitIdentical(t *testing.T) {
 			requireBitEqual32(t, "int8 gemm with "+off.name+" off", full, got)
 			if string(codes) != string(fullCodes) {
 				t.Fatalf("%dx%d: activation codes differ with %s off", sh.m, sh.k, off.name)
+			}
+		}
+	}
+}
+
+// TestQuantRowKernelsEveryLength runs the activation quantizer and the
+// dequantization epilogue at every row length 1..64 and at the decode's
+// widths on both paths: the vector twins, which take the whole row with
+// its last block masked, must reproduce the Go loops bit for bit and write
+// nothing past the row.
+func TestQuantRowKernelsEveryLength(t *testing.T) {
+	if !hasAVX512 {
+		t.Skip("no AVX-512 on this machine; only the Go path exists")
+	}
+	defer func() { hasAVX512 = true }()
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range rowKernelWidths[1:] {
+		src := rowKernelInputs(rng, n)
+		codes := [2][]uint8{make([]uint8, padK(n)), make([]uint8, padK(n))}
+		var scales [2]float32
+		out := [2][]float32{rowWithGuard(n), rowWithGuard(n)}
+		acc, corr := make([]int32, n), make([]int32, n)
+		ws, bias := make([]float32, n), make([]float32, n)
+		for i := range acc {
+			acc[i], corr[i] = rng.Int31n(1<<20)-1<<19, rng.Int31n(1<<16)-1<<15
+			ws[i], bias[i] = rng.Float32()*0.01, float32(rng.NormFloat64())
+		}
+		for p, vec := range []bool{true, false} {
+			hasAVX512 = vec
+			scales[p] = QuantizeRowU8(codes[p], src)
+			dequantRow(out[p], acc, corr, ws, bias, 0.0173)
+		}
+		if scales[0] != scales[1] || string(codes[0]) != string(codes[1]) {
+			t.Fatalf("width %d: quantizer scale %v codes %v on AVX-512, scale %v codes %v in Go",
+				n, scales[0], codes[0], scales[1], codes[1])
+		}
+		checkGuard32(t, "dequantRow", out[0])
+		for i := range out[0] {
+			if math.Float32bits(out[0][i]) != math.Float32bits(out[1][i]) {
+				t.Fatalf("width %d: dequantRow[%d] = %v on AVX-512, %v in Go", n, i, out[0][i], out[1][i])
 			}
 		}
 	}

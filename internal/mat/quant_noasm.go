@@ -21,6 +21,14 @@ func dequantRow(out []float32, acc, corr []int32, scales, bias []float32, sa flo
 	dequantRowGo(out, acc, corr, scales, bias, sa)
 }
 
-func expRowAsm(dst, src []float32) int { return 0 }
+func expRowAsm(dst, src []float32) bool { return false }
 
-func tanhRowAsm(dst, src []float32) int { return 0 }
+func tanhRowAsm(dst, src []float32) bool { return false }
+
+func sigmoidRowAsm(dst, src []float32) bool { return false }
+
+func geluRowAsm(dst, src []float32) bool { return false }
+
+func softmaxColsAsm(data []float32, rows, n int, scale float32) bool { return false }
+
+func normRowAsm(dst, src []float32, gain, bias []float64, mean, std float64) bool { return false }

@@ -34,25 +34,9 @@ func (e *Embedding) LookupInto(dst mat.Vec, id int) {
 	copy(dst, e.Table.W.Row(clampID(id, e.VocabSize)))
 }
 
-// LookupSeq embeds a token id sequence.
-func (e *Embedding) LookupSeq(ids []int) []mat.Vec {
-	out := make([]mat.Vec, len(ids))
-	for i, id := range ids {
-		out[i] = e.Lookup(id)
-	}
-	return out
-}
-
 // Accumulate adds dvec into the gradient row for id.
 func (e *Embedding) Accumulate(id int, dvec mat.Vec) {
 	e.Table.G.Row(clampID(id, e.VocabSize)).Add(dvec)
-}
-
-// AccumulateSeq adds per-token gradients for an embedded sequence.
-func (e *Embedding) AccumulateSeq(ids []int, dvecs []mat.Vec) {
-	for i, id := range ids {
-		e.Accumulate(id, dvecs[i])
-	}
 }
 
 func clampID(id, n int) int {

@@ -13,21 +13,6 @@ import (
 // dispatch paths — so a quantized decode produces the same bits on any
 // machine.
 
-// GELURow32 applies the tanh-approximation GELU to every element of x into
-// y (which must not alias x), entirely in float32 with the float64 gelu's
-// constant: the tanh argument, one TanhRow32 over the row, then the product.
-func GELURow32(y, x []float32) {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	y = y[:len(x)]
-	for i, v := range x {
-		y[i] = c * (v + 0.044715*v*v*v)
-	}
-	mat.TanhRow32(y, y)
-	for i, v := range x {
-		y[i] = 0.5 * v * (1 + y[i])
-	}
-}
-
 // QuantRows is a batch of activation rows quantized once — offset-binary
 // uint8 codes, mat.PadK(cols) per row, with per-row scales — for every int8
 // GEMM that consumes the same input (a block's stacked Q/K/V, both

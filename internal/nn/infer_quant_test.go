@@ -168,8 +168,9 @@ func TestBiLSTMSharedQuantizationMatchesSeparate(t *testing.T) {
 	})
 }
 
-// TestGELURow32MatchesScalarForm pins the row GELU to the per-element
-// expression it replaced, evaluated with a one-element TanhRow32.
+// TestGELURow32MatchesScalarForm pins the row GELU the quantized decode
+// runs to the per-element expression it replaced, evaluated with a
+// one-element TanhRow32.
 func TestGELURow32MatchesScalarForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	x := make([]float32, 128+5)
@@ -185,6 +186,6 @@ func TestGELURow32MatchesScalarForm(t *testing.T) {
 		want[i] = 0.5 * v * (1 + th[0])
 	}
 	got := make([]float32, len(x))
-	GELURow32(got, x)
+	mat.GELURow32(got, x)
 	requireSameBits32(t, "GELURow32", want, got)
 }
