@@ -133,28 +133,16 @@ bench:
 # run if the client queried by 4 goroutines drops below the same client at
 # 1 goroutine (the parallel-scaling regression this repo once shipped: more
 # goroutines, fewer queries). Every decode is solo on its caller's
-# goroutine, so the ratio is processor scaling: ~2x at the 2 Ps of the
-# reference box, ~1x at GOMAXPROCS=1 (0.98-0.99 measured) — where the guard
-# is a coin flip and bench-smoke is not meaningful. Five consecutive
-# `make bench-smoke` runs on the reference box (go1.24.0, Xeon 2.10 GHz,
-# nproc 2), all five passing: 4 goroutines / 1 goroutine 1.83 2.20 2.74
-# 2.40 1.53. The spread is the host's: the 300 ms single-goroutine pass
-# moves with it most (1 095 to 1 657 QPS over the five runs).
+# goroutine, so the ratio is processor scaling: ~2x at 2 Ps, ~1x at
+# GOMAXPROCS=1, where the guard is a coin flip and bench-smoke is not
+# meaningful.
 # -quant-guard fails the run if the mixed-precision cold decode is not at
-# least 1.5x the float64 decode (quantGuardMin in cmd/saccs-bench) — the
-# quantized kernels' reason to exist. Ten earlier runs read 2.70 2.72 2.17
-# 2.80 2.57 2.61 2.54 2.73 2.62 2.64 (ISSUE 19's five: 2.13 2.96 2.43 2.88
-# 2.82); 1.5 is the largest half-integer that all of them clear by at least
-# 15 % (the 2.17 run rules out 2). The floor was 6x against 7-9x until float64 inference moved from a MulVec per token onto the
-# GEMM forward: float64 got ~2.6x faster (13 tokens, interleaved runs of the
-# two binaries: 872-943 -> 319-375 us); mixed did not move beyond what
-# function layout alone moves this binary (DESIGN.md §14). The five
-# runs above read 2.63 2.31 2.04 2.12 2.57. The float64 row transcendentals
-# (DESIGN.md §11) then made the float64 decode ~1.4x cheaper and mixed did
-# not move, so the ratio fell: 1.76 1.60 1.73 1.75 1.77 1.91 in six runs, and
-# 1.68 1.77 1.64 1.74 against the parent's 2.29 2.26 2.66 2.48 in four
-# alternating runs taken in a slow spell. The floor stays at 1.5; the lowest
-# run clears it by 7 %, not 15 % (ROADMAP item 3 weighs what mixed buys).
+# least 1.5x the float64 decode (quantGuardMin in cmd/saccs-bench): it
+# protects the reduced-precision kernels' reason to exist. Ten consecutive
+# runs on a 2-vCPU AVX-512 host (go1.24.0) read 2.35-3.38, all passing, once
+# the mixed decode's float32 tier went vector end to end. Each side is one
+# timed window, so a run near the floor is read by rerunning, not as a
+# regression; ROADMAP 16(d) replaces the window with interleaved pairs.
 bench-smoke:
 	$(GO) run ./cmd/saccs-bench -only parallel,quant -parallel 4 -parallel-dur 300ms -qps-guard -quant-guard
 

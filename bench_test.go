@@ -503,16 +503,15 @@ func BenchmarkQueryTelemetry(b *testing.B) {
 func BenchmarkCRFViterbi(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	crf := nn.NewCRF(rng, "b", int(tokenize.NumLabels))
-	emissions := make([]mat.Vec, 20)
-	for i := range emissions {
-		emissions[i] = mat.NewVec(int(tokenize.NumLabels))
-		for j := range emissions[i] {
-			emissions[i][j] = rng.NormFloat64()
-		}
+	emissions := mat.NewMat(20, int(tokenize.NumLabels))
+	for i := range emissions.Data {
+		emissions.Data[i] = rng.NormFloat64()
 	}
+	var a nn.Arena
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		crf.Decode(emissions)
+		a.Reset()
+		crf.Decode(emissions, &a)
 	}
 }
 

@@ -49,10 +49,9 @@ func TestModelGradCheck(t *testing.T) {
 	loss := func() float64 {
 		hs := m.Encode(ids)
 		var s float64
-		for _, h := range hs {
-			logits := m.MLMHead.Forward(h)
-			l, _ := nn.SoftmaxCE(logits, gold)
-			s += l
+		for i := 0; i < hs.Rows; i++ {
+			logits := m.MLMHead.Forward(hs.Row(i))
+			s += nn.SoftmaxCE(logits, logits, gold)
 		}
 		return s
 	}
@@ -60,11 +59,12 @@ func TestModelGradCheck(t *testing.T) {
 	params := m.Params()
 	nn.ZeroGrads(params)
 	hs := m.Encode(ids)
-	dhs := make([]mat.Vec, len(hs))
-	for i, h := range hs {
+	dhs := mat.NewMat(hs.Rows, hs.Cols)
+	for i := 0; i < hs.Rows; i++ {
+		h := hs.Row(i)
 		logits := m.MLMHead.Forward(h)
-		_, dLogits := nn.SoftmaxCE(logits, gold)
-		dhs[i] = m.MLMHead.Backward(h, dLogits)
+		nn.SoftmaxCE(logits, logits, gold)
+		copy(dhs.Row(i), m.MLMHead.Backward(h, logits))
 	}
 	m.Backward(dhs)
 
@@ -98,10 +98,11 @@ func TestAttentionRowsSumToOne(t *testing.T) {
 	for layer := 0; layer < m.Cfg.Layers; layer++ {
 		for head := 0; head < m.Cfg.Heads; head++ {
 			attn := m.Attention(layer, head)
-			if len(attn) != len(toks) {
-				t.Fatalf("attention shape: %d rows", len(attn))
+			if attn.Rows != len(toks) {
+				t.Fatalf("attention shape: %d rows", attn.Rows)
 			}
-			for i, row := range attn {
+			for i := 0; i < attn.Rows; i++ {
+				row := attn.Row(i)
 				if len(row) != len(toks) {
 					t.Fatalf("row %d has %d cols", i, len(row))
 				}
@@ -123,8 +124,8 @@ func TestEncodeTruncatesToMaxLen(t *testing.T) {
 	m := New(rng, cfg, tinyVocab())
 	long := make([]int, 10)
 	hs := m.Encode(long)
-	if len(hs) != 4 {
-		t.Fatalf("expected truncation to 4, got %d", len(hs))
+	if hs.Rows != 4 {
+		t.Fatalf("expected truncation to 4, got %d", hs.Rows)
 	}
 }
 
@@ -134,11 +135,9 @@ func TestEncodeDeterministic(t *testing.T) {
 	b := New(rand.New(rand.NewSource(4)), tinyConfig(), v)
 	ha := a.EncodeTokens([]string{"the", "food"})
 	hb := b.EncodeTokens([]string{"the", "food"})
-	for i := range ha {
-		for j := range ha[i] {
-			if ha[i][j] != hb[i][j] {
-				t.Fatal("same seed must produce identical encodings")
-			}
+	for i := range ha.Data {
+		if ha.Data[i] != hb.Data[i] {
+			t.Fatal("same seed must produce identical encodings")
 		}
 	}
 }
@@ -150,9 +149,9 @@ func TestContextualEmbeddings(t *testing.T) {
 	v := tinyVocab()
 	m := New(rng, tinyConfig(), v)
 	h1 := m.EncodeTokens([]string{"the", "food", "is", "delicious"})
-	foodIn1 := h1[1].Clone()
+	foodIn1 := h1.Row(1).Clone()
 	h2 := m.EncodeTokens([]string{"friendly", "food", "and", "staff"})
-	foodIn2 := h2[1]
+	foodIn2 := h2.Row(1)
 	diff := foodIn1.Clone()
 	diff.Sub(foodIn2)
 	if diff.Norm() < 1e-9 {
@@ -166,11 +165,10 @@ func TestContextualEmbeddings(t *testing.T) {
 func TestBackwardConsumesOneEncode(t *testing.T) {
 	m := New(rand.New(rand.NewSource(9)), tinyConfig(), tinyVocab())
 	words := []string{"the", "food", "is", "delicious"}
-	dhs := func() []mat.Vec {
-		out := make([]mat.Vec, len(words))
-		for i := range out {
-			out[i] = mat.NewVec(m.Cfg.Dim)
-			out[i][0] = 1
+	dhs := func() *mat.Mat {
+		out := mat.NewMat(len(words), m.Cfg.Dim)
+		for i := 0; i < out.Rows; i++ {
+			out.Set(i, 0, 1)
 		}
 		return out
 	}
@@ -186,8 +184,8 @@ func TestBackwardConsumesOneEncode(t *testing.T) {
 	}
 	wantPanic("before any Encode")
 	m.EncodeTokens(words)
-	if dx := m.Backward(dhs()); len(dx) != len(words) {
-		t.Fatalf("Backward returned %d rows, want %d", len(dx), len(words))
+	if dx := m.Backward(dhs()); dx.Rows != len(words) {
+		t.Fatalf("Backward returned %d rows, want %d", dx.Rows, len(words))
 	}
 	wantPanic("a second time")
 	m.EncodeTokens(words)
@@ -253,11 +251,7 @@ func TestDomainPostTrainingShiftsEmbeddings(t *testing.T) {
 	m.TrainMLM(rng, general, cfg)
 
 	jargon := []string{"the", "food", "is", "a", "killer", "."}
-	before := m.EncodeTokens(jargon)
-	snapshot := make([]mat.Vec, len(before))
-	for i, h := range before {
-		snapshot[i] = h.Clone()
-	}
+	snapshot := m.EncodeTokens(jargon).Clone()
 	reviews := [][]string{
 		{"the", "food", "is", "a", "killer", "."},
 		{"la", "carte", "is", "delicious", "."},
@@ -266,9 +260,9 @@ func TestDomainPostTrainingShiftsEmbeddings(t *testing.T) {
 	m.TrainMLM(rng, reviews, MLMConfig{MaskProb: 0.3, LR: 1e-3, Epochs: 10, ClipNorm: 5})
 	after := m.EncodeTokens(jargon)
 	var moved float64
-	for i := range after {
-		d := after[i].Clone()
-		d.Sub(snapshot[i])
+	for i := 0; i < after.Rows; i++ {
+		d := after.Row(i).Clone()
+		d.Sub(snapshot.Row(i))
 		moved += d.Norm()
 	}
 	if moved < 1e-6 {

@@ -91,7 +91,7 @@ func (m *Model) TrainMLM(rng *rand.Rand, corpus [][]string, cfg MLMConfig) float
 // update is bit-identical to it.
 func (m *Model) mlmStep(opt nn.Optimizer, params []*nn.Param, ids, masked, targets []int, clipNorm float64) float64 {
 	nn.ZeroGrads(params)
-	hs := m.encode(masked)
+	hs := m.Encode(masked)
 	t := &m.tape
 	th := t.MatRaw(len(targets), m.Cfg.Dim)
 	for i, pos := range targets {
@@ -101,16 +101,14 @@ func (m *Model) mlmStep(opt nn.Optimizer, params []*nn.Param, ids, masked, targe
 	dLogits := t.MatRaw(len(targets), logits.Cols)
 	var loss float64
 	for i, pos := range targets {
-		l, d := nn.SoftmaxCE(logits.Row(i), ids[pos])
-		loss += l
-		copy(dLogits.Row(i), d)
+		loss += nn.SoftmaxCE(dLogits.Row(i), logits.Row(i), ids[pos])
 	}
 	dth := m.MLMHead.BackwardRows(t, dLogits)
 	dhs := t.Mat(hs.Rows, m.Cfg.Dim)
 	for i, pos := range targets {
 		dhs.Row(pos).Add(dth.Row(i))
 	}
-	m.backward(dhs)
+	m.Backward(dhs)
 	nn.ClipGrads(params, clipNorm)
 	opt.Step(params)
 	return loss / float64(len(targets))
@@ -140,9 +138,8 @@ func (m *Model) MLMLoss(rng *rand.Rand, corpus [][]string, maskProb float64) flo
 		}
 		hs := m.Encode(masked)
 		for _, pos := range targets {
-			logits := m.MLMHead.Forward(hs[pos])
-			l, _ := nn.SoftmaxCE(logits, ids[pos])
-			total += l
+			logits := m.MLMHead.Forward(hs.Row(pos))
+			total += nn.SoftmaxCE(logits, logits, ids[pos])
 			count++
 		}
 	}

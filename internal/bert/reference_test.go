@@ -104,7 +104,8 @@ func refEncode(m *Model, ids []int) ([]mat.Vec, [][][]mat.Vec) {
 	ids = m.truncate(ids)
 	h := make([]mat.Vec, len(ids))
 	for i, id := range ids {
-		h[i] = m.TokEmb.Lookup(id)
+		h[i] = mat.NewVec(m.Cfg.Dim)
+		m.TokEmb.LookupInto(h[i], id)
 		h[i].Add(m.PosEmb.Table.W.Row(i))
 	}
 	attn := make([][][]mat.Vec, len(m.Blocks))

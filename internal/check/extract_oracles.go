@@ -13,6 +13,7 @@ import (
 	"saccs/internal/index"
 	"saccs/internal/lexicon"
 	"saccs/internal/mat"
+	"saccs/internal/nn"
 	"saccs/internal/pairing"
 	"saccs/internal/parse"
 	"saccs/internal/tagger"
@@ -26,18 +27,19 @@ import (
 // make that promise falsifiable on random corpora.
 
 // checkEnc is a deterministic, stateless, reentrant Encoder: each token's
-// embedding is a pure hash of its surface form. It stands in for MiniBERT so
-// the oracles exercise the full tagger→pairing→cache pipeline at property-
-// test cost; since it implements only EncodeTokens the oracle also covers the
-// tagger's row-packing of a plain Encoder.
+// embedding is a pure hash of its surface form, written into a row of the
+// caller's arena. It stands in for MiniBERT so the oracles exercise the full
+// tagger→pairing→cache pipeline at property-test cost; since it has neither
+// a reduced-precision nor a trainable forward, the oracle also covers the
+// tagger over a plain Encoder.
 type checkEnc struct{ dim int }
 
 func (e checkEnc) EmbeddingDim() int { return e.dim }
 
-func (e checkEnc) EncodeTokens(tokens []string) []mat.Vec {
-	out := make([]mat.Vec, len(tokens))
+func (e checkEnc) InferTokensArena(tokens []string, a *nn.Arena) *mat.Mat {
+	out := a.MatRaw(len(tokens), e.dim)
 	for i, t := range tokens {
-		v := mat.NewVec(e.dim)
+		v := out.Row(i)
 		h := uint64(14695981039346656037)
 		for j := 0; j < len(t); j++ {
 			h = (h ^ uint64(t[j])) * 1099511628211
@@ -46,7 +48,6 @@ func (e checkEnc) EncodeTokens(tokens []string) []mat.Vec {
 			h = (h ^ uint64(j+1)) * 1099511628211
 			v[j] = float64(int64(h%2001)-1000) / 1000
 		}
-		out[i] = v
 	}
 	return out
 }

@@ -167,14 +167,12 @@ func QuantDriftOracle(seed int64, nSentences int, emissionBound float64) error {
 		}
 		ef := m.EmissionsAt(toks, nn.Float64)
 		eq := m.EmissionsAt(toks, nn.Mixed)
-		for t := range ef {
-			for j := range ef[t] {
-				if a := math.Abs(ef[t][j]); a > maxAbs {
-					maxAbs = a
-				}
-				if d := math.Abs(eq[t][j] - ef[t][j]); d > maxErr {
-					maxErr = d
-				}
+		for i, f := range ef.Data {
+			if a := math.Abs(f); a > maxAbs {
+				maxAbs = a
+			}
+			if d := math.Abs(eq.Data[i] - f); d > maxErr {
+				maxErr = d
 			}
 		}
 	}

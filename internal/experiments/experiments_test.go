@@ -83,11 +83,11 @@ func TestFigure5AttentionWellFormed(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	res := Figure5(Fast, &buf)
-	if len(res.Attention) != len(res.Tokens) {
-		t.Fatalf("attention rows %d for %d tokens", len(res.Attention), len(res.Tokens))
+	if res.Attention.Rows != len(res.Tokens) {
+		t.Fatalf("attention rows %d for %d tokens", res.Attention.Rows, len(res.Tokens))
 	}
-	for _, row := range res.Attention {
-		sum := row.Sum()
+	for i := 0; i < res.Attention.Rows; i++ {
+		sum := res.Attention.Row(i).Sum()
 		if sum < 0.999 || sum > 1.001 {
 			t.Fatalf("attention row sums to %v", sum)
 		}

@@ -115,7 +115,7 @@ type Figure5Result struct {
 	Tokens    []string
 	Layer     int
 	Head      int
-	Attention []mat.Vec
+	Attention *mat.Mat
 }
 
 // Figure5 renders the paper's attention-head heatmap: on "the food is
@@ -160,7 +160,7 @@ func Figure5(scale Scale, w io.Writer) Figure5Result {
 	for i, tok := range tokens {
 		fprintf(w, "%12.12s", tok)
 		for j := range tokens {
-			v := attn[i][j]
+			v := attn.At(i, j)
 			idx := int(v * float64(len(shades)))
 			if idx >= len(shades) {
 				idx = len(shades) - 1

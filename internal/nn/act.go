@@ -30,6 +30,22 @@ func gelu(x float64) float64 {
 	return 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
 }
 
+// GELUInto applies the tanh-approximation GELU element-wise into y (which
+// must not alias x): gelu's tanh argument as a row, one mat.TanhRow over it,
+// then gelu's product — its operations in its order. It is bert's
+// feed-forward activation, a row at a time.
+func GELUInto(y, x mat.Vec) {
+	const c = 0.7978845608028654 // sqrt(2/pi)
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] = c * (v + 0.044715*v*v*v)
+	}
+	mat.TanhRow(y, y)
+	for i, v := range x {
+		y[i] = 0.5 * v * (1 + y[i])
+	}
+}
+
 // GELUBackwardInto writes into dx (which must alias neither x nor dy) the
 // upstream gradient dy scaled by dGELU/dx at the forward input x. dx holds
 // the tanh row until the last loop overwrites it element by element.

@@ -2,9 +2,9 @@ package nn
 
 import "saccs/internal/mat"
 
-// Arena is a bump allocator for the forward passes: vectors, vector
-// headers, and int scratch are carved out of a few flat backing arrays that
-// one Reset recycles wholesale. A warm arena makes an entire forward pass
+// Arena is a bump allocator for the forward passes: vectors, matrices and
+// their headers, and int scratch are carved out of a few flat backing arrays
+// that one Reset recycles wholesale. A warm arena makes an entire forward pass
 // (embeddings → transformer blocks → BiLSTM → projection → Viterbi)
 // allocation-free, and a training Tape is an Arena that also records what
 // the backward pass reads.
@@ -12,7 +12,7 @@ import "saccs/internal/mat"
 // Ownership contract: every slice or matrix an Arena method returns belongs
 // to the arena and is valid only until the next Reset. An Arena serves
 // exactly one goroutine at a time; callers that share arenas across
-// goroutines (tagger.Model, bert.Model) recycle them through a sync.Pool.
+// goroutines (tagger's decode) recycle them through a sync.Pool.
 //
 // Growth never invalidates outstanding slices: when a backing array is
 // exhausted the arena allocates a larger one and leaves the old array to the
@@ -21,8 +21,6 @@ import "saccs/internal/mat"
 type Arena struct {
 	floats []float64
 	nf     int
-	vecs   []mat.Vec
-	nv     int
 	ints   []int
 	ni     int
 	mats   []mat.Mat
@@ -44,7 +42,7 @@ type Arena struct {
 // Reset recycles the arena: every previously returned slice is dead and the
 // backing arrays are reused from the start.
 func (a *Arena) Reset() {
-	a.nf, a.nv, a.ni, a.nm = 0, 0, 0, 0
+	a.nf, a.ni, a.nm = 0, 0, 0
 	a.nf32, a.nu8, a.ni32, a.nm32 = 0, 0, 0, 0
 }
 
@@ -81,42 +79,6 @@ func (a *Arena) MatRaw(rows, cols int) *mat.Mat {
 	a.nm++
 	m.Rows, m.Cols = rows, cols
 	m.Data = a.rawVec(rows * cols)
-	return m
-}
-
-// Seq returns a slice of n nil vector headers backed by the arena — the
-// []mat.Vec sequences the kernels thread between stages.
-func (a *Arena) Seq(n int) []mat.Vec {
-	if a.nv+n > len(a.vecs) {
-		a.vecs = make([]mat.Vec, grow(len(a.vecs), n, 64))
-		a.nv = 0
-	}
-	s := a.vecs[a.nv : a.nv+n : a.nv+n]
-	a.nv += n
-	for i := range s {
-		s[i] = nil
-	}
-	return s
-}
-
-// Rows returns m's rows as a vector sequence, headers carved from the arena:
-// the views share m's storage. It hands a matrix forward's rows to the APIs
-// that take one vector per token (the CRF, FGSMSeq, Encoder.Backward).
-func (a *Arena) Rows(m *mat.Mat) []mat.Vec {
-	rows := a.Seq(m.Rows)
-	for i := range rows {
-		rows[i] = m.Row(i)
-	}
-	return rows
-}
-
-// Pack copies a vector sequence into an arena matrix, one cols-wide vector
-// per row — the way back in from those APIs.
-func (a *Arena) Pack(vs []mat.Vec, cols int) *mat.Mat {
-	m := a.MatRaw(len(vs), cols)
-	for i, v := range vs {
-		copy(m.Row(i), v)
-	}
 	return m
 }
 

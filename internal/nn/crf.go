@@ -78,76 +78,79 @@ func (c *CRF) start(j int) float64 {
 	return v
 }
 
-// NLL returns the negative log-likelihood of gold given emissions, and the
-// gradient with respect to the emissions (marginals minus gold one-hots).
-// CRF parameter gradients are accumulated internally.
-func (c *CRF) NLL(emissions []mat.Vec, gold []int) (float64, []mat.Vec) {
-	n := len(emissions)
+// NLL returns the negative log-likelihood of gold given the emissions, a
+// label score per column and a token per row, and the gradient with respect
+// to the emissions (marginals minus gold one-hots), a row per token. The
+// forward–backward tables, the scratch rows and the gradient are carved from
+// a (a training step passes its tape's arena), so a warm call allocates
+// nothing. CRF parameter gradients are accumulated internally.
+func (c *CRF) NLL(em *mat.Mat, gold []int, a *Arena) (float64, *mat.Mat) {
+	n, L := em.Rows, c.L
+	dE := a.MatRaw(n, L)
 	if n == 0 {
-		return 0, nil
+		return 0, dE
 	}
-	L := c.L
 
 	// Forward pass (log space).
-	alpha := NewSeq(n, L)
+	alpha := a.MatRaw(n, L)
+	e0, a0 := em.Row(0), alpha.Row(0)
 	for j := 0; j < L; j++ {
-		alpha[0][j] = c.start(j) + emissions[0][j]
+		a0[j] = c.start(j) + e0[j]
 	}
-	scratch := mat.NewVec(L)
+	scratch := a.rawVec(L)
 	for t := 1; t < n; t++ {
+		prev, cur, et := alpha.Row(t-1), alpha.Row(t), em.Row(t)
 		for j := 0; j < L; j++ {
 			for i := 0; i < L; i++ {
-				scratch[i] = alpha[t-1][i] + c.trans(i, j)
+				scratch[i] = prev[i] + c.trans(i, j)
 			}
-			alpha[t][j] = emissions[t][j] + mat.LogSumExp(scratch)
+			cur[j] = et[j] + mat.LogSumExp(scratch)
 		}
 	}
-	final := mat.NewVec(L)
+	final := a.rawVec(L)
+	last := alpha.Row(n - 1)
 	for j := 0; j < L; j++ {
-		final[j] = alpha[n-1][j] + c.End.W.At(0, j)
+		final[j] = last[j] + c.End.W.At(0, j)
 	}
 	logZ := mat.LogSumExp(final)
 
 	// Backward pass.
-	beta := NewSeq(n, L)
+	beta := a.MatRaw(n, L)
+	bl := beta.Row(n - 1)
 	for j := 0; j < L; j++ {
-		beta[n-1][j] = c.End.W.At(0, j)
+		bl[j] = c.End.W.At(0, j)
 	}
 	for t := n - 2; t >= 0; t-- {
+		cur, next, en := beta.Row(t), beta.Row(t+1), em.Row(t+1)
 		for i := 0; i < L; i++ {
 			for j := 0; j < L; j++ {
-				scratch[j] = c.trans(i, j) + emissions[t+1][j] + beta[t+1][j]
+				scratch[j] = c.trans(i, j) + en[j] + next[j]
 			}
-			beta[t][i] = mat.LogSumExp(scratch)
+			cur[i] = mat.LogSumExp(scratch)
 		}
 	}
 
-	// Gold path score.
-	score := c.start(gold[0]) + emissions[0][gold[0]]
-	for t := 1; t < n; t++ {
-		score += c.trans(gold[t-1], gold[t]) + emissions[t][gold[t]]
-	}
-	score += c.End.W.At(0, gold[n-1])
-	loss := logZ - score
+	loss := logZ - c.PathScore(em, gold[:n])
 
 	// Emission gradients: unary marginals minus gold indicators.
-	dE := NewSeq(n, L)
 	for t := 0; t < n; t++ {
+		d, at, bt := dE.Row(t), alpha.Row(t), beta.Row(t)
 		for j := 0; j < L; j++ {
-			dE[t][j] = math.Exp(alpha[t][j] + beta[t][j] - logZ)
+			d[j] = math.Exp(at[j] + bt[j] - logZ)
 		}
-		dE[t][gold[t]] -= 1
+		d[gold[t]] -= 1
 	}
 	// Start/end gradients.
 	for j := 0; j < L; j++ {
-		c.Start.G.Data[j] += math.Exp(alpha[0][j]+beta[0][j]-logZ) - b2f(j == gold[0])
-		c.End.G.Data[j] += math.Exp(alpha[n-1][j]+c.End.W.At(0, j)-logZ) - b2f(j == gold[n-1])
+		c.Start.G.Data[j] += math.Exp(alpha.At(0, j)+beta.At(0, j)-logZ) - b2f(j == gold[0])
+		c.End.G.Data[j] += math.Exp(alpha.At(n-1, j)+c.End.W.At(0, j)-logZ) - b2f(j == gold[n-1])
 	}
 	// Transition gradients: pairwise marginals minus gold transition counts.
 	for t := 0; t < n-1; t++ {
+		at, en, bn := alpha.Row(t), em.Row(t+1), beta.Row(t+1)
 		for i := 0; i < L; i++ {
 			for j := 0; j < L; j++ {
-				p := math.Exp(alpha[t][i] + c.trans(i, j) + emissions[t+1][j] + beta[t+1][j] - logZ)
+				p := math.Exp(at[i] + c.trans(i, j) + en[j] + bn[j] - logZ)
 				c.Trans.G.Data[i*L+j] += p
 			}
 		}
@@ -163,21 +166,25 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// Decode returns the Viterbi-optimal label sequence for the emissions.
-func (c *CRF) Decode(emissions []mat.Vec) []int {
-	n := len(emissions)
+// Decode returns the Viterbi-optimal label sequence (Eq. 5) for the
+// emissions, a token per row. The delta, backpointer and path buffers come
+// from a, so a warm call allocates nothing; the returned path belongs to the
+// arena — copy it out before Reset. It writes no receiver state: any number
+// of goroutines may decode concurrently, each with its own arena.
+func (c *CRF) Decode(em *mat.Mat, a *Arena) []int {
+	n, L := em.Rows, c.L
 	if n == 0 {
 		return nil
 	}
-	L := c.L
-	delta := mat.NewVec(L)
+	delta := a.Vec(L)
+	e0 := em.Row(0)
 	for j := 0; j < L; j++ {
-		delta[j] = c.start(j) + emissions[0][j]
+		delta[j] = c.start(j) + e0[j]
 	}
-	back := make([][]int, n)
-	next := mat.NewVec(L)
+	back := a.Ints(n * L)
+	next := a.Vec(L)
 	for t := 1; t < n; t++ {
-		back[t] = make([]int, L)
+		bt, et := back[t*L:(t+1)*L], em.Row(t)
 		for j := 0; j < L; j++ {
 			best, bi := math.Inf(-1), 0
 			for i := 0; i < L; i++ {
@@ -186,35 +193,36 @@ func (c *CRF) Decode(emissions []mat.Vec) []int {
 					best, bi = s, i
 				}
 			}
-			next[j] = best + emissions[t][j]
-			back[t][j] = bi
+			next[j] = best + et[j]
+			bt[j] = bi
 		}
 		copy(delta, next)
 	}
 	for j := 0; j < L; j++ {
 		delta[j] += c.End.W.At(0, j)
 	}
-	path := make([]int, n)
+	path := a.Ints(n)
 	path[n-1] = delta.MaxIdx()
 	for t := n - 1; t > 0; t-- {
-		path[t-1] = back[t][path[t]]
+		path[t-1] = back[t*L+path[t]]
 	}
 	return path
 }
 
 // PathScore returns the unnormalized CRF score of one label path under the
-// given emissions: start + per-step emission + transition + end, with the
-// same constraint penalties Decode applies. Decode returns the argmax of
-// this function; exposing it lets differential checks (oracle/quant-drift)
-// measure how much the model actually prefers one path over another.
-func (c *CRF) PathScore(emissions []mat.Vec, path []int) float64 {
-	n := len(emissions)
+// emissions, a token per row: start + per-step emission + transition + end,
+// with the same constraint penalties Decode applies. Decode returns the
+// argmax of this function and NLL subtracts it, for the gold path, from
+// log Z; exposing it lets differential checks (oracle/quant-drift) measure
+// how much the model actually prefers one path over another.
+func (c *CRF) PathScore(em *mat.Mat, path []int) float64 {
+	n := em.Rows
 	if n == 0 || len(path) != n {
 		return math.Inf(-1)
 	}
-	score := c.start(path[0]) + emissions[0][path[0]]
+	score := c.start(path[0]) + em.At(0, path[0])
 	for t := 1; t < n; t++ {
-		score += c.trans(path[t-1], path[t]) + emissions[t][path[t]]
+		score += c.trans(path[t-1], path[t]) + em.At(t, path[t])
 	}
 	return score + c.End.W.At(0, path[n-1])
 }
@@ -230,8 +238,8 @@ type beamHyp struct {
 // given beam width. With width >= L it matches Viterbi on the max-scoring
 // path's score; smaller beams trade exactness for speed (§4.1 "Viterbi along
 // with beam search").
-func (c *CRF) BeamDecode(emissions []mat.Vec, width int) []int {
-	n := len(emissions)
+func (c *CRF) BeamDecode(em *mat.Mat, width int) []int {
+	n := em.Rows
 	if n == 0 {
 		return nil
 	}
@@ -240,7 +248,7 @@ func (c *CRF) BeamDecode(emissions []mat.Vec, width int) []int {
 	}
 	beams := make([]beamHyp, 0, c.L)
 	for j := 0; j < c.L; j++ {
-		beams = append(beams, beamHyp{score: c.start(j) + emissions[0][j], last: j, path: []int{j}})
+		beams = append(beams, beamHyp{score: c.start(j) + em.At(0, j), last: j, path: []int{j}})
 	}
 	beams = topK(beams, width)
 	for t := 1; t < n; t++ {
@@ -251,7 +259,7 @@ func (c *CRF) BeamDecode(emissions []mat.Vec, width int) []int {
 				copy(path, h.path)
 				path[len(h.path)] = j
 				cand = append(cand, beamHyp{
-					score: h.score + c.trans(h.last, j) + emissions[t][j],
+					score: h.score + c.trans(h.last, j) + em.At(t, j),
 					last:  j,
 					path:  path,
 				})

@@ -22,14 +22,8 @@ func NewEmbedding(rng *rand.Rand, name string, vocabSize, dim int) *Embedding {
 // Params returns the layer's learnable tensors.
 func (e *Embedding) Params() []*Param { return []*Param{e.Table} }
 
-// Lookup returns a copy of the embedding row for id (so callers may perturb
-// it — adversarial training adds FGSM noise to exactly these vectors).
-func (e *Embedding) Lookup(id int) mat.Vec {
-	return e.Table.W.Row(clampID(id, e.VocabSize)).Clone()
-}
-
-// LookupInto copies the embedding row for id into dst without allocating —
-// the inference-path counterpart of Lookup.
+// LookupInto copies the embedding row for id into dst without allocating;
+// an id outside the vocabulary reads row 0.
 func (e *Embedding) LookupInto(dst mat.Vec, id int) {
 	copy(dst, e.Table.W.Row(clampID(id, e.VocabSize)))
 }

@@ -43,8 +43,11 @@ func seqMat(rng *rand.Rand, n, dim int) (*mat.Mat, []mat.Vec) {
 
 // rowsOf views the rows of m as vectors.
 func rowsOf(m *mat.Mat) []mat.Vec {
-	var a Arena
-	return a.Rows(m)
+	rows := make([]mat.Vec, m.Rows)
+	for i := range rows {
+		rows[i] = m.Row(i)
+	}
+	return rows
 }
 
 func TestLinearInferBatchMatchesForward(t *testing.T) {

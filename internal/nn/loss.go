@@ -6,16 +6,15 @@ import (
 	"saccs/internal/mat"
 )
 
-// SoftmaxCE computes softmax cross-entropy between logits and the gold class
-// and returns (loss, dLogits). This is the per-token decoder of the OpineDB
+// SoftmaxCE computes softmax cross-entropy between logits and the gold class,
+// writes dL/dlogits = softmax(logits) − onehot(gold) into d (which may alias
+// logits) and returns the loss. This is the per-token decoder of the OpineDB
 // baseline tagger and the output loss of the MLM head.
-func SoftmaxCE(logits mat.Vec, gold int) (float64, mat.Vec) {
-	p := mat.NewVec(len(logits))
-	mat.Softmax(p, logits)
-	loss := -math.Log(math.Max(p[gold], 1e-12))
-	d := p // reuse: dL/dlogits = p - onehot(gold)
+func SoftmaxCE(d, logits mat.Vec, gold int) float64 {
+	mat.Softmax(d, logits)
+	loss := -math.Log(math.Max(d[gold], 1e-12))
 	d[gold] -= 1
-	return loss, d
+	return loss
 }
 
 // BCELogit computes binary cross-entropy from a single pre-sigmoid logit and
@@ -29,24 +28,19 @@ func BCELogit(logit float64, target float64) (loss, prob, dLogit float64) {
 	return loss, prob, dLogit
 }
 
-// FGSMSeq returns the fast-gradient-sign perturbation δ* = ε·sign(g) of
-// Eq. 9 for each token, where g is the loss gradient with respect to that
-// token's input embedding. Every δ* lies on the l∞ ball of radius ε (Δ(x) of
-// Eq. 6); the vectors share one backing array.
-func FGSMSeq(grads []mat.Vec, eps float64) []mat.Vec {
-	if len(grads) == 0 {
-		return nil
-	}
-	out := NewSeq(len(grads), len(grads[0]))
-	for t, grad := range grads {
-		d := out[t]
-		for i, g := range grad {
-			switch {
-			case g > 0:
-				d[i] = eps
-			case g < 0:
-				d[i] = -eps
-			}
+// FGSM returns the fast-gradient-sign perturbation δ* = ε·sign(g) of Eq. 9
+// for each token, where row t of grads is the loss gradient with respect to
+// token t's input embedding, in a matrix carved from a. Every δ* lies on the
+// l∞ ball of radius ε (Δ(x) of Eq. 6); a zero (or NaN) gradient element
+// leaves its coordinate unperturbed.
+func FGSM(grads *mat.Mat, eps float64, a *Arena) *mat.Mat {
+	out := a.Mat(grads.Rows, grads.Cols)
+	for i, g := range grads.Data {
+		switch {
+		case g > 0:
+			out.Data[i] = eps
+		case g < 0:
+			out.Data[i] = -eps
 		}
 	}
 	return out

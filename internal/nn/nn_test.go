@@ -66,24 +66,6 @@ func TestLinearGradCheck(t *testing.T) {
 	}
 }
 
-func TestEmbeddingLookupCloned(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	e := NewEmbedding(rng, "emb", 10, 4)
-	v := e.Lookup(3)
-	v[0] = 999
-	if e.Table.W.At(3, 0) == 999 {
-		t.Fatal("Lookup must return a copy (adversarial noise is added in place)")
-	}
-	if got := e.Lookup(-1); len(got) != 4 {
-		t.Fatal("out-of-range id must fall back to row 0")
-	}
-	ZeroGrads(e.Params())
-	e.Accumulate(3, mat.Vec{1, 2, 3, 4})
-	if e.Table.G.At(3, 1) != 2 {
-		t.Fatal("Accumulate failed")
-	}
-}
-
 // seqLoss is 0.5·Σ‖y_t − target_t‖² over a sequence's rows, and upstream
 // returns its gradient with respect to y.
 func seqLoss(y *mat.Mat, targets []mat.Vec) float64 {
@@ -174,18 +156,19 @@ func TestCRFGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	c := NewCRF(rng, "crf", 4)
 	n := 5
-	emissions := make([]mat.Vec, n)
-	for i := range emissions {
-		emissions[i] = randVec(rng, 4)
+	emissions := mat.NewMat(n, 4)
+	for i := 0; i < n; i++ {
+		copy(emissions.Row(i), randVec(rng, 4))
 	}
 	gold := []int{0, 2, 1, 3, 0}
 
+	var a Arena
 	loss := func() float64 {
-		l, _ := c.NLL(emissions, gold)
+		l, _ := c.NLL(emissions, gold, &a)
 		return l
 	}
 	ZeroGrads(c.Params())
-	_, dE := c.NLL(emissions, gold)
+	_, dE := c.NLL(emissions, gold, &a)
 	// Snapshot analytic grads: the numGrad probes below call NLL again,
 	// which keeps accumulating into c's gradient buffers.
 	analytic := map[*Param][]float64{}
@@ -201,19 +184,19 @@ func TestCRFGradCheck(t *testing.T) {
 			}
 		}
 	}
-	for ti := range emissions {
-		for j := range emissions[ti] {
-			want := numGrad(loss, &emissions[ti][j])
-			if relErr(dE[ti][j], want) > 1e-5 {
-				t.Fatalf("dE[%d][%d]: got %v want %v", ti, j, dE[ti][j], want)
+	for ti := 0; ti < n; ti++ {
+		for j := 0; j < 4; j++ {
+			want := numGrad(loss, &emissions.Row(ti)[j])
+			if relErr(dE.At(ti, j), want) > 1e-5 {
+				t.Fatalf("dE[%d][%d]: got %v want %v", ti, j, dE.At(ti, j), want)
 			}
 		}
 	}
 }
 
 // bruteForceBest enumerates all label sequences to find the max-scoring path.
-func bruteForceBest(c *CRF, emissions []mat.Vec) ([]int, float64) {
-	n := len(emissions)
+func bruteForceBest(c *CRF, emissions *mat.Mat) ([]int, float64) {
+	n := emissions.Rows
 	best := math.Inf(-1)
 	var bestPath []int
 	path := make([]int, n)
@@ -234,7 +217,7 @@ func bruteForceBest(c *CRF, emissions []mat.Vec) ([]int, float64) {
 			} else {
 				s += c.trans(path[t-1], j)
 			}
-			s += emissions[t][j]
+			s += emissions.At(t, j)
 			path[t] = j
 			rec(t+1, s)
 		}
@@ -243,10 +226,10 @@ func bruteForceBest(c *CRF, emissions []mat.Vec) ([]int, float64) {
 	return bestPath, best
 }
 
-func pathScore(c *CRF, emissions []mat.Vec, path []int) float64 {
-	s := c.start(path[0]) + emissions[0][path[0]]
+func pathScore(c *CRF, emissions *mat.Mat, path []int) float64 {
+	s := c.start(path[0]) + emissions.At(0, path[0])
 	for t := 1; t < len(path); t++ {
-		s += c.trans(path[t-1], path[t]) + emissions[t][path[t]]
+		s += c.trans(path[t-1], path[t]) + emissions.At(t, path[t])
 	}
 	return s + c.End.W.At(0, path[len(path)-1])
 }
@@ -259,11 +242,12 @@ func TestViterbiMatchesBruteForce(t *testing.T) {
 		NormalInit(rng, c.Start, 1)
 		NormalInit(rng, c.End, 1)
 		n := 1 + rng.Intn(5)
-		emissions := make([]mat.Vec, n)
-		for i := range emissions {
-			emissions[i] = randVec(rng, 3)
+		emissions := mat.NewMat(n, 3)
+		for i := 0; i < n; i++ {
+			copy(emissions.Row(i), randVec(rng, 3))
 		}
-		got := c.Decode(emissions)
+		var a Arena
+		got := c.Decode(emissions, &a)
 		_, wantScore := bruteForceBest(c, emissions)
 		if s := pathScore(c, emissions, got); math.Abs(s-wantScore) > 1e-9 {
 			t.Fatalf("Viterbi score %v != brute force %v", s, wantScore)
@@ -277,11 +261,12 @@ func TestBeamDecodeFullWidthMatchesViterbi(t *testing.T) {
 		c := NewCRF(rng, "crf", 4)
 		NormalInit(rng, c.Trans, 1)
 		n := 2 + rng.Intn(5)
-		emissions := make([]mat.Vec, n)
-		for i := range emissions {
-			emissions[i] = randVec(rng, 4)
+		emissions := mat.NewMat(n, 4)
+		for i := 0; i < n; i++ {
+			copy(emissions.Row(i), randVec(rng, 4))
 		}
-		vit := c.Decode(emissions)
+		var a Arena
+		vit := c.Decode(emissions, &a)
 		// Width L² is guaranteed exact for a first-order chain.
 		beam := c.BeamDecode(emissions, 16)
 		if pathScore(c, emissions, beam) < pathScore(c, emissions, vit)-1e-9 {
@@ -293,7 +278,7 @@ func TestBeamDecodeFullWidthMatchesViterbi(t *testing.T) {
 func TestBeamDecodeNarrowStillValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := NewCRF(rng, "crf", 5)
-	emissions := []mat.Vec{randVec(rng, 5), randVec(rng, 5), randVec(rng, 5)}
+	emissions := mat.FromRows([][]float64{randVec(rng, 5), randVec(rng, 5), randVec(rng, 5)})
 	got := c.BeamDecode(emissions, 1)
 	if len(got) != 3 {
 		t.Fatalf("beam path length %d", len(got))
@@ -314,8 +299,9 @@ func TestCRFConstraintsRespectedInDecode(t *testing.T) {
 		func(l int) bool { return l != 2 },
 	)
 	// Emissions strongly prefer the forbidden pattern.
-	emissions := []mat.Vec{{0, 10, -10}, {0, 0, 10}}
-	got := c.Decode(emissions)
+	emissions := mat.FromRows([][]float64{{0, 10, -10}, {0, 0, 10}})
+	var a Arena
+	got := c.Decode(emissions, &a)
 	if got[0] == 2 {
 		t.Fatal("decoded a forbidden start label")
 	}
@@ -329,18 +315,20 @@ func TestCRFTrainsToValidTagging(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := NewCRF(rng, "crf", 2)
 	opt := NewAdam(0.1)
-	emissions := []mat.Vec{{0, 0}, {0, 0}, {0, 0}, {0, 0}}
+	emissions := mat.NewMat(4, 2)
 	gold := []int{0, 1, 0, 1}
 	var loss float64
+	var a Arena
 	for step := 0; step < 200; step++ {
 		ZeroGrads(c.Params())
-		loss, _ = c.NLL(emissions, gold)
+		a.Reset()
+		loss, _ = c.NLL(emissions, gold, &a)
 		opt.Step(c.Params())
 	}
 	if loss > 0.1 {
 		t.Fatalf("CRF failed to fit toy pattern: loss %v", loss)
 	}
-	got := c.Decode(emissions)
+	got := c.Decode(emissions, &a)
 	for i, l := range got {
 		if l != gold[i] {
 			t.Fatalf("decode %v != gold %v", got, gold)
@@ -350,7 +338,8 @@ func TestCRFTrainsToValidTagging(t *testing.T) {
 
 func TestSoftmaxCE(t *testing.T) {
 	logits := mat.Vec{2, 1, 0}
-	loss, d := SoftmaxCE(logits.Clone(), 0)
+	d := mat.NewVec(len(logits))
+	loss := SoftmaxCE(d, logits, 0)
 	if loss <= 0 {
 		t.Fatal("loss must be positive")
 	}
@@ -365,8 +354,7 @@ func TestSoftmaxCE(t *testing.T) {
 	for i := range logits {
 		x := logits.Clone()
 		want := numGrad(func() float64 {
-			l, _ := SoftmaxCE(x.Clone(), 0)
-			return l
+			return SoftmaxCE(x.Clone(), x, 0)
 		}, &x[i])
 		if relErr(d[i], want) > 1e-6 {
 			t.Fatalf("dlogits[%d]: got %v want %v", i, d[i], want)
@@ -396,19 +384,20 @@ func TestBCELogit(t *testing.T) {
 }
 
 func TestFGSM(t *testing.T) {
-	d := FGSMSeq([]mat.Vec{{0.3, -2, 0}}, 0.5)[0]
+	var a Arena
+	d := FGSM(mat.FromRows([][]float64{{0.3, -2, 0}}), 0.5, &a).Row(0)
 	if d[0] != 0.5 || d[1] != -0.5 || d[2] != 0 {
 		t.Fatalf("FGSM: %v", d)
 	}
 	// l∞ bound holds for any input.
-	for _, v := range FGSMSeq([]mat.Vec{{100, -100, 1e-9}}, 0.2)[0] {
+	for _, v := range FGSM(mat.FromRows([][]float64{{100, -100, 1e-9}}), 0.2, &a).Data {
 		if math.Abs(v) > 0.2 {
 			t.Fatalf("FGSM exceeds l∞ ball: %v", v)
 		}
 	}
-	seq := FGSMSeq([]mat.Vec{{1}, {-1}}, 0.1)
-	if seq[0][0] != 0.1 || seq[1][0] != -0.1 {
-		t.Fatalf("FGSMSeq: %v", seq)
+	seq := FGSM(mat.FromRows([][]float64{{1}, {-1}}), 0.1, &a)
+	if seq.At(0, 0) != 0.1 || seq.At(1, 0) != -0.1 {
+		t.Fatalf("FGSM rows: %v", seq.Data)
 	}
 }
 
@@ -527,13 +516,15 @@ func TestSigmoidStable(t *testing.T) {
 func TestCRFEmptySequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	c := NewCRF(rng, "crf", 3)
-	if loss, dE := c.NLL(nil, nil); loss != 0 || dE != nil {
+	var a Arena
+	empty := mat.NewMat(0, 3)
+	if loss, dE := c.NLL(empty, nil, &a); loss != 0 || dE.Rows != 0 {
 		t.Fatal("empty NLL must be zero")
 	}
-	if got := c.Decode(nil); got != nil {
+	if got := c.Decode(empty, &a); got != nil {
 		t.Fatal("empty Decode must be nil")
 	}
-	if got := c.BeamDecode(nil, 4); got != nil {
+	if got := c.BeamDecode(empty, 4); got != nil {
 		t.Fatal("empty BeamDecode must be nil")
 	}
 }

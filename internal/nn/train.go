@@ -119,15 +119,3 @@ func transposed(a *Arena, w *mat.Mat) *mat.Mat {
 	transposeInto(t, w)
 	return t
 }
-
-// NewSeq returns n zeroed vectors of width dim backed by one array: a
-// sequence for two allocations instead of n+1 (the CRF's forward–backward
-// tables and gradients, FGSMSeq's perturbations).
-func NewSeq(n, dim int) []mat.Vec {
-	flat := make([]float64, n*dim)
-	out := make([]mat.Vec, n)
-	for i := range out {
-		out[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	return out
-}

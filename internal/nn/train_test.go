@@ -71,8 +71,11 @@ func requireParamGrads(t *testing.T, want, got []*Param) {
 
 // packRows copies a vector sequence into a matrix, one vector per row.
 func packRows(vs []mat.Vec, cols int) *mat.Mat {
-	var a Arena
-	return a.Pack(vs, cols)
+	m := mat.NewMat(len(vs), cols)
+	for i, v := range vs {
+		copy(m.Row(i), v)
+	}
+	return m
 }
 
 func TestLinearSeqMatchesPerToken(t *testing.T) {

@@ -14,9 +14,11 @@ import (
 	"saccs/internal/tokenize"
 )
 
-// SentenceEncoder supplies contextual embeddings; *bert.Model satisfies it.
+// SentenceEncoder supplies contextual embeddings, a row per token, from a
+// reentrant forward carved from the caller's arena; *bert.Model satisfies
+// it.
 type SentenceEncoder interface {
-	EncodeTokens(tokens []string) []mat.Vec
+	InferTokensArena(tokens []string, a *nn.Arena) *mat.Mat
 	EmbeddingDim() int
 }
 
@@ -73,26 +75,27 @@ func NewClassifier(enc SentenceEncoder, cfg ClassifierConfig) *Classifier {
 // competing-span pressure) gives the network the positional signal a full
 // BERT cross-encoder would carry in its attention.
 func (c *Classifier) features(cand Candidate) mat.Vec {
-	hs := c.enc.EncodeTokens(cand.Tokens)
+	var a nn.Arena
+	hs := c.enc.InferTokensArena(cand.Tokens, &a)
 	dim := c.enc.EmbeddingDim()
 	out := mat.NewVec(3*dim + positionalFeatures)
-	if len(hs) == 0 {
+	if hs.Rows == 0 {
 		return out
 	}
 	pool := func(dst mat.Vec, start, end int) {
 		n := 0
-		for i := start; i < end && i < len(hs); i++ {
+		for i := start; i < end && i < hs.Rows; i++ {
 			if i < 0 {
 				continue
 			}
-			dst.Add(hs[i])
+			dst.Add(hs.Row(i))
 			n++
 		}
 		if n > 0 {
 			dst.Scale(1 / float64(n))
 		}
 	}
-	pool(out[:dim], 0, len(hs))
+	pool(out[:dim], 0, hs.Rows)
 	pool(out[dim:2*dim], cand.Aspect.Start, cand.Aspect.End)
 	pool(out[2*dim:3*dim], cand.Opinion.Start, cand.Opinion.End)
 

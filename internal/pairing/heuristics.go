@@ -176,12 +176,12 @@ func (a Attention) Pairs(tokens []string, aspects, opinions []tokenize.Span) []P
 // attentionMass averages, over the aspect's token rows, the attention
 // falling on the opinion's token columns (normalized by opinion length so
 // long spans don't win by size).
-func attentionMass(attn []mat.Vec, asp, op tokenize.Span) float64 {
-	n := len(attn)
+func attentionMass(attn *mat.Mat, asp, op tokenize.Span) float64 {
+	n := attn.Rows
 	var total float64
 	var rows int
 	for i := asp.Start; i < asp.End && i < n; i++ {
-		row := attn[i]
+		row := attn.Row(i)
 		var mass float64
 		var cols int
 		for j := op.Start; j < op.End && j < len(row); j++ {

@@ -33,10 +33,10 @@ func (v ReferenceView) Generation() uint64 { return v.M.Generation() }
 // and test support, not a serving path.
 func (m *Model) PathScore(tokens []string, labels []tokenize.Label) float64 {
 	em := m.EmissionsAt(tokens, nn.Float64)
-	if len(labels) < len(em) {
+	if len(labels) < em.Rows {
 		return math.Inf(-1)
 	}
-	path := make([]int, len(em))
+	path := make([]int, em.Rows)
 	for i := range path {
 		path[i] = int(labels[i])
 	}
@@ -44,17 +44,12 @@ func (m *Model) PathScore(tokens []string, labels []tokenize.Label) float64 {
 }
 
 // EmissionsAt runs encoder → BiLSTM → projection at the given precision and
-// returns one emission vector per (truncated) token as float64 — the
+// returns the float64 emissions, one row per (truncated) token — the
 // observable the quant-drift oracle bounds. Allocating; oracle and test
 // support, not a serving path.
-func (m *Model) EmissionsAt(tokens []string, p nn.Precision) []mat.Vec {
+func (m *Model) EmissionsAt(tokens []string, p nn.Precision) *mat.Mat {
 	a := arenaPool.Get().(*nn.Arena)
 	defer arenaPool.Put(a)
 	a.Reset()
-	em := m.emissions(tokens, a, p)
-	out := make([]mat.Vec, em.Rows)
-	for t := range out {
-		out[t] = em.Row(t).Clone()
-	}
-	return out
+	return m.emissions(tokens, a, p).Clone()
 }

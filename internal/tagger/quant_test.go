@@ -56,14 +56,12 @@ func TestQuantWeightsFollowRetrain(t *testing.T) {
 		ef := m.EmissionsAt(tokens, nn.Float64)
 		eq := m.EmissionsAt(tokens, nn.Mixed)
 		var maxErr, maxAbs float64
-		for t := range ef {
-			for j := range ef[t] {
-				if a := math.Abs(ef[t][j]); a > maxAbs {
-					maxAbs = a
-				}
-				if dd := math.Abs(eq[t][j] - ef[t][j]); dd > maxErr {
-					maxErr = dd
-				}
+		for i, f := range ef.Data {
+			if a := math.Abs(f); a > maxAbs {
+				maxAbs = a
+			}
+			if dd := math.Abs(eq.Data[i] - f); dd > maxErr {
+				maxErr = dd
 			}
 		}
 		return maxErr, maxAbs
@@ -122,11 +120,9 @@ func TestQuantEmissionsPinned(t *testing.T) {
 	for p, want := range pinned {
 		for i, s := range sentences {
 			h := fnv.New64a()
-			for _, row := range m.EmissionsAt(s, p) {
-				for _, v := range row {
-					b := math.Float32bits(float32(v))
-					h.Write([]byte{byte(b), byte(b >> 8), byte(b >> 16), byte(b >> 24)})
-				}
+			for _, v := range m.EmissionsAt(s, p).Data {
+				b := math.Float32bits(float32(v))
+				h.Write([]byte{byte(b), byte(b >> 8), byte(b >> 16), byte(b >> 24)})
 			}
 			if got := h.Sum64(); got != want[i] {
 				t.Errorf("%v sentence %d: emissions hash %#016x, recorded %#016x", p, i, got, want[i])

@@ -29,20 +29,15 @@ import (
 )
 
 // Encoder supplies frozen contextual embeddings; *bert.Model satisfies it.
+// InferTokensArena is its reentrant float64 inference forward over one
+// sentence: it returns at most one row per token (an encoder with a shorter
+// window truncates), every buffer carved from the caller's arena, and
+// writes no encoder state. Predict and a frozen encoder's training
+// embeddings run on it, so any number of goroutines can tag concurrently and
+// a warm decode allocates nothing but its labels.
 type Encoder interface {
-	EncodeTokens(tokens []string) []mat.Vec
-	EmbeddingDim() int
-}
-
-// ArenaEncoder is an encoder with a reentrant float64 inference forward over
-// one sequence, a token per row, every buffer carved from the caller's
-// arena; *bert.Model satisfies it. Predict runs on it so any number of
-// goroutines can tag concurrently and a warm decode allocates nothing but
-// its labels. Train uses EncodeTokens — the same forward, recorded on the
-// encoder's tape for fine-tuning — and so does inference over an encoder
-// without this forward (see encode).
-type ArenaEncoder interface {
 	InferTokensArena(tokens []string, a *nn.Arena) *mat.Mat
+	EmbeddingDim() int
 }
 
 // QuantEncoder is an encoder with a reduced-precision inference forward in
@@ -56,14 +51,16 @@ type QuantEncoder interface {
 }
 
 // TrainableEncoder is an encoder the tagger can fine-tune end-to-end;
-// *bert.Model satisfies it: EncodeTokens records its forward on the
-// encoder's tape and Backward consumes that tape, once per EncodeTokens.
+// *bert.Model satisfies it: EncodeTokens runs the inference forward on the
+// encoder's own tape and returns its rows, and Backward consumes that tape,
+// once per EncodeTokens, reading a gradient row per token.
 // Fine-tuning on the tagging task is what makes BERT's attention heads
 // align aspects with opinions (§5.1: "we have it already trained on
 // aspect/opinion extraction").
 type TrainableEncoder interface {
 	Encoder
-	Backward(dhs []mat.Vec) []mat.Vec
+	EncodeTokens(tokens []string) *mat.Mat
+	Backward(d *mat.Mat) *mat.Mat
 	EncoderParams() []*nn.Param
 }
 
@@ -191,9 +188,8 @@ func (m *Model) forwardLoss(t *nn.Tape, embeds *mat.Mat, gold []int) (float64, *
 	a := &t.Arena
 	dropped := m.drop.Forward(embeds, a, t)
 	emissions := m.proj.ForwardRows(m.bilstm.Forward(dropped, a, t), a, t)
-	loss, dE := m.crf.NLL(a.Rows(emissions), gold)
-	dHs := m.proj.BackwardRows(t, a.Pack(dE, emissions.Cols))
-	return loss, m.drop.Backward(t, m.bilstm.Backward(t, dHs))
+	loss, dE := m.crf.NLL(emissions, gold, a)
+	return loss, m.drop.Backward(t, m.bilstm.Backward(t, m.proj.BackwardRows(t, dE)))
 }
 
 // gradBuffers returns one buffer shaped like each parameter's gradient: the
@@ -212,7 +208,7 @@ func gradBuffers(params []*nn.Param) [][]float64 {
 // clean (gradBuffers) receives the clean branch's gradients. When encBack is
 // non-nil it receives the combined gradient with respect to the input
 // embeddings so the caller can fine-tune the encoder.
-func (m *Model) trainStep(t *nn.Tape, opt nn.Optimizer, params []*nn.Param, clean [][]float64, x *mat.Mat, gold []int, encBack func([]mat.Vec)) float64 {
+func (m *Model) trainStep(t *nn.Tape, opt nn.Optimizer, params []*nn.Param, clean [][]float64, x *mat.Mat, gold []int, encBack func(*mat.Mat)) float64 {
 	t.Reset()
 	if !m.cfg.Adversarial {
 		nn.ZeroGrads(params)
@@ -220,7 +216,7 @@ func (m *Model) trainStep(t *nn.Tape, opt nn.Optimizer, params []*nn.Param, clea
 		nn.ClipGrads(params, m.cfg.ClipNorm)
 		opt.Step(params)
 		if encBack != nil {
-			encBack(t.Rows(dEmbeds))
+			encBack(dEmbeds)
 		}
 		return loss
 	}
@@ -234,7 +230,7 @@ func (m *Model) trainStep(t *nn.Tape, opt nn.Optimizer, params []*nn.Param, clea
 
 	// Adversarial example: δ* + x (Eq. 7–9; float addition commutes
 	// exactly).
-	adv := t.Pack(nn.FGSMSeq(t.Rows(dEmbeds), m.cfg.Epsilon), x.Cols)
+	adv := nn.FGSM(dEmbeds, m.cfg.Epsilon, &t.Arena)
 	mat.Vec(adv.Data).Add(x.Data)
 	nn.ZeroGrads(params)
 	advLoss, dEmbedsAdv := m.forwardLoss(t, adv, gold)
@@ -250,12 +246,10 @@ func (m *Model) trainStep(t *nn.Tape, opt nn.Optimizer, params []*nn.Param, clea
 	if encBack != nil {
 		// δ* is a constant w.r.t. x, so the adversarial branch's embedding
 		// gradient flows straight through x + δ*.
-		combined := t.Rows(dEmbeds)
-		for i, v := range combined {
-			v.Scale(alpha)
-			v.AddScaled(1-alpha, dEmbedsAdv.Row(i))
-		}
-		encBack(combined)
+		combined := mat.Vec(dEmbeds.Data)
+		combined.Scale(alpha)
+		combined.AddScaled(1-alpha, dEmbedsAdv.Data)
+		encBack(dEmbeds)
 	}
 	return alpha*cleanLoss + (1-alpha)*advLoss
 }
@@ -291,16 +285,16 @@ func (m *Model) Train(examples []datasets.Example) float64 {
 	}
 
 	// A frozen encoder's embeddings come from its inference forward, once;
-	// a fine-tuned one's from EncodeTokens, recorded on the encoder's tape,
-	// at every step (rows packed into step).
+	// a fine-tuned one's from EncodeTokens, on the encoder's tape, at every
+	// step.
 	var cached []*mat.Mat
-	var step nn.Arena
 	golds := make([][]int, len(examples))
 	if !fineTune {
+		var a nn.Arena
 		cached = make([]*mat.Mat, len(examples))
 		for i, ex := range examples {
-			step.Reset()
-			cached[i] = encode(m.enc, ex.Tokens, &step).Clone()
+			a.Reset()
+			cached[i] = m.enc.InferTokensArena(ex.Tokens, &a).Clone()
 			golds[i] = goldIDs(ex.Labels, cached[i].Rows)
 		}
 	}
@@ -323,8 +317,7 @@ func (m *Model) Train(examples []datasets.Example) float64 {
 			var embeds *mat.Mat
 			var gold []int
 			if fineTune {
-				step.Reset()
-				embeds = step.Pack(m.enc.EncodeTokens(examples[idx].Tokens), m.enc.EmbeddingDim())
+				embeds = te.EncodeTokens(examples[idx].Tokens)
 				gold = goldIDs(examples[idx].Labels, embeds.Rows)
 			} else {
 				embeds, gold = cached[idx], golds[idx]
@@ -332,9 +325,9 @@ func (m *Model) Train(examples []datasets.Example) float64 {
 			if embeds.Rows == 0 {
 				continue
 			}
-			var encBack func([]mat.Vec)
+			var encBack func(*mat.Mat)
 			if fineTune {
-				encBack = func(dEmbeds []mat.Vec) {
+				encBack = func(dEmbeds *mat.Mat) {
 					nn.ZeroGrads(encParams)
 					te.Backward(dEmbeds)
 					nn.ClipGrads(encParams, m.cfg.ClipNorm)
@@ -368,18 +361,6 @@ func goldIDs(labels []tokenize.Label, n int) []int {
 	return out
 }
 
-// encode runs the encoder's float64 inference forward over one sentence and
-// returns its embeddings, a row per (truncated) token. An encoder that only
-// implements EncodeTokens (the hash encoders of the tests and oracles) has
-// its vectors copied into the same rows rather than given a pipeline of its
-// own; it must return at most one vector per token.
-func encode(enc Encoder, tokens []string, a *nn.Arena) *mat.Mat {
-	if ae, ok := enc.(ArenaEncoder); ok {
-		return ae.InferTokensArena(tokens, a)
-	}
-	return a.Pack(enc.EncodeTokens(tokens), enc.EmbeddingDim())
-}
-
 // emissions is the forward up to the CRF — encoder, BiLSTM, projection — at
 // the given precision, as float64 emission rows, one per (truncated) token.
 // At nn.Mixed (over a QuantEncoder) the three stages run on the
@@ -395,7 +376,7 @@ func (m *Model) emissions(tokens []string, a *nn.Arena, p nn.Precision) *mat.Mat
 		}
 		return em
 	}
-	return m.proj.ForwardRows(m.bilstm.Forward(encode(m.enc, tokens, a), a, nil), a, nil)
+	return m.proj.ForwardRows(m.bilstm.Forward(m.enc.InferTokensArena(tokens, a), a, nil), a, nil)
 }
 
 // Predict tags a sentence with Viterbi decoding at the configured precision.
@@ -419,9 +400,8 @@ func (m *Model) PredictAt(tokens []string, p nn.Precision) []tokenize.Label {
 	}
 	a := arenaPool.Get().(*nn.Arena)
 	a.Reset()
-	em := m.emissions(tokens, a, p)
 	out := make([]tokenize.Label, len(tokens))
-	for i, l := range m.crf.DecodeArena(a.Rows(em), a) {
+	for i, l := range m.crf.Decode(m.emissions(tokens, a, p), a) {
 		out[i] = tokenize.Label(l)
 	}
 	arenaPool.Put(a)
@@ -463,33 +443,38 @@ func NewOpineDB(enc Encoder, cfg Config) *OpineDB {
 // Generation identifies the current weight state (see Model.Generation).
 func (o *OpineDB) Generation() uint64 { return o.gen.Load() }
 
-// Train fits the classifier and returns the final epoch's mean loss.
+// Train fits the classifier and returns the final epoch's mean loss. Each
+// sentence is one step: the encoder's inference forward, the projection of
+// every token on a tape, the per-token cross-entropy gradients written into
+// the tape's rows, and one backward — so a warm step allocates nothing.
 func (o *OpineDB) Train(examples []datasets.Example) float64 {
 	o.gen.Store(nextGen())
 	defer o.gen.Store(nextGen())
 	opt := nn.NewAdam(o.cfg.LR)
 	params := o.proj.Params()
+	var t nn.Tape
 	var last float64
 	for epoch := 0; epoch < o.cfg.Epochs; epoch++ {
 		var total float64
 		var n int
 		for _, ex := range examples {
-			embeds := o.enc.EncodeTokens(ex.Tokens)
-			if len(embeds) == 0 {
+			t.Reset()
+			embeds := o.enc.InferTokensArena(ex.Tokens, &t.Arena)
+			if embeds.Rows == 0 {
 				continue
 			}
-			gold := goldIDs(ex.Labels, len(embeds))
+			gold := goldIDs(ex.Labels, embeds.Rows)
 			nn.ZeroGrads(params)
+			logits := o.proj.ForwardRows(embeds, &t.Arena, &t)
+			dLogits := t.MatRaw(logits.Rows, logits.Cols)
 			var loss float64
-			for i, e := range embeds {
-				logits := o.proj.Forward(e)
-				l, dLogits := nn.SoftmaxCE(logits, gold[i])
-				loss += l
-				o.proj.Backward(e, dLogits)
+			for i := 0; i < logits.Rows; i++ {
+				loss += nn.SoftmaxCE(dLogits.Row(i), logits.Row(i), gold[i])
 			}
+			o.proj.BackwardRows(&t, dLogits)
 			nn.ClipGrads(params, o.cfg.ClipNorm)
 			opt.Step(params)
-			total += loss / float64(len(embeds))
+			total += loss / float64(embeds.Rows)
 			n++
 		}
 		if n > 0 {
@@ -504,10 +489,10 @@ func (o *OpineDB) Train(examples []datasets.Example) float64 {
 func (o *OpineDB) Predict(tokens []string) []tokenize.Label {
 	a := arenaPool.Get().(*nn.Arena)
 	a.Reset()
-	embeds := encode(o.enc, tokens, a)
+	logits := o.proj.ForwardRows(o.enc.InferTokensArena(tokens, a), a, nil)
 	out := make([]tokenize.Label, len(tokens))
-	for i := 0; i < embeds.Rows; i++ {
-		out[i] = tokenize.Label(o.proj.Forward(embeds.Row(i)).MaxIdx())
+	for i := 0; i < logits.Rows; i++ {
+		out[i] = tokenize.Label(logits.Row(i).MaxIdx())
 	}
 	arenaPool.Put(a)
 	return out
