@@ -1,6 +1,6 @@
 # Tier-1 verification lives behind `make ci`: lint (gofmt gate + vet) +
 # build + race-enabled tests + the correctness harness (differential oracles + property checks
-# under -race), the obs-lint telemetry-schema gate, a bounded fuzz smoke of
+# under -race, and the paper tables' bit pins without it), the obs-lint telemetry-schema gate, a bounded fuzz smoke of
 # every fuzz target, a vet + short test of the benchmark/ module, the coverage
 # gate, and last a short parallel-throughput smoke run of saccs-bench: its
 # timing guards are the one step that can fail on a noisy host, so every
@@ -23,7 +23,7 @@ FUZZTIME ?= 30s
 COVER_BASELINE ?= 79.5
 
 .PHONY: ci lint vet build deps-check test test-short race race-full bench bench-smoke \
-	bench-serve benchmark-check check obs-lint fuzz-smoke cover loc
+	bench-serve benchmark-check check pins obs-lint fuzz-smoke cover loc
 
 # ci runs each target in this order, one `make` per target, and prints each
 # target's wall time: after every target, and as a table at the end (or when
@@ -72,15 +72,20 @@ lint: vet
 # the packages), so a test that names an amd64-only symbol outside an
 # _amd64_test.go file fails here instead of on the first arm64 host.
 #
-# The GOAMD64=v3 arm reruns the float64 row kernels' exactness tests with
-# the compiler allowed to use FMA. Go 1.24 does not fuse x*y+z on amd64 even
-# then, so math's tanh keeps the unfused polynomial that TanhRow's vector
-# kernel transcribes; a toolchain that starts fusing would change math.Tanh
-# in the last bit, and this arm fails instead of the fingerprint.
+# The GOAMD64=v3 arm reruns the row kernels' exactness tests with the
+# compiler allowed to use FMA: the float64 ones, the float32 ones and the
+# float32 GEMM, LSTM recurrence and transpose, whose Go twins hold
+# multiply-add shapes (the GEMM's d += a·b, the cell's f·c + i·g) that a
+# fusing compiler would contract, and the mixed decode's emission pin. Go
+# 1.24 does not fuse x*y+z on amd64 even then, so math's tanh keeps the
+# unfused polynomial that TanhRow's vector kernel transcribes and every Go
+# twin rounds each operation; a toolchain that starts fusing would move
+# those bits, and this arm fails instead of the fingerprint.
 vet:
 	$(GO) vet ./... ./cmd/... ./examples/...
 	GOARCH=arm64 $(GO) vet ./...
-	GOAMD64=v3 $(GO) test -run 'Row64|IdenticalTo' ./internal/mat/ ./internal/nn/
+	GOAMD64=v3 $(GO) test -run 'Row64|Row32|RowKernel|IdenticalTo|MatMulF32|LSTMRecur32|Transpose32|QuantEmissionsPinned' \
+		./internal/mat/ ./internal/nn/ ./internal/tagger/
 
 # build also cross-compiles for arm64, so the pure-Go twins (the !amd64
 # files) of every assembly entry point in internal/mat keep building.
@@ -173,13 +178,21 @@ bench-serve:
 # trained-weight fingerprint (TestTrainTaggerFingerprint: the served recipe
 # trained on the vector kernels and again on the pure-Go ones must hash to
 # the recorded value), which -short skips and the race detector would make
-# take minutes.
-check:
+# take minutes, and, first, the paper tables' bit pins (pins, below).
+check: pins
 	$(GO) test -race -count=1 ./internal/check/...
 	$(GO) test -count=1 -run '^TestTrainTaggerFingerprint$$' ./internal/core/
 	$(GO) test -race -count=1 -run '^Fuzz' ./internal/tokenize/ ./internal/search/ \
 		./internal/parse/ ./internal/tagger/ ./internal/index/ ./internal/ingest/ \
 		./internal/mat/ ./internal/sim/
+
+# pins runs the bit pins of the paper tables at fast scale (every row of
+# Tables 2, 4 and 5 at %.17g, and Table 5's shape), which -short skips: they
+# are what holds a "no bit moved" claim on training, FGSM, OpineDB, the
+# pairing classifier and the attention readback end to end. No -race: the
+# detector would stretch their ~40 s to many minutes. check runs them first.
+pins:
+	$(GO) test -count=1 -run '^(TestTable2FastPinned|TestTable4FastPinned|TestTable5FastPinned|TestTable5ShapeFast)$$' ./internal/experiments/
 
 # fuzz-smoke gives each native fuzz target a bounded budget ($(FUZZTIME) per
 # target). `go test -fuzz` accepts exactly one target per invocation, hence

@@ -153,7 +153,7 @@ func TestContextualEmbeddings(t *testing.T) {
 	h2 := m.EncodeTokens([]string{"friendly", "food", "and", "staff"})
 	foodIn2 := h2.Row(1)
 	diff := foodIn1.Clone()
-	diff.Sub(foodIn2)
+	diff.AddScaled(-1, foodIn2)
 	if diff.Norm() < 1e-9 {
 		t.Fatal("contextual embeddings are identical across contexts")
 	}
@@ -262,7 +262,7 @@ func TestDomainPostTrainingShiftsEmbeddings(t *testing.T) {
 	var moved float64
 	for i := 0; i < after.Rows; i++ {
 		d := after.Row(i).Clone()
-		d.Sub(snapshot.Row(i))
+		d.AddScaled(-1, snapshot.Row(i))
 		moved += d.Norm()
 	}
 	if moved < 1e-6 {

@@ -61,40 +61,41 @@ func (b *Block) InferQuantBatch(xs *mat.Mat32, a *nn.Arena) *mat.Mat32 {
 // InferQuantBatch runs self-attention over one sequence in reduced
 // precision. Q, K and V come out of one int8 GEMM over one quantization of
 // xs (the stacked weight of nn.StackedQuant), Wo is a second. In between,
-// each head is two small float32 products over operands packed once — K_h
-// row-major, Q_hᵀ and V_hᵀ transposed — so the n² inner loops stream: scores
-// transposed, Sᵀ = K_h·Q_hᵀ (row = key, column = query); one column softmax
-// over the whole matrix; then Oᵀ = V_hᵀ·Aᵀ. Every score still sums its
-// HeadDim products in ascending dimension order and every output its n
-// weighted values in ascending key order.
+// each head is two small float32 products: scores transposed, Sᵀ = K_h·Q_hᵀ
+// (row = key, column = query), with K_h read in place from the qkv rows; one
+// column softmax over the whole matrix; then Oᵀ = V_hᵀ·Aᵀ. Two transposes
+// ahead of the heads turn the Q and V columns into Qᵀ and Vᵀ, so each head's
+// Q_hᵀ and V_hᵀ are contiguous HeadDim×n blocks; each head writes its Oᵀ
+// into its rows of one D×n matrix, and a transpose back gives the head
+// outputs. Every score still sums its HeadDim products in ascending
+// dimension order and every output its n weighted values in ascending key
+// order.
 func (m *MultiHeadAttention) InferQuantBatch(xs *mat.Mat32, a *nn.Arena) *mat.Mat32 {
 	D, hd, n := m.Dim, m.HeadDim, xs.Rows
 	qkv := m.qkv.Quantize(m.Wq, m.Wk, m.Wv).Apply(nn.QuantizeActRows(xs, a), a) // rows of [q | k | v]
-	scale := float32(1 / math.Sqrt(float64(hd)))
 	headOut := a.Mat32Raw(n, D)
-	kh, qT, vT, oT := a.Mat32Raw(n, hd), a.Mat32Raw(hd, n), a.Mat32Raw(hd, n), a.Mat32Raw(hd, n)
+	if n == 0 {
+		return m.Wo.InferQuantBatch(headOut, a)
+	}
+	scale := float32(1 / math.Sqrt(float64(hd)))
+	qT, vT, oT := a.Mat32Raw(D, n), a.Mat32Raw(D, n), a.Mat32Raw(D, n)
+	mat.Transpose32(qT, qkv, 0)
+	mat.Transpose32(vT, qkv, 2*D)
 	sT := a.Mat32Raw(n, n)
 	stat := a.F32Raw(n)
 	for lo := 0; lo < D; lo += hd {
-		for i := 0; i < n; i++ {
-			row := qkv.Row(i)
-			copy(kh.Row(i), row[D+lo:D+lo+hd])
-			for d := 0; d < hd; d++ {
-				qT.Data[d*n+i] = row[lo+d]
-				vT.Data[d*n+i] = row[2*D+lo+d]
-			}
-		}
-		mat.MatMulF32Into(sT, kh, qT)
+		mat.MatMulF32StrideInto(sT, qkv.Data[D+lo:], 3*D, headRows(qT, lo, hd))
 		mat.SoftmaxCols32(sT, scale, stat)
-		mat.MatMulF32Into(oT, vT, sT)
-		for i := 0; i < n; i++ {
-			out := headOut.Row(i)[lo : lo+hd]
-			for d := range out {
-				out[d] = oT.Data[d*n+i]
-			}
-		}
+		mat.MatMulF32Into(headRows(oT, lo, hd), headRows(vT, lo, hd), sT)
 	}
+	mat.Transpose32(headOut, oT, 0)
 	return m.Wo.InferQuantBatch(headOut, a)
+}
+
+// headRows is rows [lo, lo+hd) of m, one head's block of a transposed
+// operand, as a matrix over the same storage.
+func headRows(m *mat.Mat32, lo, hd int) *mat.Mat32 {
+	return &mat.Mat32{Rows: hd, Cols: m.Cols, Data: m.Data[lo*m.Cols : (lo+hd)*m.Cols]}
 }
 
 // addNormRows32 writes LayerNorm(x + r) row by row into y: the residual add

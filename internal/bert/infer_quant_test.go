@@ -1,6 +1,7 @@
 package bert
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -197,4 +198,34 @@ func TestAddNormRows32MatchesPerRow(t *testing.T) {
 			}
 		}
 	})
+}
+
+// BenchmarkAttentionInferQuant is one served attention block's
+// reduced-precision forward (Dim 64, 8 heads of 8) over n tokens: the
+// stacked Q/K/V projection, the transposes, every head's scores, softmax
+// and context, and Wo; on the vector kernels and on the pure-Go ones. Run
+// with
+//
+//	go test -run '^$' -bench AttentionInferQuant -cpu 1 ./internal/bert/
+func BenchmarkAttentionInferQuant(b *testing.B) {
+	rng := rand.New(rand.NewSource(30))
+	m := NewMultiHeadAttention(rng, "a", 64, 8)
+	for _, n := range []int{13, 19, 48} {
+		xs := mat.NewMat32(n, 64)
+		for i := range xs.Data {
+			xs.Data[i] = float32(rng.NormFloat64())
+		}
+		run := func(b *testing.B) {
+			var a nn.Arena
+			for i := 0; i < b.N; i++ {
+				a.Reset()
+				m.InferQuantBatch(xs, &a)
+			}
+		}
+		b.Run(fmt.Sprintf("%d/vector", n), run)
+		b.Run(fmt.Sprintf("%d/scalar", n), func(b *testing.B) {
+			defer mat.ForceScalar()()
+			run(b)
+		})
+	}
 }

@@ -3,9 +3,10 @@ package mat
 import "math"
 
 // Float32 row kernels for the reduced-precision inference tier. The decode
-// applies each of them to whole rows — every softmax score of a head, the 4H
-// gate row of an LSTM step, an FFN row, a layer norm's output — so they take
-// slices. The pure-Go loops below are the definition and the path for hosts
+// applies each of them to whole rows — every softmax score of a head, an FFN
+// row, a layer norm's output — so they take slices; the LSTM recurrence
+// (lstm32.go) runs the sigmoid's and tanh's vector bodies on its gate
+// blocks. The pure-Go loops below are the definition and the path for hosts
 // without AVX-512; on AVX-512 machines the whole row runs on a vector twin
 // (fastmath32_amd64.s), its last block under a k-mask, that performs the same
 // unfused multiply and add per lane in the same order. Both forms are pure

@@ -116,3 +116,42 @@ func normRowAsm(dst, src []float32, gain, bias []float64, mean, std float64) boo
 	}
 	return hasAVX512
 }
+
+// lstmDir is one LSTM direction as lstmRecurAVX512 reads it: pointers at the
+// first step's z and out rows and at Whᵀ, and the signed byte distance from
+// one step's rows to the next.
+type lstmDir struct {
+	z, out, wht  *float32
+	zstep, ostep int
+}
+
+//go:noescape
+func lstmRecurAVX512(dirs *[2]lstmDir, n, h int, work *float32, consts *uint32)
+
+// lstmRecurAsm runs a BiLSTM's two directions (n ≥ 1, 1 ≤ H ≤ 64) in one
+// call of the vector kernel; a single direction stays on the Go twin. The
+// kernel's work area holds the zero h_{-1} and each direction's cell,
+// lstmVecMaxH floats apiece.
+func lstmRecurAsm(out *Mat32, dirs []LSTMDir32) bool {
+	if !hasAVX512 || len(dirs) != 2 {
+		return false
+	}
+	n, H := out.Rows, dirs[0].WhT.Rows
+	var args [2]lstmDir
+	for i, d := range dirs {
+		first, step := 0, 1
+		if d.Reverse {
+			first, step = n-1, -1
+		}
+		args[i] = lstmDir{
+			z:     &d.Z.Data[first*4*H],
+			out:   &out.Data[first*out.Cols+d.Off],
+			wht:   &d.WhT.Data[0],
+			zstep: step * 16 * H,
+			ostep: step * 4 * out.Cols,
+		}
+	}
+	var work [3 * lstmVecMaxH]float32
+	lstmRecurAVX512(&args, n, H, &work[0], &row32Consts[0])
+	return true
+}

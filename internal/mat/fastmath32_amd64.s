@@ -1,6 +1,7 @@
 // AVX-512 float32 row kernels of the mixed decode: ExpRow32, TanhRow32,
 // SigmoidRow32, GELURow32, SoftmaxCols32 and NormRow32, sixteen lanes at a
-// time (NormRow32, whose arithmetic is float64, in two eight-lane halves).
+// time (NormRow32, whose arithmetic is float64, in two eight-lane halves),
+// and the LSTM recurrence (LSTMRecur32), which runs on the same macros.
 // Each lane performs exactly the Go twin's operations (fastmath32.go,
 // mat32.go) in its order — separate VMULPS/VADDPS, never FMA — so the two
 // are bit-identical. Branches become blends: every arm is computed and the
@@ -119,6 +120,50 @@
 	SUBQ    $16, CX; \
 	CMPQ    CX, $16
 
+// LSTM_K and LSTM_GATES are lstmRecurAVX512's step (below), defined ahead
+// of the first TEXT because LSTM_GATES names one of its arguments.
+//
+// LSTM_K: one k of one direction: zh's four gate blocks += h[k]·Whᵀ[k].
+#define LSTM_K(hp, wp, bc, a0, a1, a2, a3) \
+	VBROADCASTSS (hp)(CX*1), bc; \
+	VMULPS.Z     (wp), bc, K7, Z11; \
+	VADDPS       Z11, a0, a0; \
+	VMULPS.Z     (wp)(DX*1), bc, K7, Z12; \
+	VADDPS       Z12, a1, a1; \
+	VMULPS.Z     (wp)(DX*2), bc, K7, Z13; \
+	VADDPS       Z13, a2, a2; \
+	VMULPS.Z     (wp)(R13*1), bc, K7, Z14; \
+	VADDPS       Z14, a3, a3; \
+	LEAQ         (wp)(DX*4), wp
+
+// LSTM_GATES: one direction's block after its accumulators a0-a3 are
+// done: z = zx + zh, the gates, c = (f·c) + (i·g) in the cell at byte
+// coff of work, and h = tanh(c)·o stored under K7. Clobbers AX, Z10-Z21
+// and the macros' registers.
+#define LSTM_GATES(a0, a1, a2, a3, zp, coff, hp) \
+	LEAQ      (zp)(DI*1), AX; \
+	VMOVUPS.Z (AX), K7, Z12; \
+	VADDPS    a0, Z12, Z12; \
+	VMOVUPS.Z (AX)(DX*1), K7, Z13; \
+	VADDPS    a1, Z13, Z13; \
+	VMOVUPS.Z (AX)(DX*2), K7, Z14; \
+	VADDPS    a2, Z14, Z14; \
+	VMOVUPS.Z (AX)(R13*1), K7, Z15; \
+	VADDPS    a3, Z15, Z15; \
+	SIGMOID16(Z12, Z16, Z10, Z11); \
+	SIGMOID16(Z13, Z17, Z10, Z11); \
+	TANH16(Z14, Z18); \
+	SIGMOID16(Z15, Z19, Z10, Z11); \
+	MOVQ      work+24(FP), AX; \
+	VMOVUPS   coff(AX)(DI*1), Z20; \
+	VMULPS    Z20, Z17, Z20; \
+	VMULPS    Z18, Z16, Z21; \
+	VADDPS    Z21, Z20, Z20; \
+	VMOVUPS   Z20, coff(AX)(DI*1); \
+	TANH16(Z20, Z21); \
+	VMULPS    Z19, Z21, Z21; \
+	VMOVUPS   Z21, K7, (hp)(DI*1)
+
 // func expRowAVX512(dst, src *float32, n int, consts *uint32)
 TEXT ·expRowAVX512(SB), NOSPLIT, $0-32
 	ROW32_ENTRY
@@ -167,16 +212,17 @@ tanh_done:
 	VZEROUPPER
 	RET
 
-// SIGMOID16: sigmoidRowGo per lane, Z0 to Z1: e = exp(−|x|), then
-// (sign(x) ? e : 1) / (1 + e). Z9 holds the sign bit.
-#define SIGMOID16 \
-	VPORD        Z9, Z0, Z2; \
-	EXP16(Z2, Z3); \
-	VPTESTMD     Z9, Z0, K4; \
-	VBROADCASTSS ONE(R8), Z1; \
-	VMOVAPS      Z3, K4, Z1; \
-	VADDPS.BCST  ONE(R8), Z3, Z3; \
-	VDIVPS       Z3, Z1, Z1
+// SIGMOID16(x, r, t, e): r = sigmoidRowGo(x) per lane; x is preserved:
+// e = exp(t = −|x|), then (sign(x) ? e : 1) / (1 + e). Z9 holds the sign
+// bit. Clobbers t, e, EXP16's registers and K4.
+#define SIGMOID16(x, r, t, e) \
+	VPORD        Z9, x, t; \
+	EXP16(t, e); \
+	VPTESTMD     Z9, x, K4; \
+	VBROADCASTSS ONE(R8), r; \
+	VMOVAPS      e, K4, r; \
+	VADDPS.BCST  ONE(R8), e, e; \
+	VDIVPS       e, r, r
 
 // func sigmoidRowAVX512(dst, src *float32, n int, consts *uint32)
 TEXT ·sigmoidRowAVX512(SB), NOSPLIT, $0-32
@@ -187,7 +233,7 @@ TEXT ·sigmoidRowAVX512(SB), NOSPLIT, $0-32
 
 sig_loop:
 	VMOVUPS (SI), Z0
-	SIGMOID16
+	SIGMOID16(Z0, Z1, Z2, Z3)
 	ROW32_NEXT
 	JGE     sig_loop
 
@@ -196,7 +242,7 @@ sig_tail:
 	JZ        sig_done
 	TAIL_MASK
 	VMOVUPS.Z (SI), K7, Z0
-	SIGMOID16
+	SIGMOID16(Z0, Z1, Z2, Z3)
 	VMOVUPS   Z1, K7, (DI)
 
 sig_done:
@@ -389,5 +435,105 @@ norm_half:
 	NORM8(Y0, K7, Z1, 0)
 	VCVTPD2PS Z1, Y1
 	VMOVUPS   Z1, K7, (DI)
+	VZEROUPPER
+	RET
+
+// func lstmRecurAVX512(dirs *[2]lstmDir, n, h int, work *float32, consts *uint32)
+//
+// lstmRecurGo for two directions of n steps each, H = h ≤ 64 hidden units,
+// in one call. A step runs block by block over sixteen hidden
+// units (the last block under K7): for each direction, zh's four gate
+// blocks accumulate h_{t-1}[k]·Whᵀ[k] from +0 in ascending k — the
+// f32saxpy kernels' unfused VMULPS then VADDPS — the directions' chains
+// interleaved in one loop; then each direction's gates, cell and hidden
+// state, stored straight into its out row. h_{t-1} is read back from the
+// previous step's out row (for t = 0 from work's zeroed first 64 floats);
+// each direction's cell lives in work's next 64 floats.
+//
+// lstmDir (fastmath32_amd64.go) is 40 bytes: z, out, wht, zstep, ostep.
+//
+// Registers: DX = 4H bytes (one gate's columns, and k's end), R13 = 12H
+// bytes (the o gate), DI = the block's byte offset, CX = k in bytes,
+// BX/SI = the directions' Whᵀ rows, R9/R10 their z rows, R11/R12 their out
+// rows, R14/R15 their h_{t-1}; 0(SP) counts the steps left. Z0-Z3 and Z4-Z7
+// are the two directions' accumulators, Z9 the sign bit.
+
+TEXT ·lstmRecurAVX512(SB), NOSPLIT, $8-40
+	MOVQ         consts+32(FP), R8
+	VPBROADCASTD SIGN(R8), Z9
+	MOVQ         h+16(FP), DX
+	SHLQ         $2, DX
+	LEAQ         (DX)(DX*2), R13
+
+	// K5: a full block; K6: the last block's lanes, H mod 16 (or all 16).
+	MOVL  $0xFFFF, AX
+	KMOVW AX, K5
+	MOVQ  h+16(FP), CX
+	ANDQ  $15, CX
+	JZ    lstm_fullmask
+	MOVL  $1, AX
+	SHLL  CX, AX
+	DECL  AX
+
+lstm_fullmask:
+	KMOVW AX, K6
+
+	MOVQ dirs+0(FP), AX
+	MOVQ 0(AX), R9
+	MOVQ 8(AX), R11
+	MOVQ 40(AX), R10
+	MOVQ 48(AX), R12
+	MOVQ work+24(FP), R14
+	MOVQ R14, R15
+	MOVQ n+8(FP), AX
+	MOVQ AX, 0(SP)
+
+lstm_step:
+	XORQ DI, DI
+
+lstm_block:
+	KMOVW K5, K7
+	LEAQ  64(DI), AX
+	CMPQ  AX, DX
+	JLT   lstm_masked
+	KMOVW K6, K7
+
+lstm_masked:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ   dirs+0(FP), AX
+	MOVQ   16(AX), BX
+	ADDQ   DI, BX
+	MOVQ   56(AX), SI
+	ADDQ   DI, SI
+	XORQ   CX, CX
+
+lstm_k:
+	LSTM_K(R14, BX, Z8, Z0, Z1, Z2, Z3)
+	LSTM_K(R15, SI, Z10, Z4, Z5, Z6, Z7)
+	ADDQ $4, CX
+	CMPQ CX, DX
+	JLT  lstm_k
+	LSTM_GATES(Z0, Z1, Z2, Z3, R9, 256, R11)
+	LSTM_GATES(Z4, Z5, Z6, Z7, R10, 512, R12)
+	ADDQ $64, DI
+	CMPQ DI, DX
+	JLT  lstm_block
+
+	MOVQ R11, R14
+	MOVQ R12, R15
+	MOVQ dirs+0(FP), AX
+	ADDQ 24(AX), R9
+	ADDQ 32(AX), R11
+	ADDQ 64(AX), R10
+	ADDQ 72(AX), R12
+	DECQ 0(SP)
+	JNZ  lstm_step
 	VZEROUPPER
 	RET

@@ -362,7 +362,9 @@ func TestSoftmaxCols32MaxEdgeCases(t *testing.T) {
 // FuzzRow32Kernels feeds arbitrary bit patterns, as one row of any length,
 // through every float32 row kernel with a vector twin and requires the
 // vector path to reproduce the Go path bit for bit (any two NaNs equal),
-// and the element-wise ones their scalar reference. The committed corpus
+// and the element-wise ones their scalar reference; its last two arms read
+// the row as the inputs and weights of an LSTM recurrence and as a matrix
+// to transpose. The committed corpus
 // (testdata/fuzz/FuzzRow32Kernels) holds rows of the edge inputs at ragged
 // lengths.
 func FuzzRow32Kernels(f *testing.F) {
@@ -410,7 +412,72 @@ func FuzzRow32Kernels(f *testing.F) {
 				}
 			}
 		}
+		fuzzLSTMRecur32(t, src)
+		fuzzTranspose32(t, src)
 	})
+}
+
+// cyclic returns a rows×cols matrix filled from src, cyclically, starting
+// at element from.
+func cyclic(src []float32, rows, cols, from int) *Mat32 {
+	m := NewMat32(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = src[(from+i)%len(src)]
+	}
+	return m
+}
+
+// fuzzLSTMRecur32 is FuzzRow32Kernels' arm for the LSTM recurrence: a
+// BiLSTM of H = 1 + len mod 64 hidden units over 1 + len/64 tokens, every
+// input and weight taken from the fuzzed row, on both paths.
+func fuzzLSTMRecur32(t *testing.T, src []float32) {
+	n := len(src)
+	if n == 0 {
+		return
+	}
+	H, steps := 1+n%lstmVecMaxH, 1+n/lstmVecMaxH
+	c := lstmCase{
+		zf: cyclic(src, steps, 4*H, 0), zb: cyclic(src, steps, 4*H, 1),
+		whf: cyclic(src, H, 4*H, 2), whb: cyclic(src, H, 4*H, 3),
+	}
+	vec := c.run(steps, H)
+	hasAVX512 = false
+	pure := c.run(steps, H)
+	hasAVX512 = true
+	checkGuard32(t, "LSTMRecur32", vec.Data)
+	for i := range vec.Data {
+		if !sameBits32(vec.Data[i], pure.Data[i]) {
+			t.Fatalf("LSTMRecur32 H %d n %d: h[%d] = %v on AVX-512, %v in Go", H, steps, i, vec.Data[i], pure.Data[i])
+		}
+	}
+}
+
+// fuzzTranspose32 is FuzzRow32Kernels' arm for Transpose32: the row as a
+// matrix of 1 + len mod 20 rows, transposed whole and as its last few
+// columns, on both paths; every bit pattern must land in place.
+func fuzzTranspose32(t *testing.T, src []float32) {
+	rows := 1 + len(src)%20
+	cols := len(src) / rows
+	if cols == 0 {
+		return
+	}
+	m := &Mat32{Rows: rows, Cols: cols, Data: src[:rows*cols]}
+	for _, col := range []int{0, cols / 2} {
+		w := cols - col
+		vec := &Mat32{Rows: w, Cols: rows, Data: rowWithGuard(w * rows)}
+		Transpose32(vec, m, col)
+		hasAVX512 = false
+		pure := NewMat32(w, rows)
+		Transpose32(pure, m, col)
+		hasAVX512 = true
+		checkGuard32(t, "Transpose32", vec.Data)
+		for i := range vec.Data {
+			if math.Float32bits(vec.Data[i]) != math.Float32bits(pure.Data[i]) {
+				t.Fatalf("Transpose32 %dx%d col %d: [%d] = %#x on AVX-512, %#x in Go",
+					rows, cols, col, i, math.Float32bits(vec.Data[i]), math.Float32bits(pure.Data[i]))
+			}
+		}
+	}
 }
 
 // relErr32 is |got-want|/max(|want|, tiny) in float64.

@@ -43,7 +43,7 @@ func ForceScalar() (restore func()) {
 // MatMulInto computes dst = a·b into dst (overwritten), blocked over B
 // columns for locality and branch-free in the inner loop. Per output
 // element the products accumulate in ascending k order — the same order as
-// the naive triple loop — so the result is bit-identical to MatMul's.
+// the naive triple loop — so the result is bit-identical to it.
 //
 // On amd64 with AVX-512 the inner kernels run vectorized (gemm_amd64.s) with
 // unfused multiply/add, lanes spanning output columns; the scalar blocked

@@ -80,7 +80,7 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 		}
 		MatMulInto(got, a, b)
 		requireBitEqual(t, "MatMulInto", want, got)
-		requireBitEqual(t, "MatMul", want, MatMul(a, b))
+		requireBitEqual(t, "matMul", want, matMul(a, b))
 	}
 }
 

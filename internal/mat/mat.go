@@ -37,14 +37,6 @@ func (v Vec) Add(w Vec) {
 	}
 }
 
-// Sub subtracts w from v element-wise.
-func (v Vec) Sub(w Vec) {
-	checkLen(len(v), len(w))
-	for i, x := range w {
-		v[i] -= x
-	}
-}
-
 // AddScaled adds s*w into v.
 func (v Vec) AddScaled(s float64, w Vec) {
 	checkLen(len(v), len(w))
@@ -177,19 +169,6 @@ func NewMat(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must all share a length.
-func FromRows(rows [][]float64) *Mat {
-	if len(rows) == 0 {
-		return NewMat(0, 0)
-	}
-	m := NewMat(len(rows), len(rows[0]))
-	for i, r := range rows {
-		checkLen(m.Cols, len(r))
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // At returns the element at (i, j).
 func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -294,22 +273,6 @@ func (m *Mat) AddOuter(u, v Vec) {
 		}
 	}
 }
-
-// MatMul returns a·b. Panics if a.Cols != b.Rows.
-//
-// The kernel is branch-free: it used to skip k whenever a[i][k] == 0, a
-// "sparsity" shortcut that never fires on trained dense weights but puts a
-// data-dependent branch in the hottest loop of every dense multiply. The
-// skip survives only in the one-vector MulVecT and AddOuter.
-func MatMul(a, b *Mat) *Mat {
-	checkLen(a.Cols, b.Rows)
-	out := NewMat(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// Frob returns the Frobenius norm of m.
-func (m *Mat) Frob() float64 { return Vec(m.Data).Norm() }
 
 func (m *Mat) checkSameShape(o *Mat) {
 	if m.Rows != o.Rows || m.Cols != o.Cols {

@@ -111,20 +111,52 @@ func softmaxColsGo(s *Mat32, scale float32, stat []float32) {
 func MatMulF32Into(dst, a, b *Mat32) {
 	checkLen(a.Cols, b.Rows)
 	checkLen(dst.Rows, a.Rows)
+	MatMulF32StrideInto(dst, a.Data, a.Cols, b)
+}
+
+// MatMulF32StrideInto is MatMulF32Into with A read in place from a wider
+// row-major matrix: row i of A (i < dst.Rows) is a[i*lda : i*lda+b.Rows],
+// so a column block of a matrix needs no copy. An attention head reads its
+// K_h this way from the rows of the stacked Q/K/V projection.
+func MatMulF32StrideInto(dst *Mat32, a []float32, lda int, b *Mat32) {
 	checkLen(dst.Cols, b.Cols)
-	if gemm32AsmInto(dst, a, b) {
+	k := b.Rows
+	if dst.Rows > 0 && (lda < k || len(a) < (dst.Rows-1)*lda+k) {
+		panic("mat: strided A operand out of range")
+	}
+	if gemm32AsmInto(dst, a, lda, b) {
 		return
 	}
 	dst.Zero()
-	for i := 0; i < a.Rows; i++ {
-		a0 := a.Data[i*a.Cols : (i+1)*a.Cols]
+	for i := 0; i < dst.Rows; i++ {
+		a0 := a[i*lda : i*lda+k]
 		d0 := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for k := 0; k < a.Cols; k++ {
-			av := a0[k]
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+		for kk, av := range a0 {
+			brow := b.Data[kk*b.Cols : (kk+1)*b.Cols]
 			for j, bv := range brow {
 				d0[j] += av * bv
 			}
+		}
+	}
+}
+
+// Transpose32 writes into dst (w×n) the transpose of the w columns of src
+// (n×m) that start at column col: dst[j][i] = src[i][col+j]. With col 0 and
+// w = m it is the whole-matrix transpose. The AVX-512 path moves 16×16
+// blocks through registers, the edge blocks under masks; either path only
+// moves bits.
+func Transpose32(dst, src *Mat32, col int) {
+	checkLen(dst.Cols, src.Rows)
+	if col < 0 || col+dst.Rows > src.Cols {
+		panic("mat: Transpose32 columns out of range")
+	}
+	if dst.Rows == 0 || src.Rows == 0 || transpose32Asm(dst, src, col) {
+		return
+	}
+	for j := 0; j < dst.Rows; j++ {
+		row := dst.Row(j)
+		for i := range row {
+			row[i] = src.Data[i*src.Cols+col+j]
 		}
 	}
 }

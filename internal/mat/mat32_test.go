@@ -175,3 +175,72 @@ func TestAddRows32(t *testing.T) {
 		}
 	}
 }
+
+// TestTranspose32EveryShape transposes at every row count 1..64 and at the
+// decode's widths (HeadDim 8, 24, Dim 64, FFDim 128 and the stacked Q/K/V
+// row, 3·Dim = 192), whole and as a column window, on both dispatch paths:
+// every bit must land in place (NaN payloads included), and nothing past
+// dst may be written.
+func TestTranspose32EveryShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	paths := []bool{false}
+	if hasAVX512 {
+		paths = append(paths, true)
+		defer func() { hasAVX512 = true }()
+	}
+	for rows := 1; rows <= 64; rows++ {
+		for _, cols := range []int{8, 24, 64, 128, 192} {
+			src := NewMat32(rows, cols)
+			for i := range src.Data {
+				src.Data[i] = math.Float32frombits(rng.Uint32())
+			}
+			for _, win := range [][2]int{{0, cols}, {cols / 3, cols / 3}, {cols - 5, 5}} {
+				col, w := win[0], win[1]
+				for _, vec := range paths {
+					hasAVX512 = vec
+					dst := &Mat32{Rows: w, Cols: rows, Data: rowWithGuard(w * rows)}
+					Transpose32(dst, src, col)
+					checkGuard32(t, fmt.Sprintf("Transpose32 %dx%d", rows, cols), dst.Data)
+					for j := 0; j < w; j++ {
+						for i := 0; i < rows; i++ {
+							got, want := dst.Data[j*rows+i], src.Data[i*cols+col+j]
+							if math.Float32bits(got) != math.Float32bits(want) {
+								t.Fatalf("%dx%d cols [%d,%d) avx512=%v: dst[%d][%d] = %#x, src %#x",
+									rows, cols, col, col+w, vec, j, i, math.Float32bits(got), math.Float32bits(want))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulF32StrideMatchesPacked: an A operand read in place, a column
+// block of a wider matrix, gives the bits of the same block copied out and
+// multiplied packed, on both dispatch paths.
+func TestMatMulF32StrideMatchesPacked(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	paths := []bool{false}
+	if hasAVX512 {
+		paths = append(paths, true)
+		defer func() { hasAVX512 = true }()
+	}
+	for _, n := range []int{1, 2, 13, 16, 19, 48} {
+		wide := randMat32(rng, n, 192)
+		b := randMat32(rng, 8, n)
+		for _, col := range []int{64, 120, 184} {
+			packed := NewMat32(n, 8)
+			for i := 0; i < n; i++ {
+				copy(packed.Row(i), wide.Row(i)[col:col+8])
+			}
+			want := naiveMatMul32(packed, b)
+			for _, vec := range paths {
+				hasAVX512 = vec
+				got := NewMat32(n, n)
+				MatMulF32StrideInto(got, wide.Data[col:], 192, b)
+				requireBitEqual32(t, fmt.Sprintf("n %d col %d avx512=%v", n, col, vec), want, got)
+			}
+		}
+	}
+}

@@ -20,9 +20,9 @@ func TestVecAddSub(t *testing.T) {
 	if v[0] != 5 || v[1] != 7 || v[2] != 9 {
 		t.Fatalf("Add: got %v", v)
 	}
-	v.Sub(w)
+	v.AddScaled(-1, w)
 	if v[0] != 1 || v[1] != 2 || v[2] != 3 {
-		t.Fatalf("Sub: got %v", v)
+		t.Fatalf("AddScaled(-1): got %v", v)
 	}
 }
 
@@ -181,7 +181,7 @@ func TestLogSumExpQuick(t *testing.T) {
 }
 
 func TestMatMulVec(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	dst := NewVec(3)
 	m.MulVec(dst, Vec{1, 1})
 	if dst[0] != 3 || dst[1] != 7 || dst[2] != 11 {
@@ -195,9 +195,9 @@ func TestMatMulVec(t *testing.T) {
 }
 
 func TestMatMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := MatMul(a, b)
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
+	c := matMul(a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
@@ -237,7 +237,7 @@ func TestMatMulAssociatesWithMulVec(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64()
 		}
-		ab := MatMul(a, b)
+		ab := matMul(a, b)
 		left := NewVec(r)
 		ab.MulVec(left, v)
 		bv := NewVec(k)
@@ -261,7 +261,7 @@ func TestMatRowSharesStorage(t *testing.T) {
 }
 
 func TestMatCloneIndependent(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}})
+	m := fromRows([][]float64{{1, 2}})
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
@@ -278,4 +278,24 @@ func TestShapePanics(t *testing.T) {
 	a := NewMat(2, 3)
 	b := NewMat(3, 2)
 	a.Add(b)
+}
+
+// fromRows builds a matrix from row slices, which must all share a length.
+func fromRows(rows [][]float64) *Mat {
+	if len(rows) == 0 {
+		return NewMat(0, 0)
+	}
+	m := NewMat(len(rows), len(rows[0]))
+	for i, r := range rows {
+		checkLen(m.Cols, len(r))
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
+// matMul returns a·b in a fresh matrix.
+func matMul(a, b *Mat) *Mat {
+	out := NewMat(a.Rows, b.Cols)
+	MatMulInto(out, a, b)
+	return out
 }

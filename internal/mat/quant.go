@@ -157,21 +157,6 @@ func (q *Int8Weights) packVNNI() {
 	q.vnni, q.vnniBlocks = packed, blocks
 }
 
-// Dequantize expands the codes back to float64 (code·scale), the reference
-// the round-trip fuzz target and drift tests compare against.
-func (q *Int8Weights) Dequantize() *Mat {
-	m := NewMat(q.Rows, q.Cols)
-	for r := 0; r < q.Rows; r++ {
-		s := float64(q.Scales[r])
-		src := q.Data[r*q.KP:]
-		dst := m.Data[r*q.Cols : (r+1)*q.Cols]
-		for k := range dst {
-			dst[k] = float64(src[k]) * s
-		}
-	}
-	return m
-}
-
 // QuantizeRowU8 quantizes one float32 activation row symmetrically to int8
 // stored offset-binary (code+128) in dst and returns the scale. dst must be
 // a padded row of length padK(len(src)); the padding is written as 128

@@ -95,21 +95,23 @@ func int8GemvInto(acc []int32, arow []uint8, w *Int8Weights) {
 
 // gemm32AsmInto computes dst = a·b with the float32 AVX-512 microkernels and
 // returns true, or returns false with dst untouched when the CPU lacks
-// AVX-512 or the shape is degenerate (empty k). Column tiles go 32-wide,
-// then 16-wide with the last one masked to the columns left; rows go in
-// pairs with a single-row remainder — the float32 twin of gemmAsmInto.
-func gemm32AsmInto(dst, a, b *Mat32) bool {
+// AVX-512 or the shape is degenerate (empty k). Row i of a starts at
+// a[i*lda]; the kernels take one pointer per A row, so a may be a column
+// block of a wider matrix. Column tiles go 32-wide, then 16-wide with the
+// last one masked to the columns left; rows go in pairs with a single-row
+// remainder — the float32 twin of gemmAsmInto.
+func gemm32AsmInto(dst *Mat32, a []float32, lda int, b *Mat32) bool {
 	n := b.Cols
-	k := a.Cols
-	if !hasAVX512 || n == 0 || k == 0 || a.Rows == 0 {
+	k := b.Rows
+	if !hasAVX512 || n == 0 || k == 0 || dst.Rows == 0 {
 		return false
 	}
 	bstride := n * 4 // bytes per packed B row
 	n32 := n &^ 31
 	i := 0
-	for ; i+2 <= a.Rows; i += 2 {
-		a0 := a.Data[i*k : (i+1)*k]
-		a1 := a.Data[(i+1)*k : (i+2)*k]
+	for ; i+2 <= dst.Rows; i += 2 {
+		a0 := a[i*lda : i*lda+k]
+		a1 := a[(i+1)*lda : (i+1)*lda+k]
 		d0 := dst.Data[i*n : (i+1)*n]
 		d1 := dst.Data[(i+1)*n : (i+2)*n]
 		for j := 0; j < n32; j += 32 {
@@ -119,8 +121,8 @@ func gemm32AsmInto(dst, a, b *Mat32) bool {
 			f32saxpy2x16(k, &a0[0], &a1[0], &b.Data[j], &d0[j], &d1[j], bstride, laneMask(n-j))
 		}
 	}
-	if i < a.Rows {
-		a0 := a.Data[i*k : (i+1)*k]
+	if i < dst.Rows {
+		a0 := a[i*lda : i*lda+k]
 		d0 := dst.Data[i*n : (i+1)*n]
 		for j := 0; j < n32; j += 32 {
 			f32saxpy1x32(k, &a0[0], &b.Data[j], &d0[j], bstride)
@@ -183,4 +185,15 @@ func dequantRow(out []float32, acc, corr []int32, scales, bias []float32, sa flo
 		return
 	}
 	dequantRowAVX512(&out[0], &acc[0], &corr[0], &scales[0], &bias[0], len(out), sa)
+}
+
+//go:noescape
+func transpose32AVX512(dst *float32, dstride int, src *float32, sstride int, rows, cols int)
+
+// transpose32Asm runs Transpose32 (a non-empty block) on the vector kernel.
+func transpose32Asm(dst, src *Mat32, col int) bool {
+	if hasAVX512 {
+		transpose32AVX512(&dst.Data[0], 4*dst.Cols, &src.Data[col], 4*src.Cols, src.Rows, dst.Rows)
+	}
+	return hasAVX512
 }

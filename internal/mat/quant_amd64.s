@@ -398,3 +398,165 @@ dequant_tail:
 dequant_done:
 	VZEROUPPER
 	RET
+
+// func transpose32AVX512(dst *float32, dstride int, src *float32, sstride int, rows, cols int)
+//
+// dst[j][i] = src[i][j] for i < rows, j < cols (strides in bytes), one
+// 16×16 block at a time: the block's rows (at most rows-left of them, each
+// under K1, the columns left) load into Z0-Z15, four rounds of shuffles
+// turn them into the block's columns, and those (at most cols-left of them,
+// each under K2, the rows left) store as dst rows. Registers past the
+// loaded rows hold stale lanes that K2 never stores. Only moves: no lane
+// is computed on.
+#define TRANSPOSE16 \
+	VUNPCKLPS  Z1, Z0, Z16; \
+	VUNPCKHPS  Z1, Z0, Z17; \
+	VUNPCKLPS  Z3, Z2, Z18; \
+	VUNPCKHPS  Z3, Z2, Z19; \
+	VUNPCKLPS  Z5, Z4, Z20; \
+	VUNPCKHPS  Z5, Z4, Z21; \
+	VUNPCKLPS  Z7, Z6, Z22; \
+	VUNPCKHPS  Z7, Z6, Z23; \
+	VUNPCKLPS  Z9, Z8, Z24; \
+	VUNPCKHPS  Z9, Z8, Z25; \
+	VUNPCKLPS  Z11, Z10, Z26; \
+	VUNPCKHPS  Z11, Z10, Z27; \
+	VUNPCKLPS  Z13, Z12, Z28; \
+	VUNPCKHPS  Z13, Z12, Z29; \
+	VUNPCKLPS  Z15, Z14, Z30; \
+	VUNPCKHPS  Z15, Z14, Z31; \
+	VUNPCKLPD  Z18, Z16, Z0; \
+	VUNPCKHPD  Z18, Z16, Z1; \
+	VUNPCKLPD  Z19, Z17, Z2; \
+	VUNPCKHPD  Z19, Z17, Z3; \
+	VUNPCKLPD  Z22, Z20, Z4; \
+	VUNPCKHPD  Z22, Z20, Z5; \
+	VUNPCKLPD  Z23, Z21, Z6; \
+	VUNPCKHPD  Z23, Z21, Z7; \
+	VUNPCKLPD  Z26, Z24, Z8; \
+	VUNPCKHPD  Z26, Z24, Z9; \
+	VUNPCKLPD  Z27, Z25, Z10; \
+	VUNPCKHPD  Z27, Z25, Z11; \
+	VUNPCKLPD  Z30, Z28, Z12; \
+	VUNPCKHPD  Z30, Z28, Z13; \
+	VUNPCKLPD  Z31, Z29, Z14; \
+	VUNPCKHPD  Z31, Z29, Z15; \
+	VSHUFF32X4 $0x88, Z4, Z0, Z16; \
+	VSHUFF32X4 $0x88, Z5, Z1, Z17; \
+	VSHUFF32X4 $0x88, Z6, Z2, Z18; \
+	VSHUFF32X4 $0x88, Z7, Z3, Z19; \
+	VSHUFF32X4 $0xDD, Z4, Z0, Z20; \
+	VSHUFF32X4 $0xDD, Z5, Z1, Z21; \
+	VSHUFF32X4 $0xDD, Z6, Z2, Z22; \
+	VSHUFF32X4 $0xDD, Z7, Z3, Z23; \
+	VSHUFF32X4 $0x88, Z12, Z8, Z24; \
+	VSHUFF32X4 $0x88, Z13, Z9, Z25; \
+	VSHUFF32X4 $0x88, Z14, Z10, Z26; \
+	VSHUFF32X4 $0x88, Z15, Z11, Z27; \
+	VSHUFF32X4 $0xDD, Z12, Z8, Z28; \
+	VSHUFF32X4 $0xDD, Z13, Z9, Z29; \
+	VSHUFF32X4 $0xDD, Z14, Z10, Z30; \
+	VSHUFF32X4 $0xDD, Z15, Z11, Z31; \
+	VSHUFF32X4 $0x88, Z24, Z16, Z0; \
+	VSHUFF32X4 $0x88, Z25, Z17, Z1; \
+	VSHUFF32X4 $0x88, Z26, Z18, Z2; \
+	VSHUFF32X4 $0x88, Z27, Z19, Z3; \
+	VSHUFF32X4 $0x88, Z28, Z20, Z4; \
+	VSHUFF32X4 $0x88, Z29, Z21, Z5; \
+	VSHUFF32X4 $0x88, Z30, Z22, Z6; \
+	VSHUFF32X4 $0x88, Z31, Z23, Z7; \
+	VSHUFF32X4 $0xDD, Z24, Z16, Z8; \
+	VSHUFF32X4 $0xDD, Z25, Z17, Z9; \
+	VSHUFF32X4 $0xDD, Z26, Z18, Z10; \
+	VSHUFF32X4 $0xDD, Z27, Z19, Z11; \
+	VSHUFF32X4 $0xDD, Z28, Z20, Z12; \
+	VSHUFF32X4 $0xDD, Z29, Z21, Z13; \
+	VSHUFF32X4 $0xDD, Z30, Z22, Z14; \
+	VSHUFF32X4 $0xDD, Z31, Z23, Z15
+
+// LANES(cnt, k): k selects the first min(cnt, 16) lanes. Clobbers AX, CX.
+#define LANES(cnt, k) \
+	MOVQ    cnt, CX; \
+	MOVL    $16, AX; \
+	CMPQ    CX, AX; \
+	CMOVQGT AX, CX; \
+	MOVL    $1, AX; \
+	SHLL    CX, AX; \
+	DECL    AX; \
+	KMOVW   AX, k
+
+// TR_LOAD(z) / TR_STORE(z): one row in or one column out, then stop after
+// the last live one (CX counts them down).
+#define TR_LOAD(z) VMOVUPS.Z (AX), K1, z; DECQ CX; JZ tr_shuffle; ADDQ BX, AX
+#define TR_STORE(z) VMOVUPS z, K2, (AX); DECQ CX; JZ tr_stored; ADDQ DX, AX
+
+TEXT ·transpose32AVX512(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ dstride+8(FP), DX
+	MOVQ src+16(FP), SI
+	MOVQ sstride+24(FP), BX
+	MOVQ rows+32(FP), R8
+	MOVQ DX, R13
+	SHLQ $4, R13               // 16 dst rows
+	MOVQ BX, R14
+	SHLQ $4, R14               // 16 src rows
+
+tr_rows:
+	LANES(R8, K2)
+	MOVQ cols+40(FP), R9
+	MOVQ SI, R11
+	MOVQ DI, R12
+
+tr_cols:
+	LANES(R9, K1)
+	MOVQ     R11, AX
+	MOVQ     R8, CX
+	TR_LOAD(Z0)
+	TR_LOAD(Z1)
+	TR_LOAD(Z2)
+	TR_LOAD(Z3)
+	TR_LOAD(Z4)
+	TR_LOAD(Z5)
+	TR_LOAD(Z6)
+	TR_LOAD(Z7)
+	TR_LOAD(Z8)
+	TR_LOAD(Z9)
+	TR_LOAD(Z10)
+	TR_LOAD(Z11)
+	TR_LOAD(Z12)
+	TR_LOAD(Z13)
+	TR_LOAD(Z14)
+	VMOVUPS.Z (AX), K1, Z15
+
+tr_shuffle:
+	TRANSPOSE16
+	MOVQ     R12, AX
+	MOVQ     R9, CX
+	TR_STORE(Z0)
+	TR_STORE(Z1)
+	TR_STORE(Z2)
+	TR_STORE(Z3)
+	TR_STORE(Z4)
+	TR_STORE(Z5)
+	TR_STORE(Z6)
+	TR_STORE(Z7)
+	TR_STORE(Z8)
+	TR_STORE(Z9)
+	TR_STORE(Z10)
+	TR_STORE(Z11)
+	TR_STORE(Z12)
+	TR_STORE(Z13)
+	TR_STORE(Z14)
+	VMOVUPS  Z15, K2, (AX)
+
+tr_stored:
+	ADDQ $64, R11
+	ADDQ R13, R12
+	SUBQ $16, R9
+	JG   tr_cols
+	ADDQ R14, SI
+	ADDQ $64, DI
+	SUBQ $16, R8
+	JG   tr_rows
+	VZEROUPPER
+	RET

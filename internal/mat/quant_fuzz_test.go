@@ -87,7 +87,7 @@ func FuzzQuantRoundTrip(f *testing.F) {
 				maxCode, maxAbs, q1.Scales[0])
 		}
 
-		q2 := QuantizeRows(q1.Dequantize())
+		q2 := QuantizeRows(dequantize(q1))
 		if q1.Scales[0] != q2.Scales[0] {
 			t.Fatalf("requantized scale %v != %v", q2.Scales[0], q1.Scales[0])
 		}

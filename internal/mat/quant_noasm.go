@@ -11,7 +11,7 @@ func int8GemvInto(acc []int32, arow []uint8, w *Int8Weights) {
 	int8GemvGo(acc, arow, w.Data, w.KP)
 }
 
-func gemm32AsmInto(dst, a, b *Mat32) bool { return false }
+func gemm32AsmInto(dst *Mat32, a []float32, lda int, b *Mat32) bool { return false }
 
 func maxAbsBits(src []float32) uint32 { return maxAbsBitsGo(src) }
 
@@ -32,3 +32,7 @@ func geluRowAsm(dst, src []float32) bool { return false }
 func softmaxColsAsm(data []float32, rows, n int, scale float32) bool { return false }
 
 func normRowAsm(dst, src []float32, gain, bias []float64, mean, std float64) bool { return false }
+
+func lstmRecurAsm(out *Mat32, dirs []LSTMDir32) bool { return false }
+
+func transpose32Asm(dst, src *Mat32, col int) bool { return false }

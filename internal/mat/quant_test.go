@@ -240,7 +240,7 @@ func TestQuantRoundTripFixedPoint(t *testing.T) {
 	for _, rows := range []int{1, 3, 16, 17} {
 		w := randMat(rng, rows, 33)
 		q1 := QuantizeRows(w)
-		q2 := QuantizeRows(q1.Dequantize())
+		q2 := QuantizeRows(dequantize(q1))
 		for i := range q1.Scales {
 			if q1.Scales[i] != q2.Scales[i] {
 				t.Fatalf("row %d: requantized scale %v != %v", i, q2.Scales[i], q1.Scales[i])
@@ -269,4 +269,19 @@ func TestQuantizeRowU8Padding(t *testing.T) {
 	if dst[2] != 128+127 {
 		t.Fatalf("max element code = %d, want %d", dst[2], 128+127)
 	}
+}
+
+// dequantize expands the codes back to float64 (code·scale), the reference
+// the round-trip fuzz target and drift tests compare against.
+func dequantize(q *Int8Weights) *Mat {
+	m := NewMat(q.Rows, q.Cols)
+	for r := 0; r < q.Rows; r++ {
+		s := float64(q.Scales[r])
+		src := q.Data[r*q.KP:]
+		dst := m.Data[r*q.Cols : (r+1)*q.Cols]
+		for k := range dst {
+			dst[k] = float64(src[k]) * s
+		}
+	}
+	return m
 }

@@ -15,9 +15,10 @@ import (
 // (decodeWidths: ragged tails below, at and above one and two 16-lane
 // blocks) and at the decode's row widths (64 = Dim and 2H, 128 = FFDim and
 // 4H); the float64 rows at a softmax row (8 and 24) and one LSTM gate group
-// (32 = H). Run with
+// (32 = H); the LSTM recurrence and the transposes at 13, 19 and 48 tokens.
+// Run with
 //
-//	go test -run '^$' -bench 'Row|Softmax|MatMulF32' -cpu 1 ./internal/mat/
+//	go test -run '^$' -bench 'Row|Softmax|MatMulF32|LSTMRecur32|Transpose32' -cpu 1 ./internal/mat/
 var decodeWidths = []int{7, 13, 16, 17, 24, 31, 48}
 
 func benchRowPaths(b *testing.B, width int, fn func()) {
@@ -90,20 +91,6 @@ func BenchmarkNormRow32(b *testing.B) {
 	}
 }
 
-// BenchmarkLSTMGateRow is the transcendental work of one LSTM step over a
-// gate row of the given width (4H): sigmoids on three quarters, tanh on one.
-func BenchmarkLSTMGateRow(b *testing.B) {
-	for _, w := range []int{64, 128} {
-		src, dst := benchRow32(w), make([]float32, w)
-		h := w / 4
-		benchRowPaths(b, w, func() {
-			SigmoidRow32(dst[:2*h], src[:2*h])
-			TanhRow32(dst[2*h:3*h], src[2*h:3*h])
-			SigmoidRow32(dst[3*h:], src[3*h:])
-		})
-	}
-}
-
 // BenchmarkSoftmaxCols is one attention head's n×n column softmax.
 func BenchmarkSoftmaxCols(b *testing.B) {
 	for _, n := range decodeWidths {
@@ -116,9 +103,8 @@ func BenchmarkSoftmaxCols(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulF32 is a head's two GEMMs at sentence length n — scores
-// (n×8 · 8×n) and context (8×n · n×n) — and the LSTM step (1×32 · 32×128,
-// reported as n = 128).
+// BenchmarkMatMulF32 is a head's two GEMMs at sentence length n: scores
+// (n×8 · 8×n) and context (8×n · n×n).
 func BenchmarkMatMulF32(b *testing.B) {
 	for _, n := range decodeWidths {
 		kh, qT, sT := NewMat32(n, 8), NewMat32(8, n), NewMat32(n, n)
@@ -131,10 +117,6 @@ func BenchmarkMatMulF32(b *testing.B) {
 			MatMulF32Into(oT, vT, sT)
 		})
 	}
-	h, whT, zh := NewMat32(1, 32), NewMat32(32, 128), NewMat32(1, 128)
-	copy(h.Data, benchRow32(32))
-	copy(whT.Data, benchRow32(32*128))
-	benchRowPaths(b, 128, func() { MatMulF32Into(zh, h, whT) })
 }
 
 func benchRow64(width int) []float64 {
@@ -171,4 +153,30 @@ func BenchmarkMulABtInt8(b *testing.B) {
 	aq, scales := quantizeActivations(a)
 	dst, acc, bias := NewMat32(15, 64), make([]int32, 64), benchRow32(64)
 	benchRowPaths(b, 64, func() { MulABtInt8Into(dst, aq, scales, w, bias, acc) })
+}
+
+// BenchmarkLSTMRecur32 is a BiLSTM's recurrence over n tokens at the
+// served H = 32: both directions, one call.
+func BenchmarkLSTMRecur32(b *testing.B) {
+	for _, n := range []int{13, 19, 48} {
+		c := newLSTMCase(rand.New(rand.NewSource(int64(n))), n, 32)
+		out := NewMat32(n, 64)
+		fwd, bwd := LSTMDir32{Z: c.zf, WhT: c.whf}, LSTMDir32{Z: c.zb, WhT: c.whb, Off: 32, Reverse: true}
+		benchRowPaths(b, n, func() { LSTMRecur32(out, fwd, bwd) })
+	}
+}
+
+// BenchmarkTranspose32 is one attention block's three transposes at n
+// tokens: the Q and V columns of the n×192 stacked projection out, and the
+// 64×n head outputs back.
+func BenchmarkTranspose32(b *testing.B) {
+	for _, n := range []int{13, 19, 48} {
+		qkv := &Mat32{Rows: n, Cols: 192, Data: benchRow32(n * 192)}
+		qT, vT, oT, out := NewMat32(64, n), NewMat32(64, n), NewMat32(64, n), NewMat32(n, 64)
+		benchRowPaths(b, n, func() {
+			Transpose32(qT, qkv, 0)
+			Transpose32(vT, qkv, 128)
+			Transpose32(out, oT, 0)
+		})
+	}
 }

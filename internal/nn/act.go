@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 
 	"saccs/internal/mat"
@@ -14,20 +13,6 @@ func SigmoidVec(x mat.Vec) mat.Vec {
 		y[i] = mat.Sigmoid(v)
 	}
 	return y
-}
-
-// GELUVec applies the tanh-approximation GELU used by transformer FFNs.
-func GELUVec(x mat.Vec) mat.Vec {
-	y := mat.NewVec(len(x))
-	for i, v := range x {
-		y[i] = gelu(v)
-	}
-	return y
-}
-
-func gelu(x float64) float64 {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	return 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
 }
 
 // GELUInto applies the tanh-approximation GELU element-wise into y (which

@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"saccs/internal/mat"
 )
@@ -225,61 +224,4 @@ func (c *CRF) PathScore(em *mat.Mat, path []int) float64 {
 		score += c.trans(path[t-1], path[t]) + em.At(t, path[t])
 	}
 	return score + c.End.W.At(0, path[n-1])
-}
-
-// beamHyp is one partial hypothesis during beam decoding.
-type beamHyp struct {
-	score float64
-	last  int
-	path  []int
-}
-
-// BeamDecode returns the best label sequence found by beam search with the
-// given beam width. With width >= L it matches Viterbi on the max-scoring
-// path's score; smaller beams trade exactness for speed (§4.1 "Viterbi along
-// with beam search").
-func (c *CRF) BeamDecode(em *mat.Mat, width int) []int {
-	n := em.Rows
-	if n == 0 {
-		return nil
-	}
-	if width < 1 {
-		width = 1
-	}
-	beams := make([]beamHyp, 0, c.L)
-	for j := 0; j < c.L; j++ {
-		beams = append(beams, beamHyp{score: c.start(j) + em.At(0, j), last: j, path: []int{j}})
-	}
-	beams = topK(beams, width)
-	for t := 1; t < n; t++ {
-		cand := make([]beamHyp, 0, len(beams)*c.L)
-		for _, h := range beams {
-			for j := 0; j < c.L; j++ {
-				path := make([]int, len(h.path)+1)
-				copy(path, h.path)
-				path[len(h.path)] = j
-				cand = append(cand, beamHyp{
-					score: h.score + c.trans(h.last, j) + em.At(t, j),
-					last:  j,
-					path:  path,
-				})
-			}
-		}
-		beams = topK(cand, width)
-	}
-	best, bestScore := beams[0], math.Inf(-1)
-	for _, h := range beams {
-		if s := h.score + c.End.W.At(0, h.last); s > bestScore {
-			best, bestScore = h, s
-		}
-	}
-	return best.path
-}
-
-func topK(hyps []beamHyp, k int) []beamHyp {
-	sort.Slice(hyps, func(i, j int) bool { return hyps[i].score > hyps[j].score })
-	if len(hyps) > k {
-		hyps = hyps[:k]
-	}
-	return hyps
 }

@@ -56,61 +56,27 @@ func (l *Linear) InferF32Batch(x *mat.Mat32, a *Arena) *mat.Mat32 {
 	return y
 }
 
-// inferQuant runs the LSTM over one already quantized sequence in reduced
-// precision and writes each token's hidden state into columns
-// [off, off+Hidden) of its row of out. It mirrors Forward's structure: the
-// input projection of every token is one int8 GEMM (bias fused), then each
-// time step runs the recurrent projection as a one-row float32 GEMM against
-// the pre-transposed WhT. reverse walks the sequence from its last token to
-// its first (the backward direction of a BiLSTM) over the same rows, so
-// neither the input nor its quantization is ever copied into reversed order.
-// Gate math is float32, a 4H row at a time, per-element order identical to
-// the float64 path's.
-func (l *LSTM) inferQuant(out *mat.Mat32, off int, xq QuantRows, a *Arena, reverse bool) {
-	H := l.Hidden
-	n := len(xq.Scales)
+// quantDir is one direction of the reduced-precision recurrence: the int8
+// input projection of every token (bias fused) and the recurrent weight,
+// its hidden states bound for columns [off, off+Hidden) of the output.
+// reverse walks the sequence from its last token to its first (the
+// backward direction of a BiLSTM) over the same rows, so neither the input
+// nor its quantization is ever copied into reversed order.
+func (l *LSTM) quantDir(xq QuantRows, a *Arena, off int, reverse bool) mat.LSTMDir32 {
 	q := l.Quantize()
-	zx := a.Mat32Raw(n, 4*H)
-	mat.MulABtInt8Into(zx, xq.Codes, xq.Scales, q.Wx, q.Bias, a.I32Raw(4*H)) // bias fused here
-
-	h := a.Mat32(1, H)
-	c := a.Mat32(1, H)
-	zh := a.Mat32Raw(1, 4*H)
-	z, g := a.F32Raw(4*H), a.F32Raw(4*H)
-	ig, fg, gg, og := g[:H], g[H:2*H], g[2*H:3*H], g[3*H:]
-	cr, hr, zhr := c.Row(0), h.Row(0), zh.Row(0)
-	for t := 0; t < n; t++ {
-		row := t
-		if reverse {
-			row = n - 1 - t
-		}
-		mat.MatMulF32Into(zh, h, q.WhT)
-		zxr := zx.Row(row)
-		for j := range z {
-			z[j] = zxr[j] + zhr[j]
-		}
-		mat.SigmoidRow32(g[:2*H], z[:2*H]) // input and forget gates
-		mat.TanhRow32(gg, z[2*H:3*H])
-		mat.SigmoidRow32(og, z[3*H:]) // output gate
-		for j := range cr {
-			cr[j] = fg[j]*cr[j] + ig[j]*gg[j]
-		}
-		mat.TanhRow32(hr, cr)
-		for j := range hr {
-			hr[j] *= og[j]
-		}
-		copy(out.Row(row)[off:off+H], hr)
-	}
+	zx := a.Mat32Raw(len(xq.Scales), 4*l.Hidden)
+	mat.MulABtInt8Into(zx, xq.Codes, xq.Scales, q.Wx, q.Bias, a.I32Raw(4*l.Hidden))
+	return mat.LSTMDir32{Z: zx, WhT: q.WhT, Off: off, Reverse: reverse}
 }
 
 // InferQuantBatch runs the bidirectional LSTM over one sequence in reduced
 // precision and returns per-token [fwd_t ; bwd_t] concatenations — the
 // float32 twin of BiLSTM.Forward. The input rows are quantized once and
-// both directions' input projections read the same codes.
+// both directions' input projections read the same codes; both
+// recurrences then run in one mat.LSTMRecur32 call, interleaved.
 func (b *BiLSTM) InferQuantBatch(xs *mat.Mat32, a *Arena) *mat.Mat32 {
 	xq := QuantizeActRows(xs, a)
 	out := a.Mat32Raw(xs.Rows, b.OutDim())
-	b.Fwd.inferQuant(out, 0, xq, a, false)
-	b.Bwd.inferQuant(out, b.Fwd.Hidden, xq, a, true)
+	mat.LSTMRecur32(out, b.Fwd.quantDir(xq, a, 0, false), b.Bwd.quantDir(xq, a, b.Fwd.Hidden, true))
 	return out
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -137,6 +138,14 @@ func TestStackedQuantMatchesSeparateProjections(t *testing.T) {
 	}
 }
 
+// inferQuant runs the LSTM alone over one already quantized sequence and
+// writes each token's hidden state into columns [off, off+Hidden) of its
+// row of out: the direction InferQuantBatch runs interleaved with the other
+// one, as one mat.LSTMRecur32 call of its own.
+func (l *LSTM) inferQuant(out *mat.Mat32, off int, xq QuantRows, a *Arena, reverse bool) {
+	mat.LSTMRecur32(out, l.quantDir(xq, a, off, reverse))
+}
+
 // TestBiLSTMSharedQuantizationMatchesSeparate: the backward direction reads
 // the forward direction's quantized rows from last to first. The reference is
 // the same LSTM kernel run forward over an explicitly reversed, separately
@@ -188,4 +197,33 @@ func TestGELURow32MatchesScalarForm(t *testing.T) {
 	got := make([]float32, len(x))
 	mat.GELURow32(got, x)
 	requireSameBits32(t, "GELURow32", want, got)
+}
+
+// BenchmarkBiLSTMInferQuant is the served BiLSTM's reduced-precision forward
+// (In = Dim 64, H = 32) over n tokens: the one input quantization, both
+// directions' int8 projections and the recurrence, on the vector kernels
+// and on the pure-Go ones. Run with
+//
+//	go test -run '^$' -bench BiLSTMInferQuant -cpu 1 ./internal/nn/
+func BenchmarkBiLSTMInferQuant(b *testing.B) {
+	rng := rand.New(rand.NewSource(20))
+	l := NewBiLSTM(rng, "b", 64, 32)
+	for _, n := range []int{13, 19, 48} {
+		xs := mat.NewMat32(n, 64)
+		for i := range xs.Data {
+			xs.Data[i] = float32(rng.NormFloat64())
+		}
+		run := func(b *testing.B) {
+			var a Arena
+			for i := 0; i < b.N; i++ {
+				a.Reset()
+				l.InferQuantBatch(xs, &a)
+			}
+		}
+		b.Run(fmt.Sprintf("%d/vector", n), run)
+		b.Run(fmt.Sprintf("%d/scalar", n), func(b *testing.B) {
+			defer mat.ForceScalar()()
+			run(b)
+		})
+	}
 }

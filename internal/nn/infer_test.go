@@ -29,7 +29,7 @@ func randSeq(rng *rand.Rand, n, dim int) []mat.Vec {
 func TestGELUIntoMatchesGELUVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	x := randSeq(rng, 1, 16)[0]
-	want := GELUVec(x)
+	want := geluVec(x)
 	got := mat.NewVec(len(x))
 	GELUInto(got, x)
 	for i := range want {

