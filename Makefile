@@ -2,7 +2,8 @@
 # build + race-enabled tests + the correctness harness (differential oracles + property checks
 # under -race, and the paper tables' bit pins without it), the obs-lint telemetry-schema gate, a bounded fuzz smoke of
 # every fuzz target, a vet + short test of the benchmark/ module, the coverage
-# gate, and last a short parallel-throughput smoke run of saccs-bench: its
+# gate, one run of every benchmark body, and last a short parallel-throughput
+# smoke run of saccs-bench: its
 # timing guards are the one step that can fail on a noisy host, so every
 # other gate has run by the time they do. The race
 # run uses -short because the full experiment harness (internal/experiments
@@ -22,13 +23,13 @@ FUZZTIME ?= 30s
 # coverage genuinely improves, never lower it to make a PR pass.
 COVER_BASELINE ?= 79.5
 
-.PHONY: ci lint vet build deps-check test test-short race race-full bench bench-smoke \
+.PHONY: ci lint vet build deps-check test test-short race race-full bench bench-once bench-smoke \
 	bench-serve benchmark-check check pins obs-lint fuzz-smoke cover loc
 
 # ci runs each target in this order, one `make` per target, and prints each
 # target's wall time: after every target, and as a table at the end (or when
 # a target fails, which stops the run with that target's exit status).
-CI_TARGETS = lint build deps-check race check obs-lint fuzz-smoke benchmark-check cover bench-smoke
+CI_TARGETS = lint build deps-check race check obs-lint fuzz-smoke benchmark-check cover bench-once bench-smoke
 
 ci:
 	@summary=""; \
@@ -131,6 +132,13 @@ race-full:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
+# bench-once runs every benchmark body exactly once, timing nothing: no
+# other gate reaches them, so a fixture or a b.Fatal that no longer holds
+# (BenchmarkFigure5Attention's readback, the Table 5 fixture in
+# bench_test.go) would otherwise rot unseen. ~15 s on a warm build cache.
+bench-once:
+	$(GO) test -count=1 -run '^$$' -bench . -benchtime 1x ./...
+
 # bench-smoke exercises the parallel query path end-to-end for a fraction of
 # a second — enough to catch a deadlock or crash in the concurrent pipeline
 # without slowing CI. Both passes run on one facade client (saccs.New, the
@@ -211,7 +219,11 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzPreparedPhrase$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/sim/
 
 # cover measures total -short coverage and fails if it regresses below
-# COVER_BASELINE.
+# COVER_BASELINE. It is also the only pass in ci without -race: the pins
+# that skip or loosen under race.Enabled (TestWarmQueryAllocsRegression,
+# TestPredictAllocsRegression and the other allocation pins) hold exactly
+# only here, so folding cover into the race run (ROADMAP 16(c)) must keep a
+# non-race run of them.
 cover:
 	$(GO) test -short -coverprofile=coverage.out ./...
 	@total=$$($(GO) tool cover -func=coverage.out | tail -1 | awk '{sub(/%/, "", $$NF); print $$NF}'); \

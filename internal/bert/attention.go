@@ -45,10 +45,12 @@ func (m *MultiHeadAttention) Params() []*nn.Param {
 
 // Forward runs self-attention over a sequence, a token per row of x, every
 // matrix carved from a. The Q/K/V/O projections are GEMMs over all rows;
-// the score, softmax and weighted-sum loops run per head and token. With a
-// tape it records Q, K, V and the attention rows (head h, token i at row
-// h·n+i) for Backward, and keeps the attention rows for Model.Attention.
-func (m *MultiHeadAttention) Forward(x *mat.Mat, a *nn.Arena, t *nn.Tape) *mat.Mat {
+// the score, softmax and weighted-sum loops run per head and token. A
+// non-nil attn (Heads·n × n) receives the attention rows, head h and token i
+// at row h·n+i; with attn nil the loop reuses one row. With a tape it
+// records Q, K, V and the attention rows for Backward, in attn or, when attn
+// is nil, in a block carved from a.
+func (m *MultiHeadAttention) Forward(x *mat.Mat, a *nn.Arena, t *nn.Tape, attn *mat.Mat) *mat.Mat {
 	n := x.Rows
 	q := m.Wq.ForwardRows(x, a, t)
 	k := m.Wk.ForwardRows(x, a, t)
@@ -56,12 +58,12 @@ func (m *MultiHeadAttention) Forward(x *mat.Mat, a *nn.Arena, t *nn.Tape) *mat.M
 	scale := 1 / math.Sqrt(float64(m.HeadDim))
 	headOut := a.Mat(n, m.Dim)
 	sc := a.Vec(n)
-	at := a.Vec(n) // inference: one reused attention row
-	var attn *mat.Mat
+	at := a.Vec(n) // with attn nil: one reused attention row
 	if t != nil {
-		attn = a.MatRaw(m.Heads*n, n)
+		if attn == nil {
+			attn = a.MatRaw(m.Heads*n, n)
+		}
 		t.Push(q, k, v, attn)
-		t.Keep(attn)
 	}
 	for h := 0; h < m.Heads; h++ {
 		lo := h * m.HeadDim

@@ -94,10 +94,11 @@ func TestAttentionRowsSumToOne(t *testing.T) {
 	v := tinyVocab()
 	m := New(rng, tinyConfig(), v)
 	toks := []string{"the", "staff", "is", "friendly", "."}
-	m.EncodeTokens(toks)
+	var a nn.Arena
+	e := m.InferAttentionArena(toks, &a)
 	for layer := 0; layer < m.Cfg.Layers; layer++ {
 		for head := 0; head < m.Cfg.Heads; head++ {
-			attn := m.Attention(layer, head)
+			attn := e.Attention(layer, head)
 			if attn.Rows != len(toks) {
 				t.Fatalf("attention shape: %d rows", attn.Rows)
 			}
@@ -112,7 +113,7 @@ func TestAttentionRowsSumToOne(t *testing.T) {
 			}
 		}
 	}
-	if m.Attention(99, 0) != nil || m.Attention(0, 99) != nil {
+	if e.Attention(99, 0) != nil || e.Attention(0, 99) != nil {
 		t.Fatal("out-of-range attention access must return nil")
 	}
 }
@@ -193,6 +194,40 @@ func TestBackwardConsumesOneEncode(t *testing.T) {
 	wantPanic("after TrainMLM")
 }
 
+// mlmLoss evaluates the mean per-token masked loss on a corpus without
+// updating weights (deterministic masking by the provided rng). It runs the
+// reentrant forward over the masked tokens, whose hidden rows are the taped
+// Encode's bit for bit.
+func mlmLoss(m *Model, rng *rand.Rand, corpus [][]string, maskProb float64) float64 {
+	var a nn.Arena
+	var total float64
+	var count int
+	for _, sent := range corpus {
+		masked := append([]string(nil), sent[:min(len(sent), m.Cfg.MaxLen)]...)
+		var targets []int
+		for i := range masked {
+			if rng.Float64() < maskProb {
+				targets = append(targets, i)
+				masked[i] = tokenize.MaskToken
+			}
+		}
+		if len(targets) == 0 {
+			continue
+		}
+		a.Reset()
+		hs := m.InferTokensArena(masked, &a)
+		for _, pos := range targets {
+			logits := m.MLMHead.Forward(hs.Row(pos))
+			total += nn.SoftmaxCE(logits, logits, m.Vocab.ID(sent[pos]))
+			count++
+		}
+	}
+	if count == 0 {
+		return 0
+	}
+	return total / float64(count)
+}
+
 func TestTrainMLMReducesLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	gen := rand.New(rand.NewSource(7))
@@ -204,12 +239,12 @@ func TestTrainMLMReducesLoss(t *testing.T) {
 	m := New(rng, Config{Layers: 1, Heads: 2, Dim: 16, FFDim: 32, MaxLen: 24}, v)
 
 	evalRng := rand.New(rand.NewSource(8))
-	before := m.MLMLoss(evalRng, sents, 0.15)
+	before := mlmLoss(m, evalRng, sents, 0.15)
 	cfg := DefaultMLMConfig()
 	cfg.Epochs = 4
 	m.TrainMLM(rng, sents, cfg)
 	evalRng = rand.New(rand.NewSource(8))
-	after := m.MLMLoss(evalRng, sents, 0.15)
+	after := mlmLoss(m, evalRng, sents, 0.15)
 	if after >= before {
 		t.Fatalf("MLM training did not reduce loss: before=%v after=%v", before, after)
 	}

@@ -39,11 +39,12 @@ func (b *Block) Params() []*nn.Param {
 
 // Forward runs the layer over a sequence, a token per row of x, every matrix
 // carved from a: res1 = x + attn(x), h1 = LN1(res1), res2 = h1 +
-// FF2(gelu(FF1(h1))), out = LN2(res2). With a tape its sublayers record
-// themselves, and the block records the pre-GELU FFN rows.
-func (b *Block) Forward(x *mat.Mat, a *nn.Arena, t *nn.Tape) *mat.Mat {
+// FF2(gelu(FF1(h1))), out = LN2(res2). A non-nil attn receives the
+// attention rows (MultiHeadAttention.Forward). With a tape its sublayers
+// record themselves, and the block records the pre-GELU FFN rows.
+func (b *Block) Forward(x *mat.Mat, a *nn.Arena, t *nn.Tape, attn *mat.Mat) *mat.Mat {
 	n := x.Rows
-	res1 := addRows(a, x, b.Attn.Forward(x, a, t))
+	res1 := addRows(a, x, b.Attn.Forward(x, a, t, attn))
 	h1 := b.LN1.Forward(res1, a, t)
 	ffPre := b.FF1.ForwardRows(h1, a, t)
 	if t != nil {

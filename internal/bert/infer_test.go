@@ -2,6 +2,7 @@ package bert
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"saccs/internal/mat"
@@ -102,11 +103,15 @@ func TestAttentionForwardMatchesReference(t *testing.T) {
 			xs := randVecs(rng, n, m.Dim)
 			want, wantAttn := refAttention(m, xs)
 			var a nn.Arena
-			requireSameVecs(t, "attention", want, matRows(m.Forward(packVecs(xs, m.Dim), &a, nil)))
+			requireSameVecs(t, "attention", want, matRows(m.Forward(packVecs(xs, m.Dim), &a, nil, nil)))
+			attn := a.MatRaw(m.Heads*n, n)
+			requireSameVecs(t, "attention with rows kept", want, matRows(m.Forward(packVecs(xs, m.Dim), &a, nil, attn)))
+			requireSameAttention(t, "attention rows", wantAttn, attn)
 			var tape nn.Tape
-			got := m.Forward(packVecs(xs, m.Dim), &tape.Arena, &tape)
+			taped := tape.MatRaw(m.Heads*n, n)
+			got := m.Forward(packVecs(xs, m.Dim), &tape.Arena, &tape, taped)
 			requireSameVecs(t, "taped attention", want, matRows(got))
-			requireSameAttention(t, "taped attention rows", wantAttn, tape.Kept(0))
+			requireSameAttention(t, "taped attention rows", wantAttn, taped)
 		}
 	})
 }
@@ -119,9 +124,9 @@ func TestBlockForwardMatchesReference(t *testing.T) {
 			xs := randVecs(rng, n, 16)
 			want, _ := refBlock(b, xs)
 			var a nn.Arena
-			requireSameVecs(t, "block", want, matRows(b.Forward(packVecs(xs, 16), &a, nil)))
+			requireSameVecs(t, "block", want, matRows(b.Forward(packVecs(xs, 16), &a, nil, nil)))
 			var tape nn.Tape
-			requireSameVecs(t, "taped block", want, matRows(b.Forward(packVecs(xs, 16), &tape.Arena, &tape)))
+			requireSameVecs(t, "taped block", want, matRows(b.Forward(packVecs(xs, 16), &tape.Arena, &tape, nil)))
 		}
 	})
 }
@@ -148,23 +153,67 @@ func TestEncodeAndInferMatchReference(t *testing.T) {
 	})
 }
 
-// TestAttentionReadbackMatchesReference pins the Fig. 5 readback: after
-// EncodeTokens, Model.Attention(layer, head) is the reference forward's
-// attention rows for that layer and head, bit for bit.
+// TestAttentionReadbackMatchesReference pins the Fig. 5 readback:
+// InferAttentionArena's Attention(layer, head) is the reference forward's
+// attention rows for that layer and head, and its rows are the reference's
+// hidden states, bit for bit.
 func TestAttentionReadbackMatchesReference(t *testing.T) {
 	onBothKernelPaths(t, func(t *testing.T) {
 		m, v := referenceModel()
 		for _, n := range []int{0, 1, 7, m.Cfg.MaxLen, m.Cfg.MaxLen + 12} {
 			tokens := cycleTokens(n)
-			_, wantAttn := refEncode(m, v.Encode(tokens))
-			m.EncodeTokens(tokens)
+			want, wantAttn := refEncode(m, v.Encode(tokens))
+			var a nn.Arena
+			e := m.InferAttentionArena(tokens, &a)
+			requireSameVecs(t, "Rows", want, matRows(e.Rows))
 			for layer := range m.Blocks {
 				for head := 0; head < m.Cfg.Heads; head++ {
-					requireSameVecs(t, "Attention", wantAttn[layer][head], matRows(m.Attention(layer, head)))
+					requireSameVecs(t, "Attention", wantAttn[layer][head], matRows(e.Attention(layer, head)))
 				}
 			}
 		}
 	})
+}
+
+// TestInferAttentionArenaReentrant runs the readback on one model from two
+// goroutines at once, each with its own arena: every result equals the
+// serial one, bit for bit. Under -race it also shows that the forward
+// writes no model state.
+func TestInferAttentionArenaReentrant(t *testing.T) {
+	m, _ := referenceModel()
+	sentences := make([][]string, 6)
+	for i := range sentences {
+		sentences[i] = cycleTokens(3 + 2*i)
+	}
+	want := make([]Encoding, len(sentences))
+	for i, toks := range sentences {
+		want[i] = m.InferAttentionArena(toks, new(nn.Arena))
+	}
+	got := make([][]Encoding, 2)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var a nn.Arena
+			for range 20 {
+				a.Reset()
+				got[g] = got[g][:0]
+				for _, toks := range sentences {
+					got[g] = append(got[g], m.InferAttentionArena(toks, &a))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i, e := range got[g] {
+			requireSameVecs(t, "Rows", matRows(want[i].Rows), matRows(e.Rows))
+			for layer := range want[i].Attn {
+				requireSameVecs(t, "Attn", matRows(want[i].Attn[layer]), matRows(e.Attn[layer]))
+			}
+		}
+	}
 }
 
 // TestInferBatchZeroAllocsWhenWarm pins the fully arena-backed forward at

@@ -113,38 +113,3 @@ func (m *Model) mlmStep(opt nn.Optimizer, params []*nn.Param, ids, masked, targe
 	opt.Step(params)
 	return loss / float64(len(targets))
 }
-
-// MLMLoss evaluates the mean per-token masked loss on a corpus without
-// updating weights (deterministic masking by the provided rng).
-func (m *Model) MLMLoss(rng *rand.Rand, corpus [][]string, maskProb float64) float64 {
-	maskID := m.Vocab.ID(tokenize.MaskToken)
-	var total float64
-	var count int
-	for _, sent := range corpus {
-		ids := m.truncate(m.Vocab.Encode(sent))
-		if len(ids) == 0 {
-			continue
-		}
-		masked := append([]int(nil), ids...)
-		var targets []int
-		for i := range masked {
-			if rng.Float64() < maskProb {
-				targets = append(targets, i)
-				masked[i] = maskID
-			}
-		}
-		if len(targets) == 0 {
-			continue
-		}
-		hs := m.Encode(masked)
-		for _, pos := range targets {
-			logits := m.MLMHead.Forward(hs.Row(pos))
-			total += nn.SoftmaxCE(logits, logits, ids[pos])
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count)
-}

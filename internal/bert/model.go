@@ -41,8 +41,7 @@ type Model struct {
 	// MLMHead projects hidden states back onto the vocabulary.
 	MLMHead *nn.Linear
 
-	// lastIDs and tape record the last Encode: Backward and Attention read
-	// them until the next Encode.
+	// lastIDs and tape record the last Encode: Backward reads them.
 	lastIDs []int
 	tape    nn.Tape
 
@@ -111,8 +110,9 @@ func (m *Model) truncate(ids []int) []int {
 // per token, a row each. Sequences longer than MaxLen are truncated. It runs
 // the inference forward on the model's tape — the hidden states are
 // InferTokensArena's bit for bit — and the returned rows, like the tape, stay
-// valid for Attention and one Backward until the next Encode. Encode is not
-// reentrant.
+// valid for one Backward until the next Encode. Encode is not reentrant: it
+// and Backward are the training pair, and every other reader of the encoder
+// runs the reentrant inference forward.
 func (m *Model) Encode(ids []int) *mat.Mat {
 	if m.o != nil {
 		defer m.encHist.ObserveSince(time.Now())
@@ -126,7 +126,7 @@ func (m *Model) Encode(ids []int) *mat.Mat {
 	for i, id := range ids {
 		m.embedInto(x.Row(i), id, i)
 	}
-	return m.blocks(x, &t.Arena, t)
+	return m.blocks(x, &t.Arena, t, nil)
 }
 
 // EncodeTokens tokenizes against the model vocabulary and encodes.
@@ -152,19 +152,6 @@ func (m *Model) Backward(d *mat.Mat) *mat.Mat {
 		m.PosEmb.Accumulate(i, d.Row(i))
 	}
 	return d
-}
-
-// Attention returns the attention matrix of (layer, head) from the most
-// recent Encode: row i is token i's attention distribution (Fig. 5). It is
-// a view of the head's block of the rows the forward kept on the tape, so
-// it copies nothing and stays valid until the next Encode.
-func (m *Model) Attention(layer, head int) *mat.Mat {
-	attn := m.tape.Kept(layer)
-	if attn == nil || head < 0 || head >= m.Cfg.Heads {
-		return nil
-	}
-	n := attn.Cols
-	return &mat.Mat{Rows: n, Cols: n, Data: attn.Data[head*n*n : (head+1)*n*n]}
 }
 
 // EmbeddingDim returns the contextual vector width.

@@ -40,39 +40,10 @@ type Generationer interface {
 	Generation() uint64
 }
 
-// Pairer associates aspect spans with opinion spans; the §5.1 heuristics
-// satisfy it directly and ClassifierPairer adapts the supervised model.
+// Pairer associates aspect spans with opinion spans; the §5.1 tree and
+// word-distance heuristics satisfy it directly.
 type Pairer interface {
 	Pairs(tokens []string, aspects, opinions []tokenize.Span) []pairing.Pair
-}
-
-// ClassifierPairer adapts the §5.2 discriminative model to the Pairer
-// interface: every P_all candidate scoring above Threshold becomes a pair.
-type ClassifierPairer struct {
-	C *pairing.Classifier
-	// Threshold on the positive probability (0 defaults to 0.5).
-	Threshold float64
-}
-
-// Pairs scores every aspect×opinion combination and keeps the positives.
-func (p ClassifierPairer) Pairs(tokens []string, aspects, opinions []tokenize.Span) []pairing.Pair {
-	th := p.Threshold
-	if th == 0 {
-		th = 0.5
-	}
-	var out []pairing.Pair
-	for _, a := range aspects {
-		for _, o := range opinions {
-			cand := pairing.Candidate{
-				Tokens: tokens, Aspects: aspects, Opinions: opinions,
-				Aspect: a, Opinion: o,
-			}
-			if p.C.Predict(cand) >= th {
-				out = append(out, pairing.Pair{Aspect: a, Opinion: o})
-			}
-		}
-	}
-	return out
 }
 
 // Extractor is the full §4+§5 pipeline: tag tokens, split spans, pair them,

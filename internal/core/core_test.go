@@ -242,13 +242,6 @@ func TestGoldTaggerFallback(t *testing.T) {
 	}
 }
 
-func TestClassifierPairerThreshold(t *testing.T) {
-	// A degenerate always-0.5 classifier with threshold 0.9 yields no pairs.
-	// (Exercises the adapter without training a model.)
-	p := ClassifierPairer{C: nil, Threshold: 0.9}
-	_ = p // constructing with nil C is fine as long as Pairs isn't called
-}
-
 func TestCanonicalTags(t *testing.T) {
 	tags := CanonicalTags(lexicon.Restaurants())
 	if len(tags) != 18 {

@@ -190,11 +190,21 @@ type PairingExample struct {
 	Label bool
 }
 
+// Labels returns the examples' gold labels, in order.
+func Labels(exs []PairingExample) []bool {
+	out := make([]bool, len(exs))
+	for i, ex := range exs {
+		out[i] = ex.Label
+	}
+	return out
+}
+
 // PairingBenchmark generates the §6.4 evaluation data from the hotels domain
 // (the paper trains its pairing model on the Booking.com corpus): unlabeled
 // training sentences for the data-programming pipeline and a labeled test
 // set with a fairly equal positive/negative balance. At Paper scale the test
-// set has 397 examples, matching the paper.
+// set has 397 examples, matching the paper. A sentence's test examples are
+// consecutive, so pairing.Candidates encodes each sentence once.
 func PairingBenchmark(s Scale) (train []corpus.Sentence, test []PairingExample) {
 	g := corpus.NewGenerator(lexicon.Hotels(), 4242, corpus.Options{
 		MaxClauses:       3,
@@ -258,7 +268,7 @@ func PairingBenchmark(s Scale) (train []corpus.Sentence, test []PairingExample) 
 
 // EnumeratePairs builds every candidate (aspect, opinion) combination from a
 // gold-annotated sentence — the P_all of §5.2 — labeling each by whether it
-// appears among the sentence's gold pairs.
+// appears among the sentence's gold pairs. Every example shares s.Tokens.
 func EnumeratePairs(s corpus.Sentence) []PairingExample {
 	spans := tokenize.Spans(s.Labels)
 	var aspects, opinions []tokenize.Span

@@ -8,6 +8,7 @@ import (
 	"saccs/internal/index"
 	"saccs/internal/lexicon"
 	"saccs/internal/mat"
+	"saccs/internal/nn"
 	"saccs/internal/pairing"
 	"saccs/internal/parse"
 	"saccs/internal/sim"
@@ -143,12 +144,12 @@ func Figure5(scale Scale, w io.Writer) Figure5Result {
 	if devN > 200 {
 		devN = 200
 	}
-	heads := pairing.SelectHeads(enc, exs[:devN], 1)
+	heads := pairing.SelectHeads(pairing.Candidates(enc, nil, exs[:devN]), datasets.Labels(exs[:devN]), 1)
 	layer, head := heads[0].Layer, heads[0].Head
 
 	tokens := tokenize.Words("the food is delicious and the staff and decor are amazing")
-	enc.EncodeTokens(tokens)
-	attn := enc.Attention(layer, head)
+	var a nn.Arena
+	attn := enc.InferAttentionArena(tokens, &a).Attention(layer, head)
 
 	fprintf(w, "Figure 5: BERT attention head (layer %d, head %d) on %q\n", layer, head, "the food is delicious ...")
 	shades := []rune(" .:-=+*#%@")

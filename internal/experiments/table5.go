@@ -69,23 +69,18 @@ func Table5(scale Scale, w io.Writer) Table5Result {
 	}
 	enc := core.BuildEncoder(opts, domain, trainTokens)
 
+	// Candidates: each sentence is encoded and parsed once, and every
+	// labeling function and the classifier read that.
+	trainCands := pairing.Candidates(enc, lex, trainExs)
+	testCands := pairing.Candidates(enc, lex, test)
+
 	// Qualitative analysis: pick the five best heads on a dev slice.
 	devN := len(trainExs) / 4
 	if devN > 300 {
 		devN = 300
 	}
-	heads := pairing.SelectHeads(enc, trainExs[:devN], 5)
-	lfs := pairing.StandardLFs(enc, lex, heads, PaperHeadNames)
-
-	// Candidates.
-	trainCands := make([]pairing.Candidate, len(trainExs))
-	for i, ex := range trainExs {
-		trainCands[i] = pairing.CandidateFromExample(ex)
-	}
-	testCands := make([]pairing.Candidate, len(test))
-	for i, ex := range test {
-		testCands[i] = pairing.CandidateFromExample(ex)
-	}
+	heads := pairing.SelectHeads(trainCands[:devN], datasets.Labels(trainExs[:devN]), 5)
+	lfs := pairing.StandardLFs(lex, heads, PaperHeadNames)
 
 	trainVotes := snorkel.ApplyAll(lfs, trainCands)
 	testVotes := snorkel.ApplyAll(lfs, testCands)
@@ -143,8 +138,7 @@ func Table5(scale Scale, w io.Writer) Table5Result {
 	ccfg := pairing.DefaultClassifierConfig()
 	ccfg.Hidden = 64
 	ccfg.Epochs = 12
-	clf := pairing.NewClassifier(enc, ccfg)
-	clf.Lex = lex
+	clf := pairing.NewClassifier(enc.EmbeddingDim(), ccfg)
 	clf.Train(trainCands, labels)
 	res.Rows = append(res.Rows, evalPredictor("Discriminative", test, func(i int) bool {
 		return clf.Predict(testCands[i]) > 0.5

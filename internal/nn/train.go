@@ -34,14 +34,12 @@ import (
 type Tape struct {
 	Arena
 	recs []*mat.Mat
-	kept []*mat.Mat
 }
 
 // Reset empties the tape and recycles its arena.
 func (t *Tape) Reset() {
 	t.Arena.Reset()
 	t.recs = t.recs[:0]
-	t.kept = t.kept[:0]
 }
 
 // Push records ms, in order, for the backward pass. A nil entry is allowed
@@ -61,19 +59,6 @@ func (t *Tape) Pop() *mat.Mat {
 	m := t.recs[len(t.recs)-1]
 	t.recs = t.recs[:len(t.recs)-1]
 	return m
-}
-
-// Keep records m for reading back after the forward, in the order of the
-// Keep calls since the last Reset; the backward pass does not consume it.
-// bert keeps each layer's attention rows here (Fig. 5).
-func (t *Tape) Keep(m *mat.Mat) { t.kept = append(t.kept, m) }
-
-// Kept returns the i-th matrix kept since the last Reset, or nil.
-func (t *Tape) Kept(i int) *mat.Mat {
-	if i < 0 || i >= len(t.kept) {
-		return nil
-	}
-	return t.kept[i]
 }
 
 // weightT returns pᵀ for a forward: the copy cached in slot for inference

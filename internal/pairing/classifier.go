@@ -2,6 +2,7 @@ package pairing
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"saccs/internal/bert"
@@ -11,16 +12,7 @@ import (
 	"saccs/internal/parse"
 	"saccs/internal/postag"
 	"saccs/internal/snorkel"
-	"saccs/internal/tokenize"
 )
-
-// SentenceEncoder supplies contextual embeddings, a row per token, from a
-// reentrant forward carved from the caller's arena; *bert.Model satisfies
-// it.
-type SentenceEncoder interface {
-	InferTokensArena(tokens []string, a *nn.Arena) *mat.Mat
-	EmbeddingDim() int
-}
 
 // ClassifierConfig tunes the discriminative pairing model.
 type ClassifierConfig struct {
@@ -44,27 +36,26 @@ func DefaultClassifierConfig() ClassifierConfig {
 // candidate phrase p_i (realized as the sentence encoding plus the
 // contextual vectors of the candidate's aspect and opinion spans), together
 // with span geometry and shallow-parse structure — the signal a full BERT
-// cross-encoder would carry in its attention.
+// cross-encoder would carry in its attention. It reads both from the
+// candidate's shared Sentence.
 type Classifier struct {
-	enc    SentenceEncoder
+	dim    int
 	l1, l2 *nn.Linear
 	cfg    ClassifierConfig
-	// Lex supplies POS overrides for the parse features; nil works (plain
-	// suffix tagging) but a domain lexicon sharpens clause splitting.
-	Lex postag.Lexicon
 }
 
 // positionalFeatures is the number of scalar span-geometry and parse
 // features appended to the embedding features.
 const positionalFeatures = 6
 
-// NewClassifier builds an untrained pairing classifier.
-func NewClassifier(enc SentenceEncoder, cfg ClassifierConfig) *Classifier {
+// NewClassifier builds an untrained pairing classifier over encoder rows
+// dim wide.
+func NewClassifier(dim int, cfg ClassifierConfig) *Classifier {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	dim := enc.EmbeddingDim()*3 + positionalFeatures
+	in := dim*3 + positionalFeatures
 	return &Classifier{
-		enc: enc,
-		l1:  nn.NewLinear(rng, "pairing.l1", dim, cfg.Hidden),
+		dim: dim,
+		l1:  nn.NewLinear(rng, "pairing.l1", in, cfg.Hidden),
 		l2:  nn.NewLinear(rng, "pairing.l2", cfg.Hidden, 1),
 		cfg: cfg,
 	}
@@ -75,9 +66,8 @@ func NewClassifier(enc SentenceEncoder, cfg ClassifierConfig) *Classifier {
 // competing-span pressure) gives the network the positional signal a full
 // BERT cross-encoder would carry in its attention.
 func (c *Classifier) features(cand Candidate) mat.Vec {
-	var a nn.Arena
-	hs := c.enc.InferTokensArena(cand.Tokens, &a)
-	dim := c.enc.EmbeddingDim()
+	hs := cand.Sent.Enc.Rows
+	dim := c.dim
 	out := mat.NewVec(3*dim + positionalFeatures)
 	if hs.Rows == 0 {
 		return out
@@ -99,7 +89,7 @@ func (c *Classifier) features(cand Candidate) mat.Vec {
 	pool(out[dim:2*dim], cand.Aspect.Start, cand.Aspect.End)
 	pool(out[2*dim:3*dim], cand.Opinion.Start, cand.Opinion.End)
 
-	n := float64(len(cand.Tokens))
+	n := float64(len(cand.Sent.Tokens))
 	dist := spanMid(cand.Aspect) - spanMid(cand.Opinion)
 	if dist < 0 {
 		dist = -dist
@@ -127,7 +117,7 @@ func (c *Classifier) features(cand Candidate) mat.Vec {
 		}
 	}
 	// Shallow-parse structure: normalized tree distance and same-clause flag.
-	tree := parse.Build(c.Lex, cand.Tokens)
+	tree := cand.Sent.Tree
 	ai := int(spanMid(cand.Aspect))
 	oi := int(spanMid(cand.Opinion))
 	d := tree.Distance(ai, oi)
@@ -200,35 +190,25 @@ func (c *Classifier) Predict(cand Candidate) float64 {
 	return mat.Sigmoid(logit)
 }
 
-// CandidateFromExample converts a datasets.PairingExample.
-func CandidateFromExample(ex datasets.PairingExample) Candidate {
-	return Candidate{
-		Tokens:   ex.Tokens,
-		Aspects:  ex.Aspects,
-		Opinions: ex.Opinions,
-		Aspect:   ex.Aspect,
-		Opinion:  ex.Opinion,
-	}
-}
-
-// CandidatesFromSpans enumerates P_all (§5.2) for a tagged sentence: every
-// (aspect, opinion) combination regardless of soundness.
-func CandidatesFromSpans(tokens []string, spans []tokenize.Span) []Candidate {
-	var aspects, opinions []tokenize.Span
-	for _, sp := range spans {
-		if sp.Kind == tokenize.AspectSpan {
-			aspects = append(aspects, sp)
-		} else {
-			opinions = append(opinions, sp)
+// Candidates returns one candidate per example. Each run of consecutive
+// examples with equal Tokens — one sentence's candidates, which
+// datasets.EnumeratePairs and datasets.PairingBenchmark emit together —
+// shares one Sentence: a single forward of enc and a single parse with lex.
+func Candidates(enc *bert.Model, lex postag.Lexicon, exs []datasets.PairingExample) []Candidate {
+	out := make([]Candidate, len(exs))
+	var a nn.Arena
+	var s *Sentence
+	for i, ex := range exs {
+		if s == nil || !slices.Equal(s.Tokens, ex.Tokens) {
+			a.Reset()
+			s = newSentence(enc.InferAttentionArena(ex.Tokens, &a), parse.Build(lex, ex.Tokens), ex.Tokens)
 		}
-	}
-	var out []Candidate
-	for _, a := range aspects {
-		for _, o := range opinions {
-			out = append(out, Candidate{
-				Tokens: tokens, Aspects: aspects, Opinions: opinions,
-				Aspect: a, Opinion: o,
-			})
+		out[i] = Candidate{
+			Sent:     s,
+			Aspects:  ex.Aspects,
+			Opinions: ex.Opinions,
+			Aspect:   ex.Aspect,
+			Opinion:  ex.Opinion,
 		}
 	}
 	return out
@@ -246,24 +226,25 @@ type HeadScore struct {
 
 // SelectHeads performs the paper's "qualitative analysis" (§5.2): it scores
 // every attention head of the encoder by pairing accuracy on a small labeled
-// dev set and returns the k best, ordered by accuracy.
-func SelectHeads(enc *bert.Model, dev []datasets.PairingExample, k int) []HeadScore {
+// dev set (gold[i] labels dev[i]) and returns the k best, ordered by
+// accuracy. Each head reads the dev sentences' shared encodings; an empty
+// dev set selects nothing.
+func SelectHeads(dev []Candidate, gold []bool, k int) []HeadScore {
+	if len(dev) == 0 {
+		return nil
+	}
+	shape := dev[0].Sent.Enc
 	var scores []HeadScore
-	for layer := 0; layer < enc.Cfg.Layers; layer++ {
-		for head := 0; head < enc.Cfg.Heads; head++ {
-			h := Attention{Enc: enc, Layer: layer, Head: head, Margin: DefaultAttentionMargin}
-			lf := LFFromHeuristic(h)
+	for layer := range shape.Attn {
+		for head := 0; head < shape.Heads; head++ {
+			h := Attention{Layer: layer, Head: head, Margin: DefaultAttentionMargin}
 			correct := 0
-			for _, ex := range dev {
-				vote := lf.Apply(CandidateFromExample(ex))
-				if (vote == snorkel.Positive) == ex.Label {
+			for i, c := range dev {
+				if c.proposedIn(h.Pairs(c.Sent, c.Aspects, c.Opinions)) == gold[i] {
 					correct++
 				}
 			}
-			acc := 0.0
-			if len(dev) > 0 {
-				acc = float64(correct) / float64(len(dev))
-			}
+			acc := float64(correct) / float64(len(dev))
 			scores = append(scores, HeadScore{Layer: layer, Head: head, Accuracy: acc})
 		}
 	}
@@ -285,7 +266,7 @@ func SelectHeads(enc *bert.Model, dev []datasets.PairingExample, k int) []HeadSc
 // StandardLFs builds the paper's seven labeling functions (§5.2): the two
 // parse-tree LFs plus the five best attention heads, optionally renamed with
 // the paper's display labels (lf_bert_7:10, ...).
-func StandardLFs(enc *bert.Model, lex postag.Lexicon, heads []HeadScore, displayNames []string) []snorkel.LF[Candidate] {
+func StandardLFs(lex postag.Lexicon, heads []HeadScore, displayNames []string) []snorkel.LF[Candidate] {
 	lfs := []snorkel.LF[Candidate]{
 		LFFromHeuristic(Tree{Lex: lex, FromOpinions: false}),
 		LFFromHeuristic(Tree{Lex: lex, FromOpinions: true}),
@@ -295,10 +276,10 @@ func StandardLFs(enc *bert.Model, lex postag.Lexicon, heads []HeadScore, display
 		if i < len(displayNames) {
 			name = displayNames[i]
 		}
-		lfs = append(lfs, LFFromAspectHeuristic(Attention{
-			Enc: enc, Layer: hs.Layer, Head: hs.Head, Margin: DefaultAttentionMargin,
+		lfs = append(lfs, Attention{
+			Layer: hs.Layer, Head: hs.Head, Margin: DefaultAttentionMargin,
 			DisplayName: name,
-		}))
+		}.LF())
 	}
 	return lfs
 }

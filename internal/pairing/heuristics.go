@@ -29,15 +29,46 @@ type Pair struct {
 	Aspect, Opinion tokenize.Span
 }
 
+// Sentence is what every candidate of one sentence shares, computed once:
+// the encoder's hidden rows and every layer×head attention block from one
+// reentrant forward, and the parse tree.
+type Sentence struct {
+	Tokens []string
+	Enc    bert.Encoding
+	Tree   *parse.Tree
+}
+
+// newSentence returns the Sentence of tokens, copying e out of the arena it
+// was carved from so that the arena can be reset for the next sentence.
+func newSentence(e bert.Encoding, tree *parse.Tree, tokens []string) *Sentence {
+	s := &Sentence{Tokens: tokens, Tree: tree, Enc: bert.Encoding{
+		Rows: e.Rows.Clone(), Attn: make([]*mat.Mat, len(e.Attn)), Heads: e.Heads,
+	}}
+	for l, at := range e.Attn {
+		s.Enc.Attn[l] = at.Clone()
+	}
+	return s
+}
+
 // Candidate is one pairing decision: does (Aspect, Opinion) form a correct
-// subjective tag in this sentence? Aspects and Opinions carry every span the
+// subjective tag in its sentence? Aspects and Opinions carry every span the
 // tagger extracted, because the heuristics reason over the full sentence.
 type Candidate struct {
-	Tokens   []string
+	Sent     *Sentence
 	Aspects  []tokenize.Span
 	Opinions []tokenize.Span
 	Aspect   tokenize.Span
 	Opinion  tokenize.Span
+}
+
+// proposedIn reports whether pairs holds the candidate's pair.
+func (c Candidate) proposedIn(pairs []Pair) bool {
+	for _, p := range pairs {
+		if p.Aspect == c.Aspect && p.Opinion == c.Opinion {
+			return true
+		}
+	}
+	return false
 }
 
 // Heuristic proposes pairs for a tagged sentence.
@@ -103,9 +134,9 @@ func (t Tree) Pairs(tokens []string, aspects, opinions []tokenize.Span) []Pair {
 
 // Attention is the second novel heuristic of §5.1: a trained BERT's
 // attention head acts as a no-training-required pairing classifier — each
-// aspect attends most to its rightful opinion (Fig. 5).
+// aspect attends most to its rightful opinion (Fig. 5). It reads the
+// sentence's shared encoding.
 type Attention struct {
-	Enc *bert.Model
 	// Layer and Head select the attention matrix.
 	Layer, Head int
 	// Margin makes the head conservative: an aspect proposes a pair only
@@ -142,13 +173,12 @@ func lfBertName(layer, head int) string {
 }
 
 // Pairs maps each aspect to the opinion span holding the largest share of
-// the aspect's attention mass.
-func (a Attention) Pairs(tokens []string, aspects, opinions []tokenize.Span) []Pair {
+// the aspect's attention mass in s's encoding.
+func (a Attention) Pairs(s *Sentence, aspects, opinions []tokenize.Span) []Pair {
 	if len(aspects) == 0 || len(opinions) == 0 {
 		return nil
 	}
-	a.Enc.EncodeTokens(tokens)
-	attn := a.Enc.Attention(a.Layer, a.Head)
+	attn := s.Enc.Attention(a.Layer, a.Head)
 	if attn == nil {
 		return nil
 	}
@@ -234,37 +264,35 @@ func greedyPairs(aspects, opinions []tokenize.Span, fromOpinions bool, cost func
 // §5.2 interface: vote Positive when the candidate pair belongs to the
 // heuristic's proposed set, Negative otherwise.
 func LFFromHeuristic(h Heuristic) snorkel.LF[Candidate] {
-	return snorkel.LF[Candidate]{
-		Name: h.Name(),
-		Apply: func(c Candidate) snorkel.Vote {
-			for _, p := range h.Pairs(c.Tokens, c.Aspects, c.Opinions) {
-				if p.Aspect == c.Aspect && p.Opinion == c.Opinion {
-					return snorkel.Positive
-				}
-			}
-			return snorkel.Negative
-		},
-	}
+	return proposalLF(h.Name(), snorkel.Negative, func(c Candidate) []Pair {
+		return h.Pairs(c.Sent.Tokens, c.Aspects, c.Opinions)
+	})
 }
 
-// LFFromAspectHeuristic wraps an aspect-driven heuristic (each aspect picks
-// at most one opinion, like the attention heads) with abstention semantics:
-// Positive when the pair is proposed, Abstain otherwise. An aspect-driven
-// heuristic choosing a different opinion is not evidence *against* the
-// candidate — one aspect can legitimately pair with several opinions
-// (footnote 4) — so these labeling functions only ever contribute positive
-// evidence. Abstention is what lets weak-but-precise labeling functions help
-// the label model instead of drowning it (Snorkel [48]).
-func LFFromAspectHeuristic(h Heuristic) snorkel.LF[Candidate] {
+// LF wraps the head (each aspect picks at most one opinion) as a labeling
+// function with abstention semantics: Positive when the pair is proposed,
+// Abstain otherwise. An aspect-driven heuristic choosing a different opinion
+// is not evidence *against* the candidate — one aspect can legitimately pair
+// with several opinions (footnote 4) — so these labeling functions only ever
+// contribute positive evidence. Abstention is what lets weak-but-precise
+// labeling functions help the label model instead of drowning it (Snorkel
+// [48]).
+func (a Attention) LF() snorkel.LF[Candidate] {
+	return proposalLF(a.Name(), snorkel.Abstain, func(c Candidate) []Pair {
+		return a.Pairs(c.Sent, c.Aspects, c.Opinions)
+	})
+}
+
+// proposalLF votes Positive on a candidate when pairs(c) holds its pair,
+// and otherwise when it does not.
+func proposalLF(name string, otherwise snorkel.Vote, pairs func(Candidate) []Pair) snorkel.LF[Candidate] {
 	return snorkel.LF[Candidate]{
-		Name: h.Name(),
+		Name: name,
 		Apply: func(c Candidate) snorkel.Vote {
-			for _, p := range h.Pairs(c.Tokens, c.Aspects, c.Opinions) {
-				if p.Aspect == c.Aspect && p.Opinion == c.Opinion {
-					return snorkel.Positive
-				}
+			if c.proposedIn(pairs(c)) {
+				return snorkel.Positive
 			}
-			return snorkel.Abstain
+			return otherwise
 		},
 	}
 }

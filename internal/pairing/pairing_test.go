@@ -2,12 +2,14 @@ package pairing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"saccs/internal/bert"
 	"saccs/internal/datasets"
 	"saccs/internal/lexicon"
 	"saccs/internal/metrics"
+	"saccs/internal/nn"
 	"saccs/internal/parse"
 	"saccs/internal/snorkel"
 	"saccs/internal/tokenize"
@@ -124,17 +126,17 @@ func pairingData(t *testing.T) (train, test []datasets.PairingExample) {
 func TestAttentionHeuristicBeatsChance(t *testing.T) {
 	train, test := pairingData(t)
 	enc := trainedEncoder(t, train)
-	heads := SelectHeads(enc, train[:100], 1)
+	heads := SelectHeads(Candidates(enc, nil, train[:100]), datasets.Labels(train[:100]), 1)
 	if len(heads) != 1 {
 		t.Fatalf("SelectHeads returned %d", len(heads))
 	}
 	if heads[0].Accuracy <= 0.55 {
 		t.Fatalf("best head should beat chance on the dev slice: %v", heads[0].Accuracy)
 	}
-	lf := LFFromHeuristic(Attention{Enc: enc, Layer: heads[0].Layer, Head: heads[0].Head})
+	lf := Attention{Layer: heads[0].Layer, Head: heads[0].Head}.LF()
 	var bin metrics.Binary
-	for _, ex := range test {
-		bin.Observe(lf.Apply(CandidateFromExample(ex)) == snorkel.Positive, ex.Label)
+	for i, c := range Candidates(enc, nil, test) {
+		bin.Observe(lf.Apply(c) == snorkel.Positive, test[i].Label)
 	}
 	// The test set is deliberately hardened against surface heuristics
 	// (distance-adversarial sampling), so a raw head's balanced accuracy sits
@@ -147,7 +149,7 @@ func TestAttentionHeuristicBeatsChance(t *testing.T) {
 func TestSelectHeadsOrdering(t *testing.T) {
 	train, _ := pairingData(t)
 	enc := trainedEncoder(t, train)
-	scores := SelectHeads(enc, train[:60], 5)
+	scores := SelectHeads(Candidates(enc, nil, train[:60]), datasets.Labels(train[:60]), 5)
 	if len(scores) != 5 {
 		t.Fatalf("want 5 heads, got %d", len(scores))
 	}
@@ -161,9 +163,9 @@ func TestSelectHeadsOrdering(t *testing.T) {
 func TestStandardLFsShape(t *testing.T) {
 	train, _ := pairingData(t)
 	enc := trainedEncoder(t, train)
-	heads := SelectHeads(enc, train[:60], 5)
+	heads := SelectHeads(Candidates(enc, nil, train[:60]), datasets.Labels(train[:60]), 5)
 	names := []string{"lf_bert_7:10", "lf_bert_3:10", "lf_bert_3:8", "lf_bert_4:6", "lf_bert_8:9"}
-	lfs := StandardLFs(enc, parse.DomainLexicon(lexicon.Hotels()), heads, names)
+	lfs := StandardLFs(parse.DomainLexicon(lexicon.Hotels()), heads, names)
 	if len(lfs) != 7 {
 		t.Fatalf("the paper uses seven labeling functions, got %d", len(lfs))
 	}
@@ -183,7 +185,8 @@ func TestTreeLFsHighPrecision(t *testing.T) {
 		lf := LFFromHeuristic(h)
 		var bin metrics.Binary
 		for _, ex := range test {
-			bin.Observe(lf.Apply(CandidateFromExample(ex)) == snorkel.Positive, ex.Label)
+			c := Candidate{Sent: &Sentence{Tokens: ex.Tokens}, Aspects: ex.Aspects, Opinions: ex.Opinions, Aspect: ex.Aspect, Opinion: ex.Opinion}
+			bin.Observe(lf.Apply(c) == snorkel.Positive, ex.Label)
 		}
 		if bin.Precision() < 0.7 {
 			t.Fatalf("%s precision too low: %v", h.Name(), bin.Precision())
@@ -196,13 +199,10 @@ func TestDiscriminativePipelineEndToEnd(t *testing.T) {
 	// evaluated against the gold test set. Must beat always-negative.
 	train, test := pairingData(t)
 	enc := trainedEncoder(t, train)
-	heads := SelectHeads(enc, train[:150], 5)
-	lfs := StandardLFs(enc, parse.DomainLexicon(lexicon.Hotels()), heads, nil)
+	cands := Candidates(enc, nil, train)
+	heads := SelectHeads(cands[:150], datasets.Labels(train[:150]), 5)
+	lfs := StandardLFs(parse.DomainLexicon(lexicon.Hotels()), heads, nil)
 
-	cands := make([]Candidate, len(train))
-	for i, ex := range train {
-		cands[i] = CandidateFromExample(ex)
-	}
 	votes := snorkel.ApplyAll(lfs, cands)
 	labels := make([]float64, len(cands))
 	gen, err := snorkel.FitGenerative(votes, 25)
@@ -212,12 +212,12 @@ func TestDiscriminativePipelineEndToEnd(t *testing.T) {
 	for i, row := range votes {
 		labels[i] = gen.Posterior(row)
 	}
-	clf := NewClassifier(enc, DefaultClassifierConfig())
+	clf := NewClassifier(enc.EmbeddingDim(), DefaultClassifierConfig())
 	clf.Train(cands, labels)
 
 	var bin metrics.Binary
-	for _, ex := range test {
-		bin.Observe(clf.Predict(CandidateFromExample(ex)) > 0.5, ex.Label)
+	for i, c := range Candidates(enc, nil, test) {
+		bin.Observe(clf.Predict(c) > 0.5, test[i].Label)
 	}
 	// Baseline: always answering "not a pair".
 	var base metrics.Binary
@@ -240,17 +240,16 @@ func TestClassifierFitsGoldLabelsDirectly(t *testing.T) {
 		train = train[:200]
 	}
 	enc := trainedEncoder(t, train)
-	cands := make([]Candidate, len(train))
+	cands := Candidates(enc, nil, train)
 	labels := make([]float64, len(train))
 	for i, ex := range train {
-		cands[i] = CandidateFromExample(ex)
 		if ex.Label {
 			labels[i] = 1
 		}
 	}
 	cfg := DefaultClassifierConfig()
 	cfg.Epochs = 8
-	clf := NewClassifier(enc, cfg)
+	clf := NewClassifier(enc.EmbeddingDim(), cfg)
 	clf.Train(cands, labels)
 	correct := 0
 	for i, c := range cands {
@@ -263,28 +262,56 @@ func TestClassifierFitsGoldLabelsDirectly(t *testing.T) {
 	}
 }
 
-func TestCandidatesFromSpans(t *testing.T) {
-	tokens, aspects, opinions := paperSentence()
-	spans := append(append([]tokenize.Span{}, aspects...), opinions...)
-	cands := CandidatesFromSpans(tokens, spans)
-	if len(cands) != len(aspects)*len(opinions) {
-		t.Fatalf("P_all size %d, want %d", len(cands), len(aspects)*len(opinions))
-	}
-	for _, c := range cands {
-		if c.Aspect.Kind != tokenize.AspectSpan || c.Opinion.Kind != tokenize.OpinionSpan {
-			t.Fatal("kind confusion in candidates")
-		}
-		if len(c.Aspects) != 2 || len(c.Opinions) != 4 {
-			t.Fatal("candidates must carry all sentence spans")
-		}
-	}
-}
-
 func TestLFBertNaming(t *testing.T) {
 	if got := lfBertName(7, 10); got != "lf_bert_7:10" {
 		t.Fatalf("name: %s", got)
 	}
 	if got := lfBertName(0, 0); got != "lf_bert_0:0" {
 		t.Fatalf("name: %s", got)
+	}
+}
+
+// TestCandidatesShareOneSentencePerRun: every candidate of a sentence points
+// at one Sentence, built once, whose rows and attention are the encoder's
+// reentrant forward bit for bit and whose tree is the sentence's parse.
+func TestCandidatesShareOneSentencePerRun(t *testing.T) {
+	sents, _ := datasets.PairingBenchmark(datasets.Fast)
+	var exs []datasets.PairingExample
+	runs := 0
+	for _, s := range sents[:6] {
+		if pairs := datasets.EnumeratePairs(s); len(pairs) > 0 {
+			exs = append(exs, pairs...)
+			runs++
+		}
+	}
+	enc := trainedEncoder(t, exs)
+	lex := parse.DomainLexicon(lexicon.Hotels())
+	cands := Candidates(enc, lex, exs)
+	distinct := map[*Sentence]bool{}
+	for i, c := range cands {
+		distinct[c.Sent] = true
+		if i > 0 && (cands[i-1].Sent == c.Sent) != slices.Equal(exs[i-1].Tokens, exs[i].Tokens) {
+			t.Fatalf("candidate %d: shares a sentence with its predecessor iff their tokens are equal", i)
+		}
+		if c.Aspect != exs[i].Aspect || c.Opinion != exs[i].Opinion {
+			t.Fatalf("candidate %d: spans not copied from its example", i)
+		}
+	}
+	if len(distinct) != runs {
+		t.Fatalf("%d sentences built for %d runs of equal tokens", len(distinct), runs)
+	}
+	s := cands[0].Sent
+	var a nn.Arena
+	want := enc.InferAttentionArena(s.Tokens, &a)
+	if !slices.Equal(s.Enc.Rows.Data, want.Rows.Data) {
+		t.Fatal("shared rows differ from the reentrant forward")
+	}
+	for l := range want.Attn {
+		if !slices.Equal(s.Enc.Attn[l].Data, want.Attn[l].Data) {
+			t.Fatalf("shared layer %d attention differs from the reentrant forward", l)
+		}
+	}
+	if got, want := s.Tree.String(), parse.Build(lex, s.Tokens).String(); got != want {
+		t.Fatalf("shared tree %s, want %s", got, want)
 	}
 }
