@@ -55,12 +55,16 @@ obs-lint:
 # lint gates formatting and static analysis: gofmt must report no files, and
 # go vet must pass (with variable-shadow checking when the external shadow
 # analyzer is installed — it is optional, CI images without it still get the
-# full built-in vet suite).
+# full built-in vet suite). TestDeadSurface fails on any exported identifier
+# of the root package or internal/ that no non-test file of this module or of
+# benchmark/ uses, unless its allowlist names it with a reason; its fixture
+# test checks the checker.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+	$(GO) test -count=1 -run '^TestDeadSurface' .
 	@if command -v shadow >/dev/null 2>&1; then \
 		$(GO) vet -vettool=$$(command -v shadow) ./... ./cmd/... ./examples/...; \
 	else \
@@ -102,7 +106,9 @@ build:
 # every request runs through — the facade and the HTTP tier; the server's
 # main links it only for its -seed-demo flag. The third keeps test support
 # (internal/obs/promtext, the Prometheus text validator) out of the facade,
-# every command and every example: only tests import it.
+# every command and every example: only tests import it. The fourth keeps the
+# §7 extensions (search automaton, trust, personalization) out of the facade
+# and the server: only examples/personalization links them.
 deps-check:
 	@bad=$$($(GO) list -deps ./cmd/saccs-server | grep -E '^saccs/internal/(experiments|crowd|ir|simbaseline)$$'); \
 	if [ -n "$$bad" ]; then \
@@ -115,6 +121,10 @@ deps-check:
 	@bad=$$($(GO) list -deps . ./cmd/... ./examples/... | grep -E '^saccs/internal/obs/promtext$$'); \
 	if [ -n "$$bad" ]; then \
 		echo "a shipped package links test support:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$($(GO) list -deps . ./internal/server ./cmd/saccs-server | grep -E '^saccs/internal/(automaton|trust|profile)$$'); \
+	if [ -n "$$bad" ]; then \
+		echo "the facade or the server links a §7 extension:"; echo "$$bad"; exit 1; \
 	fi
 
 test:

@@ -24,9 +24,6 @@ type Trie struct {
 // New returns an empty automaton.
 func New() *Trie { return &Trie{root: &node{}} }
 
-// Len returns the number of stored tags.
-func (t *Trie) Len() int { return t.size }
-
 // Add inserts a tag (idempotent).
 func (t *Trie) Add(tag string) {
 	cur := t.root

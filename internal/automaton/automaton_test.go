@@ -164,3 +164,6 @@ func TestQuickAddedAlwaysFound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Len returns the number of stored tags.
+func (t *Trie) Len() int { return t.size }

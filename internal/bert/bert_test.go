@@ -3,6 +3,7 @@ package bert
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,10 +151,10 @@ func TestContextualEmbeddings(t *testing.T) {
 	v := tinyVocab()
 	m := New(rng, tinyConfig(), v)
 	h1 := m.EncodeTokens([]string{"the", "food", "is", "delicious"})
-	foodIn1 := h1.Row(1).Clone()
+	foodIn1 := slices.Clone(h1.Row(1))
 	h2 := m.EncodeTokens([]string{"friendly", "food", "and", "staff"})
 	foodIn2 := h2.Row(1)
-	diff := foodIn1.Clone()
+	diff := slices.Clone(foodIn1)
 	diff.AddScaled(-1, foodIn2)
 	if diff.Norm() < 1e-9 {
 		t.Fatal("contextual embeddings are identical across contexts")
@@ -296,7 +297,7 @@ func TestDomainPostTrainingShiftsEmbeddings(t *testing.T) {
 	after := m.EncodeTokens(jargon)
 	var moved float64
 	for i := 0; i < after.Rows; i++ {
-		d := after.Row(i).Clone()
+		d := slices.Clone(after.Row(i))
 		d.AddScaled(-1, snapshot.Row(i))
 		moved += d.Norm()
 	}

@@ -2,6 +2,7 @@ package bert
 
 import (
 	"math"
+	"slices"
 
 	"saccs/internal/mat"
 	"saccs/internal/nn"
@@ -26,7 +27,7 @@ func perToken(l *nn.Linear, xs []mat.Vec) []mat.Vec {
 func addVecs(xs, ys []mat.Vec) []mat.Vec {
 	out := make([]mat.Vec, len(xs))
 	for i, x := range xs {
-		out[i] = x.Clone()
+		out[i] = slices.Clone(x)
 		out[i].Add(ys[i])
 	}
 	return out

@@ -190,15 +190,18 @@ func TestGenSwapDiscardsFill(t *testing.T) {
 	if fmt.Sprint(tags) != "[delicious food]" {
 		t.Fatalf("tags = %v despite gen bump (results must still be served)", tags)
 	}
-	if e.Cache.Len() != 0 {
-		t.Fatalf("cache has %d entries; a generation bump under the decode must discard the fill", e.Cache.Len())
+	const key = "delicious\x1ffood\x1fhere"
+	for gen := uint64(0); gen <= st.gen.Load(); gen++ {
+		if _, ok := e.Cache.Get(gen, key); ok {
+			t.Fatalf("cache holds a generation-%d entry; a generation bump under the decode must discard the fill", gen)
+		}
 	}
 
 	st.onDecode = nil
 	if _, err := e.ExtractTagsCtx(context.Background(), nil, "delicious food here"); err != nil {
 		t.Fatal(err)
 	}
-	if e.Cache.Len() != 1 {
-		t.Fatalf("cache has %d entries after stable-generation decode, want 1", e.Cache.Len())
+	if _, ok := e.Cache.Get(st.gen.Load(), key); !ok {
+		t.Fatal("the stable-generation decode was not cached")
 	}
 }

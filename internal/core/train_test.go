@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"saccs/internal/bert"
 	"saccs/internal/datasets"
 	"saccs/internal/lexicon"
 	"saccs/internal/mat"
@@ -36,9 +35,14 @@ func paramsFingerprint(ps []*nn.Param) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// trainServedFingerprint hashes the served recipe's encoder and tagger head.
+// TrainTagger keeps its encoder to itself, so the encoder is built again from
+// the same inputs: training is deterministic, and the head's weights, trained
+// on TrainTagger's own encoder, pin that encoder too.
 func trainServedFingerprint() string {
+	data := datasets.S1(datasets.Fast)
+	enc := BuildEncoder(EncoderOptsFor(datasets.Fast), lexicon.Restaurants(), Tokens(data.Train))
 	tg := TrainTagger(lexicon.Restaurants(), datasets.S1(datasets.Fast), datasets.Fast, true, 0.2, nn.Mixed, nil)
-	enc := tg.Encoder().(*bert.Model)
 	return paramsFingerprint(append(enc.Params(), tg.Params()...))
 }
 

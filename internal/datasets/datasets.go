@@ -135,45 +135,6 @@ func All(s Scale) []*Dataset {
 	return []*Dataset{S1(s), S2(s), S3(s), S4(s)}
 }
 
-// BuildVocab constructs a vocabulary covering a domain's lexicon, the
-// grammar's function words, the general MLM corpus, and every token observed
-// in the given examples.
-func BuildVocab(domain *lexicon.Domain, examples ...[]Example) *tokenize.Vocab {
-	v := tokenize.NewVocab()
-	v.AddAll(corpus.FunctionWords())
-	v.AddAll(corpus.GeneralVocabulary())
-	for _, f := range domain.Features {
-		for _, variant := range append(append(append([]string{}, f.AspectSyns...), f.PosOps...), f.NegOps...) {
-			v.AddAll(fieldsOf(variant))
-		}
-	}
-	for _, exs := range examples {
-		for _, ex := range exs {
-			v.AddAll(ex.Tokens)
-		}
-	}
-	return v
-}
-
-func fieldsOf(s string) []string {
-	var out []string
-	start := -1
-	for i, r := range s {
-		if r == ' ' {
-			if start >= 0 {
-				out = append(out, s[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
-		}
-	}
-	if start >= 0 {
-		out = append(out, s[start:])
-	}
-	return out
-}
-
 // PairingExample is one §6.4 benchmark item: a review sentence, a candidate
 // subjective tag ("delicious staff"), and whether the tag is a correct
 // extraction from the sentence.

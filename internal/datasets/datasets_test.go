@@ -73,22 +73,6 @@ func TestDatasetsDeterministic(t *testing.T) {
 	}
 }
 
-func TestBuildVocabCoversDataset(t *testing.T) {
-	d := S1(Fast)
-	v := BuildVocab(d.Domain, d.Train, d.Test)
-	unk := v.ID(tokenize.UnkToken)
-	for _, ex := range d.Train {
-		for _, tok := range ex.Tokens {
-			if v.ID(tok) == unk && tok != tokenize.UnkToken {
-				t.Fatalf("token %q not covered by vocab", tok)
-			}
-		}
-	}
-	if !v.Has("delicious") || !v.Has("the") {
-		t.Fatal("vocab missing lexicon/function words")
-	}
-}
-
 func TestPairingBenchmarkShape(t *testing.T) {
 	train, test := PairingBenchmark(Fast)
 	if len(train) == 0 {

@@ -225,3 +225,60 @@ func TestEpsilonSweepMatchesPaper(t *testing.T) {
 		}
 	}
 }
+
+// Get returns the row's score for a difficulty.
+func (r Table2Row) Get(d Difficulty) float64 {
+	switch d {
+	case Short:
+		return r.Short
+	case Medium:
+		return r.Medium
+	}
+	return r.Long
+}
+
+// Row returns the named system's row.
+func (r Table2Result) Row(system string) (Table2Row, bool) {
+	for _, row := range r.Rows {
+		if row.System == system {
+			return row, true
+		}
+	}
+	return Table2Row{}, false
+}
+
+// Row returns the row with the given model name.
+func (r Table4Result) Row(model string) (Table4Row, bool) {
+	for _, row := range r.Rows {
+		if row.Model == model {
+			return row, true
+		}
+	}
+	return Table4Row{}, false
+}
+
+// BestAdversarial returns, per dataset, the best F1 over the ε sweep.
+func (r Table4Result) BestAdversarial() [4]float64 {
+	var best [4]float64
+	for _, row := range r.Rows {
+		if len(row.Model) < 11 || row.Model[:11] != "Adversarial" {
+			continue
+		}
+		for i, f := range row.F1 {
+			if f > best[i] {
+				best[i] = f
+			}
+		}
+	}
+	return best
+}
+
+// Row returns the row with the given model name.
+func (r Table5Result) Row(model string) (Table5Row, bool) {
+	for _, row := range r.Rows {
+		if row.Model == model {
+			return row, true
+		}
+	}
+	return Table5Row{}, false
+}

@@ -83,30 +83,9 @@ type Table2Row struct {
 	Short, Medium, Long float64
 }
 
-// Get returns the row's score for a difficulty.
-func (r Table2Row) Get(d Difficulty) float64 {
-	switch d {
-	case Short:
-		return r.Short
-	case Medium:
-		return r.Medium
-	}
-	return r.Long
-}
-
 // Table2Result is the §6.2 comparison.
 type Table2Result struct {
 	Rows []Table2Row
-}
-
-// Row returns the named system's row.
-func (r Table2Result) Row(system string) (Table2Row, bool) {
-	for _, row := range r.Rows {
-		if row.System == system {
-			return row, true
-		}
-	}
-	return Table2Row{}, false
 }
 
 // Table2Options tunes the harness.

@@ -23,16 +23,6 @@ type Table4Result struct {
 	Rows     []Table4Row
 }
 
-// Row returns the row with the given model name.
-func (r Table4Result) Row(model string) (Table4Row, bool) {
-	for _, row := range r.Rows {
-		if row.Model == model {
-			return row, true
-		}
-	}
-	return Table4Row{}, false
-}
-
 // table4TaggerCfg returns the per-scale training recipe (paper: 15 epochs).
 func table4TaggerCfg(scale Scale) tagger.Config {
 	cfg := tagger.DefaultConfig()
@@ -131,20 +121,4 @@ func (r Table4Result) print(w io.Writer) {
 		}
 		fprintf(w, "\n")
 	}
-}
-
-// BestAdversarial returns, per dataset, the best F1 over the ε sweep.
-func (r Table4Result) BestAdversarial() [4]float64 {
-	var best [4]float64
-	for _, row := range r.Rows {
-		if len(row.Model) < 11 || row.Model[:11] != "Adversarial" {
-			continue
-		}
-		for i, f := range row.F1 {
-			if f > best[i] {
-				best[i] = f
-			}
-		}
-	}
-	return best
 }

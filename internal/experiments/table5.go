@@ -34,16 +34,6 @@ type Table5Result struct {
 	Heads []pairing.HeadScore
 }
 
-// Row returns the row with the given model name.
-func (r Table5Result) Row(model string) (Table5Row, bool) {
-	for _, row := range r.Rows {
-		if row.Model == model {
-			return row, true
-		}
-	}
-	return Table5Row{}, false
-}
-
 // Table5 reproduces the pairing evaluation: the seven labeling functions,
 // the majority-vote and probabilistic generative label models, and the
 // discriminative classifier trained on data-programming labels over the

@@ -95,21 +95,6 @@ func (c *Cache) Stats() (hits, misses, evictions int64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }
 
-// Len returns the number of live entries (any generation).
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	var n int
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // fnv32a over the key selects a shard.
 func shardOf(key string) uint32 {
 	var h uint32 = 2166136261

@@ -138,3 +138,18 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// Len returns the number of live entries (any generation).
+func (c *Cache) Len() int {
+	if c == nil {
+		return 0
+	}
+	var n int
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		n += len(sh.m)
+		sh.mu.Unlock()
+	}
+	return n
+}

@@ -31,9 +31,6 @@ type Builder struct {
 	// reviewWeight applies Eq. 1's log(|Re|+1) factor; disabling it is the
 	// ablation of the review-count weighting design choice.
 	reviewWeight bool
-	// frequencyAware scales degrees by the square root of the matched
-	// mention rate (mentions per review).
-	frequencyAware bool
 	// workers bounds the indexing worker pool; 0 means GOMAXPROCS.
 	workers int
 
@@ -46,10 +43,9 @@ type Builder struct {
 // on by default; the worker pool defaults to GOMAXPROCS.
 func NewBuilder(measure sim.Measure, thetaIndex float64) *Builder {
 	return &Builder{
-		measure:        measure,
-		thetaIndex:     thetaIndex,
-		reviewWeight:   true,
-		frequencyAware: true,
+		measure:      measure,
+		thetaIndex:   thetaIndex,
+		reviewWeight: true,
 	}
 }
 
@@ -74,13 +70,6 @@ func (b *Builder) SetReviewWeighting(on bool) {
 	b.mu.Unlock()
 }
 
-// SetFrequencyAware toggles the mention-rate factor (ablation knob).
-func (b *Builder) SetFrequencyAware(on bool) {
-	b.mu.Lock()
-	b.frequencyAware = on
-	b.mu.Unlock()
-}
-
 // SetWorkers bounds the indexing worker pool: batch builds fan out across
 // tags and single-tag builds across entity chunks with at most n goroutines.
 // n ≤ 0 restores the default (GOMAXPROCS); n = 1 forces serial indexing. The
@@ -97,12 +86,11 @@ func (b *Builder) SetWorkers(n int) {
 // degCfg is an immutable snapshot of the knobs Eq. 1 depends on, taken once
 // per indexing round so worker goroutines never race the Set* methods.
 type degCfg struct {
-	theta          float64
-	reviewWeight   bool
-	frequencyAware bool
-	workers        int
-	matchedCtr     *obs.Counter
-	conflictCtr    *obs.Counter
+	theta        float64
+	reviewWeight bool
+	workers      int
+	matchedCtr   *obs.Counter
+	conflictCtr  *obs.Counter
 }
 
 // config captures the indexing configuration under the lock.
@@ -114,12 +102,11 @@ func (b *Builder) config() degCfg {
 		w = runtime.GOMAXPROCS(0)
 	}
 	return degCfg{
-		theta:          b.thetaIndex,
-		reviewWeight:   b.reviewWeight,
-		frequencyAware: b.frequencyAware,
-		workers:        w,
-		matchedCtr:     b.matchedCtr,
-		conflictCtr:    b.conflictCtr,
+		theta:        b.thetaIndex,
+		reviewWeight: b.reviewWeight,
+		workers:      w,
+		matchedCtr:   b.matchedCtr,
+		conflictCtr:  b.conflictCtr,
 	}
 }
 
@@ -338,7 +325,7 @@ func degreeOfTruth(scores []mentionScore, mentioned []int32, e EntityReviews, cf
 	if contradicted > 0 {
 		deg *= float64(matched) / float64(matched+contradicted)
 	}
-	if cfg.frequencyAware && e.ReviewCount > 0 {
+	if e.ReviewCount > 0 {
 		// Mention-rate factor: a tag confirmed by most reviews is more
 		// certain than one confirmed once. The square root keeps Eq. 1's
 		// mean-similarity character dominant (see DESIGN.md §4 ablations).

@@ -39,13 +39,6 @@ func (h *History) SetCap(n int) {
 	h.evictLocked()
 }
 
-// Cap returns the configured bound (0 = unbounded).
-func (h *History) Cap() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.cap
-}
-
 // Add queues a tag once; duplicates and the empty tag are ignored. When the
 // cap is exceeded the oldest-seen tag is evicted.
 func (h *History) Add(tag string) {
@@ -93,19 +86,6 @@ func (h *History) Pending() []string {
 	return append([]string(nil), h.pending.items()...)
 }
 
-// Each calls f for every queued tag in arrival order without copying,
-// stopping early when f returns false. f must not call back into the
-// history (the lock is held).
-func (h *History) Each(f func(tag string) bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, t := range h.pending.items() {
-		if !f(t) {
-			return
-		}
-	}
-}
-
 // Drain returns and clears the queue (the seen-set persists so a drained
 // tag is not re-queued).
 func (h *History) Drain() []string {
@@ -136,13 +116,6 @@ func (h *History) Requeue(tags []string) {
 	if len(front) > 0 {
 		h.pending = tagQueue{s: append(front, h.pending.items()...)}
 	}
-}
-
-// Len returns the number of queued tags.
-func (h *History) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.pending.len()
 }
 
 // tagQueue is a FIFO of tags over one slice: pop advances a head index, and

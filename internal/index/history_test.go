@@ -177,3 +177,17 @@ func BenchmarkHistoryAddAtCap(b *testing.B) {
 		h.Add(tags[(limit+i)%len(tags)])
 	}
 }
+
+// Cap returns the configured bound (0 = unbounded).
+func (h *History) Cap() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.cap
+}
+
+// Len returns the number of queued tags.
+func (h *History) Len() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.pending.len()
+}

@@ -110,10 +110,6 @@ func New(measure sim.Measure, thetaIndex float64) *Index {
 // request for a consistent, lock-free view.
 func (ix *Index) Current() *Snapshot { return ix.snap.Load() }
 
-// Builder exposes the write side (for advanced callers that compute posting
-// lists themselves; most should use Build/AddTag).
-func (ix *Index) Builder() *Builder { return ix.b }
-
 // SetObserver attaches runtime observability: indexing rounds record build
 // latency, worker count, and tag/entry counts; lookups record resolution
 // latency and exact-vs-similar hit counters. Call before concurrent use; a
@@ -142,9 +138,6 @@ func (ix *Index) SetObserver(o *obs.Observer) {
 // SetReviewWeighting toggles Eq. 1's log(|Re|+1) factor (ablation knob).
 // It affects subsequent builds only.
 func (ix *Index) SetReviewWeighting(on bool) { ix.b.SetReviewWeighting(on) }
-
-// SetFrequencyAware toggles the mention-rate factor (ablation knob).
-func (ix *Index) SetFrequencyAware(on bool) { ix.b.SetFrequencyAware(on) }
 
 // SetWorkers bounds the indexing worker pool; see Builder.SetWorkers.
 func (ix *Index) SetWorkers(n int) { ix.b.SetWorkers(n) }
@@ -248,15 +241,6 @@ func (ix *Index) Has(tag string) bool { return ix.Current().Has(tag) }
 // Tags returns the index keys in insertion order (a copy; the query path
 // should prefer EachTag, which does not allocate).
 func (ix *Index) Tags() []string { return ix.Current().Tags() }
-
-// EachTag calls f for every index key in insertion order, stopping early
-// when f returns false. The iteration is over one pinned snapshot, so f may
-// call back into the index freely (nothing is locked).
-func (ix *Index) EachTag(f func(tag string) bool) { ix.Current().EachTag(f) }
-
-// EachEntry calls f for every posting of an exact index tag in degree order,
-// stopping early when f returns false. Unlike Lookup it performs no copy.
-func (ix *Index) EachEntry(tag string, f func(Entry) bool) { ix.Current().EachEntry(tag, f) }
 
 // Len returns the number of indexed tags.
 func (ix *Index) Len() int { return ix.Current().Len() }

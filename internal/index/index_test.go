@@ -74,8 +74,9 @@ func TestReviewCountWeighting(t *testing.T) {
 }
 
 func TestFrequencyFactorAblation(t *testing.T) {
-	// With the mention-rate factor off, a single confirmation in 50 reviews
-	// scores as well as 25 confirmations; with it on, it must not.
+	// Eq. 1 alone scores a single confirmation in 50 reviews as well as 25
+	// confirmations; the mention-rate factor √(matched/|Re|) must separate
+	// them by exactly its own ratio, √(25/1).
 	es := []EntityReviews{
 		{EntityID: "sparse", ReviewCount: 50, Tags: []string{"good food"}},
 		{EntityID: "dense", ReviewCount: 50, Tags: func() []string {
@@ -86,18 +87,14 @@ func TestFrequencyFactorAblation(t *testing.T) {
 			return out
 		}()},
 	}
-	on := testIndex()
-	on.AddTag("good food", es)
-	got := on.Lookup("good food")
-	if got[0].EntityID != "dense" || got[0].Degree <= got[1].Degree {
+	ix := testIndex()
+	ix.AddTag("good food", es)
+	got := ix.Lookup("good food")
+	if len(got) != 2 || got[0].EntityID != "dense" || got[0].Degree <= got[1].Degree {
 		t.Fatalf("frequency factor should favor dense confirmation: %v", got)
 	}
-	off := testIndex()
-	off.SetFrequencyAware(false)
-	off.AddTag("good food", es)
-	got = off.Lookup("good food")
-	if len(got) != 2 || got[0].Degree != got[1].Degree {
-		t.Fatalf("without the factor both score Eq. 1 equally: %v", got)
+	if ratio := got[0].Degree / got[1].Degree; math.Abs(ratio-5) > 1e-9 {
+		t.Fatalf("degree ratio %v, want 5: the factor is not the only difference", ratio)
 	}
 }
 

@@ -165,16 +165,6 @@ func (s *Snapshot) EachTag(f func(tag string) bool) {
 	}
 }
 
-// EachEntry calls f for every posting of an exact index tag in degree order,
-// stopping early when f returns false. Unlike Lookup it performs no copy.
-func (s *Snapshot) EachEntry(tag string, f func(Entry) bool) {
-	for _, e := range s.tags[tag].entries {
-		if !f(e) {
-			return
-		}
-	}
-}
-
 // Lookup returns the posting list for an exact index tag (copy).
 func (s *Snapshot) Lookup(tag string) []Entry {
 	return append([]Entry(nil), s.tags[tag].entries...)

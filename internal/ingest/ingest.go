@@ -435,21 +435,6 @@ func (g *Ingester) publishLocked(ctx context.Context) error {
 
 func ckptName(seq uint64) string { return fmt.Sprintf("state-%016x.ckpt", seq) }
 
-// Compact folds the ingested state into one durable artifact: an
-// entity-state checkpoint at the published watermark, after which every
-// WAL segment at or below the watermark is removed. Pending (unpublished)
-// reviews stay in the WAL. A crash anywhere during compaction recovers,
-// because the checkpoint is made durable (tmp + sync + rename + directory
-// sync) before anything is deleted.
-func (g *Ingester) Compact() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return fmt.Errorf("ingest: ingester is closed")
-	}
-	return g.compactLocked()
-}
-
 func (g *Ingester) compactLocked() error {
 	g.sinceCompact = 0
 	if g.cfg.Dir == "" {
@@ -726,20 +711,6 @@ func (g *Ingester) vocabularyPublished() bool {
 	return true
 }
 
-// Published returns the watermark of the last published generation.
-func (g *Ingester) Published() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.published
-}
-
-// Pending returns how many acknowledged reviews await publication.
-func (g *Ingester) Pending() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.pending)
-}
-
 // State returns a copy of the accumulated entity state in arrival order —
 // the exact input a batch build of the streamed world would receive.
 func (g *Ingester) State() []index.EntityReviews {
@@ -755,13 +726,6 @@ func (g *Ingester) State() []index.EntityReviews {
 		})
 	}
 	return out
-}
-
-// Tags returns the indexed tag list deltas are computed over.
-func (g *Ingester) Tags() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]string(nil), g.tags...)
 }
 
 // AddTags extends the indexed tag list (the Fig. 1 adaptive loop feeding

@@ -627,3 +627,39 @@ func TestLegacyStackFilesIgnoredAndCleaned(t *testing.T) {
 		t.Fatalf("close 2: %v", err)
 	}
 }
+
+// Compact folds the ingested state into one durable artifact: an
+// entity-state checkpoint at the published watermark, after which every
+// WAL segment at or below the watermark is removed. Pending (unpublished)
+// reviews stay in the WAL. A crash anywhere during compaction recovers,
+// because the checkpoint is made durable (tmp + sync + rename + directory
+// sync) before anything is deleted.
+func (g *Ingester) Compact() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.closed {
+		return fmt.Errorf("ingest: ingester is closed")
+	}
+	return g.compactLocked()
+}
+
+// Published returns the watermark of the last published generation.
+func (g *Ingester) Published() uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.published
+}
+
+// Pending returns how many acknowledged reviews await publication.
+func (g *Ingester) Pending() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.pending)
+}
+
+// Tags returns the indexed tag list deltas are computed over.
+func (g *Ingester) Tags() []string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]string(nil), g.tags...)
+}

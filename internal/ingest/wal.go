@@ -586,13 +586,6 @@ func (w *WAL) TruncateTo(watermark uint64) error {
 	return nil
 }
 
-// SegmentCount returns the number of live segment files.
-func (w *WAL) SegmentCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.segs)
-}
-
 // Close seals the log (final sync) and releases the open segment.
 func (w *WAL) Close() error {
 	w.mu.Lock()

@@ -282,3 +282,10 @@ func TestWALRejectsOversizeAndEmptyEntity(t *testing.T) {
 		t.Fatalf("normal append after rejections: %v", err)
 	}
 }
+
+// SegmentCount returns the number of live segment files.
+func (w *WAL) SegmentCount() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.segs)
+}

@@ -138,18 +138,3 @@ func ExpandQuery(tags []string) []WeightedTerm {
 	sort.Slice(terms, func(i, j int) bool { return terms[i].Term < terms[j].Term })
 	return terms
 }
-
-// PlainQuery is the expansion-free variant for ablations.
-func PlainQuery(tags []string) []WeightedTerm {
-	seen := map[string]bool{}
-	var terms []WeightedTerm
-	for _, tag := range tags {
-		for _, w := range tokenize.Words(tag) {
-			if !seen[w] {
-				seen[w] = true
-				terms = append(terms, WeightedTerm{Term: w, Weight: 1})
-			}
-		}
-	}
-	return terms
-}

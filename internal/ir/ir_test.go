@@ -115,3 +115,18 @@ func TestIRNegationBlind(t *testing.T) {
 		t.Fatal("keyword IR must (wrongly) match negated mentions — that's the point of the baseline")
 	}
 }
+
+// PlainQuery is the expansion-free variant for ablations.
+func PlainQuery(tags []string) []WeightedTerm {
+	seen := map[string]bool{}
+	var terms []WeightedTerm
+	for _, tag := range tags {
+		for _, w := range tokenize.Words(tag) {
+			if !seen[w] {
+				seen[w] = true
+				terms = append(terms, WeightedTerm{Term: w, Weight: 1})
+			}
+		}
+	}
+	return terms
+}

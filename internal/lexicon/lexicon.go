@@ -40,37 +40,6 @@ type Domain struct {
 	Entities []string
 }
 
-// FeatureByName returns the feature whose canonical tag equals name.
-func (d *Domain) FeatureByName(name string) (Feature, bool) {
-	for _, f := range d.Features {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return Feature{}, false
-}
-
-// AspectVariants returns every aspect surface form of every feature, deduped.
-func (d *Domain) AspectVariants() []string {
-	return dedup(d.collect(func(f Feature) []string { return f.AspectSyns }))
-}
-
-// OpinionVariants returns every opinion surface form (positive and negative).
-func (d *Domain) OpinionVariants() []string {
-	return dedup(d.collect(func(f Feature) []string {
-		out := append([]string(nil), f.PosOps...)
-		return append(out, f.NegOps...)
-	}))
-}
-
-func (d *Domain) collect(get func(Feature) []string) []string {
-	var out []string
-	for _, f := range d.Features {
-		out = append(out, get(f)...)
-	}
-	return out
-}
-
 func dedup(in []string) []string {
 	seen := make(map[string]bool, len(in))
 	out := in[:0]

@@ -218,3 +218,47 @@ func TestTaxonomyHas(t *testing.T) {
 		t.Fatal("unknown concept reported present")
 	}
 }
+
+// FeatureByName returns the feature whose canonical tag equals name.
+func (d *Domain) FeatureByName(name string) (Feature, bool) {
+	for _, f := range d.Features {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return Feature{}, false
+}
+
+// AspectVariants returns every aspect surface form of every feature, deduped.
+func (d *Domain) AspectVariants() []string {
+	return dedup(d.collect(func(f Feature) []string { return f.AspectSyns }))
+}
+
+// OpinionVariants returns every opinion surface form (positive and negative).
+func (d *Domain) OpinionVariants() []string {
+	return dedup(d.collect(func(f Feature) []string {
+		out := append([]string(nil), f.PosOps...)
+		return append(out, f.NegOps...)
+	}))
+}
+
+// Has reports whether the taxonomy knows concept c (as a child or a parent).
+func (t *Taxonomy) Has(c string) bool {
+	if _, ok := t.parent[c]; ok {
+		return true
+	}
+	for _, p := range t.parent {
+		if p == c {
+			return true
+		}
+	}
+	return false
+}
+
+func (d *Domain) collect(get func(Feature) []string) []string {
+	var out []string
+	for _, f := range d.Features {
+		out = append(out, get(f)...)
+	}
+	return out
+}

@@ -159,19 +159,6 @@ func (t *Taxonomy) WuPalmer(a, b string) float64 {
 	return 2 * float64(dl) / denom
 }
 
-// Has reports whether the taxonomy knows concept c (as a child or a parent).
-func (t *Taxonomy) Has(c string) bool {
-	if _, ok := t.parent[c]; ok {
-		return true
-	}
-	for _, p := range t.parent {
-		if p == c {
-			return true
-		}
-	}
-	return false
-}
-
 // DefaultTaxonomy builds the built-in concept graph from all three domains:
 // every aspect variant IS-A its feature's canonical aspect, every opinion
 // variant IS-A its feature's canonical opinion, canonical opinions of the

@@ -15,13 +15,6 @@ type Vec []float64
 // NewVec returns a zero vector of length n.
 func NewVec(n int) Vec { return make(Vec, n) }
 
-// Clone returns a copy of v.
-func (v Vec) Clone() Vec {
-	out := make(Vec, len(v))
-	copy(out, v)
-	return out
-}
-
 // Zero sets every element of v to 0.
 func (v Vec) Zero() {
 	for i := range v {
@@ -192,22 +185,6 @@ func (m *Mat) Zero() {
 	}
 }
 
-// Add adds o into m element-wise.
-func (m *Mat) Add(o *Mat) {
-	m.checkSameShape(o)
-	for i, x := range o.Data {
-		m.Data[i] += x
-	}
-}
-
-// AddScaled adds s*o into m.
-func (m *Mat) AddScaled(s float64, o *Mat) {
-	m.checkSameShape(o)
-	for i, x := range o.Data {
-		m.Data[i] += s * x
-	}
-}
-
 // Scale multiplies every element of m by s. It is element-wise — one
 // multiply per element — so its vector path is bit-identical to the loop.
 func (m *Mat) Scale(s float64) { scaleFast(m.Data, s) }
@@ -271,12 +248,6 @@ func (m *Mat) AddOuter(u, v Vec) {
 		for j, vj := range v {
 			row[j] += ui * vj
 		}
-	}
-}
-
-func (m *Mat) checkSameShape(o *Mat) {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic(fmt.Sprintf("mat: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 }
 

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -298,4 +299,25 @@ func matMul(a, b *Mat) *Mat {
 	out := NewMat(a.Rows, b.Cols)
 	MatMulInto(out, a, b)
 	return out
+}
+
+// Clone returns a copy of v.
+func (v Vec) Clone() Vec {
+	out := make(Vec, len(v))
+	copy(out, v)
+	return out
+}
+
+// Add adds o into m element-wise.
+func (m *Mat) Add(o *Mat) {
+	m.checkSameShape(o)
+	for i, x := range o.Data {
+		m.Data[i] += x
+	}
+}
+
+func (m *Mat) checkSameShape(o *Mat) {
+	if m.Rows != o.Rows || m.Cols != o.Cols {
+		panic(fmt.Sprintf("mat: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
+	}
 }

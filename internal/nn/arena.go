@@ -160,15 +160,6 @@ func (a *Arena) Mat32Raw(rows, cols int) *mat.Mat32 {
 	return m
 }
 
-// Mat32 returns a zeroed rows×cols float32 matrix backed by the arena.
-func (a *Arena) Mat32(rows, cols int) *mat.Mat32 {
-	m := a.Mat32Raw(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-	return m
-}
-
 // grow picks the next backing-array size: doubled, at least min, and always
 // enough for the pending request.
 func grow(cur, need, min int) int {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestLinearGradCheck(t *testing.T) {
 		return 0.5 * y.Dot(y)
 	}
 	y := l.Forward(x)
-	dy := y.Clone()
+	dy := slices.Clone(y)
 	dy.AddScaled(-1, target)
 	ZeroGrads(l.Params())
 	dx := l.Backward(x, dy)
@@ -72,7 +73,7 @@ func TestLinearGradCheck(t *testing.T) {
 func seqLoss(y *mat.Mat, targets []mat.Vec) float64 {
 	var s float64
 	for i, tg := range targets {
-		d := y.Row(i).Clone()
+		d := slices.Clone(y.Row(i))
 		d.AddScaled(-1, tg)
 		s += 0.5 * d.Dot(d)
 	}
@@ -353,9 +354,9 @@ func TestSoftmaxCE(t *testing.T) {
 	}
 	// Finite-difference check.
 	for i := range logits {
-		x := logits.Clone()
+		x := slices.Clone(logits)
 		want := numGrad(func() float64 {
-			return SoftmaxCE(x.Clone(), x, 0)
+			return SoftmaxCE(slices.Clone(x), x, 0)
 		}, &x[i])
 		if relErr(d[i], want) > 1e-6 {
 			t.Fatalf("dlogits[%d]: got %v want %v", i, d[i], want)
@@ -492,7 +493,7 @@ func TestActivationGradients(t *testing.T) {
 	dx := mat.NewVec(len(x))
 	GELUBackwardInto(dx, x, dy)
 	for i := range x {
-		xi := x.Clone()
+		xi := slices.Clone(x)
 		want := numGrad(func() float64 {
 			return geluVec(xi)[i] * dy[i]
 		}, &xi[i])

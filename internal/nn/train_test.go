@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -158,7 +159,7 @@ func TestBiLSTMMatchesPerToken(t *testing.T) {
 			dxB := refLSTMBackward(ref.Bwd, bSteps, dB)
 			want := make([]mat.Vec, n)
 			for i := range want {
-				v := dxF[i].Clone()
+				v := slices.Clone(dxF[i])
 				v.Add(dxB[n-1-i])
 				want[i] = v
 			}
@@ -201,7 +202,7 @@ func refBiLSTMForward(b *BiLSTM, xs []mat.Vec) []mat.Vec {
 	bh, _ := refLSTMForward(b.Bwd, rev)
 	out := make([]mat.Vec, n)
 	for i := range out {
-		out[i] = append(fh[i].Clone(), bh[n-1-i]...)
+		out[i] = append(slices.Clone(fh[i]), bh[n-1-i]...)
 	}
 	return out
 }
@@ -228,7 +229,7 @@ func refLSTMForward(l *LSTM, xs []mat.Vec) ([]mat.Vec, []refStep) {
 		z.Add(tmp)
 		z.Add(l.B.W.Row(0))
 		st := refStep{
-			x: x, hPrev: h.Clone(), cPrev: c.Clone(),
+			x: x, hPrev: slices.Clone(h), cPrev: slices.Clone(c),
 			i: mat.NewVec(l.Hidden), f: mat.NewVec(l.Hidden),
 			g: mat.NewVec(l.Hidden), o: mat.NewVec(l.Hidden),
 			c: mat.NewVec(l.Hidden), tc: mat.NewVec(l.Hidden),
@@ -241,12 +242,12 @@ func refLSTMForward(l *LSTM, xs []mat.Vec) ([]mat.Vec, []refStep) {
 			st.c[j] = st.f[j]*st.cPrev[j] + st.i[j]*st.g[j]
 			st.tc[j] = math.Tanh(st.c[j])
 		}
-		c = st.c.Clone()
+		c = slices.Clone(st.c)
 		h = mat.NewVec(l.Hidden)
 		for j := 0; j < l.Hidden; j++ {
 			h[j] = st.o[j] * st.tc[j]
 		}
-		hs[t] = h.Clone()
+		hs[t] = slices.Clone(h)
 		steps[t] = st
 	}
 	return hs, steps
@@ -262,9 +263,9 @@ func refLSTMBackward(l *LSTM, steps []refStep, dhs []mat.Vec) []mat.Vec {
 	dz := mat.NewVec(4 * l.Hidden)
 	for t := n - 1; t >= 0; t-- {
 		st := steps[t]
-		dh := dhs[t].Clone()
+		dh := slices.Clone(dhs[t])
 		dh.Add(dhNext)
-		dc := dcNext.Clone()
+		dc := slices.Clone(dcNext)
 		for j := 0; j < l.Hidden; j++ {
 			do := dh[j] * st.tc[j]
 			dtc := dh[j] * st.o[j] * (1 - st.tc[j]*st.tc[j])

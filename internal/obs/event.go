@@ -243,14 +243,6 @@ func (r *Request) Root() *Span {
 	return &r.root
 }
 
-// Trace returns the request's trace identity (zero without telemetry).
-func (r *Request) Trace() Trace {
-	if r == nil {
-		return Trace{}
-	}
-	return r.trace
-}
-
 // addStage adds one run of stage i, lasting d, to the request's stage sums.
 func (r *Request) addStage(i int, d time.Duration) {
 	if i >= 0 {

@@ -1,8 +1,8 @@
 // Package obs is the runtime observability subsystem: per-request span trees
-// delivered to a pluggable sink (a generic in-memory Ring and a generic JSONL
-// writer, each serving spans and wide events alike); a registry of atomic
-// counters, gauges and one log-linear latency Histogram type, exported to
-// Prometheus as p50/p90/p99/p999 summaries; request-scoped telemetry (wide
+// delivered to a pluggable sink (the generic in-memory Ring serves spans and
+// wide events alike); a registry of atomic counters, gauges and one
+// log-linear latency Histogram type, exported to Prometheus as
+// p50/p90/p99/p999 summaries; request-scoped telemetry (wide
 // events, the slow-query log, readiness); and ObserverMux, which serves all
 // of it plus /debug/pprof over net/http.
 //

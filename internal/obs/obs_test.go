@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -236,5 +237,19 @@ func TestServeMetricsAndPprof(t *testing.T) {
 	}
 	if body := get("/debug/pprof/cmdline"); body == "" {
 		t.Fatal("pprof cmdline empty")
+	}
+}
+
+// Add moves the gauge by delta.
+func (g *Gauge) Add(delta float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		next := math.Float64bits(math.Float64frombits(old) + delta)
+		if g.bits.CompareAndSwap(old, next) {
+			return
+		}
 	}
 }

@@ -89,3 +89,11 @@ func TestRequestWithoutSinkAllocs(t *testing.T) {
 		t.Fatalf("a request with no sink allocates %v times, want <= 4", allocs)
 	}
 }
+
+// Trace returns the request's trace identity (zero without telemetry).
+func (r *Request) Trace() Trace {
+	if r == nil {
+		return Trace{}
+	}
+	return r.trace
+}

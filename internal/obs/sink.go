@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
+import "sync"
 
 // Ring keeps the most recent values in a fixed-size in-memory buffer. A
 // Ring[SpanRecord] is a SpanSink (the :trace view of cmd/saccs-chat); a
@@ -43,24 +39,4 @@ func (r *Ring[T]) All() []T {
 	out := make([]T, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	return append(out, r.buf[:r.next]...)
-}
-
-// JSONL appends one JSON object per recorded value to a writer. A
-// JSONL[SpanRecord] is a SpanSink.
-type JSONL[T any] struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-// NewJSONL returns a sink streaming values to w as JSON lines.
-func NewJSONL[T any](w io.Writer) *JSONL[T] {
-	return &JSONL[T]{enc: json.NewEncoder(w)}
-}
-
-// Record writes one value as a JSON line; encoding errors are dropped (a
-// telemetry sink must never fail the operation it describes).
-func (s *JSONL[T]) Record(v T) {
-	s.mu.Lock()
-	_ = s.enc.Encode(v)
-	s.mu.Unlock()
 }

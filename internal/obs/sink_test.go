@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -184,4 +185,24 @@ func TestJSONLSinkConcurrentRecords(t *testing.T) {
 	if len(seen) != writers*perWriter {
 		t.Fatalf("got %d intact lines, want %d", len(seen), writers*perWriter)
 	}
+}
+
+// JSONL appends one JSON object per recorded value to a writer. A
+// JSONL[SpanRecord] is a SpanSink.
+type JSONL[T any] struct {
+	mu  sync.Mutex
+	enc *json.Encoder
+}
+
+// NewJSONL returns a sink streaming values to w as JSON lines.
+func NewJSONL[T any](w io.Writer) *JSONL[T] {
+	return &JSONL[T]{enc: json.NewEncoder(w)}
+}
+
+// Record writes one value as a JSON line; encoding errors are dropped (a
+// telemetry sink must never fail the operation it describes).
+func (s *JSONL[T]) Record(v T) {
+	s.mu.Lock()
+	_ = s.enc.Encode(v)
+	s.mu.Unlock()
 }

@@ -25,8 +25,8 @@ func (t TraceID) String() string {
 	return fmt.Sprintf("%016x%016x", t.Hi, t.Lo)
 }
 
-// MarshalText renders the ID as hex, so JSON wide events and JSONL span
-// records carry "4bf92f3577b34da6a3ce929d0e0e4736"-style strings.
+// MarshalText renders the ID as hex, so JSON wide events and span records
+// carry "4bf92f3577b34da6a3ce929d0e0e4736"-style strings.
 func (t TraceID) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
 
 // UnmarshalText parses the 32-hex-digit form written by MarshalText. Unlike
@@ -143,18 +143,6 @@ func nextSpanID() uint64 {
 // sampled.
 func NewTrace() Trace {
 	return Trace{TraceID: NewTraceID(), SpanID: SpanID(nextSpanID())}
-}
-
-// Traceparent serializes the trace in the W3C trace-context traceparent
-// form: "00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>", with flag
-// bit 0 carrying Sampled. saccs-server accepts this header, so a caller's
-// trace and the client's wide events share one trace ID.
-func (tr Trace) Traceparent() string {
-	flags := "00"
-	if tr.Sampled {
-		flags = "01"
-	}
-	return "00-" + tr.TraceID.String() + "-" + tr.SpanID.String() + "-" + flags
 }
 
 // ParseTraceparent parses a W3C traceparent string, rejecting malformed

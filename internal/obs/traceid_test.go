@@ -114,3 +114,15 @@ func TestContextWithTrace(t *testing.T) {
 		t.Fatalf("TraceFrom: %+v, %v; want %+v", got, ok, tr)
 	}
 }
+
+// Traceparent serializes the trace in the W3C trace-context traceparent
+// form: "00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>", with flag
+// bit 0 carrying Sampled. saccs-server accepts this header, so a caller's
+// trace and the client's wide events share one trace ID.
+func (tr Trace) Traceparent() string {
+	flags := "00"
+	if tr.Sampled {
+		flags = "01"
+	}
+	return "00-" + tr.TraceID.String() + "-" + tr.SpanID.String() + "-" + flags
+}

@@ -12,7 +12,7 @@ type Tag uint8
 
 // The coarse tag set.
 const (
-	Other Tag = iota
+	other Tag = iota
 	Det
 	Noun
 	Verb

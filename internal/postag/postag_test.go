@@ -67,7 +67,7 @@ func TestEmptyAndWeird(t *testing.T) {
 }
 
 func TestTagStrings(t *testing.T) {
-	for _, tag := range []Tag{Other, Det, Noun, Verb, Adj, Adv, Conj, Prep, Pron, Punct, Num} {
+	for _, tag := range []Tag{other, Det, Noun, Verb, Adj, Adv, Conj, Prep, Pron, Punct, Num} {
 		if tag.String() == "" {
 			t.Fatalf("empty name for %d", tag)
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"saccs/internal/index"
+	"saccs/internal/obs"
 	"saccs/internal/race"
 	"saccs/internal/sim"
 )
@@ -306,4 +307,10 @@ func TestRankRepeatedUnknownTag(t *testing.T) {
 			t.Fatalf("%+v, want %+v", s, want)
 		}
 	}
+}
+
+// RankCtx is TopK unbounded over apiResults resolved against r.Snap: the
+// full total order over apiResults.
+func (r *Ranker) RankCtx(ctx context.Context, parent *obs.Span, apiResults []string, tags []string) ([]Scored, error) {
+	return r.TopK(ctx, parent, NewCandidates(r.Snap, apiResults), tags, 0)
 }

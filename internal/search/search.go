@@ -196,18 +196,13 @@ func (c Candidates) Generation() uint64 { return c.gen }
 // entities.
 var ErrStaleCandidates = errors.New("search: candidates resolved against another index generation")
 
-// Rank is RankCtx without tracing or cancellation.
+// Rank is TopK unbounded over apiResults resolved against r.Snap, without
+// tracing or cancellation: the full total order over apiResults.
 func (r *Ranker) Rank(apiResults []string, tags []string) []Scored {
 	// context.Background is never cancelled and the candidates are resolved
 	// against r.Snap, so the error path is dead.
 	out, _ := r.TopK(context.Background(), nil, NewCandidates(r.Snap, apiResults), tags, 0)
 	return out
-}
-
-// RankCtx is TopK unbounded over apiResults resolved against r.Snap: the
-// full total order over apiResults.
-func (r *Ranker) RankCtx(ctx context.Context, parent *obs.Span, apiResults []string, tags []string) ([]Scored, error) {
-	return r.TopK(ctx, parent, NewCandidates(r.Snap, apiResults), tags, 0)
 }
 
 // TopK executes lines 6–12 of Algorithm 1 and returns the first k results

@@ -52,8 +52,7 @@ type Server struct {
 	drained atomic.Bool
 }
 
-// New assembles the serving mux over c. Start opens the listener; Handler
-// exposes the mux directly for in-process tests.
+// New assembles the serving mux over c. Start opens the listener.
 func New(c *saccs.Client, cfg Config) *Server {
 	if cfg.Addr == "" {
 		cfg.Addr = ":0"
@@ -72,9 +71,6 @@ func New(c *saccs.Client, cfg Config) *Server {
 	s.mux.HandleFunc("/v1/reindex", s.post(s.write(s.handleReindex)))
 	return s
 }
-
-// Handler returns the full serving mux (API + observability endpoints).
-func (s *Server) Handler() http.Handler { return s.mux }
 
 // Start opens the listener synchronously: when it returns nil the server is
 // accepting connections and Addr reports the resolved bound address.

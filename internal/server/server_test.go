@@ -166,7 +166,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if got := w.Header().Get("traceparent"); got != tp {
 		t.Fatalf("response traceparent = %q, want %q", got, tp)
 	}
-	events := testClient(t).Events()
+	events := testClient(t).Observer().Telemetry().Events()
 	if len(events) == 0 {
 		t.Fatal("no wide events recorded")
 	}
@@ -338,3 +338,6 @@ func TestShutdownDrainsAndSealsWrites(t *testing.T) {
 	c.Shutdown()
 	refused(New(c, Config{}), saccs.ErrShutdown.Error())
 }
+
+// Handler returns the full serving mux (API + observability endpoints).
+func (s *Server) Handler() http.Handler { return s.mux }

@@ -93,10 +93,6 @@ type Generative struct {
 	Prior float64
 }
 
-// Acc returns LF j's balanced accuracy (mean of sensitivity and
-// specificity), a convenient scalar summary.
-func (g *Generative) Acc(j int) float64 { return (g.Sens[j] + g.Spec[j]) / 2 }
-
 // FitGenerative runs EM on the vote matrix for the given iterations.
 func FitGenerative(votes [][]Vote, iters int) (*Generative, error) {
 	if len(votes) == 0 {

@@ -161,3 +161,7 @@ func TestGenerativePosteriorMonotonicInVotes(t *testing.T) {
 		t.Fatalf("posterior must increase with positive votes: %v %v %v %v", p0, p1, p2, p3)
 	}
 }
+
+// Acc returns LF j's balanced accuracy (mean of sensitivity and
+// specificity), a convenient scalar summary.
+func (g *Generative) Acc(j int) float64 { return (g.Sens[j] + g.Spec[j]) / 2 }

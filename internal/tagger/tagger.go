@@ -170,9 +170,6 @@ func New(enc Encoder, cfg Config) *Model {
 // equal generations as "bit-identical weights".
 func (m *Model) Generation() uint64 { return m.gen.Load() }
 
-// Encoder returns the encoder the tagger reads its embeddings from.
-func (m *Model) Encoder() Encoder { return m.enc }
-
 // Params returns the trainable tensors (the encoder stays frozen).
 func (m *Model) Params() []*nn.Param {
 	ps := m.bilstm.Params()

@@ -2,10 +2,13 @@ package tagger
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"saccs/internal/bert"
+	"saccs/internal/corpus"
 	"saccs/internal/datasets"
+	"saccs/internal/lexicon"
 	"saccs/internal/tokenize"
 )
 
@@ -13,7 +16,7 @@ import (
 // frozen random contextual features are enough for the head to learn on.
 func testEncoder(t *testing.T, d *datasets.Dataset) *bert.Model {
 	t.Helper()
-	v := datasets.BuildVocab(d.Domain, d.Train, d.Test)
+	v := buildVocab(d.Domain, d.Train, d.Test)
 	cfg := bert.Config{Layers: 1, Heads: 2, Dim: 24, FFDim: 32, MaxLen: 40}
 	return bert.New(rand.New(rand.NewSource(5)), cfg, v)
 }
@@ -196,5 +199,41 @@ func TestTrainDeterministic(t *testing.T) {
 	lossB := b.Train(train)
 	if lossA != lossB {
 		t.Fatalf("training must be deterministic: %v vs %v", lossA, lossB)
+	}
+}
+
+// buildVocab constructs a vocabulary covering a domain's lexicon, the
+// grammar's function words, the general MLM corpus, and every token observed
+// in the given examples.
+func buildVocab(domain *lexicon.Domain, examples ...[]datasets.Example) *tokenize.Vocab {
+	v := tokenize.NewVocab()
+	v.AddAll(corpus.FunctionWords())
+	v.AddAll(corpus.GeneralVocabulary())
+	for _, f := range domain.Features {
+		for _, variant := range append(append(append([]string{}, f.AspectSyns...), f.PosOps...), f.NegOps...) {
+			v.AddAll(strings.Fields(variant))
+		}
+	}
+	for _, exs := range examples {
+		for _, ex := range exs {
+			v.AddAll(ex.Tokens)
+		}
+	}
+	return v
+}
+
+func TestBuildVocabCoversDataset(t *testing.T) {
+	d := datasets.S1(datasets.Fast)
+	v := buildVocab(d.Domain, d.Train, d.Test)
+	unk := v.ID(tokenize.UnkToken)
+	for _, ex := range d.Train {
+		for _, tok := range ex.Tokens {
+			if v.ID(tok) == unk && tok != tokenize.UnkToken {
+				t.Fatalf("token %q not covered by vocab", tok)
+			}
+		}
+	}
+	if v.ID("delicious") == unk || v.ID("the") == unk {
+		t.Fatal("vocab missing lexicon/function words")
 	}
 }

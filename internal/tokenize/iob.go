@@ -33,23 +33,6 @@ func (l Label) String() string {
 	return fmt.Sprintf("Label(%d)", uint8(l))
 }
 
-// ParseLabel converts an IOB name to a Label.
-func ParseLabel(s string) (Label, error) {
-	switch s {
-	case "O":
-		return O, nil
-	case "B-AS":
-		return BAS, nil
-	case "I-AS":
-		return IAS, nil
-	case "B-OP":
-		return BOP, nil
-	case "I-OP":
-		return IOP, nil
-	}
-	return O, fmt.Errorf("tokenize: unknown IOB label %q", s)
-}
-
 // ValidTransition reports whether label b may follow label a in a well-formed
 // IOB sequence: I-AS must follow B-AS or I-AS, and I-OP must follow B-OP or
 // I-OP (the dependency the CRF layer is there to learn, §4.1).
@@ -88,9 +71,6 @@ type Span struct {
 	Kind       SpanKind
 	Start, End int
 }
-
-// Len returns the number of tokens covered by s.
-func (s Span) Len() int { return s.End - s.Start }
 
 // Text joins the covered tokens with spaces.
 func (s Span) Text(tokens []string) string {
@@ -144,24 +124,4 @@ func Spans(labels []Label) []Span {
 	}
 	close()
 	return spans
-}
-
-// LabelsFromSpans builds an IOB sequence of length n from chunks. Overlapping
-// spans are applied in order, later spans overwriting earlier ones.
-func LabelsFromSpans(n int, spans []Span) []Label {
-	labels := make([]Label, n)
-	for _, sp := range spans {
-		b, i := BAS, IAS
-		if sp.Kind == OpinionSpan {
-			b, i = BOP, IOP
-		}
-		for t := sp.Start; t < sp.End && t < n; t++ {
-			if t == sp.Start {
-				labels[t] = b
-			} else {
-				labels[t] = i
-			}
-		}
-	}
-	return labels
 }

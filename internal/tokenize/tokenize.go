@@ -107,20 +107,6 @@ func (v *Vocab) ID(token string) int {
 	return v.ids[UnkToken]
 }
 
-// Has reports whether token is in the vocabulary.
-func (v *Vocab) Has(token string) bool {
-	_, ok := v.ids[token]
-	return ok
-}
-
-// Token returns the token for id, or [UNK] when out of range.
-func (v *Vocab) Token(id int) string {
-	if id < 0 || id >= len(v.tokens) {
-		return UnkToken
-	}
-	return v.tokens[id]
-}
-
 // Len returns the vocabulary size.
 func (v *Vocab) Len() int { return len(v.tokens) }
 

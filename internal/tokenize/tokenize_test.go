@@ -1,6 +1,7 @@
 package tokenize
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -227,4 +228,49 @@ func TestSentencesCoverInput(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ParseLabel converts an IOB name to a Label.
+func ParseLabel(s string) (Label, error) {
+	switch s {
+	case "O":
+		return O, nil
+	case "B-AS":
+		return BAS, nil
+	case "I-AS":
+		return IAS, nil
+	case "B-OP":
+		return BOP, nil
+	case "I-OP":
+		return IOP, nil
+	}
+	return O, fmt.Errorf("tokenize: unknown IOB label %q", s)
+}
+
+// LabelsFromSpans builds an IOB sequence of length n from chunks. Overlapping
+// spans are applied in order, later spans overwriting earlier ones.
+func LabelsFromSpans(n int, spans []Span) []Label {
+	labels := make([]Label, n)
+	for _, sp := range spans {
+		b, i := BAS, IAS
+		if sp.Kind == OpinionSpan {
+			b, i = BOP, IOP
+		}
+		for t := sp.Start; t < sp.End && t < n; t++ {
+			if t == sp.Start {
+				labels[t] = b
+			} else {
+				labels[t] = i
+			}
+		}
+	}
+	return labels
+}
+
+// Token returns the token for id, or [UNK] when out of range.
+func (v *Vocab) Token(id int) string {
+	if id < 0 || id >= len(v.tokens) {
+		return UnkToken
+	}
+	return v.tokens[id]
 }

@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"saccs/internal/automaton"
 	"saccs/internal/core"
 	"saccs/internal/datasets"
 	"saccs/internal/extcache"
@@ -157,9 +156,6 @@ type QueryOptions struct {
 // Int returns a pointer to v — a convenience for QueryOptions literals.
 func Int(v int) *int { return &v }
 
-// Float returns a pointer to v — a convenience for QueryOptions literals.
-func Float(v float64) *float64 { return &v }
-
 // StageError is the typed failure of a context-aware Client call: the
 // pipeline stage that observed the cancellation or expired deadline plus the
 // underlying context error. errors.Is sees through it to context.Canceled /
@@ -183,7 +179,7 @@ func (e *StageError) Error() string { return "saccs: " + e.Stage + ": " + e.Err.
 func (e *StageError) Unwrap() error { return e.Err }
 
 // ErrShutdown is why a write fails once the client is shut down: after
-// Shutdown, AppendReview, RegisterEntity, IndexEntities and Reindex return a
+// Shutdown, AppendReview, RegisterEntityCtx, IndexEntities and Reindex return a
 // *StageError wrapping it, while queries keep answering over the index the
 // client had.
 var ErrShutdown = errors.New("client is shut down")
@@ -229,7 +225,7 @@ type Response struct {
 // The query path is lock-free: each request pins the current immutable index
 // snapshot once and reads only that generation end to end, so a query never
 // mixes postings from before and after a rebuild and never blocks on a
-// writer. Writers — IndexEntities, Reindex, LoadIndex — prepare their state
+// writer. Writers — IndexEntities, Reindex — prepare their state
 // off to the side and publish it with one atomic pointer swap; queries
 // already in flight keep the generation they pinned, and the next request
 // sees the new one. The extraction pipeline (MiniBERT forward pass,
@@ -393,9 +389,14 @@ func (s *candidateSet) at(snap *index.Snapshot) search.Candidates {
 func New(cfg Config) (*Client, error) {
 	var domain *lexicon.Domain
 	var data *datasets.Dataset
-	scale := datasets.Fast
-	if cfg.TrainingScale == "paper" {
+	var scale datasets.Scale
+	switch cfg.TrainingScale {
+	case "", "fast":
+		scale = datasets.Fast
+	case "paper":
 		scale = datasets.Paper
+	default:
+		return nil, fmt.Errorf("saccs: unknown training scale %q (want fast or paper)", cfg.TrainingScale)
 	}
 	switch cfg.Domain {
 	case "", "restaurants":
@@ -651,19 +652,15 @@ func (c *Client) AppendReviewCtx(ctx context.Context, entityID, review string) e
 	return nil
 }
 
-// RegisterEntity upserts an entity's objective metadata (Name, City,
+// RegisterEntityCtx upserts an entity's objective metadata (Name, City,
 // Cuisine) without touching its reviews: the entity becomes visible to
 // objective filtering immediately, and when the client streams through a
 // durable WAL the metadata is fsynced as its own WAL record before the call
 // returns — so a crash-recovered entity keeps its identity instead of
 // degrading to a bare-ID stub. Reviews stream separately via AppendReview.
-func (c *Client) RegisterEntity(e Entity) error {
-	return c.RegisterEntityCtx(context.Background(), e)
-}
-
-// RegisterEntityCtx is RegisterEntity with request telemetry (one "register"
-// request per call). Like AppendReviewCtx, the durability acknowledgment is
-// not cancellable: once the call returns nil the metadata is on disk.
+// Each call is one "register" request. Like AppendReviewCtx, the durability
+// acknowledgment is not cancellable: once the call returns nil the metadata
+// is on disk.
 func (c *Client) RegisterEntityCtx(ctx context.Context, e Entity) error {
 	ctx, req := c.o.StartRequest(ctx, "register")
 	fail := func(err error) error {
@@ -1070,11 +1067,6 @@ func (c *Client) TagLabels(sentence string) (tokens []string, labels []string) {
 // Metrics are always on; their cost is a few atomic operations per query.
 func (c *Client) Stats() obs.Snapshot { return c.o.Snapshot() }
 
-// Events returns the most recent wide events, oldest first: one structured
-// record per finished request (trace ID, per-stage durations, index
-// generation, cache hits, result counts, status).
-func (c *Client) Events() []obs.Event { return c.o.Telemetry().Events() }
-
 // SlowQueries returns the worst-K slow or errored requests, slowest first —
 // the same log Stats().Slow, the /debug/slow endpoint, and saccs-chat's
 // :slow command expose.
@@ -1083,7 +1075,7 @@ func (c *Client) SlowQueries() []obs.Event { return c.o.Telemetry().SlowQueries(
 // Shutdown marks the client not-ready (the /readyz endpoint turns 503),
 // stops background telemetry, and seals the write side for good: pending
 // streamed reviews are published, the WAL is closed cleanly, and every later
-// AppendReview, RegisterEntity, IndexEntities or Reindex returns a
+// AppendReview, RegisterEntityCtx, IndexEntities or Reindex returns a
 // *StageError wrapping ErrShutdown. The client still answers queries over
 // the index it had — shutdown only signals orchestrators to drain traffic.
 // To write again, start a new client: with Config.WALDir set, New recovers
@@ -1101,7 +1093,7 @@ func (c *Client) Shutdown() {
 }
 
 // SetTraceSink enables span tracing into sink (for example
-// NewRingSink(512) or NewJSONLSink(file)): every request's spans go to it
+// NewRingSink(512)): every request's spans go to it
 // as they end, children before their root, each stamped with the request's
 // trace ID. A nil sink disables tracing again; disabled tracing builds no
 // span at all. The sink swap is atomic and may happen while queries are in
@@ -1140,47 +1132,15 @@ func (c *Client) ServeMetrics(addr string) (*http.Server, error) {
 // consumers can use Stats/SetTraceSink without importing the internal obs
 // package (which the compiler forbids outside this module).
 type (
-	// Snapshot is a point-in-time copy of the metrics registry (plus the
-	// slow-query log).
-	Snapshot = obs.Snapshot
-	// SpanSink receives finished trace spans.
-	SpanSink = obs.SpanSink
 	// SpanRecord is one finished span: trace ID, span ID, parent, name,
 	// start, duration, and key/value attributes.
 	SpanRecord = obs.SpanRecord
 	// RingSink is a fixed-capacity in-memory span sink.
 	RingSink = obs.Ring[obs.SpanRecord]
-	// Event is one wide event: the canonical structured record of a finished
-	// request.
-	Event = obs.Event
-	// TraceID is the 128-bit per-request identity stamped on spans and
-	// events, rendered as 32 hex digits.
-	TraceID = obs.TraceID
-	// Trace is a request's trace identity (trace ID, span ID, and the
-	// caller's sampled flag) as carried through context.Context and W3C
-	// traceparent strings.
-	Trace = obs.Trace
 )
-
-// ContextWithTrace returns a context carrying tr; Client requests started
-// under it join the trace (same trace ID, the caller's sampled flag)
-// instead of minting a new one — the cross-process propagation hook.
-func ContextWithTrace(ctx context.Context, tr Trace) context.Context {
-	return obs.ContextWithTrace(ctx, tr)
-}
-
-// TraceFrom returns the trace carried by ctx, if any. Inside a request (the
-// context handed to stage callbacks) it reports the request's own identity.
-func TraceFrom(ctx context.Context) (Trace, bool) { return obs.TraceFrom(ctx) }
-
-// ParseTraceparent parses a W3C traceparent header ("00-<trace>-<span>-<flags>").
-func ParseTraceparent(s string) (Trace, error) { return obs.ParseTraceparent(s) }
 
 // NewRingSink returns an in-memory sink holding the last capacity spans.
 func NewRingSink(capacity int) *RingSink { return obs.NewRing[obs.SpanRecord](capacity) }
-
-// NewJSONLSink returns a sink writing one JSON object per span to w.
-func NewJSONLSink(w io.Writer) SpanSink { return obs.NewJSONL[obs.SpanRecord](w) }
 
 // LastRootSpan returns the most recently finished root span among spans.
 func LastRootSpan(spans []SpanRecord) (SpanRecord, bool) { return obs.LastRoot(spans) }
@@ -1231,28 +1191,3 @@ func objectiveFilter(w *world, key candidateKey) []string {
 // reloaded without re-extracting reviews. It serializes the snapshot
 // current at the moment of the call, unaffected by concurrent rebuilds.
 func (c *Client) SaveIndex(w io.Writer) error { return c.w.Load().ix.Save(w) }
-
-// LoadIndex restores a previously saved index. The loaded postings are
-// validated fully before anything is published, then swapped in atomically;
-// on error the client keeps serving its previous index. The client's
-// entities must be re-registered separately, with RegisterEntity: it
-// records their objective metadata and leaves the loaded postings alone.
-// IndexEntities would not do — it builds a fresh index and drops what was
-// loaded.
-func (c *Client) LoadIndex(r io.Reader) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return c.w.Load().ix.Load(r)
-}
-
-// CorrectTag routes a possibly misspelled tag onto the closest indexed tag
-// within edit distance 2, using the §7 search-automaton extension. It
-// returns the input unchanged when nothing is close enough.
-func (c *Client) CorrectTag(tag string) string {
-	trie := automaton.New()
-	c.w.Load().ix.EachTag(func(t string) bool { trie.Add(t); return true })
-	if fixed, ok := trie.Closest(strings.ToLower(tag), 2); ok {
-		return fixed
-	}
-	return tag
-}

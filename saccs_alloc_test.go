@@ -32,7 +32,7 @@ func TestWarmQueryAllocsRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := len(goldenWorld()); i < 280; i++ {
-		if err := c.RegisterEntity(Entity{ID: fmt.Sprintf("r%03d", i), City: "Montreal", Cuisine: "Italian"}); err != nil {
+		if err := c.RegisterEntityCtx(context.Background(), Entity{ID: fmt.Sprintf("r%03d", i), City: "Montreal", Cuisine: "Italian"}); err != nil {
 			t.Fatal(err)
 		}
 	}

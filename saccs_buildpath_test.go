@@ -72,7 +72,7 @@ func TestQueryTagsKnownTagNotQueued(t *testing.T) {
 	if len(c.QueryTags([]string{"delicious food"})) == 0 {
 		t.Fatal("known tag answered nothing")
 	}
-	if got := c.w.Load().history.Len(); got != 0 {
+	if got := len(c.w.Load().history.Pending()); got != 0 {
 		t.Fatalf("a known tag queued: history holds %d", got)
 	}
 }
@@ -99,7 +99,7 @@ func TestQueryTagsUnknownTagGoesToHistoryAndNextRound(t *testing.T) {
 	if len(want) == 0 || len(got) == 0 || got[0].ID != want[0].EntityID {
 		t.Fatalf("indexed tag must answer from its postings: got %v, postings %v", got, want)
 	}
-	if got := c.w.Load().history.Len(); got != 0 {
+	if got := len(c.w.Load().history.Pending()); got != 0 {
 		t.Fatalf("an indexed tag queued again: history holds %d", got)
 	}
 }

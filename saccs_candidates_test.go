@@ -73,10 +73,10 @@ func TestCandidateMemoMatchesScan(t *testing.T) {
 		do   func() error
 	}{
 		{"RegisterEntity new", func() error {
-			return c.RegisterEntity(Entity{ID: "zz-new", City: "PARIS", Cuisine: "fReNcH"})
+			return c.RegisterEntityCtx(context.Background(), Entity{ID: "zz-new", City: "PARIS", Cuisine: "fReNcH"})
 		}},
 		{"RegisterEntity moved", func() error {
-			return c.RegisterEntity(Entity{ID: moved.ID, Name: moved.Name, City: "Lyon", Cuisine: moved.Cuisine})
+			return c.RegisterEntityCtx(context.Background(), Entity{ID: moved.ID, Name: moved.Name, City: "Lyon", Cuisine: moved.Cuisine})
 		}},
 		{"AppendReview stub", func() error { return c.AppendReview("aa-stub", "The food is delicious.") }},
 		{"refused AppendReview", func() error {
@@ -188,7 +188,7 @@ func TestCandidateMemoRace(t *testing.T) {
 	cuisines := []string{"italian", "French"}
 	for i := 0; i < 40; i++ {
 		id := fmt.Sprintf("race-%02d", i)
-		if err := c.RegisterEntity(Entity{ID: id, City: cities[i%2], Cuisine: cuisines[i/2%2]}); err != nil {
+		if err := c.RegisterEntityCtx(context.Background(), Entity{ID: id, City: cities[i%2], Cuisine: cuisines[i/2%2]}); err != nil {
 			t.Errorf("register %s: %v", id, err)
 			break
 		}
@@ -231,7 +231,7 @@ func TestQueryCostIndependentOfBareEntities(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < stubs; i++ {
-			if err := c.RegisterEntity(Entity{ID: fmt.Sprintf("stub-%04d", i)}); err != nil {
+			if err := c.RegisterEntityCtx(context.Background(), Entity{ID: fmt.Sprintf("stub-%04d", i)}); err != nil {
 				t.Fatal(err)
 			}
 		}

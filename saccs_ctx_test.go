@@ -180,8 +180,9 @@ func TestQueryOptionsOverrides(t *testing.T) {
 	// An explicit ThetaFilter equal to the config must be a no-op, and the
 	// shared Config must never be mutated by per-request options.
 	baseTags := c.QueryTags([]string{"tasty meals"})
+	theta := c.cfg.ThetaFilter
 	same, err := c.QueryTagsCtx(context.Background(), []string{"tasty meals"},
-		QueryOptions{ThetaFilter: Float(c.cfg.ThetaFilter)})
+		QueryOptions{ThetaFilter: &theta})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -302,7 +302,7 @@ func TestWritesAfterShutdownAreRefused(t *testing.T) {
 				{"index", func() error { return c.IndexEntities(world2, canon) }},
 				{"append", func() error { return c.AppendReview("vue", "The food was bland.") }},
 				{"append", func() error { return c.AppendReview("hut", "The staff was rude.") }},
-				{"register", func() error { return c.RegisterEntity(Entity{ID: "hut", City: "Paris"}) }},
+				{"register", func() error { return c.RegisterEntityCtx(context.Background(), Entity{ID: "hut", City: "Paris"}) }},
 				{"reindex", func() error { _, err := c.ReindexCtx(context.Background()); return err }},
 			}
 			for i, w := range writes {

@@ -114,7 +114,6 @@ func TestConcurrentQueries(t *testing.T) {
 					c.ExtractTags("the staff is friendly")
 				default:
 					c.TagLabels("the food is delicious")
-					c.CorrectTag("delicous food")
 					c.Query("good food in Montreal")
 				}
 			}

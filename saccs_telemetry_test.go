@@ -58,7 +58,7 @@ func TestTailSamplingAcceptance(t *testing.T) {
 	// event) but not slow-logged.
 	swapTelemetry(t, c, obs.TelemetryConfig{SlowThreshold: time.Hour})
 	c.Query("an Italian restaurant in Montreal with delicious food")
-	evs := c.Events()
+	evs := c.Observer().Telemetry().Events()
 	if len(evs) != 1 {
 		t.Fatalf("%d wide events, want 1", len(evs))
 	}
@@ -268,7 +268,7 @@ func TestWideEventsIndependentOfSink(t *testing.T) {
 		for _, u := range utterances {
 			c.Query(u)
 		}
-		return c.Events()
+		return c.Observer().Telemetry().Events()
 	}
 	bare := run(nil)
 	ring := NewRingSink(1024)
@@ -418,7 +418,7 @@ func TestConfigTelemetryKnobs(t *testing.T) {
 	}
 
 	c.Query("a restaurant with delicious food")
-	evs := c.Events()
+	evs := c.Observer().Telemetry().Events()
 	if len(evs) == 0 {
 		t.Fatal("no wide events with telemetry knobs set")
 	}
@@ -477,7 +477,7 @@ func TestTraceSinkSwapRace(t *testing.T) {
 		}
 		break
 	}
-	if len(c.Events()) == 0 {
+	if len(c.Observer().Telemetry().Events()) == 0 {
 		t.Fatal("no wide events recorded during the sink-swap race")
 	}
 }

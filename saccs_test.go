@@ -2,6 +2,8 @@ package saccs
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -146,6 +148,11 @@ func TestClientValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Precision: "int8"}); err == nil || !strings.Contains(err.Error(), "float64 or mixed") {
 		t.Fatalf("retired precision must be rejected naming the accepted values, got %v", err)
+	}
+	for _, scale := range []string{"papr", "full"} {
+		if _, err := New(Config{TrainingScale: scale}); err == nil || !strings.Contains(err.Error(), "fast or paper") {
+			t.Fatalf("training scale %q must be rejected naming the accepted values, got %v", scale, err)
+		}
 	}
 	_ = c
 }
@@ -306,7 +313,7 @@ func TestLoadIndexThenRegisterEntityKeepsPostings(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range demoEntities() {
-		if err := c.RegisterEntity(Entity{ID: e.ID, Name: e.Name, City: e.City, Cuisine: e.Cuisine}); err != nil {
+		if err := c.RegisterEntityCtx(context.Background(), Entity{ID: e.ID, Name: e.Name, City: e.City, Cuisine: e.Cuisine}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,18 +334,12 @@ func TestLoadIndexThenRegisterEntityKeepsPostings(t *testing.T) {
 	}
 }
 
-func TestClientCorrectTag(t *testing.T) {
-	c := newClient(t)
-	if err := c.IndexEntities(demoEntities(), c.CanonicalTags()); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.CorrectTag("delicous food"); got != "delicious food" {
-		t.Fatalf("typo routing: %q", got)
-	}
-	if got := c.CorrectTag("Nice Staff"); got != "nice staff" {
-		t.Fatalf("case routing: %q", got)
-	}
-	if got := c.CorrectTag("completely unrelated thing"); got != "completely unrelated thing" {
-		t.Fatalf("unmatched tags must pass through: %q", got)
-	}
+// LoadIndex swaps a saved index into c, as a restart from a saved index
+// would: the postings are validated in full before anything is published.
+// Entities are re-registered separately (RegisterEntityCtx records their
+// metadata and leaves the loaded postings alone).
+func (c *Client) LoadIndex(r io.Reader) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	return c.w.Load().ix.Load(r)
 }
